@@ -10,14 +10,12 @@ from .errors import (
 )
 from .subspaces import (
     DEFAULT_TOL,
-    EQUALITY_GAP,
     LinearRelation,
     MetricMatrix,
     Subspace,
     eigenspace,
     gap_distance,
     intersect,
-    operator_part,
     ortho_complement,
     orthonormal_span,
     relation_adjoint,

@@ -1,7 +1,7 @@
 """Full pipeline orchestration and machine-readable reports.
 
 Runs the complete chain for one operator: classification, splitting,
-deficiency data, boundary triple, both boundary-map constructions, the
+boundary triple, deficiency data, both boundary-map constructions, the
 completeness criteria and the real-spectrum comparison, and collects the
 cross-check residuals into one dictionary with JSON-safe values only.
 """
@@ -33,7 +33,13 @@ from .decomposition import (
     split,
 )
 from .errors import ClassificationError
-from .krein import NEITHER, OperatorWithDomain, RieszRepresenter, riesz_representer
+from .krein import (
+    NEITHER,
+    OperatorWithDomain,
+    RieszRepresenter,
+    classify_by_graph,
+    riesz_representer,
+)
 from .subspaces import Subspace, gap_distance
 
 __all__ = ["PipelineResult", "build_pipeline", "analyze_operator", "RESIDUAL_BOUND"]
@@ -62,10 +68,10 @@ def build_pipeline(op: OperatorWithDomain) -> PipelineResult:
     if classification == NEITHER:
         raise ClassificationError("operator is not dissipative")
     splitting = split(op)
-    defi = deficiency_space(splitting.symmetric, op)
+    triple = build_boundary_triple(splitting.symmetric, op)
+    defi = deficiency_space(triple, op)
     resolvent_domain = defect_domain_via_resolvent(op, defi)
     representer = riesz_representer(op)
-    triple = build_boundary_triple(splitting.symmetric, op)
     traces = restrict_triple(triple, op)
     pair_proj = boundary_map_projection(op, splitting)
     pair_res = boundary_map_resolvent(op, defi, splitting)
@@ -122,6 +128,7 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0,
             "checks": {"dissipative": False},
         }
     result = build_pipeline(op)
+    sym = result.splitting.symmetric
     rng = np.random.default_rng(seed)
     green_pair = pair_green_residual(result.pair_projection, op, samples, rng)
     green_triple = trace_isometry_residual(result.triple)
@@ -129,24 +136,19 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0,
     splitting_gap = gap_distance(
         result.splitting.defect.domain, result.resolvent_domain
     )
-    kernel_gap = gap_distance(
-        result.pair_projection.kernel(), result.splitting.symmetric.domain
-    )
-    spectrum = real_spectrum_report(
-        op, result.splitting.symmetric, result.pair_projection
-    )
-    f = result.riesz.matrix
-    sqrt_f = result.riesz.sqrt_matrix
-    if f.shape[0]:
-        f_eigs = np.linalg.eigvalsh(f)
+    kernel_gap = gap_distance(result.pair_projection.kernel(), sym.domain)
+    spectrum = real_spectrum_report(op, sym, result.pair_projection)
+    rep = result.riesz
+    f, sqrt_f = rep.matrix, rep.sqrt_matrix
+    if rep.dim:
         riesz_info = {
-            "min_eigenvalue": float(f_eigs[0]),
-            "graph_norm": float(np.max(np.abs(f_eigs))),
+            "min_eigenvalue": float(rep.eigenvalues[0]),
+            "graph_norm": float(np.max(np.abs(rep.eigenvalues))),
             "sqrt_identity_residual": float(
                 np.linalg.norm(sqrt_f @ sqrt_f - f, 2)
             ),
             "embedding_identity_residual": float(
-                np.linalg.norm(f @ np.linalg.pinv(f) @ f - f, 2)
+                np.linalg.norm(f @ rep.pseudo_inverse(op.tol) @ f - f, 2)
             ),
         }
     else:
@@ -156,6 +158,8 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0,
             "sqrt_identity_residual": 0.0,
             "embedding_identity_residual": 0.0,
         }
+    routes_agree = (classify_by_graph(op) == classification
+                    and classify_by_graph(sym) == sym.classify())
     checks = {
         "dissipative": True,
         "green_identity_pair": green_pair <= RESIDUAL_BOUND,
@@ -165,13 +169,14 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0,
         "kernel_is_symmetric_domain": kernel_gap <= RESIDUAL_BOUND,
         "criterion_agreement": result.criterion.agree,
         "real_spectrum": spectrum.passed,
+        "classification_routes_agree": routes_agree,
     }
     return {
         "classification": classification,
         "dims": {
             "space": op.space.dim,
             "domain": op.domain.dim,
-            "symmetric_part": result.splitting.symmetric.domain.dim,
+            "symmetric_part": sym.domain.dim,
             "defect_part": result.splitting.defect.domain.dim,
             "deficiency_space": result.deficiency.deficiency.dim,
             "boundary_space": result.pair_projection.space_dim,

@@ -75,17 +75,6 @@ class BoundaryTriple:
     defect_minus: Subspace
     base_metric: np.ndarray  # J of the underlying Krein space
 
-    @cached_property
-    def relation(self) -> LinearRelation:
-        """The trace maps as an operator-relation from pairs to boundary pairs."""
-        if self.space_dim == 0:
-            raise DimensionMismatch("trivial boundary space has no trace relation")
-        g = self.adjoint_graph.basis
-        stacked = np.vstack([g, self.trace0 @ g, self.trace1 @ g])
-        n2 = self.adjoint_graph.ambient_dim
-        graph = orthonormal_span(stacked, n2 + 2 * self.space_dim)
-        return LinearRelation(n2, 2 * self.space_dim, graph)
-
     def stacked_traces(self) -> np.ndarray:
         return np.vstack([self.trace0, self.trace1])
 
@@ -182,22 +171,20 @@ def build_boundary_triple(sym: OperatorWithDomain,
         raise PipelineError("boundary triples are built over a symmetric operator")
     space = sym.space
     n, j = space.dim, space.J
-    bs = sym.domain.basis
     hilbertized = LinearRelation.from_operator(j @ sym.matrix, sym.domain, sym.tol)
     adj = relation_adjoint(hilbertized)  # Euclidean adjoint of JS
-    q_plus = eigenspace(adj, 1j).basis
-    q_minus = eigenspace(adj, -1j).basis
-    if q_plus.shape[1] != q_minus.shape[1]:
+    n_plus = eigenspace(adj, 1j)
+    n_minus = eigenspace(adj, -1j)
+    if n_plus.dim != n_minus.dim:
         raise PipelineError(
-            "deficiency dimensions differ: "
-            f"{q_plus.shape[1]} vs {q_minus.shape[1]}"
+            f"deficiency dimensions differ: {n_plus.dim} vs {n_minus.dim}"
         )
-    k = q_plus.shape[1]
+    k = n_plus.dim
 
     # components of (x, J x') in the von Neumann decomposition:
     #   u+ = Qp Qp^H (x - i J x') / 2,   u- = Qm Qm^H (x + i J x') / 2
     # trace0 = coords(u+) + coords(u-), trace1 = i (coords(u+) - coords(u-))
-    ph, mh = q_plus.conj().T, q_minus.conj().T
+    ph, mh = n_plus.basis.conj().T, n_minus.basis.conj().T
     trace0 = 0.5 * np.hstack([ph + mh, -1j * ph @ j + 1j * mh @ j])
     trace1 = 0.5j * np.hstack([ph - mh, -1j * ph @ j - 1j * mh @ j])
 
@@ -213,8 +200,8 @@ def build_boundary_triple(sym: OperatorWithDomain,
         trace1=trace1,
         adjoint_graph=krein_graph,
         symmetric_graph=sym_graph,
-        defect_plus=orthonormal_span(q_plus, n, sym.tol),
-        defect_minus=orthonormal_span(q_minus, n, sym.tol),
+        defect_plus=n_plus,
+        defect_minus=n_minus,
         base_metric=j,
     )
 
@@ -370,12 +357,17 @@ def boundary_map_projection(op: OperatorWithDomain,
 def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
                            splitting: Splitting) -> BoundaryPair:
     """Boundary map as ``(JT + iI)^{-1} P (JT + iI)`` with the deficiency
-    projector P; the unitary identification of E is fixed to the identity."""
+    projector P; the unitary identification of E is fixed to the identity.
+
+    The inverse is the solve through the SVD in ``defi``; the part of the
+    projected values outside the range of ``JT + iI`` is the residual.
+    """
     b = op.domain.basis
-    shifted = op.space.J @ op.matrix @ b + 1j * b
-    target = defi.projector @ shifted
-    coeffs, *_ = np.linalg.lstsq(shifted, target, rcond=None)
-    residual = np.linalg.norm(shifted @ coeffs - target, 2)
+    u, s, vh = defi.shifted_svd
+    target = ((defi.projector @ u) * s) @ vh
+    in_range = u.conj().T @ target
+    coeffs = vh.conj().T @ (in_range / s[:, None])
+    residual = np.linalg.norm(u @ in_range - target, 2)
     scale = max(1.0, float(np.linalg.norm(target, 2)))
     if residual > 1e-8 * scale:
         raise PipelineError(
@@ -512,19 +504,20 @@ def restricted_eigenpairs(op: OperatorWithDomain):
     pairs = []
     used: list[complex] = []
     scale = 1.0 + float(np.max(np.abs(values), initial=0.0))
+    compressed_norm = float(np.linalg.norm(compressed, 2))
     for lam in values:
         if any(abs(lam - mu) <= 1e-8 * scale for mu in used):
             continue
         rows = [compressed - lam * np.eye(d)]
         if leak is not None:
             rows.append(leak)
-        eig_scale = 1.0 + abs(lam) + float(np.linalg.norm(compressed, 2))
+        eig_scale = 1.0 + abs(lam) + compressed_norm
         coeffs = null_space(np.vstack(rows), 1e-10, scale=eig_scale)
         if coeffs.shape[1] == 0:
             continue
         used.append(complex(lam))
-        space = orthonormal_span(b @ coeffs, op.space.dim, op.tol)
-        pairs.append((complex(lam), space))
+        # orthonormal columns times orthonormal coefficients
+        pairs.append((complex(lam), Subspace(op.space.dim, b @ coeffs, op.tol)))
     return pairs
 
 

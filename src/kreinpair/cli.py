@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import analyze_operator
+from .analysis import _criterion_dict, analyze_operator
 from .completeness import criterion_report
 from .errors import KreinPairError
 from .krein import KreinSpace, OperatorWithDomain
@@ -165,22 +165,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _criterion_payload(path) -> dict:
-    op = load_instance(path)
-    report = criterion_report(op)
-    return {
-        "uniform_positivity": {
-            "ok": report.positivity.ok,
-            "smallest_eigenvalue": report.positivity.smallest,
-            "largest_eigenvalue": report.positivity.largest,
-        },
-        "contraction": {"ok": report.contraction.ok, "norm": report.contraction.norm},
-        "range_splitting": {
-            "ok": report.range_split.ok,
-            "gap_sum": report.range_split.gap_sum,
-            "gap_difference": report.range_split.gap_difference,
-        },
-        "agree": report.agree,
-    }
+    return _criterion_dict(criterion_report(load_instance(path)))
 
 
 def _cmd_criterion(args) -> int:

@@ -51,7 +51,6 @@ __all__ = [
     "contraction_bound",
     "range_splitting",
     "criterion_report",
-    "angular_consistency_residual",
 ]
 
 #: shared relative threshold for all three conditions; also used for the
@@ -245,24 +244,3 @@ def criterion_report(op: OperatorWithDomain,
         range_split=ranges,
         agree=agree,
     )
-
-
-def angular_consistency_residual(traces: TraceData) -> float:
-    """Residual of the angular-operator image map against the trace image.
-
-    The positive image space is the graph of a contraction between the
-    fundamental components of the doubled boundary space; the contraction
-    sends (u, iu) with u = (trace1 + i trace0) x to (2iv - u, iu + 2v) with
-    v = trace0 x, and adding the two components back must reproduce the
-    stacked traces up to the factor 2i.  Evaluated as an exact matrix
-    identity on the domain basis.
-    """
-    t0, t1 = traces.trace0, traces.trace1
-    u = t1 + 1j * t0
-    v = t0
-    plus = np.vstack([u, 1j * u])
-    minus = np.vstack([2j * v - u, 1j * u + 2 * v])
-    expected = 2j * np.vstack([t0, t1])
-    defect = plus + minus - expected
-    scale = max(1.0, float(np.linalg.norm(expected, 2)))
-    return float(np.linalg.norm(defect, 2)) / scale

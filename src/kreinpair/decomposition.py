@@ -4,27 +4,30 @@ The symmetric part lives on the kernel of the dissipation form, the defect
 part on its graph-orthogonal complement inside the domain.  The defect
 domain can be recomputed independently through the resolvent-type formula
 ``(JT + iI)^{-1}(deficiency cap range)``; the two routes are kept separate
-so they can cross-check each other.
+so they can cross-check each other.  The deficiency subspace comes from the
+boundary triple of the symmetric part, and the one SVD of ``(JT + iI)``
+on the domain serves every later use of that matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ClassificationError, DomainError, PipelineError
 from .krein import NEITHER, SYMMETRIC, OperatorWithDomain
-from .krein import krein_adjoint
 from .subspaces import (
-    LinearRelation,
     Subspace,
-    eigenspace,
     gap_distance,
     intersect,
     null_space,
     orthonormal_span,
 )
+
+if TYPE_CHECKING:
+    from .boundary import BoundaryTriple
 
 __all__ = [
     "Splitting",
@@ -58,13 +61,16 @@ class DeficiencyData:
 
     ``projector`` is the orthogonal projector, in the Hilbert product
     ``[x, J y]`` (Euclidean in these coordinates), onto the intersection of
-    the deficiency subspace with the range of ``JT + iI``.
+    the deficiency subspace with the range of ``JT + iI``.  ``shifted_svd``
+    is the thin SVD ``(U, s, Vh)`` of ``(JT + iI) B`` for the domain basis
+    B; ``resolvent_range`` is spanned by U.
     """
 
     deficiency: Subspace
     resolvent_range: Subspace
     intersection: Subspace
     projector: np.ndarray
+    shifted_svd: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _form_kernel_domain(op: OperatorWithDomain) -> Subspace:
@@ -126,35 +132,32 @@ def split(op: OperatorWithDomain) -> Splitting:
     return Splitting(symmetric=sym, defect=defect, defect_gram=gram)
 
 
-def _j_composed(rel: LinearRelation, j: np.ndarray) -> LinearRelation:
-    """The relation {(x, J y) : (x, y) in rel}."""
-    g = rel.graph.basis
-    top, bot = g[: rel.left_dim], g[rel.left_dim:]
-    stacked = np.vstack([top, j @ bot])
-    graph = orthonormal_span(stacked, rel.left_dim + rel.right_dim, rel.tol)
-    return LinearRelation(rel.left_dim, rel.right_dim, graph)
-
-
-def deficiency_space(sym: OperatorWithDomain,
+def deficiency_space(triple: BoundaryTriple,
                      op: OperatorWithDomain) -> DeficiencyData:
     """Deficiency subspace at +i of the symmetric part's adjoint.
 
-    The subspace is the eigenspace at +i of J composed with the adjoint
-    relation, intersected with the range of ``JT + iI`` over the domain of T.
+    The subspace is the triple's ``defect_plus``, intersected with the range
+    of ``JT + iI`` over the domain of T.  ``JT`` is dissipative in the
+    Hilbert product, so ``JT + iI`` is bounded below by 1 on the domain; a
+    small minimal singular value therefore signals a dissipativity
+    violation upstream.
     """
-    if sym.classify() != SYMMETRIC:
-        raise ClassificationError("deficiency space needs the symmetric part")
-    j = op.space.J
-    adj = krein_adjoint(sym)
-    n_plus = eigenspace(_j_composed(adj, j), 1j)
-    shifted = j @ op.matrix @ op.domain.basis + 1j * op.domain.basis
-    rng = orthonormal_span(shifted, op.space.dim, op.tol)
+    n_plus = triple.defect_plus
+    b = op.domain.basis
+    shifted = op.space.J @ op.matrix @ b + 1j * b
+    u, s, vh = np.linalg.svd(shifted, full_matrices=False)
+    if s.size and s[-1] < 0.5:
+        raise PipelineError(
+            f"JT + iI is nearly singular on the domain (sigma_min = {s[-1]:.3e})"
+        )
+    rng = Subspace(op.space.dim, u, op.tol)
     meet = intersect(n_plus, rng)
     return DeficiencyData(
         deficiency=n_plus,
         resolvent_range=rng,
         intersection=meet,
         projector=meet.projector(),
+        shifted_svd=(u, s, vh),
     )
 
 
@@ -162,23 +165,12 @@ def defect_domain_via_resolvent(op: OperatorWithDomain,
                                 defi: DeficiencyData) -> Subspace:
     """Preimage of the deficiency intersection under ``JT + iI``.
 
-    ``JT`` is dissipative in the Hilbert product, so ``JT + iI`` is bounded
-    below by 1 on the domain; a small minimal singular value therefore
-    signals a dissipativity violation upstream.
+    The intersection lies in the range of ``JT + iI`` on the domain, which
+    is injective there, so the preimage is the solve through its SVD.
     """
-    b = op.domain.basis
-    if b.shape[1] == 0:
-        return Subspace.zero(op.space.dim, op.tol)
-    shifted = op.space.J @ op.matrix @ b + 1j * b
-    smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-    if smin < 0.5:
-        raise PipelineError(
-            f"JT + iI is nearly singular on the domain (sigma_min = {smin:.3e})"
-        )
-    q = defi.intersection.basis
-    residual_rows = shifted - q @ (q.conj().T @ shifted)
-    coeffs = null_space(residual_rows, op.tol, scale=float(np.linalg.norm(shifted, 2)))
-    return orthonormal_span(b @ coeffs, op.space.dim, op.tol, scale=1.0)
+    u, s, vh = defi.shifted_svd
+    coeffs = vh.conj().T @ ((u.conj().T @ defi.intersection.basis) / s[:, None])
+    return orthonormal_span(op.domain.basis @ coeffs, op.space.dim, op.tol)
 
 
 def defect_inner(splitting: Splitting, x, y) -> complex:

@@ -131,12 +131,3 @@ def scaled_defect_instance(eps: float, tol: float = 1e-14) -> OperatorWithDomain
     space = KreinSpace(np.eye(2), tol=tol)
     matrix = np.diag([1j, 1j * eps])
     return OperatorWithDomain(space, matrix)
-
-
-def random_domain_samples(op: OperatorWithDomain, count: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Random vectors in the operator domain, as columns."""
-    b = op.domain.basis
-    d = b.shape[1]
-    coeffs = rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))
-    return b @ coeffs

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClassificationError, DimensionMismatch, DomainError, PipelineError
+from .errors import ClassificationError, DimensionMismatch, DomainError
 from .subspaces import (
     DEFAULT_TOL,
     LinearRelation,
@@ -35,6 +35,7 @@ __all__ = [
     "OperatorWithDomain",
     "RieszRepresenter",
     "boundary_metric_matrix",
+    "classify_by_graph",
     "krein_adjoint",
     "riesz_representer",
 ]
@@ -70,10 +71,6 @@ class KreinSpace:
     def inner(self, x, y) -> complex:
         """Indefinite product [x, y] = <x, J y>."""
         return complex(np.vdot(_as_vector(x, self.dim), self.J @ _as_vector(y, self.dim)))
-
-    def hilbert_inner(self, x, y) -> complex:
-        """The positive product [x, J y], Euclidean in these coordinates."""
-        return complex(np.vdot(_as_vector(x, self.dim), _as_vector(y, self.dim)))
 
     def graph_space(self) -> "GraphKreinSpace":
         return GraphKreinSpace(self)
@@ -193,44 +190,51 @@ class OperatorWithDomain:
     def classify(self) -> str:
         """Return "dissipative", "symmetric" or "neither".
 
-        Both characterizations are evaluated: positivity of the compressed
-        dissipation form, and nonnegativity (neutrality) of the graph in the
-        graph Krein space.  They must agree; disagreement marks a numerical
-        breakdown, not a borderline case.  The verdict is cached.
+        Decided by the dissipation form compressed to the domain: positive
+        semidefinite means dissipative, zero (relative to the graph scale)
+        symmetric.  The paper's second characterization, through the graph
+        in the graph Krein space, is :func:`classify_by_graph`; the pipeline
+        reports the agreement of the two as a check.  The verdict is cached.
         """
         return self._classification
 
     @cached_property
     def _classification(self) -> str:
-        by_form = self._classify_gram(self.dissipation_gram, self._form_scale)
-        graph = self.graph_relation.graph.basis
-        n = self.space.dim
-        top, bot = graph[:n], graph[n:]
-        j = self.space.J
-        compressed = -1j * (top.conj().T @ (j @ bot) - bot.conj().T @ (j @ top))
-        compressed = 0.5 * (compressed + compressed.conj().T)
-        by_graph = self._classify_gram(compressed, self._form_scale)
-        if by_form != by_graph:
-            raise PipelineError(
-                f"classification routes disagree: {by_form} vs {by_graph}"
-            )
-        return by_form
-
-    def _classify_gram(self, gram: np.ndarray, scale: float) -> str:
-        if gram.shape[0] == 0:
-            return SYMMETRIC
-        eigs = np.linalg.eigvalsh(gram)
-        largest = float(np.max(np.abs(eigs)))
-        if largest <= self.tol * scale:
-            return SYMMETRIC
-        if float(eigs[0]) >= -self.tol * largest:
-            return DISSIPATIVE
-        return NEITHER
+        return _classify_gram(self.dissipation_gram, self.tol, self._form_scale)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (
             f"OperatorWithDomain(n={self.space.dim}, domain_dim={self.domain.dim})"
         )
+
+
+def _classify_gram(gram: np.ndarray, tol: float, scale: float) -> str:
+    if gram.shape[0] == 0:
+        return SYMMETRIC
+    eigs = np.linalg.eigvalsh(gram)
+    largest = float(np.max(np.abs(eigs)))
+    if largest <= tol * scale:
+        return SYMMETRIC
+    if float(eigs[0]) >= -tol * largest:
+        return DISSIPATIVE
+    return NEITHER
+
+
+def classify_by_graph(op: OperatorWithDomain) -> str:
+    """Classify through the graph instead of the dissipation form.
+
+    The graph is nonnegative in the graph Krein space exactly when T is
+    dissipative, and neutral exactly when T is symmetric.  The graph metric
+    is compressed to an orthonormal basis of the graph; only the scale of
+    the zero test is shared with :meth:`OperatorWithDomain.classify`.
+    """
+    graph = op.graph_relation.graph.basis
+    n = op.space.dim
+    top, bot = graph[:n], graph[n:]
+    j = op.space.J
+    compressed = -1j * (top.conj().T @ (j @ bot) - bot.conj().T @ (j @ top))
+    compressed = 0.5 * (compressed + compressed.conj().T)
+    return _classify_gram(compressed, op.tol, op._form_scale)
 
 
 def krein_adjoint(op: OperatorWithDomain) -> LinearRelation:
@@ -240,6 +244,12 @@ def krein_adjoint(op: OperatorWithDomain) -> LinearRelation:
     return relation_adjoint(op.graph_relation, op.space.J, op.space.J)
 
 
+def _negligible(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
+    """Eigenvalues at or below ``tol`` times the scale max(1, max |w|)."""
+    largest = max(float(np.max(np.abs(eigenvalues), initial=0.0)), 1.0)
+    return np.abs(eigenvalues) <= tol * largest
+
+
 @dataclass(frozen=True)
 class RieszRepresenter:
     """Representer of the dissipation form in the graph inner product.
@@ -247,12 +257,16 @@ class RieszRepresenter:
     ``basis`` columns are a graph-inner-product orthonormal basis of the
     domain, so self-adjointness of ``matrix`` is plain Hermitian symmetry.
     ``sqrt_matrix`` is the principal (nonnegative) square root.
+    ``eigenvalues`` (ascending) and ``eigenvectors`` are the
+    eigendecomposition of ``matrix`` that both were built from.
     """
 
     basis: np.ndarray
     matrix: np.ndarray
     sqrt_matrix: np.ndarray
     coord_map: np.ndarray  # domain-basis coords -> representer coords
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -273,10 +287,17 @@ class RieszRepresenter:
         """
         if self.dim == 0:
             return Subspace.zero(op.space.dim, tol)
-        w, v = np.linalg.eigh(self.matrix)
-        largest = max(float(np.max(np.abs(w))), 1.0)
-        coeffs = v[:, np.abs(w) <= tol * largest]
+        coeffs = self.eigenvectors[:, _negligible(self.eigenvalues, tol)]
         return orthonormal_span(self.basis @ coeffs, op.space.dim, tol, scale=1.0)
+
+    def pseudo_inverse(self, tol: float) -> np.ndarray:
+        """Moore-Penrose inverse of ``matrix``, with the eigenvalues that
+        :meth:`kernel_vectors` counts as zero at ``tol`` left uninverted."""
+        w = self.eigenvalues
+        inverse = np.zeros_like(w)
+        kept = ~_negligible(w, tol)
+        inverse[kept] = 1.0 / w[kept]
+        return (self.eigenvectors * inverse) @ self.eigenvectors.conj().T
 
 
 def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
@@ -297,6 +318,8 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
             matrix=empty,
             sqrt_matrix=empty,
             coord_map=empty,
+            eigenvalues=np.zeros(0),
+            eigenvectors=empty,
         )
     gram = op.graph_gram
     w, v = np.linalg.eigh(gram)
@@ -313,7 +336,8 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
             f"dissipation representer is indefinite (min eigenvalue {fw[0]:.3e})"
         )
     # flush the form kernel to exact zeros so the square root shares it
-    fw = np.where(np.abs(fw) <= op.tol * scale, 0.0, np.clip(fw, 0.0, None))
-    sqrt_f = fv @ np.diag(np.sqrt(fw)) @ fv.conj().T
+    flushed = np.where(_negligible(fw, op.tol), 0.0, np.clip(fw, 0.0, None))
+    sqrt_f = fv @ np.diag(np.sqrt(flushed)) @ fv.conj().T
     sqrt_f = 0.5 * (sqrt_f + sqrt_f.conj().T)
-    return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f, coord_map=sqrt)
+    return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f, coord_map=sqrt,
+                            eigenvalues=fw, eigenvectors=fv)

@@ -35,3 +35,11 @@ def e(n, k):
     v = np.zeros(n, dtype=np.complex128)
     v[k] = 1.0
     return v
+
+
+def random_domain_samples(op, count, rng):
+    """Random vectors in the operator domain, as columns."""
+    b = op.domain.basis
+    d = b.shape[1]
+    coeffs = rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))
+    return b @ coeffs

@@ -100,10 +100,10 @@ def _preimage_isometry_residual(op, splitting, traces, rng, count=20):
 
 def _run_instance(op, rng) -> InstanceRecord:
     splitting = split(op)
-    defi = deficiency_space(splitting.symmetric, op)
+    triple = build_boundary_triple(splitting.symmetric, op)
+    defi = deficiency_space(triple, op)
     resolvent_domain = defect_domain_via_resolvent(op, defi)
     rep = riesz_representer(op)
-    triple = build_boundary_triple(splitting.symmetric, op)
     traces = restrict_triple(triple, op)
     proj = boundary_map_projection(op, splitting)
     res = boundary_map_resolvent(op, defi, splitting)

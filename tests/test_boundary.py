@@ -26,7 +26,6 @@ from kreinpair.boundary import (
     transform_traces,
     triple_green_residual,
 )
-from kreinpair.completeness import angular_consistency_residual
 from kreinpair.decomposition import deficiency_space
 from kreinpair.errors import PipelineError
 from kreinpair.instances import (
@@ -161,20 +160,13 @@ class TestRestrictTriple:
             smallest.append(np.linalg.eigvalsh(traces.image_gram)[0])
         assert smallest[0] > smallest[1] > smallest[2] > 0
 
-    def test_angular_map_regenerates_image(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            op = random_dissipative(int(rng.integers(2, 7)), rng)
-            _, _, traces = pipeline(op)
-            assert angular_consistency_residual(traces) < 1e-8
-
 
 class TestBoundaryMaps:
     def test_scalar_identity(self, scalar_i):
-        s = split(scalar_i)
+        s, triple, _ = pipeline(scalar_i)
         pair = boundary_map_projection(scalar_i, s)
         assert np.allclose(pair.matrix, [[1.0]])
-        defi = deficiency_space(s.symmetric, scalar_i)
+        defi = deficiency_space(triple, scalar_i)
         res = boundary_map_resolvent(scalar_i, defi, s)
         assert np.allclose(res.matrix, [[1.0]])
 
@@ -191,16 +183,16 @@ class TestBoundaryMaps:
         assert pair.apply(np.array([3.0, 2j]))[1] == pytest.approx(2j)
 
     def test_resolvent_form_matrix_product(self, mixed_diag):
-        s = split(mixed_diag)
-        defi = deficiency_space(s.symmetric, mixed_diag)
+        s, triple, _ = pipeline(mixed_diag)
+        defi = deficiency_space(triple, mixed_diag)
         pair = boundary_map_resolvent(mixed_diag, defi, s)
         shifted = mixed_diag.matrix + 1j * np.eye(2)
         expected = np.linalg.inv(shifted) @ np.diag([0.0, 1.0]) @ shifted
         assert np.allclose(pair.matrix, expected, atol=1e-12)
 
     def test_indefinite_pair_maps_are_identity(self, krein_pm):
-        s = split(krein_pm)
-        defi = deficiency_space(s.symmetric, krein_pm)
+        s, triple, _ = pipeline(krein_pm)
+        defi = deficiency_space(triple, krein_pm)
         proj = boundary_map_projection(krein_pm, s)
         res = boundary_map_resolvent(krein_pm, defi, s)
         assert np.allclose(proj.matrix, np.eye(2), atol=1e-12)
@@ -211,8 +203,8 @@ class TestBoundaryMaps:
         for _ in range(25):
             n = int(rng.integers(2, 11))
             op = random_dissipative(n, rng)
-            s = split(op)
-            defi = deficiency_space(s.symmetric, op)
+            s, triple, _ = pipeline(op)
+            defi = deficiency_space(triple, op)
             proj = boundary_map_projection(op, s)
             res = boundary_map_resolvent(op, defi, s)
             scale = max(1.0, np.linalg.norm(proj.matrix, 2))

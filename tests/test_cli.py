@@ -86,6 +86,7 @@ class TestAnalyze:
         assert report["boundary_map_gap"] <= 1e-8
         assert report["criterion"]["agree"] is True
         assert report["real_spectrum"]["passed"] is True
+        assert report["checks"]["classification_routes_agree"] is True
         assert report["seed"] == 0
 
     def test_deterministic_output(self, mixed_file, tmp_path):

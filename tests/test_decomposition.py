@@ -3,6 +3,7 @@ import pytest
 
 from kreinpair import (
     ClassificationError,
+    build_boundary_triple,
     DomainError,
     KreinSpace,
     OperatorWithDomain,
@@ -20,6 +21,11 @@ from kreinpair.errors import PipelineError
 from kreinpair.instances import random_dissipative
 
 from conftest import e
+
+
+def deficiency(op, s):
+    """Deficiency data of ``op``, with the triple built over its symmetric part."""
+    return deficiency_space(build_boundary_triple(s.symmetric, op), op)
 
 
 class TestSymmetricPart:
@@ -79,28 +85,28 @@ class TestDissipativePart:
 class TestDeficiencySpace:
     def test_scalar_everything_full(self, scalar_i):
         s = split(scalar_i)
-        defi = deficiency_space(s.symmetric, scalar_i)
+        defi = deficiency(scalar_i, s)
         assert defi.deficiency.is_full
         assert defi.resolvent_range.is_full
         assert np.allclose(defi.projector, [[1.0]])
 
     def test_mixed_diagonal(self, mixed_diag):
         s = split(mixed_diag)
-        defi = deficiency_space(s.symmetric, mixed_diag)
+        defi = deficiency(mixed_diag, s)
         assert gap_distance(defi.deficiency, orthonormal_span([e(2, 1)])) < 1e-10
         assert defi.resolvent_range.is_full
         assert np.allclose(defi.projector, np.diag([0.0, 1.0]), atol=1e-10)
 
     def test_indefinite_metric_pair(self, krein_pm):
         s = split(krein_pm)
-        defi = deficiency_space(s.symmetric, krein_pm)
+        defi = deficiency(krein_pm, s)
         assert defi.deficiency.is_full
         assert np.allclose(defi.projector, np.eye(2), atol=1e-10)
 
     def test_projector_is_hermitian_idempotent(self):
         rng = np.random.default_rng(1)
         op = random_dissipative(6, rng)
-        defi = deficiency_space(split(op).symmetric, op)
+        defi = deficiency(op, split(op))
         p = defi.projector
         assert np.allclose(p, p.conj().T, atol=1e-10)
         assert np.allclose(p @ p, p, atol=1e-10)
@@ -111,19 +117,19 @@ class TestDeficiencySpace:
             n = int(rng.integers(2, 10))
             op = random_dissipative(n, rng)
             s = split(op)
-            defi = deficiency_space(s.symmetric, op)
+            defi = deficiency(op, s)
             assert defi.deficiency.dim == op.domain.dim - s.symmetric.domain.dim
 
 
 class TestResolventRoute:
     def test_scalar(self, scalar_i):
         s = split(scalar_i)
-        defi = deficiency_space(s.symmetric, scalar_i)
+        defi = deficiency(scalar_i, s)
         assert defect_domain_via_resolvent(scalar_i, defi).is_full
 
     def test_mixed_diagonal_explicit_inverse(self, mixed_diag):
         s = split(mixed_diag)
-        defi = deficiency_space(s.symmetric, mixed_diag)
+        defi = deficiency(mixed_diag, s)
         domain = defect_domain_via_resolvent(mixed_diag, defi)
         # oracle: diag(1 + i, 2i)^{-1} applied to span{e2}
         inv = np.linalg.inv(mixed_diag.matrix + 1j * np.eye(2))
@@ -136,7 +142,7 @@ class TestResolventRoute:
             n = int(rng.integers(2, 11))
             op = random_dissipative(n, rng)
             s = split(op)
-            defi = deficiency_space(s.symmetric, op)
+            defi = deficiency(op, s)
             other = defect_domain_via_resolvent(op, defi)
             assert gap_distance(s.defect.domain, other) < 1e-8
 
@@ -147,7 +153,7 @@ class TestResolventRoute:
             d = int(rng.integers(2, n))
             op = random_dissipative(n, rng, domain_dim=d)
             s = split(op)
-            defi = deficiency_space(s.symmetric, op)
+            defi = deficiency(op, s)
             assert defi.intersection.dim == op.domain.dim - s.symmetric.domain.dim
             other = defect_domain_via_resolvent(op, defi)
             assert gap_distance(s.defect.domain, other) < 1e-8

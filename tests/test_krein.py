@@ -12,9 +12,11 @@ from kreinpair import (
     orthonormal_span,
     riesz_representer,
 )
-from kreinpair.instances import random_dissipative, random_domain_samples
+from kreinpair.analysis import analyze_operator
+from kreinpair.instances import random_dissipative
+from kreinpair.krein import classify_by_graph
 
-from conftest import e
+from conftest import e, random_domain_samples
 
 
 class TestInnerProducts:
@@ -82,26 +84,30 @@ class TestDissipationForm:
 
 
 class TestClassify:
+    """Each verdict is checked on both routes: the dissipation form (the
+    method) and the graph in the graph Krein space."""
+
     def test_dissipative(self, scalar_i):
-        assert scalar_i.classify() == "dissipative"
+        assert scalar_i.classify() == classify_by_graph(scalar_i) == "dissipative"
 
     def test_symmetric(self, hermitian_full):
-        assert hermitian_full.classify() == "symmetric"
+        assert (hermitian_full.classify() == classify_by_graph(hermitian_full)
+                == "symmetric")
 
     def test_neither(self):
         op = OperatorWithDomain(KreinSpace(np.eye(2)), np.diag([1j, -1j]))
-        assert op.classify() == "neither"
+        assert op.classify() == classify_by_graph(op) == "neither"
         eigs = np.linalg.eigvalsh(op.dissipation_gram)
         assert eigs[0] < 0 < eigs[-1]
 
     def test_krein_dissipative_despite_lower_halfplane_spectrum(self, krein_pm):
-        assert krein_pm.classify() == "dissipative"
+        assert krein_pm.classify() == classify_by_graph(krein_pm) == "dissipative"
 
     def test_empty_domain_counts_as_symmetric(self):
         op = OperatorWithDomain(
             KreinSpace(np.eye(2)), np.diag([1j, 1j]), Subspace.zero(2)
         )
-        assert op.classify() == "symmetric"
+        assert op.classify() == classify_by_graph(op) == "symmetric"
 
 
 class TestKreinAdjoint:
@@ -205,3 +211,11 @@ class TestRieszRepresenter:
         lhs = np.einsum("ij,ik->jk", (f @ coords).conj(), pinv @ (f @ coords))
         rhs = np.einsum("ij,ik->jk", coords.conj(), f @ coords)
         assert np.linalg.norm(lhs - rhs, 2) < 1e-8
+
+    def test_report_embedding_residual_is_round_off(self):
+        # a rank-one defect leaves seven round-off eigenvalues in F; a
+        # pseudo-inverse that inverts them puts the residual near 1e-2
+        for seed in range(5):
+            op = random_dissipative(8, np.random.default_rng(seed), defect=1)
+            riesz = analyze_operator(op)["riesz"]
+            assert riesz["embedding_identity_residual"] <= 1e-12
