@@ -41,11 +41,9 @@ from .krein import (
     riesz_representer,
 )
 from .subspaces import Subspace, gap_distance
+from .tolerances import CHECK_GATE
 
-__all__ = ["PipelineResult", "build_pipeline", "analyze_operator", "RESIDUAL_BOUND"]
-
-#: residual bound shared by all pipeline identity checks
-RESIDUAL_BOUND = 1e-8
+__all__ = ["PipelineResult", "build_pipeline", "analyze_operator"]
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,6 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0,
     splitting_gap = gap_distance(
         result.splitting.defect.domain, result.resolvent_domain
     )
-    kernel_gap = gap_distance(result.pair_projection.kernel(), sym.domain)
     spectrum = real_spectrum_report(op, sym, result.pair_projection)
     rep = result.riesz
     f, sqrt_f = rep.matrix, rep.sqrt_matrix
@@ -162,11 +159,11 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0,
                     and classify_by_graph(sym) == sym.classify())
     checks = {
         "dissipative": True,
-        "green_identity_pair": green_pair <= RESIDUAL_BOUND,
-        "green_identity_triple": green_triple <= RESIDUAL_BOUND,
-        "boundary_map_agreement": map_gap <= RESIDUAL_BOUND,
-        "splitting_crosscheck": splitting_gap <= RESIDUAL_BOUND,
-        "kernel_is_symmetric_domain": kernel_gap <= RESIDUAL_BOUND,
+        "green_identity_pair": green_pair <= CHECK_GATE,
+        "green_identity_triple": green_triple <= CHECK_GATE,
+        "boundary_map_agreement": map_gap <= CHECK_GATE,
+        "splitting_crosscheck": splitting_gap <= CHECK_GATE,
+        "kernel_is_symmetric_domain": spectrum.kernel_gap <= CHECK_GATE,
         "criterion_agreement": result.criterion.agree,
         "real_spectrum": spectrum.passed,
         "classification_routes_agree": routes_agree,
@@ -185,7 +182,7 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0,
         "green_residual_triple": green_triple,
         "boundary_map_gap": map_gap,
         "splitting_gap": splitting_gap,
-        "kernel_gap": kernel_gap,
+        "kernel_gap": spectrum.kernel_gap,
         "criterion": _criterion_dict(result.criterion),
         "real_spectrum": {
             "passed": spectrum.passed,

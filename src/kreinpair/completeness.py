@@ -38,6 +38,7 @@ from .subspaces import (
     relation_restrict,
     subspace_sum,
 )
+from .tolerances import CHECK_GATE, CRITERION_TOL, INJECTIVITY_CUT, negligible
 
 __all__ = [
     "GramPositivity",
@@ -52,20 +53,6 @@ __all__ = [
     "range_splitting",
     "criterion_report",
 ]
-
-#: shared relative threshold for all three conditions; also used for the
-#: rank decisions inside them, so the equivalence test stays meaningful even
-#: when the operator itself carries a stricter rank tolerance
-CRITERION_TOL = 1e-10
-#: shared gap threshold for the subspace equalities
-CRITERION_GAP = 1e-8
-
-
-def _trace_scale(traces: TraceData) -> float:
-    stacked = np.vstack([traces.trace0, traces.trace1])
-    if stacked.size == 0:
-        return 1.0
-    return float(np.linalg.norm(stacked, 2))
 
 
 @dataclass(frozen=True)
@@ -118,11 +105,10 @@ class QuotientSplit:
 
 def split_by_second_trace(traces: TraceData, op: OperatorWithDomain):
     """T restricted to ker(trace1) and to its graph-orthogonal complement."""
-    b = traces.domain_basis
-    scale = max(1.0, _trace_scale(traces))
-    coeffs = null_space(traces.trace1, CRITERION_TOL, scale=scale)
-    kernel_domain = orthonormal_span(b @ coeffs, op.space.dim, CRITERION_TOL,
-                                     scale=1.0)
+    # scale as in restrict_triple: trace1 alone may vanish up to round-off
+    coeffs = null_space(traces.trace1, CRITERION_TOL, scale=np.hypot(1.0, op.scale))
+    # orthonormal basis times orthonormal coefficients
+    kernel_domain = Subspace(op.space.dim, traces.domain_basis @ coeffs, CRITERION_TOL)
     kernel_op = op.restricted(kernel_domain)
     complement_op = op.restricted(graph_orthocomplement_within(op, kernel_domain))
     return kernel_op, complement_op
@@ -148,7 +134,9 @@ def trace_quotient(traces: TraceData, op: OperatorWithDomain) -> QuotientSplit:
 
 
 def uniform_positivity(image_gram: np.ndarray) -> GramPositivity:
-    """Smallest Gram eigenvalue against the shared relative threshold.
+    """Smallest Gram eigenvalue against the criterion cut, at scale 1: the
+    Gram compresses a unitary to an orthonormal basis, and its smallest
+    eigenvalue is ``(1 - k^2) / (1 + k^2)`` for the contraction norm k.
 
     A trivial image is vacuously complete.
     """
@@ -157,7 +145,7 @@ def uniform_positivity(image_gram: np.ndarray) -> GramPositivity:
     eigs = np.linalg.eigvalsh(image_gram)
     smallest, largest = float(eigs[0]), float(eigs[-1])
     return GramPositivity(
-        ok=smallest > CRITERION_TOL * largest,
+        ok=smallest > CRITERION_TOL,
         smallest=smallest,
         largest=largest,
     )
@@ -176,7 +164,7 @@ def contraction_bound(traces: TraceData,
     plus = t1n + 1j * t0n
     minus = t1n - 1j * t0n
     s = np.linalg.svd(plus, compute_uv=False)
-    if s[-1] <= 1e-13 * s[0]:
+    if negligible(s[-1], INJECTIVITY_CUT, s[0]):
         raise PipelineError("trace1 + i trace0 is not injective on the defect graph")
     _, r = np.linalg.qr(plus)
     quotient = minus @ np.linalg.inv(r)
@@ -198,7 +186,7 @@ def range_splitting(traces: TraceData, op: OperatorWithDomain,
     if k == 0:
         return RangeSplitting(ok=True, gap_sum=0.0, gap_difference=0.0)
     full = Subspace.full(k, CRITERION_TOL)
-    scale = max(1.0, _trace_scale(traces))
+    scale = np.hypot(1.0, op.scale)  # as in restrict_triple
     ran_t1 = orthonormal_span(traces.trace1, k, CRITERION_TOL, scale=scale)
     xs1 = traces.domain_basis.conj().T @ quo.kernel_restriction.domain.basis
     kernel_image = orthonormal_span(traces.trace0 @ xs1, k, CRITERION_TOL,
@@ -212,7 +200,7 @@ def range_splitting(traces: TraceData, op: OperatorWithDomain,
     diff = relation_difference(quo.quotient_adjoint, quo.quotient)
     action = relation_restrict(diff, lineal).ran
     gap_difference = gap_distance(subspace_sum(action, kernel_image), full)
-    ok = gap_sum <= CRITERION_GAP and gap_difference <= CRITERION_GAP
+    ok = gap_sum <= CHECK_GATE and gap_difference <= CHECK_GATE
     return RangeSplitting(ok=ok, gap_sum=gap_sum, gap_difference=gap_difference)
 
 

@@ -25,6 +25,7 @@ from .subspaces import (
     null_space,
     orthonormal_span,
 )
+from .tolerances import CHECK_GATE, negligible
 
 if TYPE_CHECKING:
     from .boundary import BoundaryTriple
@@ -50,10 +51,6 @@ class Splitting:
     defect: OperatorWithDomain
     defect_gram: np.ndarray  # dissipation form on defect-domain coordinates
 
-    @property
-    def defect_dim(self) -> int:
-        return self.defect.domain.dim
-
 
 @dataclass(frozen=True)
 class DeficiencyData:
@@ -73,25 +70,11 @@ class DeficiencyData:
     shifted_svd: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _form_kernel_domain(op: OperatorWithDomain) -> Subspace:
-    gram = op.dissipation_gram
-    if gram.shape[0] == 0:
-        return Subspace.zero(op.space.dim, op.tol)
-    w, v = np.linalg.eigh(gram)
-    largest = float(np.max(np.abs(w)))
-    if largest <= op.tol * op._form_scale:
-        kernel = np.eye(gram.shape[0], dtype=np.complex128)
-    else:
-        kernel = v[:, np.abs(w) <= op.tol * largest]
-    return orthonormal_span(op.domain.basis @ kernel, op.space.dim, op.tol,
-                            scale=1.0)
-
-
 def symmetric_part(op: OperatorWithDomain) -> OperatorWithDomain:
     """Restriction of T to the kernel of the dissipation form."""
     if op.classify() == NEITHER:
         raise ClassificationError("symmetric part needs a dissipative operator")
-    result = op.restricted(_form_kernel_domain(op))
+    result = op.restricted(op.form_kernel)
     if result.classify() != SYMMETRIC:
         raise PipelineError("restriction to the form kernel is not symmetric")
     return result
@@ -103,15 +86,15 @@ def graph_orthocomplement_within(op: OperatorWithDomain,
     b = op.domain.basis
     coords = b.conj().T @ sub.basis
     rows = coords.conj().T @ op.graph_gram
-    coeffs = null_space(rows, op.tol)
-    return orthonormal_span(b @ coeffs, op.space.dim, op.tol)
+    # orthonormal basis times orthonormal coefficients
+    return Subspace(op.space.dim, b @ null_space(rows, op.tol), op.tol)
 
 
 def dissipative_part(op: OperatorWithDomain,
                      sym: OperatorWithDomain) -> OperatorWithDomain:
     """Restriction of T to the graph-orthogonal complement of the symmetric
     domain; together with the symmetric part it sums componentwise to T."""
-    if gap_distance(sym.domain, _form_kernel_domain(op)) > 1e-8:
+    if gap_distance(sym.domain, op.form_kernel) > CHECK_GATE:
         raise PipelineError("inconsistent symmetric part")
     domain = graph_orthocomplement_within(op, sym.domain)
     if domain.dim + sym.domain.dim != op.domain.dim:
@@ -127,7 +110,7 @@ def split(op: OperatorWithDomain) -> Splitting:
     gram = 0.5 * (gram + gram.conj().T)
     if gram.shape[0]:
         eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= op.tol * float(np.max(np.abs(eigs))):
+        if eigs[0] <= 0 or negligible(eigs[0], op.tol, np.max(np.abs(eigs))):
             raise PipelineError("dissipation form is degenerate on the defect domain")
     return Splitting(symmetric=sym, defect=defect, defect_gram=gram)
 

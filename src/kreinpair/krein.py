@@ -21,13 +21,14 @@ import numpy as np
 
 from .errors import ClassificationError, DimensionMismatch, DomainError
 from .subspaces import (
-    DEFAULT_TOL,
     LinearRelation,
     MetricMatrix,
     Subspace,
+    _as_matrix,
     orthonormal_span,
     relation_adjoint,
 )
+from .tolerances import DEFAULT_TOL, negligible
 
 __all__ = [
     "KreinSpace",
@@ -111,9 +112,7 @@ class OperatorWithDomain:
     """
 
     def __init__(self, space: KreinSpace, matrix, domain: Subspace | None = None):
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.ndim == 0:
-            m = m.reshape(1, 1)
+        m = _as_matrix(np.atleast_1d(matrix))
         if m.shape != (space.dim, space.dim):
             raise DimensionMismatch(
                 f"matrix shape {m.shape} does not match space dim {space.dim}"
@@ -181,17 +180,39 @@ class OperatorWithDomain:
         return float(np.sqrt(self.graph_inner(x, x).real))
 
     @cached_property
-    def _form_scale(self) -> float:
+    def scale(self) -> float:
+        """``|T B|_2`` for the domain basis B: the scale of the cuts on T.
+        It bounds every eigenvalue and, doubled, the dissipation form."""
         b = self.domain.basis
-        if b.shape[1] == 0:
-            return 1.0
-        return 1.0 + 2.0 * float(np.linalg.norm(self.matrix @ b, 2))
+        return float(np.linalg.norm(self.matrix @ b, 2)) if b.shape[1] else 0.0
+
+    @cached_property
+    def form_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of :attr:`dissipation_gram`, taken once."""
+        return np.linalg.eigh(self.dissipation_gram)
+
+    @cached_property
+    def form_scale(self) -> float:
+        """Scale of the rank decision on the dissipation form: its largest
+        eigenvalue modulus, or its bound ``2 |T B|_2`` when even that is
+        negligible against the bound (T is symmetric)."""
+        largest = float(np.max(np.abs(self.form_eigh[0]), initial=0.0))
+        bound = 2.0 * self.scale
+        return bound if negligible(largest, self.tol, bound) else largest
+
+    @cached_property
+    def form_kernel(self) -> Subspace:
+        """Kernel of the dissipation form inside the domain."""
+        w, v = self.form_eigh
+        kernel = v[:, negligible(w, self.tol, self.form_scale)]
+        # orthonormal basis times orthonormal coefficients
+        return Subspace(self.space.dim, self.domain.basis @ kernel, self.tol)
 
     def classify(self) -> str:
         """Return "dissipative", "symmetric" or "neither".
 
-        Decided by the dissipation form compressed to the domain: positive
-        semidefinite means dissipative, zero (relative to the graph scale)
+        Decided by the dissipation form compressed to the domain, at
+        :attr:`form_scale`: positive semidefinite means dissipative, zero
         symmetric.  The paper's second characterization, through the graph
         in the graph Krein space, is :func:`classify_by_graph`; the pipeline
         reports the agreement of the two as a check.  The verdict is cached.
@@ -200,7 +221,7 @@ class OperatorWithDomain:
 
     @cached_property
     def _classification(self) -> str:
-        return _classify_gram(self.dissipation_gram, self.tol, self._form_scale)
+        return _classify(self.form_eigh[0], self.tol, self.form_scale)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (
@@ -208,14 +229,12 @@ class OperatorWithDomain:
         )
 
 
-def _classify_gram(gram: np.ndarray, tol: float, scale: float) -> str:
-    if gram.shape[0] == 0:
+def _classify(eigs: np.ndarray, tol: float, scale: float) -> str:
+    """Verdict on a Hermitian form from its ascending eigenvalues: symmetric
+    when all are negligible against ``scale``, dissipative when all negative ones are."""
+    if np.all(negligible(eigs, tol, scale)):
         return SYMMETRIC
-    eigs = np.linalg.eigvalsh(gram)
-    largest = float(np.max(np.abs(eigs)))
-    if largest <= tol * scale:
-        return SYMMETRIC
-    if float(eigs[0]) >= -tol * largest:
+    if eigs[0] >= 0 or negligible(eigs[0], tol, scale):
         return DISSIPATIVE
     return NEITHER
 
@@ -225,8 +244,9 @@ def classify_by_graph(op: OperatorWithDomain) -> str:
 
     The graph is nonnegative in the graph Krein space exactly when T is
     dissipative, and neutral exactly when T is symmetric.  The graph metric
-    is compressed to an orthonormal basis of the graph; only the scale of
-    the zero test is shared with :meth:`OperatorWithDomain.classify`.
+    is compressed to an orthonormal basis of the graph, which bounds its
+    norm by 1 (``2 |[x, y]| <= |x|^2 + |y|^2``): both its zero test and its
+    sign test are judged at that scale, as its round-off is.
     """
     graph = op.graph_relation.graph.basis
     n = op.space.dim
@@ -234,7 +254,7 @@ def classify_by_graph(op: OperatorWithDomain) -> str:
     j = op.space.J
     compressed = -1j * (top.conj().T @ (j @ bot) - bot.conj().T @ (j @ top))
     compressed = 0.5 * (compressed + compressed.conj().T)
-    return _classify_gram(compressed, op.tol, op._form_scale)
+    return _classify(np.linalg.eigvalsh(compressed), op.tol, 1.0)
 
 
 def krein_adjoint(op: OperatorWithDomain) -> LinearRelation:
@@ -244,18 +264,13 @@ def krein_adjoint(op: OperatorWithDomain) -> LinearRelation:
     return relation_adjoint(op.graph_relation, op.space.J, op.space.J)
 
 
-def _negligible(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
-    """Eigenvalues at or below ``tol`` times the scale max(1, max |w|)."""
-    largest = max(float(np.max(np.abs(eigenvalues), initial=0.0)), 1.0)
-    return np.abs(eigenvalues) <= tol * largest
-
-
 @dataclass(frozen=True)
 class RieszRepresenter:
     """Representer of the dissipation form in the graph inner product.
 
     ``basis`` columns are a graph-inner-product orthonormal basis of the
-    domain, so self-adjointness of ``matrix`` is plain Hermitian symmetry.
+    domain, so self-adjointness of ``matrix`` is plain Hermitian symmetry and
+    its norm, the scale of its cuts, is at most 1 (``2|[x, Tx]| <= |x|^2 + |Tx|^2``).
     ``sqrt_matrix`` is the principal (nonnegative) square root.
     ``eigenvalues`` (ascending) and ``eigenvectors`` are the
     eigendecomposition of ``matrix`` that both were built from.
@@ -287,7 +302,7 @@ class RieszRepresenter:
         """
         if self.dim == 0:
             return Subspace.zero(op.space.dim, tol)
-        coeffs = self.eigenvectors[:, _negligible(self.eigenvalues, tol)]
+        coeffs = self.eigenvectors[:, negligible(self.eigenvalues, tol, 1.0)]
         return orthonormal_span(self.basis @ coeffs, op.space.dim, tol, scale=1.0)
 
     def pseudo_inverse(self, tol: float) -> np.ndarray:
@@ -295,7 +310,7 @@ class RieszRepresenter:
         :meth:`kernel_vectors` counts as zero at ``tol`` left uninverted."""
         w = self.eigenvalues
         inverse = np.zeros_like(w)
-        kept = ~_negligible(w, tol)
+        kept = ~negligible(w, tol, 1.0)
         inverse[kept] = 1.0 / w[kept]
         return (self.eigenvectors * inverse) @ self.eigenvectors.conj().T
 
@@ -304,7 +319,7 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     """Solve ``form(x, y) = <x, F y>_graph`` for the dissipation form.
 
     Requires a dissipative (or symmetric) operator; F is then positive
-    semidefinite with norm at most 2 and its square-root kernel equals the
+    semidefinite with norm at most 1 and its square-root kernel equals the
     kernel of the form.
     """
     verdict = op.classify()
@@ -330,13 +345,12 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     f = inv_sqrt @ op.dissipation_gram @ inv_sqrt
     f = 0.5 * (f + f.conj().T)
     fw, fv = np.linalg.eigh(f)
-    scale = max(1.0, float(np.max(np.abs(fw))))
-    if fw[0] < -100 * op.tol * scale:
+    if fw[0] < -100 * op.tol:
         raise ClassificationError(
             f"dissipation representer is indefinite (min eigenvalue {fw[0]:.3e})"
         )
     # flush the form kernel to exact zeros so the square root shares it
-    flushed = np.where(_negligible(fw, op.tol), 0.0, np.clip(fw, 0.0, None))
+    flushed = np.where(negligible(fw, op.tol, 1.0), 0.0, np.clip(fw, 0.0, None))
     sqrt_f = fv @ np.diag(np.sqrt(flushed)) @ fv.conj().T
     sqrt_f = 0.5 * (sqrt_f + sqrt_f.conj().T)
     return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f, coord_map=sqrt,

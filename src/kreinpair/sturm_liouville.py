@@ -33,6 +33,7 @@ from .decomposition import Splitting, split
 from .errors import DimensionMismatch, PipelineError
 from .krein import KreinSpace, OperatorWithDomain
 from .subspaces import Subspace, gap_distance
+from .tolerances import CHECK_GATE, EXACT_BOUND, RESONANCE_CUT
 
 __all__ = [
     "GridSpec",
@@ -125,7 +126,7 @@ class StudyRow:
     form_residual: float
 
     def __post_init__(self):
-        if self.cayley_norm > 1.0 + 1e-10:
+        if self.cayley_norm > 1.0 + EXACT_BOUND:
             raise PipelineError(
                 f"contraction bound violated: cayley_norm = {self.cayley_norm!r}"
             )
@@ -140,7 +141,7 @@ def _laplacian(grid: GridSpec, pot: PotentialSpec) -> np.ndarray:
     a[idx, idx + 1] = -inv2
     a[idx + 1, idx] = -inv2
     denom = 1.0 + s * pot.h / 2.0
-    if abs(denom) < 1e-12:
+    if abs(denom) < RESONANCE_CUT:
         raise DimensionMismatch("Robin parameter resonates with the grid step")
     alpha = (1.0 - s * pot.h / 2.0) / denom
     a[0, 0] = (2.0 - alpha) * inv2
@@ -192,7 +193,7 @@ def mask_splitting(op: OperatorWithDomain, mask) -> Splitting:
     generic = split(op)
     gap_sym = gap_distance(generic.symmetric.domain, sym_domain)
     gap_defect = gap_distance(generic.defect.domain, defect_domain)
-    if gap_sym > 1e-8 or gap_defect > 1e-8:
+    if gap_sym > CHECK_GATE or gap_defect > CHECK_GATE:
         raise PipelineError(
             "masked splitting disagrees with the graph-orthogonal one "
             f"(gaps {gap_sym:.3e}, {gap_defect:.3e})"

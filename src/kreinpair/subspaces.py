@@ -1,10 +1,10 @@
 """Rank-tolerant subspace and linear-relation arithmetic over C^n.
 
 Subspaces are stored by orthonormal bases (matrix columns) and are
-canonicalized through the SVD: singular values below ``tol`` times the
-largest one count as zero, so rank decisions do not depend on the overall
-scale of the input.  Inner products are conjugate-linear in the first
-argument throughout.
+canonicalized through the SVD: a singular value is zero when it is
+negligible (:mod:`kreinpair.tolerances`) against the largest one or, for a
+matrix that may vanish up to round-off, against its natural scale supplied
+by the caller.  Inner products are conjugate-linear in the first argument.
 
 All values are immutable after construction and all operations are pure,
 so instances can be shared freely between threads.
@@ -17,9 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, MetricError
-
-#: relative rank tolerance used when none is supplied
-DEFAULT_TOL = 1e-10
+from .tolerances import CHECK_GATE, DEFAULT_TOL, negligible
 
 __all__ = [
     "DEFAULT_TOL",
@@ -50,7 +48,14 @@ def _as_matrix(data) -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a vector or matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DimensionMismatch("entries must be finite")
     return a
+
+
+def _rank(s: np.ndarray, tol: float, scale: float | None) -> int:
+    ref = float(s[0]) if scale is None else max(float(s[0]), float(scale))
+    return int(np.count_nonzero(~negligible(s, tol, ref)))
 
 
 def column_space(matrix, tol: float = DEFAULT_TOL,
@@ -65,9 +70,7 @@ def column_space(matrix, tol: float = DEFAULT_TOL,
     if m.shape[1] == 0 or not np.any(m):
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    ref = float(s[0]) if scale is None else max(float(s[0]), float(scale))
-    rank = int(np.sum(s > tol * ref))
-    return u[:, :rank]
+    return u[:, :_rank(s, tol, scale)]
 
 
 def null_space(matrix, tol: float = DEFAULT_TOL,
@@ -85,10 +88,7 @@ def null_space(matrix, tol: float = DEFAULT_TOL,
     # the economy factorization already carries every right-singular vector
     # when the matrix is at least as tall as it is wide
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    s = np.concatenate([s, np.zeros(max(0, cols - rows))])
-    ref = float(s[0]) if scale is None else max(float(s[0]), float(scale))
-    rank = int(np.sum(s > tol * ref))
-    return vh[rank:].conj().T
+    return vh[_rank(s, tol, scale):].conj().T
 
 
 class MetricMatrix:
@@ -105,7 +105,7 @@ class MetricMatrix:
             raise MetricError(f"metric must be square, got shape {m.shape}")
         if m.shape[0] == 0:
             raise MetricError("zero-dimensional metric is not allowed")
-        scale = max(1.0, float(np.linalg.norm(m, 2)))
+        scale = float(np.linalg.norm(m, 2))
         if np.linalg.norm(m - m.conj().T, 2) > 10 * tol * scale:
             raise MetricError("metric is not Hermitian")
         if canonical:
@@ -161,7 +161,7 @@ class Subspace:
         if b.shape[1]:
             # Frobenius norm: cheap, and an upper bound for the spectral norm
             defect = np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1]))
-            if defect > max(100 * tol, 1e-8) * np.sqrt(b.shape[1]):
+            if defect > max(100 * tol, CHECK_GATE) * np.sqrt(b.shape[1]):
                 raise DimensionMismatch("basis columns are not orthonormal")
         self.ambient_dim = ambient_dim
         self.basis = b
@@ -209,7 +209,7 @@ class Subspace:
         if norm == 0.0:
             return True
         residual = v - self.basis @ (self.basis.conj().T @ v)
-        return bool(np.linalg.norm(residual) <= max(100 * t, 1e-8) * norm)
+        return bool(np.linalg.norm(residual) <= max(100 * t, CHECK_GATE) * norm)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -67,6 +67,19 @@ class TestInstanceIO:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["analyze", str(path)]) == 1
 
+    @pytest.mark.parametrize("key, value", [("T", float("nan")),
+                                            ("J", float("inf"))])
+    def test_non_finite_entry(self, tmp_path, capsys, key, value):
+        # Python's json reads NaN and Infinity
+        path = tmp_path / "non_finite.json"
+        payload = {"dim": 2, "J": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                   "T": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]}
+        payload[key][1][1] = [value, 0.0]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestAnalyze:
     def test_report_contents_and_exit(self, mixed_file, tmp_path):
