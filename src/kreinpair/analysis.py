@@ -22,7 +22,6 @@ from .boundary import (
     pair_green_residual,
     real_spectrum_report,
     restrict_triple,
-    trace_isometry_residual,
 )
 from .completeness import CriterionReport, criterion_report
 from .decomposition import (
@@ -66,7 +65,7 @@ def build_pipeline(op: OperatorWithDomain) -> PipelineResult:
     if classification == NEITHER:
         raise ClassificationError("operator is not dissipative")
     splitting = split(op)
-    triple = build_boundary_triple(splitting.symmetric, op)
+    triple = build_boundary_triple(splitting.symmetric)
     defi = deficiency_space(triple, op)
     resolvent_domain = defect_domain_via_resolvent(op, defi)
     representer = riesz_representer(op)
@@ -114,8 +113,7 @@ def _criterion_dict(report: CriterionReport) -> dict:
     }
 
 
-def analyze_operator(op: OperatorWithDomain, seed: int = 0,
-                     samples: int = 200) -> dict:
+def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
     """Full report for one operator; deterministic for a fixed seed."""
     classification = op.classify()
     if classification == NEITHER:
@@ -128,8 +126,8 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0,
     result = build_pipeline(op)
     sym = result.splitting.symmetric
     rng = np.random.default_rng(seed)
-    green_pair = pair_green_residual(result.pair_projection, op, samples, rng)
-    green_triple = trace_isometry_residual(result.triple)
+    green_pair = pair_green_residual(result.pair_projection, op, rng=rng)
+    green_triple = result.triple.green_residual
     map_gap = _map_gap(result.pair_projection, result.pair_resolvent)
     splitting_gap = gap_distance(
         result.splitting.defect.domain, result.resolvent_domain

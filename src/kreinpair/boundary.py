@@ -2,12 +2,18 @@
 boundary pair of a dissipative operator.
 
 Construction route: conjugating by J turns the Krein-symmetric part S into
-the Hilbert-symmetric operator JS, whose adjoint relation decomposes
-orthogonally (in the Euclidean product of the doubled space) into the graph
-of JS and the two deficiency pieces at +i and -i.  Picking a unitary
-identification of the two deficiency subspaces gives trace maps through the
-standard deficiency-coordinate formulas; the abstract Green identity is
-then verified numerically as the construction's contract.
+the Hilbert-symmetric operator JS.  Von Neumann's formula gives its
+deficiency subspaces in closed form, N+ = ran((JS + i)B)^perp and
+N- = ran((JS - i)B)^perp for a domain basis B, and its Euclidean adjoint as
+the orthogonal sum graph(JS) + {(u, iu)} + {(v, -iv)} over u in N+, v in N-
+(Behrndt, Hassi & de Snoo, *Boundary Value Problems, Weyl Functions, and
+Differential Operators*, 2020).  The map (x, y) -> (x, Jy) carries that sum
+onto the Krein adjoint graph of S, so orthonormal bases of the three pieces
+give an orthonormal basis of it without a further factorization.  Picking a
+unitary identification of N+ and N- gives trace maps through the standard
+deficiency-coordinate formulas; the abstract Green identity and the
+vanishing of the traces exactly on graph(S) are checked once, as the
+construction's contract.
 
 Two independent realizations of the boundary map of the pair are provided:
 one through the graph-orthogonal projection onto the defect domain, one
@@ -26,14 +32,11 @@ from .decomposition import DeficiencyData, Splitting
 from .errors import DimensionMismatch, DomainError, PipelineError
 from .krein import SYMMETRIC, OperatorWithDomain, boundary_metric_matrix
 from .subspaces import (
-    LinearRelation,
     Subspace,
     column_space,
-    eigenspace,
     gap_distance,
     null_space,
     orthonormal_span,
-    relation_adjoint,
 )
 from .tolerances import CHECK_GATE, DEFAULT_TOL, EXACT_BOUND, LOOSE_GATE, negligible
 
@@ -49,7 +52,6 @@ __all__ = [
     "boundary_map_projection",
     "boundary_map_resolvent",
     "pair_green_residual",
-    "triple_green_residual",
     "defect_trace_matrix",
     "boundary_preimage",
     "transform_pair",
@@ -65,7 +67,12 @@ class BoundaryTriple:
     ``trace0`` and ``trace1`` act on stacked pairs (x, x') of the doubled
     base space and take values in the boundary space C^k; they vanish
     exactly on the graph of the symmetric part and are jointly surjective,
-    so together they form an ordinary boundary triple.
+    so together they form an ordinary boundary triple.  ``defect_plus`` and
+    ``defect_minus`` are the deficiency subspaces N+ and N- of JS, and the
+    orthonormal basis of ``adjoint_graph`` is the von Neumann block basis
+    ``[graph(S) | (u, iJu)/sqrt(2) | (v, -iJv)/sqrt(2)]``.
+    ``green_residual`` is the residual of the Green identity on that basis,
+    checked at construction.
     """
 
     space_dim: int
@@ -76,6 +83,7 @@ class BoundaryTriple:
     defect_plus: Subspace
     defect_minus: Subspace
     base_metric: np.ndarray  # J of the underlying Krein space
+    green_residual: float
 
     def stacked_traces(self) -> np.ndarray:
         return np.vstack([self.trace0, self.trace1])
@@ -151,83 +159,81 @@ class BoundaryPair:
         return column_space(self.matrix).shape[1]
 
 
-def build_boundary_triple(sym: OperatorWithDomain,
-                          op: OperatorWithDomain | None = None) -> BoundaryTriple:
+def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     """Ordinary boundary triple for the adjoint of a symmetric operator.
 
-    The abstract Green identity on the adjoint graph is checked as an exact
-    matrix identity and a violation raises; any triple passing that
-    contract is acceptable, the deficiency-coordinate formulas are just the
-    construction used here.
+    N+ and N- are the orthocomplements of the ranges of ``(JS + i)B`` and
+    ``(JS - i)B`` for the domain basis B.  The abstract Green identity on
+    the adjoint graph is checked as an exact matrix identity, and the trace
+    kernel against the symmetric graph; a violation of either raises.
     """
     if sym.classify() != SYMMETRIC:
         raise PipelineError("boundary triples are built over a symmetric operator")
-    space = sym.space
-    n, j = space.dim, space.J
-    hilbertized = LinearRelation.from_operator(j @ sym.matrix, sym.domain, sym.tol)
-    adj = relation_adjoint(hilbertized)  # Euclidean adjoint of JS
-    n_plus = eigenspace(adj, 1j)
-    n_minus = eigenspace(adj, -1j)
+    n, j = sym.space.dim, sym.space.J
+    b = sym.domain.basis
+    jsb = j @ sym.matrix @ b
+    n_plus, n_minus = (
+        Subspace(n, null_space((jsb + shift * b).conj().T, sym.tol), sym.tol)
+        for shift in (1j, -1j)
+    )
     if n_plus.dim != n_minus.dim:
         raise PipelineError(
             f"deficiency dimensions differ: {n_plus.dim} vs {n_minus.dim}"
         )
-    k = n_plus.dim
 
     # components of (x, J x') in the von Neumann decomposition:
     #   u+ = Qp Qp^H (x - i J x') / 2,   u- = Qm Qm^H (x + i J x') / 2
     # trace0 = coords(u+) + coords(u-), trace1 = i (coords(u+) - coords(u-))
-    ph, mh = n_plus.basis.conj().T, n_minus.basis.conj().T
+    qp, qm = n_plus.basis, n_minus.basis
+    ph, mh = qp.conj().T, qm.conj().T
     trace0 = 0.5 * np.hstack([ph + mh, -1j * ph @ j + 1j * mh @ j])
     trace1 = 0.5j * np.hstack([ph - mh, -1j * ph @ j - 1j * mh @ j])
 
-    adj_graph_h = adj.graph.basis
-    krein_graph = orthonormal_span(
-        np.vstack([adj_graph_h[:n], j @ adj_graph_h[n:]]), 2 * n, sym.tol
-    )
+    # graph(S) + {(u, iJu)} + {(v, -iJv)}: the unitary image (x, y) -> (x, Jy)
+    # of the von Neumann decomposition of the Euclidean adjoint of JS, whose
+    # three pieces are mutually orthogonal
     sym_graph = sym.graph_relation.graph
+    adjoint_graph = Subspace(2 * n, np.hstack([
+        sym_graph.basis,
+        np.vstack([qp, 1j * j @ qp]) / np.sqrt(2.0),
+        np.vstack([qm, -1j * j @ qm]) / np.sqrt(2.0),
+    ]), sym.tol)
 
-    triple = BoundaryTriple(
-        space_dim=k,
+    residual = _green_matrix_residual(trace0, trace1, j, adjoint_graph)
+    if residual > EXACT_BOUND:
+        raise PipelineError(f"abstract Green identity fails (residual {residual:.3e})")
+    kernel = _trace_kernel(trace0, trace1, adjoint_graph)
+    if gap_distance(kernel, sym_graph) > CHECK_GATE:
+        raise PipelineError("trace maps do not vanish exactly on the symmetric graph")
+    return BoundaryTriple(
+        space_dim=n_plus.dim,
         trace0=trace0,
         trace1=trace1,
-        adjoint_graph=krein_graph,
+        adjoint_graph=adjoint_graph,
         symmetric_graph=sym_graph,
         defect_plus=n_plus,
         defect_minus=n_minus,
         base_metric=j,
+        green_residual=residual,
     )
 
-    residual = _green_matrix_residual(triple, krein_graph)
-    if residual > EXACT_BOUND:
-        raise PipelineError(f"abstract Green identity fails (residual {residual:.3e})")
-    kernel = _trace_kernel(triple, krein_graph)
-    if gap_distance(kernel, sym_graph) > CHECK_GATE:
-        raise PipelineError("trace maps do not vanish exactly on the symmetric graph")
-    if op is not None:
-        g_t = op.graph_relation.graph
-        if _containment_defect(g_t, krein_graph) > CHECK_GATE:
-            raise PipelineError("graph of T is not inside the adjoint graph")
-    return triple
 
-
-def _green_matrix_residual(triple: BoundaryTriple, graph: Subspace) -> float:
+def _green_matrix_residual(trace0: np.ndarray, trace1: np.ndarray, j: np.ndarray,
+                           graph: Subspace) -> float:
     """Residual of [x,y'] - [x',y] = <t0 x^, t1 y^> - <t1 x^, t0 y^> on an
     orthonormal graph basis, where both forms have norm of order |J| = 1."""
-    n = triple.base_metric.shape[0]
-    j = triple.base_metric
+    n = j.shape[0]
     zero = np.zeros((n, n), dtype=np.complex128)
     lhs_form = np.block([[zero, j], [-j, zero]])
-    t0, t1 = triple.trace0, triple.trace1
-    rhs_form = t0.conj().T @ t1 - t1.conj().T @ t0
+    rhs_form = trace0.conj().T @ trace1 - trace1.conj().T @ trace0
     g = graph.basis
     defect = g.conj().T @ (lhs_form - rhs_form) @ g
     return float(np.linalg.norm(defect, 2))
 
 
-def _trace_kernel(triple: BoundaryTriple, graph: Subspace) -> Subspace:
+def _trace_kernel(trace0: np.ndarray, trace1: np.ndarray, graph: Subspace) -> Subspace:
     g = graph.basis
-    stacked = np.vstack([triple.trace0 @ g, triple.trace1 @ g])
+    stacked = np.vstack([trace0 @ g, trace1 @ g])
     # orthonormal basis times orthonormal coefficients
     return Subspace(graph.ambient_dim, g @ null_space(stacked))
 
@@ -262,7 +268,8 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain) -> TraceData
         image = orthonormal_span(np.vstack([t0, t1]), 2 * k, op.tol,
                                  scale=np.hypot(1.0, op.scale))
         gram = trace_image_gram(image)
-    residual = _green_matrix_residual(triple, g_t)
+    residual = _green_matrix_residual(triple.trace0, triple.trace1,
+                                      triple.base_metric, g_t)
     if residual > EXACT_BOUND:
         raise PipelineError(f"Green identity fails on the graph of T ({residual:.3e})")
     return TraceData(
@@ -421,21 +428,6 @@ def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain,
     norm_y = np.sqrt(np.einsum("ij,ij->j", y.conj(), y).real
                      + np.einsum("ij,ij->j", my.conj(), my).real)
     return float(np.max(np.abs(lhs - rhs) / (norm_x * norm_y)))
-
-
-def triple_green_residual(triple: BoundaryTriple,
-                          graph: Subspace | None = None) -> float:
-    """Exact matrix residual of the abstract Green identity on a graph
-    (defaults to the full adjoint graph)."""
-    target = triple.adjoint_graph if graph is None else graph
-    return _green_matrix_residual(triple, target)
-
-
-def trace_isometry_residual(triple: BoundaryTriple) -> float:
-    """Deviation of the trace maps from isometry between the graph metrics,
-    measured on the adjoint graph.  Both metrics are -i times the two sides
-    of the Green identity, so this is :func:`triple_green_residual`."""
-    return _green_matrix_residual(triple, triple.adjoint_graph)
 
 
 def defect_trace_matrix(traces: TraceData, splitting: Splitting) -> np.ndarray:

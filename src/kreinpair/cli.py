@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,7 +46,7 @@ def _decode_complex(entry, where: str) -> complex:
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise SpecError(f"{where}: complex entries must be [re, im] pairs")
     re, im = entry
-    if not all(isinstance(v, (int, float)) for v in (re, im)):
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
         raise SpecError(f"{where}: non-numeric complex entry")
     return complex(re, im)
 
@@ -70,10 +71,9 @@ def load_instance(path) -> OperatorWithDomain:
         raise SpecError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SpecError(f"{path}: top level must be an object")
-    try:
-        dim = int(raw["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"{path}: missing or bad 'dim'") from exc
+    dim = raw.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise SpecError(f"{path}: 'dim' must be an integer")
     if dim < 1:
         raise SpecError(f"{path}: 'dim' must be positive")
     tol = raw.get("tol", DEFAULT_TOL)
@@ -238,6 +238,10 @@ def _parse_intervals(text: str) -> list:
 
 def _cmd_sl_study(args) -> int:
     try:
+        for flag, value in {"--xmax": args.xmax, "--imq": args.imq,
+                            "--h": args.h}.items():
+            if not math.isfinite(value):
+                raise SpecError(f"{flag} must be finite")
         if args.imq <= 0:
             raise SpecError("--imq must be strictly positive")
         if args.n < 8:

@@ -217,7 +217,7 @@ def criterion_report(op: OperatorWithDomain,
         raise ClassificationError("completeness criteria need a dissipative operator")
     if pieces is None:
         splitting = split(op)
-        triple = build_boundary_triple(splitting.symmetric, op)
+        triple = build_boundary_triple(splitting.symmetric)
         traces = restrict_triple(triple, op)
     else:
         splitting, traces = pieces

@@ -403,8 +403,8 @@ def relation_parts(rel: LinearRelation):
 
 def relation_inverse(rel: LinearRelation) -> LinearRelation:
     top, bot = rel._blocks()
-    swapped = np.vstack([bot, top])
-    graph = orthonormal_span(swapped, rel.left_dim + rel.right_dim, rel.tol)
+    # swapping the blocks is unitary: the basis stays orthonormal
+    graph = Subspace(rel.left_dim + rel.right_dim, np.vstack([bot, top]), rel.tol)
     return LinearRelation(rel.right_dim, rel.left_dim, graph)
 
 
@@ -434,7 +434,7 @@ def relation_adjoint(rel: LinearRelation, metric_left=None,
     bot = perp.basis[rel.left_dim:]
     # (x, y) -> (-J_R y, J_L x) is unitary from C^{L+R} to C^{R+L}
     mapped = np.vstack([-jr @ bot, jl @ top])
-    graph = orthonormal_span(mapped, rel.left_dim + rel.right_dim, rel.tol)
+    graph = Subspace(rel.left_dim + rel.right_dim, mapped, rel.tol)
     return LinearRelation(rel.right_dim, rel.left_dim, graph)
 
 
@@ -456,9 +456,8 @@ def relation_add(a: LinearRelation, b: LinearRelation) -> LinearRelation:
 
 def relation_negate(rel: LinearRelation) -> LinearRelation:
     top, bot = rel._blocks()
-    graph = orthonormal_span(
-        np.vstack([top, -bot]), rel.left_dim + rel.right_dim, rel.tol
-    )
+    # negating a block is unitary: the basis stays orthonormal
+    graph = Subspace(rel.left_dim + rel.right_dim, np.vstack([top, -bot]), rel.tol)
     return LinearRelation(rel.left_dim, rel.right_dim, graph)
 
 

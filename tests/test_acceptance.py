@@ -27,7 +27,6 @@ from kreinpair.boundary import (
     pair_green_residual,
     real_spectrum_report,
     restrict_triple,
-    trace_isometry_residual,
 )
 from kreinpair.completeness import criterion_report
 from kreinpair.instances import (
@@ -100,7 +99,7 @@ def _preimage_isometry_residual(op, splitting, traces, rng, count=20):
 
 def _run_instance(op, rng) -> InstanceRecord:
     splitting = split(op)
-    triple = build_boundary_triple(splitting.symmetric, op)
+    triple = build_boundary_triple(splitting.symmetric)
     defi = deficiency_space(triple, op)
     resolvent_domain = defect_domain_via_resolvent(op, defi)
     rep = riesz_representer(op)
@@ -122,7 +121,7 @@ def _run_instance(op, rng) -> InstanceRecord:
         riesz_min_eig=float(eigs[0]),
         riesz_norm=float(np.max(np.abs(eigs))),
         riesz_form_residual=_form_value_residual(op, rep, rng),
-        trace_isometry=trace_isometry_residual(triple),
+        trace_isometry=triple.green_residual,
         preimage_isometry=_preimage_isometry_residual(op, splitting, traces, rng),
     )
 

@@ -4,16 +4,19 @@ import pytest
 from kreinpair import (
     DomainError,
     KreinSpace,
+    LinearRelation,
     OperatorWithDomain,
     boundary_map_projection,
     boundary_map_resolvent,
     boundary_preimage,
     build_boundary_triple,
+    eigenspace,
     gap_distance,
     krein_adjoint,
     orthonormal_span,
     pair_green_residual,
     real_spectrum_report,
+    relation_adjoint,
     restrict_triple,
     split,
     transform_pair,
@@ -22,13 +25,12 @@ from kreinpair.boundary import (
     defect_trace_matrix,
     restricted_eigenpairs,
     trace_image_gram,
-    trace_isometry_residual,
     transform_traces,
-    triple_green_residual,
 )
 from kreinpair.decomposition import deficiency_space
 from kreinpair.errors import PipelineError
 from kreinpair.instances import (
+    random_canonical_symmetry,
     random_dissipative,
     real_spectrum_instance,
     scaled_defect_instance,
@@ -40,7 +42,7 @@ from conftest import e
 
 def pipeline(op):
     s = split(op)
-    triple = build_boundary_triple(s.symmetric, op)
+    triple = build_boundary_triple(s.symmetric)
     traces = restrict_triple(triple, op)
     return s, triple, traces
 
@@ -48,13 +50,13 @@ def pipeline(op):
 class TestBuildTriple:
     def test_trivial_symmetric_part_dim_one(self, scalar_i):
         s = split(scalar_i)
-        triple = build_boundary_triple(s.symmetric, scalar_i)
+        triple = build_boundary_triple(s.symmetric)
         assert triple.space_dim == 1
-        assert triple_green_residual(triple) < 1e-10
+        assert triple.green_residual < 1e-10
 
     def test_zero_defects_for_selfadjoint(self, hermitian_full):
         s = split(hermitian_full)
-        triple = build_boundary_triple(s.symmetric, hermitian_full)
+        triple = build_boundary_triple(s.symmetric)
         assert triple.space_dim == 0
 
     def test_traces_vanish_on_symmetric_graph(self, mixed_diag):
@@ -67,7 +69,7 @@ class TestBuildTriple:
         rng = np.random.default_rng(0)
         op = random_dissipative(6, rng)
         s = split(op)
-        triple = build_boundary_triple(s.symmetric, op)
+        triple = build_boundary_triple(s.symmetric)
         g = triple.adjoint_graph.basis
         j = op.space.J
         for _ in range(100):
@@ -101,17 +103,51 @@ class TestBuildTriple:
         rng = np.random.default_rng(2)
         op = random_dissipative(5, rng)
         s = split(op)
-        triple = build_boundary_triple(s.symmetric, op)
+        triple = build_boundary_triple(s.symmetric)
         adj = krein_adjoint(s.symmetric)
         assert gap_distance(triple.adjoint_graph, adj.graph) < 1e-10
+
+    @staticmethod
+    def _relation_route_defects(sym):
+        """N+ and N- as the eigenspaces at +i and -i of the Euclidean
+        adjoint relation of JS, the construction this module replaced."""
+        hilbertized = LinearRelation.from_operator(
+            sym.space.J @ sym.matrix, sym.domain, sym.tol
+        )
+        adj = relation_adjoint(hilbertized)
+        return eigenspace(adj, 1j), eigenspace(adj, -1j)
+
+    def test_defects_match_relation_adjoint_route(self):
+        rng = np.random.default_rng(4)
+        ops = []
+        for k in range(24):
+            n = int(rng.integers(2, 9))
+            domain_dim = int(rng.integers(1, n + 1)) if k % 3 == 0 else None
+            ops.append(random_dissipative(n, rng, domain_dim=domain_dim))
+        # edges: full-rank dissipation (trivial S, N+ and N- full) and a
+        # self-adjoint T with an indefinite J (zero defect numbers)
+        ops.append(random_dissipative(5, rng, defect=5))
+        j = random_canonical_symmetry(4, rng)
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        ops.append(OperatorWithDomain(KreinSpace(j), j @ (h + h.conj().T)))
+        triples = []
+        for op in ops:
+            sym = split(op).symmetric
+            triples.append(build_boundary_triple(sym))
+            plus, minus = self._relation_route_defects(sym)
+            assert gap_distance(triples[-1].defect_plus, plus) < 1e-10
+            assert gap_distance(triples[-1].defect_minus, minus) < 1e-10
+        trivial, selfadjoint = triples[-2:]
+        assert trivial.defect_plus.is_full and trivial.defect_minus.is_full
+        assert selfadjoint.space_dim == 0
 
     def test_isometry_of_traces(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             op = random_dissipative(int(rng.integers(2, 8)), rng)
             s = split(op)
-            triple = build_boundary_triple(s.symmetric, op)
-            assert trace_isometry_residual(triple) < 1e-10
+            triple = build_boundary_triple(s.symmetric)
+            assert triple.green_residual < 1e-10
 
 
 class TestRestrictTriple:

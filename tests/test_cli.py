@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kreinpair import KreinSpace, OperatorWithDomain, orthonormal_span
-from kreinpair.cli import dump_instance, load_instance, main
+from kreinpair.cli import SpecError, dump_instance, load_instance, main
 from kreinpair.instances import scaled_defect_instance
 
 from conftest import e
@@ -79,6 +79,24 @@ class TestInstanceIO:
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("dim, j_entry, t_entry", [
+        (1.7, [1, 0], [0, 1]),
+        ("1", [1, 0], [0, 1]),
+        (True, [1, 0], [0, 1]),
+        (1, [True, False], [0, 1]),
+        (1, [1, 0], [False, True]),
+    ], ids=["float_dim", "string_dim", "bool_dim", "bool_in_J", "bool_in_T"])
+    def test_non_integer_dim_or_bool_entry(self, tmp_path, capsys, dim,
+                                           j_entry, t_entry):
+        path = tmp_path / "bad_number.json"
+        payload = {"dim": dim, "J": [[j_entry]], "T": [[t_entry]]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SpecError):
+            load_instance(path)
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestAnalyze:
@@ -168,6 +186,15 @@ class TestStudyCommand:
     def test_zero_imaginary_part_rejected(self, tmp_path):
         out = tmp_path / "study.csv"
         assert main(["sl-study", "--imq", "0", "-o", str(out)]) == 1
+
+    @pytest.mark.parametrize("flag", ["--xmax=inf", "--xmax=nan", "--imq=nan",
+                                      "--imq=inf", "--h=nan", "--h=-inf"])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "study.csv"
+        assert main(["sl-study", "--n", "16", "--levels", "3", flag,
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_bad_interval_rejected(self, tmp_path):
         out = tmp_path / "study.csv"

@@ -25,7 +25,7 @@ from conftest import e
 
 def pipeline(op):
     s = split(op)
-    triple = build_boundary_triple(s.symmetric, op)
+    triple = build_boundary_triple(s.symmetric)
     traces = restrict_triple(triple, op)
     return s, triple, traces
 

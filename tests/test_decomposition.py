@@ -25,7 +25,7 @@ from conftest import e
 
 def deficiency(op, s):
     """Deficiency data of ``op``, with the triple built over its symmetric part."""
-    return deficiency_space(build_boundary_triple(s.symmetric, op), op)
+    return deficiency_space(build_boundary_triple(s.symmetric), op)
 
 
 class TestSymmetricPart:
