@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from kreinpair import KreinSpace, OperatorWithDomain
+from kreinpair.instances import random_dissipative, random_unitary
+from kreinpair.subspaces import Subspace, null_space
+from kreinpair.tolerances import CHECK_GATE, DEFAULT_TOL, negligible
 
 
 @pytest.fixture
@@ -43,3 +46,49 @@ def random_domain_samples(op, count, rng):
     d = b.shape[1]
     coeffs = rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))
     return b @ coeffs
+
+
+def reference_eigenpairs(op):
+    """The per-eigenvalue route ``restricted_eigenpairs`` replaced: one
+    null-space SVD of ``(M - lam) B`` for every eigenvalue of the domain
+    compression, skipping values within ``CHECK_GATE`` of one already kept.
+    O(n^4), kept as the oracle of the differential tests."""
+    b = op.domain.basis
+    if b.shape[1] == 0:
+        return []
+    mb = op.matrix @ b
+    pairs, used = [], []
+    for lam in np.linalg.eigvals(b.conj().T @ mb):
+        if any(negligible(lam - mu, CHECK_GATE, op.scale) for mu in used):
+            continue
+        coeffs = null_space(mb - lam * b, DEFAULT_TOL, scale=op.scale)
+        if coeffs.shape[1]:
+            used.append(complex(lam))
+            pairs.append((complex(lam), Subspace(op.space.dim, b @ coeffs, op.tol)))
+    return pairs
+
+
+def planted_cluster_operator(n, multiplicities, rng):
+    """Dissipative operator whose real point spectrum is well-separated
+    values of the given multiplicities: a real diagonal block commuting with
+    a diagonal symmetry, a strictly dissipative block (full-rank
+    dissipation, no real eigenvalues) on the rest, hidden by a random
+    unitary frame.  Returns the operator, the planted values and an
+    orthonormal basis of each planted eigenspace."""
+    mults = list(multiplicities)
+    n_real = sum(mults)
+    values = np.sort(rng.uniform(-3.0, 3.0, size=len(mults))) + 0.5 * np.arange(len(mults))
+    block = random_dissipative(n - n_real, rng, defect=n - n_real)
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    j = np.zeros((n, n), dtype=np.complex128)
+    matrix[:n_real, :n_real] = np.diag(np.repeat(values, mults))
+    matrix[n_real:, n_real:] = block.matrix
+    j[:n_real, :n_real] = np.diag(rng.choice([-1.0, 1.0], size=n_real))
+    j[n_real:, n_real:] = block.space.J
+    frame = random_unitary(n, rng)
+    j = frame @ j @ frame.conj().T
+    op = OperatorWithDomain(KreinSpace(0.5 * (j + j.conj().T)),
+                            frame @ matrix @ frame.conj().T)
+    starts = np.cumsum([0] + mults)
+    spaces = [frame[:, a:z] for a, z in zip(starts, starts[1:])]
+    return op, list(values), spaces

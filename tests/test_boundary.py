@@ -27,17 +27,21 @@ from kreinpair.boundary import (
     trace_image_gram,
     transform_traces,
 )
+import kreinpair.boundary as boundary_module
+from kreinpair.analysis import analyze_operator
 from kreinpair.decomposition import deficiency_space
 from kreinpair.errors import PipelineError
 from kreinpair.instances import (
     random_canonical_symmetry,
     random_dissipative,
+    random_unitary,
     real_spectrum_instance,
     scaled_defect_instance,
 )
+from kreinpair.tolerances import CHECK_GATE
 from kreinpair.krein import boundary_metric_matrix
 
-from conftest import e
+from conftest import e, planted_cluster_operator, reference_eigenpairs
 
 
 def pipeline(op):
@@ -400,6 +404,123 @@ class TestRealSpectrum:
         lam, space = pairs[0]
         assert lam == pytest.approx(1.0)
         assert space.contains(e(2, 0))
+
+    def test_jordan_chain_survives_change_of_frame(self):
+        # S carries a Jordan block at 0 with a J-neutral eigenvector; eig
+        # splits the defective 0 into two values about 1e-8 apart, neither
+        # of them real by the form's rank decision
+        j = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        t = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1j]])
+        for seed in range(20):
+            u = random_unitary(3, np.random.default_rng(seed))
+            op = OperatorWithDomain(KreinSpace(u @ j @ u.conj().T),
+                                    u @ t @ u.conj().T)
+            report = analyze_operator(op)
+            assert all(report["checks"].values()), seed
+            spectrum = report["real_spectrum"]
+            for key in ("real_eigenvalues_op", "real_eigenvalues_sym"):
+                assert len(spectrum[key]) == 1, (seed, key)
+                assert abs(complex(*spectrum[key][0])) < 1e-8, (seed, key)
+
+
+def _restricted_to_planted(op, spaces, extra, rng):
+    """``op`` on a random domain holding the planted eigenspaces and
+    ``extra`` further random directions."""
+    n = op.space.dim
+    raw = rng.standard_normal((n, extra)) + 1j * rng.standard_normal((n, extra))
+    return op.restricted(orthonormal_span(np.hstack(spaces + [raw]), n))
+
+
+def _instances(kind, count, rng):
+    for _ in range(count):
+        n = int(rng.integers(3, 11))
+        if kind == "full":
+            yield random_dissipative(n, rng)
+        elif kind == "restricted":
+            yield random_dissipative(n, rng, domain_dim=int(rng.integers(1, n + 1)))
+        elif kind == "planted_simple":
+            yield real_spectrum_instance(n, rng, int(rng.integers(1, n)))[0]
+        else:
+            mults = [int(m) for m in rng.integers(1, 4, size=2)]
+            op, _, spaces = planted_cluster_operator(sum(mults) + n, mults, rng)
+            if kind == "planted_clusters":
+                yield op
+            else:
+                yield _restricted_to_planted(op, spaces, int(rng.integers(1, n)), rng)
+
+
+def _assert_same_pairs(op, found, expected):
+    """Same eigenvalues within ``CHECK_GATE`` of T's scale, one to one,
+    with equal eigenspaces."""
+    assert len(found) == len(expected)
+    left = list(found)
+    for lam, space in expected:
+        mu, other = min(left, key=lambda t: abs(t[0] - lam))
+        left.remove((mu, other))
+        assert abs(mu - lam) <= CHECK_GATE * op.scale
+        assert other.dim == space.dim
+        assert gap_distance(other, space) <= 1e-10
+
+
+class TestRestrictedEigenpairs:
+    KINDS = ("full", "restricted", "planted_simple", "planted_clusters",
+             "planted_clusters_restricted")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_matches_per_eigenvalue_route(self, kind, c):
+        # the same instances at every scale c
+        rng = np.random.default_rng(100 + self.KINDS.index(kind))
+        for op in _instances(kind, 12, rng):
+            op = OperatorWithDomain(op.space, c * op.matrix, op.domain)
+            _assert_same_pairs(op, restricted_eigenpairs(op), reference_eigenpairs(op))
+
+    def test_clusters_of_multiplicity_one_to_four_on_restricted_domain(self):
+        rng = np.random.default_rng(12)
+        op, values, spaces = planted_cluster_operator(16, [1, 2, 3, 4], rng)
+        op = _restricted_to_planted(op, spaces, 3, rng)
+        pairs = restricted_eigenpairs(op)
+        _assert_same_pairs(op, pairs, reference_eigenpairs(op))
+        for value, space in zip(values, spaces):
+            close = [s for lam, s in pairs if abs(lam - value) <= CHECK_GATE * op.scale]
+            assert len(close) == 1
+            assert gap_distance(close[0], orthonormal_span(space)) <= 1e-10
+
+
+class TestEigenpairCost:
+    """Call counts that keep a per-eigenvalue SVD loop from coming back."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"null_space": 0, "svd": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(boundary_module, "null_space",
+                            counted("null_space", boundary_module.null_space))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        return counts
+
+    def test_simple_spectrum_needs_no_null_space(self, counts):
+        op = random_dissipative(64, np.random.default_rng(1))
+        pairs = restricted_eigenpairs(op)
+        assert len(pairs) == 64
+        assert counts["null_space"] == 0
+
+    def test_one_null_space_per_cluster(self, counts):
+        op, _, _ = planted_cluster_operator(24, [1, 2, 3, 4], np.random.default_rng(2))
+        pairs = restricted_eigenpairs(op)
+        assert sorted(s.dim for lam, s in pairs if s.dim > 1) == [2, 3, 4]
+        assert counts["null_space"] == 3
+
+    def test_analyze_operator_svd_budget(self, counts):
+        report = analyze_operator(random_dissipative(64, np.random.default_rng(1)))
+        assert all(report["checks"].values())
+        assert counts["svd"] <= 100
 
 
 class TestTraceImageGram:
