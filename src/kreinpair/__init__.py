@@ -59,7 +59,6 @@ from .completeness import (
     contraction_bound,
     criterion_report,
     range_splitting,
-    trace_quotient,
     uniform_positivity,
 )
 

@@ -106,8 +106,7 @@ def _criterion_dict(report: CriterionReport) -> dict:
         },
         "range_splitting": {
             "ok": report.range_split.ok,
-            "gap_sum": report.range_split.gap_sum,
-            "gap_difference": report.range_split.gap_difference,
+            "margin": report.range_split.margin,
         },
         "agree": report.agree,
     }

@@ -191,6 +191,7 @@ def _cmd_criterion(args) -> int:
                 r["uniform_positivity"]["smallest_eigenvalue"] for r in rows
             ]
             finite = [s for s in smallest if s is not None]
+            margins = [r["range_splitting"]["margin"] for r in rows]
             payload = {
                 "rows": rows,
                 "summary": {
@@ -198,11 +199,15 @@ def _cmd_criterion(args) -> int:
                     "all_agree": all(r["agree"] for r in rows),
                     "contraction_norms": norms,
                     "smallest_gram_eigenvalues": smallest,
+                    "range_splitting_margins": margins,
                     "contraction_norm_nondecreasing": all(
                         b >= a - LOOSE_GATE for a, b in zip(norms, norms[1:])
                     ),
                     "smallest_eigenvalue_nonincreasing": all(
                         b <= a + LOOSE_GATE for a, b in zip(finite, finite[1:])
+                    ),
+                    "range_margin_nonincreasing": all(
+                        b <= a + LOOSE_GATE for a, b in zip(margins, margins[1:])
                     ),
                 },
             }

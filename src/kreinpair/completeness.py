@@ -2,13 +2,14 @@
 
 For a dissipative operator the image of its graph under the trace maps is
 a positive subspace of the doubled boundary space.  Three conditions are
-implemented and cross-checked: uniform positivity of the image Gram
-operator, a strict contraction bound for the angular-operator quotient,
-and a pair of range-decomposition identities phrased through the relation
-that the image induces between the two boundary coordinates.  In finite
-dimension all three hold on every well-conditioned instance and they must
-always agree; the interesting behaviour is how they degrade together on
-nearly degenerate families.
+implemented and cross-checked, each as a continuous margin from its own
+factorisation: the smallest eigenvalue of the image Gram operator, one minus
+the norm of the angular-operator quotient, and the smallest principal angle
+behind the pair of range-decomposition identities that the image induces
+between the two boundary coordinates.  In finite dimension all three hold on
+every well-conditioned instance and they must always agree; on nearly
+degenerate families the three margins degrade together and the verdicts flip
+at the same cut.
 """
 
 from __future__ import annotations
@@ -18,36 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import TraceData, build_boundary_triple, restrict_triple
-from .decomposition import (
-    Splitting,
-    graph_orthocomplement_within,
-    split,
-)
+from .decomposition import Splitting, split
 from .errors import ClassificationError, PipelineError
 from .krein import NEITHER, OperatorWithDomain
-from .subspaces import (
-    LinearRelation,
-    Subspace,
-    gap_distance,
-    intersect,
-    null_space,
-    orthonormal_span,
-    ortho_complement,
-    relation_adjoint,
-    relation_difference,
-    relation_restrict,
-    subspace_sum,
-)
-from .tolerances import CHECK_GATE, CRITERION_TOL, INJECTIVITY_CUT, negligible
+from .subspaces import null_space
+from .tolerances import CRITERION_TOL, INJECTIVITY_CUT, negligible
 
 __all__ = [
     "GramPositivity",
     "ContractionBound",
     "RangeSplitting",
     "CriterionReport",
-    "QuotientSplit",
-    "split_by_second_trace",
-    "trace_quotient",
     "uniform_positivity",
     "contraction_bound",
     "range_splitting",
@@ -70,9 +52,13 @@ class ContractionBound:
 
 @dataclass(frozen=True)
 class RangeSplitting:
+    """Both range identities hold exactly when ``margin``, the sine of the
+    smallest principal angle between the trace image and its orthocomplement
+    turned by the boundary symmetry, is positive; in exact arithmetic it
+    equals the smallest image-Gram eigenvalue."""
+
     ok: bool
-    gap_sum: float
-    gap_difference: float
+    margin: float
 
 
 @dataclass(frozen=True)
@@ -85,52 +71,6 @@ class CriterionReport:
     @property
     def all_true(self) -> bool:
         return self.positivity.ok and self.contraction.ok and self.range_split.ok
-
-
-@dataclass(frozen=True)
-class QuotientSplit:
-    """Split of T along the kernel of the second trace, with the induced
-    boundary relation from second-trace values to first-trace values.
-
-    The inverse of ``quotient`` is the trace image of the complement part
-    viewed as a relation, hence closed; it is an operator exactly when the
-    kernel of the first trace meets the complement trivially.
-    """
-
-    kernel_restriction: OperatorWithDomain
-    complement_restriction: OperatorWithDomain
-    quotient: LinearRelation | None
-    quotient_adjoint: LinearRelation | None
-
-
-def split_by_second_trace(traces: TraceData, op: OperatorWithDomain):
-    """T restricted to ker(trace1) and to its graph-orthogonal complement."""
-    # scale as in restrict_triple: trace1 alone may vanish up to round-off
-    coeffs = null_space(traces.trace1, CRITERION_TOL, scale=np.hypot(1.0, op.scale))
-    # orthonormal basis times orthonormal coefficients
-    kernel_domain = Subspace(op.space.dim, traces.domain_basis @ coeffs, CRITERION_TOL)
-    kernel_op = op.restricted(kernel_domain)
-    complement_op = op.restricted(graph_orthocomplement_within(op, kernel_domain))
-    return kernel_op, complement_op
-
-
-def trace_quotient(traces: TraceData, op: OperatorWithDomain) -> QuotientSplit:
-    kernel_op, complement_op = split_by_second_trace(traces, op)
-    k = traces.boundary_dim
-    if k == 0:
-        return QuotientSplit(kernel_op, complement_op, None, None)
-    xc = traces.domain_basis.conj().T @ complement_op.domain.basis
-    t0c = traces.trace0 @ xc
-    t1c = traces.trace1 @ xc
-    stacked = np.vstack([t1c, t0c])
-    graph = orthonormal_span(stacked, 2 * k, CRITERION_TOL)
-    quotient = LinearRelation(k, k, graph)
-    return QuotientSplit(
-        kernel_restriction=kernel_op,
-        complement_restriction=complement_op,
-        quotient=quotient,
-        quotient_adjoint=relation_adjoint(quotient),
-    )
 
 
 def uniform_positivity(image_gram: np.ndarray) -> GramPositivity:
@@ -172,36 +112,30 @@ def contraction_bound(traces: TraceData,
     return ContractionBound(ok=norm < 1.0 - CRITERION_TOL, norm=norm)
 
 
-def range_splitting(traces: TraceData, op: OperatorWithDomain,
-                    quo: QuotientSplit) -> RangeSplitting:
-    """The two range-decomposition identities of the boundary space.
+def range_splitting(traces: TraceData) -> RangeSplitting:
+    """The two range-decomposition identities, as one principal angle.
 
-    First: ran(trace1) plus the orthocomplement of trace0(kernel part)
-    fills the boundary space.  Second: the difference of the quotient
-    relation and its adjoint, acting on that orthocomplement (on the lineal
-    where both are defined), together with trace0(kernel part) fills it as
-    well.  Both are measured as gap distances.
+    With the image basis ``[A; C]`` (trace0 over trace1 rows) and a basis
+    ``[P; R]`` of its orthocomplement, ``K = mul Q = A ker C`` and
+    ``Q* = {(-P s, R s)}`` for ``Q = {(t1 x, t0 x)}``, so ``ran P = K^perp``.
+    The first identity says ``[C, P]`` is onto C^k, the second that
+    ``[A, -R]`` maps its kernel onto C^k: both hold exactly when
+    ``M = [[A, -R], [C, P]]`` is nonsingular.  The columns of M span the image
+    and ``Omega image^perp`` (the boundary metric is ``i Omega``), so the
+    margin ``sigma sqrt(2 - sigma^2)``, ``sigma = sigma_min(M)``, is the sine
+    of their smallest principal angle (Bjorck & Golub 1973).
     """
     k = traces.boundary_dim
     if k == 0:
-        return RangeSplitting(ok=True, gap_sum=0.0, gap_difference=0.0)
-    full = Subspace.full(k, CRITERION_TOL)
-    scale = np.hypot(1.0, op.scale)  # as in restrict_triple
-    ran_t1 = orthonormal_span(traces.trace1, k, CRITERION_TOL, scale=scale)
-    xs1 = traces.domain_basis.conj().T @ quo.kernel_restriction.domain.basis
-    kernel_image = orthonormal_span(traces.trace0 @ xs1, k, CRITERION_TOL,
-                                    scale=scale)
-    complement = ortho_complement(kernel_image)
-    gap_sum = gap_distance(subspace_sum(ran_t1, complement), full)
-
-    lineal = intersect(
-        intersect(quo.quotient.dom, quo.quotient_adjoint.dom), complement
-    )
-    diff = relation_difference(quo.quotient_adjoint, quo.quotient)
-    action = relation_restrict(diff, lineal).ran
-    gap_difference = gap_distance(subspace_sum(action, kernel_image), full)
-    ok = gap_sum <= CHECK_GATE and gap_difference <= CHECK_GATE
-    return RangeSplitting(ok=ok, gap_sum=gap_sum, gap_difference=gap_difference)
+        return RangeSplitting(ok=True, margin=1.0)
+    q = traces.image.basis
+    # complement of orthonormal columns: every singular value is 1, no cut
+    perp = null_space(q.conj().T)
+    a, c = q[:k], q[k:]
+    p, r = perp[:k], perp[k:]
+    sigma = float(np.linalg.svd(np.block([[a, -r], [c, p]]), compute_uv=False)[-1])
+    margin = float(sigma * np.sqrt(2.0 - sigma * sigma))
+    return RangeSplitting(ok=margin > CRITERION_TOL, margin=margin)
 
 
 def criterion_report(op: OperatorWithDomain,
@@ -221,10 +155,9 @@ def criterion_report(op: OperatorWithDomain,
         traces = restrict_triple(triple, op)
     else:
         splitting, traces = pieces
-    quo = trace_quotient(traces, op)
     positivity = uniform_positivity(traces.image_gram)
     contraction = contraction_bound(traces, splitting.defect)
-    ranges = range_splitting(traces, op, quo)
+    ranges = range_splitting(traces)
     agree = positivity.ok == contraction.ok == ranges.ok
     return CriterionReport(
         positivity=positivity,

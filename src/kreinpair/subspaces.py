@@ -34,10 +34,6 @@ __all__ = [
     "relation_parts",
     "relation_inverse",
     "relation_adjoint",
-    "relation_add",
-    "relation_negate",
-    "relation_difference",
-    "relation_restrict",
     "eigenspace",
 ]
 
@@ -374,21 +370,6 @@ class LinearRelation:
     def is_operator(self) -> bool:
         return self.mul.is_zero
 
-    def apply_matrix(self) -> np.ndarray:
-        """Matrix of the operator part on dom, as a right_dim x dom.dim map.
-
-        Columns are the images of the dom basis vectors under the operator
-        part of the relation.
-        """
-        d = self.dom
-        if d.is_zero:
-            return np.zeros((self.right_dim, 0), dtype=np.complex128)
-        top, bot = self._blocks()
-        coeffs, *_ = np.linalg.lstsq(top, d.basis, rcond=None)
-        images = bot @ coeffs
-        pmul = self.mul.projector()
-        return images - pmul @ images
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return (
             f"LinearRelation({self.left_dim}->{self.right_dim}, "
@@ -436,49 +417,6 @@ def relation_adjoint(rel: LinearRelation, metric_left=None,
     mapped = np.vstack([-jr @ bot, jl @ top])
     graph = Subspace(rel.left_dim + rel.right_dim, mapped, rel.tol)
     return LinearRelation(rel.right_dim, rel.left_dim, graph)
-
-
-def relation_add(a: LinearRelation, b: LinearRelation) -> LinearRelation:
-    """Pointwise sum ``{(x, y + z) : (x, y) in a, (x, z) in b}``."""
-    if (a.left_dim, a.right_dim) != (b.left_dim, b.right_dim):
-        raise DimensionMismatch("relations to add must share both dimensions")
-    tol = max(a.tol, b.tol)
-    ga, gb = a.graph.basis, b.graph.basis
-    xa, ya = ga[: a.left_dim], ga[a.left_dim:]
-    xb, yb = gb[: b.left_dim], gb[b.left_dim:]
-    match = np.hstack([xa, -xb])
-    coeffs = null_space(match, tol, scale=1.0)
-    ca, cb = coeffs[: ga.shape[1]], coeffs[ga.shape[1]:]
-    stacked = np.vstack([xa @ ca, ya @ ca + yb @ cb])
-    graph = orthonormal_span(stacked, a.left_dim + a.right_dim, tol)
-    return LinearRelation(a.left_dim, a.right_dim, graph)
-
-
-def relation_negate(rel: LinearRelation) -> LinearRelation:
-    top, bot = rel._blocks()
-    # negating a block is unitary: the basis stays orthonormal
-    graph = Subspace(rel.left_dim + rel.right_dim, np.vstack([top, -bot]), rel.tol)
-    return LinearRelation(rel.left_dim, rel.right_dim, graph)
-
-
-def relation_difference(a: LinearRelation, b: LinearRelation) -> LinearRelation:
-    return relation_add(a, relation_negate(b))
-
-
-def relation_restrict(rel: LinearRelation, subset: Subspace) -> LinearRelation:
-    """Pairs of ``rel`` whose left component lies in ``subset``."""
-    if subset.ambient_dim != rel.left_dim:
-        raise DimensionMismatch("restriction subspace has the wrong dimension")
-    tol = max(rel.tol, subset.tol)
-    window = np.zeros(
-        (rel.left_dim + rel.right_dim, subset.dim + rel.right_dim),
-        dtype=np.complex128,
-    )
-    window[: rel.left_dim, : subset.dim] = subset.basis
-    window[rel.left_dim:, subset.dim:] = np.eye(rel.right_dim)
-    allowed = orthonormal_span(window, rel.left_dim + rel.right_dim, tol)
-    graph = intersect(rel.graph, allowed)
-    return LinearRelation(rel.left_dim, rel.right_dim, graph)
 
 
 def eigenspace(rel: LinearRelation, lam: complex) -> Subspace:

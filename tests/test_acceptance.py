@@ -237,22 +237,27 @@ def test_criterion_6_equivalence_and_degeneration():
         report = criterion_report(op)
         if report.agree and report.all_true:
             agreements += 1
-    eps_values = (1.0, 1e-2, 1e-4, 1e-6)
-    norms, smallest = [], []
+    eps_values = [10.0 ** -j for j in range(13)]
+    rows, verdicts, agree = [], [], True
     for eps in eps_values:
         report = criterion_report(scaled_defect_instance(eps))
-        assert report.agree
-        norms.append(report.contraction.norm)
-        smallest.append(report.positivity.smallest)
-    norms_monotone = all(b >= a - 1e-6 for a, b in zip(norms, norms[1:]))
-    eigs_monotone = all(b <= a + 1e-6 for a, b in zip(smallest, smallest[1:]))
-    ok = agreements == 100 and norms_monotone and eigs_monotone
+        agree = agree and report.agree
+        rows.append((report.positivity.smallest, 1.0 - report.contraction.norm,
+                     report.range_split.margin))
+        verdicts.append(report.positivity.ok)
+    monotone = [all(b <= a + 1e-6 for a, b in zip(col, col[1:]))
+                for col in zip(*rows)]
+    flips_once = (verdicts[0] and not verdicts[-1]
+                  and verdicts == sorted(verdicts, reverse=True))
+    flip = f"1e-{verdicts.index(False)}" if False in verdicts else "never"
+    ok = agreements == 100 and agree and all(monotone) and flips_once
     _report(
         6,
         ok,
         f"criteria agree on {agreements}/100 random instances; degeneration "
-        f"family monotone (contraction norms {norms_monotone}, smallest "
-        f"Gram eigenvalues {eigs_monotone})",
+        f"family eps = 1 ... 1e-12: criteria agree {agree}, margins "
+        f"non-increasing (Gram eigenvalue, 1 - contraction norm, range "
+        f"splitting) {monotone}, all three flip together at eps = {flip}",
     )
 
 

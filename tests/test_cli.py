@@ -159,6 +159,10 @@ class TestCriterion:
         assert payload["summary"]["all_agree"] is True
         assert payload["summary"]["contraction_norm_nondecreasing"] is True
         assert payload["summary"]["smallest_eigenvalue_nonincreasing"] is True
+        assert payload["summary"]["range_margin_nonincreasing"] is True
+        margins = payload["summary"]["range_splitting_margins"]
+        assert margins == [row["range_splitting"]["margin"] for row in payload["rows"]]
+        assert margins[-1] < margins[0]
         assert [row["file"] for row in payload["rows"]] == [
             f"eps_{i}.json" for i in range(4)
         ]

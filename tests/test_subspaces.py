@@ -18,12 +18,7 @@ from kreinpair import (
     relation_parts,
     subspace_sum,
 )
-from kreinpair.subspaces import (
-    MetricMatrix,
-    null_space,
-    relation_difference,
-    relation_restrict,
-)
+from kreinpair.subspaces import MetricMatrix, null_space
 
 from conftest import e
 
@@ -257,21 +252,6 @@ class TestEigenspace:
         oracle = orthonormal_span(null_space(m - lam * np.eye(4), 1e-8), 4)
         assert s.dim == oracle.dim
         assert gap_distance(s, oracle) < 1e-6
-
-
-class TestRelationArithmetic:
-    def test_difference_of_scalars(self):
-        a = LinearRelation.from_operator(np.array([[1j]]))
-        b = LinearRelation.from_operator(np.array([[-1j]]))
-        d = relation_difference(a, b)
-        expected = LinearRelation.from_operator(np.array([[2j]]))
-        assert gap_distance(d.graph, expected.graph) < 1e-12
-
-    def test_restrict_keeps_multivalued_part(self):
-        full = LinearRelation.full(1, 1)
-        restricted = relation_restrict(full, Subspace.zero(1))
-        assert restricted.dom.is_zero
-        assert restricted.mul.dim == 1
 
 
 class TestMetricMatrix:
