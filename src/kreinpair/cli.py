@@ -31,10 +31,10 @@ import numpy as np
 
 from .analysis import _criterion_dict, analyze_operator
 from .completeness import criterion_report
-from .errors import KreinPairError
+from .errors import DimensionMismatch, KreinPairError
 from .krein import KreinSpace, OperatorWithDomain
 from .subspaces import orthonormal_span
-from .sturm_liouville import convergence_study, write_study_csv
+from .sturm_liouville import convergence_study, study_levels, write_study_csv
 from .tolerances import CHECK_GATE, DEFAULT_TOL, LOOSE_GATE
 
 
@@ -256,7 +256,9 @@ def _cmd_sl_study(args) -> int:
         if args.xmax <= 0:
             raise SpecError("--xmax must be positive")
         intervals = _parse_intervals(args.omega)
-    except SpecError as exc:
+        # grid, mask and Robin resonance of every level, before dense work
+        study_levels(args.xmax, args.n, intervals, args.imq, args.h, args.levels)
+    except (SpecError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -83,11 +83,9 @@ def symmetric_part(op: OperatorWithDomain) -> OperatorWithDomain:
 def graph_orthocomplement_within(op: OperatorWithDomain,
                                  sub: Subspace) -> Subspace:
     """Orthocomplement of ``sub`` inside the domain, in the graph product."""
-    b = op.domain.basis
-    coords = b.conj().T @ sub.basis
-    rows = coords.conj().T @ op.graph_gram
+    rows = op.coords(sub.basis).conj().T @ op.graph_gram
     # orthonormal basis times orthonormal coefficients
-    return Subspace(op.space.dim, b @ null_space(rows, op.tol), op.tol)
+    return Subspace(op.space.dim, op.lift(null_space(rows, op.tol)), op.tol)
 
 
 def dissipative_part(op: OperatorWithDomain,
@@ -153,7 +151,7 @@ def defect_domain_via_resolvent(op: OperatorWithDomain,
     """
     u, s, vh = defi.shifted_svd
     coeffs = vh.conj().T @ ((u.conj().T @ defi.intersection.basis) / s[:, None])
-    return orthonormal_span(op.domain.basis @ coeffs, op.space.dim, op.tol)
+    return orthonormal_span(op.lift(coeffs), op.space.dim, op.tol)
 
 
 def defect_inner(splitting: Splitting, x, y) -> complex:

@@ -53,6 +53,19 @@ def _as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
+#: slack on the Frobenius bound in :attr:`OperatorWithDomain.form_scale`;
+#: any factor above the round-off of the two norms keeps every verdict, and a
+#: larger one only sends more operators to the SVD
+_NORM_MARGIN = 2.0
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """``|A|_F``, with the squares taken of ``A / max|A_ij|`` so that they
+    neither overflow nor underflow."""
+    peak = float(np.max(np.abs(a), initial=0.0))
+    return peak * float(np.linalg.norm(a / peak)) if peak > 0 else 0.0
+
+
 def boundary_metric_matrix(dim: int) -> np.ndarray:
     """Canonical symmetry ``(u, v) -> (-i v, i u)`` of a doubled Hilbert space."""
     eye = np.eye(dim, dtype=np.complex128)
@@ -109,6 +122,10 @@ class OperatorWithDomain:
 
     The matrix acts only on domain vectors; the associated graph
     ``{(x, M x) : x in domain}`` is a subspace of the doubled space.
+    ``domain=None`` is the whole space, with the identity as its basis B;
+    the products by B in :attr:`scale`, :attr:`dissipation_gram`,
+    :attr:`graph_gram`, :meth:`lift` and :meth:`coords` are then skipped,
+    which is exact: a product with I changes no bit.
     """
 
     def __init__(self, space: KreinSpace, matrix, domain: Subspace | None = None):
@@ -117,6 +134,7 @@ class OperatorWithDomain:
             raise DimensionMismatch(
                 f"matrix shape {m.shape} does not match space dim {space.dim}"
             )
+        self._identity_basis = domain is None
         if domain is None:
             domain = Subspace.full(space.dim, space.tol)
         if domain.ambient_dim != space.dim:
@@ -128,7 +146,21 @@ class OperatorWithDomain:
         self.tol = max(space.tol, domain.tol)
 
     def restricted(self, domain: Subspace) -> "OperatorWithDomain":
-        return OperatorWithDomain(self.space, self.matrix, domain)
+        op = OperatorWithDomain(self.space, self.matrix, domain)
+        if "dissipation_matrix" in self.__dict__:
+            # the ambient form does not depend on the domain
+            op.dissipation_matrix = self.dissipation_matrix
+        return op
+
+    def lift(self, coeffs) -> np.ndarray:
+        """Ambient vectors ``B @ coeffs`` from domain-basis coordinates."""
+        return coeffs if self._identity_basis else self.domain.basis @ coeffs
+
+    def coords(self, vectors) -> np.ndarray:
+        """Domain-basis coordinates ``B* @ vectors`` (no membership check)."""
+        if self._identity_basis:
+            return vectors
+        return self.domain.basis.conj().T @ vectors
 
     def apply(self, x) -> np.ndarray:
         v = _as_vector(x, self.space.dim)
@@ -150,16 +182,24 @@ class OperatorWithDomain:
     @cached_property
     def dissipation_gram(self) -> np.ndarray:
         """The dissipation form compressed to domain coordinates."""
+        if self._identity_basis:
+            # already exactly Hermitian, so symmetrizing again changes no bit
+            return self.dissipation_matrix
         b = self.domain.basis
         g = b.conj().T @ self.dissipation_matrix @ b
         return 0.5 * (g + g.conj().T)
 
     @cached_property
+    def _image(self) -> np.ndarray:
+        """``T B``: the matrix on the domain basis."""
+        return self.matrix if self._identity_basis else self.matrix @ self.domain.basis
+
+    @cached_property
     def graph_gram(self) -> np.ndarray:
         """Gram matrix of <x,y> + <Tx,Ty> on domain coordinates; always >= I."""
-        b = self.domain.basis
-        mb = self.matrix @ b
-        g = b.conj().T @ b + mb.conj().T @ mb
+        b, mb = self.domain.basis, self._image
+        eye = np.eye(b.shape[1]) if self._identity_basis else b.conj().T @ b
+        g = eye + mb.conj().T @ mb
         return 0.5 * (g + g.conj().T)
 
     def dissipation_form(self, x, y) -> complex:
@@ -183,8 +223,7 @@ class OperatorWithDomain:
     def scale(self) -> float:
         """``|T B|_2`` for the domain basis B: the scale of the cuts on T.
         It bounds every eigenvalue and, doubled, the dissipation form."""
-        b = self.domain.basis
-        return float(np.linalg.norm(self.matrix @ b, 2)) if b.shape[1] else 0.0
+        return float(np.linalg.norm(self._image, 2)) if self.domain.dim else 0.0
 
     @cached_property
     def form_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -195,8 +234,18 @@ class OperatorWithDomain:
     def form_scale(self) -> float:
         """Scale of the rank decision on the dissipation form: its largest
         eigenvalue modulus, or its bound ``2 |T B|_2`` when even that is
-        negligible against the bound (T is symmetric)."""
+        negligible against the bound (T is symmetric).
+
+        ``|T B|_F >= |T B|_2``, so a largest eigenvalue that is not
+        negligible against ``2 |T B|_F`` (times a margin far above the
+        round-off of either norm) is not negligible against the bound
+        either: the answer is then the same without the SVD behind
+        :attr:`scale`, which runs only when this test cannot decide.
+        """
         largest = float(np.max(np.abs(self.form_eigh[0]), initial=0.0))
+        frobenius_bound = 2.0 * _frobenius(self._image)
+        if not negligible(largest, self.tol, _NORM_MARGIN * frobenius_bound):
+            return largest
         bound = 2.0 * self.scale
         return bound if negligible(largest, self.tol, bound) else largest
 
@@ -206,7 +255,7 @@ class OperatorWithDomain:
         w, v = self.form_eigh
         kernel = v[:, negligible(w, self.tol, self.form_scale)]
         # orthonormal basis times orthonormal coefficients
-        return Subspace(self.space.dim, self.domain.basis @ kernel, self.tol)
+        return Subspace(self.space.dim, self.lift(kernel), self.tol)
 
     def classify(self) -> str:
         """Return "dissipative", "symmetric" or "neither".
@@ -292,7 +341,7 @@ class RieszRepresenter:
         v = np.asarray(x, dtype=np.complex128).reshape(-1)
         if not op.domain.contains(v):
             raise DomainError("vector is not in the operator domain")
-        return self.coord_map @ (op.domain.basis.conj().T @ v)
+        return self.coord_map @ op.coords(v)
 
     def kernel_vectors(self, op: OperatorWithDomain, tol: float) -> Subspace:
         """Kernel of the square root, mapped back to ambient vectors.
@@ -341,7 +390,7 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     # graph gram is bounded below by the identity, so this is well posed
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     sqrt = v @ np.diag(np.sqrt(w)) @ v.conj().T
-    basis = op.domain.basis @ inv_sqrt
+    basis = op.lift(inv_sqrt)
     f = inv_sqrt @ op.dissipation_gram @ inv_sqrt
     f = 0.5 * (f + f.conj().T)
     fw, fv = np.linalg.eigh(f)

@@ -44,6 +44,7 @@ __all__ = [
     "dissipation_quadrature_residual",
     "cayley_norm",
     "omega_block",
+    "study_levels",
     "convergence_study",
     "write_study_csv",
 ]
@@ -61,10 +62,25 @@ class GridSpec:
             raise DimensionMismatch("x_max must be positive and finite")
         if self.n_points < 8:
             raise DimensionMismatch("need at least 8 grid points")
+        square = self.step * self.step
+        if not (square > 0 and 0 < 1.0 / square < math.inf):
+            raise DimensionMismatch(
+                f"grid step {self.step!r}: 1/step^2 is not a finite positive float"
+            )
 
     @property
     def step(self) -> float:
         return self.x_max / self.n_points
+
+    def robin_alpha(self, h: float) -> float:
+        """Ghost-cell factor ``(1 - step h / 2) / (1 + step h / 2)`` of the
+        Robin condition y'(0) = h y(0) at the left edge."""
+        half = self.step * h / 2.0
+        if not math.isfinite(half):
+            raise DimensionMismatch("Robin parameter times the grid step overflows")
+        if abs(1.0 + half) < RESONANCE_CUT:
+            raise DimensionMismatch("Robin parameter resonates with the grid step")
+        return (1.0 - half) / (1.0 + half)
 
     def cell_centers(self) -> np.ndarray:
         return (np.arange(self.n_points) + 0.5) * self.step
@@ -140,10 +156,7 @@ def _laplacian(grid: GridSpec, pot: PotentialSpec) -> np.ndarray:
     idx = np.arange(n - 1)
     a[idx, idx + 1] = -inv2
     a[idx + 1, idx] = -inv2
-    denom = 1.0 + s * pot.h / 2.0
-    if abs(denom) < RESONANCE_CUT:
-        raise DimensionMismatch("Robin parameter resonates with the grid step")
-    alpha = (1.0 - s * pot.h / 2.0) / denom
+    alpha = grid.robin_alpha(pot.h)
     a[0, 0] = (2.0 - alpha) * inv2
     a[n - 1, n - 1] = 3.0 * inv2  # Dirichlet cell edge at x_max
     # decouple mask interfaces with Dirichlet edges on both sides
@@ -259,6 +272,24 @@ def omega_block(op: OperatorWithDomain, mask) -> np.ndarray:
     return op.matrix[np.ix_(idx, idx)]
 
 
+def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
+                 levels: int) -> list[tuple[GridSpec, PotentialSpec]]:
+    """Grid and potential of every doubling level, each validated (grid,
+    nonempty mask, Robin resonance) before any level does dense work.
+
+    Raises :class:`DimensionMismatch` for input no level may take.
+    """
+    if levels < 3:
+        raise DimensionMismatch("need at least 3 refinement levels")
+    specs = []
+    for level in range(levels):
+        grid = GridSpec(x_max=x_max, n_points=base_n * 2**level)
+        pot = PotentialSpec.from_intervals(grid, intervals, imq, h)
+        grid.robin_alpha(pot.h)  # raises at resonance
+        specs.append((grid, pot))
+    return specs
+
+
 def convergence_study(x_max: float, base_n: int, intervals, imq: float,
                       h: float, levels: int, seed: int = 0) -> list[StudyRow]:
     """Doubling refinement of the Cayley norm of the masked block.
@@ -267,12 +298,9 @@ def convergence_study(x_max: float, base_n: int, intervals, imq: float,
     the limit; what the study asserts is the contraction bound at every
     level and a non-decreasing trend.
     """
-    if levels < 3:
-        raise DimensionMismatch("need at least 3 refinement levels")
     rows = []
-    for level in range(levels):
-        grid = GridSpec(x_max=x_max, n_points=base_n * 2**level)
-        pot = PotentialSpec.from_intervals(grid, intervals, imq, h)
+    specs = study_levels(x_max, base_n, intervals, imq, h, levels)
+    for level, (grid, pot) in enumerate(specs):
         op = discretize(grid, pot)
         mask_splitting(op, pot.omega_mask)
         residual = dissipation_quadrature_residual(

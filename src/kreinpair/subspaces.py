@@ -87,12 +87,33 @@ def null_space(matrix, tol: float = DEFAULT_TOL,
     return vh[_rank(s, tol, scale):].conj().T
 
 
+def _metric_norms(m: np.ndarray, canonical: bool) -> tuple[float, float, float]:
+    """``|M|_2``, ``|M - M*|_2`` and, for a canonical symmetry, ``|M^2 - I|_2``
+    (else 0); from the diagonal alone when M is diagonal (see
+    :class:`MetricMatrix`)."""
+    d = np.diag(m)
+    if np.count_nonzero(m) == np.count_nonzero(d):
+        return (float(np.max(np.abs(d))), float(np.max(np.abs(d - d.conj()))),
+                float(np.max(np.abs(d * d - 1.0))) if canonical else 0.0)
+    involution = (float(np.linalg.norm(m @ m - np.eye(m.shape[0]), 2))
+                  if canonical else 0.0)
+    return (float(np.linalg.norm(m, 2)), float(np.linalg.norm(m - m.conj().T, 2)),
+            involution)
+
+
 class MetricMatrix:
     """Hermitian, possibly indefinite, metric on C^n.
 
     With ``canonical=True`` the matrix must additionally be an involution;
     a Hermitian involution is automatically unitary, so no separate
-    unitarity check is needed.
+    unitarity check is needed.  ``scale`` is ``|M|_2``; both defects are
+    judged against it.
+
+    A diagonal metric, such as J = I (recognized by having as many nonzeros
+    as its diagonal), is checked in O(n) without an SVD.  This is exact:
+    M, M - M* and M^2 - I are then diagonal, and the 2-norm of a diagonal
+    matrix is the largest modulus on its diagonal, so the three norms, and
+    every verdict, are those of the dense route up to its own round-off.
     """
 
     def __init__(self, matrix, *, canonical: bool = False, tol: float = DEFAULT_TOL):
@@ -101,18 +122,17 @@ class MetricMatrix:
             raise MetricError(f"metric must be square, got shape {m.shape}")
         if m.shape[0] == 0:
             raise MetricError("zero-dimensional metric is not allowed")
-        scale = float(np.linalg.norm(m, 2))
-        if np.linalg.norm(m - m.conj().T, 2) > 10 * tol * scale:
+        scale, asymmetry, involution = _metric_norms(m, canonical)
+        if asymmetry > 10 * tol * scale:
             raise MetricError("metric is not Hermitian")
-        if canonical:
-            defect = np.linalg.norm(m @ m - np.eye(m.shape[0]), 2)
-            if defect > 10 * tol * scale * scale:
-                raise MetricError("canonical symmetry must square to the identity")
+        if involution > 10 * tol * scale * scale:
+            raise MetricError("canonical symmetry must square to the identity")
         self.matrix = m
         self.matrix.flags.writeable = False
         self.dim = int(m.shape[0])
         self.canonical = bool(canonical)
         self.tol = float(tol)
+        self.scale = scale
 
     def __repr__(self):  # pragma: no cover - debugging aid
         kind = "canonical symmetry" if self.canonical else "metric"

@@ -3,6 +3,7 @@ import pytest
 
 from kreinpair import KreinSpace, OperatorWithDomain
 from kreinpair.instances import random_dissipative, random_unitary
+from kreinpair.krein import _classify
 from kreinpair.subspaces import Subspace, null_space
 from kreinpair.tolerances import CHECK_GATE, DEFAULT_TOL, negligible
 
@@ -92,3 +93,37 @@ def planted_cluster_operator(n, multiplicities, rng):
     starts = np.cumsum([0] + mults)
     spaces = [frame[:, a:z] for a, z in zip(starts, starts[1:])]
     return op, list(values), spaces
+
+
+def exact_form_decision(op):
+    """``(classify, form_scale, form_kernel basis)`` by the rule without the
+    Frobenius shortcut: the largest form eigenvalue modulus, or the bound
+    ``2 |T B|_2`` from an SVD whenever that modulus is negligible against it.
+    Kept as the oracle of the differential tests of ``form_scale``."""
+    w, v = op.form_eigh
+    b = op.domain.basis
+    largest = float(np.max(np.abs(w), initial=0.0))
+    bound = 2.0 * float(np.linalg.norm(op.matrix @ b, 2)) if b.shape[1] else 0.0
+    scale = bound if negligible(largest, op.tol, bound) else largest
+    return _classify(w, op.tol, scale), scale, b @ v[:, negligible(w, op.tol, scale)]
+
+
+def count_svd_backed(monkeypatch):
+    """Count the SVD-backed calls, ``numpy.linalg.svd`` and matrix
+    ``numpy.linalg.norm(., 2)``, in a dict from then on.  Both are patched,
+    since ``norm`` does not go through the ``svd`` attribute."""
+    counts = {"svd": 0, "norm2": 0}
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            counts["norm2"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return counts

@@ -200,6 +200,19 @@ class TestStudyCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--xmax", "1e-300"],  # step^2 underflows to 0
+        ["--xmax", "1e308"],  # step^2 overflows
+        ["--omega", "0.5:0.52"],  # the mask is empty on the level-0 grid
+        ["--h", "-0.8"],  # Robin resonance at step 2.5
+    ])
+    def test_grid_input_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "study.csv"
+        assert main(["sl-study", "--n", "8", "--levels", "3", *flags,
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_bad_interval_rejected(self, tmp_path):
         out = tmp_path / "study.csv"
         assert main(

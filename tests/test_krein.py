@@ -13,10 +13,16 @@ from kreinpair import (
     riesz_representer,
 )
 from kreinpair.analysis import analyze_operator
-from kreinpair.instances import random_dissipative
+from kreinpair.instances import (
+    random_canonical_symmetry,
+    random_dissipative,
+    random_unitary,
+    scaled_defect_instance,
+)
 from kreinpair.krein import classify_by_graph
+from kreinpair.sturm_liouville import GridSpec, PotentialSpec, discretize
 
-from conftest import e, random_domain_samples
+from conftest import e, exact_form_decision, random_domain_samples
 
 
 class TestInnerProducts:
@@ -219,3 +225,100 @@ class TestRieszRepresenter:
             op = random_dissipative(8, np.random.default_rng(seed), defect=1)
             riesz = analyze_operator(op)["riesz"]
             assert riesz["embedding_identity_residual"] <= 1e-12
+
+
+def assert_form_decision_exact(op):
+    """``classify``, ``form_scale`` and ``form_kernel`` equal the route that
+    always takes ``2 |T B|_2`` from the SVD; returns whether the SVD ran."""
+    verdict, scale, kernel = exact_form_decision(op)
+    assert op.classify() == verdict
+    assert op.form_scale == scale
+    assert np.array_equal(op.form_kernel.basis, kernel)
+    return "scale" in op.__dict__
+
+
+def random_domain(n, rng):
+    raw = rng.standard_normal((n, n - 2)) + 1j * rng.standard_normal((n, n - 2))
+    return orthonormal_span(raw, n)
+
+
+def j_symmetric(n, rng, dissipation=0.0):
+    """T = J (H + i r P) with |H|_2 = 1 and the spectrum of P in [1, 2]:
+    symmetric for r = 0, strictly dissipative with form spectrum in [2r, 4r]
+    else."""
+    j = random_canonical_symmetry(n, rng)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = 0.5 * (z + z.conj().T)
+    h /= np.linalg.norm(h, 2)
+    u = random_unitary(n, rng)
+    p = (u * np.linspace(1.0, 2.0, n)) @ u.conj().T
+    a = h + 1j * dissipation * 0.5 * (p + p.conj().T)
+    return OperatorWithDomain(KreinSpace(j), j @ a)
+
+
+class TestFormScaleShortcut:
+    """The Frobenius test in ``form_scale`` changes no decision."""
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_random_dissipative(self, c, restricted):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 12))
+            op = random_dissipative(n, rng)
+            domain = random_domain(n, rng) if restricted and n > 2 else None
+            assert_form_decision_exact(
+                OperatorWithDomain(op.space, c * op.matrix, domain))
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_hermitian_takes_the_svd(self, restricted):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            op = j_symmetric(8, rng)
+            if restricted:
+                op = op.restricted(random_domain(8, rng))
+            assert assert_form_decision_exact(op)
+            assert op.classify() == "symmetric"
+
+    def test_sweep_across_the_cut(self):
+        """Dissipation from far below the rank cut to far above it: the
+        verdict flips at the cut, the SVD runs only where the Frobenius test
+        cannot decide, and both branches agree with the oracle."""
+        seen = set()
+        for r in np.logspace(-12, -7, 21):
+            op = j_symmetric(8, np.random.default_rng(0), dissipation=r)
+            seen.add((op.classify(), assert_form_decision_exact(op)))
+        assert seen == {("symmetric", True), ("dissipative", True),
+                        ("dissipative", False)}
+
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(13)])
+    def test_scaled_defect_family(self, eps):
+        assert_form_decision_exact(scaled_defect_instance(eps))
+
+    @pytest.mark.parametrize("intervals,imq", [
+        ([(0.0, 0.5)], 1.0), ([(0.25, 0.5), (0.7, 0.8)], 1e-6), ([(0.0, 1.0)], 3.0),
+    ])
+    def test_discretizations(self, intervals, imq):
+        grid = GridSpec(x_max=10.0, n_points=32)
+        op = discretize(grid, PotentialSpec.from_intervals(grid, intervals, imq, 1.0))
+        assert not assert_form_decision_exact(op)
+        assert_form_decision_exact(op.restricted(op.form_kernel))
+        free = PotentialSpec(np.zeros(32, bool), np.zeros(32, complex), 1.0)
+        assert assert_form_decision_exact(discretize(grid, free))
+
+
+class TestIdentityBasis:
+    """An operator built with ``domain=None`` skips its products by the
+    identity basis; an explicit full domain keeps them.  Same bits."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_results_as_an_explicit_full_domain(self, seed):
+        op = random_dissipative(9, np.random.default_rng(seed))
+        explicit = OperatorWithDomain(op.space, op.matrix, Subspace.full(9, op.tol))
+        for name in ("dissipation_gram", "graph_gram"):
+            assert np.array_equal(getattr(op, name), getattr(explicit, name))
+        assert op.scale == explicit.scale
+        assert op.form_scale == explicit.form_scale
+        assert np.array_equal(op.form_kernel.basis, explicit.form_kernel.basis)
+        assert np.array_equal(riesz_representer(op).basis,
+                              riesz_representer(explicit).basis)

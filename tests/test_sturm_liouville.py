@@ -3,6 +3,7 @@ import pytest
 
 from kreinpair import gap_distance, orthonormal_span, split
 from kreinpair.analysis import analyze_operator
+from kreinpair import sturm_liouville
 from kreinpair.errors import DimensionMismatch, PipelineError
 from kreinpair.sturm_liouville import (
     GridSpec,
@@ -14,10 +15,11 @@ from kreinpair.sturm_liouville import (
     dissipation_quadrature_residual,
     mask_splitting,
     omega_block,
+    study_levels,
     write_study_csv,
 )
 
-from conftest import e
+from conftest import count_svd_backed, e
 
 
 def left_half(grid, imq=1.0, h=1.0):
@@ -30,6 +32,16 @@ class TestSpecs:
             GridSpec(x_max=10.0, n_points=4)
         with pytest.raises(DimensionMismatch):
             GridSpec(x_max=-1.0, n_points=16)
+
+    @pytest.mark.parametrize("x_max", [1e-300, 1e308])
+    def test_grid_step_squared_must_invert(self, x_max):
+        # step^2 underflows to 0 or overflows, so 1/step^2 is inf or 0
+        with pytest.raises(DimensionMismatch, match="1/step"):
+            GridSpec(x_max=x_max, n_points=8)
+
+    def test_robin_overflow_rejected(self):
+        with pytest.raises(DimensionMismatch, match="overflows"):
+            GridSpec(x_max=1e100, n_points=8).robin_alpha(1e300)
 
     def test_grid_step_and_centers(self):
         grid = GridSpec(x_max=8.0, n_points=16)
@@ -231,6 +243,28 @@ class TestStudy:
     def test_levels_validated(self):
         with pytest.raises(DimensionMismatch):
             convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("intervals,h,match", [
+        ([(0.5, 0.52)], 1.0, "empty"),  # no cell center in [10, 10.4)
+        ([(0.0, 0.5)], -0.8, "resonates"),  # 1 + step h / 2 = 0 at step 2.5
+    ])
+    def test_every_level_validated_before_dense_work(self, monkeypatch,
+                                                     intervals, h, match):
+        def no_dense_work(*args):
+            raise AssertionError("discretized before validation")
+
+        monkeypatch.setattr(sturm_liouville, "discretize", no_dense_work)
+        with pytest.raises(DimensionMismatch, match=match):
+            study_levels(20.0, 8, intervals, 1.0, h, 3)
+        with pytest.raises(DimensionMismatch, match=match):
+            convergence_study(20.0, 8, intervals, 1.0, h, 3)
+
+    def test_svd_budget(self, monkeypatch):
+        counts = count_svd_backed(monkeypatch)
+        convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
+        # per level: the symmetric part's |T B|_2, three gap distances, the
+        # graph-orthocomplement null space and the Cayley norm
+        assert counts["svd"] + counts["norm2"] <= 6 * 3
 
     def test_csv_format(self, tmp_path):
         rows = convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kreinpair import (
     DimensionMismatch,
+    KreinSpace,
     LinearRelation,
     MetricError,
     Subspace,
@@ -20,7 +21,7 @@ from kreinpair import (
 )
 from kreinpair.subspaces import MetricMatrix, null_space
 
-from conftest import e
+from conftest import count_svd_backed, e
 
 
 def random_subspace(n, k, rng):
@@ -266,6 +267,72 @@ class TestMetricMatrix:
     def test_accepts_signature_matrix(self):
         m = MetricMatrix(np.diag([1.0, -1.0]), canonical=True)
         assert m.canonical and m.dim == 2
+
+    @staticmethod
+    def dense_verdict(m, canonical, tol):
+        """The checks through three dense 2-norms (SVDs), the reference for
+        the diagonal route: ``(verdict, scale)``."""
+        scale = np.linalg.norm(m, 2)
+        if np.linalg.norm(m - m.conj().T, 2) > 10 * tol * scale:
+            return "not Hermitian", scale
+        if canonical and (np.linalg.norm(m @ m - np.eye(m.shape[0]), 2)
+                          > 10 * tol * scale * scale):
+            return "not an involution", scale
+        return "ok", scale
+
+    @staticmethod
+    def verdict(m, canonical, tol):
+        try:
+            metric = MetricMatrix(m, canonical=canonical, tol=tol)
+        except MetricError as exc:
+            kind = "not Hermitian" if "Hermitian" in str(exc) else "not an involution"
+            return kind, None
+        return "ok", metric.scale
+
+    # entries within a factor 2 of the 10 tol cuts, on each side: 1 + i delta
+    # has |d - conj d| = 2 delta, and 1 + delta has |d^2 - 1| ~ 2 delta
+    NEAR_CUTS = [[1.0, -1.0, 1.0 + 1j * f * 5e-10] for f in (0.5, 2.0)] + [
+        [1.0, -1.0, 1.0 + f * 5e-10] for f in (0.5, 2.0)]
+
+    @pytest.mark.parametrize("diagonal", [
+        [1.0, -1.0, -1.0, 1.0, 1.0],
+        [1.0, -1.0, 1j],
+        [1.0, 0.5 - 0.5j],
+        [2.0, 1.0],
+        [0.5, -3.0, 1.0],
+        [0.0, 1.0],
+    ] + NEAR_CUTS)
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_diagonal_route_matches_dense_norms(self, monkeypatch, diagonal,
+                                                canonical):
+        m = np.diag(np.asarray(diagonal, dtype=np.complex128))
+        expected, scale = self.dense_verdict(m, canonical, 1e-10)
+        counts = count_svd_backed(monkeypatch)
+        got, got_scale = self.verdict(m, canonical, 1e-10)
+        assert counts == {"svd": 0, "norm2": 0}
+        assert got == expected
+        if expected == "ok":
+            assert got_scale == pytest.approx(scale, rel=1e-15, abs=0.0)
+
+    def test_near_cut_cases_straddle_both_cuts(self):
+        verdicts = [self.dense_verdict(np.diag(d), True, 1e-10)[0]
+                    for d in self.NEAR_CUTS]
+        assert verdicts == ["ok", "not Hermitian", "ok", "not an involution"]
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+    ])
+    def test_non_diagonal_metric_takes_the_dense_norms(self, monkeypatch, m):
+        counts = count_svd_backed(monkeypatch)
+        metric = MetricMatrix(m, canonical=True)
+        assert counts == {"svd": 0, "norm2": 3}
+        assert metric.scale == pytest.approx(1.0, rel=1e-15)
+
+    def test_identity_metric_needs_no_svd(self, monkeypatch):
+        counts = count_svd_backed(monkeypatch)
+        KreinSpace(np.eye(256))
+        assert counts == {"svd": 0, "norm2": 0}
 
 
 @settings(max_examples=25, deadline=None)
