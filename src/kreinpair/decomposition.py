@@ -22,7 +22,6 @@ from .subspaces import (
     Subspace,
     gap_distance,
     intersect,
-    null_space,
     orthonormal_span,
 )
 from .tolerances import CHECK_GATE, negligible
@@ -82,10 +81,18 @@ def symmetric_part(op: OperatorWithDomain) -> OperatorWithDomain:
 
 def graph_orthocomplement_within(op: OperatorWithDomain,
                                  sub: Subspace) -> Subspace:
-    """Orthocomplement of ``sub`` inside the domain, in the graph product."""
-    rows = op.coords(sub.basis).conj().T @ op.graph_gram
+    """Orthocomplement of ``sub`` inside the domain, in the graph product.
+
+    In domain coordinates it is the Euclidean orthocomplement of the range
+    of ``G K``, with G the graph Gram and K the orthonormal coordinates of
+    ``sub``: the trailing columns of a complete Householder QR of ``G K``.
+    No rank decision is needed: ``G >= I``, so every singular value of
+    ``G K`` is at least 1 and its rank is ``sub.dim``, however large T is.
+    """
+    gk = op.graph_gram @ op.coords(sub.basis)
+    q = np.linalg.qr(gk, mode="complete")[0]
     # orthonormal basis times orthonormal coefficients
-    return Subspace(op.space.dim, op.lift(null_space(rows, op.tol)), op.tol)
+    return Subspace(op.space.dim, op.lift(q[:, gk.shape[1]:]), op.tol)
 
 
 def dissipative_part(op: OperatorWithDomain,

@@ -25,6 +25,7 @@ from .subspaces import (
     MetricMatrix,
     Subspace,
     _as_matrix,
+    is_diagonal,
     orthonormal_span,
     relation_adjoint,
 )
@@ -174,9 +175,19 @@ class OperatorWithDomain:
 
     @cached_property
     def dissipation_matrix(self) -> np.ndarray:
-        """Ambient Hermitian matrix of the form -i([x, T y] - [T x, y])."""
+        """Ambient Hermitian matrix of the form -i([x, T y] - [T x, y]).
+
+        For a diagonal J (:attr:`MetricMatrix.diagonal`) the products J M and
+        M* J are row and column scalings: each entry is the one term of its
+        dense sum that is not an exact zero, so for J = diag(+-1) both routes
+        give the same bits, in O(n^2) instead of O(n^3).
+        """
         j, m = self.space.J, self.matrix
-        g = -1j * (j @ m - m.conj().T @ j)
+        if self.space.metric.diagonal:
+            d = np.diag(j)
+            g = -1j * (d[:, None] * m - m.conj().T * d)
+        else:
+            g = -1j * (j @ m - m.conj().T @ j)
         return 0.5 * (g + g.conj().T)
 
     @cached_property
@@ -227,8 +238,23 @@ class OperatorWithDomain:
 
     @cached_property
     def form_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of :attr:`dissipation_gram`, taken once."""
-        return np.linalg.eigh(self.dissipation_gram)
+        """Eigendecomposition of :attr:`dissipation_gram`, taken once.
+
+        A diagonal Gram (:func:`~kreinpair.subspaces.is_diagonal`), such as
+        that of a potential on a grid, is its own eigendecomposition: its
+        real diagonal sorted ascending (stably, so ties keep their order)
+        with the matching identity columns.  These are the exact eigenpairs,
+        and the values are the ones LAPACK returns for such a matrix, since
+        its tridiagonal reduction of a diagonal matrix leaves it unchanged;
+        only a matrix LAPACK rescales, of norm beyond about 1e146 or below
+        about 1e-146, may differ from them in the last bit.
+        """
+        gram = self.dissipation_gram
+        if not is_diagonal(gram):
+            return np.linalg.eigh(gram)
+        d = np.diag(gram).real
+        order = np.argsort(d, kind="stable")
+        return d[order], np.eye(d.size, dtype=np.complex128)[:, order]
 
     @cached_property
     def form_scale(self) -> float:
@@ -270,7 +296,11 @@ class OperatorWithDomain:
 
     @cached_property
     def _classification(self) -> str:
-        return _classify(self.form_eigh[0], self.tol, self.form_scale)
+        w = self.form_eigh[0]
+        if not np.any(w):
+            # a zero form is negligible at every scale: no need for form_scale
+            return SYMMETRIC
+        return _classify(w, self.tol, self.form_scale)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (

@@ -275,7 +275,15 @@ def omega_block(op: OperatorWithDomain, mask) -> np.ndarray:
 def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
                  levels: int) -> list[tuple[GridSpec, PotentialSpec]]:
     """Grid and potential of every doubling level, each validated (grid,
-    nonempty mask, Robin resonance) before any level does dense work.
+    nonempty mask, Robin resonance, no overflow in the graph Gram) before
+    any level does dense work.
+
+    The largest absolute row sum r of the stencil, |q| included, bounds
+    every entry of T* T, and every partial sum of one, by r^2 (T's real
+    part is symmetric, so its column sums are its row sums); it is taken in
+    O(1) per level from 1/step^2, the Robin factor and ``imq``.  The graph
+    Gram ``I + T* T`` is summed with its adjoint, so twice that bound must
+    be a finite float.
 
     Raises :class:`DimensionMismatch` for input no level may take.
     """
@@ -285,7 +293,14 @@ def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
     for level in range(levels):
         grid = GridSpec(x_max=x_max, n_points=base_n * 2**level)
         pot = PotentialSpec.from_intervals(grid, intervals, imq, h)
-        grid.robin_alpha(pot.h)  # raises at resonance
+        alpha = grid.robin_alpha(pot.h)  # raises at resonance
+        # interior and Dirichlet rows sum to 4/step^2, the Robin row to at
+        # most (|2 - alpha| + 1)/step^2
+        row_sum = max(4.0, abs(2.0 - alpha) + 1.0) / (grid.step * grid.step) + imq
+        if not math.isfinite(2.0 * row_sum * row_sum):
+            raise DimensionMismatch(
+                f"grid step {grid.step!r}: the graph Gram of the stencil overflows"
+            )
         specs.append((grid, pot))
     return specs
 

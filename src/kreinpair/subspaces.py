@@ -87,12 +87,19 @@ def null_space(matrix, tol: float = DEFAULT_TOL,
     return vh[_rank(s, tol, scale):].conj().T
 
 
-def _metric_norms(m: np.ndarray, canonical: bool) -> tuple[float, float, float]:
+def is_diagonal(m: np.ndarray) -> bool:
+    """Whether every nonzero entry of the square matrix ``m`` is on its
+    diagonal: exactly, by counting nonzeros, with no tolerance."""
+    return int(np.count_nonzero(m)) == int(np.count_nonzero(np.diag(m)))
+
+
+def _metric_norms(m: np.ndarray, diagonal: bool,
+                  canonical: bool) -> tuple[float, float, float]:
     """``|M|_2``, ``|M - M*|_2`` and, for a canonical symmetry, ``|M^2 - I|_2``
     (else 0); from the diagonal alone when M is diagonal (see
     :class:`MetricMatrix`)."""
-    d = np.diag(m)
-    if np.count_nonzero(m) == np.count_nonzero(d):
+    if diagonal:
+        d = np.diag(m)
         return (float(np.max(np.abs(d))), float(np.max(np.abs(d - d.conj()))),
                 float(np.max(np.abs(d * d - 1.0))) if canonical else 0.0)
     involution = (float(np.linalg.norm(m @ m - np.eye(m.shape[0]), 2))
@@ -109,11 +116,14 @@ class MetricMatrix:
     unitarity check is needed.  ``scale`` is ``|M|_2``; both defects are
     judged against it.
 
-    A diagonal metric, such as J = I (recognized by having as many nonzeros
-    as its diagonal), is checked in O(n) without an SVD.  This is exact:
-    M, M - M* and M^2 - I are then diagonal, and the 2-norm of a diagonal
-    matrix is the largest modulus on its diagonal, so the three norms, and
-    every verdict, are those of the dense route up to its own round-off.
+    ``diagonal`` records whether M is diagonal (:func:`is_diagonal`: as
+    many nonzeros as its diagonal), decided once here.  Such a metric, J = I
+    for one, is checked in O(n) without an SVD.  This is exact: M, M - M*
+    and M^2 - I are then diagonal, and the 2-norm of a diagonal matrix is
+    the largest modulus on its diagonal, so the three norms, and every
+    verdict, are those of the dense route up to its own round-off.  Products
+    with a diagonal M are row or column scalings, and a scaling computes
+    each entry of the product as the one nonzero term of its dense sum.
     """
 
     def __init__(self, matrix, *, canonical: bool = False, tol: float = DEFAULT_TOL):
@@ -122,7 +132,8 @@ class MetricMatrix:
             raise MetricError(f"metric must be square, got shape {m.shape}")
         if m.shape[0] == 0:
             raise MetricError("zero-dimensional metric is not allowed")
-        scale, asymmetry, involution = _metric_norms(m, canonical)
+        diagonal = is_diagonal(m)
+        scale, asymmetry, involution = _metric_norms(m, diagonal, canonical)
         if asymmetry > 10 * tol * scale:
             raise MetricError("metric is not Hermitian")
         if involution > 10 * tol * scale * scale:
@@ -131,6 +142,7 @@ class MetricMatrix:
         self.matrix.flags.writeable = False
         self.dim = int(m.shape[0])
         self.canonical = bool(canonical)
+        self.diagonal = diagonal
         self.tol = float(tol)
         self.scale = scale
 

@@ -127,3 +127,19 @@ def count_svd_backed(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     return counts
+
+
+def count_factorizations(monkeypatch):
+    """Count the calls of ``numpy.linalg.eigh``, ``eigvalsh`` and ``qr`` in a
+    dict from then on; the companion of :func:`count_svd_backed`."""
+    counts = {"eigh": 0, "eigvalsh": 0, "qr": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return counts

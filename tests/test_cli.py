@@ -205,6 +205,8 @@ class TestStudyCommand:
         ["--xmax", "1e308"],  # step^2 overflows
         ["--omega", "0.5:0.52"],  # the mask is empty on the level-0 grid
         ["--h", "-0.8"],  # Robin resonance at step 2.5
+        ["--xmax", "1e-76"],  # the graph Gram of the stencil overflows
+        ["--xmax", "1e-140"],
     ])
     def test_grid_input_rejected(self, tmp_path, capsys, flags):
         out = tmp_path / "study.csv"

@@ -17,8 +17,12 @@ from kreinpair import (
     split,
     symmetric_part,
 )
+from kreinpair.analysis import analyze_operator
+from kreinpair.cli import dump_instance, main
+from kreinpair.decomposition import graph_orthocomplement_within
 from kreinpair.errors import PipelineError
 from kreinpair.instances import random_dissipative
+from kreinpair.subspaces import Subspace, null_space
 
 from conftest import e
 
@@ -216,3 +220,66 @@ class TestSquareRootBridge:
                 lhs = defect_inner(s, x, x).real
                 rhs = float(np.vdot(images[:, k], images[:, k]).real)
                 assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
+
+
+def svd_orthocomplement(op, sub):
+    """The route ``graph_orthocomplement_within`` replaced: a null space of
+    ``K* G`` by an SVD with all right-singular vectors and a rank cut at
+    ``tol * sigma_max``.  Kept as the oracle of the differential test."""
+    rows = op.coords(sub.basis).conj().T @ op.graph_gram
+    return Subspace(op.space.dim, op.lift(null_space(rows, op.tol)), op.tol)
+
+
+def random_subspace_of_domain(op, rng):
+    d = op.domain.dim
+    k = int(rng.integers(0, d + 1))
+    raw = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    return orthonormal_span(op.lift(raw), op.space.dim) if k else Subspace.zero(
+        op.space.dim)
+
+
+class TestGraphOrthocomplement:
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_matches_svd_null_space(self, c, restricted):
+        for seed in range(15):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 10))
+            base = random_dissipative(
+                n, rng, domain_dim=int(rng.integers(1, n)) if restricted else None)
+            op = OperatorWithDomain(base.space, c * base.matrix,
+                                    base.domain if restricted else None)
+            for sub in (op.form_kernel, random_subspace_of_domain(op, rng)):
+                got = graph_orthocomplement_within(op, sub)
+                assert got.dim == op.domain.dim - sub.dim
+                assert gap_distance(got, svd_orthocomplement(op, sub)) <= 1e-12
+
+    def test_graph_orthogonal_and_inside_the_domain(self):
+        op = random_dissipative(7, np.random.default_rng(4), domain_dim=5)
+        sub = random_subspace_of_domain(op, np.random.default_rng(5))
+        comp = graph_orthocomplement_within(op, sub)
+        for x in comp.basis.T:
+            assert op.domain.contains(x)
+            for y in sub.basis.T:
+                assert abs(op.graph_inner(x, y)) <= 1e-12 * op.graph_norm(x) ** 2
+
+
+class TestLargeNormRegression:
+    """diag(1e6, 0.5, i): |T|^2 = 1e12, so a rank cut at tol * sigma_max of
+    ``K* G`` (about 100) dropped the symmetric direction of norm 0.5, whose
+    singular value is 1.25, and the split failed its dimension check."""
+
+    @staticmethod
+    def operator():
+        return OperatorWithDomain(KreinSpace(np.eye(3)), np.diag([1e6, 0.5, 1j]))
+
+    def test_analysis(self):
+        report = analyze_operator(self.operator())
+        assert report["dims"]["symmetric_part"] == 2
+        assert report["dims"]["defect_part"] == 1
+        assert all(report["checks"].values()), report["checks"]
+
+    def test_cli_analyze(self, tmp_path):
+        path = tmp_path / "large_norm.json"
+        dump_instance(self.operator(), path)
+        assert main(["analyze", str(path), "-o", str(tmp_path / "report.json")]) == 0

@@ -19,10 +19,17 @@ from kreinpair.instances import (
     random_unitary,
     scaled_defect_instance,
 )
-from kreinpair.krein import classify_by_graph
+from kreinpair.krein import _classify, classify_by_graph
+from kreinpair.subspaces import is_diagonal
+from kreinpair.tolerances import negligible
 from kreinpair.sturm_liouville import GridSpec, PotentialSpec, discretize
 
-from conftest import e, exact_form_decision, random_domain_samples
+from conftest import (
+    count_factorizations,
+    e,
+    exact_form_decision,
+    random_domain_samples,
+)
 
 
 class TestInnerProducts:
@@ -322,3 +329,75 @@ class TestIdentityBasis:
         assert np.array_equal(op.form_kernel.basis, explicit.form_kernel.basis)
         assert np.array_equal(riesz_representer(op).basis,
                               riesz_representer(explicit).basis)
+
+
+def diagonal_form_operator(d, rng):
+    """T = diag(x + i d / 2) with J = I: its dissipation form is exactly diag(d)."""
+    d = np.asarray(d, dtype=float)
+    return OperatorWithDomain(KreinSpace(np.eye(d.size)),
+                              np.diag(rng.standard_normal(d.size) + 0.5j * d))
+
+
+def assert_lapack_eigenpairs(op):
+    """``form_eigh`` on a diagonal Gram: the eigenvalues of ``np.linalg.eigh``
+    bit for bit, the same kernel and the same verdict."""
+    gram = op.dissipation_gram
+    assert is_diagonal(gram)
+    w, v = op.form_eigh
+    ref_w, ref_v = np.linalg.eigh(gram)
+    assert np.array_equal(w, ref_w)
+    assert w.dtype == ref_w.dtype and v.dtype == ref_v.dtype
+    assert v.shape == ref_v.shape
+    cut = negligible(ref_w, op.tol, op.form_scale)
+    n = op.space.dim
+    assert gap_distance(op.form_kernel, Subspace(n, ref_v[:, cut])) == 0.0
+    assert op.classify() == _classify(ref_w, op.tol, op.form_scale)
+
+
+class TestDiagonalForm:
+    """A diagonal dissipation Gram is decomposed from its diagonal, a
+    diagonal J applied as a scaling; both agree with the dense routes."""
+
+    @pytest.mark.parametrize("d,verdict", [
+        ([1.0, 1.0, 0.0, 0.0, 2.0], "dissipative"),  # ties and zeros
+        ([0.0, 0.0, 0.0], "symmetric"),
+        ([-1.0, 0.5, 0.0, -1.0], "neither"),  # negative entries, a tie
+        ([-2.0, -2.0], "neither"),
+        ([3.0], "dissipative"),  # n = 1
+        ([0.0], "symmetric"),
+        ([-1e-3], "neither"),
+        ([2.0, 2e-12, -3e-13, 0.0, 1e-11], "dissipative"),  # around the cut
+        ([2.0, 2e-12, -3e-10, 0.0], "neither"),
+    ])
+    def test_form_eigh_matches_lapack(self, monkeypatch, d, verdict):
+        op = diagonal_form_operator(d, np.random.default_rng(len(d)))
+        counts = count_factorizations(monkeypatch)
+        op.form_eigh
+        assert counts["eigh"] == 0
+        monkeypatch.undo()
+        assert op.classify() == verdict
+        assert_lapack_eigenpairs(op)
+
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(13)])
+    def test_scaled_defect_family(self, eps):
+        assert_lapack_eigenpairs(scaled_defect_instance(eps))
+
+    def test_dense_gram_takes_lapack(self, monkeypatch):
+        op = random_dissipative(6, np.random.default_rng(3))
+        counts = count_factorizations(monkeypatch)
+        op.form_eigh
+        assert counts["eigh"] == 1
+
+    @pytest.mark.parametrize("signature", ["identity", "signs"])
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_dissipation_matrix_bit_equal_to_products(self, signature, n):
+        rng = np.random.default_rng(n)
+        j = (np.eye(n) if signature == "identity"
+             else np.diag(rng.choice([-1.0, 1.0], size=n)))
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        op = OperatorWithDomain(KreinSpace(j), m)
+        assert op.space.metric.diagonal
+        jj, mm = op.space.J, op.matrix
+        g = -1j * (jj @ mm - mm.conj().T @ jj)
+        reference = 0.5 * (g + g.conj().T)
+        assert op.dissipation_matrix.tobytes() == reference.tobytes()

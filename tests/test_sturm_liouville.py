@@ -19,7 +19,7 @@ from kreinpair.sturm_liouville import (
     write_study_csv,
 )
 
-from conftest import count_svd_backed, e
+from conftest import count_factorizations, count_svd_backed, e
 
 
 def left_half(grid, imq=1.0, h=1.0):
@@ -259,12 +259,47 @@ class TestStudy:
         with pytest.raises(DimensionMismatch, match=match):
             convergence_study(20.0, 8, intervals, 1.0, h, 3)
 
+    @pytest.mark.parametrize("x_max", [1e-76, 1e-140])
+    def test_gram_overflow_rejected_before_dense_work(self, monkeypatch, x_max):
+        def no_dense_work(*args):
+            raise AssertionError("discretized before validation")
+
+        monkeypatch.setattr(sturm_liouville, "discretize", no_dense_work)
+        with pytest.raises(DimensionMismatch, match="overflows"):
+            convergence_study(x_max, 8, [(0.0, 0.5)], 1.0, 1.0, 3)
+
+    @pytest.mark.parametrize("intervals,h", [
+        ([(0.0, 0.5)], 1.0), ([(0.0, 0.5)], -0.7), ([(0.5, 1.0)], 30.0),
+        ([(0.25, 0.5), (0.7, 0.8)], -3.0), ([(0.0, 1.0)], 1e3),
+    ])
+    def test_row_sum_bound_holds(self, intervals, h):
+        """The bound ``study_levels`` checks is at least every absolute row
+        sum of the assembled matrix."""
+        imq = 2.5
+        for grid, pot in study_levels(20.0, 8, intervals, imq, h, 3):
+            bound = (max(4.0, abs(2.0 - grid.robin_alpha(h)) + 1.0)
+                     / grid.step**2 + imq)
+            rows = np.abs(discretize(grid, pot).matrix).sum(axis=1)
+            assert np.max(rows) <= bound * (1 + 1e-15)
+
     def test_svd_budget(self, monkeypatch):
         counts = count_svd_backed(monkeypatch)
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
         # per level: the symmetric part's |T B|_2, three gap distances, the
         # graph-orthocomplement null space and the Cayley norm
         assert counts["svd"] + counts["norm2"] <= 6 * 3
+
+    def test_factorization_budget(self, monkeypatch):
+        svds = count_svd_backed(monkeypatch)
+        factorizations = count_factorizations(monkeypatch)
+        convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
+        # per level: three gap distances and the Cayley norm; the diagonal
+        # dissipation forms need no eigh, the zero form of the symmetric
+        # part no |T B|_2, the graph orthocomplement one QR and no SVD
+        assert svds["svd"] + svds["norm2"] <= 4 * 3
+        assert factorizations["eigh"] == 0
+        assert factorizations["eigvalsh"] <= 3
+        assert factorizations["qr"] <= 3
 
     def test_csv_format(self, tmp_path):
         rows = convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)

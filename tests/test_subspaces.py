@@ -329,6 +329,16 @@ class TestMetricMatrix:
         assert counts == {"svd": 0, "norm2": 3}
         assert metric.scale == pytest.approx(1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("m,diagonal", [
+        (np.eye(3), True),
+        (np.diag([1.0, -1.0, 1.0]), True),
+        (np.diag([0.0, 1.0]), True),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), False),
+        (np.array([[1.0, 1e-300], [1e-300, 1.0]]), False),  # exact, no tolerance
+    ])
+    def test_diagonal_flag(self, m, diagonal):
+        assert MetricMatrix(m).diagonal is diagonal
+
     def test_identity_metric_needs_no_svd(self, monkeypatch):
         counts = count_svd_backed(monkeypatch)
         KreinSpace(np.eye(256))
