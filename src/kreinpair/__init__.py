@@ -10,32 +10,23 @@ from .errors import (
 )
 from .subspaces import (
     DEFAULT_TOL,
-    LinearRelation,
-    MetricMatrix,
     Subspace,
-    eigenspace,
     gap_distance,
     intersect,
     ortho_complement,
     orthonormal_span,
-    relation_adjoint,
-    relation_inverse,
-    relation_parts,
     subspace_sum,
 )
 from .krein import (
-    GraphKreinSpace,
     KreinSpace,
     OperatorWithDomain,
     RieszRepresenter,
-    krein_adjoint,
     riesz_representer,
 )
 from .decomposition import (
     DeficiencyData,
     Splitting,
     defect_domain_via_resolvent,
-    defect_inner,
     deficiency_space,
     dissipative_part,
     split,
@@ -47,12 +38,10 @@ from .boundary import (
     TraceData,
     boundary_map_projection,
     boundary_map_resolvent,
-    boundary_preimage,
     build_boundary_triple,
     pair_green_residual,
     real_spectrum_report,
     restrict_triple,
-    transform_pair,
 )
 from .completeness import (
     CriterionReport,

@@ -32,16 +32,14 @@ Computations*, section 7.2).  The whole check is O(n^3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .decomposition import DeficiencyData, Splitting
-from .errors import DimensionMismatch, DomainError, PipelineError
+from .errors import DimensionMismatch, PipelineError
 from .krein import SYMMETRIC, OperatorWithDomain, boundary_metric_matrix
 from .subspaces import (
     Subspace,
-    column_space,
     gap_distance,
     null_space,
     orthonormal_span,
@@ -60,9 +58,6 @@ __all__ = [
     "boundary_map_projection",
     "boundary_map_resolvent",
     "pair_green_residual",
-    "defect_trace_matrix",
-    "boundary_preimage",
-    "transform_pair",
     "restricted_eigenpairs",
     "real_spectrum_report",
 ]
@@ -92,9 +87,6 @@ class BoundaryTriple:
     defect_minus: Subspace
     base_metric: np.ndarray  # J of the underlying Krein space
     green_residual: float
-
-    def stacked_traces(self) -> np.ndarray:
-        return np.vstack([self.trace0, self.trace1])
 
 
 @dataclass(frozen=True)
@@ -134,37 +126,10 @@ class BoundaryPair:
     defect_basis: np.ndarray  # n x space_dim
     provenance: str
 
-    def apply(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=np.complex128).reshape(-1)
-        coeffs = self.domain_basis.conj().T @ v
-        if np.linalg.norm(self.domain_basis @ coeffs - v) > CHECK_GATE * np.linalg.norm(v):
-            raise DomainError("vector is not in the operator domain")
-        return self.matrix @ coeffs
-
-    def inner(self, x, y) -> complex:
-        """The E inner product of the boundary values of two domain vectors."""
-        bx = self.defect_basis.conj().T @ self.apply(x)
-        by = self.defect_basis.conj().T @ self.apply(y)
-        return complex(bx.conj() @ self.gram @ by)
-
-    @cached_property
-    def _gram_sqrt(self) -> np.ndarray:
-        if self.space_dim == 0:
-            return np.zeros((0, 0), dtype=np.complex128)
-        w, v = np.linalg.eigh(self.gram)
-        return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-    def orthonormal_coords(self, x) -> np.ndarray:
-        """Boundary value in an E-orthonormal coordinate system (Gram = I)."""
-        return self._gram_sqrt @ (self.defect_basis.conj().T @ self.apply(x))
-
     def kernel(self) -> Subspace:
         # orthonormal basis times orthonormal coefficients
         basis = self.domain_basis @ null_space(self.matrix)
         return Subspace(self.domain_basis.shape[0], basis)
-
-    def range_dim(self) -> int:
-        return column_space(self.matrix).shape[1]
 
 
 def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
@@ -200,7 +165,7 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     # graph(S) + {(u, iJu)} + {(v, -iJv)}: the unitary image (x, y) -> (x, Jy)
     # of the von Neumann decomposition of the Euclidean adjoint of JS, whose
     # three pieces are mutually orthogonal
-    sym_graph = sym.graph_relation.graph
+    sym_graph = sym.graph
     adjoint_graph = Subspace(2 * n, np.hstack([
         sym_graph.basis,
         np.vstack([qp, 1j * j @ qp]) / np.sqrt(2.0),
@@ -256,7 +221,7 @@ def _containment_defect(inner: Subspace, outer: Subspace) -> float:
 
 def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain) -> TraceData:
     """Trace maps evaluated on the graph of T, plus the image G-space."""
-    g_t = op.graph_relation.graph
+    g_t = op.graph
     defect = _containment_defect(g_t, triple.adjoint_graph)
     if defect > CHECK_GATE:
         raise PipelineError(
@@ -384,32 +349,6 @@ def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
     )
 
 
-def transform_pair(pair: BoundaryPair, unitary: np.ndarray) -> BoundaryPair:
-    """Compose the boundary map with a unitary of E (in E-orthonormal
-    coordinates); every other boundary pair of the operator arises this way."""
-    u = np.asarray(unitary, dtype=np.complex128)
-    dn = pair.space_dim
-    if u.shape != (dn, dn):
-        raise DimensionMismatch("unitary has the wrong size for E")
-    if dn and np.linalg.norm(u.conj().T @ u - np.eye(dn), 2) > EXACT_BOUND:
-        raise PipelineError("boundary-space transform must be unitary")
-    if dn == 0:
-        return pair
-    w, v = np.linalg.eigh(pair.gram)
-    sqrt = v @ np.diag(np.sqrt(w)) @ v.conj().T
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    coeff_map = inv_sqrt @ u @ sqrt  # unitary of E written on defect coords
-    matrix = pair.defect_basis @ (coeff_map @ (pair.defect_basis.conj().T @ pair.matrix))
-    return BoundaryPair(
-        space_dim=dn,
-        gram=pair.gram,
-        matrix=matrix,
-        domain_basis=pair.domain_basis,
-        defect_basis=pair.defect_basis,
-        provenance=pair.provenance + "+rotated",
-    )
-
-
 def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain,
                         samples: int = 200,
                         rng: np.random.Generator | None = None) -> float:
@@ -436,30 +375,6 @@ def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain,
     norm_y = np.sqrt(np.einsum("ij,ij->j", y.conj(), y).real
                      + np.einsum("ij,ij->j", my.conj(), my).real)
     return float(np.max(np.abs(lhs - rhs) / (norm_x * norm_y)))
-
-
-def defect_trace_matrix(traces: TraceData, splitting: Splitting) -> np.ndarray:
-    """Stacked trace matrix on coordinates of the defect-domain basis."""
-    xn = traces.domain_basis.conj().T @ splitting.defect.domain.basis
-    return np.vstack([traces.trace0 @ xn, traces.trace1 @ xn])
-
-
-def boundary_preimage(traces: TraceData, splitting: Splitting, uv) -> np.ndarray:
-    """The unique defect-domain vector whose stacked traces give ``uv``.
-
-    This inverts the trace maps on the image space; the inverse is an
-    isometry from the image G-space onto the defect domain with its
-    positive inner product.
-    """
-    target = np.asarray(uv, dtype=np.complex128).reshape(-1)
-    k = traces.boundary_dim
-    if target.shape[0] != 2 * k:
-        raise DimensionMismatch("boundary value has the wrong length")
-    stacked = defect_trace_matrix(traces, splitting)
-    coeffs, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-    if np.linalg.norm(stacked @ coeffs - target) > CHECK_GATE * np.linalg.norm(target):
-        raise DomainError("value does not lie in the trace image")
-    return splitting.defect.domain.basis @ coeffs
 
 
 def restricted_eigenpairs(op: OperatorWithDomain):

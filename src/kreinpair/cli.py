@@ -155,8 +155,14 @@ def _emit_json(payload: dict, out_path) -> None:
         _write_json(payload, out_path)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise SpecError("--seed must be non-negative")
+
+
 def _cmd_analyze(args) -> int:
     try:
+        _check_seed(args.seed)
         op = load_instance(args.input)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -255,6 +261,7 @@ def _cmd_sl_study(args) -> int:
             raise SpecError("--levels must be at least 3")
         if args.xmax <= 0:
             raise SpecError("--xmax must be positive")
+        _check_seed(args.seed)
         intervals = _parse_intervals(args.omega)
         # grid, mask and Robin resonance of every level, before dense work
         study_levels(args.xmax, args.n, intervals, args.imq, args.h, args.levels)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ClassificationError, DomainError, PipelineError
+from .errors import ClassificationError, PipelineError
 from .krein import NEITHER, SYMMETRIC, OperatorWithDomain
 from .subspaces import (
     Subspace,
@@ -38,7 +38,6 @@ __all__ = [
     "graph_orthocomplement_within",
     "deficiency_space",
     "defect_domain_via_resolvent",
-    "defect_inner",
 ]
 
 
@@ -160,17 +159,3 @@ def defect_domain_via_resolvent(op: OperatorWithDomain,
     coeffs = vh.conj().T @ ((u.conj().T @ defi.intersection.basis) / s[:, None])
     return orthonormal_span(op.lift(coeffs), op.space.dim, op.tol)
 
-
-def defect_inner(splitting: Splitting, x, y) -> complex:
-    """The positive inner product carried by the defect domain.
-
-    Equals the dissipation form of the original operator; both arguments
-    must lie in the defect domain.
-    """
-    domain = splitting.defect.domain
-    xv = np.asarray(x, dtype=np.complex128).reshape(-1)
-    yv = np.asarray(y, dtype=np.complex128).reshape(-1)
-    for v in (xv, yv):
-        if not domain.contains(v):
-            raise DomainError("defect inner product needs defect-domain vectors")
-    return complex(np.vdot(xv, splitting.defect.dissipation_matrix @ yv))

@@ -3,13 +3,14 @@
 A Krein space is C^n together with a canonical symmetry J (a Hermitian
 involution); the indefinite inner product is ``[x, y] = <x, J y>`` with
 ``<.,.>`` the Euclidean product, conjugate-linear in the first argument.
-The doubled space of pairs carries the graph metric
+An operator's graph ``{(x, T x)}`` is held by an orthonormal basis in plain
+coordinates of the doubled space.  :func:`classify_by_graph` judges it in
+the graph metric
 
     [(x1, y1), (x2, y2)]_G = -i([x1, y2] - [y1, x2])
 
-whose canonical symmetry is ``(x, y) -> (-i J y, i J x)``; the Hilbert
-product it induces on pairs is exactly the Euclidean one, which is why
-orthonormal bases of graphs can be taken in plain coordinates.
+whose canonical symmetry ``(x, y) -> (-i J y, i J x)`` is unitary, so the
+Hilbert product it induces on pairs is exactly the Euclidean one.
 """
 
 from __future__ import annotations
@@ -19,26 +20,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClassificationError, DimensionMismatch, DomainError
-from .subspaces import (
-    LinearRelation,
-    MetricMatrix,
-    Subspace,
-    _as_matrix,
-    is_diagonal,
-    orthonormal_span,
-    relation_adjoint,
-)
+from .errors import ClassificationError, DimensionMismatch, DomainError, MetricError
+from .subspaces import Subspace, _as_matrix, is_diagonal, orthonormal_span
 from .tolerances import DEFAULT_TOL, negligible
 
 __all__ = [
     "KreinSpace",
-    "GraphKreinSpace",
     "OperatorWithDomain",
     "RieszRepresenter",
     "boundary_metric_matrix",
     "classify_by_graph",
-    "krein_adjoint",
     "riesz_representer",
 ]
 
@@ -74,48 +65,59 @@ def boundary_metric_matrix(dim: int) -> np.ndarray:
     return np.block([[zero, -1j * eye], [1j * eye, zero]])
 
 
+def _metric_norms(j: np.ndarray, diagonal: bool) -> tuple[float, float, float]:
+    """``|J|_2``, ``|J - J*|_2`` and ``|J^2 - I|_2``; from the diagonal alone
+    when J is diagonal (see :class:`KreinSpace`)."""
+    if diagonal:
+        d = np.diag(j)
+        return (float(np.max(np.abs(d))), float(np.max(np.abs(d - d.conj()))),
+                float(np.max(np.abs(d * d - 1.0))))
+    return (float(np.linalg.norm(j, 2)), float(np.linalg.norm(j - j.conj().T, 2)),
+            float(np.linalg.norm(j @ j - np.eye(j.shape[0]), 2)))
+
+
 class KreinSpace:
-    """C^n with a canonical symmetry J."""
+    """C^n with a canonical symmetry J.
+
+    J must be Hermitian and an involution; a Hermitian involution is
+    automatically unitary, so no separate unitarity check is needed.
+    ``scale`` is ``|J|_2``; both defects are judged against it.
+
+    ``diagonal`` records whether J is diagonal (:func:`is_diagonal`: as many
+    nonzeros as its diagonal), decided once here.  Such a J, the identity
+    for one, is checked in O(n) without an SVD.  This is exact: J, J - J*
+    and J^2 - I are then diagonal, and the 2-norm of a diagonal matrix is
+    the largest modulus on its diagonal, so the three norms, and every
+    verdict, are those of the dense route up to its own round-off.  Products
+    with a diagonal J are row or column scalings, and a scaling computes
+    each entry of the product as the one nonzero term of its dense sum.
+    """
 
     def __init__(self, J, tol: float = DEFAULT_TOL):
-        self.metric = MetricMatrix(J, canonical=True, tol=tol)
-        self.J = self.metric.matrix
-        self.dim = self.metric.dim
+        j = _as_matrix(J)
+        if j.shape[0] != j.shape[1]:
+            raise MetricError(f"metric must be square, got shape {j.shape}")
+        if j.shape[0] == 0:
+            raise MetricError("zero-dimensional metric is not allowed")
+        diagonal = is_diagonal(j)
+        scale, asymmetry, involution = _metric_norms(j, diagonal)
+        if asymmetry > 10 * tol * scale:
+            raise MetricError("metric is not Hermitian")
+        if involution > 10 * tol * scale * scale:
+            raise MetricError("canonical symmetry must square to the identity")
+        self.J = j
+        self.J.flags.writeable = False
+        self.dim = int(j.shape[0])
         self.tol = float(tol)
+        self.scale = scale
+        self.diagonal = diagonal
 
     def inner(self, x, y) -> complex:
         """Indefinite product [x, y] = <x, J y>."""
         return complex(np.vdot(_as_vector(x, self.dim), self.J @ _as_vector(y, self.dim)))
 
-    def graph_space(self) -> "GraphKreinSpace":
-        return GraphKreinSpace(self)
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"KreinSpace(dim={self.dim})"
-
-
-class GraphKreinSpace:
-    """The doubled space of pairs with the graph metric of the base space."""
-
-    def __init__(self, base: KreinSpace):
-        self.base = base
-        self.dim = 2 * base.dim
-        n = base.dim
-        zero = np.zeros((n, n), dtype=np.complex128)
-        # the metric matrix doubles as the canonical symmetry J_G
-        self.metric_matrix = np.block(
-            [[zero, -1j * base.J], [1j * base.J, zero]]
-        )
-        self.metric_matrix.flags.writeable = False
-
-    def inner(self, p, q) -> complex:
-        """Graph metric [(x1,y1),(x2,y2)]_G = -i([x1,y2] - [y1,x2])."""
-        pv = _as_vector(p, self.dim)
-        qv = _as_vector(q, self.dim)
-        return complex(np.vdot(pv, self.metric_matrix @ qv))
-
-    def canonical_symmetry(self) -> np.ndarray:
-        return self.metric_matrix
 
 
 class OperatorWithDomain:
@@ -163,27 +165,25 @@ class OperatorWithDomain:
             return vectors
         return self.domain.basis.conj().T @ vectors
 
-    def apply(self, x) -> np.ndarray:
-        v = _as_vector(x, self.space.dim)
-        if not self.domain.contains(v):
-            raise DomainError("vector is not in the operator domain")
-        return self.matrix @ v
-
     @cached_property
-    def graph_relation(self) -> LinearRelation:
-        return LinearRelation.from_operator(self.matrix, self.domain, self.tol)
+    def graph(self) -> Subspace:
+        """Orthonormal basis of the graph ``{(x, M x) : x in domain}`` in
+        C^2n, pairs stacked with x on top."""
+        b = self.domain.basis
+        return orthonormal_span(np.vstack([b, self.matrix @ b]), 2 * self.space.dim,
+                                self.tol)
 
     @cached_property
     def dissipation_matrix(self) -> np.ndarray:
         """Ambient Hermitian matrix of the form -i([x, T y] - [T x, y]).
 
-        For a diagonal J (:attr:`MetricMatrix.diagonal`) the products J M and
+        For a diagonal J (:attr:`KreinSpace.diagonal`) the products J M and
         M* J are row and column scalings: each entry is the one term of its
         dense sum that is not an exact zero, so for J = diag(+-1) both routes
         give the same bits, in O(n^2) instead of O(n^3).
         """
         j, m = self.space.J, self.matrix
-        if self.space.metric.diagonal:
+        if self.space.diagonal:
             d = np.diag(j)
             g = -1j * (d[:, None] * m - m.conj().T * d)
         else:
@@ -218,17 +218,6 @@ class OperatorWithDomain:
         xv = _as_vector(x, self.space.dim)
         yv = _as_vector(y, self.space.dim)
         return complex(np.vdot(xv, self.dissipation_matrix @ yv))
-
-    def graph_inner(self, x, y) -> complex:
-        xv = _as_vector(x, self.space.dim)
-        yv = _as_vector(y, self.space.dim)
-        for v in (xv, yv):
-            if not self.domain.contains(v):
-                raise DomainError("graph inner product needs domain vectors")
-        return complex(np.vdot(xv, yv) + np.vdot(self.matrix @ xv, self.matrix @ yv))
-
-    def graph_norm(self, x) -> float:
-        return float(np.sqrt(self.graph_inner(x, x).real))
 
     @cached_property
     def scale(self) -> float:
@@ -327,20 +316,13 @@ def classify_by_graph(op: OperatorWithDomain) -> str:
     norm by 1 (``2 |[x, y]| <= |x|^2 + |y|^2``): both its zero test and its
     sign test are judged at that scale, as its round-off is.
     """
-    graph = op.graph_relation.graph.basis
+    graph = op.graph.basis
     n = op.space.dim
     top, bot = graph[:n], graph[n:]
     j = op.space.J
     compressed = -1j * (top.conj().T @ (j @ bot) - bot.conj().T @ (j @ top))
     compressed = 0.5 * (compressed + compressed.conj().T)
     return _classify(np.linalg.eigvalsh(compressed), op.tol, 1.0)
-
-
-def krein_adjoint(op: OperatorWithDomain) -> LinearRelation:
-    """Adjoint relation in the Krein space, i.e. the graph-metric
-    orthocomplement of the graph.  For J = I and full domain this is the
-    graph of the matrix adjoint."""
-    return relation_adjoint(op.graph_relation, op.space.J, op.space.J)
 
 
 @dataclass(frozen=True)

@@ -211,12 +211,13 @@ def mask_splitting(op: OperatorWithDomain, mask) -> Splitting:
             "masked splitting disagrees with the graph-orthogonal one "
             f"(gaps {gap_sym:.3e}, {gap_defect:.3e})"
         )
-    bn = defect_domain.basis
-    gram = bn.conj().T @ op.dissipation_matrix @ bn
+    # the defect basis is the masked coordinate columns, so its Gram is the
+    # masked block of the (exactly Hermitian) dissipation matrix
+    idx = np.flatnonzero(mask)
     return Splitting(
         symmetric=op.restricted(sym_domain),
         defect=op.restricted(defect_domain),
-        defect_gram=0.5 * (gram + gram.conj().T),
+        defect_gram=op.dissipation_matrix[np.ix_(idx, idx)],
     )
 
 

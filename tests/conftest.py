@@ -4,7 +4,7 @@ import pytest
 from kreinpair import KreinSpace, OperatorWithDomain
 from kreinpair.instances import random_dissipative, random_unitary
 from kreinpair.krein import _classify
-from kreinpair.subspaces import Subspace, null_space
+from kreinpair.subspaces import Subspace, null_space, orthonormal_span
 from kreinpair.tolerances import CHECK_GATE, DEFAULT_TOL, negligible
 
 
@@ -67,6 +67,47 @@ def reference_eigenpairs(op):
             used.append(complex(lam))
             pairs.append((complex(lam), Subspace(op.space.dim, b @ coeffs, op.tol)))
     return pairs
+
+
+def matrix_graph(matrix, basis, tol=DEFAULT_TOL):
+    """Graph ``{(x, M x) : x in span(basis)}`` of a square matrix, pairs
+    stacked with x on top."""
+    basis = np.asarray(basis, dtype=np.complex128)
+    return orthonormal_span(np.vstack([basis, matrix @ basis]), 2 * basis.shape[0], tol)
+
+
+def adjoint_relation(graph, j=None):
+    """Graph of the adjoint relation ``{(w, z) : [z, u] = [w, v] for all
+    (u, v) in graph}`` for the symmetry J (Euclidean when None): the
+    orthocomplement of the graph mapped by the unitary ``(x, y) -> (-J y, J x)``.
+    With J = I and a matrix graph it is the graph of the matrix adjoint.
+    The general relation route the boundary triple replaced, kept as the
+    oracle of its adjoint graph and its deficiency spaces."""
+    n = graph.ambient_dim // 2
+    j = np.eye(n) if j is None else j
+    perp = null_space(graph.basis.conj().T, graph.tol)
+    return Subspace(2 * n, np.vstack([-j @ perp[n:], j @ perp[:n]]), graph.tol)
+
+
+def relation_eigenspace(graph, lam):
+    """Vectors x with ``(x, lam x)`` in a graph in C^n x C^n."""
+    n = graph.ambient_dim // 2
+    top, bot = graph.basis[:n], graph.basis[n:]
+    coeffs = null_space(bot - lam * top, graph.tol, scale=1.0 + abs(lam))
+    return orthonormal_span(top @ coeffs, n, graph.tol, scale=1.0)
+
+
+def defect_traces(traces, splitting):
+    """The restricted traces ``(trace0; trace1)`` stacked, on coordinates of
+    the defect-domain basis: the map whose inverse carries the trace image
+    isometrically onto the defect domain with its dissipation form."""
+    xn = traces.domain_basis.conj().T @ splitting.defect.domain.basis
+    return np.vstack([traces.trace0 @ xn, traces.trace1 @ xn])
+
+
+def graph_inner(op, x, y):
+    """``<x, y> + <T x, T y>`` of two domain vectors, through ``graph_gram``."""
+    return complex(np.vdot(op.coords(x), op.graph_gram @ op.coords(y)))
 
 
 def planted_cluster_operator(n, multiplicities, rng):

@@ -23,7 +23,6 @@ from kreinpair.boundary import (
     boundary_map_projection,
     boundary_map_resolvent,
     build_boundary_triple,
-    defect_trace_matrix,
     pair_green_residual,
     real_spectrum_report,
     restrict_triple,
@@ -36,6 +35,8 @@ from kreinpair.instances import (
 )
 from kreinpair.krein import boundary_metric_matrix
 from kreinpair.sturm_liouville import convergence_study
+
+from conftest import defect_traces
 
 DIMENSIONS = (2, 4, 8, 16, 32, 64)
 PER_DIMENSION = 100
@@ -82,7 +83,7 @@ def _preimage_isometry_residual(op, splitting, traces, rng, count=20):
     dn = splitting.defect.domain.dim
     if dn == 0:
         return 0.0
-    stacked = defect_trace_matrix(traces, splitting)
+    stacked = defect_traces(traces, splitting)
     meta = boundary_metric_matrix(traces.boundary_dim)
     coeffs = rng.standard_normal((dn, count)) + 1j * rng.standard_normal((dn, count))
     worst = 0.0

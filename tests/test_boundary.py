@@ -1,28 +1,22 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from kreinpair import (
-    DomainError,
     KreinSpace,
-    LinearRelation,
     OperatorWithDomain,
     boundary_map_projection,
     boundary_map_resolvent,
-    boundary_preimage,
     build_boundary_triple,
-    eigenspace,
     gap_distance,
-    krein_adjoint,
     orthonormal_span,
     pair_green_residual,
     real_spectrum_report,
-    relation_adjoint,
     restrict_triple,
     split,
-    transform_pair,
 )
 from kreinpair.boundary import (
-    defect_trace_matrix,
     restricted_eigenpairs,
     trace_image_gram,
     transform_traces,
@@ -41,7 +35,17 @@ from kreinpair.instances import (
 from kreinpair.tolerances import CHECK_GATE
 from kreinpair.krein import boundary_metric_matrix
 
-from conftest import e, planted_cluster_operator, reference_eigenpairs
+from kreinpair.subspaces import column_space, null_space
+
+from conftest import (
+    adjoint_relation,
+    defect_traces,
+    e,
+    matrix_graph,
+    planted_cluster_operator,
+    reference_eigenpairs,
+    relation_eigenspace,
+)
 
 
 def pipeline(op):
@@ -108,18 +112,16 @@ class TestBuildTriple:
         op = random_dissipative(5, rng)
         s = split(op)
         triple = build_boundary_triple(s.symmetric)
-        adj = krein_adjoint(s.symmetric)
-        assert gap_distance(triple.adjoint_graph, adj.graph) < 1e-10
+        adj = adjoint_relation(s.symmetric.graph, op.space.J)
+        assert gap_distance(triple.adjoint_graph, adj) < 1e-10
 
     @staticmethod
     def _relation_route_defects(sym):
         """N+ and N- as the eigenspaces at +i and -i of the Euclidean
         adjoint relation of JS, the construction this module replaced."""
-        hilbertized = LinearRelation.from_operator(
-            sym.space.J @ sym.matrix, sym.domain, sym.tol
-        )
-        adj = relation_adjoint(hilbertized)
-        return eigenspace(adj, 1j), eigenspace(adj, -1j)
+        hilbertized = matrix_graph(sym.space.J @ sym.matrix, sym.domain.basis, sym.tol)
+        adj = adjoint_relation(hilbertized)
+        return relation_eigenspace(adj, 1j), relation_eigenspace(adj, -1j)
 
     def test_defects_match_relation_adjoint_route(self):
         rng = np.random.default_rng(4)
@@ -220,7 +222,8 @@ class TestBoundaryMaps:
         s = split(mixed_diag)
         pair = boundary_map_projection(mixed_diag, s)
         assert np.allclose(pair.matrix, np.diag([0.0, 1.0]), atol=1e-12)
-        assert pair.apply(np.array([3.0, 2j]))[1] == pytest.approx(2j)
+        x = np.array([3.0, 2j])
+        assert (pair.matrix @ (pair.domain_basis.conj().T @ x))[1] == pytest.approx(2j)
 
     def test_resolvent_form_matrix_product(self, mixed_diag):
         s, triple, _ = pipeline(mixed_diag)
@@ -256,21 +259,29 @@ class TestBoundaryMaps:
         s = split(op)
         pair = boundary_map_projection(op, s)
         assert gap_distance(pair.kernel(), s.symmetric.domain) < 1e-8
-        assert pair.range_dim() == pair.space_dim
+        assert column_space(pair.matrix).shape[1] == pair.space_dim
 
     def test_orthonormal_coordinates_have_identity_gram(self):
+        # in E-orthonormal coordinates, G^(1/2) times the defect-basis
+        # coordinates, the squared norm of a boundary value is the
+        # dissipation form of its vector
         rng = np.random.default_rng(7)
         op = random_dissipative(5, rng)
         s = split(op)
         pair = boundary_map_projection(op, s)
+        w, v = np.linalg.eigh(pair.gram)
+        assert w[0] > 0
+        sqrt_gram = (v * np.sqrt(w)) @ v.conj().T
         for _ in range(10):
             x = op.domain.basis @ (
                 rng.standard_normal(op.domain.dim)
                 + 1j * rng.standard_normal(op.domain.dim)
             )
-            coords = pair.orthonormal_coords(x)
+            value = pair.defect_basis.conj().T @ (
+                pair.matrix @ (pair.domain_basis.conj().T @ x))
+            coords = sqrt_gram @ value
             assert float(np.vdot(coords, coords).real) == pytest.approx(
-                pair.inner(x, x).real, rel=1e-10, abs=1e-12
+                np.vdot(x, op.dissipation_matrix @ x).real, rel=1e-10, abs=1e-12
             )
 
 
@@ -295,52 +306,62 @@ class TestGreenResidual:
         dn = pair.space_dim
         z = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
         u, _ = np.linalg.qr(z)
-        rotated = transform_pair(pair, u)
+        # the unitary u of E, written on defect-basis coordinates through
+        # the square root of the E Gram
+        w, v = np.linalg.eigh(pair.gram)
+        coeff_map = (v / np.sqrt(w)) @ v.conj().T @ u @ (v * np.sqrt(w)) @ v.conj().T
+        bn = pair.defect_basis
+        rotated = replace(pair, matrix=bn @ (coeff_map @ (bn.conj().T @ pair.matrix)))
         assert pair_green_residual(rotated, op, rng=rng) < 1e-10
+        assert np.linalg.norm(rotated.matrix - pair.matrix) > 1e-3
 
 
 class TestBoundaryPreimage:
+    """The restricted traces invert on the defect domain: stacked, on
+    defect-basis coordinates, they are injective and carry the dissipation
+    form to the boundary metric."""
+
     def test_zero_maps_to_zero(self, mixed_diag):
+        # the traces vanish on graph(T) exactly over the symmetric domain
         s, triple, traces = pipeline(mixed_diag)
-        x = boundary_preimage(traces, s, np.zeros(2))
-        assert np.linalg.norm(x) < 1e-12
+        kernel = null_space(np.vstack([traces.trace0, traces.trace1]))
+        got = orthonormal_span(traces.domain_basis @ kernel, 2)
+        assert gap_distance(got, s.symmetric.domain) < 1e-12
 
     def test_inverts_traces_on_defect_domain(self, mixed_diag):
         s, triple, traces = pipeline(mixed_diag)
         x = e(2, 1)
-        stacked = defect_trace_matrix(traces, s)
+        stacked = defect_traces(traces, s)
         uv = stacked @ (s.defect.domain.basis.conj().T @ x)
-        back = boundary_preimage(traces, s, uv)
+        coeffs, *_ = np.linalg.lstsq(stacked, uv, rcond=None)
+        back = s.defect.domain.basis @ coeffs
         assert np.linalg.norm(back - x) < 1e-10
 
     def test_rejects_values_outside_image(self, mixed_diag):
         s, triple, traces = pipeline(mixed_diag)
         uv = np.array([1.0, 0.0])  # not of the form (u, i u) for this fixture
-        with pytest.raises(DomainError):
-            boundary_preimage(traces, s, uv)
+        assert not traces.image.contains(uv)
+        assert traces.image.contains(defect_traces(traces, s)[:, 0])
 
     def test_isometry_onto_defect_domain(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             op = random_dissipative(int(rng.integers(2, 8)), rng)
             s, triple, traces = pipeline(op)
-            stacked = defect_trace_matrix(traces, s)
+            stacked = defect_traces(traces, s)
+            # injective, so each value of the image has one preimage
+            assert np.linalg.svd(stacked, compute_uv=False)[-1] > 1e-8
             meta = boundary_metric_matrix(traces.boundary_dim)
             for _ in range(20):
                 c = rng.standard_normal(s.defect.domain.dim)
                 c = c + 1j * rng.standard_normal(s.defect.domain.dim)
                 uv = stacked @ c
-                x = boundary_preimage(traces, s, uv)
+                x = s.defect.domain.basis @ c
                 image_sq = float(np.vdot(uv, meta @ uv).real)
                 defect_sq = float(
                     np.vdot(x, op.dissipation_matrix @ x).real
                 )
                 assert image_sq == pytest.approx(defect_sq, rel=1e-8, abs=1e-10)
-                # round trip: traces of x reproduce uv
-                back = stacked @ (s.defect.domain.basis.conj().T @ x)
-                assert np.linalg.norm(back - uv) < 1e-8 * max(
-                    1.0, np.linalg.norm(uv)
-                )
 
 
 class TestBoundaryRotation:

@@ -238,3 +238,18 @@ class TestStudyCommand:
         main(args + ["-o", str(out1)])
         main(args + ["-o", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", [
+        ["analyze", "{instance}"],
+        ["sl-study", "--n", "8", "--levels", "3"],
+    ])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        instance = tmp_path / "instance.json"
+        dump_instance(scaled_defect_instance(1.0), instance)
+        out = tmp_path / "out"
+        argv = [str(instance) if a == "{instance}" else a for a in command]
+        assert main([*argv, "--seed", "-1", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+        assert not out.exists()

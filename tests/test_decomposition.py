@@ -4,11 +4,9 @@ import pytest
 from kreinpair import (
     ClassificationError,
     build_boundary_triple,
-    DomainError,
     KreinSpace,
     OperatorWithDomain,
     defect_domain_via_resolvent,
-    defect_inner,
     deficiency_space,
     dissipative_part,
     gap_distance,
@@ -24,7 +22,7 @@ from kreinpair.errors import PipelineError
 from kreinpair.instances import random_dissipative
 from kreinpair.subspaces import Subspace, null_space
 
-from conftest import e
+from conftest import e, graph_inner
 
 
 def deficiency(op, s):
@@ -164,35 +162,29 @@ class TestResolventRoute:
 
 
 class TestDefectInner:
+    """The positive inner product of the defect domain, ``defect_gram``."""
+
     def test_scalar_value(self, scalar_i):
         s = split(scalar_i)
-        assert defect_inner(s, np.array([1.0]), np.array([1.0])) == pytest.approx(2.0)
+        assert s.defect_gram.shape == (1, 1)
+        assert s.defect_gram[0, 0] == pytest.approx(2.0)
 
     def test_mixed_diagonal_value(self, mixed_diag):
         s = split(mixed_diag)
-        assert defect_inner(s, e(2, 1), e(2, 1)) == pytest.approx(2.0)
-
-    def test_zero_vector(self, mixed_diag):
-        s = split(mixed_diag)
-        assert defect_inner(s, np.zeros(2), e(2, 1)) == 0.0
-
-    def test_rejects_vectors_outside_defect_domain(self, mixed_diag):
-        s = split(mixed_diag)
-        with pytest.raises(DomainError):
-            defect_inner(s, e(2, 0), e(2, 1))
+        c = s.defect.domain.basis.conj().T @ e(2, 1)
+        assert abs(c[0]) == pytest.approx(1.0)
+        assert np.vdot(c, s.defect_gram @ c) == pytest.approx(2.0)
 
     def test_positive_definite_on_defect_domain(self):
         rng = np.random.default_rng(5)
         op = random_dissipative(6, rng)
         s = split(op)
-        for _ in range(10):
-            c = rng.standard_normal(s.defect.domain.dim) + 1j * rng.standard_normal(
-                s.defect.domain.dim
-            )
-            if np.linalg.norm(c) < 1e-8:
-                continue
-            x = s.defect.domain.basis @ c
-            assert defect_inner(s, x, x).real > 0
+        bn = s.defect.domain.basis
+        # the dissipation form of T on defect-basis coordinates
+        form = bn.conj().T @ op.dissipation_matrix @ bn
+        assert np.allclose(s.defect_gram, form, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(s.defect_gram, s.defect_gram.conj().T)
+        assert np.linalg.eigvalsh(s.defect_gram)[0] > 1e-8
 
 
 class TestSquareRootBridge:
@@ -206,7 +198,7 @@ class TestSquareRootBridge:
             kernel = rep.kernel_vectors(op, 1e-8)
             assert gap_distance(kernel, s.symmetric.domain) < 1e-8
             # sqrt(F) restricted to the defect domain is injective with
-            # defect_inner(x, x) = |sqrt(F) x|_graph^2
+            # form[x] = |sqrt(F) x|_graph^2
             bn = s.defect.domain.basis
             coords = np.column_stack(
                 [rep.coords(op, bn[:, k]) for k in range(bn.shape[1])]
@@ -217,7 +209,7 @@ class TestSquareRootBridge:
                 assert smin > 1e-8
             for k in range(bn.shape[1]):
                 x = bn[:, k]
-                lhs = defect_inner(s, x, x).real
+                lhs = np.vdot(x, op.dissipation_matrix @ x).real
                 rhs = float(np.vdot(images[:, k], images[:, k]).real)
                 assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
@@ -261,7 +253,7 @@ class TestGraphOrthocomplement:
         for x in comp.basis.T:
             assert op.domain.contains(x)
             for y in sub.basis.T:
-                assert abs(op.graph_inner(x, y)) <= 1e-12 * op.graph_norm(x) ** 2
+                assert abs(graph_inner(op, x, y)) <= 1e-12 * graph_inner(op, x, x).real
 
 
 class TestLargeNormRegression:

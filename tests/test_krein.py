@@ -8,7 +8,6 @@ from kreinpair import (
     OperatorWithDomain,
     Subspace,
     gap_distance,
-    krein_adjoint,
     orthonormal_span,
     riesz_representer,
 )
@@ -19,15 +18,17 @@ from kreinpair.instances import (
     random_unitary,
     scaled_defect_instance,
 )
-from kreinpair.krein import _classify, classify_by_graph
-from kreinpair.subspaces import is_diagonal
+from kreinpair.krein import _classify, boundary_metric_matrix, classify_by_graph
+from kreinpair.subspaces import is_diagonal, null_space
 from kreinpair.tolerances import negligible
 from kreinpair.sturm_liouville import GridSpec, PotentialSpec, discretize
 
 from conftest import (
+    adjoint_relation,
     count_factorizations,
     e,
     exact_form_decision,
+    graph_inner,
     random_domain_samples,
 )
 
@@ -46,18 +47,17 @@ class TestInnerProducts:
         x, y = np.array([1.0, 1j]), np.array([2.0, 0.5])
         assert space.inner(2j * x, y) == pytest.approx(-2j * space.inner(x, y))
 
+    # for J = I the graph metric is the doubled-space symmetry
+    # (x, y) -> (-i y, i x) of ``boundary_metric_matrix``
+
     def test_graph_metric_value(self):
-        space = KreinSpace(np.eye(1))
-        g = space.graph_space()
         p = np.array([1.0, 1j])  # the pair (e1, i e1)
-        assert g.inner(p, p) == pytest.approx(2.0)
+        assert np.vdot(p, boundary_metric_matrix(1) @ p) == pytest.approx(2.0)
 
     def test_graph_symmetry_is_involution_for_euclidean_pairing(self):
-        space = KreinSpace(np.diag([1.0, -1.0]))
-        g = space.graph_space()
-        jg = g.canonical_symmetry()
-        assert np.allclose(jg @ jg, np.eye(4))
-        assert np.allclose(jg, jg.conj().T)
+        jg = boundary_metric_matrix(2)
+        assert np.array_equal(jg @ jg, np.eye(4))
+        assert np.array_equal(jg, jg.conj().T)
 
 
 class TestDissipationForm:
@@ -124,47 +124,59 @@ class TestClassify:
 
 
 class TestKreinAdjoint:
+    """``op.graph`` against the Krein adjoint of the ``conftest`` oracle."""
+
     def test_self_adjoint_diagonal(self):
         op = OperatorWithDomain(KreinSpace(np.eye(2)), np.diag([1.0, 2.0]))
-        adj = krein_adjoint(op)
-        assert gap_distance(adj.graph, op.graph_relation.graph) < 1e-12
+        adj = adjoint_relation(op.graph, op.space.J)
+        assert gap_distance(adj, op.graph) < 1e-12
 
     def test_trivial_domain(self):
         op = OperatorWithDomain(
             KreinSpace(np.eye(1)), np.zeros((1, 1)), Subspace.zero(1)
         )
-        assert krein_adjoint(op).graph.is_full
+        assert op.graph.is_zero
+        assert adjoint_relation(op.graph, op.space.J).is_full
 
     def test_restricted_mixed_diagonal(self, mixed_diag):
         sym = mixed_diag.restricted(orthonormal_span([e(2, 0)]))
-        adj = krein_adjoint(sym)
+        adj = adjoint_relation(sym.graph, sym.space.J)
         # the defining sesquilinear system: pairs ((x1, x2), (x1, w))
-        assert adj.graph.dim == 3
-        assert adj.dom.is_full
-        assert gap_distance(adj.mul, orthonormal_span([e(2, 1)])) < 1e-12
-        assert adj.graph.contains(np.array([1.0, 5.0, 1.0, -2j]))
-        assert not adj.graph.contains(np.array([1.0, 0.0, 2.0, 0.0]))
+        assert adj.dim == 3
+        top, bot = adj.basis[:2], adj.basis[2:]
+        # its domain is everything, its multivalued part the second axis
+        assert orthonormal_span(top, 2, scale=1.0).is_full
+        multivalued = orthonormal_span(bot @ null_space(top, scale=1.0), 2, scale=1.0)
+        assert gap_distance(multivalued, orthonormal_span([e(2, 1)])) < 1e-12
+        assert adj.contains(np.array([1.0, 5.0, 1.0, -2j]))
+        assert not adj.contains(np.array([1.0, 0.0, 2.0, 0.0]))
 
 
 class TestGraphInner:
+    """The graph inner product ``<x, y> + <Tx, Ty>`` through ``graph_gram``."""
+
     def test_scalar(self, scalar_i):
-        assert scalar_i.graph_norm(np.array([1.0])) == pytest.approx(np.sqrt(2))
+        x = np.array([1.0])
+        assert np.sqrt(graph_inner(scalar_i, x, x).real) == pytest.approx(np.sqrt(2))
 
     def test_zero_operator(self):
         op = OperatorWithDomain(KreinSpace(np.eye(2)), np.zeros((2, 2)))
         x = np.array([3.0, 4.0])
-        assert op.graph_norm(x) == pytest.approx(5.0)
+        assert np.sqrt(graph_inner(op, x, x).real) == pytest.approx(5.0)
 
     def test_mixed_diagonal_value(self, mixed_diag):
         x = np.array([1.0, 1.0])
-        assert mixed_diag.graph_inner(x, x) == pytest.approx(4.0)
+        assert graph_inner(mixed_diag, x, x) == pytest.approx(4.0)
+        sym = mixed_diag.restricted(orthonormal_span([e(2, 0)]))
+        assert graph_inner(sym, e(2, 0), e(2, 0)) == pytest.approx(2.0)
 
     def test_rejects_vectors_outside_domain(self, mixed_diag):
+        # graph-orthonormal coordinates are taken of domain vectors only
         sym = mixed_diag.restricted(orthonormal_span([e(2, 0)]))
+        rep = riesz_representer(sym)
+        assert rep.coords(sym, e(2, 0)).shape == (1,)
         with pytest.raises(DomainError):
-            sym.graph_inner(e(2, 1), e(2, 1))
-        with pytest.raises(DomainError):
-            sym.apply(e(2, 1))
+            rep.coords(sym, e(2, 1))
 
 
 class TestRieszRepresenter:
@@ -202,7 +214,7 @@ class TestRieszRepresenter:
                 assert form == pytest.approx(
                     float(np.vdot(image, image).real), rel=1e-8, abs=1e-8
                 )
-                assert abs(form) <= 2.0 * op.graph_inner(x, x).real + 1e-8
+                assert abs(form) <= 2.0 * graph_inner(op, x, x).real + 1e-8
 
     def test_kernel_of_square_root_is_form_kernel(self, mixed_diag):
         rep = riesz_representer(mixed_diag)
@@ -396,7 +408,7 @@ class TestDiagonalForm:
              else np.diag(rng.choice([-1.0, 1.0], size=n)))
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         op = OperatorWithDomain(KreinSpace(j), m)
-        assert op.space.metric.diagonal
+        assert op.space.diagonal
         jj, mm = op.space.J, op.matrix
         g = -1j * (jj @ mm - mm.conj().T @ jj)
         reference = 0.5 * (g + g.conj().T)

@@ -153,6 +153,18 @@ class TestMaskSplitting:
         assert gap_distance(s.defect.domain, generic.defect.domain) < 1e-8
         assert gap_distance(s.symmetric.domain, generic.symmetric.domain) < 1e-8
 
+    @pytest.mark.parametrize("base_n", [16, 64])
+    def test_defect_gram_is_the_masked_block(self, base_n):
+        grid = GridSpec(x_max=10.0, n_points=base_n)
+        pot = PotentialSpec.from_intervals(grid, [(0.1, 0.4), (0.6, 0.7)], 2.0, 1.0)
+        op = discretize(grid, pot)
+        s = mask_splitting(op, pot.omega_mask)
+        # the dense product on the coordinate basis, symmetrised
+        bn = s.defect.domain.basis
+        gram = bn.conj().T @ op.dissipation_matrix @ bn
+        assert np.array_equal(s.defect_gram, 0.5 * (gram + gram.conj().T))
+        assert np.array_equal(np.diag(s.defect_gram), np.full(bn.shape[1], 4.0))
+
     def test_wrong_mask_rejected(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)

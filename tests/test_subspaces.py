@@ -4,24 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreinpair import (
+    DEFAULT_TOL,
     DimensionMismatch,
     KreinSpace,
-    LinearRelation,
     MetricError,
+    OperatorWithDomain,
     Subspace,
-    eigenspace,
     gap_distance,
     intersect,
     ortho_complement,
     orthonormal_span,
-    relation_adjoint,
-    relation_inverse,
-    relation_parts,
     subspace_sum,
 )
-from kreinpair.subspaces import MetricMatrix, null_space
+from kreinpair.subspaces import is_diagonal, null_space
 
-from conftest import count_svd_backed, e
+from conftest import (
+    adjoint_relation,
+    count_svd_backed,
+    e,
+    matrix_graph,
+    relation_eigenspace,
+)
 
 
 def random_subspace(n, k, rng):
@@ -98,16 +101,13 @@ class TestSumAndComplement:
         j = np.diag([1.0, -1.0])
         v = np.array([1.0, 1.0])
         assert abs(np.vdot(v, j @ v)) < 1e-14  # the defining computation
-        c = ortho_complement(line, j)
+        # {y : <u, J y> = 0 for u in line} is the complement of J line
+        c = ortho_complement(orthonormal_span(j @ line.basis, 2))
         assert gap_distance(c, line) < 1e-10
 
     def test_sum_of_axes_is_full(self):
         s = subspace_sum(orthonormal_span([e(2, 0)]), orthonormal_span([e(2, 1)]))
         assert s.is_full
-
-    def test_complement_needs_hermitian_metric(self):
-        with pytest.raises(MetricError):
-            ortho_complement(orthonormal_span([e(2, 0)]), np.array([[0, 1], [0, 0]]))
 
     def test_duality(self):
         rng = np.random.default_rng(1)
@@ -154,53 +154,85 @@ class TestGapDistance:
         assert gap_distance(a, b) == pytest.approx(gap_distance(b, a))
 
 
+class TestSubspaceFull:
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_identity_basis(self, n):
+        full = Subspace.full(n)
+        assert full.basis.dtype == np.complex128
+        assert np.array_equal(full.basis, np.eye(n))
+        assert not full.basis.flags.writeable
+        assert full.is_full and full.tol == DEFAULT_TOL
+
+    def test_no_orthonormality_check(self, monkeypatch):
+        # the constructor's check is the Frobenius norm of B* B - I
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda *a, **k: calls.append(1) or norm(*a, **k))
+        Subspace.full(256)
+        assert calls == []
+        Subspace(3, np.eye(3)[:, :2])
+        assert len(calls) == 1
+
+    def test_other_constructors_keep_the_check(self):
+        with pytest.raises(DimensionMismatch):
+            Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def graph_parts(graph):
+    """Domain, range, kernel and multivalued part of a graph in C^n x C^n."""
+    n = graph.ambient_dim // 2
+    top, bot = graph.basis[:n], graph.basis[n:]
+
+    def span(m):
+        return orthonormal_span(m, n, scale=1.0)
+
+    return (span(top), span(bot), span(top @ null_space(bot, scale=1.0)),
+            span(bot @ null_space(top, scale=1.0)))
+
+
 class TestRelationParts:
+    """The parts of ``OperatorWithDomain.graph`` as a relation."""
+
     def test_identity_graph(self):
-        rel = LinearRelation.from_operator(np.eye(2))
-        dom, ran, ker, mul = relation_parts(rel)
+        op = OperatorWithDomain(KreinSpace(np.eye(2)), np.eye(2))
+        dom, ran, ker, mul = graph_parts(op.graph)
         assert dom.is_full and ran.is_full and ker.is_zero and mul.is_zero
-        assert rel.is_operator
-
-    def test_purely_multivalued(self):
-        graph = orthonormal_span([np.array([0.0, 1.0])])  # pairs (0, y)
-        rel = LinearRelation(1, 1, graph)
-        dom, ran, ker, mul = relation_parts(rel)
-        assert dom.is_zero and mul.dim == 1
-
-    def test_inverse_swaps(self):
-        rel = LinearRelation.from_operator(np.diag([1.0, 1j]))
-        inv = relation_inverse(rel)
-        expected = LinearRelation.from_operator(np.diag([1.0, -1j]))
-        assert gap_distance(inv.graph, expected.graph) < 1e-12
 
     def test_dimension_bookkeeping(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            l, r = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            g = random_subspace(l + r, int(rng.integers(0, l + r + 1)), rng)
-            rel = LinearRelation(l, r, g)
-            assert rel.dom.dim + rel.mul.dim == rel.graph.dim
-            assert rel.ran.dim + rel.ker.dim == rel.graph.dim
+            n = int(rng.integers(1, 5))
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m[:, 0] = 0.0  # a kernel direction
+            d = int(rng.integers(0, n + 1))
+            domain = random_subspace(n, d, rng) if d else Subspace.zero(n)
+            op = OperatorWithDomain(KreinSpace(np.eye(n)), m, domain)
+            dom, ran, ker, mul = graph_parts(op.graph)
+            assert op.graph.dim == d and mul.is_zero
+            assert gap_distance(dom, domain) < 1e-10
+            assert ran.dim + ker.dim == op.graph.dim
 
 
 class TestRelationAdjoint:
+    """The adjoint-relation route of ``conftest``, the oracle of the
+    boundary-triple tests, on closed forms."""
+
     def test_hermitian_is_self_adjoint(self):
-        rel = LinearRelation.from_operator(np.diag([1.0, 2.0]))
-        adj = relation_adjoint(rel)
-        assert gap_distance(adj.graph, rel.graph) < 1e-12
+        graph = matrix_graph(np.diag([1.0, 2.0]), np.eye(2))
+        adj = adjoint_relation(graph)
+        assert gap_distance(adj, graph) < 1e-12
 
     def test_trivial_domain_has_full_adjoint(self):
-        domain = Subspace.zero(1)
-        rel = LinearRelation.from_operator(np.zeros((1, 1)), domain)
-        adj = relation_adjoint(rel)
-        assert adj.graph.is_full
+        graph = matrix_graph(np.zeros((1, 1)), np.zeros((1, 0)))
+        assert adjoint_relation(graph).is_full
 
     def test_krein_metric_adjoint(self):
         j = np.diag([1.0, -1.0])
         t = np.diag([1j, -1j])
-        adj = relation_adjoint(LinearRelation.from_operator(t), j, j)
-        expected = LinearRelation.from_operator(np.diag([-1j, 1j]))
-        assert gap_distance(adj.graph, expected.graph) < 1e-12
+        adj = adjoint_relation(matrix_graph(t, np.eye(2)), j)
+        expected = matrix_graph(np.diag([-1j, 1j]), np.eye(2))
+        assert gap_distance(adj, expected) < 1e-12
         # pairing identity [Tx, y] = [x, T^c y] over random samples
         rng = np.random.default_rng(4)
         tc = np.diag([-1j, 1j])
@@ -215,79 +247,76 @@ class TestRelationAdjoint:
         rng = np.random.default_rng(5)
         for _ in range(5):
             n = int(rng.integers(1, 5))
-            g = random_subspace(2 * n, int(rng.integers(0, 2 * n + 1)), rng)
-            rel = LinearRelation(n, n, g)
+            k = int(rng.integers(0, 2 * n + 1))
+            g = random_subspace(2 * n, k, rng) if k else Subspace.zero(2 * n)
             signs = rng.choice([-1.0, 1.0], size=n)
             u, _ = np.linalg.qr(rng.standard_normal((n, n))
                                 + 1j * rng.standard_normal((n, n)))
             j = (u * signs) @ u.conj().T
-            twice = relation_adjoint(relation_adjoint(rel, j, j), j, j)
-            assert gap_distance(twice.graph, rel.graph) < 1e-9
-
-    def test_non_involutive_metric_rejected(self):
-        rel = LinearRelation.from_operator(np.eye(2))
-        with pytest.raises(MetricError):
-            relation_adjoint(rel, np.diag([2.0, 1.0]), None)
+            twice = adjoint_relation(adjoint_relation(g, j), j)
+            assert gap_distance(twice, g) < 1e-9
 
 
 class TestEigenspace:
+    """The relation-eigenspace route of ``conftest`` on closed forms."""
+
     def test_diagonal(self):
-        rel = LinearRelation.from_operator(np.diag([1.0, 1j]))
-        s = eigenspace(rel, 1j)
+        s = relation_eigenspace(matrix_graph(np.diag([1.0, 1j]), np.eye(2)), 1j)
         assert gap_distance(s, orthonormal_span([e(2, 1)])) < 1e-12
 
     def test_full_relation_has_every_eigenvalue(self):
-        rel = LinearRelation.full(1, 1)
-        assert eigenspace(rel, 1j).is_full
+        assert relation_eigenspace(Subspace.full(2), 1j).is_full
 
     def test_nilpotent_kernel(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        s = eigenspace(LinearRelation.from_operator(m), 0.0)
+        s = relation_eigenspace(matrix_graph(m, np.eye(2)), 0.0)
         assert gap_distance(s, orthonormal_span([e(2, 0)])) < 1e-12
 
     def test_matches_dense_nullspace_oracle(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         lam = complex(np.linalg.eigvals(m)[0])
-        s = eigenspace(LinearRelation.from_operator(m), lam)
+        s = relation_eigenspace(matrix_graph(m, np.eye(4)), lam)
         oracle = orthonormal_span(null_space(m - lam * np.eye(4), 1e-8), 4)
         assert s.dim == oracle.dim
         assert gap_distance(s, oracle) < 1e-6
 
 
 class TestMetricMatrix:
+    """The validation of J that ``KreinSpace`` makes: a canonical symmetry
+    is a Hermitian involution."""
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(MetricError):
-            MetricMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            KreinSpace(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_involutive_canonical(self):
         with pytest.raises(MetricError):
-            MetricMatrix(np.diag([2.0, 1.0]), canonical=True)
+            KreinSpace(np.diag([2.0, 1.0]))
 
     def test_accepts_signature_matrix(self):
-        m = MetricMatrix(np.diag([1.0, -1.0]), canonical=True)
-        assert m.canonical and m.dim == 2
+        space = KreinSpace(np.diag([1.0, -1.0]))
+        assert space.dim == 2 and space.diagonal and space.scale == 1.0
 
     @staticmethod
-    def dense_verdict(m, canonical, tol):
+    def dense_verdict(m, tol):
         """The checks through three dense 2-norms (SVDs), the reference for
         the diagonal route: ``(verdict, scale)``."""
         scale = np.linalg.norm(m, 2)
         if np.linalg.norm(m - m.conj().T, 2) > 10 * tol * scale:
             return "not Hermitian", scale
-        if canonical and (np.linalg.norm(m @ m - np.eye(m.shape[0]), 2)
-                          > 10 * tol * scale * scale):
+        if np.linalg.norm(m @ m - np.eye(m.shape[0]), 2) > 10 * tol * scale * scale:
             return "not an involution", scale
         return "ok", scale
 
     @staticmethod
-    def verdict(m, canonical, tol):
+    def verdict(m, tol):
         try:
-            metric = MetricMatrix(m, canonical=canonical, tol=tol)
+            space = KreinSpace(m, tol=tol)
         except MetricError as exc:
             kind = "not Hermitian" if "Hermitian" in str(exc) else "not an involution"
             return kind, None
-        return "ok", metric.scale
+        return "ok", space.scale
 
     # entries within a factor 2 of the 10 tol cuts, on each side: 1 + i delta
     # has |d - conj d| = 2 delta, and 1 + delta has |d^2 - 1| ~ 2 delta
@@ -302,20 +331,23 @@ class TestMetricMatrix:
         [0.5, -3.0, 1.0],
         [0.0, 1.0],
     ] + NEAR_CUTS)
-    @pytest.mark.parametrize("canonical", [True, False])
+    # J and -J: both canonical symmetries or neither, with the same scale
+    @pytest.mark.parametrize("negated", [True, False])
     def test_diagonal_route_matches_dense_norms(self, monkeypatch, diagonal,
-                                                canonical):
+                                                negated):
         m = np.diag(np.asarray(diagonal, dtype=np.complex128))
-        expected, scale = self.dense_verdict(m, canonical, 1e-10)
+        if negated:
+            m = -m
+        expected, scale = self.dense_verdict(m, 1e-10)
         counts = count_svd_backed(monkeypatch)
-        got, got_scale = self.verdict(m, canonical, 1e-10)
+        got, got_scale = self.verdict(m, 1e-10)
         assert counts == {"svd": 0, "norm2": 0}
         assert got == expected
         if expected == "ok":
             assert got_scale == pytest.approx(scale, rel=1e-15, abs=0.0)
 
     def test_near_cut_cases_straddle_both_cuts(self):
-        verdicts = [self.dense_verdict(np.diag(d), True, 1e-10)[0]
+        verdicts = [self.dense_verdict(np.diag(d), 1e-10)[0]
                     for d in self.NEAR_CUTS]
         assert verdicts == ["ok", "not Hermitian", "ok", "not an involution"]
 
@@ -325,9 +357,9 @@ class TestMetricMatrix:
     ])
     def test_non_diagonal_metric_takes_the_dense_norms(self, monkeypatch, m):
         counts = count_svd_backed(monkeypatch)
-        metric = MetricMatrix(m, canonical=True)
+        space = KreinSpace(m)
         assert counts == {"svd": 0, "norm2": 3}
-        assert metric.scale == pytest.approx(1.0, rel=1e-15)
+        assert space.scale == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("m,diagonal", [
         (np.eye(3), True),
@@ -337,7 +369,9 @@ class TestMetricMatrix:
         (np.array([[1.0, 1e-300], [1e-300, 1.0]]), False),  # exact, no tolerance
     ])
     def test_diagonal_flag(self, m, diagonal):
-        assert MetricMatrix(m).diagonal is diagonal
+        assert is_diagonal(m) is diagonal
+        if np.array_equal(m @ m, np.eye(m.shape[0])):
+            assert KreinSpace(m).diagonal is diagonal
 
     def test_identity_metric_needs_no_svd(self, monkeypatch):
         counts = count_svd_backed(monkeypatch)
