@@ -3,7 +3,6 @@
 from .errors import (
     ClassificationError,
     DimensionMismatch,
-    DomainError,
     KreinPairError,
     MetricError,
     PipelineError,
@@ -12,10 +11,7 @@ from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     gap_distance,
-    intersect,
-    ortho_complement,
     orthonormal_span,
-    subspace_sum,
 )
 from .krein import (
     KreinSpace,

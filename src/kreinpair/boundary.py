@@ -105,7 +105,6 @@ class TraceData:
     domain_basis: np.ndarray  # n x d
     image: Subspace | None  # None when the boundary space is trivial
     image_gram: np.ndarray
-    triple: BoundaryTriple
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ class BoundaryPair:
     matrix: np.ndarray  # n x d, domain coords -> ambient defect vector
     domain_basis: np.ndarray  # n x d, orthonormal
     defect_basis: np.ndarray  # n x space_dim
-    provenance: str
 
     def kernel(self) -> Subspace:
         # orthonormal basis times orthonormal coefficients
@@ -146,7 +144,7 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     b = sym.domain.basis
     jsb = j @ sym.matrix @ b
     n_plus, n_minus = (
-        Subspace(n, null_space((jsb + shift * b).conj().T, sym.tol), sym.tol)
+        Subspace(n, null_space((jsb + shift * b).conj().T, sym.tol))
         for shift in (1j, -1j)
     )
     if n_plus.dim != n_minus.dim:
@@ -170,7 +168,7 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
         sym_graph.basis,
         np.vstack([qp, 1j * j @ qp]) / np.sqrt(2.0),
         np.vstack([qm, -1j * j @ qm]) / np.sqrt(2.0),
-    ]), sym.tol)
+    ]))
 
     residual = _green_matrix_residual(trace0, trace1, j, adjoint_graph)
     if residual > EXACT_BOUND:
@@ -238,7 +236,7 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain) -> TraceData
         gram = np.zeros((0, 0), dtype=np.complex128)
     else:
         # the traces have orthonormal rows: x -> (x, Tx) bounds their restriction
-        image = orthonormal_span(np.vstack([t0, t1]), 2 * k, op.tol,
+        image = orthonormal_span(np.vstack([t0, t1]), op.tol,
                                  scale=np.hypot(1.0, op.scale))
         gram = trace_image_gram(image)
     residual = _green_matrix_residual(triple.trace0, triple.trace1,
@@ -252,7 +250,6 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain) -> TraceData
         domain_basis=b,
         image=image,
         image_gram=gram,
-        triple=triple,
     )
 
 
@@ -285,7 +282,7 @@ def transform_traces(traces: TraceData, w: np.ndarray) -> TraceData:
         raise PipelineError("boundary transform does not preserve the graph metric")
     stacked = w @ np.vstack([traces.trace0, traces.trace1])
     t0, t1 = stacked[:k], stacked[k:]
-    image = orthonormal_span(np.vstack([t0, t1]), 2 * k)
+    image = orthonormal_span(np.vstack([t0, t1]))
     return TraceData(
         boundary_dim=k,
         trace0=t0,
@@ -293,7 +290,6 @@ def transform_traces(traces: TraceData, w: np.ndarray) -> TraceData:
         domain_basis=traces.domain_basis,
         image=image,
         image_gram=trace_image_gram(image),
-        triple=traces.triple,
     )
 
 
@@ -317,7 +313,6 @@ def boundary_map_projection(op: OperatorWithDomain,
         matrix=matrix,
         domain_basis=b,
         defect_basis=bn,
-        provenance="projection-form",
     )
 
 
@@ -345,7 +340,6 @@ def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
         matrix=b @ coeffs,
         domain_basis=b,
         defect_basis=splitting.defect.domain.basis,
-        provenance="resolvent-form",
     )
 
 
@@ -423,7 +417,7 @@ def restricted_eigenpairs(op: OperatorWithDomain):
                                              gaps[np.ix_(members, members)]))
         elif negligible(residuals[k], DEFAULT_TOL, op.scale):
             pairs.append((complex(values[k]),
-                          Subspace(op.space.dim, bv[:, [k]], op.tol)))
+                          Subspace(op.space.dim, bv[:, [k]])))
     return pairs
 
 
@@ -443,7 +437,7 @@ def _cluster_eigenpairs(op: OperatorWithDomain, mb: np.ndarray,
     def eigenspace_at(lam):
         coeffs = null_space(mb - lam * b, DEFAULT_TOL, scale=op.scale)
         # orthonormal columns times orthonormal coefficients
-        return Subspace(op.space.dim, b @ coeffs, op.tol)
+        return Subspace(op.space.dim, b @ coeffs)
 
     mean = complex(values.mean())
     space = eigenspace_at(mean)

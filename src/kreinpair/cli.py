@@ -48,7 +48,11 @@ def _decode_complex(entry, where: str) -> complex:
     re, im = entry
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
         raise SpecError(f"{where}: non-numeric complex entry")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError as exc:
+        # an integer beyond the floating-point range
+        raise SpecError(f"{where}: complex entry out of range ({exc})") from exc
 
 
 def _decode_matrix(data, dim: int, where: str) -> np.ndarray:
@@ -99,8 +103,10 @@ def load_instance(path) -> OperatorWithDomain:
             cols.append(
                 [_decode_complex(e, f"domain[{i}][{k}]") for k, e in enumerate(vec)]
             )
-        domain = orthonormal_span(np.array(cols, dtype=np.complex128).T, dim,
-                                  float(tol))
+        try:
+            domain = orthonormal_span(np.array(cols, dtype=np.complex128).T, float(tol))
+        except KreinPairError as exc:
+            raise SpecError(f"{path}: domain vectors: {exc}") from exc
         if domain.dim == 0:
             raise SpecError(f"{path}: domain vectors span the zero subspace")
     try:

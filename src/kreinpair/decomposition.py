@@ -18,12 +18,7 @@ import numpy as np
 
 from .errors import ClassificationError, PipelineError
 from .krein import NEITHER, SYMMETRIC, OperatorWithDomain
-from .subspaces import (
-    Subspace,
-    gap_distance,
-    intersect,
-    orthonormal_span,
-)
+from .subspaces import Subspace, gap_distance, null_space, orthonormal_span
 from .tolerances import CHECK_GATE, negligible
 
 if TYPE_CHECKING:
@@ -58,11 +53,10 @@ class DeficiencyData:
     ``[x, J y]`` (Euclidean in these coordinates), onto the intersection of
     the deficiency subspace with the range of ``JT + iI``.  ``shifted_svd``
     is the thin SVD ``(U, s, Vh)`` of ``(JT + iI) B`` for the domain basis
-    B; ``resolvent_range`` is spanned by U.
+    B; U spans that range.
     """
 
     deficiency: Subspace
-    resolvent_range: Subspace
     intersection: Subspace
     projector: np.ndarray
     shifted_svd: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -91,7 +85,7 @@ def graph_orthocomplement_within(op: OperatorWithDomain,
     gk = op.graph_gram @ op.coords(sub.basis)
     q = np.linalg.qr(gk, mode="complete")[0]
     # orthonormal basis times orthonormal coefficients
-    return Subspace(op.space.dim, op.lift(q[:, gk.shape[1]:]), op.tol)
+    return Subspace(op.space.dim, op.lift(q[:, gk.shape[1]:]))
 
 
 def dissipative_part(op: OperatorWithDomain,
@@ -128,6 +122,13 @@ def deficiency_space(triple: BoundaryTriple,
     Hilbert product, so ``JT + iI`` is bounded below by 1 on the domain; a
     small minimal singular value therefore signals a dissipativity
     violation upstream.
+
+    With U from the SVD of ``(JT + iI) B`` and Qp the basis of N+, the
+    singular values of ``U - Qp Qp* U`` are the sines of the principal
+    angles between the range and N+ (Bjorck & Golub 1973), and its null
+    space gives the coefficients in U of the directions at sine zero, the
+    intersection.  Both bases are orthonormal, so the matrix has norm at
+    most 1 and its rank is cut at scale 1.
     """
     n_plus = triple.defect_plus
     b = op.domain.basis
@@ -137,11 +138,12 @@ def deficiency_space(triple: BoundaryTriple,
         raise PipelineError(
             f"JT + iI is nearly singular on the domain (sigma_min = {s[-1]:.3e})"
         )
-    rng = Subspace(op.space.dim, u, op.tol)
-    meet = intersect(n_plus, rng)
+    qp = n_plus.basis
+    sines = u - qp @ (qp.conj().T @ u)
+    # orthonormal basis times orthonormal coefficients
+    meet = Subspace(op.space.dim, u @ null_space(sines, op.tol, scale=1.0))
     return DeficiencyData(
         deficiency=n_plus,
-        resolvent_range=rng,
         intersection=meet,
         projector=meet.projector(),
         shifted_svd=(u, s, vh),
@@ -157,5 +159,5 @@ def defect_domain_via_resolvent(op: OperatorWithDomain,
     """
     u, s, vh = defi.shifted_svd
     coeffs = vh.conj().T @ ((u.conj().T @ defi.intersection.basis) / s[:, None])
-    return orthonormal_span(op.lift(coeffs), op.space.dim, op.tol)
+    return orthonormal_span(op.lift(coeffs), op.tol)
 

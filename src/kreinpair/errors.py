@@ -13,10 +13,6 @@ class MetricError(KreinPairError):
     """A metric matrix fails to be Hermitian or involutive."""
 
 
-class DomainError(KreinPairError):
-    """A vector lies outside the domain it is required to belong to."""
-
-
 class ClassificationError(KreinPairError):
     """An operation received an operator of the wrong dissipativity class."""
 

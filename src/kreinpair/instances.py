@@ -79,7 +79,7 @@ def random_dissipative(n: int, rng: np.random.Generator, *,
         raw = rng.standard_normal((n, domain_dim)) + 1j * rng.standard_normal(
             (n, domain_dim)
         )
-        domain = orthonormal_span(raw, n)
+        domain = orthonormal_span(raw)
     return OperatorWithDomain(space, matrix, domain)
 
 
@@ -113,7 +113,7 @@ def real_spectrum_instance(n: int, rng: np.random.Generator,
     j = frame @ j @ frame.conj().T
     space = KreinSpace(0.5 * (j + j.conj().T))
     op = OperatorWithDomain(space, matrix)
-    sym_domain = orthonormal_span(frame[:, :n_real], n)
+    sym_domain = orthonormal_span(frame[:, :n_real])
     return op, [complex(v) for v in reals], sym_domain
 
 

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClassificationError, DimensionMismatch, DomainError, MetricError
-from .subspaces import Subspace, _as_matrix, is_diagonal, orthonormal_span
+from .errors import ClassificationError, DimensionMismatch, MetricError
+from .subspaces import Subspace, _frozen, is_diagonal, orthonormal_span
 from .tolerances import DEFAULT_TOL, negligible
 
 __all__ = [
@@ -94,7 +94,7 @@ class KreinSpace:
     """
 
     def __init__(self, J, tol: float = DEFAULT_TOL):
-        j = _as_matrix(J)
+        j = _frozen(J)
         if j.shape[0] != j.shape[1]:
             raise MetricError(f"metric must be square, got shape {j.shape}")
         if j.shape[0] == 0:
@@ -106,15 +106,10 @@ class KreinSpace:
         if involution > 10 * tol * scale * scale:
             raise MetricError("canonical symmetry must square to the identity")
         self.J = j
-        self.J.flags.writeable = False
         self.dim = int(j.shape[0])
         self.tol = float(tol)
         self.scale = scale
         self.diagonal = diagonal
-
-    def inner(self, x, y) -> complex:
-        """Indefinite product [x, y] = <x, J y>."""
-        return complex(np.vdot(_as_vector(x, self.dim), self.J @ _as_vector(y, self.dim)))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"KreinSpace(dim={self.dim})"
@@ -129,24 +124,26 @@ class OperatorWithDomain:
     the products by B in :attr:`scale`, :attr:`dissipation_gram`,
     :attr:`graph_gram`, :meth:`lift` and :meth:`coords` are then skipped,
     which is exact: a product with I changes no bit.
+
+    ``tol`` is the space's rank tolerance, the one tolerance of every rank
+    decision on the operator and on the subspaces built from it.
     """
 
     def __init__(self, space: KreinSpace, matrix, domain: Subspace | None = None):
-        m = _as_matrix(np.atleast_1d(matrix))
+        m = _frozen(np.atleast_1d(matrix))
         if m.shape != (space.dim, space.dim):
             raise DimensionMismatch(
                 f"matrix shape {m.shape} does not match space dim {space.dim}"
             )
         self._identity_basis = domain is None
         if domain is None:
-            domain = Subspace.full(space.dim, space.tol)
+            domain = Subspace.full(space.dim)
         if domain.ambient_dim != space.dim:
             raise DimensionMismatch("domain ambient dimension mismatch")
         self.space = space
         self.matrix = m
-        self.matrix.flags.writeable = False
         self.domain = domain
-        self.tol = max(space.tol, domain.tol)
+        self.tol = space.tol
 
     def restricted(self, domain: Subspace) -> "OperatorWithDomain":
         op = OperatorWithDomain(self.space, self.matrix, domain)
@@ -169,9 +166,7 @@ class OperatorWithDomain:
     def graph(self) -> Subspace:
         """Orthonormal basis of the graph ``{(x, M x) : x in domain}`` in
         C^2n, pairs stacked with x on top."""
-        b = self.domain.basis
-        return orthonormal_span(np.vstack([b, self.matrix @ b]), 2 * self.space.dim,
-                                self.tol)
+        return orthonormal_span(np.vstack([self.domain.basis, self._image]), self.tol)
 
     @cached_property
     def dissipation_matrix(self) -> np.ndarray:
@@ -270,7 +265,7 @@ class OperatorWithDomain:
         w, v = self.form_eigh
         kernel = v[:, negligible(w, self.tol, self.form_scale)]
         # orthonormal basis times orthonormal coefficients
-        return Subspace(self.space.dim, self.lift(kernel), self.tol)
+        return Subspace(self.space.dim, self.lift(kernel))
 
     def classify(self) -> str:
         """Return "dissipative", "symmetric" or "neither".
@@ -340,20 +335,12 @@ class RieszRepresenter:
     basis: np.ndarray
     matrix: np.ndarray
     sqrt_matrix: np.ndarray
-    coord_map: np.ndarray  # domain-basis coords -> representer coords
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def coords(self, op: OperatorWithDomain, x) -> np.ndarray:
-        """Coordinates of a domain vector in the graph-orthonormal basis."""
-        v = np.asarray(x, dtype=np.complex128).reshape(-1)
-        if not op.domain.contains(v):
-            raise DomainError("vector is not in the operator domain")
-        return self.coord_map @ op.coords(v)
 
     def kernel_vectors(self, op: OperatorWithDomain, tol: float) -> Subspace:
         """Kernel of the square root, mapped back to ambient vectors.
@@ -362,9 +349,9 @@ class RieszRepresenter:
         the square root would amplify round-off in the kernel directions.
         """
         if self.dim == 0:
-            return Subspace.zero(op.space.dim, tol)
+            return Subspace.zero(op.space.dim)
         coeffs = self.eigenvectors[:, negligible(self.eigenvalues, tol, 1.0)]
-        return orthonormal_span(self.basis @ coeffs, op.space.dim, tol, scale=1.0)
+        return orthonormal_span(self.basis @ coeffs, tol, scale=1.0)
 
     def pseudo_inverse(self, tol: float) -> np.ndarray:
         """Moore-Penrose inverse of ``matrix``, with the eigenvalues that
@@ -393,7 +380,6 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
             basis=np.zeros((op.space.dim, 0), dtype=np.complex128),
             matrix=empty,
             sqrt_matrix=empty,
-            coord_map=empty,
             eigenvalues=np.zeros(0),
             eigenvectors=empty,
         )
@@ -401,7 +387,6 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     w, v = np.linalg.eigh(gram)
     # graph gram is bounded below by the identity, so this is well posed
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    sqrt = v @ np.diag(np.sqrt(w)) @ v.conj().T
     basis = op.lift(inv_sqrt)
     f = inv_sqrt @ op.dissipation_gram @ inv_sqrt
     f = 0.5 * (f + f.conj().T)
@@ -414,5 +399,5 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     flushed = np.where(negligible(fw, op.tol, 1.0), 0.0, np.clip(fw, 0.0, None))
     sqrt_f = fv @ np.diag(np.sqrt(flushed)) @ fv.conj().T
     sqrt_f = 0.5 * (sqrt_f + sqrt_f.conj().T)
-    return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f, coord_map=sqrt,
+    return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f,
                             eigenvalues=fw, eigenvectors=fv)

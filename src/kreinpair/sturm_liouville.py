@@ -241,19 +241,15 @@ def dissipation_quadrature_residual(op: OperatorWithDomain, grid: GridSpec,
     return float(np.max(np.abs(form - quad) / (1.0 + np.abs(quad))))
 
 
-def cayley_norm(operator) -> float:
-    """Largest singular value of (L - iI)(L + iI)^{-1}.
+def cayley_norm(matrix) -> float:
+    """Largest singular value of (L - iI)(L + iI)^{-1} for the square
+    matrix L.
 
     At most 1 for a dissipative L; a singular L + iI signals that the
     input is not dissipative.
     """
-    if isinstance(operator, OperatorWithDomain):
-        matrix = operator.matrix
-    else:
-        matrix = np.asarray(operator, dtype=np.complex128)
-        if matrix.ndim == 0:
-            matrix = matrix.reshape(1, 1)
-    if matrix.shape[0] != matrix.shape[1]:
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch("Cayley transform needs a square matrix")
     eye = np.eye(matrix.shape[0])
     try:

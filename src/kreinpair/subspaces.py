@@ -1,10 +1,12 @@
-"""Rank-tolerant subspace arithmetic over C^n.
+"""Orthonormal bases and rank decisions over C^n.
 
-Subspaces are stored by orthonormal bases (matrix columns) and are
-canonicalized through the SVD: a singular value is zero when it is
-negligible (:mod:`kreinpair.tolerances`) against the largest one or, for a
-matrix that may vanish up to round-off, against its natural scale supplied
-by the caller.  Inner products are conjugate-linear in the first argument.
+A subspace is its orthonormal basis (matrix columns).  Bases come from the
+SVD: a singular value is zero when it is negligible
+(:mod:`kreinpair.tolerances`) against the largest one or, for a matrix that
+may vanish up to round-off, against its natural scale supplied by the
+caller.  Each rank decision takes its tolerance from the caller, so a
+subspace carries none.  Inner products are conjugate-linear in the first
+argument.
 
 All values are immutable after construction and all operations are pure,
 so instances can be shared freely between threads.
@@ -23,9 +25,6 @@ __all__ = [
     "column_space",
     "null_space",
     "orthonormal_span",
-    "intersect",
-    "subspace_sum",
-    "ortho_complement",
     "gap_distance",
 ]
 
@@ -38,6 +37,18 @@ def _as_matrix(data) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector or matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DimensionMismatch("entries must be finite")
+    return a
+
+
+def _frozen(data) -> np.ndarray:
+    """:func:`_as_matrix` made read-only.  The caller's own writeable array
+    is copied first, so that freezing never reaches back into it; an array
+    that is already read-only is shared."""
+    a = _as_matrix(data)
+    if (a.flags.writeable and isinstance(data, np.ndarray)
+            and np.may_share_memory(a, data)):
+        a = a.copy(order="K")
+    a.flags.writeable = False
     return a
 
 
@@ -88,19 +99,19 @@ def is_diagonal(m: np.ndarray) -> bool:
 class Subspace:
     """Linear subset of C^n held as an orthonormal column basis.
 
-    The zero subspace is represented by an empty basis; near-zero basis
-    vectors are never stored.  Use :func:`orthonormal_span` to build one
-    from arbitrary spanning vectors.
+    The columns of ``basis`` must be orthonormal up to ``CHECK_GATE`` per
+    column (the Frobenius norm of ``B* B - I`` against ``CHECK_GATE * sqrt(d)``
+    for d columns).  The zero subspace has an empty basis; near-zero basis
+    vectors are never stored.  The basis is read-only, a private copy when
+    the given array is writeable.  Use :func:`orthonormal_span` to build one
+    from any spanning matrix.
     """
 
-    def __init__(self, ambient_dim: int, basis=None, tol: float = DEFAULT_TOL):
+    def __init__(self, ambient_dim: int, basis=None):
         ambient_dim = int(ambient_dim)
         if ambient_dim < 1:
             raise DimensionMismatch("ambient dimension must be positive")
-        if basis is None:
-            b = np.zeros((ambient_dim, 0), dtype=np.complex128)
-        else:
-            b = _as_matrix(basis)
+        b = _frozen(np.zeros((ambient_dim, 0)) if basis is None else basis)
         if b.shape[0] != ambient_dim:
             raise DimensionMismatch(
                 f"basis has {b.shape[0]} rows, ambient dimension is {ambient_dim}"
@@ -110,22 +121,20 @@ class Subspace:
         if b.shape[1]:
             # Frobenius norm: cheap, and an upper bound for the spectral norm
             defect = np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1]))
-            if defect > max(100 * tol, CHECK_GATE) * np.sqrt(b.shape[1]):
+            if defect > CHECK_GATE * np.sqrt(b.shape[1]):
                 raise DimensionMismatch("basis columns are not orthonormal")
         self.ambient_dim = ambient_dim
         self.basis = b
-        self.basis.flags.writeable = False
-        self.tol = float(tol)
 
     @classmethod
-    def zero(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
-        return cls(ambient_dim, None, tol)
+    def zero(cls, ambient_dim: int) -> "Subspace":
+        return cls(ambient_dim)
 
     @classmethod
-    def full(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
+    def full(cls, ambient_dim: int) -> "Subspace":
         """C^n with the identity as its basis, which is orthonormal exactly:
         the O(n^3) check of the constructor is skipped."""
-        full = cls.zero(ambient_dim, tol)
+        full = cls.zero(ambient_dim)
         full.basis = np.eye(full.ambient_dim, dtype=np.complex128)
         full.basis.flags.writeable = False
         return full
@@ -147,83 +156,21 @@ class Subspace:
             return np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
         return self.basis @ self.basis.conj().T
 
-    def coords(self, vector) -> np.ndarray:
-        """Coefficients of ``vector`` in the stored basis (no membership check)."""
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        if v.shape[0] != self.ambient_dim:
-            raise DimensionMismatch("vector has the wrong ambient dimension")
-        return self.basis.conj().T @ v
-
-    def contains(self, vector, tol: float | None = None) -> bool:
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        if v.shape[0] != self.ambient_dim:
-            raise DimensionMismatch("vector has the wrong ambient dimension")
-        t = self.tol if tol is None else tol
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return True
-        residual = v - self.basis @ (self.basis.conj().T @ v)
-        return bool(np.linalg.norm(residual) <= max(100 * t, CHECK_GATE) * norm)
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def orthonormal_span(vectors, ambient_dim: int | None = None,
-                     tol: float = DEFAULT_TOL,
+def orthonormal_span(matrix, tol: float = DEFAULT_TOL,
                      scale: float | None = None) -> Subspace:
-    """Span of the given vectors with a numerically orthonormal basis.
-
-    ``vectors`` may be a sequence of 1-d arrays or a matrix whose columns
-    span the subspace.  An empty collection needs an explicit
-    ``ambient_dim`` and yields the zero subspace.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        m = _as_matrix(vectors)
-    else:
-        cols = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        if not cols:
-            if ambient_dim is None:
-                raise DimensionMismatch("empty span needs an explicit ambient_dim")
-            return Subspace.zero(ambient_dim, tol)
-        dims = {c.shape[0] for c in cols}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"vectors of mixed dimensions: {sorted(dims)}")
-        m = np.column_stack(cols)
-    if ambient_dim is not None and m.shape[0] != ambient_dim:
-        raise DimensionMismatch(
-            f"vectors live in dim {m.shape[0]}, expected {ambient_dim}"
-        )
-    return Subspace(m.shape[0], column_space(m, tol, scale), tol)
-
-
-def _check_same_ambient(a: Subspace, b: Subspace) -> float:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"
-        )
-    return max(a.tol, b.tol)
-
-
-def ortho_complement(a: Subspace) -> Subspace:
-    """Euclidean orthogonal complement: ``a (+) complement = ambient``."""
-    if a.is_zero:
-        return Subspace.full(a.ambient_dim, a.tol)
-    return Subspace(a.ambient_dim, null_space(a.basis.conj().T, a.tol), a.tol)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    tol = _check_same_ambient(a, b)
-    return orthonormal_span(np.hstack([a.basis, b.basis]), a.ambient_dim, tol)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Largest subspace contained in both, via orthocomplement duality."""
-    tol = _check_same_ambient(a, b)
-    if a.is_zero or b.is_zero:
-        return Subspace.zero(a.ambient_dim, tol)
-    ca, cb = ortho_complement(a), ortho_complement(b)
-    return ortho_complement(subspace_sum(ca, cb))
+    """Span of the columns of ``matrix``, with the orthonormal basis of
+    :func:`column_space` at ``tol`` and ``scale``; it lives in C^m for a
+    matrix of m rows."""
+    m = _as_matrix(matrix)
+    basis = column_space(m, tol, scale)
+    # no caller holds this view of the SVD's factor, so it is frozen in place
+    # rather than copied
+    basis.flags.writeable = False
+    return Subspace(m.shape[0], basis)
 
 
 def gap_distance(a: Subspace, b: Subspace) -> float:
@@ -235,7 +182,10 @@ def gap_distance(a: Subspace, b: Subspace) -> float:
     (Bjorck & Golub 1973), which unlike the cosine keeps its accuracy for
     small angles.
     """
-    _check_same_ambient(a, b)
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatch(
+            f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"
+        )
     if a.dim != b.dim:
         return 1.0
     if a.is_zero:

@@ -41,6 +41,41 @@ def e(n, k):
     return v
 
 
+def span(*vectors):
+    """Span of the given vectors of one length, as columns."""
+    return orthonormal_span(np.column_stack(vectors))
+
+
+def contains(sub, vector):
+    """Whether ``vector`` lies in ``sub``: its distance from ``sub`` is at
+    most ``CHECK_GATE`` times its norm."""
+    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    residual = v - sub.basis @ (sub.basis.conj().T @ v)
+    return bool(np.linalg.norm(residual) <= CHECK_GATE * np.linalg.norm(v))
+
+
+def krein_inner(space, x, y):
+    """Indefinite product ``[x, y] = <x, J y>``."""
+    return complex(np.vdot(x, space.J @ y))
+
+
+def complement(sub, tol=DEFAULT_TOL):
+    """Euclidean orthogonal complement: ``sub (+) complement = ambient``."""
+    if sub.is_zero:
+        return Subspace.full(sub.ambient_dim)
+    return Subspace(sub.ambient_dim, null_space(sub.basis.conj().T, tol))
+
+
+def intersect(a, b, tol=DEFAULT_TOL):
+    """Largest subspace contained in both, as the complement of the sum of
+    the complements: the route ``deficiency_space`` replaced with one SVD,
+    kept as the oracle of its intersection."""
+    if a.is_zero or b.is_zero:
+        return Subspace.zero(a.ambient_dim)
+    both = np.hstack([complement(a, tol).basis, complement(b, tol).basis])
+    return complement(orthonormal_span(both, tol), tol)
+
+
 def random_domain_samples(op, count, rng):
     """Random vectors in the operator domain, as columns."""
     b = op.domain.basis
@@ -65,7 +100,7 @@ def reference_eigenpairs(op):
         coeffs = null_space(mb - lam * b, DEFAULT_TOL, scale=op.scale)
         if coeffs.shape[1]:
             used.append(complex(lam))
-            pairs.append((complex(lam), Subspace(op.space.dim, b @ coeffs, op.tol)))
+            pairs.append((complex(lam), Subspace(op.space.dim, b @ coeffs)))
     return pairs
 
 
@@ -73,7 +108,7 @@ def matrix_graph(matrix, basis, tol=DEFAULT_TOL):
     """Graph ``{(x, M x) : x in span(basis)}`` of a square matrix, pairs
     stacked with x on top."""
     basis = np.asarray(basis, dtype=np.complex128)
-    return orthonormal_span(np.vstack([basis, matrix @ basis]), 2 * basis.shape[0], tol)
+    return orthonormal_span(np.vstack([basis, matrix @ basis]), tol)
 
 
 def adjoint_relation(graph, j=None):
@@ -85,16 +120,16 @@ def adjoint_relation(graph, j=None):
     oracle of its adjoint graph and its deficiency spaces."""
     n = graph.ambient_dim // 2
     j = np.eye(n) if j is None else j
-    perp = null_space(graph.basis.conj().T, graph.tol)
-    return Subspace(2 * n, np.vstack([-j @ perp[n:], j @ perp[:n]]), graph.tol)
+    perp = complement(graph).basis
+    return Subspace(2 * n, np.vstack([-j @ perp[n:], j @ perp[:n]]))
 
 
 def relation_eigenspace(graph, lam):
     """Vectors x with ``(x, lam x)`` in a graph in C^n x C^n."""
     n = graph.ambient_dim // 2
     top, bot = graph.basis[:n], graph.basis[n:]
-    coeffs = null_space(bot - lam * top, graph.tol, scale=1.0 + abs(lam))
-    return orthonormal_span(top @ coeffs, n, graph.tol, scale=1.0)
+    coeffs = null_space(bot - lam * top, scale=1.0 + abs(lam))
+    return orthonormal_span(top @ coeffs, scale=1.0)
 
 
 def defect_traces(traces, splitting):
@@ -108,6 +143,14 @@ def defect_traces(traces, splitting):
 def graph_inner(op, x, y):
     """``<x, y> + <T x, T y>`` of two domain vectors, through ``graph_gram``."""
     return complex(np.vdot(op.coords(x), op.graph_gram @ op.coords(y)))
+
+
+def riesz_coords(op, x):
+    """Coordinates of domain vectors in the graph-orthonormal basis of
+    ``riesz_representer(op)``: ``G^(1/2)`` times the domain-basis
+    coordinates, for the graph Gram G."""
+    w, v = np.linalg.eigh(op.graph_gram)
+    return (v * np.sqrt(w)) @ (v.conj().T @ op.coords(x))
 
 
 def planted_cluster_operator(n, multiplicities, rng):

@@ -36,7 +36,7 @@ from kreinpair.instances import (
 from kreinpair.krein import boundary_metric_matrix
 from kreinpair.sturm_liouville import convergence_study
 
-from conftest import defect_traces
+from conftest import defect_traces, riesz_coords
 
 DIMENSIONS = (2, 4, 8, 16, 32, 64)
 PER_DIMENSION = 100
@@ -70,7 +70,7 @@ def _form_value_residual(op, rep, rng, count=20):
     for k in range(count):
         x = xs[:, k]
         form = op.dissipation_form(x, x).real
-        image = rep.sqrt_matrix @ rep.coords(op, x)
+        image = rep.sqrt_matrix @ riesz_coords(op, x)
         value = float(np.vdot(image, image).real)
         scale = max(1.0, abs(form))
         worst = max(worst, abs(form - value) / scale)

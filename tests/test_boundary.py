@@ -39,12 +39,14 @@ from kreinpair.subspaces import column_space, null_space
 
 from conftest import (
     adjoint_relation,
+    contains,
     defect_traces,
     e,
     matrix_graph,
     planted_cluster_operator,
     reference_eigenpairs,
     relation_eigenspace,
+    span,
 )
 
 
@@ -325,7 +327,7 @@ class TestBoundaryPreimage:
         # the traces vanish on graph(T) exactly over the symmetric domain
         s, triple, traces = pipeline(mixed_diag)
         kernel = null_space(np.vstack([traces.trace0, traces.trace1]))
-        got = orthonormal_span(traces.domain_basis @ kernel, 2)
+        got = orthonormal_span(traces.domain_basis @ kernel)
         assert gap_distance(got, s.symmetric.domain) < 1e-12
 
     def test_inverts_traces_on_defect_domain(self, mixed_diag):
@@ -340,8 +342,8 @@ class TestBoundaryPreimage:
     def test_rejects_values_outside_image(self, mixed_diag):
         s, triple, traces = pipeline(mixed_diag)
         uv = np.array([1.0, 0.0])  # not of the form (u, i u) for this fixture
-        assert not traces.image.contains(uv)
-        assert traces.image.contains(defect_traces(traces, s)[:, 0])
+        assert not contains(traces.image, uv)
+        assert contains(traces.image, defect_traces(traces, s)[:, 0])
 
     def test_isometry_onto_defect_domain(self):
         rng = np.random.default_rng(9)
@@ -419,12 +421,12 @@ class TestRealSpectrum:
             assert np.allclose(found, sorted(v.real for v in planted), atol=1e-7)
 
     def test_restricted_eigenpairs_with_proper_domain(self, mixed_diag):
-        restricted = mixed_diag.restricted(orthonormal_span([e(2, 0)]))
+        restricted = mixed_diag.restricted(span(e(2, 0)))
         pairs = restricted_eigenpairs(restricted)
         assert len(pairs) == 1
         lam, space = pairs[0]
         assert lam == pytest.approx(1.0)
-        assert space.contains(e(2, 0))
+        assert contains(space, e(2, 0))
 
     def test_jordan_chain_survives_change_of_frame(self):
         # S carries a Jordan block at 0 with a J-neutral eigenvector; eig
@@ -449,7 +451,7 @@ def _restricted_to_planted(op, spaces, extra, rng):
     ``extra`` further random directions."""
     n = op.space.dim
     raw = rng.standard_normal((n, extra)) + 1j * rng.standard_normal((n, extra))
-    return op.restricted(orthonormal_span(np.hstack(spaces + [raw]), n))
+    return op.restricted(orthonormal_span(np.hstack(spaces + [raw])))
 
 
 def _instances(kind, count, rng):
@@ -549,4 +551,4 @@ class TestTraceImageGram:
         from kreinpair.errors import DimensionMismatch
 
         with pytest.raises(DimensionMismatch):
-            trace_image_gram(orthonormal_span([np.array([1.0, 0.0, 0.0])]))
+            trace_image_gram(span(np.array([1.0, 0.0, 0.0])))

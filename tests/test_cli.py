@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from kreinpair import KreinSpace, OperatorWithDomain, orthonormal_span
+from kreinpair import KreinSpace, OperatorWithDomain
 from kreinpair.cli import SpecError, dump_instance, load_instance, main
 from kreinpair.instances import scaled_defect_instance
 
-from conftest import e
+from conftest import contains, e, span
 
 
 @pytest.fixture
@@ -33,13 +33,13 @@ class TestInstanceIO:
     def test_round_trip_with_domain(self, tmp_path):
         op = OperatorWithDomain(
             KreinSpace(np.eye(2)), np.diag([1.0, 1j]),
-            orthonormal_span([e(2, 0)]),
+            span(e(2, 0)),
         )
         path = tmp_path / "op.json"
         dump_instance(op, path)
         loaded = load_instance(path)
         assert loaded.domain.dim == 1
-        assert loaded.domain.contains(e(2, 0))
+        assert contains(loaded.domain, e(2, 0))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -80,6 +80,23 @@ class TestInstanceIO:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "criterion"])
+    @pytest.mark.parametrize("key, value", [
+        ("J", 10**400), ("T", 10**400), ("domain", 10**400),
+        ("domain", float("inf")),
+    ], ids=["J-huge", "T-huge", "domain-huge", "domain-inf"])
+    def test_entry_out_of_float_range(self, tmp_path, capsys, command, key, value):
+        # a JSON integer beyond the float range, or Infinity, in any entry
+        path = tmp_path / "out_of_range.json"
+        payload = {"dim": 2, "J": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                   "T": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+                   "domain": [[[1, 0], [0, 0]]]}
+        row = payload["domain"][0] if key == "domain" else payload[key][1]
+        row[1] = [value, 0]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("dim, j_entry, t_entry", [
         (1.7, [1, 0], [0, 1]),

@@ -150,8 +150,7 @@ class TestRestrictedRangeRemark:
         # the second component range trivial while the boundary space is not
         s, triple, _ = pipeline(mixed_diag)
         traces_s = restrict_triple(triple, s.symmetric)
-        ran_t1 = orthonormal_span(traces_s.trace1, traces_s.boundary_dim,
-                                  scale=1.0)
+        ran_t1 = orthonormal_span(traces_s.trace1, scale=1.0)
         assert traces_s.boundary_dim == 1
         assert ran_t1.is_zero
         report = criterion_report(s.symmetric, pieces=(split(s.symmetric),

@@ -19,10 +19,18 @@ from kreinpair.analysis import analyze_operator
 from kreinpair.cli import dump_instance, main
 from kreinpair.decomposition import graph_orthocomplement_within
 from kreinpair.errors import PipelineError
-from kreinpair.instances import random_dissipative
+from kreinpair.instances import random_canonical_symmetry, random_dissipative
 from kreinpair.subspaces import Subspace, null_space
 
-from conftest import e, graph_inner
+from conftest import (
+    contains,
+    count_svd_backed,
+    e,
+    graph_inner,
+    intersect,
+    riesz_coords,
+    span,
+)
 
 
 def deficiency(op, s):
@@ -40,7 +48,7 @@ class TestSymmetricPart:
 
     def test_mixed_diagonal(self, mixed_diag):
         sym = symmetric_part(mixed_diag)
-        assert gap_distance(sym.domain, orthonormal_span([e(2, 0)])) < 1e-12
+        assert gap_distance(sym.domain, span(e(2, 0))) < 1e-12
         assert sym.classify() == "symmetric"
 
     def test_rejects_non_dissipative(self):
@@ -61,7 +69,7 @@ class TestDissipativePart:
     def test_mixed_diagonal_graph_orthogonality(self, mixed_diag):
         sym = symmetric_part(mixed_diag)
         part = dissipative_part(mixed_diag, sym)
-        assert gap_distance(part.domain, orthonormal_span([e(2, 1)])) < 1e-12
+        assert gap_distance(part.domain, span(e(2, 1))) < 1e-12
         # graph-orthogonality: <x, s> + <Tx, Ts> = 0
         x, s = part.domain.basis[:, 0], sym.domain.basis[:, 0]
         value = np.vdot(x, s) + np.vdot(
@@ -70,7 +78,7 @@ class TestDissipativePart:
         assert abs(value) < 1e-12
 
     def test_rejects_inconsistent_symmetric_part(self, mixed_diag):
-        wrong = mixed_diag.restricted(orthonormal_span([e(2, 1)]))
+        wrong = mixed_diag.restricted(span(e(2, 1)))
         with pytest.raises(PipelineError):
             dissipative_part(mixed_diag, wrong)
 
@@ -88,15 +96,14 @@ class TestDeficiencySpace:
     def test_scalar_everything_full(self, scalar_i):
         s = split(scalar_i)
         defi = deficiency(scalar_i, s)
-        assert defi.deficiency.is_full
-        assert defi.resolvent_range.is_full
+        assert defi.deficiency.is_full and defi.intersection.is_full
         assert np.allclose(defi.projector, [[1.0]])
 
     def test_mixed_diagonal(self, mixed_diag):
         s = split(mixed_diag)
         defi = deficiency(mixed_diag, s)
-        assert gap_distance(defi.deficiency, orthonormal_span([e(2, 1)])) < 1e-10
-        assert defi.resolvent_range.is_full
+        assert gap_distance(defi.deficiency, span(e(2, 1))) < 1e-10
+        assert gap_distance(defi.intersection, span(e(2, 1))) < 1e-10
         assert np.allclose(defi.projector, np.diag([0.0, 1.0]), atol=1e-10)
 
     def test_indefinite_metric_pair(self, krein_pm):
@@ -112,6 +119,43 @@ class TestDeficiencySpace:
         p = defi.projector
         assert np.allclose(p, p.conj().T, atol=1e-10)
         assert np.allclose(p @ p, p, atol=1e-10)
+
+    @staticmethod
+    def _differential_instances():
+        rng = np.random.default_rng(11)
+        for c in (1e-8, 1.0, 1e8):
+            for k in range(12):
+                n = int(rng.integers(2, 9))
+                domain_dim = int(rng.integers(1, n + 1)) if k % 2 else None
+                base = random_dissipative(n, rng, domain_dim=domain_dim)
+                yield OperatorWithDomain(base.space, c * base.matrix, base.domain)
+        # a J-self-adjoint T (k = 0) and a full-rank dissipation (trivial S)
+        j = random_canonical_symmetry(5, rng)
+        h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        yield OperatorWithDomain(KreinSpace(j), j @ (h + h.conj().T))
+        yield random_dissipative(6, rng, defect=6)
+
+    def test_intersection_matches_complement_route(self):
+        kinds = set()
+        for op in self._differential_instances():
+            s = split(op)
+            triple = build_boundary_triple(s.symmetric)
+            defi = deficiency_space(triple, op)
+            u = defi.shifted_svd[0]
+            expected = intersect(triple.defect_plus, Subspace(op.space.dim, u), op.tol)
+            assert defi.intersection.dim == expected.dim
+            assert gap_distance(defi.intersection, expected) <= 1e-10
+            kinds.add((triple.space_dim == 0, s.symmetric.domain.is_zero))
+        assert kinds >= {(True, False), (False, True), (False, False)}
+
+    def test_two_svds(self, monkeypatch):
+        # dissipation of rank 3 on a 9-dimensional domain: S and N+ are
+        # proper, so the intersection takes an SVD of its own
+        op = random_dissipative(12, np.random.default_rng(3), defect=3, domain_dim=9)
+        triple = build_boundary_triple(split(op).symmetric)
+        counts = count_svd_backed(monkeypatch)
+        deficiency_space(triple, op)
+        assert counts["svd"] <= 2
 
     def test_defect_count_full_domain(self):
         rng = np.random.default_rng(2)
@@ -135,7 +179,7 @@ class TestResolventRoute:
         domain = defect_domain_via_resolvent(mixed_diag, defi)
         # oracle: diag(1 + i, 2i)^{-1} applied to span{e2}
         inv = np.linalg.inv(mixed_diag.matrix + 1j * np.eye(2))
-        expected = orthonormal_span([inv @ e(2, 1)])
+        expected = span(inv @ e(2, 1))
         assert gap_distance(domain, expected) < 1e-10
 
     def test_agrees_with_graph_orthogonal_route(self):
@@ -200,10 +244,7 @@ class TestSquareRootBridge:
             # sqrt(F) restricted to the defect domain is injective with
             # form[x] = |sqrt(F) x|_graph^2
             bn = s.defect.domain.basis
-            coords = np.column_stack(
-                [rep.coords(op, bn[:, k]) for k in range(bn.shape[1])]
-            ) if bn.shape[1] else np.zeros((rep.dim, 0))
-            images = rep.sqrt_matrix @ coords
+            images = rep.sqrt_matrix @ riesz_coords(op, bn)
             if images.shape[1]:
                 smin = np.linalg.svd(images, compute_uv=False)[-1]
                 assert smin > 1e-8
@@ -219,15 +260,14 @@ def svd_orthocomplement(op, sub):
     ``K* G`` by an SVD with all right-singular vectors and a rank cut at
     ``tol * sigma_max``.  Kept as the oracle of the differential test."""
     rows = op.coords(sub.basis).conj().T @ op.graph_gram
-    return Subspace(op.space.dim, op.lift(null_space(rows, op.tol)), op.tol)
+    return Subspace(op.space.dim, op.lift(null_space(rows, op.tol)))
 
 
 def random_subspace_of_domain(op, rng):
     d = op.domain.dim
     k = int(rng.integers(0, d + 1))
     raw = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    return orthonormal_span(op.lift(raw), op.space.dim) if k else Subspace.zero(
-        op.space.dim)
+    return orthonormal_span(op.lift(raw)) if k else Subspace.zero(op.space.dim)
 
 
 class TestGraphOrthocomplement:
@@ -251,7 +291,7 @@ class TestGraphOrthocomplement:
         sub = random_subspace_of_domain(op, np.random.default_rng(5))
         comp = graph_orthocomplement_within(op, sub)
         for x in comp.basis.T:
-            assert op.domain.contains(x)
+            assert contains(op.domain, x)
             for y in sub.basis.T:
                 assert abs(graph_inner(op, x, y)) <= 1e-12 * graph_inner(op, x, x).real
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kreinpair import gap_distance, orthonormal_span, split
+from kreinpair import gap_distance, split
 from kreinpair.analysis import analyze_operator
 from kreinpair import sturm_liouville
 from kreinpair.errors import DimensionMismatch, PipelineError
@@ -19,7 +19,7 @@ from kreinpair.sturm_liouville import (
     write_study_csv,
 )
 
-from conftest import count_factorizations, count_svd_backed, e
+from conftest import count_factorizations, count_svd_backed, e, span
 
 
 def left_half(grid, imq=1.0, h=1.0):
@@ -141,7 +141,7 @@ class TestMaskSplitting:
         op = discretize(grid, pot)
         s = mask_splitting(op, mask)
         assert gap_distance(
-            s.defect.domain, orthonormal_span([e(16, 5)])
+            s.defect.domain, span(e(16, 5))
         ) < 1e-12
 
     def test_left_half_agrees_with_generic_splitting(self):

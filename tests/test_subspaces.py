@@ -11,35 +11,36 @@ from kreinpair import (
     OperatorWithDomain,
     Subspace,
     gap_distance,
-    intersect,
-    ortho_complement,
     orthonormal_span,
-    subspace_sum,
 )
 from kreinpair.subspaces import is_diagonal, null_space
 
 from conftest import (
     adjoint_relation,
+    complement,
+    contains,
     count_svd_backed,
     e,
+    intersect,
     matrix_graph,
     relation_eigenspace,
+    span,
 )
 
 
 def random_subspace(n, k, rng):
     m = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    return orthonormal_span(m, n)
+    return orthonormal_span(m)
 
 
 class TestOrthonormalSpan:
     def test_collinear_vectors_give_rank_one(self):
-        s = orthonormal_span([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
+        s = span(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         assert s.dim == 1
-        assert s.contains(e(2, 0))
+        assert contains(s, e(2, 0))
 
     def test_empty_span_is_zero_subspace(self):
-        s = orthonormal_span([], ambient_dim=3)
+        s = orthonormal_span(np.zeros((3, 0)))
         assert s.is_zero and s.ambient_dim == 3
 
     def test_independent_vectors_span_plane(self):
@@ -48,16 +49,17 @@ class TestOrthonormalSpan:
         gram = np.array([[np.vdot(v1, v1), np.vdot(v1, v2)],
                          [np.vdot(v2, v1), np.vdot(v2, v2)]])
         assert abs(np.linalg.det(gram)) > 1e-12
-        assert orthonormal_span([v1, v2]).is_full
+        assert span(v1, v2).is_full
 
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            orthonormal_span([np.ones(2), np.ones(3)])
+    def test_non_matrix_rejected(self):
+        for data in (np.ones((2, 2, 2)), np.array([[1.0, np.nan]])):
+            with pytest.raises(DimensionMismatch):
+                orthonormal_span(data)
 
     def test_basis_is_orthonormal_within_tolerance(self):
         rng = np.random.default_rng(0)
         s = random_subspace(7, 4, rng)
-        assert gap_distance(s, orthonormal_span(s.basis, 7)) <= 10 * s.tol
+        assert gap_distance(s, orthonormal_span(s.basis)) <= 10 * DEFAULT_TOL
 
     def test_zero_ambient_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -65,49 +67,50 @@ class TestOrthonormalSpan:
 
 
 class TestIntersect:
+    """The complement-of-sum route of ``conftest``, the oracle of the
+    deficiency intersection, on closed forms."""
+
     def test_idempotent(self):
-        a = orthonormal_span([e(2, 0)])
+        a = span(e(2, 0))
         assert gap_distance(intersect(a, a), a) < 1e-12
 
     def test_orthogonal_lines_meet_trivially(self):
-        a, b = orthonormal_span([e(2, 0)]), orthonormal_span([e(2, 1)])
+        a, b = span(e(2, 0)), span(e(2, 1))
         assert intersect(a, b).is_zero
 
     def test_shared_direction(self):
         shared = np.array([1.0, 1.0, 0.0])
-        a = orthonormal_span([shared, e(3, 2)])
-        b = orthonormal_span([shared, e(3, 0)])
+        a = span(shared, e(3, 2))
+        b = span(shared, e(3, 0))
         meet = intersect(a, b)
         # oracle: solve a_coeffs, b_coeffs with A a = B b directly
         stacked = np.hstack([a.basis, -b.basis])
         coeffs = null_space(stacked)
-        expected = orthonormal_span(a.basis @ coeffs[: a.dim], 3)
+        expected = orthonormal_span(a.basis @ coeffs[: a.dim])
         assert meet.dim == 1
         assert gap_distance(meet, expected) < 1e-10
-        assert meet.contains(shared / np.linalg.norm(shared))
-
-    def test_ambient_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            intersect(orthonormal_span([e(2, 0)]), orthonormal_span([e(3, 0)]))
+        assert contains(meet, shared / np.linalg.norm(shared))
 
 
 class TestSumAndComplement:
+    """The Euclidean complement of ``conftest`` on closed forms."""
+
     def test_euclidean_complement_of_axis(self):
-        c = ortho_complement(orthonormal_span([e(2, 0)]))
-        assert gap_distance(c, orthonormal_span([e(2, 1)])) < 1e-12
+        c = complement(span(e(2, 0)))
+        assert gap_distance(c, span(e(2, 1))) < 1e-12
 
     def test_neutral_line_is_self_orthogonal(self):
-        line = orthonormal_span([np.array([1.0, 1.0])])
+        line = span(np.array([1.0, 1.0]))
         j = np.diag([1.0, -1.0])
         v = np.array([1.0, 1.0])
         assert abs(np.vdot(v, j @ v)) < 1e-14  # the defining computation
         # {y : <u, J y> = 0 for u in line} is the complement of J line
-        c = ortho_complement(orthonormal_span(j @ line.basis, 2))
+        c = complement(orthonormal_span(j @ line.basis))
         assert gap_distance(c, line) < 1e-10
 
     def test_sum_of_axes_is_full(self):
-        s = subspace_sum(orthonormal_span([e(2, 0)]), orthonormal_span([e(2, 1)]))
-        assert s.is_full
+        a, b = span(e(2, 0)), span(e(2, 1))
+        assert orthonormal_span(np.hstack([a.basis, b.basis])).is_full
 
     def test_duality(self):
         rng = np.random.default_rng(1)
@@ -115,27 +118,27 @@ class TestSumAndComplement:
             n = int(rng.integers(1, 8))
             k = int(rng.integers(0, n + 1))
             a = random_subspace(n, k, rng) if k else Subspace.zero(n)
-            twice = ortho_complement(ortho_complement(a))
+            twice = complement(complement(a))
             assert gap_distance(twice, a) < 1e-10
-            assert a.dim + ortho_complement(a).dim == n
+            assert a.dim + complement(a).dim == n
 
 
 class TestGapDistance:
     def test_identical(self):
-        a = orthonormal_span([e(2, 0)])
+        a = span(e(2, 0))
         assert gap_distance(a, a) == 0.0
 
     def test_orthogonal_lines(self):
-        assert gap_distance(
-            orthonormal_span([e(2, 0)]), orthonormal_span([e(2, 1)])
-        ) == pytest.approx(1.0)
+        assert gap_distance(span(e(2, 0)), span(e(2, 1))) == pytest.approx(1.0)
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            gap_distance(span(e(2, 0)), span(e(3, 0)))
 
     def test_rotation_angle(self):
         theta = 0.3
-        rotated = orthonormal_span(
-            [np.array([np.cos(theta), np.sin(theta)])]
-        )
-        pairs = [(orthonormal_span([e(2, 0)]), rotated)]
+        rotated = span(np.array([np.cos(theta), np.sin(theta)]))
+        pairs = [(span(e(2, 0)), rotated)]
         rng = np.random.default_rng(3)
         for n, k in [(3, 1), (5, 2), (6, 3), (8, 7)]:
             pairs.append((random_subspace(n, k, rng), random_subspace(n, k, rng)))
@@ -161,7 +164,7 @@ class TestSubspaceFull:
         assert full.basis.dtype == np.complex128
         assert np.array_equal(full.basis, np.eye(n))
         assert not full.basis.flags.writeable
-        assert full.is_full and full.tol == DEFAULT_TOL
+        assert full.is_full
 
     def test_no_orthonormality_check(self, monkeypatch):
         # the constructor's check is the Frobenius norm of B* B - I
@@ -179,13 +182,39 @@ class TestSubspaceFull:
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+class TestCallerArrays:
+    """Constructors keep a read-only array of their own: a private copy of
+    a writeable input, the input itself when it is already read-only."""
+
+    STORED = {
+        "KreinSpace": lambda a: KreinSpace(a).J,
+        "OperatorWithDomain": lambda a: OperatorWithDomain(KreinSpace(np.eye(2)),
+                                                           a).matrix,
+        "Subspace": lambda a: Subspace(2, a).basis,
+    }
+
+    @pytest.mark.parametrize("kind", STORED)
+    def test_writeable_input_stays_writeable(self, kind):
+        a = np.eye(2, dtype=np.complex128)
+        stored = self.STORED[kind](a)
+        assert not stored.flags.writeable
+        a[0, 0] = 5.0
+        assert stored[0, 0] == 1.0
+
+    @pytest.mark.parametrize("kind", STORED)
+    def test_read_only_input_is_shared(self, kind):
+        a = np.eye(2, dtype=np.complex128)
+        a.flags.writeable = False
+        assert self.STORED[kind](a) is a
+
+
 def graph_parts(graph):
     """Domain, range, kernel and multivalued part of a graph in C^n x C^n."""
     n = graph.ambient_dim // 2
     top, bot = graph.basis[:n], graph.basis[n:]
 
     def span(m):
-        return orthonormal_span(m, n, scale=1.0)
+        return orthonormal_span(m, scale=1.0)
 
     return (span(top), span(bot), span(top @ null_space(bot, scale=1.0)),
             span(bot @ null_space(top, scale=1.0)))
@@ -262,7 +291,7 @@ class TestEigenspace:
 
     def test_diagonal(self):
         s = relation_eigenspace(matrix_graph(np.diag([1.0, 1j]), np.eye(2)), 1j)
-        assert gap_distance(s, orthonormal_span([e(2, 1)])) < 1e-12
+        assert gap_distance(s, span(e(2, 1))) < 1e-12
 
     def test_full_relation_has_every_eigenvalue(self):
         assert relation_eigenspace(Subspace.full(2), 1j).is_full
@@ -270,14 +299,14 @@ class TestEigenspace:
     def test_nilpotent_kernel(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         s = relation_eigenspace(matrix_graph(m, np.eye(2)), 0.0)
-        assert gap_distance(s, orthonormal_span([e(2, 0)])) < 1e-12
+        assert gap_distance(s, span(e(2, 0))) < 1e-12
 
     def test_matches_dense_nullspace_oracle(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         lam = complex(np.linalg.eigvals(m)[0])
         s = relation_eigenspace(matrix_graph(m, np.eye(4)), lam)
-        oracle = orthonormal_span(null_space(m - lam * np.eye(4), 1e-8), 4)
+        oracle = orthonormal_span(null_space(m - lam * np.eye(4), 1e-8))
         assert s.dim == oracle.dim
         assert gap_distance(s, oracle) < 1e-6
 
@@ -386,7 +415,7 @@ def test_complement_duality_property(seed):
     n = int(rng.integers(1, 9))
     k = int(rng.integers(0, n + 1))
     a = random_subspace(n, k, rng) if k else Subspace.zero(n)
-    assert gap_distance(ortho_complement(ortho_complement(a)), a) < 1e-10
+    assert gap_distance(complement(complement(a)), a) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
