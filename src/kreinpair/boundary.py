@@ -15,6 +15,17 @@ deficiency-coordinate formulas; the abstract Green identity and the
 vanishing of the traces exactly on graph(S) are checked once, as the
 construction's contract.
 
+Each contract check costs what its contract costs.  The Green identity on
+an orthonormal graph basis ``[top; bot]`` is the matrix identity
+``top* J bot - bot* J top = (t0 g)* (t1 g) - (t1 g)* (t0 g)``, formed in
+factors and without a 2n x 2n form.  On the von Neumann basis the stacked
+traces are exactly zero on graph(S) and a fixed unitary on N+ and N-, so
+their kernel is checked by two norms instead of a null space.  Graph T lies
+in the adjoint graph exactly when its overlap with ``M graph(S)``, for the
+unitary ``M(s, s') = (-J s', J s)``, vanishes: a d x d_S product instead of
+a projection onto the adjoint basis.  Each is decided by a Frobenius norm,
+which bounds the 2-norm from above, so a gate on it can only tighten.
+
 Two independent realizations of the boundary map of the pair are provided:
 one through the graph-orthogonal projection onto the defect domain, one
 through the resolvent-type sandwich with the deficiency projector.  Their
@@ -75,7 +86,8 @@ class BoundaryTriple:
     orthonormal basis of ``adjoint_graph`` is the von Neumann block basis
     ``[graph(S) | (u, iJu)/sqrt(2) | (v, -iJv)/sqrt(2)]``.
     ``green_residual`` is the residual of the Green identity on that basis,
-    checked at construction.
+    checked at construction: the Frobenius norm of its defect matrix, formed
+    in factors (:func:`_green_residual`), an upper bound of the 2-norm.
     """
 
     space_dim: int
@@ -134,9 +146,10 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     """Ordinary boundary triple for the adjoint of a symmetric operator.
 
     N+ and N- are the orthocomplements of the ranges of ``(JS + i)B`` and
-    ``(JS - i)B`` for the domain basis B.  The abstract Green identity on
-    the adjoint graph is checked as an exact matrix identity, and the trace
-    kernel against the symmetric graph; a violation of either raises.
+    ``(JS - i)B`` for the domain basis B.  The traces on the von Neumann
+    basis are checked against their exact block values
+    (:func:`_trace_kernel_gap`), and the abstract Green identity on it as a
+    matrix identity (:func:`_green_residual`); a violation of either raises.
     """
     if sym.classify() != SYMMETRIC:
         raise PipelineError("boundary triples are built over a symmetric operator")
@@ -157,8 +170,9 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     # trace0 = coords(u+) + coords(u-), trace1 = i (coords(u+) - coords(u-))
     qp, qm = n_plus.basis, n_minus.basis
     ph, mh = qp.conj().T, qm.conj().T
-    trace0 = 0.5 * np.hstack([ph + mh, -1j * ph @ j + 1j * mh @ j])
-    trace1 = 0.5j * np.hstack([ph - mh, -1j * ph @ j - 1j * mh @ j])
+    phj, mhj = -1j * ph @ j, 1j * mh @ j
+    trace0 = 0.5 * np.hstack([ph + mh, phj + mhj])
+    trace1 = 0.5j * np.hstack([ph - mh, phj - mhj])
 
     # graph(S) + {(u, iJu)} + {(v, -iJv)}: the unitary image (x, y) -> (x, Jy)
     # of the von Neumann decomposition of the Euclidean adjoint of JS, whose
@@ -170,12 +184,14 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
         np.vstack([qm, -1j * j @ qm]) / np.sqrt(2.0),
     ]))
 
-    residual = _green_matrix_residual(trace0, trace1, j, adjoint_graph)
+    # the traces on that basis: zero on graph(S), the fixed unitary on N+-
+    g = adjoint_graph.basis
+    on_graph = np.vstack([trace0, trace1]) @ g
+    _trace_kernel_gap(on_graph, sym_graph.dim)
+    k = n_plus.dim
+    residual = _green_residual(j, g, on_graph[:k], on_graph[k:])
     if residual > EXACT_BOUND:
         raise PipelineError(f"abstract Green identity fails (residual {residual:.3e})")
-    kernel = _trace_kernel(trace0, trace1, adjoint_graph)
-    if gap_distance(kernel, sym_graph) > CHECK_GATE:
-        raise PipelineError("trace maps do not vanish exactly on the symmetric graph")
     return BoundaryTriple(
         space_dim=n_plus.dim,
         trace0=trace0,
@@ -189,38 +205,76 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     )
 
 
-def _green_matrix_residual(trace0: np.ndarray, trace1: np.ndarray, j: np.ndarray,
-                           graph: Subspace) -> float:
-    """Residual of [x,y'] - [x',y] = <t0 x^, t1 y^> - <t1 x^, t0 y^> on an
-    orthonormal graph basis, where both forms have norm of order |J| = 1."""
+def _green_residual(j: np.ndarray, graph: np.ndarray, t0: np.ndarray,
+                    t1: np.ndarray) -> float:
+    """Frobenius norm of the Green identity's defect on an orthonormal graph
+    basis ``graph = [top; bot]``, given the traces ``t0``, ``t1`` on it:
+
+        top* J bot - bot* J top - ((t0)* t1 - (t1)* t0),
+
+    the compression of [x, y'] - [x', y] - (<t0 x^, t1 y^> - <t1 x^, t0 y^>)
+    to the basis.  Both forms have norm of order |J| = 1, and the Frobenius
+    norm bounds the 2-norm from above, so a gate on it only tightens."""
     n = j.shape[0]
-    zero = np.zeros((n, n), dtype=np.complex128)
-    lhs_form = np.block([[zero, j], [-j, zero]])
-    rhs_form = trace0.conj().T @ trace1 - trace1.conj().T @ trace0
-    g = graph.basis
-    defect = g.conj().T @ (lhs_form - rhs_form) @ g
-    return float(np.linalg.norm(defect, 2))
+    top, bot = graph[:n], graph[n:]
+    defect = (top.conj().T @ (j @ bot) - bot.conj().T @ (j @ top)
+              - (t0.conj().T @ t1 - t1.conj().T @ t0))
+    return float(np.linalg.norm(defect))
 
 
-def _trace_kernel(trace0: np.ndarray, trace1: np.ndarray, graph: Subspace) -> Subspace:
-    g = graph.basis
-    stacked = np.vstack([trace0 @ g, trace1 @ g])
-    # orthonormal basis times orthonormal coefficients
-    return Subspace(graph.ambient_dim, g @ null_space(stacked))
+def _trace_kernel_gap(on_graph: np.ndarray, sym_dim: int) -> float:
+    """Bound on the gap between the kernel of the traces on the adjoint
+    graph and graph(S), from the traces ``[t0; t1]`` on the von Neumann
+    basis ``[graph(S) | N+ | N-]`` (``sym_dim`` columns of graph(S) first).
+
+    On the N+- blocks the traces are exactly the unitary
+    ``U0 = [[I, I], [iI, -iI]] / sqrt(2)``; within ``EXACT_BOUND`` of it in
+    the Frobenius norm the stacked traces have rank 2k, so their kernel
+    has dimension ``sym_dim``.  It is then the graph of ``-W^-1 E`` over
+    graph(S), for E the traces on graph(S) and W those on N+-, and its gap
+    to graph(S) is at most ``|E|_F / (1 - |W - U0|_F)``, which is returned.
+    Raises when that bound exceeds ``CHECK_GATE``, or W is not U0."""
+    k = (on_graph.shape[1] - sym_dim) // 2
+    eye = np.eye(k) / np.sqrt(2.0)
+    u0 = np.block([[eye, eye], [1j * eye, -1j * eye]])
+    unitary_defect = float(np.linalg.norm(on_graph[:, sym_dim:] - u0))
+    if unitary_defect > EXACT_BOUND:
+        raise PipelineError(
+            f"traces on the deficiency blocks are not the von Neumann unitary "
+            f"({unitary_defect:.3e})"
+        )
+    gap = float(np.linalg.norm(on_graph[:, :sym_dim])) / (1.0 - unitary_defect)
+    if gap > CHECK_GATE:
+        raise PipelineError("trace maps do not vanish exactly on the symmetric graph")
+    return gap
 
 
-def _containment_defect(inner: Subspace, outer: Subspace) -> float:
-    if inner.is_zero:
-        return 0.0
-    q = outer.basis
-    residual = inner.basis - q @ (q.conj().T @ inner.basis)
-    return float(np.linalg.norm(residual, 2))
+def _containment_residual(j: np.ndarray, sym_graph: np.ndarray,
+                          graph: np.ndarray) -> float:
+    """Distance bound of an orthonormal graph basis ``graph = [top; bot]``
+    from the adjoint graph of S, given the basis ``sym_graph`` of graph(S).
+
+    The adjoint graph is the orthocomplement of ``M graph(S)`` for the
+    unitary ``M(s, s') = (-J s', J s)``, so the part of ``graph`` outside it
+    is its overlap ``bot* J top_S - top* J bot_S`` with ``M sym_graph``.
+    That is a d x d_S matrix, and its Frobenius norm bounds the 2-norm
+    ``|(I - P) graph|_2`` for the projector P onto the adjoint graph."""
+    n = j.shape[0]
+    overlap = (graph[n:].conj().T @ (j @ sym_graph[:n])
+               - graph[:n].conj().T @ (j @ sym_graph[n:]))
+    return float(np.linalg.norm(overlap))
 
 
 def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain) -> TraceData:
-    """Trace maps evaluated on the graph of T, plus the image G-space."""
-    g_t = op.graph
-    defect = _containment_defect(g_t, triple.adjoint_graph)
+    """Trace maps evaluated on the graph of T, plus the image G-space.
+
+    The containment of graph T in the adjoint graph
+    (:func:`_containment_residual`) and the Green identity on graph T are
+    checked; a violation of either raises.
+    """
+    g_t = op.graph.basis
+    j = triple.base_metric
+    defect = _containment_residual(j, triple.symmetric_graph.basis, g_t)
     if defect > CHECK_GATE:
         raise PipelineError(
             f"graph of T is not contained in the adjoint graph (defect {defect:.3e})"
@@ -239,8 +293,7 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain) -> TraceData
         image = orthonormal_span(np.vstack([t0, t1]), op.tol,
                                  scale=np.hypot(1.0, op.scale))
         gram = trace_image_gram(image)
-    residual = _green_matrix_residual(triple.trace0, triple.trace1,
-                                      triple.base_metric, g_t)
+    residual = _green_residual(j, g_t, triple.trace0 @ g_t, triple.trace1 @ g_t)
     if residual > EXACT_BOUND:
         raise PipelineError(f"Green identity fails on the graph of T ({residual:.3e})")
     return TraceData(

@@ -85,8 +85,8 @@ def load_instance(path) -> OperatorWithDomain:
         raise SpecError(f"{path}: 'tol' must be in (0, 1)")
     if "J" not in raw or "T" not in raw:
         raise SpecError(f"{path}: both 'J' and 'T' are required")
-    j = _decode_matrix(raw["J"], dim, "J")
-    t = _decode_matrix(raw["T"], dim, "T")
+    j = _decode_matrix(raw["J"], dim, f"{path}: J")
+    t = _decode_matrix(raw["T"], dim, f"{path}: T")
     try:
         space = KreinSpace(j, tol=float(tol))
     except KreinPairError as exc:
@@ -101,7 +101,8 @@ def load_instance(path) -> OperatorWithDomain:
             if not (isinstance(vec, list) and len(vec) == dim):
                 raise SpecError(f"{path}: domain vector {i} must have {dim} entries")
             cols.append(
-                [_decode_complex(e, f"domain[{i}][{k}]") for k, e in enumerate(vec)]
+                [_decode_complex(e, f"{path}: domain[{i}][{k}]")
+                 for k, e in enumerate(vec)]
             )
         try:
             domain = orthonormal_span(np.array(cols, dtype=np.complex128).T, float(tol))

@@ -76,12 +76,25 @@ def _metric_norms(j: np.ndarray, diagonal: bool) -> tuple[float, float, float]:
             float(np.linalg.norm(j @ j - np.eye(j.shape[0]), 2)))
 
 
+def _passes_frobenius_first(j: np.ndarray, tol: float) -> bool:
+    """Whether the checks of :class:`KreinSpace` pass by their Frobenius
+    bounds: ``|J - J*|_F <= 10 tol low`` and ``|J^2 - I|_F <= 10 tol low^2``
+    for ``low`` the largest column norm of J.  Since ``low <= |J|_2`` and a
+    Frobenius norm bounds the 2-norm, the dense checks then pass too; a
+    False only means they must be run."""
+    peak = float(np.max(np.abs(j)))
+    low = peak * float(np.max(np.linalg.norm(j / peak, axis=0)))
+    return (_frobenius(j - j.conj().T) <= 10 * tol * low
+            and _frobenius(j @ j - np.eye(j.shape[0])) <= 10 * tol * low * low)
+
+
 class KreinSpace:
     """C^n with a canonical symmetry J.
 
     J must be Hermitian and an involution; a Hermitian involution is
-    automatically unitary, so no separate unitarity check is needed.
-    ``scale`` is ``|J|_2``; both defects are judged against it.
+    automatically unitary, so no separate unitarity check is needed.  Both
+    defects, ``|J - J*|_2`` and ``|J^2 - I|_2``, are judged against
+    ``scale = |J|_2``, which is computed only when it is read.
 
     ``diagonal`` records whether J is diagonal (:func:`is_diagonal`: as many
     nonzeros as its diagonal), decided once here.  Such a J, the identity
@@ -91,6 +104,13 @@ class KreinSpace:
     verdict, are those of the dense route up to its own round-off.  Products
     with a diagonal J are row or column scalings, and a scaling computes
     each entry of the product as the one nonzero term of its dense sum.
+
+    Any other J is checked Frobenius-first, at O(n^3) in products: the
+    largest column norm of J is at most ``|J|_2`` and a Frobenius norm is at
+    least the 2-norm, so defects whose Frobenius norms pass the cuts taken
+    at that column norm pass the dense cuts too.  Only a J that this test
+    cannot accept, one near or past a cut, takes the three dense 2-norms,
+    and their verdict is the one given; so the verdict is always theirs.
     """
 
     def __init__(self, J, tol: float = DEFAULT_TOL):
@@ -100,16 +120,23 @@ class KreinSpace:
         if j.shape[0] == 0:
             raise MetricError("zero-dimensional metric is not allowed")
         diagonal = is_diagonal(j)
-        scale, asymmetry, involution = _metric_norms(j, diagonal)
-        if asymmetry > 10 * tol * scale:
-            raise MetricError("metric is not Hermitian")
-        if involution > 10 * tol * scale * scale:
-            raise MetricError("canonical symmetry must square to the identity")
+        if diagonal or not _passes_frobenius_first(j, tol):
+            scale, asymmetry, involution = _metric_norms(j, diagonal)
+            if asymmetry > 10 * tol * scale:
+                raise MetricError("metric is not Hermitian")
+            if involution > 10 * tol * scale * scale:
+                raise MetricError("canonical symmetry must square to the identity")
+            self.scale = scale
         self.J = j
         self.dim = int(j.shape[0])
         self.tol = float(tol)
-        self.scale = scale
         self.diagonal = diagonal
+
+    @cached_property
+    def scale(self) -> float:
+        """``|J|_2``, the scale of the two checks; set by the constructor
+        when J took the diagonal or the dense route."""
+        return float(np.linalg.norm(self.J, 2))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"KreinSpace(dim={self.dim})"

@@ -35,11 +35,12 @@ from kreinpair.instances import (
 from kreinpair.tolerances import CHECK_GATE
 from kreinpair.krein import boundary_metric_matrix
 
-from kreinpair.subspaces import column_space, null_space
+from kreinpair.subspaces import Subspace, column_space, is_diagonal, null_space
 
 from conftest import (
     adjoint_relation,
     contains,
+    count_svd_backed,
     defect_traces,
     e,
     matrix_graph,
@@ -203,6 +204,157 @@ class TestRestrictTriple:
             _, _, traces = pipeline(op)
             smallest.append(np.linalg.eigvalsh(traces.image_gram)[0])
         assert smallest[0] > smallest[1] > smallest[2] > 0
+
+
+def dense_green_residual(trace0, trace1, j, graph):
+    """The Green residual through the 2n x 2n forms and a 2-norm: the route
+    that ``boundary._green_residual`` replaced, kept as its oracle."""
+    n = j.shape[0]
+    zero = np.zeros((n, n), dtype=np.complex128)
+    lhs_form = np.block([[zero, j], [-j, zero]])
+    rhs_form = trace0.conj().T @ trace1 - trace1.conj().T @ trace0
+    g = graph.basis
+    return float(np.linalg.norm(g.conj().T @ (lhs_form - rhs_form) @ g, 2))
+
+
+def dense_trace_kernel_gap(triple):
+    """Gap between graph(S) and the kernel of the traces on the adjoint
+    graph, through ``null_space`` and ``gap_distance``: the route that
+    ``boundary._trace_kernel_gap`` replaced, kept as its oracle."""
+    g = triple.adjoint_graph.basis
+    stacked = np.vstack([triple.trace0 @ g, triple.trace1 @ g])
+    kernel = Subspace(g.shape[0], g @ null_space(stacked))
+    return gap_distance(kernel, triple.symmetric_graph)
+
+
+def projected_containment_defect(graph, outer):
+    """``|(I - Q Q*) graph|_2`` for the basis Q of ``outer``: the projection
+    route that ``boundary._containment_residual`` replaced, kept as its
+    oracle."""
+    q = outer.basis
+    return float(np.linalg.norm(graph.basis - q @ (q.conj().T @ graph.basis), 2))
+
+
+def contract_instances():
+    """21 random dissipative operators, n = 3 ... 23, with indefinite J;
+    every other one on a random proper domain."""
+    rng = np.random.default_rng(11)
+    ops = []
+    for n in range(3, 24):
+        domain_dim = int(rng.integers(1, n)) if n % 2 else None
+        ops.append(random_dissipative(n, rng, domain_dim=domain_dim))
+    return ops
+
+
+class TestContractChecks:
+    """The triple's contract checks: their values bound the dense routes'
+    from above, and each still fires on a triple that breaks it."""
+
+    #: round-off of the dense routes themselves at n <= 23: up to 3e-15
+    #: even where the new value is an exact zero (an empty overlap)
+    ROUNDOFF = 1e-14
+
+    @staticmethod
+    def values(triple, j, graph):
+        """``(dense route, new route)`` of the four contract values: Green
+        residuals on the adjoint graph and on ``graph``, the trace-kernel gap
+        and the containment of ``graph`` in the adjoint graph."""
+        g, g_t = triple.adjoint_graph.basis, graph.basis
+        t0, t1 = triple.trace0, triple.trace1
+        return [
+            (dense_green_residual(t0, t1, j, triple.adjoint_graph),
+             boundary_module._green_residual(j, g, t0 @ g, t1 @ g)),
+            (dense_green_residual(t0, t1, j, graph),
+             boundary_module._green_residual(j, g_t, t0 @ g_t, t1 @ g_t)),
+            (dense_trace_kernel_gap(triple),
+             boundary_module._trace_kernel_gap(np.vstack([t0, t1]) @ g,
+                                               triple.symmetric_graph.dim)),
+            (projected_containment_defect(graph, triple.adjoint_graph),
+             boundary_module._containment_residual(
+                 j, triple.symmetric_graph.basis, g_t)),
+        ]
+
+    def test_values_bound_the_dense_routes(self):
+        rng = np.random.default_rng(17)
+        full = set()
+        for op in contract_instances():
+            s, triple, _ = pipeline(op)
+            j = op.space.J
+            values = self.values(triple, j, op.graph)
+            for old, new in values:
+                assert old <= new + self.ROUNDOFF
+                assert new <= 1e-13
+            full.add(op.domain.is_full)
+            g_s = triple.symmetric_graph.basis
+            if g_s.shape[1] == 0:
+                # S* is the whole doubled space: nothing to plant
+                continue
+            # defects planted far above round-off: traces that do not vanish
+            # on graph(S) and a graph of T slightly outside the adjoint graph
+            k, n = triple.space_dim, op.space.dim
+            w = 1e-11 * (rng.standard_normal((2 * k, g_s.shape[1]))
+                         + 1j * rng.standard_normal((2 * k, g_s.shape[1]))) @ g_s.conj().T
+            planted = replace(triple, trace0=triple.trace0 + w[:k],
+                              trace1=triple.trace1 + w[k:])
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            moved = OperatorWithDomain(op.space, op.matrix + 1e-11 * z, op.domain)
+            for old, new in self.values(planted, j, moved.graph):
+                assert 1e-13 < new <= CHECK_GATE
+                assert old <= new + self.ROUNDOFF
+        assert full == {True, False}
+
+    def test_green_identity_on_graph_t_fires(self):
+        op = random_dissipative(6, np.random.default_rng(12))
+        _, triple, _ = pipeline(op)
+        doubled = replace(triple, trace1=2 * triple.trace1)
+        with pytest.raises(PipelineError, match="Green identity"):
+            restrict_triple(doubled, op)
+
+    def test_traces_nonzero_on_symmetric_graph_fire(self):
+        rng = np.random.default_rng(13)
+        op = random_dissipative(6, rng, defect=2)
+        _, triple, _ = pipeline(op)
+        g_s = triple.symmetric_graph.basis
+        w = 1e-6 * (rng.standard_normal((triple.space_dim, g_s.shape[1]))
+                    + 1j * rng.standard_normal((triple.space_dim, g_s.shape[1])))
+        trace0 = triple.trace0 + w @ g_s.conj().T
+        on_graph = np.vstack([trace0, triple.trace1]) @ triple.adjoint_graph.basis
+        with pytest.raises(PipelineError, match="do not vanish"):
+            boundary_module._trace_kernel_gap(on_graph, g_s.shape[1])
+
+    def test_traces_off_the_von_neumann_unitary_fire(self):
+        op = random_dissipative(6, np.random.default_rng(14), defect=2)
+        _, triple, _ = pipeline(op)
+        j = op.space.J
+        ph = triple.defect_plus.basis.conj().T
+        mh = 2 * triple.defect_minus.basis.conj().T
+        trace1 = 0.5j * np.hstack([ph - mh, -1j * ph @ j - 1j * mh @ j])
+        on_graph = np.vstack([triple.trace0, trace1]) @ triple.adjoint_graph.basis
+        with pytest.raises(PipelineError, match="von Neumann unitary"):
+            boundary_module._trace_kernel_gap(on_graph, triple.symmetric_graph.dim)
+
+    def test_graph_outside_another_adjoint_fires(self):
+        # T + J H is dissipative with the same form but another symmetric part
+        rng = np.random.default_rng(15)
+        op = random_dissipative(6, rng, defect=2)
+        h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        other = OperatorWithDomain(op.space,
+                                   op.matrix + op.space.J @ (h + h.conj().T))
+        _, triple, _ = pipeline(other)
+        with pytest.raises(PipelineError, match="not contained"):
+            restrict_triple(triple, op)
+
+    def test_no_matrix_two_norms(self, monkeypatch):
+        op = random_dissipative(24, np.random.default_rng(16), domain_dim=20)
+        sym = split(op).symmetric
+        # |T B|_2, the scale of the image's rank cut: cached on T and read by
+        # the real-spectrum check too
+        assert op.scale > 0
+        counts = count_svd_backed(monkeypatch)
+        restrict_triple(build_boundary_triple(sym), op)
+        KreinSpace(op.space.J)
+        assert counts["norm2"] == 0
+        assert not is_diagonal(op.space.J)
 
 
 class TestBoundaryMaps:

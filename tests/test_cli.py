@@ -184,6 +184,23 @@ class TestCriterion:
             f"eps_{i}.json" for i in range(4)
         ]
 
+    @pytest.mark.parametrize("key", ["J", "T", "domain"])
+    def test_bad_entry_in_batch_names_its_file(self, tmp_path, capsys, key):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        payload = {"dim": 2, "J": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                   "T": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+                   "domain": [[[1, 0], [0, 0]]]}
+        (batch / "a_good.json").write_text(json.dumps(payload), encoding="utf-8")
+        row = payload["domain"][0] if key == "domain" else payload[key][0]
+        row[0] = [1.0]
+        (batch / "b_bad.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["criterion", str(batch)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "b_bad.json" in err and "a_good.json" not in err
+        assert "complex entries must be [re, im] pairs" in err
+
     def test_empty_directory(self, tmp_path):
         batch = tmp_path / "empty"
         batch.mkdir()

@@ -13,6 +13,7 @@ from kreinpair import (
     gap_distance,
     orthonormal_span,
 )
+from kreinpair.instances import random_unitary
 from kreinpair.subspaces import is_diagonal, null_space
 
 from conftest import (
@@ -311,6 +312,15 @@ class TestEigenspace:
         assert gap_distance(s, oracle) < 1e-6
 
 
+def near_cut_dense_pass():
+    """A non-diagonal J that passes both dense cuts of ``KreinSpace`` within
+    a factor 1.25 but fails their Frobenius bounds: five eigenvalues
+    1 + 4e-10 i, each with |d - conj d| = |d^2 - 1| = 8e-10 against the cut
+    1e-9, summed to 1.8e-9 in the Frobenius norm, in a random frame."""
+    u = random_unitary(5, np.random.default_rng(3))
+    return u @ np.diag(np.full(5, 1.0 + 4e-10j)) @ u.conj().T
+
+
 class TestMetricMatrix:
     """The validation of J that ``KreinSpace`` makes: a canonical symmetry
     is a Hermitian involution."""
@@ -380,15 +390,34 @@ class TestMetricMatrix:
                     for d in self.NEAR_CUTS]
         assert verdicts == ["ok", "not Hermitian", "ok", "not an involution"]
 
-    @pytest.mark.parametrize("m", [
-        np.array([[0.0, 1.0], [1.0, 0.0]]),
-        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-    ])
-    def test_non_diagonal_metric_takes_the_dense_norms(self, monkeypatch, m):
+    @pytest.mark.parametrize("m, norms", [
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), 0),
+        (np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), 0),
+        (near_cut_dense_pass(), 3),
+    ], ids=["m0", "m1", "near_cut"])
+    def test_non_diagonal_metric_takes_the_dense_norms(self, monkeypatch, m,
+                                                       norms):
+        # a valid J passes by its Frobenius bounds; only one the bounds
+        # cannot accept takes the three dense 2-norms
         counts = count_svd_backed(monkeypatch)
         space = KreinSpace(m)
-        assert counts == {"svd": 0, "norm2": 3}
+        assert counts == {"svd": 0, "norm2": norms}
+        assert self.dense_verdict(m, 1e-10)[0] == "ok"
         assert space.scale == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("diagonal", NEAR_CUTS)
+    @pytest.mark.parametrize("negated", [True, False])
+    def test_frobenius_route_matches_dense_norms(self, diagonal, negated):
+        # the near-cut diagonals in a random frame, where J is not diagonal
+        u = random_unitary(3, np.random.default_rng(4))
+        m = u @ np.diag(np.asarray(diagonal, dtype=np.complex128)) @ u.conj().T
+        if negated:
+            m = -m
+        expected, scale = self.dense_verdict(m, 1e-10)
+        got, got_scale = self.verdict(m, 1e-10)
+        assert got == expected
+        if expected == "ok":
+            assert got_scale == pytest.approx(scale, rel=1e-14)
 
     @pytest.mark.parametrize("m,diagonal", [
         (np.eye(3), True),
