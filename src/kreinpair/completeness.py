@@ -22,7 +22,6 @@ from .boundary import TraceData, build_boundary_triple, restrict_triple
 from .decomposition import Splitting, split
 from .errors import ClassificationError, PipelineError
 from .krein import NEITHER, OperatorWithDomain
-from .subspaces import null_space
 from .tolerances import CRITERION_TOL, INJECTIVITY_CUT, negligible
 
 __all__ = [
@@ -123,14 +122,15 @@ def range_splitting(traces: TraceData) -> RangeSplitting:
     ``M = [[A, -R], [C, P]]`` is nonsingular.  The columns of M span the image
     and ``Omega image^perp`` (the boundary metric is ``i Omega``), so the
     margin ``sigma sqrt(2 - sigma^2)``, ``sigma = sigma_min(M)``, is the sine
-    of their smallest principal angle (Bjorck & Golub 1973).
+    of their smallest principal angle (Bjorck & Golub 1973).  ``[P; R]`` is
+    the trailing columns of the complete Householder QR of the image basis:
+    its columns are orthonormal, so its rank is their count, with no cut.
     """
     k = traces.boundary_dim
     if k == 0:
         return RangeSplitting(ok=True, margin=1.0)
     q = traces.image.basis
-    # complement of orthonormal columns: every singular value is 1, no cut
-    perp = null_space(q.conj().T)
+    perp = np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
     a, c = q[:k], q[k:]
     p, r = perp[:k], perp[k:]
     sigma = float(np.linalg.svd(np.block([[a, -r], [c, p]]), compute_uv=False)[-1])

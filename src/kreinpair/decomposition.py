@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ClassificationError, PipelineError
 from .krein import NEITHER, SYMMETRIC, OperatorWithDomain
-from .subspaces import Subspace, gap_distance, null_space, orthonormal_span
+from .subspaces import Subspace, gap_distance, null_space
 from .tolerances import CHECK_GATE, negligible
 
 if TYPE_CHECKING:
@@ -92,7 +92,9 @@ def dissipative_part(op: OperatorWithDomain,
                      sym: OperatorWithDomain) -> OperatorWithDomain:
     """Restriction of T to the graph-orthogonal complement of the symmetric
     domain; together with the symmetric part it sums componentwise to T."""
-    if gap_distance(sym.domain, op.form_kernel) > CHECK_GATE:
+    # split passes the form kernel itself, which needs no comparison
+    if (sym.domain is not op.form_kernel
+            and gap_distance(sym.domain, op.form_kernel) > CHECK_GATE):
         raise PipelineError("inconsistent symmetric part")
     domain = graph_orthocomplement_within(op, sym.domain)
     if domain.dim + sym.domain.dim != op.domain.dim:
@@ -124,24 +126,26 @@ def deficiency_space(triple: BoundaryTriple,
     violation upstream.
 
     With U from the SVD of ``(JT + iI) B`` and Qp the basis of N+, the
-    singular values of ``U - Qp Qp* U`` are the sines of the principal
-    angles between the range and N+ (Bjorck & Golub 1973), and its null
-    space gives the coefficients in U of the directions at sine zero, the
-    intersection.  Both bases are orthonormal, so the matrix has norm at
-    most 1 and its rank is cut at scale 1.
+    singular values of ``Qp - U U* Qp`` are the sines of the principal
+    angles between N+ and the range (Bjorck & Golub 1973), taken from the
+    N+ side: an n x dim N+ matrix, not n x d.  Its null space gives the
+    coefficients in Qp of the directions at sine zero, the intersection.
+    Both bases are orthonormal, so the matrix has norm at most 1 and its
+    rank is cut at scale 1; from either side the sines and the cut are the
+    same, and so is the intersection.
     """
     n_plus = triple.defect_plus
     b = op.domain.basis
-    shifted = op.space.J @ op.matrix @ b + 1j * b
+    shifted = op.space.J @ op._image + 1j * b
     u, s, vh = np.linalg.svd(shifted, full_matrices=False)
     if s.size and s[-1] < 0.5:
         raise PipelineError(
             f"JT + iI is nearly singular on the domain (sigma_min = {s[-1]:.3e})"
         )
     qp = n_plus.basis
-    sines = u - qp @ (qp.conj().T @ u)
+    sines = qp - u @ (u.conj().T @ qp)
     # orthonormal basis times orthonormal coefficients
-    meet = Subspace(op.space.dim, u @ null_space(sines, op.tol, scale=1.0))
+    meet = Subspace(op.space.dim, qp @ null_space(sines, op.tol, scale=1.0))
     return DeficiencyData(
         deficiency=n_plus,
         intersection=meet,
@@ -155,9 +159,14 @@ def defect_domain_via_resolvent(op: OperatorWithDomain,
     """Preimage of the deficiency intersection under ``JT + iI``.
 
     The intersection lies in the range of ``JT + iI`` on the domain, which
-    is injective there, so the preimage is the solve through its SVD.
+    is injective there, so the preimage is the solve through its SVD.  An
+    injective map keeps the dimension, so the basis is the reduced
+    Householder QR of the preimage, with no rank decision.
     """
     u, s, vh = defi.shifted_svd
     coeffs = vh.conj().T @ ((u.conj().T @ defi.intersection.basis) / s[:, None])
-    return orthonormal_span(op.lift(coeffs), op.tol)
+    q = np.linalg.qr(op.lift(coeffs))[0]
+    # no caller holds the factor, so it is frozen in place, not copied
+    q.flags.writeable = False
+    return Subspace(op.space.dim, q)
 

@@ -192,8 +192,14 @@ class OperatorWithDomain:
     @cached_property
     def graph(self) -> Subspace:
         """Orthonormal basis of the graph ``{(x, M x) : x in domain}`` in
-        C^2n, pairs stacked with x on top."""
-        return orthonormal_span(np.vstack([self.domain.basis, self._image]), self.tol)
+        C^2n, pairs stacked with x on top: the reduced Householder QR of
+        ``[B; T B]``.  No rank decision is needed: B has orthonormal
+        columns, so every singular value of ``[B; T B]`` is at least 1 and
+        its rank is the domain dimension, however large T is."""
+        q = np.linalg.qr(np.vstack([self.domain.basis, self._image]))[0]
+        # no caller holds the factor, so it is frozen in place, not copied
+        q.flags.writeable = False
+        return Subspace(2 * self.space.dim, q)
 
     @cached_property
     def dissipation_matrix(self) -> np.ndarray:
@@ -413,7 +419,7 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     gram = op.graph_gram
     w, v = np.linalg.eigh(gram)
     # graph gram is bounded below by the identity, so this is well posed
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     basis = op.lift(inv_sqrt)
     f = inv_sqrt @ op.dissipation_gram @ inv_sqrt
     f = 0.5 * (f + f.conj().T)
@@ -424,7 +430,7 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
         )
     # flush the form kernel to exact zeros so the square root shares it
     flushed = np.where(negligible(fw, op.tol, 1.0), 0.0, np.clip(fw, 0.0, None))
-    sqrt_f = fv @ np.diag(np.sqrt(flushed)) @ fv.conj().T
+    sqrt_f = (fv * np.sqrt(flushed)) @ fv.conj().T
     sqrt_f = 0.5 * (sqrt_f + sqrt_f.conj().T)
     return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f,
                             eigenvalues=fw, eigenvectors=fv)

@@ -1,12 +1,16 @@
 """Orthonormal bases and rank decisions over C^n.
 
-A subspace is its orthonormal basis (matrix columns).  Bases come from the
-SVD: a singular value is zero when it is negligible
-(:mod:`kreinpair.tolerances`) against the largest one or, for a matrix that
-may vanish up to round-off, against its natural scale supplied by the
-caller.  Each rank decision takes its tolerance from the caller, so a
-subspace carries none.  Inner products are conjugate-linear in the first
-argument.
+A subspace is its orthonormal basis (matrix columns).  Where the rank is
+not known in advance, bases come from the SVD: a singular value is zero
+when it is negligible (:mod:`kreinpair.tolerances`) against the largest one
+or, for a matrix that may vanish up to round-off, against its natural scale
+supplied by the caller.  Each rank decision takes its tolerance from the
+caller, so a subspace carries none.  Where the mathematics fixes the rank,
+the caller takes a Householder QR instead and makes no rank decision: a
+graph ``[B; T B]`` or a von Neumann matrix ``(JS +- i)B`` on an orthonormal
+B has every singular value at least 1, the complement of orthonormal
+columns has them all equal to 1, and an injective solve keeps the
+dimension.  Inner products are conjugate-linear in the first argument.
 
 All values are immutable after construction and all operations are pure,
 so instances can be shared freely between threads.

@@ -227,3 +227,48 @@ def count_factorizations(monkeypatch):
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return counts
+
+
+# The SVD routes that the Householder QRs replaced where the rank is fixed
+# by the mathematics, kept as the oracles of the differential tests.
+
+def svd_graph(op):
+    """Graph basis of ``op`` by a rank-cut SVD of ``[B; T B]``."""
+    return matrix_graph(op.matrix, op.domain.basis, op.tol)
+
+
+def svd_deficiency_spaces(sym):
+    """N+ and N- of JS as ``null_space(((JS +- i)B)^H)``."""
+    b = sym.domain.basis
+    jsb = sym.space.J @ sym.matrix @ b
+    return tuple(
+        Subspace(sym.space.dim, null_space((jsb + shift * b).conj().T, sym.tol))
+        for shift in (1j, -1j)
+    )
+
+
+def svd_intersection(defi, tol):
+    """N+ meet ran(JT + iI) from the range side: ``U null(U - Qp Qp* U)``."""
+    u = defi.shifted_svd[0]
+    qp = defi.deficiency.basis
+    coeffs = null_space(u - qp @ (qp.conj().T @ u), tol, scale=1.0)
+    return Subspace(u.shape[0], u @ coeffs)
+
+
+def svd_resolvent_domain(op, defi):
+    """Preimage of the deficiency intersection under ``JT + iI``, spanned by
+    a rank-cut SVD."""
+    u, s, vh = defi.shifted_svd
+    coeffs = vh.conj().T @ ((u.conj().T @ defi.intersection.basis) / s[:, None])
+    return orthonormal_span(op.lift(coeffs), op.tol)
+
+
+def reference_range_margin(traces):
+    """``range_splitting``'s margin with the complement of the trace image
+    taken as ``null_space(q*)``."""
+    k = traces.boundary_dim
+    q = traces.image.basis
+    perp = complement(traces.image).basis
+    m = np.block([[q[:k], -perp[k:]], [q[k:], perp[:k]]])
+    sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
+    return sigma * np.sqrt(2.0 - sigma * sigma)

@@ -1,0 +1,162 @@
+"""Bases whose rank the mathematics fixes come from a Householder QR.
+
+The graph ``[B; T B]`` and the von Neumann matrices ``(JS +- i)B`` have
+every singular value at least 1, the complement of the orthonormal trace
+image has them all equal to 1, and the resolvent preimage of the deficiency
+intersection is an injective solve.  Each QR basis is compared with the
+rank-cut SVD route it replaced, the operators of norm near 1e10 where that
+cut dropped true directions are regression cases, and the SVD-backed calls
+of one analysis are counted exactly.
+"""
+
+import numpy as np
+import pytest
+
+from kreinpair import (
+    KreinSpace,
+    OperatorWithDomain,
+    build_boundary_triple,
+    defect_domain_via_resolvent,
+    deficiency_space,
+    dissipative_part,
+    gap_distance,
+    restrict_triple,
+    split,
+)
+import kreinpair.decomposition as decomposition_module
+from kreinpair.analysis import analyze_operator
+from kreinpair.completeness import range_splitting
+from kreinpair.instances import random_dissipative
+from kreinpair.subspaces import Subspace
+
+from conftest import (
+    complement,
+    count_svd_backed,
+    reference_range_margin,
+    svd_deficiency_spaces,
+    svd_graph,
+    svd_intersection,
+    svd_resolvent_domain,
+)
+
+QR_GAP = 1e-12
+
+
+def differential_instances():
+    """``random_dissipative`` for n = 3 ... 23 with an indefinite J, every
+    other one on a random proper domain."""
+    rng = np.random.default_rng(12)
+    for n in range(3, 24):
+        domain_dim = int(rng.integers(1, n)) if n % 2 else None
+        yield random_dissipative(n, rng, domain_dim=domain_dim)
+
+
+class TestQrMatchesSvdRoute:
+    @pytest.fixture(scope="class")
+    def pieces(self):
+        out = []
+        for op in differential_instances():
+            s = split(op)
+            triple = build_boundary_triple(s.symmetric)
+            defi = deficiency_space(triple, op)
+            out.append((op, s, triple, defi))
+        return out
+
+    def test_instances_cover_both_domains_and_indefinite_metrics(self, pieces):
+        assert len(pieces) == 21
+        assert {op.domain.is_full for op, *_ in pieces} == {True, False}
+        for op, *_ in pieces:
+            signs = np.linalg.eigvalsh(op.space.J)
+            assert signs[0] < 0 < signs[-1]
+
+    def test_graph(self, pieces):
+        for op, s, *_ in pieces:
+            for part in (op, s.symmetric):
+                assert part.graph.dim == part.domain.dim
+                assert gap_distance(part.graph, svd_graph(part)) <= QR_GAP
+
+    def test_deficiency_spaces(self, pieces):
+        for op, s, triple, _ in pieces:
+            plus, minus = svd_deficiency_spaces(s.symmetric)
+            assert triple.defect_plus.dim == op.space.dim - s.symmetric.domain.dim
+            assert gap_distance(triple.defect_plus, plus) <= QR_GAP
+            assert gap_distance(triple.defect_minus, minus) <= QR_GAP
+
+    def test_deficiency_intersection(self, pieces):
+        dims = set()
+        for op, _, _, defi in pieces:
+            expected = svd_intersection(defi, op.tol)
+            assert gap_distance(defi.intersection, expected) <= QR_GAP
+            dims.add((defi.intersection.dim, defi.deficiency.dim))
+        # the intersection is a proper part of N+ on a restricted domain
+        # and all of it on the whole space
+        assert any(m < k for m, k in dims) and any(m == k for m, k in dims)
+
+    def test_resolvent_defect_domain(self, pieces):
+        for op, s, _, defi in pieces:
+            got = defect_domain_via_resolvent(op, defi)
+            assert got.dim == s.defect.domain.dim
+            assert gap_distance(got, svd_resolvent_domain(op, defi)) <= QR_GAP
+
+    def test_range_splitting_complement(self, pieces):
+        for op, _, triple, _ in pieces:
+            traces = restrict_triple(triple, op)
+            if traces.boundary_dim == 0:
+                continue
+            q = traces.image.basis
+            perp = np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
+            expected = complement(traces.image)
+            assert gap_distance(Subspace(q.shape[0], perp), expected) <= QR_GAP
+            margin = range_splitting(traces).margin
+            assert margin == pytest.approx(reference_range_margin(traces), abs=QR_GAP)
+
+
+# T far beyond 1e10 in norm: a rank cut at tol * sigma_max of [B; T B]
+# dropped true graph directions here and broke both cross-checks
+LARGE_NORM = [
+    ([1e11, 1, -1], 0),
+    ([1e11, 1, 1e3j], 1),
+    ([3e10, 2, 1e2j, 5], 1),
+]
+
+
+@pytest.mark.parametrize("diagonal, deficiency_dim", LARGE_NORM)
+def test_large_operator_norm_keeps_every_direction(diagonal, deficiency_dim):
+    op = OperatorWithDomain(KreinSpace(np.eye(len(diagonal))), np.diag(diagonal))
+    report = analyze_operator(op)
+    assert all(report["checks"].values()), report["checks"]
+    assert op.graph.dim == op.domain.dim
+    assert report["dims"]["deficiency_space"] == deficiency_dim
+
+
+def test_analysis_makes_six_svds_and_nine_two_norms(monkeypatch):
+    op = random_dissipative(64, np.random.default_rng(1))
+    counts = count_svd_backed(monkeypatch)
+    report = analyze_operator(op)
+    assert all(report["checks"].values())
+    assert counts == {"svd": 6, "norm2": 9}
+
+
+class TestSplitSkipsSelfGap:
+    @pytest.fixture
+    def gap_calls(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return gap_distance(a, b)
+
+        monkeypatch.setattr(decomposition_module, "gap_distance", counted)
+        return calls
+
+    def test_split_compares_no_subspace_with_itself(self, gap_calls):
+        op = random_dissipative(12, np.random.default_rng(5), defect=4)
+        split(op)
+        assert gap_calls == []
+
+    def test_external_symmetric_part_is_still_checked(self, gap_calls):
+        op = random_dissipative(12, np.random.default_rng(5), defect=4)
+        kernel = op.form_kernel
+        copy = op.restricted(Subspace(op.space.dim, kernel.basis.copy()))
+        dissipative_part(op, copy)
+        assert len(gap_calls) == 1
