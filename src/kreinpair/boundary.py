@@ -41,7 +41,11 @@ the d x d domain compression gives every candidate at O(d^3), and one
 batched residual decides the isolated ones; an SVD runs only for a cluster
 of eigenvalues closer than ``LOOSE_GATE``, where the eigenvectors of a
 non-normal matrix are ill-conditioned (Golub & Van Loan, *Matrix
-Computations*, section 7.2).  The whole check is O(n^3).
+Computations*, section 7.2).  The whole check is O(n^3).  The two ``eig``
+calls, of T's compression and of S's, need nothing but the operator, so
+they may be computed ahead, elsewhere, and handed over: ``eig=`` of
+:func:`restricted_eigenpairs` and ``eigs=`` of :func:`real_spectrum_report`
+take their ``(values, vectors)``, and the rest of the check is unchanged.
 """
 
 from __future__ import annotations
@@ -428,7 +432,7 @@ def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain,
     return float(np.max(np.abs(lhs - rhs) / (norm_x * norm_y)))
 
 
-def restricted_eigenpairs(op: OperatorWithDomain):
+def restricted_eigenpairs(op: OperatorWithDomain, eig=None):
     """Eigenvalues of T as an operator on its domain, with eigenspaces.
 
     A pair (lam, x) qualifies when x lies in the domain and M x = lam x.
@@ -446,13 +450,18 @@ def restricted_eigenpairs(op: OperatorWithDomain):
     Cost for a d-dimensional domain in C^n: one ``eig`` at O(d^3), the
     batched residual at O(n d^2), and one SVD of an n x d matrix per
     cluster (more only where the cluster holds distinct eigenvalues).
+
+    ``eig``, when given, is the ``(values, vectors)`` that
+    ``np.linalg.eig(op.coords(op._image))`` returned for this operator,
+    computed elsewhere (:func:`kreinpair.analysis.analyze_operator` runs it
+    on a worker thread); everything after that call is the same.
     """
     d = op.domain.dim
     if d == 0:
         return []
     mb = op._image
     # eig returns unit eigenvectors, so B v_k is a unit vector too
-    values, vecs = np.linalg.eig(op.coords(mb))
+    values, vecs = np.linalg.eig(op.coords(mb)) if eig is None else eig
     bv = op.lift(vecs)
     # frozen once, so that each eigenspace shares its column without a copy
     bv.flags.writeable = False
@@ -528,7 +537,8 @@ class RealSpectrumReport:
 
 
 def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
-                         pair: BoundaryPair) -> RealSpectrumReport:
+                         pair: BoundaryPair,
+                         eigs: tuple | None = None) -> RealSpectrumReport:
     """Check that real eigenvalues of T are exactly those of its symmetric
     part, with matching eigenspaces, and that the boundary-pair identity
     2 Im(lam) [x, x] = |G x|_E^2 holds on every eigenpair.
@@ -536,10 +546,14 @@ def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
     An eigenvalue is real when ``2 Im(lam)``, the dissipation form on a unit
     eigenvector for J = I, is zero by the rank decision of the form kernel;
     values and residuals are compared at the scale ``op.scale`` of T.
+
+    ``eigs``, when given, is the pair ``(eig_op, eig_sym)`` handed to
+    :func:`restricted_eigenpairs` for T and for S; either may be None.
     """
     notes: list[str] = []
-    pairs_op = restricted_eigenpairs(op)
-    pairs_sym = restricted_eigenpairs(sym)
+    eig_op, eig_sym = (None, None) if eigs is None else eigs
+    pairs_op = restricted_eigenpairs(op, eig=eig_op)
+    pairs_sym = restricted_eigenpairs(sym, eig=eig_sym)
     scale = op.scale
     real_op, real_sym = (
         [(l, s) for l, s in pairs if negligible(2 * l.imag, op.tol, op.form_scale)]

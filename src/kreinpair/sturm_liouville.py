@@ -33,7 +33,7 @@ from .decomposition import Splitting, split
 from .errors import DimensionMismatch, PipelineError
 from .krein import KreinSpace, OperatorWithDomain
 from .subspaces import Subspace, gap_distance
-from .tolerances import CHECK_GATE, EXACT_BOUND, RESONANCE_CUT
+from .tolerances import CHECK_GATE, DEFAULT_TOL, EXACT_BOUND, RESONANCE_CUT
 
 __all__ = [
     "GridSpec",
@@ -272,8 +272,9 @@ def omega_block(op: OperatorWithDomain, mask) -> np.ndarray:
 def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
                  levels: int) -> list[tuple[GridSpec, PotentialSpec]]:
     """Grid and potential of every doubling level, each validated (grid,
-    nonempty mask, Robin resonance, no overflow in the graph Gram) before
-    any level does dense work.
+    nonempty mask, Robin resonance, no overflow in the graph Gram, a
+    dissipation form the rank decision can see) before any level does dense
+    work.
 
     The largest absolute row sum r of the stencil, |q| included, bounds
     every entry of T* T, and every partial sum of one, by r^2 (T's real
@@ -281,6 +282,14 @@ def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
     O(1) per level from 1/step^2, the Robin factor and ``imq``.  The graph
     Gram ``I + T* T`` is summed with its adjoint, so twice that bound must
     be a finite float.
+
+    The pipeline judges the form 2 diag(Im q) zero, and so finds no defect
+    part, exactly when ``imq <= DEFAULT_TOL * |T|_2``.  On the alternating
+    vector ``(-1)^k``, every row of the stencil but the Robin row 0 has
+    modulus 4/step^2, interface and Dirichlet rows included, and the
+    potential is purely imaginary, so ``|T|_2 >= L = (4/step^2)
+    sqrt((n - 1)/n)``.  A level with ``imq <= DEFAULT_TOL * L`` is
+    rejected; no level the pipeline passes is.
 
     Raises :class:`DimensionMismatch` for input no level may take.
     """
@@ -297,6 +306,14 @@ def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
         if not math.isfinite(2.0 * row_sum * row_sum):
             raise DimensionMismatch(
                 f"grid step {grid.step!r}: the graph Gram of the stencil overflows"
+            )
+        n = grid.n_points
+        norm_below = 4.0 / (grid.step * grid.step) * math.sqrt((n - 1) / n)
+        if imq <= DEFAULT_TOL * norm_below:
+            raise DimensionMismatch(
+                f"level {level}, grid step {grid.step!r}: Im q = {imq!r} is at "
+                f"most the rank tolerance times |T|_2 >= {norm_below:.6g}, so "
+                "the dissipation form would be judged zero"
             )
         specs.append((grid, pot))
     return specs

@@ -249,6 +249,19 @@ class TestStudyCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_form_below_the_rank_cut_rejected(self, tmp_path, capsys):
+        """At x_max = 5e-4 the finest of three levels has |T|_2 > 1.6e10, so
+        Im q = 1 is below the rank tolerance and the form would be judged
+        zero; at 1e-3 every level keeps it."""
+        out = tmp_path / "study.csv"
+        argv = ["sl-study", "--n", "8", "--levels", "3", "-o", str(out)]
+        assert main([*argv, "--xmax", "5e-4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: level 2") and "judged zero" in err
+        assert not out.exists()
+        assert main([*argv, "--xmax", "1e-3"]) == 0
+        assert out.exists()
+
     def test_bad_interval_rejected(self, tmp_path):
         out = tmp_path / "study.csv"
         assert main(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,30 @@ class TestStudy:
         with pytest.raises(DimensionMismatch, match="overflows"):
             convergence_study(x_max, 8, [(0.0, 0.5)], 1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("intervals,imq,h", [
+        ([(0.0, 0.5)], 1.0, 1.0), ([(0.25, 0.5), (0.7, 0.8)], 3.0, -3.0),
+        ([(0.5, 1.0)], 0.2, 30.0),
+    ])
+    def test_unseen_form_rejected_only_where_the_split_fails(self, intervals,
+                                                             imq, h):
+        """A level rejected for a form below the rank cut does fail when
+        discretized and split, over a log sweep of x_max across the cut."""
+        rejected = 0
+        for x_max in np.logspace(-5, -2.5, 16):
+            try:
+                study_levels(x_max, 8, intervals, imq, h, 3)
+            except DimensionMismatch as exc:
+                assert "judged zero" in str(exc)
+                level = int(re.match(r"level (\d+)", str(exc)).group(1))
+                grid = GridSpec(x_max=x_max, n_points=8 * 2**level)
+                pot = PotentialSpec.from_intervals(grid, intervals, imq, h)
+                op = discretize(grid, pot)
+                assert op.classify() == "symmetric"
+                with pytest.raises(PipelineError, match="disagrees"):
+                    mask_splitting(op, pot.omega_mask)
+                rejected += 1
+        assert 0 < rejected < 16
+
     @pytest.mark.parametrize("intervals,h", [
         ([(0.0, 0.5)], 1.0), ([(0.0, 0.5)], -0.7), ([(0.5, 1.0)], 30.0),
         ([(0.25, 0.5), (0.7, 0.8)], -3.0), ([(0.0, 1.0)], 1e3),
@@ -294,22 +320,16 @@ class TestStudy:
             rows = np.abs(discretize(grid, pot).matrix).sum(axis=1)
             assert np.max(rows) <= bound * (1 + 1e-15)
 
-    def test_svd_budget(self, monkeypatch):
-        counts = count_svd_backed(monkeypatch)
-        convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
-        # per level: the symmetric part's |T B|_2, three gap distances, the
-        # graph-orthocomplement null space and the Cayley norm
-        assert counts["svd"] + counts["norm2"] <= 6 * 3
-
     def test_factorization_budget(self, monkeypatch):
         svds = count_svd_backed(monkeypatch)
         factorizations = count_factorizations(monkeypatch)
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
-        # per level: the two gap distances of the mask cross-check and the
-        # Cayley norm; split compares no subspace with itself, the diagonal
-        # dissipation forms need no eigh, the zero form of the symmetric
-        # part no |T B|_2, the graph orthocomplement one QR and no SVD
-        assert svds["svd"] + svds["norm2"] <= 3 * 3
+        # per level: the two gap distances of the mask cross-check (2-norms)
+        # and the Cayley norm (an SVD); split compares no subspace with
+        # itself, the diagonal dissipation forms need no eigh, the zero form
+        # of the symmetric part no |T B|_2, the graph orthocomplement one QR
+        # and no SVD
+        assert svds == {"svd": 3, "norm2": 2 * 3}
         assert factorizations["eigh"] == 0
         assert factorizations["eigvalsh"] <= 3
         assert factorizations["qr"] <= 3
