@@ -320,16 +320,20 @@ class TestStudy:
             rows = np.abs(discretize(grid, pot).matrix).sum(axis=1)
             assert np.max(rows) <= bound * (1 + 1e-15)
 
-    def test_factorization_budget(self, monkeypatch):
+    def test_svd_budget(self, monkeypatch):
         svds = count_svd_backed(monkeypatch)
-        factorizations = count_factorizations(monkeypatch)
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
         # per level: the two gap distances of the mask cross-check (2-norms)
         # and the Cayley norm (an SVD); split compares no subspace with
-        # itself, the diagonal dissipation forms need no eigh, the zero form
-        # of the symmetric part no |T B|_2, the graph orthocomplement one QR
-        # and no SVD
+        # itself, the zero form of the symmetric part needs no |T B|_2 and
+        # the graph orthocomplement is one QR, no SVD
         assert svds == {"svd": 3, "norm2": 2 * 3}
+
+    def test_factorization_budget(self, monkeypatch):
+        factorizations = count_factorizations(monkeypatch)
+        convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
+        # per level: the diagonal dissipation forms need no eigh, the graph
+        # orthocomplement one QR
         assert factorizations["eigh"] == 0
         assert factorizations["eigvalsh"] <= 3
         assert factorizations["qr"] <= 3
