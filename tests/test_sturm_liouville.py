@@ -1,12 +1,20 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from kreinpair import gap_distance, split
+from kreinpair import OperatorWithDomain, Subspace, gap_distance, split
+from kreinpair import decomposition, subspaces
 from kreinpair.analysis import analyze_operator
 from kreinpair import sturm_liouville
-from kreinpair.errors import DimensionMismatch, PipelineError
+from kreinpair.errors import (
+    ClassificationError,
+    DimensionMismatch,
+    KreinPairError,
+    PipelineError,
+)
+from kreinpair.instances import random_unitary
 from kreinpair.sturm_liouville import (
     GridSpec,
     PotentialSpec,
@@ -21,7 +29,13 @@ from kreinpair.sturm_liouville import (
     write_study_csv,
 )
 
-from conftest import count_factorizations, count_svd_backed, e, span
+from conftest import (
+    count_factorizations,
+    count_svd_backed,
+    dense_mask_splitting,
+    e,
+    span,
+)
 
 
 def left_half(grid, imq=1.0, h=1.0):
@@ -175,6 +189,136 @@ class TestMaskSplitting:
         with pytest.raises(PipelineError):
             mask_splitting(op, wrong)
 
+    # (16, 1) used to be flattened without a word
+    @pytest.mark.parametrize("shape", [(16, 1), (1, 16), (15,), (17,), ()])
+    def test_mask_must_be_a_vector_of_length_n(self, shape):
+        grid = GridSpec(x_max=10.0, n_points=16)
+        op = discretize(grid, left_half(grid))
+        mask = np.ones(shape, bool)
+        with pytest.raises(DimensionMismatch, match="vector of length 16"):
+            mask_splitting(op, mask)
+        with pytest.raises(DimensionMismatch, match="vector of length 16"):
+            omega_block(op, mask)
+
+
+def _outcome(route, op, mask):
+    """The splitting a route returns, or the type of the error it raises."""
+    try:
+        return route(op, mask)
+    except KreinPairError as exc:
+        return type(exc)
+
+
+def _generic_roundoff(op, mask):
+    """``n eps`` times the condition number of ``G K``, for G the graph Gram
+    ``I + T* T`` on the whole space and K the off-mask coordinate columns:
+    the scale of the round-off that the generic route, which takes the
+    defect domain as the complement of the range of ``G K``, leaves in it."""
+    n = op.space.dim
+    t = op.matrix
+    gk = (np.eye(n) + t.conj().T @ t)[:, ~mask]
+    eps = np.finfo(float).eps
+    if gk.shape[1] == 0:
+        return n * eps
+    s = np.linalg.svd(gk, compute_uv=False)
+    return n * eps * s[0] / s[-1]
+
+
+def _recoupled(op, grid, mask):
+    """The operator with its first mask interface coupled again: the
+    interior stencil across it, without the two Dirichlet edges."""
+    k = int(np.flatnonzero(mask[:-1] != mask[1:])[0])
+    inv2 = 1.0 / grid.step**2
+    m = op.matrix.copy()
+    m[k, k + 1] = m[k + 1, k] = -inv2
+    m[k, k] -= inv2
+    m[k + 1, k + 1] -= inv2
+    return OperatorWithDomain(op.space, m)
+
+
+def _masked_coupling(op, mask):
+    """The operator with ``0.5i`` added on both sides of the diagonal at two
+    neighbouring masked coordinates: dissipation 1 between them, still
+    definite on the mask (eigenvalues 2 Im q +- 1) and zero off it."""
+    a = int(np.flatnonzero(mask[:-1] & mask[1:])[0])
+    m = op.matrix.copy()
+    m[a, a + 1] += 0.5j
+    m[a + 1, a] += 0.5j
+    return OperatorWithDomain(op.space, m)
+
+
+STUDY_FORMS = [([(0.0, 0.5)], 1.0, 1.0), ([(0.25, 0.5), (0.7, 0.8)], 3.0, -3.0),
+               ([(0.5, 1.0)], 0.2, 30.0)]
+
+
+def _equivalence_cases(n):
+    """(label, operator, mask) on an n-point grid: the levels ``study_levels``
+    builds, over an x_max sweep across the cut below which the form is
+    judged zero, and operators that break one structural fact each."""
+    for intervals, imq, h in STUDY_FORMS:
+        for x_max in np.logspace(-5, 1.5, 14):
+            grid = GridSpec(x_max=x_max, n_points=n)
+            pot = PotentialSpec.from_intervals(grid, intervals, imq, h)
+            yield f"study {intervals} x_max={x_max:.3g}", discretize(grid, pot), \
+                pot.omega_mask
+    grid = GridSpec(x_max=10.0, n_points=n)
+    pot = left_half(grid)
+    op, mask = discretize(grid, pot), pot.omega_mask
+    yield "left half", op, mask
+    yield "rolled mask", op, np.roll(mask, 3)
+    yield "complementary mask", op, ~mask
+    yield "re-coupled interface", _recoupled(op, grid, mask), mask
+    yield "dissipation inside the mask", _masked_coupling(op, mask), mask
+    yield "non-dissipative", OperatorWithDomain(op.space, op.matrix.conj()), mask
+    yield "symmetric", OperatorWithDomain(op.space, op.matrix.real), mask
+    yield "restricted domain", op.restricted(Subspace(n, np.eye(n)[:, 1:])), mask
+    rotated = Subspace(n, random_unitary(n, np.random.default_rng(n)))
+    yield "whole space, rotated basis", op.restricted(rotated), mask
+
+
+class TestStructuralAgainstDense:
+    """The structural ``mask_splitting`` against the dense generic route it
+    replaced (``dense_mask_splitting``): the same verdict and error type."""
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_same_verdict_as_the_dense_route(self, n):
+        verdicts = []
+        for label, op, mask in _equivalence_cases(n):
+            dense = _outcome(dense_mask_splitting, op, mask)
+            structural = _outcome(mask_splitting, op, mask)
+            if isinstance(dense, type) or isinstance(structural, type):
+                assert dense is structural, label
+                verdicts.append(dense)
+                continue
+            gap = gap_distance(dense.defect.domain, structural.defect.domain)
+            assert gap <= _generic_roundoff(op, mask), (label, gap)
+            verdicts.append("accepted")
+        # the sweep sees every verdict
+        assert {"accepted", PipelineError, ClassificationError} <= set(verdicts)
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_failed_fact_is_named(self, n):
+        # the fact each broken operator fails first; None where none fails
+        facts = {
+            "left half": None,
+            "dissipation inside the mask": None,
+            "whole space, rotated basis": None,
+            "rolled mask": "couples masked and off-mask",
+            "complementary mask": "does not vanish off the mask",
+            "re-coupled interface": "couples masked and off-mask",
+            "symmetric": "not definite on the mask",
+            "restricted domain": "not the whole space",
+        }
+        for label, op, mask in _equivalence_cases(n):
+            if label == "non-dissipative":
+                with pytest.raises(ClassificationError):
+                    mask_splitting(op, mask)
+            elif label in facts and facts[label] is None:
+                mask_splitting(op, mask)
+            elif label in facts:
+                with pytest.raises(PipelineError, match=f"disagrees.*{facts[label]}"):
+                    mask_splitting(op, mask)
+
 
 class TestQuadrature:
     def test_vector_off_mask_has_zero_form(self):
@@ -323,20 +467,30 @@ class TestStudy:
     def test_svd_budget(self, monkeypatch):
         svds = count_svd_backed(monkeypatch)
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
-        # per level: the two gap distances of the mask cross-check (2-norms)
-        # and the Cayley norm (an SVD); split compares no subspace with
-        # itself, the zero form of the symmetric part needs no |T B|_2 and
-        # the graph orthocomplement is one QR, no SVD
-        assert svds == {"svd": 3, "norm2": 2 * 3}
+        # per level the Cayley norm (an SVD) and nothing else: the mask
+        # splitting compares no subspaces and its form scale comes from the
+        # Frobenius bound, no |T|_2
+        assert svds == {"svd": 3, "norm2": 0}
 
     def test_factorization_budget(self, monkeypatch):
         factorizations = count_factorizations(monkeypatch)
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
-        # per level: the diagonal dissipation forms need no eigh, the graph
-        # orthocomplement one QR
-        assert factorizations["eigh"] == 0
-        assert factorizations["eigvalsh"] <= 3
-        assert factorizations["qr"] <= 3
+        # the dissipation form and its masked block are diagonal, and the
+        # mask splitting builds no graph orthocomplement
+        assert factorizations == {"eigh": 0, "eigvalsh": 0, "qr": 0}
+
+    def test_no_generic_split(self, monkeypatch):
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"convergence_study called {name}")
+            return call
+
+        for fn in (decomposition.split, subspaces.gap_distance):
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("kreinpair")
+                        and getattr(module, fn.__name__, None) is fn):
+                    monkeypatch.setattr(module, fn.__name__, forbidden(fn.__name__))
+        convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
 
     def test_csv_format(self, tmp_path):
         rows = convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
