@@ -7,8 +7,8 @@ cross-check residuals into one dictionary with JSON-safe values only.
 
 The two ``eig`` calls of the real-spectrum check, of T's and of S's domain
 compression, are the largest single stage, yet T's needs only T and S's
-only the splitting.  :func:`analyze_operator` therefore runs them on one
-background worker thread, T's from right after the classification and
+only the splitting.  :func:`analyze_operator` therefore runs them on a
+worker thread of its own, T's from right after the classification and
 S's from right after :func:`build_pipeline`, and reads them last, so that
 they overlap the rest of the analysis.
 
@@ -31,17 +31,17 @@ they overlap the rest of the analysis.
   9.1; n = 32 17.7 then 17.6; n = 64 56.1 then 49.3; n = 128 229 then 168.
   Below n = 32 the hand-over costs more than the overlap saves, at n = 32
   it is even, so 64 is the smallest size that gains.
-* **No work outlives the call**: on the way out every future is cancelled
-  if the worker has not started it, else awaited.  The process has one
-  worker, created on first use and forgotten in a forked child, whose copy
-  of it has no thread.
+* **No work outlives the call**: the worker belongs to the call.  It is
+  started only when T's compression passes the gate, and on the way out
+  ``shutdown(cancel_futures=True)`` cancels an eig the worker has not begun
+  and awaits one it has, then joins the thread.  No thread, lock or executor
+  is shared between calls.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,53 +82,27 @@ __all__ = ["PipelineResult", "build_pipeline", "analyze_operator"]
 # as the module docstring says
 _OFFLOAD_MIN_DIM = 64
 
-_executor: ThreadPoolExecutor | None = None
-_executor_lock = threading.Lock()
-
-
-def _reset_executor() -> None:
-    """Forget the worker in a forked child: its thread did not survive the
-    fork, but the executor would still count it and never start another, so
-    a submit would wait forever.  The lock may have been held at the fork."""
-    global _executor, _executor_lock
-    _executor = None
-    _executor_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_executor)
-
-
-def _worker() -> ThreadPoolExecutor:
-    """The one worker thread of the process, created on first use."""
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(max_workers=1,
-                                           thread_name_prefix="kreinpair-eig")
-        return _executor
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _submit_eig(op: OperatorWithDomain) -> Future | None:
+def _submit_eig(pool: ThreadPoolExecutor | None,
+                op: OperatorWithDomain) -> Future | None:
     """Start ``np.linalg.eig`` of the domain compression of ``op`` on the
-    worker; None when the compression is too small to gain or the process
-    may use a single CPU.
+    worker ``pool`` of the call; None without a pool or when the
+    compression is too small to gain.
 
     The compression is formed here, on the calling thread, and frozen: the
     worker reads one array and runs one LAPACK call, touching no cached
     property of ``op``."""
-    if op.domain.dim < _OFFLOAD_MIN_DIM or _usable_cpus() < 2:
+    if pool is None or op.domain.dim < _OFFLOAD_MIN_DIM:
         return None
     compression = op.coords(op._image)
     compression.flags.writeable = False
     # np.linalg.eig is looked up now, so a patched or traced eig is the one run
-    return _worker().submit(np.linalg.eig, compression)
+    return pool.submit(np.linalg.eig, compression)
 
 
 @dataclass(frozen=True)
@@ -221,8 +195,8 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
     """Full report for one operator; deterministic for a fixed seed.
 
     The real-spectrum check comes last, so that its two ``eig`` calls,
-    started on the worker as soon as their inputs exist, overlap the rest
-    (see the module docstring).  The first exception propagates unchanged.
+    started on the call's worker as soon as their inputs exist, overlap the
+    rest (see the module docstring).  The first exception propagates unchanged.
     """
     classification = op.classify()
     if classification == NEITHER:
@@ -232,12 +206,15 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
             "seed": seed,
             "checks": {"dissipative": False},
         }
-    eig_op = eig_sym = None
+    # S's domain lies in T's, so without a worker for T there is none for S
+    pool = None
+    if op.domain.dim >= _OFFLOAD_MIN_DIM and _usable_cpus() >= 2:
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kreinpair-eig")
     try:
-        eig_op = _submit_eig(op)
+        eig_op = _submit_eig(pool, op)
         result = build_pipeline(op)
         sym = result.splitting.symmetric
-        eig_sym = _submit_eig(sym)
+        eig_sym = _submit_eig(pool, sym)
         rng = np.random.default_rng(seed)
         green_pair = pair_green_residual(result.pair_projection, op, rng=rng)
         green_triple = result.triple.green_residual
@@ -251,9 +228,8 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         eigs = tuple(None if f is None else f.result() for f in (eig_op, eig_sym))
         spectrum = real_spectrum_report(op, sym, result.pair_projection, eigs=eigs)
     finally:
-        # wait() counts a cancelled future as done only once the worker has
-        # dequeued it, so only the futures cancel() could not stop are awaited
-        wait([f for f in (eig_op, eig_sym) if f is not None and not f.cancel()])
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     checks = {
         "dissipative": True,
         "green_identity_pair": green_pair <= CHECK_GATE,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -248,29 +247,15 @@ def _parse_intervals(text: str) -> list:
             a, b = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise SpecError(f"bad interval '{chunk}'") from exc
-        if not (0.0 <= a < b <= 1.0):
-            raise SpecError(f"interval '{chunk}' must satisfy 0 <= a < b <= 1")
         intervals.append((a, b))
     return intervals
 
 
 def _cmd_sl_study(args) -> int:
     try:
-        for flag, value in {"--xmax": args.xmax, "--imq": args.imq,
-                            "--h": args.h}.items():
-            if not math.isfinite(value):
-                raise SpecError(f"{flag} must be finite")
-        if args.imq <= 0:
-            raise SpecError("--imq must be strictly positive")
-        if args.n < 8:
-            raise SpecError("--n must be at least 8")
-        if args.levels < 3:
-            raise SpecError("--levels must be at least 3")
-        if args.xmax <= 0:
-            raise SpecError("--xmax must be positive")
         _check_seed(args.seed)
         intervals = _parse_intervals(args.omega)
-        # grid, mask and Robin resonance of every level, before dense work
+        # study_levels validates every flag on every level before dense work
         study_levels(args.xmax, args.n, intervals, args.imq, args.h, args.levels)
     except (SpecError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

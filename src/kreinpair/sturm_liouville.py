@@ -134,8 +134,9 @@ class PotentialSpec:
     def from_intervals(cls, grid: GridSpec, intervals, imq: float,
                        h: float) -> "PotentialSpec":
         """Mask from fractional intervals of [0, x_max], potential i * imq."""
-        if imq <= 0:
-            raise DimensionMismatch("Im q must be strictly positive on the mask")
+        if not (imq > 0 and math.isfinite(imq)):
+            raise DimensionMismatch(
+                "Im q must be strictly positive and finite on the mask")
         centers = grid.cell_centers()
         mask = np.zeros(grid.n_points, dtype=bool)
         for a, b in intervals:
@@ -195,14 +196,6 @@ def discretize(grid: GridSpec, pot: PotentialSpec) -> OperatorWithDomain:
     if op.classify() not in ("dissipative", "symmetric"):
         raise PipelineError("discretized operator failed the dissipativity check")
     return op
-
-
-def _masked_span(mask: np.ndarray, keep: bool) -> Subspace:
-    n = mask.shape[0]
-    cols = np.flatnonzero(mask == keep)
-    basis = np.zeros((n, cols.size), dtype=np.complex128)
-    basis[cols, np.arange(cols.size)] = 1.0
-    return Subspace(n, basis)
 
 
 def _validated_mask(op: OperatorWithDomain, mask) -> np.ndarray:
@@ -279,8 +272,8 @@ def mask_splitting(op: OperatorWithDomain, mask) -> Splitting:
             f"masked splitting disagrees with the graph-orthogonal one: {fault}"
         )
     return Splitting(
-        symmetric=op.restricted(_masked_span(mask, False)),
-        defect=op.restricted(_masked_span(mask, True)),
+        symmetric=op.restricted(Subspace.full(mask.size, off)),
+        defect=op.restricted(Subspace.full(mask.size, on)),
         defect_gram=block,
     )
 
@@ -315,6 +308,8 @@ def cayley_norm(matrix) -> float:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch("Cayley transform needs a square matrix")
+    if matrix.size == 0:
+        raise DimensionMismatch("Cayley transform needs a nonempty matrix")
     eye = np.eye(matrix.shape[0])
     try:
         transform = np.linalg.solve((matrix + 1j * eye).conj().T,

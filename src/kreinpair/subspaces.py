@@ -135,13 +135,21 @@ class Subspace:
         return cls(ambient_dim)
 
     @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        """C^n with the identity as its basis, which is orthonormal exactly:
-        the O(n^3) check of the constructor is skipped."""
-        full = cls.zero(ambient_dim)
-        full.basis = np.eye(full.ambient_dim, dtype=np.complex128)
-        full.basis.flags.writeable = False
-        return full
+    def full(cls, ambient_dim: int, columns=None) -> "Subspace":
+        """The span of the identity columns ``columns`` (distinct indices),
+        of all of them by default, with those columns as its basis.  They
+        are orthonormal exactly, so the O(n k^2) check of the constructor is
+        skipped."""
+        span = cls.zero(ambient_dim)
+        n = span.ambient_dim
+        if columns is None:
+            basis = np.eye(n, dtype=np.complex128)
+        else:
+            basis = np.zeros((n, len(columns)), dtype=np.complex128)
+            basis[columns, np.arange(len(columns))] = 1.0
+        basis.flags.writeable = False
+        span.basis = basis
+        return span
 
     @property
     def dim(self) -> int:

@@ -1,10 +1,11 @@
-"""The real-spectrum ``eig`` calls on the background worker of ``analysis``.
+"""The real-spectrum ``eig`` calls on the worker of ``analyze_operator``.
 
 ``analyze_operator`` hands the LAPACK call of T's and of S's compression to
-one worker thread when the compression is large enough.  The reports must be
-the same as with the hand-over switched off, errors must surface unchanged
-with no work left behind, small operators must never start the worker, and
-the worker must survive concurrent callers and a fork.
+a worker thread of its own when the compression is large enough.  The
+reports must be the same as with the hand-over switched off, errors must
+surface unchanged with no work and no thread left behind, small operators
+must never start a worker, and concurrent callers and a forked child must
+get the sequential reports.
 """
 
 import multiprocessing
@@ -89,6 +90,34 @@ def test_reports_equal_with_and_without_worker(make, monkeypatch, two_cpus,
     assert not any(name.startswith(WORKER) for name in eig_threads)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Every worker pool ``analyze_operator`` creates."""
+    created = []
+    pool = analysis.ThreadPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        created.append(pool(*args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", counted_pool)
+    return created
+
+
+def _fails_while_held(release):
+    """Run ``analyze_operator`` on an operator whose two eigs are both
+    handed over, with a planted failure; the held eig still runs when the
+    call fails and must be awaited, so it is released after a while."""
+    timer = threading.Timer(0.2, release.set)
+    timer.start()
+    try:
+        with pytest.raises(PipelineError, match="planted"):
+            analyze_operator(_full(np.random.default_rng(1)))
+    finally:
+        release.set()
+        timer.join(5)
+
+
 class TestErrors:
     @pytest.fixture
     def futures(self, monkeypatch):
@@ -96,16 +125,18 @@ class TestErrors:
         seen = []
         submit = analysis._submit_eig
 
-        def recorded(op):
-            future = submit(op)
+        def recorded(pool, op):
+            future = submit(pool, op)
             seen.append(future)
             return future
 
         monkeypatch.setattr(analysis, "_submit_eig", recorded)
         return seen
 
-    def test_error_after_submit_waits_for_the_running_eig(
-            self, monkeypatch, two_cpus, futures):
+    @pytest.fixture
+    def held_eig(self, monkeypatch):
+        """``np.linalg.eig`` held until ``release`` is set; ``started`` is
+        set once the first call has begun."""
         started, release = threading.Event(), threading.Event()
         eig = np.linalg.eig
 
@@ -114,42 +145,38 @@ class TestErrors:
             assert release.wait(30)
             return eig(a)
 
+        monkeypatch.setattr(np.linalg, "eig", slow_eig)
+        yield started, release
+        release.set()
+
+    def test_error_after_submit_waits_for_the_running_eig(
+            self, monkeypatch, two_cpus, futures, held_eig):
+        started, release = held_eig
+
         def build_pipeline(op):
             assert started.wait(30)
             raise PipelineError("planted failure while the eig runs")
 
-        monkeypatch.setattr(np.linalg, "eig", slow_eig)
         monkeypatch.setattr(analysis, "build_pipeline", build_pipeline)
-        # the eig still runs when the pipeline fails, and must be awaited
-        timer = threading.Timer(0.2, release.set)
-        timer.start()
-        try:
-            with pytest.raises(PipelineError, match="planted"):
-                analyze_operator(random_dissipative(64, np.random.default_rng(1)))
-        finally:
-            release.set()
-            timer.join(5)
+        _fails_while_held(release)
         assert started.is_set()
         assert len(futures) == 1 and futures[0] is not None
         assert futures[0].done() and not futures[0].cancelled()
 
     def test_error_after_submit_cancels_the_queued_eig(
-            self, monkeypatch, two_cpus, futures):
-        def build_pipeline(op):
-            raise PipelineError("planted failure while the eig is queued")
+            self, monkeypatch, two_cpus, futures, held_eig):
+        started, release = held_eig
 
-        monkeypatch.setattr(analysis, "build_pipeline", build_pipeline)
-        release = threading.Event()
-        # the worker is busy, so the eig of T is still queued when the
-        # pipeline fails
-        blocker = analysis._worker().submit(release.wait, 30)
-        try:
-            with pytest.raises(PipelineError, match="planted"):
-                analyze_operator(random_dissipative(64, np.random.default_rng(1)))
-        finally:
-            release.set()
-        assert blocker.result(timeout=30)
-        assert len(futures) == 1 and futures[0].cancelled()
+        def failing_green(*args, **kwargs):
+            # T's eig holds the worker, so S's is still queued
+            assert started.wait(30) and len(futures) == 2
+            raise PipelineError("planted failure while S's eig is queued")
+
+        monkeypatch.setattr(analysis, "pair_green_residual", failing_green)
+        _fails_while_held(release)
+        eig_op, eig_sym = futures
+        assert eig_op.done() and not eig_op.cancelled()
+        assert eig_sym.cancelled()
 
     def test_lapack_error_surfaces_unchanged(self, monkeypatch, two_cpus,
                                              futures):
@@ -163,30 +190,41 @@ class TestErrors:
         assert all(f is None or f.done() for f in futures)
 
 
-def test_small_operator_creates_no_executor(monkeypatch, eig_threads):
-    monkeypatch.setattr(analysis, "_executor", None)
+def _worker_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(WORKER)]
+
+
+class TestNoThreadOutlivesTheCall:
+    def test_after_return(self, two_cpus, pools):
+        report = analyze_operator(random_dissipative(64, np.random.default_rng(1)))
+        assert all(report["checks"].values())
+        assert len(pools) == 1
+        assert _worker_threads() == []
+
+    def test_after_raise(self, monkeypatch, two_cpus, pools):
+        def build_pipeline(op):
+            raise PipelineError("planted failure after the submit")
+
+        monkeypatch.setattr(analysis, "build_pipeline", build_pipeline)
+        with pytest.raises(PipelineError, match="planted"):
+            analyze_operator(random_dissipative(64, np.random.default_rng(1)))
+        assert len(pools) == 1
+        assert _worker_threads() == []
+
+
+def test_small_operator_creates_no_executor(two_cpus, pools, eig_threads):
     report = analyze_operator(random_dissipative(32, np.random.default_rng(3)))
     assert all(report["checks"].values())
-    assert analysis._executor is None
+    assert pools == []
     assert len(eig_threads) == 2
     assert not any(name.startswith(WORKER) for name in eig_threads)
 
 
-def test_concurrent_callers_get_the_sequential_reports(monkeypatch, two_cpus):
+def test_concurrent_callers_get_the_sequential_reports(two_cpus):
     ops = [random_dissipative(64, np.random.default_rng(s), defect=d)
            for s, d in ((21, 4), (22, 16), (23, 40))]
     expected = [analyze_operator(op) for op in ops]
 
-    # a fresh executor, so the three threads race on creating it too
-    created = []
-    pool = analysis.ThreadPoolExecutor
-
-    def counted_pool(*args, **kwargs):
-        created.append(pool(*args, **kwargs))
-        return created[-1]
-
-    monkeypatch.setattr(analysis, "_executor", None)
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", counted_pool)
     fresh = [random_dissipative(64, np.random.default_rng(s), defect=d)
              for s, d in ((21, 4), (22, 16), (23, 40))]
     reports = [None] * len(fresh)
@@ -204,11 +242,8 @@ def test_concurrent_callers_get_the_sequential_reports(monkeypatch, two_cpus):
             t.join(60)
     finally:
         sys.setswitchinterval(interval)
-        for executor in created:
-            executor.shutdown(wait=False)
     assert not any(t.is_alive() for t in threads)
     assert reports == expected
-    assert len(created) == 1
 
 
 def test_analysis_makes_two_eigs_six_svds_and_nine_two_norms(monkeypatch,
@@ -223,22 +258,20 @@ def test_analysis_makes_two_eigs_six_svds_and_nine_two_norms(monkeypatch,
 
 
 def _analyze_in_child(op, expected):
-    # a worker inherited from the parent would never run this submit
-    assert analysis._executor is None
     assert analyze_operator(op) == expected
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="fork start method on Linux only")
-def test_forked_child_gets_a_fresh_worker(two_cpus):
+def test_forked_child_gets_a_fresh_worker(two_cpus, eig_threads):
     op = random_dissipative(64, np.random.default_rng(5))
     expected = analyze_operator(op)
-    assert analysis._executor is not None
+    assert eig_threads[0].startswith(WORKER)
     child = multiprocessing.get_context("fork").Process(
         target=_analyze_in_child, args=(op, expected))
     with warnings.catch_warnings():
-        # Python >= 3.12 warns on a fork of a process with threads; the
-        # after-fork hook of ``analysis`` is what makes this one safe
+        # Python >= 3.12 warns on a fork of a process with threads; no
+        # worker of ``analysis`` is among them once its call has returned
         warnings.filterwarnings("ignore", category=DeprecationWarning,
                                 message=".*fork.*")
         child.start()
@@ -246,5 +279,5 @@ def test_forked_child_gets_a_fresh_worker(two_cpus):
     if child.is_alive():
         child.kill()
         child.join(5)
-        pytest.fail("the forked child hung on the worker of its parent")
+        pytest.fail("the forked child hung")
     assert child.exitcode == 0

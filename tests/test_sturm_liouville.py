@@ -169,12 +169,17 @@ class TestMaskSplitting:
         assert gap_distance(s.defect.domain, generic.defect.domain) < 1e-8
         assert gap_distance(s.symmetric.domain, generic.symmetric.domain) < 1e-8
 
-    @pytest.mark.parametrize("base_n", [16, 64])
+    @pytest.mark.parametrize("base_n", [16, 64, 256])
     def test_defect_gram_is_the_masked_block(self, base_n):
         grid = GridSpec(x_max=10.0, n_points=base_n)
         pot = PotentialSpec.from_intervals(grid, [(0.1, 0.4), (0.6, 0.7)], 2.0, 1.0)
         op = discretize(grid, pot)
         s = mask_splitting(op, pot.omega_mask)
+        # both domains are spanned by the coordinate columns, exactly
+        eye = np.eye(base_n)
+        for part, cols in ((s.defect, pot.omega_mask), (s.symmetric, ~pot.omega_mask)):
+            assert np.array_equal(part.domain.basis, eye[:, cols])
+            assert not part.domain.basis.flags.writeable
         # the dense product on the coordinate basis, symmetrised
         bn = s.defect.domain.basis
         gram = bn.conj().T @ op.dissipation_matrix @ bn
@@ -365,6 +370,10 @@ class TestCayley:
         with pytest.raises(PipelineError):
             cayley_norm(np.array([[-1j]]))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch, match="empty"):
+            cayley_norm(np.zeros((0, 0)))
+
     def test_omega_block_shape(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)
@@ -416,6 +425,11 @@ class TestStudy:
             study_levels(20.0, 8, intervals, 1.0, h, 3)
         with pytest.raises(DimensionMismatch, match=match):
             convergence_study(20.0, 8, intervals, 1.0, h, 3)
+
+    @pytest.mark.parametrize("imq", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_imq_rejected(self, imq):
+        with pytest.raises(DimensionMismatch, match="Im q"):
+            study_levels(20.0, 8, [(0.0, 0.5)], imq, 1.0, 3)
 
     @pytest.mark.parametrize("x_max", [1e-76, 1e-140])
     def test_gram_overflow_rejected_before_dense_work(self, monkeypatch, x_max):

@@ -174,6 +174,7 @@ class TestSubspaceFull:
         monkeypatch.setattr(np.linalg, "norm",
                             lambda *a, **k: calls.append(1) or norm(*a, **k))
         Subspace.full(256)
+        Subspace.full(256, np.arange(0, 256, 3))
         assert calls == []
         Subspace(3, np.eye(3)[:, :2])
         assert len(calls) == 1
