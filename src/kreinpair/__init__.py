@@ -6,6 +6,7 @@ from .errors import (
     KreinPairError,
     MetricError,
     PipelineError,
+    ScaleOverflow,
 )
 from .subspaces import (
     DEFAULT_TOL,

@@ -5,6 +5,10 @@ boundary triple, deficiency data, both boundary-map constructions, the
 completeness criteria and the real-spectrum comparison, and collects the
 cross-check residuals into one dictionary with JSON-safe values only.
 
+Of the Riesz representer F of the dissipation form only the eigenvalues
+are computed (:func:`~kreinpair.krein.riesz_spectrum`), gated by ``0 <= F
+<= I`` as ``checks.riesz_form_bounds``; F itself is the tests' reference.
+
 The two ``eig`` calls of the real-spectrum check, of T's and of S's domain
 compression, are the largest single stage, yet T's needs only T and S's
 only the splitting.  :func:`analyze_operator` therefore runs them on a
@@ -67,11 +71,11 @@ from .decomposition import (
 )
 from .errors import ClassificationError
 from .krein import (
+    INDEFINITE_CUT,
     NEITHER,
     OperatorWithDomain,
-    RieszRepresenter,
     classify_by_graph,
-    riesz_representer,
+    riesz_spectrum,
 )
 from .subspaces import Subspace, gap_distance
 from .tolerances import CHECK_GATE
@@ -112,7 +116,6 @@ class PipelineResult:
     splitting: Splitting
     deficiency: DeficiencyData
     resolvent_domain: Subspace
-    riesz: RieszRepresenter
     triple: BoundaryTriple
     traces: TraceData
     pair_projection: BoundaryPair
@@ -128,7 +131,6 @@ def build_pipeline(op: OperatorWithDomain) -> PipelineResult:
     triple = build_boundary_triple(splitting.symmetric)
     defi = deficiency_space(triple, op)
     resolvent_domain = defect_domain_via_resolvent(op, defi)
-    representer = riesz_representer(op)
     traces = restrict_triple(triple, op)
     pair_proj = boundary_map_projection(op, splitting)
     pair_res = boundary_map_resolvent(op, defi, splitting)
@@ -139,7 +141,6 @@ def build_pipeline(op: OperatorWithDomain) -> PipelineResult:
         splitting=splitting,
         deficiency=defi,
         resolvent_domain=resolvent_domain,
-        riesz=representer,
         triple=triple,
         traces=traces,
         pair_projection=pair_proj,
@@ -169,25 +170,6 @@ def _criterion_dict(report: CriterionReport) -> dict:
             "margin": report.range_split.margin,
         },
         "agree": report.agree,
-    }
-
-
-def _riesz_dict(op: OperatorWithDomain, rep: RieszRepresenter) -> dict:
-    if not rep.dim:
-        return {
-            "min_eigenvalue": 0.0,
-            "graph_norm": 0.0,
-            "sqrt_identity_residual": 0.0,
-            "embedding_identity_residual": 0.0,
-        }
-    f, sqrt_f = rep.matrix, rep.sqrt_matrix
-    return {
-        "min_eigenvalue": float(rep.eigenvalues[0]),
-        "graph_norm": float(np.max(np.abs(rep.eigenvalues))),
-        "sqrt_identity_residual": float(np.linalg.norm(sqrt_f @ sqrt_f - f, 2)),
-        "embedding_identity_residual": float(
-            np.linalg.norm(f @ rep.pseudo_inverse(op.tol) @ f - f, 2)
-        ),
     }
 
 
@@ -222,7 +204,7 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         splitting_gap = gap_distance(
             result.splitting.defect.domain, result.resolvent_domain
         )
-        riesz_info = _riesz_dict(op, result.riesz)
+        riesz = riesz_spectrum(op)
         routes_agree = (classify_by_graph(op) == classification
                         and classify_by_graph(sym) == sym.classify())
         eigs = tuple(None if f is None else f.result() for f in (eig_op, eig_sym))
@@ -240,6 +222,8 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         "criterion_agreement": result.criterion.agree,
         "real_spectrum": spectrum.passed,
         "classification_routes_agree": routes_agree,
+        "riesz_form_bounds": bool(riesz[0] >= -INDEFINITE_CUT * op.tol
+                                  and riesz[-1] <= 1.0 + CHECK_GATE),
     }
     return {
         "classification": classification,
@@ -269,7 +253,8 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
             "kernel_gap": spectrum.kernel_gap,
             "notes": list(spectrum.notes),
         },
-        "riesz": riesz_info,
+        "riesz": {"min_eigenvalue": float(riesz[0]),
+                  "graph_norm": float(np.max(np.abs(riesz)))},
         "seed": seed,
         "checks": checks,
     }

@@ -15,8 +15,8 @@ form eigenvalue at most ``tol`` times the scale of its matrix is zero.  The
 gates of the checks are fixed (:mod:`kreinpair.tolerances`).
 
 Exit codes: 0 on success, 1 on parse or validation errors (non-finite
-entries, JSON's ``NaN`` and ``Infinity``, included), 2 when a numerical
-check fails.
+entries, JSON's ``NaN`` and ``Infinity``, included) and when the output
+file cannot be written, 2 when a numerical check fails.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def dump_instance(op: OperatorWithDomain, path) -> None:
               op.domain.basis.T],
         "tol": op.tol,
     }
-    _write_json(payload, path)
+    _emit_json(payload, path)
 
 
 def _json_ready(value):
@@ -146,19 +146,14 @@ def _json_ready(value):
     return value
 
 
-def _write_json(payload: dict, path) -> None:
-    text = json.dumps(_json_ready(payload), sort_keys=True, indent=2)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
-
-
 def _emit_json(payload: dict, out_path) -> None:
+    """Write ``payload`` to ``out_path``, or to stdout when it is None."""
+    text = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
     if out_path is None:
-        sys.stdout.write(
-            json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
-        )
+        sys.stdout.write(text)
     else:
-        _write_json(payload, out_path)
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _check_seed(seed: int) -> None:
@@ -319,7 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an unwritable output path or an unlistable directory, like bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

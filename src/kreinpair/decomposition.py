@@ -82,6 +82,8 @@ def graph_orthocomplement_within(op: OperatorWithDomain,
     No rank decision is needed: ``G >= I``, so every singular value of
     ``G K`` is at least 1 and its rank is ``sub.dim``, however large T is.
     """
+    if sub.is_zero:  # the whole domain, found without G
+        return op.domain
     gk = op.graph_gram @ op.coords(sub.basis)
     q = np.linalg.qr(gk, mode="complete")[0]
     # orthonormal basis times orthonormal coefficients

@@ -17,6 +17,10 @@ class ClassificationError(KreinPairError):
     """An operation received an operator of the wrong dissipativity class."""
 
 
+class ScaleOverflow(KreinPairError):
+    """An operator too large for its graph Gram to be formed in floating point."""
+
+
 class PipelineError(KreinPairError):
     """A cross-check that should hold by construction failed.
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClassificationError, DimensionMismatch, MetricError
+from .errors import ClassificationError, DimensionMismatch, MetricError, ScaleOverflow
 from .subspaces import Subspace, _frozen, is_diagonal, orthonormal_span
 from .tolerances import DEFAULT_TOL, negligible
 
@@ -31,6 +31,7 @@ __all__ = [
     "boundary_metric_matrix",
     "classify_by_graph",
     "riesz_representer",
+    "riesz_spectrum",
 ]
 
 DISSIPATIVE = "dissipative"
@@ -49,6 +50,10 @@ def _as_vector(x, dim: int) -> np.ndarray:
 #: any factor above the round-off of the two norms keeps every verdict, and a
 #: larger one only sends more operators to the SVD
 _NORM_MARGIN = 2.0
+
+#: F of :func:`riesz_representer` is positive semidefinite for a dissipative
+#: T; an eigenvalue below ``-INDEFINITE_CUT * tol`` is not round-off
+INDEFINITE_CUT = 100
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -235,8 +240,13 @@ class OperatorWithDomain:
 
     @cached_property
     def graph_gram(self) -> np.ndarray:
-        """Gram matrix of <x,y> + <Tx,Ty> on domain coordinates; always >= I."""
+        """Gram matrix of <x,y> + <Tx,Ty> on domain coordinates; always >= I.
+        Raises :class:`ScaleOverflow` unless twice ``|T B|_F^2``, which bounds
+        its entries and their partial sums, is finite: it is summed with its adjoint."""
         b, mb = self.domain.basis, self._image
+        frobenius = _frobenius(mb)
+        if not np.isfinite(2.0 * frobenius * frobenius):
+            raise ScaleOverflow(f"|T B|_F = {frobenius:.3e}: the graph Gram overflows")
         eye = np.eye(b.shape[1]) if self._identity_basis else b.conj().T @ b
         g = eye + mb.conj().T @ mb
         return 0.5 * (g + g.conj().T)
@@ -362,7 +372,8 @@ class RieszRepresenter:
     its norm, the scale of its cuts, is at most 1 (``2|[x, Tx]| <= |x|^2 + |Tx|^2``).
     ``sqrt_matrix`` is the principal (nonnegative) square root.
     ``eigenvalues`` (ascending) and ``eigenvectors`` are the
-    eigendecomposition of ``matrix`` that both were built from.
+    eigendecomposition of ``matrix`` that both were built from.  The tests'
+    reference: the pipeline reports only :func:`riesz_spectrum`.
     """
 
     basis: np.ndarray
@@ -386,36 +397,18 @@ class RieszRepresenter:
         coeffs = self.eigenvectors[:, negligible(self.eigenvalues, tol, 1.0)]
         return orthonormal_span(self.basis @ coeffs, tol, scale=1.0)
 
-    def pseudo_inverse(self, tol: float) -> np.ndarray:
-        """Moore-Penrose inverse of ``matrix``, with the eigenvalues that
-        :meth:`kernel_vectors` counts as zero at ``tol`` left uninverted."""
-        w = self.eigenvalues
-        inverse = np.zeros_like(w)
-        kept = ~negligible(w, tol, 1.0)
-        inverse[kept] = 1.0 / w[kept]
-        return (self.eigenvectors * inverse) @ self.eigenvectors.conj().T
-
 
 def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     """Solve ``form(x, y) = <x, F y>_graph`` for the dissipation form.
 
     Requires a dissipative (or symmetric) operator; F is then positive
     semidefinite with norm at most 1 and its square-root kernel equals the
-    kernel of the form.
+    kernel of the form; an eigenvalue below the :data:`INDEFINITE_CUT`
+    raises :class:`ClassificationError`.
     """
     verdict = op.classify()
     if verdict == NEITHER:
         raise ClassificationError("the representer is built for dissipative operators")
-    d = op.domain.dim
-    if d == 0:
-        empty = np.zeros((0, 0), dtype=np.complex128)
-        return RieszRepresenter(
-            basis=np.zeros((op.space.dim, 0), dtype=np.complex128),
-            matrix=empty,
-            sqrt_matrix=empty,
-            eigenvalues=np.zeros(0),
-            eigenvectors=empty,
-        )
     gram = op.graph_gram
     w, v = np.linalg.eigh(gram)
     # graph gram is bounded below by the identity, so this is well posed
@@ -424,7 +417,7 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     f = inv_sqrt @ op.dissipation_gram @ inv_sqrt
     f = 0.5 * (f + f.conj().T)
     fw, fv = np.linalg.eigh(f)
-    if fw[0] < -100 * op.tol:
+    if fw.size and fw[0] < -INDEFINITE_CUT * op.tol:
         raise ClassificationError(
             f"dissipation representer is indefinite (min eigenvalue {fw[0]:.3e})"
         )
@@ -434,3 +427,16 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     sqrt_f = 0.5 * (sqrt_f + sqrt_f.conj().T)
     return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f,
                             eigenvalues=fw, eigenvectors=fv)
+
+
+def riesz_spectrum(op: OperatorWithDomain) -> np.ndarray:
+    """Ascending eigenvalues of F of :func:`riesz_representer`, ``[0.0]``
+    for an empty domain.  For the graph Gram ``G = L L*`` (Cholesky; G >= I)
+    and the dissipation Gram D, ``L^-1 D L^-*`` is unitarily similar to
+    ``F = G^(-1/2) D G^(-1/2)`` (Golub & Van Loan, section 8.7)."""
+    if op.domain.dim == 0:
+        return np.zeros(1)
+    low = np.linalg.cholesky(op.graph_gram)
+    half = np.linalg.solve(low, op.dissipation_gram)
+    reduced = np.linalg.solve(low, half.conj().T)
+    return np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))

@@ -27,6 +27,8 @@ TEST_ONLY = {
                                            "oracle of the assembled Gram",
     "RieszRepresenter.kernel_vectors": "the square-root kernel, checked "
                                        "against the symmetric domain",
+    "riesz_representer": "the full Riesz representer, reference of the "
+                         "reported spectrum and of acceptance criterion 4",
     "transform_traces": "a change of boundary triple, for the scale and "
                         "pair-from-triple checks of ROADMAP items 1 and 2",
 }

@@ -5,7 +5,7 @@ import pytest
 
 from kreinpair import KreinSpace, OperatorWithDomain
 from kreinpair.cli import SpecError, dump_instance, load_instance, main
-from kreinpair.instances import scaled_defect_instance
+from kreinpair.instances import random_dissipative, scaled_defect_instance
 
 from conftest import contains, e, span
 
@@ -152,6 +152,32 @@ class TestAnalyze:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["classification"] == "neither"
         assert report["finding"] == "not dissipative"
+
+    def test_corrupted_dissipation_gram_trips_only_the_riesz_bounds(
+            self, tmp_path, monkeypatch):
+        # 0 <= F <= I for every dissipative T; three times the form is still
+        # nonnegative, so only the upper bound on F can see it
+        path = tmp_path / "op.json"
+        dump_instance(random_dissipative(6, np.random.default_rng(4)), path)
+        exact = OperatorWithDomain.dissipation_gram.func
+        monkeypatch.setattr(OperatorWithDomain, "dissipation_gram",
+                            property(lambda op: 3.0 * exact(op)))
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(path), "-o", str(out)]) == 2
+        checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+        assert [name for name, ok in checks.items() if not ok] == [
+            "riesz_form_bounds"]
+
+    def test_overflowing_graph_gram_is_a_typed_error(self, tmp_path, capsys):
+        # |T|_F is about 1e156, so (T B)*(T B) overflows; the criteria never
+        # form it and still pass.  A RuntimeWarning would fail the test.
+        op = random_dissipative(4, np.random.default_rng(0))
+        path = tmp_path / "huge.json"
+        dump_instance(OperatorWithDomain(op.space, 1e155 * op.matrix), path)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows" in err
+        assert main(["criterion", str(path)]) == 0
 
 
 class TestCriterion:
@@ -300,3 +326,18 @@ class TestSeedFlag:
         assert main([*argv, "--seed", "-1", "-o", str(out)]) == 1
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "{instance}"],
+    ["criterion", "{instance}"],
+    ["sl-study", "--n", "8", "--levels", "3"],
+])
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, command):
+    instance = tmp_path / "instance.json"
+    dump_instance(scaled_defect_instance(1.0), instance)
+    argv = [str(instance) if a == "{instance}" else a for a in command]
+    out = tmp_path / "missing_dir" / "out"
+    assert main([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -129,12 +129,12 @@ def test_large_operator_norm_keeps_every_direction(diagonal, deficiency_dim):
     assert report["dims"]["deficiency_space"] == deficiency_dim
 
 
-def test_analysis_makes_six_svds_and_nine_two_norms(monkeypatch):
+def test_analysis_makes_six_svds_and_seven_two_norms(monkeypatch):
     op = random_dissipative(64, np.random.default_rng(1))
     counts = count_svd_backed(monkeypatch)
     report = analyze_operator(op)
     assert all(report["checks"].values())
-    assert counts == {"svd": 6, "norm2": 9}
+    assert counts == {"svd": 6, "norm2": 7}
 
 
 class TestSplitSkipsSelfGap:
