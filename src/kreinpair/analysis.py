@@ -131,7 +131,7 @@ def build_pipeline(op: OperatorWithDomain) -> PipelineResult:
     triple = build_boundary_triple(splitting.symmetric)
     defi = deficiency_space(triple, op)
     resolvent_domain = defect_domain_via_resolvent(op, defi)
-    traces = restrict_triple(triple, op)
+    traces = restrict_triple(triple, op, splitting.defect.domain)
     pair_proj = boundary_map_projection(op, splitting)
     pair_res = boundary_map_resolvent(op, defi, splitting)
     criterion = criterion_report(op, pieces=(splitting, traces))

@@ -32,8 +32,9 @@ which bounds the 2-norm from above, so a gate on it can only tighten.
 
 Two independent realizations of the boundary map of the pair are provided:
 one through the graph-orthogonal projection onto the defect domain, one
-through the resolvent-type sandwich with the deficiency projector.  Their
-agreement is the central theorem check of the package.
+through the resolvent-type sandwich with the deficiency projector, solved
+through the QR of ``(JT + iI)B``.  Their agreement is the central theorem
+check of the package.
 
 The real-spectrum check compares the real eigenvalues and eigenspaces of T
 and of its symmetric part, each taken on its own domain.  One ``eig`` of
@@ -50,19 +51,14 @@ take their ``(values, vectors)``, and the rest of the check is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .decomposition import DeficiencyData, Splitting
 from .errors import DimensionMismatch, PipelineError
 from .krein import SYMMETRIC, OperatorWithDomain, boundary_metric_matrix
-from .subspaces import (
-    Subspace,
-    gap_distance,
-    null_space,
-    orthonormal_span,
-)
+from .subspaces import Subspace, gap_distance, null_space, qr_span
 from .tolerances import CHECK_GATE, DEFAULT_TOL, EXACT_BOUND, LOOSE_GATE, negligible
 
 __all__ = [
@@ -80,6 +76,9 @@ __all__ = [
     "restricted_eigenpairs",
     "real_spectrum_report",
 ]
+
+#: random domain sample pairs of :func:`pair_green_residual`
+PAIR_GREEN_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,13 @@ class BoundaryPair:
     defect_basis: np.ndarray  # n x space_dim
 
     def kernel(self) -> Subspace:
+        """Kernel of the map: the trailing ``d - space_dim`` columns of the
+        complete QR of ``(defect_basis* matrix)*``, no rank decision.  The
+        map is ``mixing^-1 (G X)*`` on domain coordinates, for the defect
+        basis X and the graph Gram ``G >= I``, so its rank is ``space_dim``."""
+        q = np.linalg.qr(self.matrix.conj().T @ self.defect_basis, mode="complete")[0]
         # orthonormal basis times orthonormal coefficients
-        basis = self.domain_basis @ null_space(self.matrix)
+        basis = self.domain_basis @ q[:, self.space_dim:]
         return Subspace(self.domain_basis.shape[0], basis)
 
 
@@ -272,8 +276,15 @@ def _containment_residual(j: np.ndarray, sym_graph: np.ndarray,
     return float(np.linalg.norm(overlap))
 
 
-def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain) -> TraceData:
+def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
+                    defect: Subspace) -> TraceData:
     """Trace maps evaluated on the graph of T, plus the image G-space.
+
+    ``defect`` is T's defect domain (``Subspace.zero`` for a symmetric T).
+    The traces vanish on dom S, and the graph of a defect-domain x lies in
+    the N+- part of the adjoint graph, where they are the unitary U0, so
+    ``|[t0; t1] x| = |(x, Tx)| >= |x|``: the image is the reduced QR of
+    ``[t0; t1] X`` for the defect basis X, with no rank decision.
 
     The containment of graph T in the adjoint graph
     (:func:`_containment_residual`) and the Green identity on graph T are
@@ -281,25 +292,19 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain) -> TraceData
     """
     g_t = op.graph.basis
     j = triple.base_metric
-    defect = _containment_residual(j, triple.symmetric_graph.basis, g_t)
-    if defect > CHECK_GATE:
+    outside = _containment_residual(j, triple.symmetric_graph.basis, g_t)
+    if outside > CHECK_GATE:
         raise PipelineError(
-            f"graph of T is not contained in the adjoint graph (defect {defect:.3e})"
+            f"graph of T is not contained in the adjoint graph (defect {outside:.3e})"
         )
     b = op.domain.basis
     stacked_pairs = np.vstack([b, op._image])
     t0 = triple.trace0 @ stacked_pairs
     t1 = triple.trace1 @ stacked_pairs
     k = triple.space_dim
-    if k == 0:
-        # zero defect numbers: no boundary data at all
-        image = None
-        gram = np.zeros((0, 0), dtype=np.complex128)
-    else:
-        # the traces have orthonormal rows: x -> (x, Tx) bounds their restriction
-        image = orthonormal_span(np.vstack([t0, t1]), op.tol,
-                                 scale=np.hypot(1.0, op.scale))
-        gram = trace_image_gram(image)
+    # zero defect numbers: no boundary data at all
+    image = qr_span(np.vstack([t0, t1]) @ op.coords(defect.basis)) if k else None
+    gram = trace_image_gram(image) if k else np.zeros((0, 0), dtype=np.complex128)
     residual = _green_residual(j, g_t, triple.trace0 @ g_t, triple.trace1 @ g_t)
     if residual > EXACT_BOUND:
         raise PipelineError(f"Green identity fails on the graph of T ({residual:.3e})")
@@ -331,26 +336,23 @@ def transform_traces(traces: TraceData, w: np.ndarray) -> TraceData:
     """Post-compose the trace maps with a metric-preserving boundary rotation.
 
     ``w`` is a 2k x 2k matrix acting on stacked (trace0, trace1) values and
-    must preserve the canonical symmetry of the doubled boundary space.
+    must preserve the canonical symmetry of the doubled boundary space, by
+    the Frobenius norm, an upper bound of the 2-norm.  Such a w is
+    invertible, so the new image is the QR of w times the old image basis.
     """
     k = traces.boundary_dim
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (2 * k, 2 * k):
         raise DimensionMismatch("boundary transform has the wrong shape")
     meta = boundary_metric_matrix(k)
-    if np.linalg.norm(w.conj().T @ meta @ w - meta, 2) > EXACT_BOUND:
+    if np.linalg.norm(w.conj().T @ meta @ w - meta) > EXACT_BOUND:
         raise PipelineError("boundary transform does not preserve the graph metric")
+    if traces.image is None:  # no boundary data to transform
+        return traces
     stacked = w @ np.vstack([traces.trace0, traces.trace1])
-    t0, t1 = stacked[:k], stacked[k:]
-    image = orthonormal_span(np.vstack([t0, t1]))
-    return TraceData(
-        boundary_dim=k,
-        trace0=t0,
-        trace1=t1,
-        domain_basis=traces.domain_basis,
-        image=image,
-        image_gram=trace_image_gram(image),
-    )
+    image = qr_span(w @ traces.image.basis)
+    return replace(traces, trace0=stacked[:k], trace1=stacked[k:], image=image,
+                   image_gram=trace_image_gram(image))
 
 
 def boundary_map_projection(op: OperatorWithDomain,
@@ -381,17 +383,20 @@ def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
     """Boundary map as ``(JT + iI)^{-1} P (JT + iI)`` with the deficiency
     projector P; the unitary identification of E is fixed to the identity.
 
-    The inverse is the solve through the SVD in ``defi``; the part of the
-    projected values outside the range of ``JT + iI`` is the residual.
+    P is ``M (M* .)`` for the basis M of the deficiency intersection, and
+    the inverse the solve through R of ``(JT + iI)B = Q R`` in ``defi``,
+    invertible since every singular value is at least 1; the part of the
+    projected values outside the range Q is the residual.
     """
     b = op.domain.basis
-    u, s, vh = defi.shifted_svd
-    target = ((defi.projector @ u) * s) @ vh
-    in_range = u.conj().T @ target
-    coeffs = vh.conj().T @ (in_range / s[:, None])
+    q, r = defi.shifted_qr
+    meet = defi.intersection.basis
+    target = meet @ ((meet.conj().T @ q) @ r)
+    in_range = q.conj().T @ target
+    coeffs = np.linalg.solve(r, in_range)
     # the Frobenius norm bounds the residual's 2-norm from above and the
     # largest column norm bounds |target|_2 from below: the test only tightens
-    residual = np.linalg.norm(u @ in_range - target)
+    residual = np.linalg.norm(q @ in_range - target)
     if residual > CHECK_GATE * np.max(np.linalg.norm(target, axis=0), initial=0.0):
         raise PipelineError(
             f"projected values are not in the range of JT + iI ({residual:.3e})"
@@ -406,7 +411,6 @@ def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
 
 
 def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain,
-                        samples: int = 200,
                         rng: np.random.Generator | None = None) -> float:
     """Largest normalized residual of the boundary-pair Green identity
     [x, Ty] - [Tx, y] = i (G x, G y)_E over random domain sample pairs."""
@@ -414,7 +418,7 @@ def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain,
     d = pair.domain_basis.shape[1]
     if d == 0:
         return 0.0
-    j, m = op.space.J, op.matrix
+    j, m, samples = op.space.J, op.matrix, PAIR_GREEN_SAMPLES
     cx = rng.standard_normal((d, samples)) + 1j * rng.standard_normal((d, samples))
     cy = rng.standard_normal((d, samples)) + 1j * rng.standard_normal((d, samples))
     x, y = op.lift(cx), op.lift(cy)

@@ -152,7 +152,7 @@ def criterion_report(op: OperatorWithDomain,
     if pieces is None:
         splitting = split(op)
         triple = build_boundary_triple(splitting.symmetric)
-        traces = restrict_triple(triple, op)
+        traces = restrict_triple(triple, op, splitting.defect.domain)
     else:
         splitting, traces = pieces
     positivity = uniform_positivity(traces.image_gram)

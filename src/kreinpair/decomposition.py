@@ -5,8 +5,9 @@ part on its graph-orthogonal complement inside the domain.  The defect
 domain can be recomputed independently through the resolvent-type formula
 ``(JT + iI)^{-1}(deficiency cap range)``; the two routes are kept separate
 so they can cross-check each other.  The deficiency subspace comes from the
-boundary triple of the symmetric part, and the one SVD of ``(JT + iI)``
-on the domain serves every later use of that matrix.
+boundary triple of the symmetric part, and the one Householder QR of
+``(JT + iI)B`` on the domain basis B, whose singular values are all at
+least 1, serves every later use of that matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ClassificationError, PipelineError
 from .krein import NEITHER, SYMMETRIC, OperatorWithDomain
-from .subspaces import Subspace, gap_distance, null_space
+from .subspaces import Subspace, gap_distance, null_space, qr_span
 from .tolerances import CHECK_GATE, negligible
 
 if TYPE_CHECKING:
@@ -47,19 +48,15 @@ class Splitting:
 
 @dataclass(frozen=True)
 class DeficiencyData:
-    """Deficiency subspace of the symmetric part and the attached projector.
-
-    ``projector`` is the orthogonal projector, in the Hilbert product
-    ``[x, J y]`` (Euclidean in these coordinates), onto the intersection of
-    the deficiency subspace with the range of ``JT + iI``.  ``shifted_svd``
-    is the thin SVD ``(U, s, Vh)`` of ``(JT + iI) B`` for the domain basis
-    B; U spans that range.
+    """Deficiency subspace of the symmetric part and its ``intersection``
+    with the range of ``JT + iI``.  ``shifted_qr`` is the reduced QR
+    ``(Q, R)`` of ``(JT + iI) B`` for the domain basis B: Q spans that range,
+    and R is invertible, since every singular value is at least 1.
     """
 
     deficiency: Subspace
     intersection: Subspace
-    projector: np.ndarray
-    shifted_svd: tuple[np.ndarray, np.ndarray, np.ndarray]
+    shifted_qr: tuple[np.ndarray, np.ndarray]
 
 
 def symmetric_part(op: OperatorWithDomain) -> OperatorWithDomain:
@@ -123,13 +120,14 @@ def deficiency_space(triple: BoundaryTriple,
 
     The subspace is the triple's ``defect_plus``, intersected with the range
     of ``JT + iI`` over the domain of T.  ``JT`` is dissipative in the
-    Hilbert product, so ``JT + iI`` is bounded below by 1 on the domain; a
-    small minimal singular value therefore signals a dissipativity
-    violation upstream.
+    Hilbert product, ``|(JT + i)x|^2 = |JTx|^2 + |x|^2 + form(x, x)``, so
+    ``JT + iI`` is bounded below by 1 on the domain (Behrndt, Hassi & de
+    Snoo 2020): the reduced Householder QR of ``(JT + iI) B`` spans its
+    range, with no rank decision.
 
-    With U from the SVD of ``(JT + iI) B`` and Qp the basis of N+, the
-    singular values of ``Qp - U U* Qp`` are the sines of the principal
-    angles between N+ and the range (Bjorck & Golub 1973), taken from the
+    With Q from that QR and Qp the basis of N+, the singular values of
+    ``Qp - Q Q* Qp`` are the sines of the principal angles between N+ and
+    the range (Bjorck & Golub 1973), taken from the
     N+ side: an n x dim N+ matrix, not n x d.  Its null space gives the
     coefficients in Qp of the directions at sine zero, the intersection.
     Both bases are orthonormal, so the matrix has norm at most 1 and its
@@ -139,21 +137,12 @@ def deficiency_space(triple: BoundaryTriple,
     n_plus = triple.defect_plus
     b = op.domain.basis
     shifted = op.space.J @ op._image + 1j * b
-    u, s, vh = np.linalg.svd(shifted, full_matrices=False)
-    if s.size and s[-1] < 0.5:
-        raise PipelineError(
-            f"JT + iI is nearly singular on the domain (sigma_min = {s[-1]:.3e})"
-        )
+    q, r = np.linalg.qr(shifted)
     qp = n_plus.basis
-    sines = qp - u @ (u.conj().T @ qp)
+    sines = qp - q @ (q.conj().T @ qp)
     # orthonormal basis times orthonormal coefficients
     meet = Subspace(op.space.dim, qp @ null_space(sines, op.tol, scale=1.0))
-    return DeficiencyData(
-        deficiency=n_plus,
-        intersection=meet,
-        projector=meet.projector(),
-        shifted_svd=(u, s, vh),
-    )
+    return DeficiencyData(deficiency=n_plus, intersection=meet, shifted_qr=(q, r))
 
 
 def defect_domain_via_resolvent(op: OperatorWithDomain,
@@ -161,14 +150,11 @@ def defect_domain_via_resolvent(op: OperatorWithDomain,
     """Preimage of the deficiency intersection under ``JT + iI``.
 
     The intersection lies in the range of ``JT + iI`` on the domain, which
-    is injective there, so the preimage is the solve through its SVD.  An
-    injective map keeps the dimension, so the basis is the reduced
+    is injective there, so the preimage is the solve through the R of its
+    QR.  An injective map keeps the dimension, so the basis is the reduced
     Householder QR of the preimage, with no rank decision.
     """
-    u, s, vh = defi.shifted_svd
-    coeffs = vh.conj().T @ ((u.conj().T @ defi.intersection.basis) / s[:, None])
-    q = np.linalg.qr(op.lift(coeffs))[0]
-    # no caller holds the factor, so it is frozen in place, not copied
-    q.flags.writeable = False
-    return Subspace(op.space.dim, q)
+    q, r = defi.shifted_qr
+    coeffs = np.linalg.solve(r, q.conj().T @ defi.intersection.basis)
+    return qr_span(op.lift(coeffs))
 

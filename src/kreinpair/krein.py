@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ClassificationError, DimensionMismatch, MetricError, ScaleOverflow
-from .subspaces import Subspace, _frozen, is_diagonal, orthonormal_span
+from .subspaces import Subspace, _frozen, is_diagonal, orthonormal_span, qr_span
 from .tolerances import DEFAULT_TOL, negligible
 
 __all__ = [
@@ -201,10 +201,7 @@ class OperatorWithDomain:
         ``[B; T B]``.  No rank decision is needed: B has orthonormal
         columns, so every singular value of ``[B; T B]`` is at least 1 and
         its rank is the domain dimension, however large T is."""
-        q = np.linalg.qr(np.vstack([self.domain.basis, self._image]))[0]
-        # no caller holds the factor, so it is frozen in place, not copied
-        q.flags.writeable = False
-        return Subspace(2 * self.space.dim, q)
+        return qr_span(np.vstack([self.domain.basis, self._image]))
 
     @cached_property
     def dissipation_matrix(self) -> np.ndarray:

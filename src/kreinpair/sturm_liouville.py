@@ -64,6 +64,9 @@ __all__ = [
     "write_study_csv",
 ]
 
+#: random grid functions of :func:`dissipation_quadrature_residual`
+QUADRATURE_SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -279,7 +282,7 @@ def mask_splitting(op: OperatorWithDomain, mask) -> Splitting:
 
 
 def dissipation_quadrature_residual(op: OperatorWithDomain, grid: GridSpec,
-                                    pot: PotentialSpec, samples: int = 100,
+                                    pot: PotentialSpec,
                                     rng: np.random.Generator | None = None
                                     ) -> float:
     """Largest relative deviation of the dissipation form from the midpoint
@@ -289,7 +292,7 @@ def dissipation_quadrature_residual(op: OperatorWithDomain, grid: GridSpec,
     sqrt(step) * y.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    n, s = grid.n_points, grid.step
+    n, s, samples = grid.n_points, grid.step, QUADRATURE_SAMPLES
     y = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
     x = math.sqrt(s) * y
     form = np.einsum("ij,ij->j", x.conj(), op.dissipation_matrix @ x).real

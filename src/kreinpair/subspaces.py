@@ -6,11 +6,13 @@ when it is negligible (:mod:`kreinpair.tolerances`) against the largest one
 or, for a matrix that may vanish up to round-off, against its natural scale
 supplied by the caller.  Each rank decision takes its tolerance from the
 caller, so a subspace carries none.  Where the mathematics fixes the rank,
-the caller takes a Householder QR instead and makes no rank decision: a
-graph ``[B; T B]`` or a von Neumann matrix ``(JS +- i)B`` on an orthonormal
-B has every singular value at least 1, the complement of orthonormal
-columns has them all equal to 1, and an injective solve keeps the
-dimension.  Inner products are conjugate-linear in the first argument.
+the caller takes a Householder QR instead (:func:`qr_span`) and makes no
+rank decision.  On an orthonormal B every singular value is at least 1 for
+a graph ``[B; T B]``, a von Neumann matrix ``(JS +- i)B``, ``(JT + i)B`` of
+a dissipative T, and the stacked traces on the defect domain, which they
+map isometrically in graph norm; the complement of orthonormal columns has
+them all equal to 1, and an injective map keeps the dimension.  Inner
+products are conjugate-linear in the first argument.
 
 All values are immutable after construction and all operations are pure,
 so instances can be shared freely between threads.
@@ -29,6 +31,7 @@ __all__ = [
     "column_space",
     "null_space",
     "orthonormal_span",
+    "qr_span",
     "gap_distance",
 ]
 
@@ -163,11 +166,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def projector(self) -> np.ndarray:
-        if self.is_zero:
-            return np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        return self.basis @ self.basis.conj().T
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -183,6 +181,14 @@ def orthonormal_span(matrix, tol: float = DEFAULT_TOL,
     # rather than copied
     basis.flags.writeable = False
     return Subspace(m.shape[0], basis)
+
+
+def qr_span(matrix: np.ndarray) -> Subspace:
+    """Span of columns whose rank the mathematics fixes at their count: the
+    Q of a reduced Householder QR, with no rank decision."""
+    q = np.linalg.qr(matrix)[0]
+    q.flags.writeable = False  # no caller holds the factor: frozen, not copied
+    return Subspace(matrix.shape[0], q)
 
 
 def gap_distance(a: Subspace, b: Subspace) -> float:

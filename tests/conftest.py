@@ -248,20 +248,40 @@ def svd_deficiency_spaces(sym):
     )
 
 
-def svd_intersection(defi, tol):
+def svd_shifted(op):
+    """Thin SVD ``(U, s, Vh)`` of ``(JT + iI)B``, the factorisation that
+    ``deficiency_space`` replaced with a QR."""
+    b = op.domain.basis
+    return np.linalg.svd(op.space.J @ op.matrix @ b + 1j * b, full_matrices=False)
+
+
+def svd_intersection(op, defi):
     """N+ meet ran(JT + iI) from the range side: ``U null(U - Qp Qp* U)``."""
-    u = defi.shifted_svd[0]
+    u = svd_shifted(op)[0]
     qp = defi.deficiency.basis
-    coeffs = null_space(u - qp @ (qp.conj().T @ u), tol, scale=1.0)
+    coeffs = null_space(u - qp @ (qp.conj().T @ u), op.tol, scale=1.0)
     return Subspace(u.shape[0], u @ coeffs)
 
 
 def svd_resolvent_domain(op, defi):
-    """Preimage of the deficiency intersection under ``JT + iI``, spanned by
-    a rank-cut SVD."""
-    u, s, vh = defi.shifted_svd
+    """Preimage of the deficiency intersection under ``JT + iI``, solved
+    through its SVD and spanned by a rank-cut SVD."""
+    u, s, vh = svd_shifted(op)
     coeffs = vh.conj().T @ ((u.conj().T @ defi.intersection.basis) / s[:, None])
     return orthonormal_span(op.lift(coeffs), op.tol)
+
+
+def svd_trace_image(op, traces):
+    """Joint range of the traces on graph T, spanned by a rank-cut SVD at
+    ``tol * hypot(1, |T B|_2)``."""
+    stacked = np.vstack([traces.trace0, traces.trace1])
+    return orthonormal_span(stacked, op.tol, scale=np.hypot(1.0, op.scale))
+
+
+def svd_pair_kernel(pair):
+    """Kernel of the boundary map as ``null_space`` of its matrix."""
+    basis = pair.domain_basis @ null_space(pair.matrix)
+    return Subspace(pair.domain_basis.shape[0], basis)
 
 
 def reference_range_margin(traces):

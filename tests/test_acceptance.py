@@ -104,7 +104,7 @@ def _run_instance(op, rng) -> InstanceRecord:
     defi = deficiency_space(triple, op)
     resolvent_domain = defect_domain_via_resolvent(op, defi)
     rep = riesz_representer(op)
-    traces = restrict_triple(triple, op)
+    traces = restrict_triple(triple, op, splitting.defect.domain)
     proj = boundary_map_projection(op, splitting)
     res = boundary_map_resolvent(op, defi, splitting)
     scale = max(1.0, float(np.linalg.norm(proj.matrix, 2)))
@@ -113,7 +113,7 @@ def _run_instance(op, rng) -> InstanceRecord:
     )
     return InstanceRecord(
         n=op.space.dim,
-        green_pair=pair_green_residual(proj, op, samples=200, rng=rng),
+        green_pair=pair_green_residual(proj, op, rng=rng),
         oracle_gap=float(np.linalg.norm(proj.matrix - res.matrix, 2)) / scale,
         splitting_gap=gap_distance(splitting.defect.domain, resolvent_domain),
         deficiency_dim=defi.deficiency.dim,

@@ -246,14 +246,14 @@ def test_concurrent_callers_get_the_sequential_reports(two_cpus):
     assert reports == expected
 
 
-def test_analysis_makes_two_eigs_six_svds_and_seven_two_norms(monkeypatch,
-                                                              two_cpus,
-                                                              eig_threads):
+def test_analysis_makes_two_eigs_three_svds_and_seven_two_norms(monkeypatch,
+                                                                two_cpus,
+                                                                eig_threads):
     op = random_dissipative(64, np.random.default_rng(1))
     counts = count_svd_backed(monkeypatch)
     report = analyze_operator(op)
     assert all(report["checks"].values())
-    assert counts == {"svd": 6, "norm2": 7}
+    assert counts == {"svd": 3, "norm2": 7}
     assert len(eig_threads) == 2 and eig_threads[0].startswith(WORKER)
 
 

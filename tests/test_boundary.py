@@ -54,7 +54,7 @@ from conftest import (
 def pipeline(op):
     s = split(op)
     triple = build_boundary_triple(s.symmetric)
-    traces = restrict_triple(triple, op)
+    traces = restrict_triple(triple, op, s.defect.domain)
     return s, triple, traces
 
 
@@ -178,7 +178,7 @@ class TestRestrictTriple:
         # an ordinary triple restricted to a proper subset need not have
         # surjective component maps
         s, triple, _ = pipeline(mixed_diag)
-        traces_s = restrict_triple(triple, s.symmetric)
+        traces_s = restrict_triple(triple, s.symmetric, Subspace.zero(2))
         assert traces_s.boundary_dim == 1
         assert np.linalg.norm(traces_s.trace1) < 1e-12
         assert traces_s.image is not None and traces_s.image.dim == 0
@@ -186,7 +186,7 @@ class TestRestrictTriple:
     def test_containment_violation_detected(self, mixed_diag, krein_pm):
         s, triple, _ = pipeline(mixed_diag)
         with pytest.raises(PipelineError):
-            restrict_triple(triple, krein_pm)
+            restrict_triple(triple, krein_pm, split(krein_pm).defect.domain)
 
     def test_scalar_gram_value(self, scalar_i):
         _, _, traces = pipeline(scalar_i)
@@ -305,10 +305,10 @@ class TestContractChecks:
 
     def test_green_identity_on_graph_t_fires(self):
         op = random_dissipative(6, np.random.default_rng(12))
-        _, triple, _ = pipeline(op)
+        s, triple, _ = pipeline(op)
         doubled = replace(triple, trace1=2 * triple.trace1)
         with pytest.raises(PipelineError, match="Green identity"):
-            restrict_triple(doubled, op)
+            restrict_triple(doubled, op, s.defect.domain)
 
     def test_traces_nonzero_on_symmetric_graph_fire(self):
         rng = np.random.default_rng(13)
@@ -342,16 +342,14 @@ class TestContractChecks:
                                    op.matrix + op.space.J @ (h + h.conj().T))
         _, triple, _ = pipeline(other)
         with pytest.raises(PipelineError, match="not contained"):
-            restrict_triple(triple, op)
+            restrict_triple(triple, op, split(op).defect.domain)
 
     def test_no_matrix_two_norms(self, monkeypatch):
         op = random_dissipative(24, np.random.default_rng(16), domain_dim=20)
-        sym = split(op).symmetric
-        # |T B|_2, the scale of the image's rank cut: cached on T and read by
-        # the real-spectrum check too
-        assert op.scale > 0
+        s = split(op)
+        # the trace image is a QR with no rank cut: no 2-norm of T is read
         counts = count_svd_backed(monkeypatch)
-        restrict_triple(build_boundary_triple(sym), op)
+        restrict_triple(build_boundary_triple(s.symmetric), op, s.defect.domain)
         KreinSpace(op.space.J)
         assert counts["norm2"] == 0
         assert not is_diagonal(op.space.J)
@@ -534,6 +532,19 @@ class TestBoundaryRotation:
         k = traces.boundary_dim
         with pytest.raises(PipelineError):
             transform_traces(traces, 2.0 * np.eye(2 * k))
+
+    def test_metric_preserving_scaling_moves_the_image(self):
+        # diag(e^a I, e^-a I) preserves the metric and has 2-norm e^0.7 ~ 2
+        op = random_dissipative(7, np.random.default_rng(17), defect=3, domain_dim=6)
+        _, _, traces = pipeline(op)
+        k, a = traces.boundary_dim, 0.7
+        w = np.diag(np.repeat([np.exp(a), np.exp(-a)], k))
+        scaled = transform_traces(traces, w)
+        assert np.allclose(scaled.trace0, np.exp(a) * traces.trace0)
+        assert np.allclose(scaled.trace1, np.exp(-a) * traces.trace1)
+        expected = orthonormal_span(w @ traces.image.basis)
+        assert scaled.image.dim == traces.image.dim < 2 * k
+        assert gap_distance(scaled.image, expected) <= CHECK_GATE
 
 
 class TestRealSpectrum:

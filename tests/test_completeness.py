@@ -5,6 +5,7 @@ from kreinpair import (
     ClassificationError,
     KreinSpace,
     OperatorWithDomain,
+    Subspace,
     contraction_bound,
     criterion_report,
     orthonormal_span,
@@ -20,7 +21,7 @@ from kreinpair.tolerances import LOOSE_GATE
 def pipeline(op):
     s = split(op)
     triple = build_boundary_triple(s.symmetric)
-    traces = restrict_triple(triple, op)
+    traces = restrict_triple(triple, op, s.defect.domain)
     return s, triple, traces
 
 
@@ -149,7 +150,7 @@ class TestRestrictedRangeRemark:
         # restricting an ordinary triple to the symmetric part itself makes
         # the second component range trivial while the boundary space is not
         s, triple, _ = pipeline(mixed_diag)
-        traces_s = restrict_triple(triple, s.symmetric)
+        traces_s = restrict_triple(triple, s.symmetric, Subspace.zero(2))
         ran_t1 = orthonormal_span(traces_s.trace1, scale=1.0)
         assert traces_s.boundary_dim == 1
         assert ran_t1.is_zero

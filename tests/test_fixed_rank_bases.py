@@ -1,12 +1,14 @@
 """Bases whose rank the mathematics fixes come from a Householder QR.
 
-The graph ``[B; T B]`` and the von Neumann matrices ``(JS +- i)B`` have
-every singular value at least 1, the complement of the orthonormal trace
-image has them all equal to 1, and the resolvent preimage of the deficiency
-intersection is an injective solve.  Each QR basis is compared with the
-rank-cut SVD route it replaced, the operators of norm near 1e10 where that
-cut dropped true directions are regression cases, and the SVD-backed calls
-of one analysis are counted exactly.
+The graph ``[B; T B]``, the von Neumann matrices ``(JS +- i)B``, the
+matrix ``(JT + i)B`` of a dissipative T and the traces on the defect
+domain have every singular value at least 1, the complement of the
+orthonormal trace image has them all equal to 1, the boundary map has rank
+dim E, and the resolvent preimage of the deficiency intersection is an
+injective solve.  Each QR basis is compared with the rank-cut SVD route it
+replaced, the bound of 1 is checked over scales, the operators of norm near
+1e10 where that cut dropped true directions are regression cases, and the
+SVD-backed calls of one analysis are counted exactly.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from kreinpair import (
     defect_domain_via_resolvent,
     deficiency_space,
     dissipative_part,
+    boundary_map_projection,
     gap_distance,
     restrict_triple,
     split,
@@ -36,7 +39,9 @@ from conftest import (
     svd_deficiency_spaces,
     svd_graph,
     svd_intersection,
+    svd_pair_kernel,
     svd_resolvent_domain,
+    svd_trace_image,
 )
 
 QR_GAP = 1e-12
@@ -85,7 +90,7 @@ class TestQrMatchesSvdRoute:
     def test_deficiency_intersection(self, pieces):
         dims = set()
         for op, _, _, defi in pieces:
-            expected = svd_intersection(defi, op.tol)
+            expected = svd_intersection(op, defi)
             assert gap_distance(defi.intersection, expected) <= QR_GAP
             dims.add((defi.intersection.dim, defi.deficiency.dim))
         # the intersection is a proper part of N+ on a restricted domain
@@ -98,9 +103,28 @@ class TestQrMatchesSvdRoute:
             assert got.dim == s.defect.domain.dim
             assert gap_distance(got, svd_resolvent_domain(op, defi)) <= QR_GAP
 
+    def test_trace_image(self, pieces):
+        dims = set()
+        for op, s, triple, _ in pieces:
+            traces = restrict_triple(triple, op, s.defect.domain)
+            if traces.boundary_dim == 0:
+                continue
+            assert traces.image.dim == s.defect.domain.dim
+            assert gap_distance(traces.image, svd_trace_image(op, traces)) <= QR_GAP
+            dims.add(traces.image.dim < traces.boundary_dim)
+        # a proper image on a restricted domain and a maximal one on the whole space
+        assert dims == {True, False}
+
+    def test_pair_kernel(self, pieces):
+        for op, s, _, _ in pieces:
+            pair = boundary_map_projection(op, s)
+            kernel = pair.kernel()
+            assert kernel.dim == s.symmetric.domain.dim
+            assert gap_distance(kernel, svd_pair_kernel(pair)) <= QR_GAP
+
     def test_range_splitting_complement(self, pieces):
-        for op, _, triple, _ in pieces:
-            traces = restrict_triple(triple, op)
+        for op, s, triple, _ in pieces:
+            traces = restrict_triple(triple, op, s.defect.domain)
             if traces.boundary_dim == 0:
                 continue
             q = traces.image.basis
@@ -129,12 +153,28 @@ def test_large_operator_norm_keeps_every_direction(diagonal, deficiency_dim):
     assert report["dims"]["deficiency_space"] == deficiency_dim
 
 
-def test_analysis_makes_six_svds_and_seven_two_norms(monkeypatch):
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_fixed_rank_matrices_have_singular_values_at_least_one(c):
+    # the bound that lets a QR replace a rank-cut SVD, for [t0; t1] on the
+    # defect domain and for (JT + i)B, with T small, moderate and large
+    for base in differential_instances():
+        op = OperatorWithDomain(base.space, c * base.matrix, base.domain)
+        s = split(op)
+        triple = build_boundary_triple(s.symmetric)
+        traces = restrict_triple(triple, op, s.defect.domain)
+        b, x = op.domain.basis, op.coords(s.defect.domain.basis)
+        for m in (np.vstack([traces.trace0, traces.trace1]) @ x,
+                  op.space.J @ op.matrix @ b + 1j * b):
+            if m.size:
+                assert np.linalg.svd(m, compute_uv=False)[-1] >= 1 - 1e-12
+
+
+def test_analysis_makes_three_svds_and_seven_two_norms(monkeypatch):
     op = random_dissipative(64, np.random.default_rng(1))
     counts = count_svd_backed(monkeypatch)
     report = analyze_operator(op)
     assert all(report["checks"].values())
-    assert counts == {"svd": 6, "norm2": 7}
+    assert counts == {"svd": 3, "norm2": 7}
 
 
 class TestSplitSkipsSelfGap:

@@ -145,8 +145,8 @@ class TestGapDistance:
             pairs.append((random_subspace(n, k, rng), random_subspace(n, k, rng)))
         for a, b in pairs:
             # oracle: dense SVD of the projector difference
-            expected = np.linalg.svd(a.projector() - b.projector(),
-                                     compute_uv=False)[0]
+            pa, pb = (s.basis @ s.basis.conj().T for s in (a, b))
+            expected = np.linalg.svd(pa - pb, compute_uv=False)[0]
             assert gap_distance(a, b) == pytest.approx(expected, rel=1e-12)
         assert gap_distance(*pairs[0]) == pytest.approx(np.sin(theta))
 
