@@ -5,9 +5,10 @@ boundary triple, deficiency data, both boundary-map constructions, the
 completeness criteria and the real-spectrum comparison, and collects the
 cross-check residuals into one dictionary with JSON-safe values only.
 
-Of the Riesz representer F of the dissipation form only the eigenvalues
-are computed (:func:`~kreinpair.krein.riesz_spectrum`), gated by ``0 <= F
-<= I`` as ``checks.riesz_form_bounds``; F itself is the tests' reference.
+Each object is computed once: the eigenvalues of the Riesz representer F,
+gated by ``0 <= F <= I`` as ``checks.riesz_form_bounds``, are the graph
+spectrum that :func:`~kreinpair.krein.classify_by_graph` reads, and the
+completeness criteria read the trace image of the traces alone.
 
 The two ``eig`` calls of the real-spectrum check, of T's and of S's domain
 compression, are the largest single stage, yet T's needs only T and S's
@@ -69,14 +70,8 @@ from .decomposition import (
     deficiency_space,
     split,
 )
-from .errors import ClassificationError
-from .krein import (
-    INDEFINITE_CUT,
-    NEITHER,
-    OperatorWithDomain,
-    classify_by_graph,
-    riesz_spectrum,
-)
+from .errors import ClassificationError, checked_seed
+from .krein import INDEFINITE_CUT, NEITHER, OperatorWithDomain, classify_by_graph
 from .subspaces import Subspace, gap_distance
 from .tolerances import CHECK_GATE
 
@@ -111,8 +106,6 @@ def _submit_eig(pool: ThreadPoolExecutor | None,
 
 @dataclass(frozen=True)
 class PipelineResult:
-    op: OperatorWithDomain
-    classification: str
     splitting: Splitting
     deficiency: DeficiencyData
     resolvent_domain: Subspace
@@ -124,8 +117,7 @@ class PipelineResult:
 
 
 def build_pipeline(op: OperatorWithDomain) -> PipelineResult:
-    classification = op.classify()
-    if classification == NEITHER:
+    if op.classify() == NEITHER:
         raise ClassificationError("operator is not dissipative")
     splitting = split(op)
     triple = build_boundary_triple(splitting.symmetric)
@@ -134,10 +126,8 @@ def build_pipeline(op: OperatorWithDomain) -> PipelineResult:
     traces = restrict_triple(triple, op, splitting.defect.domain)
     pair_proj = boundary_map_projection(op, splitting)
     pair_res = boundary_map_resolvent(op, defi, splitting)
-    criterion = criterion_report(op, pieces=(splitting, traces))
+    criterion = criterion_report(op, traces=traces)
     return PipelineResult(
-        op=op,
-        classification=classification,
         splitting=splitting,
         deficiency=defi,
         resolvent_domain=resolvent_domain,
@@ -178,8 +168,10 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
 
     The real-spectrum check comes last, so that its two ``eig`` calls,
     started on the call's worker as soon as their inputs exist, overlap the
-    rest (see the module docstring).  The first exception propagates unchanged.
+    rest (see the module docstring).  The first exception propagates unchanged;
+    a bad ``seed`` raises ``DimensionMismatch`` before any work.
     """
+    seed = checked_seed(seed)
     classification = op.classify()
     if classification == NEITHER:
         return {
@@ -204,7 +196,7 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         splitting_gap = gap_distance(
             result.splitting.defect.domain, result.resolvent_domain
         )
-        riesz = riesz_spectrum(op)
+        riesz = op.graph_spectrum if op.domain.dim else np.zeros(1)
         routes_agree = (classify_by_graph(op) == classification
                         and classify_by_graph(sym) == sym.classify())
         eigs = tuple(None if f is None else f.result() for f in (eig_op, eig_sym))

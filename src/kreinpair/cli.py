@@ -182,7 +182,7 @@ def _criterion_payload(path) -> dict:
 
 
 def _cmd_criterion(args) -> int:
-    target = Path(args.input)
+    target = path = Path(args.input)
     try:
         if target.is_dir():
             files = sorted(p for p in target.iterdir() if p.suffix == ".json")
@@ -226,7 +226,8 @@ def _cmd_criterion(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KreinPairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # path is the file whose analysis raised, as in the load errors
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
     _emit_json(payload, args.output)
     return 0 if agree else 2

@@ -4,12 +4,14 @@ For a dissipative operator the image of its graph under the trace maps is
 a positive subspace of the doubled boundary space.  Three conditions are
 implemented and cross-checked, each as a continuous margin from its own
 factorisation: the smallest eigenvalue of the image Gram operator, one minus
-the norm of the angular-operator quotient, and the smallest principal angle
+the norm of the contraction ``K = Gamma- Gamma+^-1`` of S's triple that
+parametrises T (Gorbachuk & Gorbachuk, *Boundary Value Problems for Operator
+Differential Equations*, 1991), and the smallest principal angle
 behind the pair of range-decomposition identities that the image induces
 between the two boundary coordinates.  In finite dimension all three hold on
 every well-conditioned instance and they must always agree; on nearly
 degenerate families the three margins degrade together and the verdicts flip
-at the same cut.
+at the same cut.  All three read the trace image alone.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import TraceData, build_boundary_triple, restrict_triple
-from .decomposition import Splitting, split
-from .errors import ClassificationError, PipelineError
+from .decomposition import split
+from .errors import ClassificationError
 from .krein import NEITHER, OperatorWithDomain
-from .tolerances import CRITERION_TOL, INJECTIVITY_CUT, negligible
+from .tolerances import CRITERION_TOL
 
 __all__ = [
     "GramPositivity",
@@ -90,23 +92,19 @@ def uniform_positivity(image_gram: np.ndarray) -> GramPositivity:
     )
 
 
-def contraction_bound(traces: TraceData,
-                      defect_op: OperatorWithDomain) -> ContractionBound:
-    """Sup-norm of (trace1 - i trace0)(trace1 + i trace0)^{-1} on the defect
-    graph; strictly below 1 exactly when the image space is uniformly
-    positive."""
-    xn = traces.domain_basis.conj().T @ defect_op.domain.basis
-    t0n = traces.trace0 @ xn
-    t1n = traces.trace1 @ xn
-    if t0n.shape[1] == 0:
+def contraction_bound(traces: TraceData) -> ContractionBound:
+    """Norm of ``K = Gamma- Gamma+^-1``, below 1 exactly when the image
+    space is uniformly positive.  On the image basis ``[A; C]`` (trace0 over
+    trace1 rows), ``Gamma+- = C +- i A`` have ``Gamma+* Gamma+ = I + Gram``
+    and ``Gamma-* Gamma- = I - Gram`` for the image Gram, which is at least
+    0: Gamma+ is injective by construction, and K is ``Gamma- R^-1`` for the
+    reduced QR ``Gamma+ = Q R``."""
+    if traces.image is None or traces.image.dim == 0:
         return ContractionBound(ok=True, norm=0.0)
-    plus = t1n + 1j * t0n
-    minus = t1n - 1j * t0n
-    s = np.linalg.svd(plus, compute_uv=False)
-    if negligible(s[-1], INJECTIVITY_CUT, s[0]):
-        raise PipelineError("trace1 + i trace0 is not injective on the defect graph")
-    _, r = np.linalg.qr(plus)
-    quotient = minus @ np.linalg.inv(r)
+    k = traces.boundary_dim
+    a, c = traces.image.basis[:k], traces.image.basis[k:]
+    _, r = np.linalg.qr(c + 1j * a)
+    quotient = (c - 1j * a) @ np.linalg.inv(r)
     norm = float(np.linalg.norm(quotient, 2))
     return ContractionBound(ok=norm < 1.0 - CRITERION_TOL, norm=norm)
 
@@ -139,24 +137,23 @@ def range_splitting(traces: TraceData) -> RangeSplitting:
 
 
 def criterion_report(op: OperatorWithDomain,
-                     pieces: tuple[Splitting, TraceData] | None = None
-                     ) -> CriterionReport:
+                     traces: TraceData | None = None) -> CriterionReport:
     """Evaluate all three conditions and their agreement for one operator.
 
-    Disagreement never reflects the underlying equivalence failing; it
-    flags an implementation or tolerance problem, so callers should treat
-    ``agree=False`` as a hard failure.
+    ``traces`` are T's restricted traces from
+    :func:`~kreinpair.boundary.restrict_triple`; without them they are
+    built from the splitting of ``op``.  Disagreement never reflects the
+    underlying equivalence failing; it flags an implementation or tolerance
+    problem, so callers should treat ``agree=False`` as a hard failure.
     """
     if op.classify() == NEITHER:
         raise ClassificationError("completeness criteria need a dissipative operator")
-    if pieces is None:
+    if traces is None:
         splitting = split(op)
         triple = build_boundary_triple(splitting.symmetric)
         traces = restrict_triple(triple, op, splitting.defect.domain)
-    else:
-        splitting, traces = pieces
     positivity = uniform_positivity(traces.image_gram)
-    contraction = contraction_bound(traces, splitting.defect)
+    contraction = contraction_bound(traces)
     ranges = range_splitting(traces)
     agree = positivity.ok == contraction.ok == ranges.ok
     return CriterionReport(

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a seed."""
+
+import operator
 
 
 class KreinPairError(Exception):
@@ -27,3 +29,15 @@ class PipelineError(KreinPairError):
     Raised when an internal identity breaks down numerically, which points
     at an upstream computation going wrong rather than at bad user input.
     """
+
+
+def checked_seed(seed) -> int:
+    """``seed`` as a nonnegative ``int`` (numpy integers pass), else
+    :class:`DimensionMismatch`, the error of bad input to a study."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise DimensionMismatch(f"seed must be a nonnegative integer, got {seed!r}")
+    return value

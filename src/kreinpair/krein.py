@@ -10,7 +10,9 @@ the graph metric
     [(x1, y1), (x2, y2)]_G = -i([x1, y2] - [y1, x2])
 
 whose canonical symmetry ``(x, y) -> (-i J y, i J x)`` is unitary, so the
-Hilbert product it induces on pairs is exactly the Euclidean one.
+Hilbert product it induces on pairs is exactly the Euclidean one.  One
+spectrum of it, :attr:`OperatorWithDomain.graph_spectrum`, gives that verdict
+and the eigenvalues of the Riesz representer F, unitarily similar to it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "boundary_metric_matrix",
     "classify_by_graph",
     "riesz_representer",
-    "riesz_spectrum",
 ]
 
 DISSIPATIVE = "dissipative"
@@ -204,6 +205,16 @@ class OperatorWithDomain:
         return qr_span(np.vstack([self.domain.basis, self._image]))
 
     @cached_property
+    def graph_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the graph metric on :attr:`graph` (none
+        for an empty domain).  For ``[B; T B] = Q R`` it is ``R^-* D R^-1``,
+        D the dissipation Gram, unitarily similar to F of
+        :func:`riesz_representer` since ``R* R`` is the graph Gram."""
+        (top, bot), j = np.split(self.graph.basis, 2), self.space.J
+        metric = -1j * (top.conj().T @ (j @ bot) - bot.conj().T @ (j @ top))
+        return np.linalg.eigvalsh(0.5 * (metric + metric.conj().T))
+
+    @cached_property
     def dissipation_matrix(self) -> np.ndarray:
         """Ambient Hermitian matrix of the form -i([x, T y] - [T x, y]).
 
@@ -346,18 +357,13 @@ def classify_by_graph(op: OperatorWithDomain) -> str:
     """Classify through the graph instead of the dissipation form.
 
     The graph is nonnegative in the graph Krein space exactly when T is
-    dissipative, and neutral exactly when T is symmetric.  The graph metric
-    is compressed to an orthonormal basis of the graph, which bounds its
-    norm by 1 (``2 |[x, y]| <= |x|^2 + |y|^2``): both its zero test and its
-    sign test are judged at that scale, as its round-off is.
+    dissipative, and neutral exactly when T is symmetric.  The verdict is
+    read from :attr:`OperatorWithDomain.graph_spectrum`, the graph metric
+    compressed to an orthonormal basis of the graph, which bounds its norm
+    by 1 (``2 |[x, y]| <= |x|^2 + |y|^2``): both its zero test and its sign
+    test are judged at that scale, as its round-off is.
     """
-    graph = op.graph.basis
-    n = op.space.dim
-    top, bot = graph[:n], graph[n:]
-    j = op.space.J
-    compressed = -1j * (top.conj().T @ (j @ bot) - bot.conj().T @ (j @ top))
-    compressed = 0.5 * (compressed + compressed.conj().T)
-    return _classify(np.linalg.eigvalsh(compressed), op.tol, 1.0)
+    return _classify(op.graph_spectrum, op.tol, 1.0)
 
 
 @dataclass(frozen=True)
@@ -370,7 +376,8 @@ class RieszRepresenter:
     ``sqrt_matrix`` is the principal (nonnegative) square root.
     ``eigenvalues`` (ascending) and ``eigenvectors`` are the
     eigendecomposition of ``matrix`` that both were built from.  The tests'
-    reference: the pipeline reports only :func:`riesz_spectrum`.
+    reference: the pipeline reports only F's eigenvalues, read from
+    :attr:`OperatorWithDomain.graph_spectrum`.
     """
 
     basis: np.ndarray
@@ -425,15 +432,3 @@ def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
     return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f,
                             eigenvalues=fw, eigenvectors=fv)
 
-
-def riesz_spectrum(op: OperatorWithDomain) -> np.ndarray:
-    """Ascending eigenvalues of F of :func:`riesz_representer`, ``[0.0]``
-    for an empty domain.  For the graph Gram ``G = L L*`` (Cholesky; G >= I)
-    and the dissipation Gram D, ``L^-1 D L^-*`` is unitarily similar to
-    ``F = G^(-1/2) D G^(-1/2)`` (Golub & Van Loan, section 8.7)."""
-    if op.domain.dim == 0:
-        return np.zeros(1)
-    low = np.linalg.cholesky(op.graph_gram)
-    half = np.linalg.solve(low, op.dissipation_gram)
-    reduced = np.linalg.solve(low, half.conj().T)
-    return np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))

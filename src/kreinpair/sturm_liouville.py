@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Splitting
-from .errors import ClassificationError, DimensionMismatch, PipelineError
+from .errors import ClassificationError, DimensionMismatch, PipelineError, checked_seed
 from .krein import NEITHER, KreinSpace, OperatorWithDomain
 from .subspaces import Subspace, is_diagonal
 from .tolerances import DEFAULT_TOL, EXACT_BOUND, RESONANCE_CUT, negligible
@@ -387,8 +387,10 @@ def convergence_study(x_max: float, base_n: int, intervals, imq: float,
 
     The supremum of the continuum norm equals 1 but is attained only in
     the limit; what the study asserts is the contraction bound at every
-    level and a non-decreasing trend.
+    level and a non-decreasing trend.  A bad ``seed`` raises
+    :class:`DimensionMismatch` before any level.
     """
+    seed = checked_seed(seed)
     rows = []
     specs = study_levels(x_max, base_n, intervals, imq, h, levels)
     for level, (grid, pot) in enumerate(specs):

@@ -9,10 +9,11 @@ caller, so a subspace carries none.  Where the mathematics fixes the rank,
 the caller takes a Householder QR instead (:func:`qr_span`) and makes no
 rank decision.  On an orthonormal B every singular value is at least 1 for
 a graph ``[B; T B]``, a von Neumann matrix ``(JS +- i)B``, ``(JT + i)B`` of
-a dissipative T, and the stacked traces on the defect domain, which they
-map isometrically in graph norm; the complement of orthonormal columns has
-them all equal to 1, and an injective map keeps the dimension.  Inner
-products are conjugate-linear in the first argument.
+a dissipative T, the stacked traces on the defect domain, which they map
+isometrically in graph norm, and ``Gamma+ = C + i A`` on the trace image
+``[A; C]`` (``Gamma+* Gamma+ = I + Gram >= I``); the complement of
+orthonormal columns has them all equal to 1, and an injective map keeps the
+dimension.  Inner products are conjugate-linear in the first argument.
 
 All values are immutable after construction and all operations are pure,
 so instances can be shared freely between threads.

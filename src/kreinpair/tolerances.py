@@ -22,9 +22,6 @@ EXACT_BOUND = 1e-10
 #: the operator's tolerance, since ``scaled_defect_instance`` runs at 1e-14 to
 #: keep a weak defect direction on which the criteria must still flip
 CRITERION_TOL = 1e-10
-#: ``trace1 + i trace0`` is injective on the defect graph; a singular-value
-#: ratio below this means the traces were built wrong
-INJECTIVITY_CUT = 1e-13
 #: ``1 + step h / 2`` this close to zero makes the Robin ghost cell blow up
 RESONANCE_CUT = 1e-12
 #: slack where round-off is amplified: eigenpair identities of non-normal

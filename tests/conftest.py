@@ -215,9 +215,10 @@ def count_svd_backed(monkeypatch):
 
 
 def count_factorizations(monkeypatch):
-    """Count the calls of ``numpy.linalg.eigh``, ``eigvalsh`` and ``qr`` in a
-    dict from then on; the companion of :func:`count_svd_backed`."""
-    counts = {"eigh": 0, "eigvalsh": 0, "qr": 0}
+    """Count the calls of ``numpy.linalg.eigh``, ``eigvalsh``, ``qr`` and
+    ``cholesky`` in a dict from then on; the companion of
+    :func:`count_svd_backed`."""
+    counts = {"eigh": 0, "eigvalsh": 0, "qr": 0, "cholesky": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -293,6 +294,28 @@ def reference_range_margin(traces):
     m = np.block([[q[:k], -perp[k:]], [q[k:], perp[:k]]])
     sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
     return sigma * np.sqrt(2.0 - sigma * sigma)
+
+
+def defect_contraction_norm(traces, splitting):
+    """``|(t1 - i t0) X (QR of (t1 + i t0) X)^-1|_2`` on the defect-domain
+    coordinates X, the traces taken again: the route ``contraction_bound``
+    replaced with the image basis, kept as its oracle."""
+    t0n, t1n = np.split(defect_traces(traces, splitting), 2)
+    if t0n.shape[1] == 0:
+        return 0.0
+    r = np.linalg.qr(t1n + 1j * t0n)[1]
+    return float(np.linalg.norm((t1n - 1j * t0n) @ np.linalg.inv(r), 2))
+
+
+def cholesky_riesz_spectrum(op):
+    """Ascending eigenvalues of ``L^-1 D L^-*`` for the Cholesky factor L of
+    the graph Gram and the dissipation Gram D, unitarily similar to F of
+    ``riesz_representer``: the route the report read before
+    ``graph_spectrum``, kept as its oracle."""
+    low = np.linalg.cholesky(op.graph_gram)
+    half = np.linalg.solve(low, op.dissipation_gram)
+    reduced = np.linalg.solve(low, half.conj().T)
+    return np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
 
 
 def dense_mask_splitting(op, mask):

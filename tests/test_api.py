@@ -8,7 +8,10 @@ name is not a call of the method.  Import
 statements and ``__all__`` strings are not references, so a re-export in
 ``kreinpair/__init__.py`` keeps no name alive, and neither does the name's
 own ``def``.  Names kept only for the tests are listed in ``TEST_ONLY``,
-each with its reason.  ``perfbench`` is read, never written.
+each with its reason.  The same holds for the named thresholds: every
+UPPERCASE constant of ``kreinpair.tolerances`` must be read by name in
+another module of the package or in ``perfbench``, so a tolerance goes with
+its last reader.  ``perfbench`` is read, never written.
 """
 
 import ast
@@ -18,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kreinpair"
 CALLERS = (PACKAGE, ROOT / "perfbench")
+TOLERANCES = PACKAGE / "tolerances.py"
 
 TEST_ONLY = {
     "scaled_defect_instance": "the degeneration family of acceptance criterion 6",
@@ -57,12 +61,23 @@ def public_definitions() -> dict[str, str]:
     return found
 
 
-def referenced_names() -> tuple[set[str], set[str]]:
+def tolerance_names() -> set[str]:
+    """The UPPERCASE constants assigned at the top level of
+    ``kreinpair.tolerances``."""
+    return {target.id for node in _parse(TOLERANCES).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.isupper()}
+
+
+def referenced_names(skip: Path | None = None) -> tuple[set[str], set[str]]:
     """``(variables, attributes)``: the bare names read as variables and as
-    attributes in the callers."""
+    attributes in the callers, apart from the file ``skip``."""
     names, attributes = set(), set()
     for folder in CALLERS:
         for path in sorted(folder.rglob("*.py")):
+            if path == skip:
+                continue
             for node in ast.walk(_parse(path)):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
@@ -83,6 +98,14 @@ def test_every_public_name_has_a_caller():
     dead = sorted(qual for qual in public_definitions()
                   if qual not in used and qual not in TEST_ONLY)
     assert dead == [], f"public names with no caller in src or perfbench: {dead}"
+
+
+def test_every_named_tolerance_has_a_reader():
+    defined = tolerance_names()
+    assert {"DEFAULT_TOL", "CHECK_GATE"} <= defined
+    names, attributes = referenced_names(skip=TOLERANCES)
+    dead = sorted(defined - names - attributes)
+    assert dead == [], f"tolerances read nowhere outside their module: {dead}"
 
 
 def test_test_only_names_are_defined_and_uncalled():

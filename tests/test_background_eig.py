@@ -19,7 +19,7 @@ from numpy.linalg import LinAlgError
 
 from kreinpair import analysis
 from kreinpair.analysis import analyze_operator
-from kreinpair.errors import PipelineError
+from kreinpair.errors import DimensionMismatch, PipelineError
 from kreinpair.instances import random_dissipative, real_spectrum_instance
 
 from conftest import count_svd_backed, planted_cluster_operator
@@ -246,15 +246,34 @@ def test_concurrent_callers_get_the_sequential_reports(two_cpus):
     assert reports == expected
 
 
-def test_analysis_makes_two_eigs_three_svds_and_seven_two_norms(monkeypatch,
-                                                                two_cpus,
-                                                                eig_threads):
+def test_analysis_makes_two_eigs_two_svds_and_seven_two_norms(monkeypatch,
+                                                              two_cpus,
+                                                              eig_threads):
     op = random_dissipative(64, np.random.default_rng(1))
     counts = count_svd_backed(monkeypatch)
     report = analyze_operator(op)
     assert all(report["checks"].values())
-    assert counts == {"svd": 3, "norm2": 7}
+    assert counts == {"svd": 2, "norm2": 7}
     assert len(eig_threads) == 2 and eig_threads[0].startswith(WORKER)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_bad_seed_is_rejected_before_any_work(seed, monkeypatch, two_cpus,
+                                              eig_threads):
+    def refuse(op):
+        raise AssertionError("the pipeline ran before the seed was checked")
+
+    monkeypatch.setattr(analysis, "build_pipeline", refuse)
+    with pytest.raises(DimensionMismatch):
+        analyze_operator(random_dissipative(64, np.random.default_rng(1)), seed=seed)
+    assert eig_threads == []
+
+
+def test_numpy_integer_seed_is_accepted():
+    op = random_dissipative(8, np.random.default_rng(1))
+    report = analyze_operator(op, seed=np.int64(3))
+    assert report == analyze_operator(op, seed=3)
+    assert type(report["seed"]) is int
 
 
 def _analyze_in_child(op, expected):

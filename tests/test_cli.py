@@ -155,12 +155,13 @@ class TestAnalyze:
 
     def test_corrupted_dissipation_gram_trips_only_the_riesz_bounds(
             self, tmp_path, monkeypatch):
-        # 0 <= F <= I for every dissipative T; three times the form is still
-        # nonnegative, so only the upper bound on F can see it
+        # 0 <= F <= I for every dissipative T; three times F's spectrum, the
+        # graph spectrum, is still nonnegative and keeps the graph route's
+        # verdict, so only the upper bound on F can see it
         path = tmp_path / "op.json"
         dump_instance(random_dissipative(6, np.random.default_rng(4)), path)
-        exact = OperatorWithDomain.dissipation_gram.func
-        monkeypatch.setattr(OperatorWithDomain, "dissipation_gram",
+        exact = OperatorWithDomain.graph_spectrum.func
+        monkeypatch.setattr(OperatorWithDomain, "graph_spectrum",
                             property(lambda op: 3.0 * exact(op)))
         out = tmp_path / "report.json"
         assert main(["analyze", str(path), "-o", str(out)]) == 2
@@ -226,6 +227,17 @@ class TestCriterion:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "b_bad.json" in err and "a_good.json" not in err
         assert "complex entries must be [re, im] pairs" in err
+
+    def test_failing_analysis_in_batch_names_its_file(self, tmp_path, capsys):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        dump_instance(scaled_defect_instance(1.0), batch / "a_good.json")
+        bad = OperatorWithDomain(KreinSpace(np.eye(2)), np.diag([-1j, 1j]))
+        dump_instance(bad, batch / "b_bad.json")
+        assert main(["criterion", str(batch)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {batch / 'b_bad.json'}: completeness criteria "
+                       "need a dissipative operator\n")
 
     def test_empty_directory(self, tmp_path):
         batch = tmp_path / "empty"

@@ -47,13 +47,13 @@ class TestConditions:
             assert ranges.margin == pytest.approx(1.0)
 
     def test_contraction_zero_domain(self, hermitian_full):
-        s, triple, traces = pipeline(hermitian_full)
-        bound = contraction_bound(traces, s.defect)
+        _, _, traces = pipeline(hermitian_full)
+        bound = contraction_bound(traces)
         assert bound.ok and bound.norm == 0.0
 
     def test_scalar_contraction_below_one(self, scalar_i):
-        s, _, traces = pipeline(scalar_i)
-        bound = contraction_bound(traces, s.defect)
+        _, _, traces = pipeline(scalar_i)
+        bound = contraction_bound(traces)
         assert bound.ok and bound.norm < 1.0
 
     def test_rejects_non_dissipative(self):
@@ -85,7 +85,7 @@ class TestConditions:
 
     def test_criterion_report_svd_budget(self, monkeypatch):
         op = random_dissipative(64, np.random.default_rng(1))
-        s, _, traces = pipeline(op)
+        _, _, traces = pipeline(op)
         calls = []
 
         def counted(*args, **kwargs):
@@ -94,9 +94,10 @@ class TestConditions:
 
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", counted)
-        report = criterion_report(op, pieces=(s, traces))
+        report = criterion_report(op, traces=traces)
         assert report.agree and report.all_true
-        assert len(calls) <= 3
+        # range_splitting's sigma_min; the contraction takes a QR
+        assert len(calls) == 1
 
     def test_agreement_with_proper_domains(self):
         rng = np.random.default_rng(2)
@@ -154,6 +155,5 @@ class TestRestrictedRangeRemark:
         ran_t1 = orthonormal_span(traces_s.trace1, scale=1.0)
         assert traces_s.boundary_dim == 1
         assert ran_t1.is_zero
-        report = criterion_report(s.symmetric, pieces=(split(s.symmetric),
-                                                       traces_s))
+        report = criterion_report(s.symmetric, traces=traces_s)
         assert report.agree and report.all_true

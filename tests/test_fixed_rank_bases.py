@@ -1,14 +1,17 @@
 """Bases whose rank the mathematics fixes come from a Householder QR.
 
 The graph ``[B; T B]``, the von Neumann matrices ``(JS +- i)B``, the
-matrix ``(JT + i)B`` of a dissipative T and the traces on the defect
-domain have every singular value at least 1, the complement of the
+matrix ``(JT + i)B`` of a dissipative T, the traces on the defect
+domain and ``Gamma+ = C + i A`` on the trace image ``[A; C]`` have every
+singular value at least 1, the complement of the
 orthonormal trace image has them all equal to 1, the boundary map has rank
 dim E, and the resolvent preimage of the deficiency intersection is an
 injective solve.  Each QR basis is compared with the rank-cut SVD route it
 replaced, the bound of 1 is checked over scales, the operators of norm near
 1e10 where that cut dropped true directions are regression cases, and the
-SVD-backed calls of one analysis are counted exactly.
+SVD-backed calls of one analysis are counted exactly.  The contraction on
+the image and the Riesz eigenvalues of the graph route are compared with
+the routes they replaced.
 """
 
 import numpy as np
@@ -28,13 +31,16 @@ from kreinpair import (
 )
 import kreinpair.decomposition as decomposition_module
 from kreinpair.analysis import analyze_operator
-from kreinpair.completeness import range_splitting
+from kreinpair.completeness import contraction_bound, range_splitting
 from kreinpair.instances import random_dissipative
+from kreinpair.krein import riesz_representer
 from kreinpair.subspaces import Subspace
 
 from conftest import (
+    cholesky_riesz_spectrum,
     complement,
     count_svd_backed,
+    defect_contraction_norm,
     reference_range_margin,
     svd_deficiency_spaces,
     svd_graph,
@@ -153,28 +159,57 @@ def test_large_operator_norm_keeps_every_direction(diagonal, deficiency_dim):
     assert report["dims"]["deficiency_space"] == deficiency_dim
 
 
-@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
-def test_fixed_rank_matrices_have_singular_values_at_least_one(c):
-    # the bound that lets a QR replace a rank-cut SVD, for [t0; t1] on the
-    # defect domain and for (JT + i)B, with T small, moderate and large
+def scaled_pieces(c):
+    """``(op, splitting, traces)`` of each differential instance with T
+    scaled by c."""
     for base in differential_instances():
         op = OperatorWithDomain(base.space, c * base.matrix, base.domain)
         s = split(op)
         triple = build_boundary_triple(s.symmetric)
-        traces = restrict_triple(triple, op, s.defect.domain)
+        yield op, s, restrict_triple(triple, op, s.defect.domain)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_fixed_rank_matrices_have_singular_values_at_least_one(c):
+    # the bound that lets a QR replace a rank-cut SVD, for [t0; t1] on the
+    # defect domain, (JT + i)B and Gamma+ = C + iA on the trace image [A; C],
+    # with T small, moderate and large
+    for op, s, traces in scaled_pieces(c):
         b, x = op.domain.basis, op.coords(s.defect.domain.basis)
-        for m in (np.vstack([traces.trace0, traces.trace1]) @ x,
-                  op.space.J @ op.matrix @ b + 1j * b):
+        matrices = [np.vstack([traces.trace0, traces.trace1]) @ x,
+                    op.space.J @ op.matrix @ b + 1j * b]
+        if traces.image is not None:
+            k = traces.boundary_dim
+            matrices.append(traces.image.basis[k:] + 1j * traces.image.basis[:k])
+        for m in matrices:
             if m.size:
                 assert np.linalg.svd(m, compute_uv=False)[-1] >= 1 - 1e-12
 
 
-def test_analysis_makes_three_svds_and_seven_two_norms(monkeypatch):
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_contraction_on_image_matches_defect_route(c):
+    for _, s, traces in scaled_pieces(c):
+        norm = contraction_bound(traces).norm
+        assert abs(norm - defect_contraction_norm(traces, s)) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_riesz_block_matches_representer(c):
+    for base in differential_instances():
+        op = OperatorWithDomain(base.space, c * base.matrix, base.domain)
+        eigs = riesz_representer(op).eigenvalues
+        assert np.allclose(cholesky_riesz_spectrum(op), eigs, rtol=0.0, atol=1e-13)
+        riesz = analyze_operator(op)["riesz"]
+        assert abs(riesz["min_eigenvalue"] - eigs[0]) <= 1e-13
+        assert abs(riesz["graph_norm"] - np.max(np.abs(eigs))) <= 1e-13
+
+
+def test_analysis_makes_two_svds_and_seven_two_norms(monkeypatch):
     op = random_dissipative(64, np.random.default_rng(1))
     counts = count_svd_backed(monkeypatch)
     report = analyze_operator(op)
     assert all(report["checks"].values())
-    assert counts == {"svd": 3, "norm2": 7}
+    assert counts == {"svd": 2, "norm2": 7}
 
 
 class TestSplitSkipsSelfGap:

@@ -21,7 +21,6 @@ from kreinpair.krein import (
     _classify,
     boundary_metric_matrix,
     classify_by_graph,
-    riesz_spectrum,
 )
 from kreinpair.subspaces import is_diagonal, null_space
 from kreinpair.tolerances import CHECK_GATE, negligible
@@ -29,6 +28,7 @@ from kreinpair.sturm_liouville import GridSpec, PotentialSpec, discretize
 
 from conftest import (
     adjoint_relation,
+    cholesky_riesz_spectrum,
     contains,
     count_factorizations,
     e,
@@ -209,9 +209,10 @@ class TestRieszRepresenter:
                 eigs = np.linalg.eigvalsh(rep.matrix)
                 assert eigs[0] >= -1e-10
                 assert eigs[-1] <= 1.0 + CHECK_GATE
-                # the Cholesky route of the report gives the same eigenvalues
-                assert np.allclose(riesz_spectrum(op), rep.eigenvalues,
-                                   rtol=0.0, atol=1e-13)
+                # the graph route of the report and the Cholesky route give
+                # the same eigenvalues
+                for eigs in (op.graph_spectrum, cholesky_riesz_spectrum(op)):
+                    assert np.allclose(eigs, rep.eigenvalues, rtol=0.0, atol=1e-13)
                 # form value equals the squared graph norm of sqrt(F) x
                 for x in random_domain_samples(op, 20, rng).T:
                     form = op.dissipation_form(x, x).real
@@ -241,6 +242,23 @@ class TestRieszRepresenter:
         lhs = np.einsum("ij,ik->jk", (f @ coords).conj(), pinv @ (f @ coords))
         rhs = np.einsum("ij,ik->jk", coords.conj(), f @ coords)
         assert np.linalg.norm(lhs - rhs, 2) < 1e-8
+
+    def test_analysis_takes_one_graph_spectrum_per_operator(self, monkeypatch):
+        # eigvalsh: the graph spectra of T and of S, the image Gram and the
+        # splitting's defect Gram; the Riesz block reads T's graph spectrum
+        op = random_dissipative(64, np.random.default_rng(1))
+        counts = count_factorizations(monkeypatch)
+        report = analyze_operator(op)
+        assert all(report["checks"].values())
+        assert counts["eigvalsh"] == 4 and counts["cholesky"] == 0
+        assert report["riesz"]["min_eigenvalue"] == op.graph_spectrum[0]
+
+    def test_empty_domain_reports_zero_riesz_block(self):
+        op = OperatorWithDomain(KreinSpace(np.eye(3)), np.diag([1j, 1j, 1.0]),
+                                Subspace.zero(3))
+        assert op.graph_spectrum.size == 0
+        assert analyze_operator(op)["riesz"] == {"min_eigenvalue": 0.0,
+                                                 "graph_norm": 0.0}
 
 
 def assert_form_decision_exact(op):

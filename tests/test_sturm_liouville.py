@@ -490,7 +490,7 @@ class TestStudy:
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
         # the dissipation form and its masked block are diagonal, and the
         # mask splitting builds no graph orthocomplement
-        assert factorizations == {"eigh": 0, "eigvalsh": 0, "qr": 0}
+        assert factorizations == {"eigh": 0, "eigvalsh": 0, "qr": 0, "cholesky": 0}
 
     def test_no_generic_split(self, monkeypatch):
         def forbidden(name):
@@ -504,6 +504,20 @@ class TestStudy:
                         and getattr(module, fn.__name__, None) is fn):
                     monkeypatch.setattr(module, fn.__name__, forbidden(fn.__name__))
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_rejected_before_any_level(self, monkeypatch, seed):
+        def refuse(*args):
+            raise AssertionError("a level was built before the seed was checked")
+
+        monkeypatch.setattr(sturm_liouville, "discretize", refuse)
+        with pytest.raises(DimensionMismatch):
+            convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        args = (10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3)
+        assert (convergence_study(*args, seed=np.int64(2))
+                == convergence_study(*args, seed=2))
 
     def test_csv_format(self, tmp_path):
         rows = convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
