@@ -19,16 +19,17 @@ deficiency-coordinate formulas; the abstract Green identity and the
 vanishing of the traces exactly on graph(S) are checked once, as the
 construction's contract.
 
-Each contract check costs what its contract costs.  The Green identity on
-an orthonormal graph basis ``[top; bot]`` is the matrix identity
-``top* J bot - bot* J top = (t0 g)* (t1 g) - (t1 g)* (t0 g)``, formed in
-factors and without a 2n x 2n form.  On the von Neumann basis the stacked
-traces are exactly zero on graph(S) and a fixed unitary on N+ and N-, so
-their kernel is checked by two norms instead of a null space.  Graph T lies
-in the adjoint graph exactly when its overlap with ``M graph(S)``, for the
-unitary ``M(s, s') = (-J s', J s)``, vanishes: a d x d_S product instead of
-a projection onto the adjoint basis.  Each is decided by a Frobenius norm,
-which bounds the 2-norm from above, so a gate on it can only tighten.
+Each contract check costs what its contract costs, and none samples
+vectors.  A Green identity is a matrix identity on an orthonormal graph
+basis g: its Krein graph form ``top* J bot - bot* J top``
+(:func:`~kreinpair.krein.graph_form`, formed in factors) must equal
+``(t0 g)* (t1 g) - (t1 g)* (t0 g)`` for the triple and, on graph T, also
+``i P* E P`` for the pair.  On the von Neumann basis the stacked traces are
+exactly zero on graph(S) and a fixed unitary on N+ and N-, so their kernel
+is checked by two norms instead of a null space.  Graph T lies in the
+adjoint graph exactly when its graph form with graph(S) vanishes: a
+d x d_S product instead of a projection.  Each is decided by a Frobenius
+norm, which bounds the 2-norm from above, so a gate on it only tightens.
 
 Two independent realizations of the boundary map of the pair are provided:
 one through the graph-orthogonal projection onto the defect domain, one
@@ -57,7 +58,7 @@ import numpy as np
 
 from .decomposition import DeficiencyData, Splitting
 from .errors import DimensionMismatch, PipelineError
-from .krein import SYMMETRIC, OperatorWithDomain, boundary_metric_matrix
+from .krein import SYMMETRIC, OperatorWithDomain, boundary_metric_matrix, graph_form
 from .subspaces import Subspace, gap_distance, null_space, qr_span
 from .tolerances import CHECK_GATE, DEFAULT_TOL, EXACT_BOUND, LOOSE_GATE, negligible
 
@@ -76,10 +77,6 @@ __all__ = [
     "restricted_eigenpairs",
     "real_spectrum_report",
 ]
-
-#: random domain sample pairs of :func:`pair_green_residual`
-PAIR_GREEN_SAMPLES = 200
-
 
 @dataclass(frozen=True)
 class BoundaryTriple:
@@ -200,7 +197,7 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     on_graph = np.vstack([trace0, trace1]) @ g
     _trace_kernel_gap(on_graph, sym_graph.dim)
     k = n_plus.dim
-    residual = _green_residual(j, g, on_graph[:k], on_graph[k:])
+    residual = _green_residual(graph_form(j, g, g), on_graph[:k], on_graph[k:])
     if residual > EXACT_BOUND:
         raise PipelineError(f"abstract Green identity fails (residual {residual:.3e})")
     return BoundaryTriple(
@@ -216,21 +213,17 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     )
 
 
-def _green_residual(j: np.ndarray, graph: np.ndarray, t0: np.ndarray,
-                    t1: np.ndarray) -> float:
+def _green_residual(form: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> float:
     """Frobenius norm of the Green identity's defect on an orthonormal graph
-    basis ``graph = [top; bot]``, given the traces ``t0``, ``t1`` on it:
+    basis g, given its graph form ``form = graph_form(J, g, g)`` and the
+    traces ``t0``, ``t1`` on it:
 
-        top* J bot - bot* J top - ((t0)* t1 - (t1)* t0),
+        form - ((t0)* t1 - (t1)* t0),
 
     the compression of [x, y'] - [x', y] - (<t0 x^, t1 y^> - <t1 x^, t0 y^>)
     to the basis.  Both forms have norm of order |J| = 1, and the Frobenius
     norm bounds the 2-norm from above, so a gate on it only tightens."""
-    n = j.shape[0]
-    top, bot = graph[:n], graph[n:]
-    defect = (top.conj().T @ (j @ bot) - bot.conj().T @ (j @ top)
-              - (t0.conj().T @ t1 - t1.conj().T @ t0))
-    return float(np.linalg.norm(defect))
+    return float(np.linalg.norm(form - (t0.conj().T @ t1 - t1.conj().T @ t0)))
 
 
 def _trace_kernel_gap(on_graph: np.ndarray, sym_dim: int) -> float:
@@ -267,13 +260,10 @@ def _containment_residual(j: np.ndarray, sym_graph: np.ndarray,
 
     The adjoint graph is the orthocomplement of ``M graph(S)`` for the
     unitary ``M(s, s') = (-J s', J s)``, so the part of ``graph`` outside it
-    is its overlap ``bot* J top_S - top* J bot_S`` with ``M sym_graph``.
-    That is a d x d_S matrix, and its Frobenius norm bounds the 2-norm
+    is its overlap with ``M sym_graph``, minus their graph form.  That is a
+    d x d_S matrix, and its Frobenius norm bounds the 2-norm
     ``|(I - P) graph|_2`` for the projector P onto the adjoint graph."""
-    n = j.shape[0]
-    overlap = (graph[n:].conj().T @ (j @ sym_graph[:n])
-               - graph[:n].conj().T @ (j @ sym_graph[n:]))
-    return float(np.linalg.norm(overlap))
+    return float(np.linalg.norm(graph_form(j, graph, sym_graph)))
 
 
 def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
@@ -287,8 +277,8 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
     ``[t0; t1] X`` for the defect basis X, with no rank decision.
 
     The containment of graph T in the adjoint graph
-    (:func:`_containment_residual`) and the Green identity on graph T are
-    checked; a violation of either raises.
+    (:func:`_containment_residual`) and the Green identity on graph T,
+    against ``op.graph_form``, are checked; a violation of either raises.
     """
     g_t = op.graph.basis
     j = triple.base_metric
@@ -305,7 +295,7 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
     # zero defect numbers: no boundary data at all
     image = qr_span(np.vstack([t0, t1]) @ op.coords(defect.basis)) if k else None
     gram = trace_image_gram(image) if k else np.zeros((0, 0), dtype=np.complex128)
-    residual = _green_residual(j, g_t, triple.trace0 @ g_t, triple.trace1 @ g_t)
+    residual = _green_residual(op.graph_form, triple.trace0 @ g_t, triple.trace1 @ g_t)
     if residual > EXACT_BOUND:
         raise PipelineError(f"Green identity fails on the graph of T ({residual:.3e})")
     return TraceData(
@@ -410,30 +400,17 @@ def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
     )
 
 
-def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain,
-                        rng: np.random.Generator | None = None) -> float:
-    """Largest normalized residual of the boundary-pair Green identity
-    [x, Ty] - [Tx, y] = i (G x, G y)_E over random domain sample pairs."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    d = pair.domain_basis.shape[1]
-    if d == 0:
+def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain) -> float:
+    """Frobenius norm of the defect ``op.graph_form - i P* E P`` of the
+    Green identity [x, Ty] - [Tx, y] = i (G x, G y)_E on the orthonormal
+    graph basis ``[top; bot]`` of T, for the map
+    ``P = defect_basis* matrix coords(top)`` on its coordinates.  It bounds
+    the defect on any two domain vectors over their graph norms."""
+    if pair.domain_basis.shape[1] == 0:
         return 0.0
-    j, m, samples = op.space.J, op.matrix, PAIR_GREEN_SAMPLES
-    cx = rng.standard_normal((d, samples)) + 1j * rng.standard_normal((d, samples))
-    cy = rng.standard_normal((d, samples)) + 1j * rng.standard_normal((d, samples))
-    x, y = op.lift(cx), op.lift(cy)
-    mx, my = m @ x, m @ y
-    lhs = np.einsum("ij,ij->j", x.conj(), j @ my) - np.einsum(
-        "ij,ij->j", mx.conj(), j @ y
-    )
-    px = pair.defect_basis.conj().T @ (pair.matrix @ cx)
-    py = pair.defect_basis.conj().T @ (pair.matrix @ cy)
-    rhs = 1j * np.einsum("ij,ij->j", px.conj(), pair.gram @ py)
-    norm_x = np.sqrt(np.einsum("ij,ij->j", x.conj(), x).real
-                     + np.einsum("ij,ij->j", mx.conj(), mx).real)
-    norm_y = np.sqrt(np.einsum("ij,ij->j", y.conj(), y).real
-                     + np.einsum("ij,ij->j", my.conj(), my).real)
-    return float(np.max(np.abs(lhs - rhs) / (norm_x * norm_y)))
+    top = np.split(op.graph.basis, 2)[0]
+    p = pair.defect_basis.conj().T @ (pair.matrix @ op.coords(top))
+    return float(np.linalg.norm(op.graph_form - 1j * (p.conj().T @ (pair.gram @ p))))
 
 
 def restricted_eigenpairs(op: OperatorWithDomain, eig=None):

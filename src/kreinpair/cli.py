@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("input", help="operator JSON file")
     p_analyze.add_argument("-o", "--output", default=None, help="report path")
     p_analyze.add_argument("--seed", type=int, default=0,
-                           help="seed for residual sampling")
+                           help="echoed in the report; the analysis draws "
+                                "no random numbers")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_crit = sub.add_parser("criterion", help="completeness criteria report")

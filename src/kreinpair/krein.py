@@ -10,9 +10,10 @@ the graph metric
     [(x1, y1), (x2, y2)]_G = -i([x1, y2] - [y1, x2])
 
 whose canonical symmetry ``(x, y) -> (-i J y, i J x)`` is unitary, so the
-Hilbert product it induces on pairs is exactly the Euclidean one.  One
-spectrum of it, :attr:`OperatorWithDomain.graph_spectrum`, gives that verdict
-and the eigenvalues of the Riesz representer F, unitarily similar to it.
+Hilbert product it induces on pairs is exactly the Euclidean one.  It is
+formed once, as -i :attr:`OperatorWithDomain.graph_form`, which every Green
+identity on graph T is checked against; its spectrum gives that verdict and
+the eigenvalues of the Riesz representer F, unitarily similar to it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "RieszRepresenter",
     "boundary_metric_matrix",
     "classify_by_graph",
+    "graph_form",
     "riesz_representer",
 ]
 
@@ -69,6 +71,14 @@ def boundary_metric_matrix(dim: int) -> np.ndarray:
     eye = np.eye(dim, dtype=np.complex128)
     zero = np.zeros((dim, dim), dtype=np.complex128)
     return np.block([[zero, -1j * eye], [1j * eye, zero]])
+
+
+def graph_form(j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Krein graph form ``[x, y'] - [x', y]`` between the columns
+    ``(x, x')`` of ``a = [top_a; bot_a]`` and ``(y, y')`` of ``b``, stacked
+    bases of the doubled space: ``top_a* J bot_b - bot_a* J top_b``."""
+    (top_a, bot_a), (top_b, bot_b) = np.split(a, 2), np.split(b, 2)
+    return top_a.conj().T @ (j @ bot_b) - bot_a.conj().T @ (j @ top_b)
 
 
 def _metric_norms(j: np.ndarray, diagonal: bool) -> tuple[float, float, float]:
@@ -205,13 +215,19 @@ class OperatorWithDomain:
         return qr_span(np.vstack([self.domain.basis, self._image]))
 
     @cached_property
+    def graph_form(self) -> np.ndarray:
+        """:func:`graph_form` on :attr:`graph`: ``[x, Ty] - [Tx, y]`` on
+        graph-orthonormal coordinates."""
+        g = self.graph.basis
+        return graph_form(self.space.J, g, g)
+
+    @cached_property
     def graph_spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of the graph metric on :attr:`graph` (none
-        for an empty domain).  For ``[B; T B] = Q R`` it is ``R^-* D R^-1``,
-        D the dissipation Gram, unitarily similar to F of
+        """Ascending eigenvalues of the graph metric ``-i`` :attr:`graph_form`
+        (none for an empty domain).  For ``[B; T B] = Q R`` it is
+        ``R^-* D R^-1``, D the dissipation Gram, unitarily similar to F of
         :func:`riesz_representer` since ``R* R`` is the graph Gram."""
-        (top, bot), j = np.split(self.graph.basis, 2), self.space.J
-        metric = -1j * (top.conj().T @ (j @ bot) - bot.conj().T @ (j @ top))
+        metric = -1j * self.graph_form
         return np.linalg.eigvalsh(0.5 * (metric + metric.conj().T))
 
     @cached_property

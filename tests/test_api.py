@@ -8,10 +8,12 @@ name is not a call of the method.  Import
 statements and ``__all__`` strings are not references, so a re-export in
 ``kreinpair/__init__.py`` keeps no name alive, and neither does the name's
 own ``def``.  Names kept only for the tests are listed in ``TEST_ONLY``,
-each with its reason.  The same holds for the named thresholds: every
-UPPERCASE constant of ``kreinpair.tolerances`` must be read by name in
-another module of the package or in ``perfbench``, so a tolerance goes with
-its last reader.  ``perfbench`` is read, never written.
+each with its reason.  The same holds for the named constants: every
+public UPPERCASE constant assigned at the top level of a package module must
+be read (a variable or an attribute in load context, so not its own
+assignment) in the package or in ``perfbench``, and every one of
+``kreinpair.tolerances`` in another module than its own, so a constant goes
+with its last reader.  ``perfbench`` is read, never written.
 """
 
 import ast
@@ -61,24 +63,30 @@ def public_definitions() -> dict[str, str]:
     return found
 
 
-def tolerance_names() -> set[str]:
-    """The UPPERCASE constants assigned at the top level of
-    ``kreinpair.tolerances``."""
-    return {target.id for node in _parse(TOLERANCES).body
-            if isinstance(node, ast.Assign)
-            for target in node.targets
-            if isinstance(target, ast.Name) and target.id.isupper()}
+def constant_names(path: Path) -> set[str]:
+    """The public UPPERCASE constants assigned at the top level of ``path``."""
+    found = set()
+    for node in _parse(path).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        found.update(target.id for target in targets
+                     if isinstance(target, ast.Name) and target.id.isupper()
+                     and not target.id.startswith("_"))
+    return found
 
 
 def referenced_names(skip: Path | None = None) -> tuple[set[str], set[str]]:
     """``(variables, attributes)``: the bare names read as variables and as
-    attributes in the callers, apart from the file ``skip``."""
+    attributes in the callers, apart from the file ``skip``.  Only loads
+    count: an assignment to a name does not read it."""
     names, attributes = set(), set()
     for folder in CALLERS:
         for path in sorted(folder.rglob("*.py")):
             if path == skip:
                 continue
             for node in ast.walk(_parse(path)):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
@@ -101,11 +109,16 @@ def test_every_public_name_has_a_caller():
 
 
 def test_every_named_tolerance_has_a_reader():
-    defined = tolerance_names()
-    assert {"DEFAULT_TOL", "CHECK_GATE"} <= defined
+    tolerances = constant_names(TOLERANCES)
+    assert {"DEFAULT_TOL", "CHECK_GATE"} <= tolerances
     names, attributes = referenced_names(skip=TOLERANCES)
-    dead = sorted(defined - names - attributes)
+    dead = sorted(tolerances - names - attributes)
     assert dead == [], f"tolerances read nowhere outside their module: {dead}"
+    constants = set().union(*map(constant_names, PACKAGE.glob("*.py")))
+    assert {"INDEFINITE_CUT", "QUADRATURE_SAMPLES"} <= constants
+    names, attributes = referenced_names()
+    dead = sorted(constants - names - attributes)
+    assert dead == [], f"module constants read nowhere: {dead}"
 
 
 def test_test_only_names_are_defined_and_uncalled():

@@ -276,6 +276,20 @@ def test_numpy_integer_seed_is_accepted():
     assert type(report["seed"]) is int
 
 
+def test_analysis_draws_no_random_numbers(monkeypatch):
+    # every check is an exact identity, so the seed is only echoed
+    op = random_dissipative(12, np.random.default_rng(4), defect=3, domain_dim=7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analysis drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    report = analyze_operator(op, seed=0)
+    assert report["dims"]["symmetric_part"] > 0
+    assert all(report["checks"].values())
+    assert analyze_operator(op, seed=7) == {**report, "seed": 7}
+
+
 def _analyze_in_child(op, expected):
     assert analyze_operator(op) == expected
 

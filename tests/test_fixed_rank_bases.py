@@ -10,8 +10,8 @@ injective solve.  Each QR basis is compared with the rank-cut SVD route it
 replaced, the bound of 1 is checked over scales, the operators of norm near
 1e10 where that cut dropped true directions are regression cases, and the
 SVD-backed calls of one analysis are counted exactly.  The contraction on
-the image and the Riesz eigenvalues of the graph route are compared with
-the routes they replaced.
+the image, the Riesz eigenvalues of the graph route and the exact Green
+residual of the pair are compared with the routes they replaced.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from kreinpair import (
     dissipative_part,
     boundary_map_projection,
     gap_distance,
+    pair_green_residual,
     restrict_triple,
     split,
 )
@@ -42,6 +43,7 @@ from conftest import (
     count_svd_backed,
     defect_contraction_norm,
     reference_range_margin,
+    sampled_pair_green_residual,
     svd_deficiency_spaces,
     svd_graph,
     svd_intersection,
@@ -202,6 +204,19 @@ def test_riesz_block_matches_representer(c):
         riesz = analyze_operator(op)["riesz"]
         assert abs(riesz["min_eigenvalue"] - eigs[0]) <= 1e-13
         assert abs(riesz["graph_norm"] - np.max(np.abs(eigs))) <= 1e-13
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_pair_green_residual_bounds_the_sampled_one(c):
+    # a sampled pair sees at most the 2-norm of the identity's defect, which
+    # the Frobenius norm bounds; 1e-15 absorbs the round-off of the two
+    # routes, 4e-17 apart where both read round-off
+    for base in differential_instances():
+        op = OperatorWithDomain(base.space, c * base.matrix, base.domain)
+        pair = boundary_map_projection(op, split(op))
+        exact = pair_green_residual(pair, op)
+        assert exact + 1e-15 >= sampled_pair_green_residual(pair, op)
+        assert exact <= 1e-13
 
 
 def test_analysis_makes_two_svds_and_seven_two_norms(monkeypatch):
