@@ -3,7 +3,8 @@
 Three subcommands: ``analyze`` runs the full pipeline on one operator file
 and writes a JSON report, ``criterion`` evaluates the completeness
 criteria on a file or a directory batch, ``sl-study`` runs the refinement
-study of the discretized Schroedinger operator and writes a CSV.
+study of the discretized Schroedinger operator and writes a CSV.  None
+draws random numbers: the ``--seed`` of ``analyze`` is echoed, nothing more.
 
 Operator files are JSON with complex entries encoded as [re, im] pairs:
 
@@ -33,7 +34,7 @@ from .completeness import criterion_report
 from .errors import DimensionMismatch, KreinPairError
 from .krein import KreinSpace, OperatorWithDomain
 from .subspaces import orthonormal_span
-from .sturm_liouville import convergence_study, study_levels, write_study_csv
+from .sturm_liouville import convergence_study, write_study_csv
 from .tolerances import CHECK_GATE, DEFAULT_TOL, LOOSE_GATE
 
 
@@ -249,14 +250,8 @@ def _parse_intervals(text: str) -> list:
 
 def _cmd_sl_study(args) -> int:
     try:
-        _check_seed(args.seed)
         intervals = _parse_intervals(args.omega)
-        # study_levels validates every flag on every level before dense work
-        study_levels(args.xmax, args.n, intervals, args.imq, args.h, args.levels)
-    except (SpecError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        # DimensionMismatch comes only from its checks of every flag on every level
         rows = convergence_study(
             x_max=args.xmax,
             base_n=args.n,
@@ -264,8 +259,10 @@ def _cmd_sl_study(args) -> int:
             imq=args.imq,
             h=args.h,
             levels=args.levels,
-            seed=args.seed,
         )
+    except (SpecError, DimensionMismatch) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except KreinPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -306,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--h", type=float, default=1.0, help="Robin parameter")
     p_study.add_argument("--imq", type=float, default=1.0,
                          help="imaginary part of the potential on the mask")
-    p_study.add_argument("--seed", type=int, default=0,
-                         help="seed for residual sampling")
     p_study.add_argument("-o", "--output", default="sl_study.csv",
                          help="CSV output path")
     p_study.set_defaults(func=_cmd_sl_study)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check of a seed."""
+"""Exception types shared across the package, and the checks of integer input."""
 
 import operator
 
@@ -31,13 +31,20 @@ class PipelineError(KreinPairError):
     """
 
 
-def checked_seed(seed) -> int:
-    """``seed`` as a nonnegative ``int`` (numpy integers pass), else
-    :class:`DimensionMismatch`, the error of bad input to a study."""
+def checked_integer(value, what: str, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum`` (numpy integers pass
+    ``operator.index``, floats do not), else :class:`DimensionMismatch`, the
+    error of bad input to a study."""
     try:
-        value = operator.index(seed)
+        number = operator.index(value)
     except TypeError:
-        value = -1
-    if value < 0:
-        raise DimensionMismatch(f"seed must be a nonnegative integer, got {seed!r}")
-    return value
+        number = None
+    if number is None or number < minimum:
+        raise DimensionMismatch(
+            f"{what} must be an integer of at least {minimum}, got {value!r}")
+    return number
+
+
+def checked_seed(seed) -> int:
+    """``seed`` as a nonnegative ``int`` (numpy integers pass)."""
+    return checked_integer(seed, "seed", 0)

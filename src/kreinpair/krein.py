@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ClassificationError, DimensionMismatch, MetricError, ScaleOverflow
 from .subspaces import Subspace, _frozen, is_diagonal, orthonormal_span, qr_span
-from .tolerances import DEFAULT_TOL, negligible
+from .tolerances import DEFAULT_TOL, METRIC_SLACK, negligible
 
 __all__ = [
     "KreinSpace",
@@ -94,14 +94,15 @@ def _metric_norms(j: np.ndarray, diagonal: bool) -> tuple[float, float, float]:
 
 def _passes_frobenius_first(j: np.ndarray, tol: float) -> bool:
     """Whether the checks of :class:`KreinSpace` pass by their Frobenius
-    bounds: ``|J - J*|_F <= 10 tol low`` and ``|J^2 - I|_F <= 10 tol low^2``
-    for ``low`` the largest column norm of J.  Since ``low <= |J|_2`` and a
-    Frobenius norm bounds the 2-norm, the dense checks then pass too; a
-    False only means they must be run."""
+    bounds: ``|J - J*|_F <= cut`` and ``|J^2 - I|_F <= cut low`` for
+    ``cut = METRIC_SLACK tol low``, ``low`` the largest column norm of J.
+    Since ``low <= |J|_2`` and a Frobenius norm bounds the 2-norm, the dense
+    checks then pass too; a False only means they must be run."""
     peak = float(np.max(np.abs(j)))
     low = peak * float(np.max(np.linalg.norm(j / peak, axis=0)))
-    return (_frobenius(j - j.conj().T) <= 10 * tol * low
-            and _frobenius(j @ j - np.eye(j.shape[0])) <= 10 * tol * low * low)
+    cut = METRIC_SLACK * tol * low
+    return (_frobenius(j - j.conj().T) <= cut
+            and _frobenius(j @ j - np.eye(j.shape[0])) <= cut * low)
 
 
 class KreinSpace:
@@ -110,7 +111,7 @@ class KreinSpace:
     J must be Hermitian and an involution; a Hermitian involution is
     automatically unitary, so no separate unitarity check is needed.  Both
     defects, ``|J - J*|_2`` and ``|J^2 - I|_2``, are judged against
-    ``scale = |J|_2``, which is computed only when it is read.
+    ``|J|_2``, with the slack :data:`~kreinpair.tolerances.METRIC_SLACK`.
 
     ``diagonal`` records whether J is diagonal (:func:`is_diagonal`: as many
     nonzeros as its diagonal), decided once here.  Such a J, the identity
@@ -138,21 +139,14 @@ class KreinSpace:
         diagonal = is_diagonal(j)
         if diagonal or not _passes_frobenius_first(j, tol):
             scale, asymmetry, involution = _metric_norms(j, diagonal)
-            if asymmetry > 10 * tol * scale:
+            if asymmetry > METRIC_SLACK * tol * scale:
                 raise MetricError("metric is not Hermitian")
-            if involution > 10 * tol * scale * scale:
+            if involution > METRIC_SLACK * tol * scale * scale:
                 raise MetricError("canonical symmetry must square to the identity")
-            self.scale = scale
         self.J = j
         self.dim = int(j.shape[0])
         self.tol = float(tol)
         self.diagonal = diagonal
-
-    @cached_property
-    def scale(self) -> float:
-        """``|J|_2``, the scale of the two checks; set by the constructor
-        when J took the diagonal or the dense route."""
-        return float(np.linalg.norm(self.J, 2))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"KreinSpace(dim={self.dim})"
@@ -232,20 +226,18 @@ class OperatorWithDomain:
 
     @cached_property
     def dissipation_matrix(self) -> np.ndarray:
-        """Ambient Hermitian matrix of the form -i([x, T y] - [T x, y]).
-
-        For a diagonal J (:attr:`KreinSpace.diagonal`) the products J M and
-        M* J are row and column scalings: each entry is the one term of its
-        dense sum that is not an exact zero, so for J = diag(+-1) both routes
-        give the same bits, in O(n^2) instead of O(n^3).
+        """Ambient matrix of the form -i([x, T y] - [T x, y]), Hermitian by
+        construction: ``h + h*`` for ``h = -i H M`` and H the Hermitian part
+        of J (with ``J M`` it would be off by the asymmetry J may keep).
+        For a diagonal J (:attr:`KreinSpace.diagonal`) ``H M`` is a row
+        scaling by ``Re(diag J)``, in O(n^2): the same bits as the product.
         """
         j, m = self.space.J, self.matrix
         if self.space.diagonal:
-            d = np.diag(j)
-            g = -1j * (d[:, None] * m - m.conj().T * d)
+            h = -1j * (np.diag(j).real[:, None] * m)
         else:
-            g = -1j * (j @ m - m.conj().T @ j)
-        return 0.5 * (g + g.conj().T)
+            h = -1j * ((0.5 * (j + j.conj().T)) @ m)
+        return h + h.conj().T
 
     @cached_property
     def dissipation_gram(self) -> np.ndarray:

@@ -33,8 +33,8 @@ norm:
 * the contraction bound of the Cayley transform of the masked block
   (:class:`StudyRow`);
 
-and it reports the deviation of the form from its midpoint-rule quadrature
-on random grid functions (:func:`dissipation_quadrature_residual`).
+and it reports the exact deviation of the form from its midpoint-rule
+quadrature (:func:`dissipation_quadrature_residual`).
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Splitting
-from .errors import ClassificationError, DimensionMismatch, PipelineError, checked_seed
-from .krein import NEITHER, KreinSpace, OperatorWithDomain
+from .errors import (ClassificationError, DimensionMismatch, PipelineError,
+                     checked_integer, checked_seed)
+from .krein import NEITHER, KreinSpace, OperatorWithDomain, _frobenius
 from .subspaces import Subspace, is_diagonal
 from .tolerances import DEFAULT_TOL, EXACT_BOUND, RESONANCE_CUT, negligible
 
@@ -64,13 +65,9 @@ __all__ = [
     "write_study_csv",
 ]
 
-#: random grid functions of :func:`dissipation_quadrature_residual`
-QUADRATURE_SAMPLES = 100
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform cell-centered grid on [0, x_max]."""
+    """Uniform cell-centered grid of ``n_points >= 8`` (an integer) on [0, x_max]."""
 
     x_max: float
     n_points: int
@@ -78,8 +75,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.x_max > 0 and math.isfinite(self.x_max)):
             raise DimensionMismatch("x_max must be positive and finite")
-        if self.n_points < 8:
-            raise DimensionMismatch("need at least 8 grid points")
+        object.__setattr__(self, "n_points",
+                           checked_integer(self.n_points, "n_points", 8))
         square = self.step * self.step
         if not (square > 0 and 0 < 1.0 / square < math.inf):
             raise DimensionMismatch(
@@ -201,12 +198,14 @@ def discretize(grid: GridSpec, pot: PotentialSpec) -> OperatorWithDomain:
     return op
 
 
-def _validated_mask(op: OperatorWithDomain, mask) -> np.ndarray:
+def _validated_mask(op: OperatorWithDomain, mask, nonempty=False) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (op.space.dim,):
         raise DimensionMismatch(
             f"mask of shape {mask.shape}, expected a vector of length {op.space.dim}"
         )
+    if nonempty and not mask.any():
+        raise DimensionMismatch("mask is empty")
     return mask
 
 
@@ -281,24 +280,18 @@ def mask_splitting(op: OperatorWithDomain, mask) -> Splitting:
     )
 
 
-def dissipation_quadrature_residual(op: OperatorWithDomain, grid: GridSpec,
-                                    pot: PotentialSpec,
-                                    rng: np.random.Generator | None = None
-                                    ) -> float:
-    """Largest relative deviation of the dissipation form from the midpoint
-    quadrature 2 sum_mask Im q |y_k|^2 step over random grid functions.
-
-    Samples are function values y; the corresponding coordinate vector is
-    sqrt(step) * y.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    n, s, samples = grid.n_points, grid.step, QUADRATURE_SAMPLES
-    y = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
-    x = math.sqrt(s) * y
-    form = np.einsum("ij,ij->j", x.conj(), op.dissipation_matrix @ x).real
-    weights = 2.0 * s * pot.q_values.imag * pot.omega_mask
-    quad = np.einsum("i,ij->j", weights, np.abs(y) ** 2)
-    return float(np.max(np.abs(form - quad) / (1.0 + np.abs(quad))))
+def dissipation_quadrature_residual(op: OperatorWithDomain,
+                                    pot: PotentialSpec) -> float:
+    """``|D - W|_F / |W|_2`` for the dissipation matrix D and the midpoint
+    quadrature ``W = 2 diag(Im q)``: on a grid function y, as the vector
+    sqrt(step) y, the form is ``step y* D y`` and the quadrature ``step y* W y``,
+    so the identity on all of them is ``D = W``.  Raises
+    :class:`DimensionMismatch` for an empty mask or one of the wrong length."""
+    _validated_mask(op, pot.omega_mask, nonempty=True)
+    weights = 2.0 * pot.q_values.imag  # q vanishes off the mask
+    deviation = op.dissipation_matrix.copy()
+    deviation[np.diag_indices_from(deviation)] -= weights
+    return _frobenius(deviation) / float(np.max(np.abs(weights)))
 
 
 def cayley_norm(matrix) -> float:
@@ -324,10 +317,7 @@ def cayley_norm(matrix) -> float:
 
 def omega_block(op: OperatorWithDomain, mask) -> np.ndarray:
     """Compression of the operator matrix to the masked coordinates."""
-    mask = _validated_mask(op, mask)
-    if not mask.any():
-        raise DimensionMismatch("mask is empty")
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(_validated_mask(op, mask, nonempty=True))
     return op.matrix[np.ix_(idx, idx)]
 
 
@@ -355,8 +345,7 @@ def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
 
     Raises :class:`DimensionMismatch` for input no level may take.
     """
-    if levels < 3:
-        raise DimensionMismatch("need at least 3 refinement levels")
+    levels = checked_integer(levels, "levels", 3)
     specs = []
     for level in range(levels):
         grid = GridSpec(x_max=x_max, n_points=base_n * 2**level)
@@ -387,18 +376,17 @@ def convergence_study(x_max: float, base_n: int, intervals, imq: float,
 
     The supremum of the continuum norm equals 1 but is attained only in
     the limit; what the study asserts is the contraction bound at every
-    level and a non-decreasing trend.  A bad ``seed`` raises
-    :class:`DimensionMismatch` before any level.
+    level and a non-decreasing trend.  Nothing is random: ``seed`` is
+    validated and unused.  :class:`DimensionMismatch` comes only from the
+    input checks, before any level does dense work.
     """
-    seed = checked_seed(seed)
+    checked_seed(seed)
     rows = []
     specs = study_levels(x_max, base_n, intervals, imq, h, levels)
     for level, (grid, pot) in enumerate(specs):
         op = discretize(grid, pot)
         mask_splitting(op, pot.omega_mask)
-        residual = dissipation_quadrature_residual(
-            op, grid, pot, rng=np.random.default_rng(seed + level)
-        )
+        residual = dissipation_quadrature_residual(op, pot)
         norm = cayley_norm(omega_block(op, pot.omega_mask))
         rows.append(
             StudyRow(

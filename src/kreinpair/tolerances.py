@@ -24,6 +24,11 @@ EXACT_BOUND = 1e-10
 CRITERION_TOL = 1e-10
 #: ``1 + step h / 2`` this close to zero makes the Robin ghost cell blow up
 RESONANCE_CUT = 1e-12
+#: slack, in units of the rank tolerance times ``|J|_2`` (squared for
+#: ``J^2 - I``), of the checks that a metric J is a Hermitian involution: J is
+#: read from input whose entries carry their own rounding (decimal files,
+#: products with unitary frames), so its checks allow more than a rank cut
+METRIC_SLACK = 10
 #: slack where round-off is amplified: eigenpair identities of non-normal
 #: matrices, monotone trends over refinement levels or batches
 LOOSE_GATE = 1e-6

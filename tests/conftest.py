@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -367,3 +369,39 @@ def dense_mask_splitting(op, mask):
             f"(gaps {gap_sym:.3e}, {gap_defect:.3e})"
         )
     return generic
+
+
+#: random grid functions of ``sampled_quadrature_residual``
+QUADRATURE_SAMPLES = 100
+
+
+def sampled_quadrature_residual(op, grid, pot, rng=None):
+    """Largest relative deviation of the dissipation form from the midpoint
+    quadrature 2 sum_mask Im q |y_k|^2 step over random grid functions: the
+    route ``dissipation_quadrature_residual`` replaced with the exact matrix
+    identity, kept as its oracle.
+
+    Samples are function values y; the corresponding coordinate vector is
+    sqrt(step) * y.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    n, s, samples = grid.n_points, grid.step, QUADRATURE_SAMPLES
+    y = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
+    x = math.sqrt(s) * y
+    form = np.einsum("ij,ij->j", x.conj(), op.dissipation_matrix @ x).real
+    weights = 2.0 * s * pot.q_values.imag * pot.omega_mask
+    quad = np.einsum("i,ij->j", weights, np.abs(y) ** 2)
+    return float(np.max(np.abs(form - quad) / (1.0 + np.abs(quad))))
+
+
+def symmetrized_dissipation_matrix(op):
+    """``0.5 (g + g*)`` for ``g = -i(J M - M* J)``, with row and column
+    scalings for a diagonal J: the formula ``dissipation_matrix`` replaced
+    with ``h + h*`` on the Hermitian part of J, kept as its oracle."""
+    j, m = op.space.J, op.matrix
+    if op.space.diagonal:
+        d = np.diag(j)
+        g = -1j * (d[:, None] * m - m.conj().T * d)
+    else:
+        g = -1j * (j @ m - m.conj().T @ j)
+    return 0.5 * (g + g.conj().T)

@@ -115,7 +115,7 @@ def test_every_named_tolerance_has_a_reader():
     dead = sorted(tolerances - names - attributes)
     assert dead == [], f"tolerances read nowhere outside their module: {dead}"
     constants = set().union(*map(constant_names, PACKAGE.glob("*.py")))
-    assert {"INDEFINITE_CUT", "QUADRATURE_SAMPLES"} <= constants
+    assert {"INDEFINITE_CUT", "NEITHER"} <= constants
     names, attributes = referenced_names()
     dead = sorted(constants - names - attributes)
     assert dead == [], f"module constants read nowhere: {dead}"

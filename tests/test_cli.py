@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kreinpair import KreinSpace, OperatorWithDomain
+from kreinpair import KreinSpace, OperatorWithDomain, cli, sturm_liouville
 from kreinpair.cli import SpecError, dump_instance, load_instance, main
 from kreinpair.instances import random_dissipative, scaled_defect_instance
 
@@ -317,6 +317,33 @@ class TestStudyCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("flags,code", [
+        ([], 0), (["--imq", "0"], 1), (["--omega", "0.5:0.52"], 1),
+        (["--xmax", "5e-4"], 1),
+    ])
+    def test_input_validated_once(self, tmp_path, monkeypatch, flags, code):
+        """Every level is validated once per run, by the study itself."""
+        calls = []
+        real = sturm_liouville.study_levels
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sturm_liouville, "study_levels", spy)
+        monkeypatch.setattr(cli, "study_levels", spy, raising=False)
+        out = tmp_path / "study.csv"
+        assert main(["sl-study", "--n", "8", "--levels", "3", *flags,
+                     "-o", str(out)]) == code
+        assert len(calls) == 1
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        # the study draws no random numbers, so there is nothing to seed
+        with pytest.raises(SystemExit) as exc:
+            main(["sl-study", "--seed", "0", "-o", str(tmp_path / "study.csv")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_csv_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sl-study", "--n", "16", "--xmax", "10", "--levels", "3"]
@@ -328,7 +355,6 @@ class TestStudyCommand:
 class TestSeedFlag:
     @pytest.mark.parametrize("command", [
         ["analyze", "{instance}"],
-        ["sl-study", "--n", "8", "--levels", "3"],
     ])
     def test_negative_seed_rejected(self, tmp_path, capsys, command):
         instance = tmp_path / "instance.json"

@@ -38,6 +38,7 @@ from conftest import (
     random_domain_samples,
     riesz_coords,
     span,
+    symmetrized_dissipation_matrix,
 )
 
 
@@ -103,6 +104,42 @@ class TestDissipationForm:
             y, axis=0
         )
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-8
+
+
+class TestDissipationMatrix:
+    """``h + h*`` on the Hermitian part of J against the symmetrized formula
+    it replaced (``symmetrized_dissipation_matrix``)."""
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_diagonal_metric_gives_the_same_bits(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for j in (np.eye(n), np.diag(rng.choice([-1.0, 1.0], size=n))):
+            op = OperatorWithDomain(KreinSpace(j), m)
+            d = op.dissipation_matrix
+            assert np.array_equal(d, symmetrized_dissipation_matrix(op))
+            assert np.array_equal(d, d.conj().T)
+
+    def test_dense_metric_hermitian_within_its_asymmetry_cut(self):
+        """A J with an anti-Hermitian part of norm 4e-10, which ``KreinSpace``
+        accepts: the Hermitian part keeps D at the old formula to round-off,
+        while ``J M`` itself would drift by about that asymmetry."""
+        n = 40
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = a - a.conj().T
+        space = KreinSpace(random_canonical_symmetry(n, rng)
+                           + 4e-10 / np.linalg.norm(a, 2) * a)
+        assert not space.diagonal
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        op = OperatorWithDomain(space, m)
+        reference = symmetrized_dissipation_matrix(op)
+        bound = 1e-15 * np.linalg.norm(m, 2)
+        d = op.dissipation_matrix
+        assert np.array_equal(d, d.conj().T)
+        assert np.linalg.norm(d - reference, 2) <= bound
+        plain = -1j * (space.J @ m)
+        assert np.linalg.norm(plain + plain.conj().T - reference, 2) > bound
 
 
 class TestClassify:

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from kreinpair import OperatorWithDomain, Subspace, gap_distance, split
+from kreinpair import KreinSpace, OperatorWithDomain, Subspace, gap_distance, split
 from kreinpair import decomposition, subspaces
 from kreinpair.analysis import analyze_operator
 from kreinpair import sturm_liouville
@@ -14,6 +14,7 @@ from kreinpair.errors import (
     KreinPairError,
     PipelineError,
 )
+from kreinpair.tolerances import CHECK_GATE
 from kreinpair.instances import random_unitary
 from kreinpair.sturm_liouville import (
     GridSpec,
@@ -34,6 +35,7 @@ from conftest import (
     count_svd_backed,
     dense_mask_splitting,
     e,
+    sampled_quadrature_residual,
     span,
 )
 
@@ -48,6 +50,16 @@ class TestSpecs:
             GridSpec(x_max=10.0, n_points=4)
         with pytest.raises(DimensionMismatch):
             GridSpec(x_max=-1.0, n_points=16)
+
+    @pytest.mark.parametrize("n_points", [16.5, 16.0, "16", None])
+    def test_grid_size_must_be_an_integer(self, n_points):
+        with pytest.raises(DimensionMismatch, match="n_points must be an integer"):
+            GridSpec(x_max=10.0, n_points=n_points)
+
+    def test_numpy_integer_grid_size_is_accepted(self):
+        grid = GridSpec(x_max=10.0, n_points=np.int64(16))
+        assert grid == GridSpec(x_max=10.0, n_points=16)
+        assert type(grid.n_points) is int
 
     @pytest.mark.parametrize("x_max", [1e-300, 1e308])
     def test_grid_step_squared_must_invert(self, x_max):
@@ -345,9 +357,43 @@ class TestQuadrature:
         grid = GridSpec(x_max=20.0, n_points=128)
         pot = left_half(grid)
         op = discretize(grid, pot)
-        res = dissipation_quadrature_residual(op, grid, pot,
-                                              rng=np.random.default_rng(0))
+        res = sampled_quadrature_residual(op, grid, pot,
+                                          rng=np.random.default_rng(0))
         assert res < 1e-10
+        assert dissipation_quadrature_residual(op, pot) == 0.0
+
+    def test_exact_identity_sees_what_the_samples_miss(self):
+        """An asymmetric stencil entry of 5e-7 inside the mask keeps T
+        dissipative and its mask splitting exact, and the sampled residual
+        reads it below the gate; the exact identity reads it at 3.5e-7."""
+        grid = GridSpec(x_max=20.0, n_points=512)
+        pot = left_half(grid)
+        m = discretize(grid, pot).matrix.copy()
+        assert pot.omega_mask[100] and pot.omega_mask[101]
+        m[100, 101] += 5e-7
+        op = OperatorWithDomain(KreinSpace(np.eye(512)), m)
+        assert op.classify() == "dissipative"
+        mask_splitting(op, pot.omega_mask)
+        assert sampled_quadrature_residual(op, grid, pot) < CHECK_GATE
+        assert dissipation_quadrature_residual(op, pot) >= 1e-7
+
+    @pytest.mark.parametrize("intervals,imq,h", STUDY_FORMS)
+    def test_exactly_zero_on_every_study_level(self, intervals, imq, h):
+        for x_max in np.logspace(-1, 1.5, 6):
+            for grid, pot in study_levels(x_max, 16, intervals, imq, h, 4):
+                op = discretize(grid, pot)
+                assert dissipation_quadrature_residual(op, pot) == 0.0
+
+    def test_mask_must_be_nonempty_and_of_length_n(self):
+        grid = GridSpec(x_max=10.0, n_points=16)
+        op = discretize(grid, left_half(grid))
+        empty = PotentialSpec(omega_mask=np.zeros(16, bool),
+                              q_values=np.zeros(16, complex), h=1.0)
+        with pytest.raises(DimensionMismatch, match="empty"):
+            dissipation_quadrature_residual(op, empty)
+        other = left_half(GridSpec(x_max=10.0, n_points=32))
+        with pytest.raises(DimensionMismatch, match="vector of length 16"):
+            dissipation_quadrature_residual(op, other)
 
 
 class TestCayley:
@@ -409,6 +455,34 @@ class TestStudy:
     def test_levels_validated(self):
         with pytest.raises(DimensionMismatch):
             convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("base_n,levels,name", [
+        (16, 3.0, "levels"), (16, "3", "levels"), (16.5, 3, "n_points"),
+        (16.0, 3, "n_points"),
+    ])
+    def test_sizes_must_be_integers(self, base_n, levels, name):
+        args = (10.0, base_n, [(0.0, 0.5)], 1.0, 1.0, levels)
+        with pytest.raises(DimensionMismatch, match=f"{name} must be an integer"):
+            study_levels(*args)
+        with pytest.raises(DimensionMismatch, match=f"{name} must be an integer"):
+            convergence_study(*args)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        intervals = [(0.0, 0.5)]
+        assert (convergence_study(10.0, np.int64(16), intervals, 1.0, 1.0,
+                                  np.int64(3))
+                == convergence_study(10.0, 16, intervals, 1.0, 1.0, 3))
+
+    def test_study_draws_no_random_numbers(self, monkeypatch):
+        args = (10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3)
+        rows = convergence_study(*args, seed=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert convergence_study(*args, seed=5) == rows
+        assert all(row.form_residual == 0.0 for row in rows)
 
     @pytest.mark.parametrize("intervals,h,match", [
         ([(0.5, 0.52)], 1.0, "empty"),  # no cell center in [10, 10.4)

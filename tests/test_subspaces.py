@@ -336,27 +336,26 @@ class TestMetricMatrix:
 
     def test_accepts_signature_matrix(self):
         space = KreinSpace(np.diag([1.0, -1.0]))
-        assert space.dim == 2 and space.diagonal and space.scale == 1.0
+        assert space.dim == 2 and space.diagonal
 
     @staticmethod
     def dense_verdict(m, tol):
         """The checks through three dense 2-norms (SVDs), the reference for
-        the diagonal route: ``(verdict, scale)``."""
+        the diagonal route."""
         scale = np.linalg.norm(m, 2)
         if np.linalg.norm(m - m.conj().T, 2) > 10 * tol * scale:
-            return "not Hermitian", scale
+            return "not Hermitian"
         if np.linalg.norm(m @ m - np.eye(m.shape[0]), 2) > 10 * tol * scale * scale:
-            return "not an involution", scale
-        return "ok", scale
+            return "not an involution"
+        return "ok"
 
     @staticmethod
     def verdict(m, tol):
         try:
             space = KreinSpace(m, tol=tol)
         except MetricError as exc:
-            kind = "not Hermitian" if "Hermitian" in str(exc) else "not an involution"
-            return kind, None
-        return "ok", space.scale
+            return "not Hermitian" if "Hermitian" in str(exc) else "not an involution"
+        return "ok"
 
     # entries within a factor 2 of the 10 tol cuts, on each side: 1 + i delta
     # has |d - conj d| = 2 delta, and 1 + delta has |d^2 - 1| ~ 2 delta
@@ -371,23 +370,20 @@ class TestMetricMatrix:
         [0.5, -3.0, 1.0],
         [0.0, 1.0],
     ] + NEAR_CUTS)
-    # J and -J: both canonical symmetries or neither, with the same scale
+    # J and -J: both canonical symmetries or neither
     @pytest.mark.parametrize("negated", [True, False])
     def test_diagonal_route_matches_dense_norms(self, monkeypatch, diagonal,
                                                 negated):
         m = np.diag(np.asarray(diagonal, dtype=np.complex128))
         if negated:
             m = -m
-        expected, scale = self.dense_verdict(m, 1e-10)
+        expected = self.dense_verdict(m, 1e-10)
         counts = count_svd_backed(monkeypatch)
-        got, got_scale = self.verdict(m, 1e-10)
+        assert self.verdict(m, 1e-10) == expected
         assert counts == {"svd": 0, "norm2": 0}
-        assert got == expected
-        if expected == "ok":
-            assert got_scale == pytest.approx(scale, rel=1e-15, abs=0.0)
 
     def test_near_cut_cases_straddle_both_cuts(self):
-        verdicts = [self.dense_verdict(np.diag(d), 1e-10)[0]
+        verdicts = [self.dense_verdict(np.diag(d), 1e-10)
                     for d in self.NEAR_CUTS]
         assert verdicts == ["ok", "not Hermitian", "ok", "not an involution"]
 
@@ -401,10 +397,9 @@ class TestMetricMatrix:
         # a valid J passes by its Frobenius bounds; only one the bounds
         # cannot accept takes the three dense 2-norms
         counts = count_svd_backed(monkeypatch)
-        space = KreinSpace(m)
+        KreinSpace(m)
         assert counts == {"svd": 0, "norm2": norms}
-        assert self.dense_verdict(m, 1e-10)[0] == "ok"
-        assert space.scale == pytest.approx(1.0, rel=1e-15)
+        assert self.dense_verdict(m, 1e-10) == "ok"
 
     @pytest.mark.parametrize("diagonal", NEAR_CUTS)
     @pytest.mark.parametrize("negated", [True, False])
@@ -414,11 +409,7 @@ class TestMetricMatrix:
         m = u @ np.diag(np.asarray(diagonal, dtype=np.complex128)) @ u.conj().T
         if negated:
             m = -m
-        expected, scale = self.dense_verdict(m, 1e-10)
-        got, got_scale = self.verdict(m, 1e-10)
-        assert got == expected
-        if expected == "ok":
-            assert got_scale == pytest.approx(scale, rel=1e-14)
+        assert self.verdict(m, 1e-10) == self.dense_verdict(m, 1e-10)
 
     @pytest.mark.parametrize("m,diagonal", [
         (np.eye(3), True),
