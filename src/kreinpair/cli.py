@@ -3,7 +3,8 @@
 Three subcommands: ``analyze`` runs the full pipeline on one operator file
 and writes a JSON report, ``criterion`` evaluates the completeness
 criteria on a file or a directory batch, ``sl-study`` runs the refinement
-study of the discretized Schroedinger operator and writes a CSV.  None
+study of the discretized Schroedinger operator, in O(n) per level on the
+bands of its stencil apart from the Cayley norm, and writes a CSV.  None
 draws random numbers: the ``--seed`` of ``analyze`` is echoed, nothing more.
 
 Operator files are JSON with complex entries encoded as [re, im] pairs:

@@ -301,22 +301,9 @@ class OperatorWithDomain:
 
     @cached_property
     def form_scale(self) -> float:
-        """Scale of the rank decision on the dissipation form: its largest
-        eigenvalue modulus, or its bound ``2 |T B|_2`` when even that is
-        negligible against the bound (T is symmetric).
-
-        ``|T B|_F >= |T B|_2``, so a largest eigenvalue that is not
-        negligible against ``2 |T B|_F`` (times a margin far above the
-        round-off of either norm) is not negligible against the bound
-        either: the answer is then the same without the SVD behind
-        :attr:`scale`, which runs only when this test cannot decide.
-        """
-        largest = float(np.max(np.abs(self.form_eigh[0]), initial=0.0))
-        frobenius_bound = 2.0 * _frobenius(self._image)
-        if not negligible(largest, self.tol, _NORM_MARGIN * frobenius_bound):
-            return largest
-        bound = 2.0 * self.scale
-        return bound if negligible(largest, self.tol, bound) else largest
+        """Scale of the rank decision on the dissipation form (:func:`_form_scale`)."""
+        return _form_scale(self.form_eigh[0], _frobenius(self._image),
+                           lambda: self.scale, self.tol)
 
     @cached_property
     def form_kernel(self) -> Subspace:
@@ -340,15 +327,31 @@ class OperatorWithDomain:
     @cached_property
     def _classification(self) -> str:
         w = self.form_eigh[0]
-        if not np.any(w):
-            # a zero form is negligible at every scale: no need for form_scale
-            return SYMMETRIC
-        return _classify(w, self.tol, self.form_scale)
+        # a zero form is symmetric at every scale: no need for form_scale
+        return _classify(w, self.tol, self.form_scale if np.any(w) else 0.0)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (
             f"OperatorWithDomain(n={self.space.dim}, domain_dim={self.domain.dim})"
         )
+
+
+def _form_scale(eigs: np.ndarray, frobenius: float, norm2, tol: float) -> float:
+    """Scale of the rank decision on a dissipation form with eigenvalues
+    ``eigs``: their largest modulus, or its bound ``2 |T B|_2`` when even
+    that is negligible against the bound (T is symmetric).
+
+    ``frobenius = |T B|_F >= |T B|_2``, so a largest eigenvalue that is not
+    negligible against ``2 |T B|_F`` (times a margin far above the round-off
+    of either norm) is not negligible against the bound either: the answer
+    is then the same without ``norm2()``, which returns ``|T B|_2`` by an
+    SVD and runs only when this test cannot decide.
+    """
+    largest = float(np.max(np.abs(eigs), initial=0.0))
+    if not negligible(largest, tol, _NORM_MARGIN * (2.0 * frobenius)):
+        return largest
+    bound = 2.0 * norm2()
+    return bound if negligible(largest, tol, bound) else largest
 
 
 def _classify(eigs: np.ndarray, tol: float, scale: float) -> str:

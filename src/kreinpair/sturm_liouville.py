@@ -21,45 +21,36 @@ are exactly the kernel of the form.  Vector entries carry the quadrature
 weight sqrt(step), which turns Euclidean sums into midpoint-rule integrals
 with uniform weight ``step``.
 
-Every level of :func:`convergence_study` certifies, in O(n^2) work on the
-arrays the operator holds apart from the solve and the SVD of the Cayley
-norm:
-
-* that the operator is dissipative (:func:`discretize`);
-* that its splitting is exactly the mask splitting (:func:`mask_splitting`):
-  no entry of T couples masked and off-mask coordinates, the dissipation
-  matrix vanishes on the off-mask rows, and every eigenvalue of its masked
-  block lies above the rank cut of the form;
-* the contraction bound of the Cayley transform of the masked block
-  (:class:`StudyRow`);
-
-and it reports the exact deviation of the form from its midpoint-rule
-quadrature (:func:`dissipation_quadrature_residual`).
+Every level of :func:`convergence_study` is held as the bands of that
+stencil (:class:`BandedOperator`), from which it certifies in O(n) work and
+memory that the operator is dissipative (:func:`discretize`) and that its
+splitting is the mask splitting (:meth:`BandedOperator.masked_block`), and
+reads the exact deviation of its form from the midpoint-rule quadrature.
+The one dense array is the m x m masked block, whose Cayley norm, checked
+to be a contraction (:class:`StudyRow`), costs O(m^3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .decomposition import Splitting
 from .errors import (ClassificationError, DimensionMismatch, PipelineError,
                      checked_integer, checked_seed)
-from .krein import NEITHER, KreinSpace, OperatorWithDomain, _frobenius
-from .subspaces import Subspace, is_diagonal
+from .krein import (NEITHER, KreinSpace, OperatorWithDomain, _classify,
+                    _form_scale, _frobenius)
 from .tolerances import DEFAULT_TOL, EXACT_BOUND, RESONANCE_CUT, negligible
 
 __all__ = [
     "GridSpec",
     "PotentialSpec",
     "StudyRow",
+    "BandedOperator",
     "discretize",
-    "mask_splitting",
-    "dissipation_quadrature_residual",
     "cayley_norm",
-    "omega_block",
     "study_levels",
     "convergence_study",
     "write_study_csv",
@@ -158,140 +149,148 @@ class StudyRow:
     form_residual: float
 
     def __post_init__(self):
-        if self.cayley_norm > 1.0 + EXACT_BOUND:
+        # written as negations, so that NaN fails them too
+        if not 0.0 <= self.cayley_norm <= 1.0 + EXACT_BOUND:
             raise PipelineError(
                 f"contraction bound violated: cayley_norm = {self.cayley_norm!r}"
             )
+        if not 0.0 <= self.form_residual < math.inf:
+            raise PipelineError(
+                f"quadrature residual is not a finite norm: {self.form_residual!r}"
+            )
 
 
-def _laplacian(grid: GridSpec, pot: PotentialSpec) -> np.ndarray:
-    n, s = grid.n_points, grid.step
-    inv2 = 1.0 / (s * s)
-    a = np.zeros((n, n))
-    np.fill_diagonal(a, 2.0 * inv2)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = -inv2
-    a[idx + 1, idx] = -inv2
-    alpha = grid.robin_alpha(pot.h)
-    a[0, 0] = (2.0 - alpha) * inv2
-    a[n - 1, n - 1] = 3.0 * inv2  # Dirichlet cell edge at x_max
-    # decouple mask interfaces with Dirichlet edges on both sides
-    mask = pot.omega_mask
-    for k in range(n - 1):
-        if mask[k] != mask[k + 1]:
-            a[k, k + 1] = 0.0
-            a[k + 1, k] = 0.0
-            a[k, k] += inv2
-            a[k + 1, k + 1] += inv2
-    return a
+@dataclass(frozen=True, eq=False)
+class BandedOperator:
+    """A level as read-only bands: ``T = A + diag(q)`` on (C^n, I), domain
+    the whole space, A real symmetric tridiagonal with ``A[k, k] =
+    diagonal[k]`` and ``A[k, k+1] = A[k+1, k] = off_diagonal[k]``, and
+    ``mask`` the coordinates its splitting is checked against.  As A is real
+    and symmetric, the dissipation matrix ``h + h*`` of T, ``h = -i T``, is
+    ``2 diag(Im q)`` to the bit, so every fact of the dense route is read
+    from the bands, with the same cuts at the same scales."""
 
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
+    mask: np.ndarray
+    q: np.ndarray
 
-def discretize(grid: GridSpec, pot: PotentialSpec) -> OperatorWithDomain:
-    """Full-domain operator in the Euclidean Krein space (J = I)."""
-    if pot.omega_mask.shape[0] != grid.n_points:
-        raise DimensionMismatch("potential is sampled on a different grid")
-    matrix = _laplacian(grid, pot) + np.diag(pot.q_values)
-    space = KreinSpace(np.eye(grid.n_points))
-    op = OperatorWithDomain(space, matrix)
-    if op.classify() not in ("dissipative", "symmetric"):
-        raise PipelineError("discretized operator failed the dissipativity check")
-    return op
+    def __post_init__(self):
+        for name in ("diagonal", "off_diagonal", "mask", "q"):
+            band = np.array(getattr(self, name))
+            band.flags.writeable = False
+            object.__setattr__(self, name, band)
 
+    def operator(self) -> OperatorWithDomain:
+        """The dense operator, O(n^2); :attr:`form_scale` may need its 2-norm."""
+        n = self.diagonal.size
+        a = np.diag(self.diagonal)
+        idx = np.arange(n - 1)
+        a[idx, idx + 1] = a[idx + 1, idx] = self.off_diagonal
+        return OperatorWithDomain(KreinSpace(np.eye(n)), a + np.diag(self.q))
 
-def _validated_mask(op: OperatorWithDomain, mask, nonempty=False) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (op.space.dim,):
-        raise DimensionMismatch(
-            f"mask of shape {mask.shape}, expected a vector of length {op.space.dim}"
-        )
-    if nonempty and not mask.any():
-        raise DimensionMismatch("mask is empty")
-    return mask
+    @cached_property
+    def form_eigenvalues(self) -> np.ndarray:
+        """``2 Im q``, the diagonal of the dissipation matrix, in coordinate order."""
+        return 2.0 * self.q.imag
 
+    @cached_property
+    def form_scale(self) -> float:
+        """:attr:`OperatorWithDomain.form_scale` of :meth:`operator`, with
+        ``|T|_F`` summed over the bands in an order the rule's margin covers."""
+        entries = np.concatenate([self.diagonal + self.q, self.off_diagonal,
+                                  self.off_diagonal])
+        return _form_scale(self.form_eigenvalues, _frobenius(entries),
+                           lambda: self.operator().scale, DEFAULT_TOL)
 
-def _structural_fault(op: OperatorWithDomain, on: np.ndarray, off: np.ndarray,
-                      block: np.ndarray) -> str | None:
-    """The first of the exact facts behind :func:`mask_splitting` that
-    fails, or None."""
-    if not op.domain.is_full:
-        return "the domain is not the whole space"
-    t = op.matrix
-    if np.any(t[np.ix_(on, off)]) or np.any(t[np.ix_(off, on)]):
-        return "T couples masked and off-mask coordinates"
-    if np.any(op.dissipation_matrix[off]):
-        return "the dissipation form does not vanish off the mask"
-    # ascending; a diagonal block, as on the grid, is its real diagonal
-    eigs = (np.sort(np.diag(block).real) if is_diagonal(block)
-            else np.linalg.eigvalsh(block))
-    if eigs.size:
-        low = eigs[0]
+    def classify(self) -> str:
+        """:meth:`OperatorWithDomain.classify` of :meth:`operator`."""
+        w = np.sort(self.form_eigenvalues)
+        # a zero form is symmetric at every scale: no need for form_scale
+        return _classify(w, DEFAULT_TOL, self.form_scale if np.any(w) else 0.0)
+
+    def masked_block(self) -> np.ndarray:
+        """The dense m x m compression of T to the masked coordinates, once
+        three exact facts certify that the splitting of T is the mask
+        splitting: (i) the off-diagonal is zero at every interface of the
+        mask, so no entry of T couples masked and off-mask coordinates;
+        (ii) the form ``2 diag(Im q)`` is zero off the mask; (iii) each of
+        its entries on the mask lies above the rank cut ``DEFAULT_TOL *``
+        :attr:`form_scale` and passes the degeneracy test of ``split``.
+
+        By (ii) and (iii) the form's kernel, as the rank decision sees it, is
+        the off-mask span.  By (i) T maps the masked and the off-mask spans
+        into themselves, so they are orthogonal in the graph product
+        ``<x, y> + <T x, T y>``: the graph-orthogonal complement of the
+        kernel, the defect domain, is exactly the masked span.
+
+        A non-dissipative T raises :class:`ClassificationError`, as
+        ``split`` does; a failed fact :class:`PipelineError`, and an empty
+        mask :class:`DimensionMismatch`.
+        """
+        if self.classify() == NEITHER:
+            raise ClassificationError("mask splitting needs a dissipative operator")
+        mask, w = self.mask, self.form_eigenvalues
+        on = np.flatnonzero(mask)
+        fault = None
+        if np.any(self.off_diagonal[mask[:-1] != mask[1:]]):
+            fault = "T couples masked and off-mask coordinates"
+        elif np.any(w[~mask]):
+            fault = "the dissipation form does not vanish off the mask"
         # above the rank cut of the form, then split's degeneracy test, whose
         # scale max |eigs| is the largest eigenvalue once the smallest is > 0
-        if (low <= 0 or negligible(low, op.tol, op.form_scale)
-                or negligible(low, op.tol, eigs[-1])):
-            return "the dissipation form is not definite on the mask"
-    return None
+        elif on.size and (w[on].min() <= 0
+                          or negligible(w[on].min(), DEFAULT_TOL, self.form_scale)
+                          or negligible(w[on].min(), DEFAULT_TOL, w[on].max())):
+            fault = "the dissipation form is not definite on the mask"
+        if fault is not None:
+            raise PipelineError(
+                f"masked splitting disagrees with the graph-orthogonal one: {fault}"
+            )
+        if on.size == 0:
+            raise DimensionMismatch("mask is empty")
+        # the operations of :meth:`operator`, on the masked coordinates
+        a = np.diag(self.diagonal[on])
+        inner = np.flatnonzero(np.diff(on) == 1)
+        a[inner, inner + 1] = a[inner + 1, inner] = self.off_diagonal[on[inner]]
+        return a + np.diag(self.q[on])
+
+    def quadrature_residual(self, pot: PotentialSpec) -> float:
+        """``|D - W|_F / |W|_2`` for the dissipation matrix D and the
+        midpoint quadrature ``W = 2 diag(Im q)`` of ``pot``: on a grid
+        function y, as the vector sqrt(step) y, the form is ``step y* D y``
+        and the quadrature ``step y* W y``, so the identity on all of them
+        is ``D = W``; both are diagonal.  Raises :class:`DimensionMismatch`
+        for an empty mask or one of the wrong length."""
+        if pot.omega_mask.shape != self.mask.shape or not pot.omega_mask.any():
+            raise DimensionMismatch(
+                f"the quadrature needs a nonempty mask of length {self.mask.size}")
+        weights = 2.0 * pot.q_values.imag  # q vanishes off the mask
+        return (_frobenius(self.form_eigenvalues - weights)
+                / float(np.max(np.abs(weights))))
 
 
-def mask_splitting(op: OperatorWithDomain, mask) -> Splitting:
-    """Splitting along the mask, certified from the exact structure of the
-    operator instead of a dense generic splitting.
-
-    Three facts are checked exactly, each in O(n^2) on arrays the operator
-    already holds (the eigenvalues of (iii) come from the diagonal when the
-    block is diagonal, as on the grid, and from ``eigvalsh`` otherwise):
-
-    (i) no entry of T couples masked and off-mask coordinates: both
-        off-diagonal blocks of the matrix are exactly zero;
-    (ii) the dissipation matrix is exactly zero on the off-mask rows, and
-         so, being Hermitian, on the off-mask columns;
-    (iii) every eigenvalue of its masked block lies above the form's rank
-          cut ``op.tol * op.form_scale``, and the block passes the
-          degeneracy test of :func:`~kreinpair.decomposition.split`.
-
-    By (ii) and (iii) the kernel of the form, as the rank decision sees it,
-    is exactly the span of the off-mask coordinates.  By (i) T maps the
-    masked and the off-mask spans into themselves, so the two are
-    orthogonal in the graph product ``<x, y> + <T x, T y>``; their
-    dimensions add up to n.  The graph-orthogonal complement of the form
-    kernel is therefore exactly the masked span: the generic splitting is
-    the mask splitting, and the dense route would prove nothing more.
-
-    The domain must be the whole space.  A non-dissipative T raises
-    :class:`ClassificationError`, as ``split`` does; a failed fact
-    raises :class:`PipelineError`.
-    """
-    mask = _validated_mask(op, mask)
-    if op.classify() == NEITHER:
-        raise ClassificationError("mask splitting needs a dissipative operator")
-    on, off = np.flatnonzero(mask), np.flatnonzero(~mask)
-    # the defect basis is the masked coordinate columns, so its Gram is the
-    # masked block of the (exactly Hermitian) dissipation matrix
-    block = op.dissipation_matrix[np.ix_(on, on)]
-    fault = _structural_fault(op, on, off, block)
-    if fault is not None:
-        raise PipelineError(
-            f"masked splitting disagrees with the graph-orthogonal one: {fault}"
-        )
-    return Splitting(
-        symmetric=op.restricted(Subspace.full(mask.size, off)),
-        defect=op.restricted(Subspace.full(mask.size, on)),
-        defect_gram=block,
-    )
-
-
-def dissipation_quadrature_residual(op: OperatorWithDomain,
-                                    pot: PotentialSpec) -> float:
-    """``|D - W|_F / |W|_2`` for the dissipation matrix D and the midpoint
-    quadrature ``W = 2 diag(Im q)``: on a grid function y, as the vector
-    sqrt(step) y, the form is ``step y* D y`` and the quadrature ``step y* W y``,
-    so the identity on all of them is ``D = W``.  Raises
-    :class:`DimensionMismatch` for an empty mask or one of the wrong length."""
-    _validated_mask(op, pot.omega_mask, nonempty=True)
-    weights = 2.0 * pot.q_values.imag  # q vanishes off the mask
-    deviation = op.dissipation_matrix.copy()
-    deviation[np.diag_indices_from(deviation)] -= weights
-    return _frobenius(deviation) / float(np.max(np.abs(weights)))
+def discretize(grid: GridSpec, pot: PotentialSpec) -> BandedOperator:
+    """The bands of the stencil, entry for entry the floats of its dense
+    assembly; :class:`PipelineError` unless the operator is dissipative."""
+    if pot.omega_mask.shape[0] != grid.n_points:
+        raise DimensionMismatch("potential is sampled on a different grid")
+    n, s = grid.n_points, grid.step
+    inv2 = 1.0 / (s * s)
+    diagonal = np.full(n, 2.0 * inv2)
+    off_diagonal = np.full(n - 1, -inv2)
+    diagonal[0] = (2.0 - grid.robin_alpha(pot.h)) * inv2
+    diagonal[-1] = 3.0 * inv2  # Dirichlet cell edge at x_max
+    # decouple mask interfaces with Dirichlet edges on both sides (adding
+    # 0.0 elsewhere changes no bit)
+    interface = pot.omega_mask[:-1] != pot.omega_mask[1:]
+    off_diagonal[interface] = 0.0
+    diagonal[:-1] += inv2 * interface
+    diagonal[1:] += inv2 * interface
+    banded = BandedOperator(diagonal, off_diagonal, pot.omega_mask, pot.q_values)
+    if banded.classify() == NEITHER:
+        raise PipelineError("discretized operator failed the dissipativity check")
+    return banded
 
 
 def cayley_norm(matrix) -> float:
@@ -306,6 +305,8 @@ def cayley_norm(matrix) -> float:
         raise DimensionMismatch("Cayley transform needs a square matrix")
     if matrix.size == 0:
         raise DimensionMismatch("Cayley transform needs a nonempty matrix")
+    if not np.all(np.isfinite(matrix)):
+        raise DimensionMismatch("Cayley transform needs finite entries")
     eye = np.eye(matrix.shape[0])
     try:
         transform = np.linalg.solve((matrix + 1j * eye).conj().T,
@@ -315,18 +316,11 @@ def cayley_norm(matrix) -> float:
     return float(np.linalg.svd(transform, compute_uv=False)[0])
 
 
-def omega_block(op: OperatorWithDomain, mask) -> np.ndarray:
-    """Compression of the operator matrix to the masked coordinates."""
-    idx = np.flatnonzero(_validated_mask(op, mask, nonempty=True))
-    return op.matrix[np.ix_(idx, idx)]
-
-
 def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
                  levels: int) -> list[tuple[GridSpec, PotentialSpec]]:
     """Grid and potential of every doubling level, each validated (grid,
     nonempty mask, Robin resonance, no overflow in the graph Gram, a
-    dissipation form the rank decision can see) before any level does dense
-    work.
+    dissipation form the rank decision can see) before any level is built.
 
     The largest absolute row sum r of the stencil, |q| included, bounds
     every entry of T* T, and every partial sum of one, by r^2 (T's real
@@ -376,25 +370,26 @@ def convergence_study(x_max: float, base_n: int, intervals, imq: float,
 
     The supremum of the continuum norm equals 1 but is attained only in
     the limit; what the study asserts is the contraction bound at every
-    level and a non-decreasing trend.  Nothing is random: ``seed`` is
-    validated and unused.  :class:`DimensionMismatch` comes only from the
-    input checks, before any level does dense work.
+    level and a non-decreasing trend.  Each level is checked on its bands
+    in O(n) (:func:`discretize`, :meth:`BandedOperator.masked_block`,
+    :meth:`BandedOperator.quadrature_residual`); the one dense array is
+    the m x m masked block, whose Cayley norm costs O(m^3).  Nothing is
+    random: ``seed`` is validated and unused.  :class:`DimensionMismatch`
+    comes only from the input checks, before any level is built.
     """
     checked_seed(seed)
     rows = []
     specs = study_levels(x_max, base_n, intervals, imq, h, levels)
     for level, (grid, pot) in enumerate(specs):
-        op = discretize(grid, pot)
-        mask_splitting(op, pot.omega_mask)
-        residual = dissipation_quadrature_residual(op, pot)
-        norm = cayley_norm(omega_block(op, pot.omega_mask))
+        banded = discretize(grid, pot)
+        block = banded.masked_block()
         rows.append(
             StudyRow(
                 level=level,
                 n_points=grid.n_points,
                 x_max=x_max,
-                cayley_norm=norm,
-                form_residual=residual,
+                cayley_norm=cayley_norm(block),
+                form_residual=banded.quadrature_residual(pot),
             )
         )
     return rows

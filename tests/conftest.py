@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from kreinpair import KreinSpace, OperatorWithDomain, gap_distance, split
-from kreinpair.errors import PipelineError
+from kreinpair.decomposition import Splitting
+from kreinpair.errors import ClassificationError, DimensionMismatch, PipelineError
 from kreinpair.instances import random_dissipative, random_unitary
-from kreinpair.krein import _classify
-from kreinpair.subspaces import Subspace, null_space, orthonormal_span
+from kreinpair.krein import NEITHER, _classify, _frobenius
+from kreinpair.sturm_liouville import StudyRow, cayley_norm, study_levels
+from kreinpair.subspaces import Subspace, is_diagonal, null_space, orthonormal_span
 from kreinpair.tolerances import CHECK_GATE, DEFAULT_TOL, negligible
 
 
@@ -405,3 +407,134 @@ def symmetrized_dissipation_matrix(op):
     else:
         g = -1j * (j @ m - m.conj().T @ j)
     return 0.5 * (g + g.conj().T)
+
+
+# The dense route of the Sturm-Liouville study that the banded levels of
+# ``sturm_liouville.BandedOperator`` replaced, kept as the oracle of the
+# differential tests: the n x n grid operator, the structural mask
+# splitting, the exact quadrature residual and the masked block.
+
+def _laplacian(grid, pot):
+    n, s = grid.n_points, grid.step
+    inv2 = 1.0 / (s * s)
+    a = np.zeros((n, n))
+    np.fill_diagonal(a, 2.0 * inv2)
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = -inv2
+    a[idx + 1, idx] = -inv2
+    alpha = grid.robin_alpha(pot.h)
+    a[0, 0] = (2.0 - alpha) * inv2
+    a[n - 1, n - 1] = 3.0 * inv2  # Dirichlet cell edge at x_max
+    # decouple mask interfaces with Dirichlet edges on both sides
+    mask = pot.omega_mask
+    for k in range(n - 1):
+        if mask[k] != mask[k + 1]:
+            a[k, k + 1] = 0.0
+            a[k + 1, k] = 0.0
+            a[k, k] += inv2
+            a[k + 1, k + 1] += inv2
+    return a
+
+
+def dense_discretize(grid, pot):
+    """Full-domain operator in the Euclidean Krein space (J = I)."""
+    if pot.omega_mask.shape[0] != grid.n_points:
+        raise DimensionMismatch("potential is sampled on a different grid")
+    matrix = _laplacian(grid, pot) + np.diag(pot.q_values)
+    space = KreinSpace(np.eye(grid.n_points))
+    op = OperatorWithDomain(space, matrix)
+    if op.classify() not in ("dissipative", "symmetric"):
+        raise PipelineError("discretized operator failed the dissipativity check")
+    return op
+
+
+def _validated_mask(op, mask, nonempty=False):
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (op.space.dim,):
+        raise DimensionMismatch(
+            f"mask of shape {mask.shape}, expected a vector of length {op.space.dim}"
+        )
+    if nonempty and not mask.any():
+        raise DimensionMismatch("mask is empty")
+    return mask
+
+
+def _structural_fault(op, on, off, block):
+    """The first of the exact facts behind :func:`mask_splitting` that
+    fails, or None."""
+    if not op.domain.is_full:
+        return "the domain is not the whole space"
+    t = op.matrix
+    if np.any(t[np.ix_(on, off)]) or np.any(t[np.ix_(off, on)]):
+        return "T couples masked and off-mask coordinates"
+    if np.any(op.dissipation_matrix[off]):
+        return "the dissipation form does not vanish off the mask"
+    # ascending; a diagonal block, as on the grid, is its real diagonal
+    eigs = (np.sort(np.diag(block).real) if is_diagonal(block)
+            else np.linalg.eigvalsh(block))
+    if eigs.size:
+        low = eigs[0]
+        # above the rank cut of the form, then split's degeneracy test, whose
+        # scale max |eigs| is the largest eigenvalue once the smallest is > 0
+        if (low <= 0 or negligible(low, op.tol, op.form_scale)
+                or negligible(low, op.tol, eigs[-1])):
+            return "the dissipation form is not definite on the mask"
+    return None
+
+
+def mask_splitting(op, mask):
+    """Splitting along the mask, certified from the exact structure of the
+    dense operator: (i) both off-diagonal blocks of T are exactly zero,
+    (ii) the dissipation matrix is exactly zero on the off-mask rows,
+    (iii) every eigenvalue of its masked block lies above the form's rank
+    cut and passes the degeneracy test of ``split``.  The domain must be
+    the whole space.  A non-dissipative T raises ``ClassificationError``; a
+    failed fact raises ``PipelineError``."""
+    mask = _validated_mask(op, mask)
+    if op.classify() == NEITHER:
+        raise ClassificationError("mask splitting needs a dissipative operator")
+    on, off = np.flatnonzero(mask), np.flatnonzero(~mask)
+    # the defect basis is the masked coordinate columns, so its Gram is the
+    # masked block of the (exactly Hermitian) dissipation matrix
+    block = op.dissipation_matrix[np.ix_(on, on)]
+    fault = _structural_fault(op, on, off, block)
+    if fault is not None:
+        raise PipelineError(
+            f"masked splitting disagrees with the graph-orthogonal one: {fault}"
+        )
+    return Splitting(
+        symmetric=op.restricted(Subspace.full(mask.size, off)),
+        defect=op.restricted(Subspace.full(mask.size, on)),
+        defect_gram=block,
+    )
+
+
+def dissipation_quadrature_residual(op, pot):
+    """``|D - W|_F / |W|_2`` for the dissipation matrix D and the midpoint
+    quadrature ``W = 2 diag(Im q)``.  Raises ``DimensionMismatch`` for an
+    empty mask or one of the wrong length."""
+    _validated_mask(op, pot.omega_mask, nonempty=True)
+    weights = 2.0 * pot.q_values.imag  # q vanishes off the mask
+    deviation = op.dissipation_matrix.copy()
+    deviation[np.diag_indices_from(deviation)] -= weights
+    return _frobenius(deviation) / float(np.max(np.abs(weights)))
+
+
+def omega_block(op, mask):
+    """Compression of the operator matrix to the masked coordinates."""
+    idx = np.flatnonzero(_validated_mask(op, mask, nonempty=True))
+    return op.matrix[np.ix_(idx, idx)]
+
+
+def dense_convergence_study(x_max, base_n, intervals, imq, h, levels):
+    """``convergence_study`` on the dense route: an n x n operator per level."""
+    rows = []
+    specs = study_levels(x_max, base_n, intervals, imq, h, levels)
+    for level, (grid, pot) in enumerate(specs):
+        op = dense_discretize(grid, pot)
+        mask_splitting(op, pot.omega_mask)
+        residual = dissipation_quadrature_residual(op, pot)
+        norm = cayley_norm(omega_block(op, pot.omega_mask))
+        rows.append(StudyRow(level=level, n_points=grid.n_points, x_max=x_max,
+                             cayley_norm=norm, form_residual=residual))
+    return rows

@@ -371,11 +371,12 @@ class TestFormScaleShortcut:
     ])
     def test_discretizations(self, intervals, imq):
         grid = GridSpec(x_max=10.0, n_points=32)
-        op = discretize(grid, PotentialSpec.from_intervals(grid, intervals, imq, 1.0))
+        pot = PotentialSpec.from_intervals(grid, intervals, imq, 1.0)
+        op = discretize(grid, pot).operator()
         assert not assert_form_decision_exact(op)
         assert_form_decision_exact(op.restricted(op.form_kernel))
         free = PotentialSpec(np.zeros(32, bool), np.zeros(32, complex), 1.0)
-        assert assert_form_decision_exact(discretize(grid, free))
+        assert assert_form_decision_exact(discretize(grid, free).operator())
 
 
 class TestIdentityBasis:

@@ -1,5 +1,7 @@
+import dataclasses
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,15 +19,13 @@ from kreinpair.errors import (
 from kreinpair.tolerances import CHECK_GATE
 from kreinpair.instances import random_unitary
 from kreinpair.sturm_liouville import (
+    BandedOperator,
     GridSpec,
     PotentialSpec,
     StudyRow,
     cayley_norm,
     convergence_study,
     discretize,
-    dissipation_quadrature_residual,
-    mask_splitting,
-    omega_block,
     study_levels,
     write_study_csv,
 )
@@ -33,8 +33,13 @@ from kreinpair.sturm_liouville import (
 from conftest import (
     count_factorizations,
     count_svd_backed,
+    dense_convergence_study,
+    dense_discretize,
     dense_mask_splitting,
+    dissipation_quadrature_residual,
     e,
+    mask_splitting,
+    omega_block,
     sampled_quadrature_residual,
     span,
 )
@@ -110,6 +115,15 @@ class TestSpecs:
             StudyRow(level=0, n_points=8, x_max=1.0, cayley_norm=1.1,
                      form_residual=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_study_row_rejects_non_finite_values(self, value):
+        with pytest.raises(PipelineError, match="contraction bound"):
+            StudyRow(level=0, n_points=8, x_max=1.0, cayley_norm=value,
+                     form_residual=0.0)
+        with pytest.raises(PipelineError, match="quadrature residual"):
+            StudyRow(level=0, n_points=8, x_max=1.0, cayley_norm=0.5,
+                     form_residual=value)
+
 
 class TestDiscretize:
     def test_free_operator_is_symmetric(self):
@@ -117,21 +131,23 @@ class TestDiscretize:
         pot = PotentialSpec(
             omega_mask=np.zeros(16, bool), q_values=np.zeros(16, complex), h=0.0
         )
-        op = discretize(grid, pot)
-        assert op.classify() == "symmetric"
-        assert split(op).symmetric.domain.is_full
+        banded = discretize(grid, pot)
+        assert banded.classify() == "symmetric"
+        assert split(banded.operator()).symmetric.domain.is_full
 
     def test_uniform_imaginary_potential(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = PotentialSpec.from_intervals(grid, [(0.0, 1.0)], 1.0, 0.0)
-        op = discretize(grid, pot)
+        banded = discretize(grid, pot)
+        assert np.array_equal(banded.form_eigenvalues, np.full(16, 2.0))
+        op = banded.operator()
         assert np.allclose(op.dissipation_matrix, 2.0 * np.eye(16), atol=1e-12)
         assert split(op).symmetric.domain.is_zero
 
     def test_masked_potential_form(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         assert np.allclose(
             op.dissipation_matrix, 2.0 * np.diag(pot.omega_mask.astype(float)),
             atol=1e-12,
@@ -139,24 +155,44 @@ class TestDiscretize:
 
     def test_robin_parameter_enters_first_entry(self):
         grid = GridSpec(x_max=10.0, n_points=16)
-        a0 = discretize(grid, left_half(grid, h=0.0)).matrix[0, 0]
-        a1 = discretize(grid, left_half(grid, h=1.0)).matrix[0, 0]
-        assert a1.real > a0.real  # attractive Robin term stiffens the corner
+        a0 = discretize(grid, left_half(grid, h=0.0)).diagonal[0]
+        a1 = discretize(grid, left_half(grid, h=1.0)).diagonal[0]
+        assert a1 > a0  # attractive Robin term stiffens the corner
 
     def test_interfaces_decouple_blocks(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)
-        m = discretize(grid, pot).matrix
-        assert m[7, 8] == 0.0 and m[8, 7] == 0.0
+        off = discretize(grid, pot).off_diagonal
+        assert off[7] == 0.0
         # off-mask block below the interface keeps its coupling
-        assert m[9, 10] != 0.0
+        assert off[9] != 0.0
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_bands_assemble_the_dense_operator(self, n):
+        """``operator()`` of the bands is the dense assembly, bit for bit,
+        over the study forms on an x_max sweep and single-cell masks with a
+        complex potential, at both ends of the grid and inside it."""
+        cases = []
+        for intervals, imq, h in STUDY_FORMS:
+            for x_max in np.logspace(-3, 1.5, 6):
+                grid = GridSpec(x_max=x_max, n_points=n)
+                cases.append((grid, PotentialSpec.from_intervals(grid, intervals,
+                                                                 imq, h)))
+        grid = GridSpec(x_max=10.0, n_points=n)
+        for k in (0, 1, n // 2, n - 1):
+            mask = np.arange(n) == k
+            cases.append((grid, PotentialSpec(mask, np.where(mask, 0.5 + 2j, 0),
+                                              -2.0)))
+        for grid, pot in cases:
+            dense = dense_discretize(grid, pot).matrix
+            assert discretize(grid, pot).operator().matrix.tobytes() == dense.tobytes()
 
 
 class TestMaskSplitting:
     def test_full_mask(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = PotentialSpec.from_intervals(grid, [(0.0, 1.0)], 1.0, 0.0)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         s = mask_splitting(op, pot.omega_mask)
         assert s.symmetric.domain.is_zero
 
@@ -166,7 +202,7 @@ class TestMaskSplitting:
         mask[5] = True
         pot = PotentialSpec(omega_mask=mask,
                             q_values=np.where(mask, 1j, 0), h=0.0)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         s = mask_splitting(op, mask)
         assert gap_distance(
             s.defect.domain, span(e(16, 5))
@@ -175,7 +211,7 @@ class TestMaskSplitting:
     def test_left_half_agrees_with_generic_splitting(self):
         grid = GridSpec(x_max=20.0, n_points=64)
         pot = left_half(grid)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         s = mask_splitting(op, pot.omega_mask)
         generic = split(op)
         assert gap_distance(s.defect.domain, generic.defect.domain) < 1e-8
@@ -185,7 +221,7 @@ class TestMaskSplitting:
     def test_defect_gram_is_the_masked_block(self, base_n):
         grid = GridSpec(x_max=10.0, n_points=base_n)
         pot = PotentialSpec.from_intervals(grid, [(0.1, 0.4), (0.6, 0.7)], 2.0, 1.0)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         s = mask_splitting(op, pot.omega_mask)
         # both domains are spanned by the coordinate columns, exactly
         eye = np.eye(base_n)
@@ -201,7 +237,7 @@ class TestMaskSplitting:
     def test_wrong_mask_rejected(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         wrong = np.roll(pot.omega_mask, 3)
         with pytest.raises(PipelineError):
             mask_splitting(op, wrong)
@@ -210,7 +246,7 @@ class TestMaskSplitting:
     @pytest.mark.parametrize("shape", [(16, 1), (1, 16), (15,), (17,), ()])
     def test_mask_must_be_a_vector_of_length_n(self, shape):
         grid = GridSpec(x_max=10.0, n_points=16)
-        op = discretize(grid, left_half(grid))
+        op = dense_discretize(grid, left_half(grid))
         mask = np.ones(shape, bool)
         with pytest.raises(DimensionMismatch, match="vector of length 16"):
             mask_splitting(op, mask)
@@ -276,11 +312,11 @@ def _equivalence_cases(n):
         for x_max in np.logspace(-5, 1.5, 14):
             grid = GridSpec(x_max=x_max, n_points=n)
             pot = PotentialSpec.from_intervals(grid, intervals, imq, h)
-            yield f"study {intervals} x_max={x_max:.3g}", discretize(grid, pot), \
+            yield f"study {intervals} x_max={x_max:.3g}", dense_discretize(grid, pot), \
                 pot.omega_mask
     grid = GridSpec(x_max=10.0, n_points=n)
     pot = left_half(grid)
-    op, mask = discretize(grid, pot), pot.omega_mask
+    op, mask = dense_discretize(grid, pot), pot.omega_mask
     yield "left half", op, mask
     yield "rolled mask", op, np.roll(mask, 3)
     yield "complementary mask", op, ~mask
@@ -337,18 +373,129 @@ class TestStructuralAgainstDense:
                     mask_splitting(op, mask)
 
 
+def _banded_cases(n):
+    """(label, banded operator, dense oracle operator, mask, potential or
+    None) on an n-point grid: the cases of :func:`_equivalence_cases` that
+    bands can hold, with the dense operator built as there, and faults
+    planted in the bands, whose dense oracle is their assembly.  Dissipation
+    inside the mask needs complex off-diagonals, and a restricted or rotated
+    domain a basis: bands hold neither."""
+    for intervals, imq, h in STUDY_FORMS:
+        for x_max in np.logspace(-5, 1.5, 14):
+            grid = GridSpec(x_max=x_max, n_points=n)
+            pot = PotentialSpec.from_intervals(grid, intervals, imq, h)
+            yield (f"study {intervals} x_max={x_max:.3g}", discretize(grid, pot),
+                   dense_discretize(grid, pot), pot.omega_mask, pot)
+    grid = GridSpec(x_max=10.0, n_points=n)
+    pot = left_half(grid)
+    banded, op, mask = discretize(grid, pot), dense_discretize(grid, pot), pot.omega_mask
+    yield "left half", banded, op, mask, pot
+    yield ("rolled mask", dataclasses.replace(banded, mask=np.roll(mask, 3)), op,
+           np.roll(mask, 3), None)
+    yield ("complementary mask", dataclasses.replace(banded, mask=~mask), op,
+           ~mask, None)
+    k = int(np.flatnonzero(mask[:-1] != mask[1:])[0])
+    inv2 = 1.0 / grid.step**2
+    diagonal, off = banded.diagonal.copy(), banded.off_diagonal.copy()
+    diagonal[k:k + 2] -= inv2
+    off[k] = -inv2
+    yield ("re-coupled interface",
+           dataclasses.replace(banded, diagonal=diagonal, off_diagonal=off),
+           _recoupled(op, grid, mask), mask, None)
+    yield ("non-dissipative", dataclasses.replace(banded, q=banded.q.conj()),
+           OperatorWithDomain(op.space, op.matrix.conj()), mask, None)
+    yield ("symmetric", dataclasses.replace(banded, q=np.zeros(n, complex)),
+           OperatorWithDomain(op.space, op.matrix.real), mask, None)
+    # faults planted in the bands alone
+    off = banded.off_diagonal.copy()
+    off[k] = -1e-3 * inv2
+    q_off, q_low = banded.q.copy(), banded.q.copy()
+    q_off[np.flatnonzero(~mask)[-1]] = 1j
+    q_low[np.flatnonzero(mask)[1]] = 1e-12j
+    for label, planted in [
+        ("masked-off-mask coupling", dataclasses.replace(banded, off_diagonal=off)),
+        ("dissipation off the mask", dataclasses.replace(banded, q=q_off)),
+        ("form below the cut at one point", dataclasses.replace(banded, q=q_low)),
+        # judged zero only at the dense |T|_2 of the Frobenius fallback
+        ("form below the cut", dataclasses.replace(banded, q=1e-12 * banded.q)),
+    ]:
+        yield label, planted, planted.operator(), mask, None
+
+
+def _error_or(route):
+    """What ``route()`` returns, or the type and message of its error."""
+    try:
+        return route()
+    except KreinPairError as exc:
+        return type(exc), str(exc)
+
+
+class TestBandedAgainstDense:
+    """The banded route of the study against the dense route it replaced
+    (the oracle ``dense_discretize``, ``mask_splitting``, ``omega_block``
+    and ``dissipation_quadrature_residual``)."""
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_same_verdicts_errors_and_block(self, n):
+        verdicts = []
+        for label, banded, op, mask, pot in _banded_cases(n):
+            assert np.array_equal(banded.mask, mask), label
+            assert np.array_equal(banded.operator().matrix, op.matrix), label
+            assert banded.classify() == op.classify(), label
+            assert banded.form_scale == op.form_scale, label
+            dense = _error_or(lambda: (mask_splitting(op, mask),
+                                       omega_block(op, mask))[1])
+            block = _error_or(banded.masked_block)
+            if isinstance(dense, tuple) or isinstance(block, tuple):
+                assert block == dense, label
+                verdicts.append(dense[0])
+            else:
+                assert block.tobytes() == dense.tobytes(), label
+                verdicts.append("accepted")
+            if pot is not None:
+                assert (banded.quadrature_residual(pot)
+                        == dissipation_quadrature_residual(op, pot)), label
+        assert {"accepted", PipelineError, ClassificationError} <= set(verdicts)
+
+    def test_norm_fallback_builds_the_dense_operator(self, monkeypatch):
+        """A form the Frobenius bound of the bands cannot decide takes
+        ``|T|_2`` of the dense operator, as ``form_scale`` does."""
+        grid = GridSpec(x_max=10.0, n_points=16)
+        banded = discretize(grid, left_half(grid))
+        weak = dataclasses.replace(banded, q=1e-12 * banded.q)
+        expected = 2.0 * weak.operator().scale
+        built = []
+        real = BandedOperator.operator
+
+        def spy(self):
+            built.append(self)
+            return real(self)
+
+        monkeypatch.setattr(BandedOperator, "operator", spy)
+        assert dataclasses.replace(banded).form_scale == 2.0 and built == []
+        assert weak.form_scale == expected and built == [weak]
+
+    @pytest.mark.parametrize("levels", [4, 5])
+    def test_study_csv_is_the_dense_route_byte_for_byte(self, tmp_path, levels):
+        args = (20.0, 64, [(0.0, 0.5)], 1.0, 1.0, levels)
+        write_study_csv(convergence_study(*args), tmp_path / "banded.csv")
+        write_study_csv(dense_convergence_study(*args), tmp_path / "dense.csv")
+        assert ((tmp_path / "banded.csv").read_bytes()
+                == (tmp_path / "dense.csv").read_bytes())
+
+
 class TestQuadrature:
     def test_vector_off_mask_has_zero_form(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         x = e(16, 12)
         assert abs(op.dissipation_form(x, x)) < 1e-14
 
     def test_single_point_indicator(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         s = grid.step
         x = np.sqrt(s) * e(16, 3)  # function value 1 at one mask point
         assert op.dissipation_form(x, x).real == pytest.approx(2.0 * s)
@@ -356,11 +503,12 @@ class TestQuadrature:
     def test_random_samples_residual(self):
         grid = GridSpec(x_max=20.0, n_points=128)
         pot = left_half(grid)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         res = sampled_quadrature_residual(op, grid, pot,
                                           rng=np.random.default_rng(0))
         assert res < 1e-10
         assert dissipation_quadrature_residual(op, pot) == 0.0
+        assert discretize(grid, pot).quadrature_residual(pot) == 0.0
 
     def test_exact_identity_sees_what_the_samples_miss(self):
         """An asymmetric stencil entry of 5e-7 inside the mask keeps T
@@ -368,7 +516,7 @@ class TestQuadrature:
         reads it below the gate; the exact identity reads it at 3.5e-7."""
         grid = GridSpec(x_max=20.0, n_points=512)
         pot = left_half(grid)
-        m = discretize(grid, pot).matrix.copy()
+        m = dense_discretize(grid, pot).matrix.copy()
         assert pot.omega_mask[100] and pot.omega_mask[101]
         m[100, 101] += 5e-7
         op = OperatorWithDomain(KreinSpace(np.eye(512)), m)
@@ -381,19 +529,22 @@ class TestQuadrature:
     def test_exactly_zero_on_every_study_level(self, intervals, imq, h):
         for x_max in np.logspace(-1, 1.5, 6):
             for grid, pot in study_levels(x_max, 16, intervals, imq, h, 4):
-                op = discretize(grid, pot)
-                assert dissipation_quadrature_residual(op, pot) == 0.0
+                assert discretize(grid, pot).quadrature_residual(pot) == 0.0
 
     def test_mask_must_be_nonempty_and_of_length_n(self):
         grid = GridSpec(x_max=10.0, n_points=16)
-        op = discretize(grid, left_half(grid))
+        op = dense_discretize(grid, left_half(grid))
+        banded = discretize(grid, left_half(grid))
         empty = PotentialSpec(omega_mask=np.zeros(16, bool),
                               q_values=np.zeros(16, complex), h=1.0)
+        other = left_half(GridSpec(x_max=10.0, n_points=32))
         with pytest.raises(DimensionMismatch, match="empty"):
             dissipation_quadrature_residual(op, empty)
-        other = left_half(GridSpec(x_max=10.0, n_points=32))
         with pytest.raises(DimensionMismatch, match="vector of length 16"):
             dissipation_quadrature_residual(op, other)
+        for pot in (empty, other):
+            with pytest.raises(DimensionMismatch, match="nonempty mask of length 16"):
+                banded.quadrature_residual(pot)
 
 
 class TestCayley:
@@ -407,8 +558,7 @@ class TestCayley:
     def test_contraction_for_dissipative_block(self):
         grid = GridSpec(x_max=20.0, n_points=64)
         pot = left_half(grid)
-        op = discretize(grid, pot)
-        norm = cayley_norm(omega_block(op, pot.omega_mask))
+        norm = cayley_norm(discretize(grid, pot).masked_block())
         assert norm < 1.0
 
     def test_singular_shift_rejected(self):
@@ -419,12 +569,21 @@ class TestCayley:
         with pytest.raises(DimensionMismatch, match="empty"):
             cayley_norm(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("entry", [complex("nan"), complex("inf"),
+                                       complex(0.0, float("nan"))])
+    def test_non_finite_entries_rejected(self, entry):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            cayley_norm(np.array([[entry]]))
+
     def test_omega_block_shape(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)
-        op = discretize(grid, pot)
-        block = omega_block(op, pot.omega_mask)
-        assert block.shape == (8, 8)
+        assert discretize(grid, pot).masked_block().shape == (8, 8)
+        free = PotentialSpec(np.zeros(16, bool), np.zeros(16, complex), 1.0)
+        with pytest.raises(DimensionMismatch, match="empty"):
+            discretize(grid, free).masked_block()
+        op = dense_discretize(grid, pot)
+        assert omega_block(op, pot.omega_mask).shape == (8, 8)
         with pytest.raises(DimensionMismatch):
             omega_block(op, np.zeros(16, bool))
 
@@ -491,9 +650,9 @@ class TestStudy:
     def test_every_level_validated_before_dense_work(self, monkeypatch,
                                                      intervals, h, match):
         def no_dense_work(*args):
-            raise AssertionError("discretized before validation")
+            raise AssertionError("dense operator built before validation")
 
-        monkeypatch.setattr(sturm_liouville, "discretize", no_dense_work)
+        monkeypatch.setattr(BandedOperator, "operator", no_dense_work)
         with pytest.raises(DimensionMismatch, match=match):
             study_levels(20.0, 8, intervals, 1.0, h, 3)
         with pytest.raises(DimensionMismatch, match=match):
@@ -507,9 +666,9 @@ class TestStudy:
     @pytest.mark.parametrize("x_max", [1e-76, 1e-140])
     def test_gram_overflow_rejected_before_dense_work(self, monkeypatch, x_max):
         def no_dense_work(*args):
-            raise AssertionError("discretized before validation")
+            raise AssertionError("dense operator built before validation")
 
-        monkeypatch.setattr(sturm_liouville, "discretize", no_dense_work)
+        monkeypatch.setattr(BandedOperator, "operator", no_dense_work)
         with pytest.raises(DimensionMismatch, match="overflows"):
             convergence_study(x_max, 8, [(0.0, 0.5)], 1.0, 1.0, 3)
 
@@ -530,10 +689,10 @@ class TestStudy:
                 level = int(re.match(r"level (\d+)", str(exc)).group(1))
                 grid = GridSpec(x_max=x_max, n_points=8 * 2**level)
                 pot = PotentialSpec.from_intervals(grid, intervals, imq, h)
-                op = discretize(grid, pot)
-                assert op.classify() == "symmetric"
+                banded = discretize(grid, pot)
+                assert banded.classify() == "symmetric"
                 with pytest.raises(PipelineError, match="disagrees"):
-                    mask_splitting(op, pot.omega_mask)
+                    banded.masked_block()
                 rejected += 1
         assert 0 < rejected < 16
 
@@ -548,7 +707,7 @@ class TestStudy:
         for grid, pot in study_levels(20.0, 8, intervals, imq, h, 3):
             bound = (max(4.0, abs(2.0 - grid.robin_alpha(h)) + 1.0)
                      / grid.step**2 + imq)
-            rows = np.abs(discretize(grid, pot).matrix).sum(axis=1)
+            rows = np.abs(discretize(grid, pot).operator().matrix).sum(axis=1)
             assert np.max(rows) <= bound * (1 + 1e-15)
 
     def test_svd_budget(self, monkeypatch):
@@ -558,6 +717,18 @@ class TestStudy:
         # splitting compares no subspaces and its form scale comes from the
         # Frobenius bound, no |T|_2
         assert svds == {"svd": 3, "norm2": 0}
+
+    def test_peak_memory_of_the_five_level_study(self):
+        """The levels are bands; the one dense array of a level is its
+        masked block (m = 512 at the finest), where the dense route held
+        several n x n ones (n = 1 024) and peaked near 140 MB."""
+        tracemalloc.start()
+        try:
+            convergence_study(20.0, 64, [(0.0, 0.5)], 1.0, 1.0, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
     def test_factorization_budget(self, monkeypatch):
         factorizations = count_factorizations(monkeypatch)
@@ -610,7 +781,7 @@ class TestFullPipelineOnDiscretization:
     def test_discretized_operator_passes_all_checks(self):
         grid = GridSpec(x_max=10.0, n_points=32)
         pot = left_half(grid)
-        op = discretize(grid, pot)
+        op = discretize(grid, pot).operator()
         report = analyze_operator(op, seed=0)
         assert all(report["checks"].values()), report["checks"]
         assert report["dims"]["defect_part"] == int(pot.omega_mask.sum())
@@ -620,7 +791,7 @@ class TestFullPipelineOnDiscretization:
 
         grid = GridSpec(x_max=10.0, n_points=32)
         pot = left_half(grid)
-        op = discretize(grid, pot)
+        op = dense_discretize(grid, pot)
         s = mask_splitting(op, pot.omega_mask)
         pair = boundary_map_projection(op, s)
         # domain basis is the identity here, so the map should be the
