@@ -17,8 +17,6 @@ from .subspaces import (
 from .krein import (
     KreinSpace,
     OperatorWithDomain,
-    RieszRepresenter,
-    riesz_representer,
 )
 from .decomposition import (
     DeficiencyData,

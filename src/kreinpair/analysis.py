@@ -10,7 +10,10 @@ gated by ``0 <= F <= I`` as ``checks.riesz_form_bounds``, are the graph
 spectrum that :func:`~kreinpair.krein.classify_by_graph` reads, and the
 completeness criteria read the trace image of the traces alone.
 
-The two ``eig`` calls of the real-spectrum check, of T's and of S's domain
+Of the four special cases of :class:`~kreinpair.krein.OperatorWithDomain`,
+(1) the identity basis, (2) the Frobenius-first check of J, (3) the eig
+worker and (4) ``BandedOperator.operator()``, this module holds (3).  The
+two ``eig`` calls of the real-spectrum check, of T's and of S's domain
 compression, are the largest single stage, yet T's needs only T and S's
 only the splitting.  :func:`analyze_operator` therefore runs them on a
 worker thread of its own, T's from right after the classification and

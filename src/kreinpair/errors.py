@@ -20,7 +20,8 @@ class ClassificationError(KreinPairError):
 
 
 class ScaleOverflow(KreinPairError):
-    """An operator too large for its graph Gram to be formed in floating point."""
+    """An operator too large for its graph Gram or its Cayley transform to be
+    formed in floating point."""
 
 
 class PipelineError(KreinPairError):

@@ -13,28 +13,26 @@ whose canonical symmetry ``(x, y) -> (-i J y, i J x)`` is unitary, so the
 Hilbert product it induces on pairs is exactly the Euclidean one.  It is
 formed once, as -i :attr:`OperatorWithDomain.graph_form`, which every Green
 identity on graph T is checked against; its spectrum gives that verdict and
-the eigenvalues of the Riesz representer F, unitarily similar to it.
+the eigenvalues of the Riesz representer F of the dissipation form in the
+graph product, unitarily similar to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ClassificationError, DimensionMismatch, MetricError, ScaleOverflow
-from .subspaces import Subspace, _frozen, is_diagonal, orthonormal_span, qr_span
+from .errors import DimensionMismatch, MetricError, ScaleOverflow
+from .subspaces import Subspace, _frozen, qr_span
 from .tolerances import DEFAULT_TOL, METRIC_SLACK, negligible
 
 __all__ = [
     "KreinSpace",
     "OperatorWithDomain",
-    "RieszRepresenter",
     "boundary_metric_matrix",
     "classify_by_graph",
     "graph_form",
-    "riesz_representer",
 ]
 
 DISSIPATIVE = "dissipative"
@@ -42,21 +40,21 @@ SYMMETRIC = "symmetric"
 NEITHER = "neither"
 
 
-def _as_vector(x, dim: int) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != dim:
-        raise DimensionMismatch(f"vector of length {v.shape[0]}, expected {dim}")
-    return v
-
-
 #: slack on the Frobenius bound in :attr:`OperatorWithDomain.form_scale`;
 #: any factor above the round-off of the two norms keeps every verdict, and a
 #: larger one only sends more operators to the SVD
 _NORM_MARGIN = 2.0
 
-#: F of :func:`riesz_representer` is positive semidefinite for a dissipative
-#: T; an eigenvalue below ``-INDEFINITE_CUT * tol`` is not round-off
+#: the Riesz representer F (:attr:`OperatorWithDomain.graph_spectrum`) is
+#: positive semidefinite for a dissipative T; an eigenvalue below
+#: ``-INDEFINITE_CUT * tol`` is not round-off
 INDEFINITE_CUT = 100
+
+#: a Hermitian involution is unitary, so ``|J|_2 = 1``; a J whose 2-norm is
+#: bounded away from ``[1 / _UNIT_BAND, _UNIT_BAND]`` is rejected before
+#: ``J^2`` is formed.  Any band wider than the metric cuts keeps every verdict
+_UNIT_BAND = 2.0
+_NOT_INVOLUTION = "canonical symmetry must square to the identity"
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -81,28 +79,10 @@ def graph_form(j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return top_a.conj().T @ (j @ bot_b) - bot_a.conj().T @ (j @ top_b)
 
 
-def _metric_norms(j: np.ndarray, diagonal: bool) -> tuple[float, float, float]:
-    """``|J|_2``, ``|J - J*|_2`` and ``|J^2 - I|_2``; from the diagonal alone
-    when J is diagonal (see :class:`KreinSpace`)."""
-    if diagonal:
-        d = np.diag(j)
-        return (float(np.max(np.abs(d))), float(np.max(np.abs(d - d.conj()))),
-                float(np.max(np.abs(d * d - 1.0))))
-    return (float(np.linalg.norm(j, 2)), float(np.linalg.norm(j - j.conj().T, 2)),
-            float(np.linalg.norm(j @ j - np.eye(j.shape[0]), 2)))
-
-
-def _passes_frobenius_first(j: np.ndarray, tol: float) -> bool:
-    """Whether the checks of :class:`KreinSpace` pass by their Frobenius
-    bounds: ``|J - J*|_F <= cut`` and ``|J^2 - I|_F <= cut low`` for
-    ``cut = METRIC_SLACK tol low``, ``low`` the largest column norm of J.
-    Since ``low <= |J|_2`` and a Frobenius norm bounds the 2-norm, the dense
-    checks then pass too; a False only means they must be run."""
-    peak = float(np.max(np.abs(j)))
-    low = peak * float(np.max(np.linalg.norm(j / peak, axis=0)))
-    cut = METRIC_SLACK * tol * low
-    return (_frobenius(j - j.conj().T) <= cut
-            and _frobenius(j @ j - np.eye(j.shape[0])) <= cut * low)
+def _check_hermitian(j: np.ndarray, scale: float, tol: float) -> None:
+    """The Hermitian check of :class:`KreinSpace` on J of 2-norm ``scale``."""
+    if float(np.linalg.norm(j - j.conj().T, 2)) > METRIC_SLACK * tol * scale:
+        raise MetricError("metric is not Hermitian")
 
 
 class KreinSpace:
@@ -113,19 +93,18 @@ class KreinSpace:
     defects, ``|J - J*|_2`` and ``|J^2 - I|_2``, are judged against
     ``|J|_2``, with the slack :data:`~kreinpair.tolerances.METRIC_SLACK`.
 
-    ``diagonal`` records whether J is diagonal (:func:`is_diagonal`: as many
-    nonzeros as its diagonal), decided once here.  Such a J, the identity
-    for one, is checked in O(n) without an SVD.  This is exact: J, J - J*
-    and J^2 - I are then diagonal, and the 2-norm of a diagonal matrix is
-    the largest modulus on its diagonal, so the three norms, and every
-    verdict, are those of the dense route up to its own round-off.  Products
-    with a diagonal J are row or column scalings, and a scaling computes
-    each entry of the product as the one nonzero term of its dense sum.
+    ``|J|_2`` lies between the largest column norm of J and its Frobenius
+    norm, both taken on J divided by its largest entry part, so that neither
+    overflows.  A J whose bounds put ``|J|_2`` outside ``[1/2, 2]`` is no
+    involution: with ``|J - J*|_2`` within its cut, ``|J^2|_2`` is about
+    ``|J|_2^2``, too far from 1 for the involution cut.  Such a J, J = 0 or
+    one whose square would overflow among them, is rejected before ``J^2``
+    is formed (:data:`_UNIT_BAND`), with the message of the dense checks.
 
-    Any other J is checked Frobenius-first, at O(n^3) in products: the
-    largest column norm of J is at most ``|J|_2`` and a Frobenius norm is at
-    least the 2-norm, so defects whose Frobenius norms pass the cuts taken
-    at that column norm pass the dense cuts too.  Only a J that this test
+    Every other J is checked Frobenius-first, at O(n^3) in products: the
+    largest column norm ``low`` of J is at most ``|J|_2`` and a Frobenius
+    norm is at least the 2-norm, so defects whose Frobenius norms pass the
+    cuts taken at ``low`` pass the dense cuts too.  Only a J that this test
     cannot accept, one near or past a cut, takes the three dense 2-norms,
     and their verdict is the one given; so the verdict is always theirs.
     """
@@ -136,17 +115,26 @@ class KreinSpace:
             raise MetricError(f"metric must be square, got shape {j.shape}")
         if j.shape[0] == 0:
             raise MetricError("zero-dimensional metric is not allowed")
-        diagonal = is_diagonal(j)
-        if diagonal or not _passes_frobenius_first(j, tol):
-            scale, asymmetry, involution = _metric_norms(j, diagonal)
-            if asymmetry > METRIC_SLACK * tol * scale:
-                raise MetricError("metric is not Hermitian")
+        # the largest real or imaginary part: finite, where |J_ij| may overflow
+        peak = float(np.max(np.maximum(np.abs(j.real), np.abs(j.imag))))
+        unit = j / peak if peak > 0 else j
+        columns = np.linalg.norm(unit, axis=0)
+        low = peak * float(np.max(columns))
+        if low > _UNIT_BAND or peak * float(np.linalg.norm(columns)) < 1 / _UNIT_BAND:
+            # the Hermitian check is a ratio, so it is taken on the unit matrix
+            _check_hermitian(unit, float(np.linalg.norm(unit, 2)), tol)
+            raise MetricError(_NOT_INVOLUTION)
+        cut = METRIC_SLACK * tol * low
+        if (_frobenius(j - j.conj().T) > cut
+                or _frobenius(j @ j - np.eye(j.shape[0])) > cut * low):
+            scale = float(np.linalg.norm(j, 2))
+            _check_hermitian(j, scale, tol)
+            involution = float(np.linalg.norm(j @ j - np.eye(j.shape[0]), 2))
             if involution > METRIC_SLACK * tol * scale * scale:
-                raise MetricError("canonical symmetry must square to the identity")
+                raise MetricError(_NOT_INVOLUTION)
         self.J = j
         self.dim = int(j.shape[0])
         self.tol = float(tol)
-        self.diagonal = diagonal
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"KreinSpace(dim={self.dim})"
@@ -157,13 +145,22 @@ class OperatorWithDomain:
 
     The matrix acts only on domain vectors; the associated graph
     ``{(x, M x) : x in domain}`` is a subspace of the doubled space.
-    ``domain=None`` is the whole space, with the identity as its basis B;
-    the products by B in :attr:`scale`, :attr:`dissipation_gram`,
-    :attr:`graph_gram`, :meth:`lift` and :meth:`coords` are then skipped,
-    which is exact: a product with I changes no bit.
+    ``domain=None`` is the whole space, with the identity as its basis B.
 
     ``tol`` is the space's rank tolerance, the one tolerance of every rank
     decision on the operator and on the subspaces built from it.
+
+    Four special cases stay, each because a benchmark workload pays for its
+    absence; none changes a report.  (1) For ``domain=None`` the products
+    by B in :attr:`scale`, :attr:`dissipation_gram`, :attr:`graph_gram`,
+    :meth:`lift` and :meth:`coords` are skipped, exactly: a product with I
+    changes no bit.  Without it, ``analyze_operator`` took 507 ms, not 422,
+    per pass over four operators at n = 128.  (2) :class:`KreinSpace`
+    checks J Frobenius-first; each dense_n128 case builds one in its timed
+    region.  (3) The eig worker of :mod:`~kreinpair.analysis`: without it,
+    dense_n128 p50 was 127-134 ms, not 89-94.  (4) The dense
+    :meth:`~kreinpair.sturm_liouville.BandedOperator.operator`, the one
+    route where the bands cannot decide ``form_scale``.
     """
 
     def __init__(self, space: KreinSpace, matrix, domain: Subspace | None = None):
@@ -219,8 +216,9 @@ class OperatorWithDomain:
     def graph_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of the graph metric ``-i`` :attr:`graph_form`
         (none for an empty domain).  For ``[B; T B] = Q R`` it is
-        ``R^-* D R^-1``, D the dissipation Gram, unitarily similar to F of
-        :func:`riesz_representer` since ``R* R`` is the graph Gram."""
+        ``R^-* D R^-1``, D the dissipation Gram, unitarily similar to the
+        Riesz representer ``F = G^-1/2 D G^-1/2`` of the form in the graph
+        product since ``R* R`` is the graph Gram G."""
         metric = -1j * self.graph_form
         return np.linalg.eigvalsh(0.5 * (metric + metric.conj().T))
 
@@ -228,15 +226,9 @@ class OperatorWithDomain:
     def dissipation_matrix(self) -> np.ndarray:
         """Ambient matrix of the form -i([x, T y] - [T x, y]), Hermitian by
         construction: ``h + h*`` for ``h = -i H M`` and H the Hermitian part
-        of J (with ``J M`` it would be off by the asymmetry J may keep).
-        For a diagonal J (:attr:`KreinSpace.diagonal`) ``H M`` is a row
-        scaling by ``Re(diag J)``, in O(n^2): the same bits as the product.
-        """
-        j, m = self.space.J, self.matrix
-        if self.space.diagonal:
-            h = -1j * (np.diag(j).real[:, None] * m)
-        else:
-            h = -1j * ((0.5 * (j + j.conj().T)) @ m)
+        of J (with ``J M`` it would be off by the asymmetry J may keep)."""
+        j = self.space.J
+        h = -1j * ((0.5 * (j + j.conj().T)) @ self.matrix)
         return h + h.conj().T
 
     @cached_property
@@ -267,12 +259,6 @@ class OperatorWithDomain:
         g = eye + mb.conj().T @ mb
         return 0.5 * (g + g.conj().T)
 
-    def dissipation_form(self, x, y) -> complex:
-        """-i([x, T y] - [T x, y]) evaluated on two domain vectors."""
-        xv = _as_vector(x, self.space.dim)
-        yv = _as_vector(y, self.space.dim)
-        return complex(np.vdot(xv, self.dissipation_matrix @ yv))
-
     @cached_property
     def scale(self) -> float:
         """``|T B|_2`` for the domain basis B: the scale of the cuts on T.
@@ -281,23 +267,8 @@ class OperatorWithDomain:
 
     @cached_property
     def form_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of :attr:`dissipation_gram`, taken once.
-
-        A diagonal Gram (:func:`~kreinpair.subspaces.is_diagonal`), such as
-        that of a potential on a grid, is its own eigendecomposition: its
-        real diagonal sorted ascending (stably, so ties keep their order)
-        with the matching identity columns.  These are the exact eigenpairs,
-        and the values are the ones LAPACK returns for such a matrix, since
-        its tridiagonal reduction of a diagonal matrix leaves it unchanged;
-        only a matrix LAPACK rescales, of norm beyond about 1e146 or below
-        about 1e-146, may differ from them in the last bit.
-        """
-        gram = self.dissipation_gram
-        if not is_diagonal(gram):
-            return np.linalg.eigh(gram)
-        d = np.diag(gram).real
-        order = np.argsort(d, kind="stable")
-        return d[order], np.eye(d.size, dtype=np.complex128)[:, order]
+        """Eigendecomposition of :attr:`dissipation_gram`, taken once."""
+        return np.linalg.eigh(self.dissipation_gram)
 
     @cached_property
     def form_scale(self) -> float:
@@ -375,71 +346,3 @@ def classify_by_graph(op: OperatorWithDomain) -> str:
     test are judged at that scale, as its round-off is.
     """
     return _classify(op.graph_spectrum, op.tol, 1.0)
-
-
-@dataclass(frozen=True)
-class RieszRepresenter:
-    """Representer of the dissipation form in the graph inner product.
-
-    ``basis`` columns are a graph-inner-product orthonormal basis of the
-    domain, so self-adjointness of ``matrix`` is plain Hermitian symmetry and
-    its norm, the scale of its cuts, is at most 1 (``2|[x, Tx]| <= |x|^2 + |Tx|^2``).
-    ``sqrt_matrix`` is the principal (nonnegative) square root.
-    ``eigenvalues`` (ascending) and ``eigenvectors`` are the
-    eigendecomposition of ``matrix`` that both were built from.  The tests'
-    reference: the pipeline reports only F's eigenvalues, read from
-    :attr:`OperatorWithDomain.graph_spectrum`.
-    """
-
-    basis: np.ndarray
-    matrix: np.ndarray
-    sqrt_matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def kernel_vectors(self, op: OperatorWithDomain, tol: float) -> Subspace:
-        """Kernel of the square root, mapped back to ambient vectors.
-
-        Decided on the eigenvalues of the representer itself; thresholding
-        the square root would amplify round-off in the kernel directions.
-        """
-        if self.dim == 0:
-            return Subspace.zero(op.space.dim)
-        coeffs = self.eigenvectors[:, negligible(self.eigenvalues, tol, 1.0)]
-        return orthonormal_span(self.basis @ coeffs, tol, scale=1.0)
-
-
-def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
-    """Solve ``form(x, y) = <x, F y>_graph`` for the dissipation form.
-
-    Requires a dissipative (or symmetric) operator; F is then positive
-    semidefinite with norm at most 1 and its square-root kernel equals the
-    kernel of the form; an eigenvalue below the :data:`INDEFINITE_CUT`
-    raises :class:`ClassificationError`.
-    """
-    verdict = op.classify()
-    if verdict == NEITHER:
-        raise ClassificationError("the representer is built for dissipative operators")
-    gram = op.graph_gram
-    w, v = np.linalg.eigh(gram)
-    # graph gram is bounded below by the identity, so this is well posed
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    basis = op.lift(inv_sqrt)
-    f = inv_sqrt @ op.dissipation_gram @ inv_sqrt
-    f = 0.5 * (f + f.conj().T)
-    fw, fv = np.linalg.eigh(f)
-    if fw.size and fw[0] < -INDEFINITE_CUT * op.tol:
-        raise ClassificationError(
-            f"dissipation representer is indefinite (min eigenvalue {fw[0]:.3e})"
-        )
-    # flush the form kernel to exact zeros so the square root shares it
-    flushed = np.where(negligible(fw, op.tol, 1.0), 0.0, np.clip(fw, 0.0, None))
-    sqrt_f = (fv * np.sqrt(flushed)) @ fv.conj().T
-    sqrt_f = 0.5 * (sqrt_f + sqrt_f.conj().T)
-    return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f,
-                            eigenvalues=fw, eigenvectors=fv)
-

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ClassificationError, DimensionMismatch, PipelineError,
-                     checked_integer, checked_seed)
+                     ScaleOverflow, checked_integer, checked_seed)
 from .krein import (NEITHER, KreinSpace, OperatorWithDomain, _classify,
                     _form_scale, _frobenius)
 from .tolerances import DEFAULT_TOL, EXACT_BOUND, RESONANCE_CUT, negligible
@@ -182,7 +182,8 @@ class BandedOperator:
             object.__setattr__(self, name, band)
 
     def operator(self) -> OperatorWithDomain:
-        """The dense operator, O(n^2); :attr:`form_scale` may need its 2-norm."""
+        """The dense operator, O(n^2); :attr:`form_scale` may need its 2-norm
+        (special case 4 of :class:`~kreinpair.krein.OperatorWithDomain`)."""
         n = self.diagonal.size
         a = np.diag(self.diagonal)
         idx = np.arange(n - 1)
@@ -298,7 +299,10 @@ def cayley_norm(matrix) -> float:
     matrix L.
 
     At most 1 for a dissipative L; a singular L + iI signals that the
-    input is not dissipative.
+    input is not dissipative.  Past a largest absolute row sum r of L whose
+    square overflows, the solve may return a wrong norm unwarned (0.0 for
+    ``[[9e307+9e307j]]``): :class:`ScaleOverflow` instead.  No study level
+    is refused, as :func:`study_levels` admits only ``2 r^2`` finite.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -307,6 +311,10 @@ def cayley_norm(matrix) -> float:
         raise DimensionMismatch("Cayley transform needs a nonempty matrix")
     if not np.all(np.isfinite(matrix)):
         raise DimensionMismatch("Cayley transform needs finite entries")
+    with np.errstate(over="ignore"):  # an overflowing row sum is refused below
+        rows = float(np.max(np.sum(np.abs(matrix), axis=1)))
+    if not math.isfinite(rows * rows):
+        raise ScaleOverflow(f"row sum {rows:.3e}: the Cayley solve may overflow")
     eye = np.eye(matrix.shape[0])
     try:
         transform = np.linalg.solve((matrix + 1j * eye).conj().T,

@@ -98,12 +98,6 @@ def null_space(matrix, tol: float = DEFAULT_TOL,
     return vh[_rank(s, tol, scale):].conj().T
 
 
-def is_diagonal(m: np.ndarray) -> bool:
-    """Whether every nonzero entry of the square matrix ``m`` is on its
-    diagonal: exactly, by counting nonzeros, with no tolerance."""
-    return int(np.count_nonzero(m)) == int(np.count_nonzero(np.diag(m)))
-
-
 class Subspace:
     """Linear subset of C^n held as an orthonormal column basis.
 
@@ -139,18 +133,12 @@ class Subspace:
         return cls(ambient_dim)
 
     @classmethod
-    def full(cls, ambient_dim: int, columns=None) -> "Subspace":
-        """The span of the identity columns ``columns`` (distinct indices),
-        of all of them by default, with those columns as its basis.  They
-        are orthonormal exactly, so the O(n k^2) check of the constructor is
+    def full(cls, ambient_dim: int) -> "Subspace":
+        """The whole space, with the identity as its basis.  It is
+        orthonormal exactly, so the O(n^3) check of the constructor is
         skipped."""
         span = cls.zero(ambient_dim)
-        n = span.ambient_dim
-        if columns is None:
-            basis = np.eye(n, dtype=np.complex128)
-        else:
-            basis = np.zeros((n, len(columns)), dtype=np.complex128)
-            basis[columns, np.arange(len(columns))] = 1.0
+        basis = np.eye(span.ambient_dim, dtype=np.complex128)
         basis.flags.writeable = False
         span.basis = basis
         return span

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from kreinpair import KreinSpace, OperatorWithDomain, gap_distance, split
 from kreinpair.decomposition import Splitting
 from kreinpair.errors import ClassificationError, DimensionMismatch, PipelineError
 from kreinpair.instances import random_dissipative, random_unitary
-from kreinpair.krein import NEITHER, _classify, _frobenius
+from kreinpair.krein import INDEFINITE_CUT, NEITHER, _classify, _frobenius
 from kreinpair.sturm_liouville import StudyRow, cayley_norm, study_levels
-from kreinpair.subspaces import Subspace, is_diagonal, null_space, orthonormal_span
+from kreinpair.subspaces import Subspace, null_space, orthonormal_span
 from kreinpair.tolerances import CHECK_GATE, DEFAULT_TOL, negligible
 
 
@@ -62,6 +63,18 @@ def contains(sub, vector):
 def krein_inner(space, x, y):
     """Indefinite product ``[x, y] = <x, J y>``."""
     return complex(np.vdot(x, space.J @ y))
+
+
+def _is_diagonal(m):
+    """Whether every nonzero entry of the square matrix ``m`` is on its
+    diagonal: exactly, by counting nonzeros, with no tolerance."""
+    return int(np.count_nonzero(m)) == int(np.count_nonzero(np.diag(m)))
+
+
+def coordinate_span(n, columns):
+    """The span of the identity columns ``columns`` of C^n, with those
+    columns as its basis."""
+    return Subspace(n, np.eye(n, dtype=np.complex128)[:, columns])
 
 
 def complement(sub, tol=DEFAULT_TOL):
@@ -145,9 +158,92 @@ def defect_traces(traces, splitting):
     return np.vstack([traces.trace0 @ xn, traces.trace1 @ xn])
 
 
+def _as_vector(x, dim: int) -> np.ndarray:
+    v = np.asarray(x, dtype=np.complex128).reshape(-1)
+    if v.shape[0] != dim:
+        raise DimensionMismatch(f"vector of length {v.shape[0]}, expected {dim}")
+    return v
+
+
+def dissipation_form(op, x, y) -> complex:
+    """-i([x, T y] - [T x, y]) evaluated on two domain vectors: the form on
+    two vectors, the oracle of the assembled Gram."""
+    xv = _as_vector(x, op.space.dim)
+    yv = _as_vector(y, op.space.dim)
+    return complex(np.vdot(xv, op.dissipation_matrix @ yv))
+
+
 def graph_inner(op, x, y):
     """``<x, y> + <T x, T y>`` of two domain vectors, through ``graph_gram``."""
     return complex(np.vdot(op.coords(x), op.graph_gram @ op.coords(y)))
+
+
+@dataclass(frozen=True)
+class RieszRepresenter:
+    """Representer of the dissipation form in the graph inner product.
+
+    ``basis`` columns are a graph-inner-product orthonormal basis of the
+    domain, so self-adjointness of ``matrix`` is plain Hermitian symmetry and
+    its norm, the scale of its cuts, is at most 1 (``2|[x, Tx]| <= |x|^2 + |Tx|^2``).
+    ``sqrt_matrix`` is the principal (nonnegative) square root.
+    ``eigenvalues`` (ascending) and ``eigenvectors`` are the
+    eigendecomposition of ``matrix`` that both were built from.  The tests'
+    reference: the pipeline reports only F's eigenvalues, read from
+    ``OperatorWithDomain.graph_spectrum``.
+    """
+
+    basis: np.ndarray
+    matrix: np.ndarray
+    sqrt_matrix: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def kernel_vectors(self, op: OperatorWithDomain, tol: float) -> Subspace:
+        """Kernel of the square root, mapped back to ambient vectors.
+
+        Decided on the eigenvalues of the representer itself; thresholding
+        the square root would amplify round-off in the kernel directions.
+        """
+        if self.dim == 0:
+            return Subspace.zero(op.space.dim)
+        coeffs = self.eigenvectors[:, negligible(self.eigenvalues, tol, 1.0)]
+        return orthonormal_span(self.basis @ coeffs, tol, scale=1.0)
+
+
+def riesz_representer(op: OperatorWithDomain) -> RieszRepresenter:
+    """Solve ``form(x, y) = <x, F y>_graph`` for the dissipation form.
+
+    Requires a dissipative (or symmetric) operator; F is then positive
+    semidefinite with norm at most 1 and its square-root kernel equals the
+    kernel of the form; an eigenvalue below the ``INDEFINITE_CUT``
+    raises ``ClassificationError``.  The full representer, reference of the
+    reported spectrum and of acceptance criterion 4.
+    """
+    verdict = op.classify()
+    if verdict == NEITHER:
+        raise ClassificationError("the representer is built for dissipative operators")
+    gram = op.graph_gram
+    w, v = np.linalg.eigh(gram)
+    # graph gram is bounded below by the identity, so this is well posed
+    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    basis = op.lift(inv_sqrt)
+    f = inv_sqrt @ op.dissipation_gram @ inv_sqrt
+    f = 0.5 * (f + f.conj().T)
+    fw, fv = np.linalg.eigh(f)
+    if fw.size and fw[0] < -INDEFINITE_CUT * op.tol:
+        raise ClassificationError(
+            f"dissipation representer is indefinite (min eigenvalue {fw[0]:.3e})"
+        )
+    # flush the form kernel to exact zeros so the square root shares it
+    flushed = np.where(negligible(fw, op.tol, 1.0), 0.0, np.clip(fw, 0.0, None))
+    sqrt_f = (fv * np.sqrt(flushed)) @ fv.conj().T
+    sqrt_f = 0.5 * (sqrt_f + sqrt_f.conj().T)
+    return RieszRepresenter(basis=basis, matrix=f, sqrt_matrix=sqrt_f,
+                            eigenvalues=fw, eigenvectors=fv)
 
 
 def riesz_coords(op, x):
@@ -401,7 +497,7 @@ def symmetrized_dissipation_matrix(op):
     scalings for a diagonal J: the formula ``dissipation_matrix`` replaced
     with ``h + h*`` on the Hermitian part of J, kept as its oracle."""
     j, m = op.space.J, op.matrix
-    if op.space.diagonal:
+    if _is_diagonal(j):
         d = np.diag(j)
         g = -1j * (d[:, None] * m - m.conj().T * d)
     else:
@@ -470,7 +566,7 @@ def _structural_fault(op, on, off, block):
     if np.any(op.dissipation_matrix[off]):
         return "the dissipation form does not vanish off the mask"
     # ascending; a diagonal block, as on the grid, is its real diagonal
-    eigs = (np.sort(np.diag(block).real) if is_diagonal(block)
+    eigs = (np.sort(np.diag(block).real) if _is_diagonal(block)
             else np.linalg.eigvalsh(block))
     if eigs.size:
         low = eigs[0]
@@ -503,8 +599,8 @@ def mask_splitting(op, mask):
             f"masked splitting disagrees with the graph-orthogonal one: {fault}"
         )
     return Splitting(
-        symmetric=op.restricted(Subspace.full(mask.size, off)),
-        defect=op.restricted(Subspace.full(mask.size, on)),
+        symmetric=op.restricted(coordinate_span(mask.size, off)),
+        defect=op.restricted(coordinate_span(mask.size, on)),
         defect_gram=block,
     )
 

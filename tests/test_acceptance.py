@@ -16,7 +16,6 @@ from kreinpair import (
     defect_domain_via_resolvent,
     deficiency_space,
     gap_distance,
-    riesz_representer,
     split,
 )
 from kreinpair.boundary import (
@@ -36,7 +35,13 @@ from kreinpair.instances import (
 from kreinpair.krein import boundary_metric_matrix
 from kreinpair.sturm_liouville import convergence_study
 
-from conftest import defect_traces, riesz_coords, sampled_pair_green_residual
+from conftest import (
+    defect_traces,
+    dissipation_form,
+    riesz_coords,
+    riesz_representer,
+    sampled_pair_green_residual,
+)
 
 DIMENSIONS = (2, 4, 8, 16, 32, 64)
 PER_DIMENSION = 100
@@ -70,7 +75,7 @@ def _form_value_residual(op, rep, rng, count=20):
     worst = 0.0
     for k in range(count):
         x = xs[:, k]
-        form = op.dissipation_form(x, x).real
+        form = dissipation_form(op, x, x).real
         image = rep.sqrt_matrix @ riesz_coords(op, x)
         value = float(np.vdot(image, image).real)
         scale = max(1.0, abs(form))

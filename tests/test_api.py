@@ -8,7 +8,12 @@ name is not a call of the method.  Import
 statements and ``__all__`` strings are not references, so a re-export in
 ``kreinpair/__init__.py`` keeps no name alive, and neither does the name's
 own ``def``.  Names kept only for the tests are listed in ``TEST_ONLY``,
-each with its reason.  The same holds for the named constants: every
+each with its reason.  A method or property whose bare name another
+package class also defines (a method, a property, a dataclass field or a
+``self.name =`` assignment) is matched by class, not by name: ``x.name``
+cannot tell whose attribute it reads, so it keeps neither alive, and each
+such method is listed in ``SHARED`` with the function of the callers that
+reads it, which must read ``.name``.  The same holds for the named constants: every
 public UPPERCASE constant assigned at the top level of a package module must
 be read (a variable or an attribute in load context, so not its own
 assignment) in the package or in ``perfbench``, and every one of
@@ -29,14 +34,19 @@ TEST_ONLY = {
     "scaled_defect_instance": "the degeneration family of acceptance criterion 6",
     "CriterionReport.all_true": "the verdict of all three criteria in the "
                                 "completeness tests",
-    "OperatorWithDomain.dissipation_form": "the form on two vectors, the "
-                                           "oracle of the assembled Gram",
-    "RieszRepresenter.kernel_vectors": "the square-root kernel, checked "
-                                       "against the symmetric domain",
-    "riesz_representer": "the full Riesz representer, reference of the "
-                         "reported spectrum and of acceptance criterion 4",
     "transform_traces": "a change of boundary triple, for the scale and "
                         "pair-from-triple checks of ROADMAP items 1 and 2",
+}
+
+#: ``{qualified method: reader}`` for the methods whose bare name another
+#: class defines too; a reader is ``module.function`` or
+#: ``module.Class.method`` in ``src/kreinpair`` or ``perfbench``
+SHARED = {
+    "OperatorWithDomain.classify": "analysis.analyze_operator",
+    "OperatorWithDomain.form_scale": "krein.OperatorWithDomain.form_kernel",
+    "BandedOperator.classify": "sturm_liouville.discretize",
+    "BandedOperator.form_scale": "sturm_liouville.BandedOperator.masked_block",
+    "Subspace.dim": "analysis.analyze_operator",
 }
 
 
@@ -60,6 +70,55 @@ def public_definitions() -> dict[str, str]:
                     if (isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_")):
                         found[f"{node.name}.{item.name}"] = item.name
+    return found
+
+
+def class_attributes() -> dict[str, set[str]]:
+    """``{class: names}`` of every package class: its methods and
+    properties, its dataclass fields and the names its methods assign as
+    ``self.name``."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = found.setdefault(node.name, set())
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                elif (isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)):
+                    names.add(item.target.id)
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    names.add(sub.attr)
+    return found
+
+
+def shared_methods() -> set[str]:
+    """The public methods and properties whose bare name another package
+    class defines too (:func:`class_attributes`)."""
+    attributes = class_attributes()
+    return {qual for qual, bare in public_definitions().items()
+            if "." in qual and any(bare in names for cls, names in attributes.items()
+                                   if cls != qual.split(".")[0])}
+
+
+def reader_definitions() -> dict[str, ast.AST]:
+    """``{module.function or module.Class.method: node}`` over the callers."""
+    found = {}
+    for folder in CALLERS:
+        for path in sorted(folder.rglob("*.py")):
+            for node in _parse(path).body:
+                if isinstance(node, ast.FunctionDef):
+                    found[f"{path.stem}.{node.name}"] = node
+                elif isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            found[f"{path.stem}.{node.name}.{item.name}"] = item
     return found
 
 
@@ -95,10 +154,13 @@ def referenced_names(skip: Path | None = None) -> tuple[set[str], set[str]]:
 
 
 def used_definitions() -> set[str]:
-    """Qualified names of the public definitions that have a caller."""
+    """Qualified names of the public definitions that have a caller; a
+    shared method has one only through its ``SHARED`` entry."""
     names, attributes = referenced_names()
+    shared = shared_methods()
     return {qual for qual, bare in public_definitions().items()
-            if bare in attributes or ("." not in qual and bare in names)}
+            if (qual in SHARED if qual in shared
+                else bare in attributes or ("." not in qual and bare in names))}
 
 
 def test_every_public_name_has_a_caller():
@@ -106,6 +168,20 @@ def test_every_public_name_has_a_caller():
     dead = sorted(qual for qual in public_definitions()
                   if qual not in used and qual not in TEST_ONLY)
     assert dead == [], f"public names with no caller in src or perfbench: {dead}"
+
+
+def test_shared_methods_name_their_readers():
+    shared = shared_methods()
+    assert {"OperatorWithDomain.classify", "BandedOperator.classify"} <= shared
+    assert sorted(shared - set(SHARED) - set(TEST_ONLY)) == []
+    assert sorted(set(SHARED) - shared) == []
+    readers = reader_definitions()
+    for qual, reader in SHARED.items():
+        bare = qual.split(".")[1]
+        assert reader in readers, f"{qual}: reader {reader} is not defined"
+        read = {node.attr for node in ast.walk(readers[reader])
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        assert bare in read, f"{qual}: {reader} reads no .{bare}"
 
 
 def test_every_named_tolerance_has_a_reader():

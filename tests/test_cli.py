@@ -61,6 +61,22 @@ class TestInstanceIO:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["analyze", str(path)]) == 1
 
+    @pytest.mark.parametrize("scale", [0.0, 1e200], ids=["zero", "huge"])
+    def test_metric_of_norm_far_from_one(self, tmp_path, capfd, scale):
+        # J = scale * I is no canonical symmetry; it is rejected before J^2
+        # is formed, so no RuntimeWarning (an error here) and no LAPACK
+        # message on the file descriptor
+        path = tmp_path / "scaled_j.json"
+        payload = {"dim": 3, "J": [[[scale if i == k else 0.0, 0.0]
+                                    for k in range(3)] for i in range(3)],
+                   "T": [[[0.0, 1.0 if i == k else 0.0] for k in range(3)]
+                         for i in range(3)]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and "square to the identity" in err
+        assert "DLASCL" not in err and "Warning" not in err
+
     def test_bad_complex_entry(self, tmp_path):
         path = tmp_path / "bad_entry.json"
         payload = {"dim": 1, "J": [[[1.0]]], "T": [[[0.0, 1.0]]]}

@@ -11,7 +11,6 @@ from kreinpair import (
     dissipative_part,
     gap_distance,
     orthonormal_span,
-    riesz_representer,
     split,
     symmetric_part,
 )
@@ -29,6 +28,7 @@ from conftest import (
     graph_inner,
     intersect,
     riesz_coords,
+    riesz_representer,
     span,
 )
 

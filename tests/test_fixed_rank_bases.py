@@ -34,7 +34,6 @@ import kreinpair.decomposition as decomposition_module
 from kreinpair.analysis import analyze_operator
 from kreinpair.completeness import contraction_bound, range_splitting
 from kreinpair.instances import random_dissipative
-from kreinpair.krein import riesz_representer
 from kreinpair.subspaces import Subspace
 
 from conftest import (
@@ -43,6 +42,7 @@ from conftest import (
     count_svd_backed,
     defect_contraction_norm,
     reference_range_margin,
+    riesz_representer,
     sampled_pair_green_residual,
     svd_deficiency_spaces,
     svd_graph,

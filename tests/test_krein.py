@@ -8,7 +8,6 @@ from kreinpair import (
     Subspace,
     gap_distance,
     orthonormal_span,
-    riesz_representer,
 )
 from kreinpair.analysis import analyze_operator
 from kreinpair.instances import (
@@ -22,7 +21,7 @@ from kreinpair.krein import (
     boundary_metric_matrix,
     classify_by_graph,
 )
-from kreinpair.subspaces import is_diagonal, null_space
+from kreinpair.subspaces import null_space
 from kreinpair.tolerances import CHECK_GATE, negligible
 from kreinpair.sturm_liouville import GridSpec, PotentialSpec, discretize
 
@@ -31,12 +30,14 @@ from conftest import (
     cholesky_riesz_spectrum,
     contains,
     count_factorizations,
+    dissipation_form,
     e,
     exact_form_decision,
     graph_inner,
     krein_inner,
     random_domain_samples,
     riesz_coords,
+    riesz_representer,
     span,
     symmetrized_dissipation_matrix,
 )
@@ -84,7 +85,7 @@ class TestDissipationForm:
         rng = np.random.default_rng(0)
         op = random_dissipative(5, rng)
         for x in random_domain_samples(op, 20, rng).T:
-            form = op.dissipation_form(x, x).real
+            form = dissipation_form(op, x, x).real
             expected = 2.0 * krein_inner(op.space, x, op.matrix @ x).imag
             assert form == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
@@ -130,7 +131,6 @@ class TestDissipationMatrix:
         a = a - a.conj().T
         space = KreinSpace(random_canonical_symmetry(n, rng)
                            + 4e-10 / np.linalg.norm(a, 2) * a)
-        assert not space.diagonal
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         op = OperatorWithDomain(space, m)
         reference = symmetrized_dissipation_matrix(op)
@@ -252,7 +252,7 @@ class TestRieszRepresenter:
                     assert np.allclose(eigs, rep.eigenvalues, rtol=0.0, atol=1e-13)
                 # form value equals the squared graph norm of sqrt(F) x
                 for x in random_domain_samples(op, 20, rng).T:
-                    form = op.dissipation_form(x, x).real
+                    form = dissipation_form(op, x, x).real
                     coords = riesz_coords(op, x)
                     image = rep.sqrt_matrix @ coords
                     assert form == pytest.approx(
@@ -404,11 +404,13 @@ def diagonal_form_operator(d, rng):
 
 
 def assert_lapack_eigenpairs(op):
-    """``form_eigh`` on a diagonal Gram: the eigenvalues of ``np.linalg.eigh``
-    bit for bit, the same kernel and the same verdict."""
+    """``form_eigh`` on a diagonal Gram: its sorted diagonal, which are the
+    eigenvalues of ``np.linalg.eigh`` bit for bit, with the same kernel and
+    the same verdict."""
     gram = op.dissipation_gram
-    assert is_diagonal(gram)
+    assert np.count_nonzero(gram) == np.count_nonzero(np.diag(gram))
     w, v = op.form_eigh
+    assert np.array_equal(w, np.sort(np.diag(gram).real))
     ref_w, ref_v = np.linalg.eigh(gram)
     assert np.array_equal(w, ref_w)
     assert w.dtype == ref_w.dtype and v.dtype == ref_v.dtype
@@ -420,8 +422,9 @@ def assert_lapack_eigenpairs(op):
 
 
 class TestDiagonalForm:
-    """A diagonal dissipation Gram is decomposed from its diagonal, a
-    diagonal J applied as a scaling; both agree with the dense routes."""
+    """A diagonal dissipation Gram and a diagonal J take the dense routes,
+    with exact results: the form's eigenvalues are its sorted diagonal, and
+    the dissipation matrix has the bits of the scaled products."""
 
     @pytest.mark.parametrize("d,verdict", [
         ([1.0, 1.0, 0.0, 0.0, 2.0], "dissipative"),  # ties and zeros
@@ -434,13 +437,10 @@ class TestDiagonalForm:
         ([2.0, 2e-12, -3e-13, 0.0, 1e-11], "dissipative"),  # around the cut
         ([2.0, 2e-12, -3e-10, 0.0], "neither"),
     ])
-    def test_form_eigh_matches_lapack(self, monkeypatch, d, verdict):
+    def test_form_eigh_matches_lapack(self, d, verdict):
         op = diagonal_form_operator(d, np.random.default_rng(len(d)))
-        counts = count_factorizations(monkeypatch)
-        op.form_eigh
-        assert counts["eigh"] == 0
-        monkeypatch.undo()
         assert op.classify() == verdict
+        assert np.array_equal(op.form_eigh[0], np.sort(d))
         assert_lapack_eigenpairs(op)
 
     @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(13)])
@@ -461,7 +461,6 @@ class TestDiagonalForm:
              else np.diag(rng.choice([-1.0, 1.0], size=n)))
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         op = OperatorWithDomain(KreinSpace(j), m)
-        assert op.space.diagonal
         jj, mm = op.space.J, op.matrix
         g = -1j * (jj @ mm - mm.conj().T @ jj)
         reference = 0.5 * (g + g.conj().T)

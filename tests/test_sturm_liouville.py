@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from kreinpair.errors import (
     DimensionMismatch,
     KreinPairError,
     PipelineError,
+    ScaleOverflow,
 )
 from kreinpair.tolerances import CHECK_GATE
 from kreinpair.instances import random_unitary
@@ -36,6 +38,7 @@ from conftest import (
     dense_convergence_study,
     dense_discretize,
     dense_mask_splitting,
+    dissipation_form,
     dissipation_quadrature_residual,
     e,
     mask_splitting,
@@ -490,7 +493,7 @@ class TestQuadrature:
         pot = left_half(grid)
         op = dense_discretize(grid, pot)
         x = e(16, 12)
-        assert abs(op.dissipation_form(x, x)) < 1e-14
+        assert abs(dissipation_form(op, x, x)) < 1e-14
 
     def test_single_point_indicator(self):
         grid = GridSpec(x_max=10.0, n_points=16)
@@ -498,7 +501,7 @@ class TestQuadrature:
         op = dense_discretize(grid, pot)
         s = grid.step
         x = np.sqrt(s) * e(16, 3)  # function value 1 at one mask point
-        assert op.dissipation_form(x, x).real == pytest.approx(2.0 * s)
+        assert dissipation_form(op, x, x).real == pytest.approx(2.0 * s)
 
     def test_random_samples_residual(self):
         grid = GridSpec(x_max=20.0, n_points=128)
@@ -574,6 +577,35 @@ class TestCayley:
     def test_non_finite_entries_rejected(self, entry):
         with pytest.raises(DimensionMismatch, match="finite"):
             cayley_norm(np.array([[entry]]))
+
+    @pytest.mark.parametrize("matrix", [
+        [[9e307 + 9e307j]],
+        np.diag([9e307 + 9e307j, 1j]),
+        [[8.9e307 + 8.9e307j]],
+        [[1e155j, 1e155], [0.0, 1j]],
+        [[1.7e308 + 1.7e308j]],
+        [[1e308, 1e308], [0.0, 1j]],
+    ], ids=["scalar", "diagonal", "scalar_below_max", "row_sum",
+            "modulus_overflow", "row_sum_overflow"])
+    def test_overflowing_solve_is_a_typed_error(self, matrix):
+        # the first two returned 0.0, the third 1.0, from an unchecked solve
+        with pytest.raises(ScaleOverflow, match="Cayley"):
+            cayley_norm(np.array(matrix))
+
+    @pytest.mark.parametrize("imq", [1e144, 9.4e153])
+    def test_study_at_its_overflow_bound_is_kept(self, imq):
+        # the smallest x_max study_levels admits, to 1e-12 relative: the
+        # row sums of its finest block reach the largest the study allows
+        low, high = 1e-80, 1e-60
+        while high > low * (1.0 + 1e-12):
+            mid = math.sqrt(low * high)
+            try:
+                study_levels(mid, 8, [(0.0, 0.5)], imq, 1.0, 3)
+                high = mid
+            except DimensionMismatch:
+                low = mid
+        rows = convergence_study(high, 8, [(0.0, 0.5)], imq, 1.0, 3)
+        assert all(abs(row.cayley_norm - 1.0) < 1e-12 for row in rows)
 
     def test_omega_block_shape(self):
         grid = GridSpec(x_max=10.0, n_points=16)

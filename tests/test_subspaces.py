@@ -14,7 +14,7 @@ from kreinpair import (
     orthonormal_span,
 )
 from kreinpair.instances import random_unitary
-from kreinpair.subspaces import is_diagonal, null_space
+from kreinpair.subspaces import null_space
 
 from conftest import (
     adjoint_relation,
@@ -174,7 +174,6 @@ class TestSubspaceFull:
         monkeypatch.setattr(np.linalg, "norm",
                             lambda *a, **k: calls.append(1) or norm(*a, **k))
         Subspace.full(256)
-        Subspace.full(256, np.arange(0, 256, 3))
         assert calls == []
         Subspace(3, np.eye(3)[:, :2])
         assert len(calls) == 1
@@ -336,12 +335,12 @@ class TestMetricMatrix:
 
     def test_accepts_signature_matrix(self):
         space = KreinSpace(np.diag([1.0, -1.0]))
-        assert space.dim == 2 and space.diagonal
+        assert space.dim == 2
 
     @staticmethod
     def dense_verdict(m, tol):
-        """The checks through three dense 2-norms (SVDs), the reference for
-        the diagonal route."""
+        """The checks through three dense 2-norms (SVDs), the reference of
+        the Frobenius-first route."""
         scale = np.linalg.norm(m, 2)
         if np.linalg.norm(m - m.conj().T, 2) > 10 * tol * scale:
             return "not Hermitian"
@@ -372,15 +371,13 @@ class TestMetricMatrix:
     ] + NEAR_CUTS)
     # J and -J: both canonical symmetries or neither
     @pytest.mark.parametrize("negated", [True, False])
-    def test_diagonal_route_matches_dense_norms(self, monkeypatch, diagonal,
-                                                negated):
+    def test_diagonal_route_matches_dense_norms(self, diagonal, negated):
+        # a diagonal J has no route of its own: it is checked Frobenius-first
+        # and, near or past a cut, by the dense norms, like any other J
         m = np.diag(np.asarray(diagonal, dtype=np.complex128))
         if negated:
             m = -m
-        expected = self.dense_verdict(m, 1e-10)
-        counts = count_svd_backed(monkeypatch)
-        assert self.verdict(m, 1e-10) == expected
-        assert counts == {"svd": 0, "norm2": 0}
+        assert self.verdict(m, 1e-10) == self.dense_verdict(m, 1e-10)
 
     def test_near_cut_cases_straddle_both_cuts(self):
         verdicts = [self.dense_verdict(np.diag(d), 1e-10)
@@ -411,17 +408,35 @@ class TestMetricMatrix:
             m = -m
         assert self.verdict(m, 1e-10) == self.dense_verdict(m, 1e-10)
 
-    @pytest.mark.parametrize("m,diagonal", [
-        (np.eye(3), True),
-        (np.diag([1.0, -1.0, 1.0]), True),
-        (np.diag([0.0, 1.0]), True),
-        (np.array([[0.0, 1.0], [1.0, 0.0]]), False),
-        (np.array([[1.0, 1e-300], [1e-300, 1.0]]), False),  # exact, no tolerance
-    ])
-    def test_diagonal_flag(self, m, diagonal):
-        assert is_diagonal(m) is diagonal
-        if np.array_equal(m @ m, np.eye(m.shape[0])):
-            assert KreinSpace(m).diagonal is diagonal
+    FRAME = random_unitary(3, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1e200, 1e200]),
+        1e200 * np.eye(3),
+        np.diag([1e160, -1e160]),
+        FRAME @ np.diag([1e200, 1.0, 1.0]) @ FRAME.conj().T,
+        np.zeros((1, 1)),
+        np.zeros((3, 3)),
+        1e-200 * np.eye(2),
+    ], ids=["diag_1e200", "scaled_identity", "diag_pm_1e160", "framed_1e200",
+            "zero_1", "zero_3", "tiny_identity"])
+    def test_norm_far_from_one_is_no_involution(self, monkeypatch, m):
+        # a Hermitian involution is unitary: J is rejected on |J|_2 before
+        # J^2 could overflow, with no warning (warnings are errors here)
+        counts = count_svd_backed(monkeypatch)
+        with pytest.raises(MetricError, match="square to the identity"):
+            KreinSpace(m)
+        # only the Hermitian check's two 2-norms, on J over its peak
+        assert counts == {"svd": 0, "norm2": 2}
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, 1e300], [0.0, 0.0]]),
+        np.array([[1e308, -1.7e308], [1.7e308, 0.0]]),  # J - J* overflows
+        np.array([[1.7e308 + 1.7e308j]]),  # |J_11| overflows
+    ], ids=["nilpotent", "skew_overflow", "modulus_overflow"])
+    def test_large_non_hermitian_metric(self, m):
+        with pytest.raises(MetricError, match="not Hermitian"):
+            KreinSpace(m)
 
     def test_identity_metric_needs_no_svd(self, monkeypatch):
         counts = count_svd_backed(monkeypatch)
