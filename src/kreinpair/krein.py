@@ -157,9 +157,9 @@ class OperatorWithDomain:
     changes no bit.  Without it, ``analyze_operator`` took 507 ms, not 422,
     per pass over four operators at n = 128.  (2) :class:`KreinSpace`
     checks J Frobenius-first; each dense_n128 case builds one in its timed
-    region.  (3) The eig worker of :mod:`~kreinpair.analysis`: without it,
-    dense_n128 p50 was 127-134 ms, not 89-94.  (4) The dense
-    :meth:`~kreinpair.sturm_liouville.BandedOperator.operator`, the one
+    region.  (3) The eig worker of :mod:`~kreinpair.analysis`, with S's from
+    the split: without it, dense_n128 p50 was 114-118 ms, not 81-82.  (4) The
+    dense :meth:`~kreinpair.sturm_liouville.BandedOperator.operator`, the one
     route where the bands cannot decide ``form_scale``.
     """
 
@@ -226,9 +226,13 @@ class OperatorWithDomain:
     def dissipation_matrix(self) -> np.ndarray:
         """Ambient matrix of the form -i([x, T y] - [T x, y]), Hermitian by
         construction: ``h + h*`` for ``h = -i H M`` and H the Hermitian part
-        of J (with ``J M`` it would be off by the asymmetry J may keep)."""
+        of J (with ``J M`` it would be off by the asymmetry J may keep).
+        Raises :class:`ScaleOverflow` unless its bound ``2 |H|_F |M|_F`` is finite."""
         j = self.space.J
-        h = -1j * ((0.5 * (j + j.conj().T)) @ self.matrix)
+        hermitian = 0.5 * (j + j.conj().T)
+        if not np.isfinite(2.0 * _frobenius(hermitian) * _frobenius(self.matrix)):
+            raise ScaleOverflow("the dissipation form overflows: |H|_F |T|_F too large")
+        h = -1j * (hermitian @ self.matrix)
         return h + h.conj().T
 
     @cached_property

@@ -6,9 +6,10 @@ import pytest
 
 from kreinpair import KreinSpace, OperatorWithDomain, gap_distance, split
 from kreinpair.decomposition import Splitting
+from kreinpair.boundary import _green_residual, _trace_kernel_gap
 from kreinpair.errors import ClassificationError, DimensionMismatch, PipelineError
 from kreinpair.instances import random_dissipative, random_unitary
-from kreinpair.krein import INDEFINITE_CUT, NEITHER, _classify, _frobenius
+from kreinpair.krein import INDEFINITE_CUT, NEITHER, _classify, _frobenius, graph_form
 from kreinpair.sturm_liouville import StudyRow, cayley_norm, study_levels
 from kreinpair.subspaces import Subspace, null_space, orthonormal_span
 from kreinpair.tolerances import CHECK_GATE, DEFAULT_TOL, negligible
@@ -140,6 +141,48 @@ def adjoint_relation(graph, j=None):
     j = np.eye(n) if j is None else j
     perp = complement(graph).basis
     return Subspace(2 * n, np.vstack([-j @ perp[n:], j @ perp[:n]]))
+
+
+def von_neumann_pieces(sym):
+    """``(N+, N-, w)`` for the symmetric operator ``sym``: N+ and N- as the
+    trailing columns of the complete QRs of ``(JS +- i)B``, as
+    ``build_boundary_triple`` takes them, and the 2n x 2k columns
+    ``w = [(u, iJu) | (v, -iJv)] / sqrt(2)`` over their bases, the N+- part
+    of the von Neumann basis of the adjoint graph.  N- is no longer kept by
+    the triple; this is its oracle."""
+    n, j = sym.space.dim, sym.space.J
+    b, d = sym.domain.basis, sym.domain.dim
+    jsb = j @ sym._image
+    qp, qm = (np.linalg.qr(jsb + shift * b, mode="complete")[0][:, d:]
+              for shift in (1j, -1j))
+    w = np.hstack([np.vstack([qp, 1j * j @ qp]),
+                   np.vstack([qm, -1j * j @ qm])]) / np.sqrt(2.0)
+    return Subspace(n, qp), Subspace(n, qm), w
+
+
+def adjoint_graph(sym):
+    """The von Neumann basis ``[graph(S) | w]`` of the Krein adjoint graph
+    of S, formed in full as a checked ``Subspace``: the 2n x (2n - dim S)
+    basis ``BoundaryTriple.adjoint_graph`` held before the triple's
+    contracts were assembled from blocks."""
+    return Subspace(2 * sym.space.dim,
+                    np.hstack([sym.graph.basis, von_neumann_pieces(sym)[2]]))
+
+
+def full_basis_contracts(sym, traces, w):
+    """``(trace-kernel gap, Green residual)`` of the stacked traces
+    ``[trace0; trace1]`` on the basis ``[graph(S) | w]`` formed in full: a
+    checked ``Subspace``, the traces on it in one product and
+    ``graph_form(J, g, g)`` of the whole basis.  The route that
+    ``boundary._von_neumann_contracts`` replaced with blocks, kept as its
+    oracle; it raises where that does, with the same messages."""
+    g = Subspace(2 * sym.space.dim, np.hstack([sym.graph.basis, w])).basis
+    on_graph = traces @ g
+    d, k = sym.domain.dim, traces.shape[0] // 2
+    gap = _trace_kernel_gap(on_graph[:, :d], on_graph[:, d:])
+    residual = _green_residual(graph_form(sym.space.J, g, g),
+                               on_graph[:k], on_graph[k:])
+    return gap, residual
 
 
 def relation_eigenspace(graph, lam):
@@ -311,6 +354,20 @@ def count_svd_backed(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return counts
+
+
+def count_subspaces(monkeypatch):
+    """Count the ``Subspace`` constructions, each a checked basis, in a dict
+    from then on; the companion of :func:`count_svd_backed`."""
+    counts = {"subspace": 0}
+    init = Subspace.__init__
+
+    def counted(self, *args, **kwargs):
+        counts["subspace"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "__init__", counted)
     return counts
 
 

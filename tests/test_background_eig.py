@@ -68,10 +68,15 @@ def _clusters(rng):
     return planted_cluster_operator(72, [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4], rng)[0]
 
 
+def _dense_n128(rng):
+    # S of dimension 112, the largest of the dense_n128 benchmark cases
+    return random_dissipative(128, rng, defect=16)
+
+
 @pytest.mark.parametrize("make", [_indefinite, _full, _restricted,
-                                  _real_spectrum, _clusters],
+                                  _real_spectrum, _clusters, _dense_n128],
                          ids=["indefinite", "full", "restricted",
-                              "real_spectrum", "clusters"])
+                              "real_spectrum", "clusters", "dense_n128"])
 def test_reports_equal_with_and_without_worker(make, monkeypatch, two_cpus,
                                                eig_threads):
     op = make(np.random.default_rng(13))
@@ -88,6 +93,28 @@ def test_reports_equal_with_and_without_worker(make, monkeypatch, two_cpus,
     same_op = make(np.random.default_rng(13))
     assert analyze_operator(same_op, seed=2) == report
     assert not any(name.startswith(WORKER) for name in eig_threads)
+
+
+def test_sym_eig_is_submitted_before_the_triple(monkeypatch, two_cpus):
+    events = []
+    submit, build_triple = analysis._submit_eig, analysis.build_boundary_triple
+
+    def recorded_submit(pool, op):
+        future = submit(pool, op)
+        events.append(("eig", op.domain.dim, future is not None))
+        return future
+
+    def recorded_triple(sym):
+        events.append(("triple", sym.domain.dim))
+        return build_triple(sym)
+
+    monkeypatch.setattr(analysis, "_submit_eig", recorded_submit)
+    monkeypatch.setattr(analysis, "build_boundary_triple", recorded_triple)
+    report = analyze_operator(_full(np.random.default_rng(1)))
+    assert all(report["checks"].values())
+    # S's eig is on the worker's queue from the split on, not from the end
+    # of the pipeline
+    assert events == [("eig", 80, True), ("eig", 72, True), ("triple", 72)]
 
 
 @pytest.fixture
@@ -153,30 +180,32 @@ class TestErrors:
             self, monkeypatch, two_cpus, futures, held_eig):
         started, release = held_eig
 
-        def build_pipeline(op):
+        def build_pipeline(op, splitting):
             assert started.wait(30)
             raise PipelineError("planted failure while the eig runs")
 
         monkeypatch.setattr(analysis, "build_pipeline", build_pipeline)
         _fails_while_held(release)
         assert started.is_set()
-        assert len(futures) == 1 and futures[0] is not None
+        # T's eig and, since the split, S's
+        assert len(futures) == 2 and futures[0] is not None
         assert futures[0].done() and not futures[0].cancelled()
 
     def test_error_after_submit_cancels_the_queued_eig(
             self, monkeypatch, two_cpus, futures, held_eig):
         started, release = held_eig
 
-        def failing_green(*args, **kwargs):
+        def failing_triple(sym):
             # T's eig holds the worker, so S's is still queued
             assert started.wait(30) and len(futures) == 2
             raise PipelineError("planted failure while S's eig is queued")
 
-        monkeypatch.setattr(analysis, "pair_green_residual", failing_green)
+        monkeypatch.setattr(analysis, "build_boundary_triple", failing_triple)
         _fails_while_held(release)
         eig_op, eig_sym = futures
         assert eig_op.done() and not eig_op.cancelled()
         assert eig_sym.cancelled()
+        assert _worker_threads() == []
 
     def test_lapack_error_surfaces_unchanged(self, monkeypatch, two_cpus,
                                              futures):
@@ -202,7 +231,7 @@ class TestNoThreadOutlivesTheCall:
         assert _worker_threads() == []
 
     def test_after_raise(self, monkeypatch, two_cpus, pools):
-        def build_pipeline(op):
+        def build_pipeline(op, splitting):
             raise PipelineError("planted failure after the submit")
 
         monkeypatch.setattr(analysis, "build_pipeline", build_pipeline)
@@ -260,9 +289,10 @@ def test_analysis_makes_two_eigs_two_svds_and_seven_two_norms(monkeypatch,
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
 def test_bad_seed_is_rejected_before_any_work(seed, monkeypatch, two_cpus,
                                               eig_threads):
-    def refuse(op):
+    def refuse(*args):
         raise AssertionError("the pipeline ran before the seed was checked")
 
+    monkeypatch.setattr(analysis, "split", refuse)
     monkeypatch.setattr(analysis, "build_pipeline", refuse)
     with pytest.raises(DimensionMismatch):
         analyze_operator(random_dissipative(64, np.random.default_rng(1)), seed=seed)

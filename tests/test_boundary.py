@@ -24,7 +24,7 @@ from kreinpair.boundary import (
 import kreinpair.boundary as boundary_module
 from kreinpair.analysis import analyze_operator
 from kreinpair.decomposition import deficiency_space
-from kreinpair.errors import PipelineError
+from kreinpair.errors import DimensionMismatch, PipelineError
 from kreinpair.instances import (
     random_canonical_symmetry,
     random_dissipative,
@@ -38,16 +38,20 @@ from kreinpair.krein import boundary_metric_matrix, graph_form
 from kreinpair.subspaces import Subspace, column_space, null_space
 
 from conftest import (
+    adjoint_graph,
     adjoint_relation,
     contains,
+    count_subspaces,
     count_svd_backed,
     defect_traces,
     e,
+    full_basis_contracts,
     matrix_graph,
     planted_cluster_operator,
     reference_eigenpairs,
     relation_eigenspace,
     span,
+    von_neumann_pieces,
 )
 
 
@@ -81,7 +85,7 @@ class TestBuildTriple:
         op = random_dissipative(6, rng)
         s = split(op)
         triple = build_boundary_triple(s.symmetric)
-        g = triple.adjoint_graph.basis
+        g = adjoint_graph(s.symmetric).basis
         j = op.space.J
         for _ in range(100):
             a = g @ (rng.standard_normal(g.shape[1])
@@ -104,8 +108,8 @@ class TestBuildTriple:
         op = random_dissipative(5, rng)
         s, triple, traces = pipeline(op)
         k = triple.space_dim
-        assert triple.defect_plus.dim == k == triple.defect_minus.dim
-        g = triple.adjoint_graph.basis
+        assert triple.defect_plus.dim == k == von_neumann_pieces(s.symmetric)[1].dim
+        g = adjoint_graph(s.symmetric).basis
         stacked = np.vstack([triple.trace0 @ g, triple.trace1 @ g])
         rank = np.sum(np.linalg.svd(stacked, compute_uv=False) > 1e-10)
         assert rank == 2 * k
@@ -114,9 +118,8 @@ class TestBuildTriple:
         rng = np.random.default_rng(2)
         op = random_dissipative(5, rng)
         s = split(op)
-        triple = build_boundary_triple(s.symmetric)
         adj = adjoint_relation(s.symmetric.graph, op.space.J)
-        assert gap_distance(triple.adjoint_graph, adj) < 1e-10
+        assert gap_distance(adjoint_graph(s.symmetric), adj) < 1e-10
 
     @staticmethod
     def _relation_route_defects(sym):
@@ -139,15 +142,16 @@ class TestBuildTriple:
         j = random_canonical_symmetry(4, rng)
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         ops.append(OperatorWithDomain(KreinSpace(j), j @ (h + h.conj().T)))
-        triples = []
+        triples, minuses = [], []
         for op in ops:
             sym = split(op).symmetric
             triples.append(build_boundary_triple(sym))
+            minuses.append(von_neumann_pieces(sym)[1])
             plus, minus = self._relation_route_defects(sym)
             assert gap_distance(triples[-1].defect_plus, plus) < 1e-10
-            assert gap_distance(triples[-1].defect_minus, minus) < 1e-10
+            assert gap_distance(minuses[-1], minus) < 1e-10
         trivial, selfadjoint = triples[-2:]
-        assert trivial.defect_plus.is_full and trivial.defect_minus.is_full
+        assert trivial.defect_plus.is_full and minuses[-2].is_full
         assert selfadjoint.space_dim == 0
 
     def test_isometry_of_traces(self):
@@ -217,11 +221,11 @@ def dense_green_residual(trace0, trace1, j, graph):
     return float(np.linalg.norm(g.conj().T @ (lhs_form - rhs_form) @ g, 2))
 
 
-def dense_trace_kernel_gap(triple):
+def dense_trace_kernel_gap(triple, adjoint):
     """Gap between graph(S) and the kernel of the traces on the adjoint
-    graph, through ``null_space`` and ``gap_distance``: the route that
-    ``boundary._trace_kernel_gap`` replaced, kept as its oracle."""
-    g = triple.adjoint_graph.basis
+    graph ``adjoint``, through ``null_space`` and ``gap_distance``: the
+    route that ``boundary._trace_kernel_gap`` replaced, kept as its oracle."""
+    g = adjoint.basis
     stacked = np.vstack([triple.trace0 @ g, triple.trace1 @ g])
     kernel = Subspace(g.shape[0], g @ null_space(stacked))
     return gap_distance(kernel, triple.symmetric_graph)
@@ -255,22 +259,23 @@ class TestContractChecks:
     ROUNDOFF = 1e-14
 
     @staticmethod
-    def values(triple, j, graph):
+    def values(triple, sym, graph):
         """``(dense route, new route)`` of the four contract values: Green
         residuals on the adjoint graph and on ``graph``, the trace-kernel gap
-        and the containment of ``graph`` in the adjoint graph."""
-        g, g_t = triple.adjoint_graph.basis, graph.basis
+        and the containment of ``graph`` in the adjoint graph.  The new
+        route reads the adjoint graph in blocks."""
+        j, g_t = sym.space.J, graph.basis
+        adjoint = adjoint_graph(sym)
         t0, t1 = triple.trace0, triple.trace1
+        gap, green = boundary_module._von_neumann_contracts(
+            sym, np.vstack([t0, t1]), von_neumann_pieces(sym)[2])
         return [
-            (dense_green_residual(t0, t1, j, triple.adjoint_graph),
-             boundary_module._green_residual(graph_form(j, g, g), t0 @ g, t1 @ g)),
+            (dense_green_residual(t0, t1, j, adjoint), green),
             (dense_green_residual(t0, t1, j, graph),
              boundary_module._green_residual(graph_form(j, g_t, g_t),
                                              t0 @ g_t, t1 @ g_t)),
-            (dense_trace_kernel_gap(triple),
-             boundary_module._trace_kernel_gap(np.vstack([t0, t1]) @ g,
-                                               triple.symmetric_graph.dim)),
-            (projected_containment_defect(graph, triple.adjoint_graph),
+            (dense_trace_kernel_gap(triple, adjoint), gap),
+            (projected_containment_defect(graph, adjoint),
              boundary_module._containment_residual(
                  j, triple.symmetric_graph.basis, g_t)),
         ]
@@ -280,8 +285,7 @@ class TestContractChecks:
         full = set()
         for op in contract_instances():
             s, triple, _ = pipeline(op)
-            j = op.space.J
-            values = self.values(triple, j, op.graph)
+            values = self.values(triple, s.symmetric, op.graph)
             for old, new in values:
                 assert old <= new + self.ROUNDOFF
                 assert new <= 1e-13
@@ -299,7 +303,7 @@ class TestContractChecks:
                               trace1=triple.trace1 + w[k:])
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             moved = OperatorWithDomain(op.space, op.matrix + 1e-11 * z, op.domain)
-            for old, new in self.values(planted, j, moved.graph):
+            for old, new in self.values(planted, s.symmetric, moved.graph):
                 assert 1e-13 < new <= CHECK_GATE
                 assert old <= new + self.ROUNDOFF
         assert full == {True, False}
@@ -311,28 +315,58 @@ class TestContractChecks:
         with pytest.raises(PipelineError, match="Green identity"):
             restrict_triple(doubled, op, s.defect.domain)
 
+    @staticmethod
+    def assert_both_routes_raise(sym, traces, w, error, match):
+        """The block route and the full-basis oracle raise ``error`` with
+        the same message on the same planted fault."""
+        with pytest.raises(error, match=match):
+            boundary_module._von_neumann_contracts(sym, traces, w)
+        with pytest.raises(error, match=match):
+            full_basis_contracts(sym, traces, w)
+
     def test_traces_nonzero_on_symmetric_graph_fire(self):
         rng = np.random.default_rng(13)
         op = random_dissipative(6, rng, defect=2)
-        _, triple, _ = pipeline(op)
+        s, triple, _ = pipeline(op)
         g_s = triple.symmetric_graph.basis
         w = 1e-6 * (rng.standard_normal((triple.space_dim, g_s.shape[1]))
                     + 1j * rng.standard_normal((triple.space_dim, g_s.shape[1])))
         trace0 = triple.trace0 + w @ g_s.conj().T
-        on_graph = np.vstack([trace0, triple.trace1]) @ triple.adjoint_graph.basis
-        with pytest.raises(PipelineError, match="do not vanish"):
-            boundary_module._trace_kernel_gap(on_graph, g_s.shape[1])
+        self.assert_both_routes_raise(
+            s.symmetric, np.vstack([trace0, triple.trace1]),
+            von_neumann_pieces(s.symmetric)[2], PipelineError, "do not vanish")
 
     def test_traces_off_the_von_neumann_unitary_fire(self):
         op = random_dissipative(6, np.random.default_rng(14), defect=2)
-        _, triple, _ = pipeline(op)
+        s, triple, _ = pipeline(op)
         j = op.space.J
+        _, minus, w = von_neumann_pieces(s.symmetric)
         ph = triple.defect_plus.basis.conj().T
-        mh = 2 * triple.defect_minus.basis.conj().T
+        mh = 2 * minus.basis.conj().T
         trace1 = 0.5j * np.hstack([ph - mh, -1j * ph @ j - 1j * mh @ j])
-        on_graph = np.vstack([triple.trace0, trace1]) @ triple.adjoint_graph.basis
-        with pytest.raises(PipelineError, match="von Neumann unitary"):
-            boundary_module._trace_kernel_gap(on_graph, triple.symmetric_graph.dim)
+        self.assert_both_routes_raise(
+            s.symmetric, np.vstack([triple.trace0, trace1]), w,
+            PipelineError, "von Neumann unitary")
+
+    def test_doubled_traces_fire(self):
+        op = random_dissipative(6, np.random.default_rng(18), defect=2)
+        s, triple, _ = pipeline(op)
+        traces = 2 * np.vstack([triple.trace0, triple.trace1])
+        self.assert_both_routes_raise(
+            s.symmetric, traces, von_neumann_pieces(s.symmetric)[2],
+            PipelineError, "von Neumann unitary")
+
+    def test_minus_column_rotated_into_the_symmetric_graph_fires(self):
+        op = random_dissipative(6, np.random.default_rng(19), defect=2)
+        s, triple, _ = pipeline(op)
+        k, w = triple.space_dim, von_neumann_pieces(s.symmetric)[2].copy()
+        # the first N- column turned by 1e-6 rad towards a graph(S) column:
+        # still a unit vector, no longer orthogonal to graph(S)
+        angle = 1e-6
+        w[:, k] = np.cos(angle) * w[:, k] + np.sin(angle) * triple.symmetric_graph.basis[:, 0]
+        self.assert_both_routes_raise(
+            s.symmetric, np.vstack([triple.trace0, triple.trace1]), w,
+            DimensionMismatch, "not orthonormal")
 
     def test_graph_outside_another_adjoint_fires(self):
         # T + J H is dissipative with the same form but another symmetric part
@@ -353,6 +387,39 @@ class TestContractChecks:
         restrict_triple(build_boundary_triple(s.symmetric), op, s.defect.domain)
         KreinSpace(op.space.J)
         assert counts["norm2"] == 0
+
+
+class TestBlockContractsMatchTheFullBasis:
+    """The triple's contracts assembled from the graph(S) and N+- blocks
+    agree with the full-basis oracle, on a Tier-1 slice of ROADMAP item 1's
+    sweep and on the dense_n128 operators of seed 1."""
+
+    #: both routes sum the same products in another order
+    AGREEMENT = 1e-14
+
+    def assert_agree(self, sym):
+        triple = build_boundary_triple(sym)
+        traces = np.vstack([triple.trace0, triple.trace1])
+        w = von_neumann_pieces(sym)[2]
+        gap, green = full_basis_contracts(sym, traces, w)
+        block_gap, block_green = boundary_module._von_neumann_contracts(sym, traces, w)
+        assert abs(block_gap - gap) <= self.AGREEMENT
+        assert abs(block_green - green) <= self.AGREEMENT
+        assert abs(triple.green_residual - green) <= self.AGREEMENT
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_sweep(self, c):
+        for seed in range(7000, 7100):
+            rng = np.random.default_rng(seed)
+            n = rng.integers(2, 9)
+            op = random_dissipative(n, rng, domain_dim=rng.integers(1, n + 1))
+            scaled = OperatorWithDomain(op.space, c * op.matrix, op.domain)
+            self.assert_agree(split(scaled).symmetric)
+
+    def test_dense_n128_seed_1(self):
+        rng = np.random.default_rng(1)
+        for defect in (16, 48, 80, 112):
+            self.assert_agree(split(random_dissipative(128, rng, defect=defect)).symmetric)
 
 
 class TestBoundaryMaps:
@@ -712,6 +779,17 @@ class TestEigenpairCost:
         pairs = restricted_eigenpairs(op)
         assert sorted(s.dim for lam, s in pairs if s.dim > 1) == [2, 3, 4]
         assert counts["null_space"] == 3
+
+    def test_analysis_wraps_no_candidate_as_a_subspace(self, monkeypatch):
+        op = random_dissipative(64, np.random.default_rng(1))
+        subspaces = count_subspaces(monkeypatch)
+        report = analyze_operator(op)
+        assert all(report["checks"].values())
+        # one per pipeline object: the graphs of T and S, the form kernel,
+        # both defect domains, N+, the deficiency meet, the trace image and
+        # the pair kernel; none for the eigenvalue candidates, none real
+        assert report["real_spectrum"]["real_eigenvalues_op"] == []
+        assert subspaces == {"subspace": 9}
 
     def test_analyze_operator_svd_budget(self, counts):
         report = analyze_operator(random_dissipative(64, np.random.default_rng(1)))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflows" in err
         assert main(["criterion", str(path)]) == 0
+
+    def test_overflowing_dissipation_form_is_a_typed_error(self, tmp_path, capsys):
+        # h = -i T is finite and h + h* is not: refused before it is formed
+        path = tmp_path / "huge_form.json"
+        dump_instance(OperatorWithDomain(KreinSpace(np.eye(2)),
+                                         np.diag([1.7e308 + 1.7e308j, 1j])), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", str(path)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows" in err
 
 
 class TestCriterion:

@@ -5,6 +5,7 @@ from kreinpair import (
     ClassificationError,
     KreinSpace,
     OperatorWithDomain,
+    ScaleOverflow,
     Subspace,
     gap_distance,
     orthonormal_span,
@@ -140,6 +141,14 @@ class TestDissipationMatrix:
         assert np.linalg.norm(d - reference, 2) <= bound
         plain = -1j * (space.J @ m)
         assert np.linalg.norm(plain + plain.conj().T - reference, 2) > bound
+
+    def test_overflowing_form_is_a_typed_error(self):
+        # h = -i H M is finite, h + h* is not: refused before it is formed
+        # (a RuntimeWarning would fail the test)
+        op = OperatorWithDomain(KreinSpace(np.eye(2)),
+                                np.diag([1.7e308 + 1.7e308j, 1j]))
+        with pytest.raises(ScaleOverflow, match="dissipation form overflows"):
+            op.classify()
 
 
 class TestClassify:
