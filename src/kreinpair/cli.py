@@ -16,6 +16,13 @@ Operator files are JSON with complex entries encoded as [re, im] pairs:
 form eigenvalue at most ``tol`` times the scale of its matrix is zero.  The
 gates of the checks are fixed (:mod:`kreinpair.tolerances`).
 
+Cost of a call before the analysis: past ``json.loads``, each matrix (J, T,
+the domain vectors) is checked by a few C-level scans and read in one numpy
+conversion, so the Python calls are O(1) per matrix and O(dim) for its row
+checks, none per entry; :func:`dump_instance` encodes each matrix in one
+numpy call too.  The argument parser is built once per process and reused
+by every :func:`main` call.
+
 Exit codes: 0 on success, 1 on parse or validation errors (non-finite
 entries, JSON's ``NaN`` and ``Infinity``, included) and when the output
 file cannot be written, 2 when a numerical check fails.
@@ -24,8 +31,10 @@ file cannot be written, 2 when a numerical check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,37 +52,77 @@ class SpecError(ValueError):
     """Malformed instance file."""
 
 
-def _decode_complex(entry, where: str) -> complex:
+#: what ``json.loads`` makes of a JSON number; ``bool`` is not one of them
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _entry_fault(entry) -> str | None:
+    """What is wrong with one [re, im] pair, or None for a valid one."""
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-        raise SpecError(f"{where}: complex entries must be [re, im] pairs")
-    re, im = entry
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
-        raise SpecError(f"{where}: non-numeric complex entry")
+        return "complex entries must be [re, im] pairs"
+    if not set(map(type, entry)) <= _NUMBER_TYPES:
+        return "non-numeric complex entry"
     try:
-        return complex(re, im)
+        list(map(float, entry))
     except OverflowError as exc:
         # an integer beyond the floating-point range
-        raise SpecError(f"{where}: complex entry out of range ({exc})") from exc
+        return f"complex entry out of range ({exc})"
+    return None
+
+
+def _first_fault(rows, where: str) -> str | None:
+    """The message for the first malformed entry of ``rows``, in row-major
+    order, or None when every entry is a valid pair."""
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            fault = _entry_fault(entry)
+            if fault is not None:
+                return f"{where}[{i}][{j}]: {fault}"
+    return None
+
+
+def _complex_rows(rows: list, dim: int, where: str, row_label: str) -> np.ndarray:
+    """``rows``, a list of rows of ``dim`` [re, im] pairs, as a complex array.
+
+    The rows are checked one by one; the entries are not.  Two C-level
+    scans, a set of pair lengths and a set of number types, check them all,
+    and one numpy conversion reads every number as float64, viewed as
+    complex128 pairs bit for bit (``re + 1j * im`` would turn an infinite
+    imaginary part into a NaN real part).  The type scan keeps what numpy
+    would accept silently, ``null``, ``"1.5"`` and ``true``, an error.  Only
+    when a check fails are the entries walked, to name the first bad one.
+    """
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == dim):
+            # a bad entry in an earlier row is named first
+            raise SpecError(_first_fault(rows[:i], where)
+                            or f"{row_label} {i} must have {dim} entries")
+    entries = list(chain.from_iterable(rows))
+    try:
+        if set(map(len, entries)) == {2}:
+            numbers = list(chain.from_iterable(entries))
+            if set(map(type, numbers)) <= _NUMBER_TYPES:
+                pairs = np.array(numbers, dtype=np.float64)
+                return pairs.view(np.complex128).reshape(len(rows), dim)
+    except (TypeError, OverflowError):
+        pass  # an entry without a length, or an integer beyond the float range
+    raise SpecError(_first_fault(rows, where))
 
 
 def _decode_matrix(data, dim: int, where: str) -> np.ndarray:
     if not (isinstance(data, list) and len(data) == dim):
         raise SpecError(f"{where}: expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(data):
-        if not (isinstance(row, list) and len(row) == dim):
-            raise SpecError(f"{where}: row {i} must have {dim} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _decode_complex(entry, f"{where}[{i}][{j}]")
-    return out
+    return _complex_rows(data, dim, where, f"{where}: row")
 
 
 def load_instance(path) -> OperatorWithDomain:
     """Parse an operator specification file."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecError(f"{path}: JSON nested too deeply ({exc})") from exc
     if not isinstance(raw, dict):
         raise SpecError(f"{path}: top level must be an object")
     dim = raw.get("dim")
@@ -97,16 +146,10 @@ def load_instance(path) -> OperatorWithDomain:
         vectors = raw["domain"]
         if not isinstance(vectors, list) or not vectors:
             raise SpecError(f"{path}: 'domain' must be a nonempty list of vectors")
-        cols = []
-        for i, vec in enumerate(vectors):
-            if not (isinstance(vec, list) and len(vec) == dim):
-                raise SpecError(f"{path}: domain vector {i} must have {dim} entries")
-            cols.append(
-                [_decode_complex(e, f"{path}: domain[{i}][{k}]")
-                 for k, e in enumerate(vec)]
-            )
+        cols = _complex_rows(vectors, dim, f"{path}: domain",
+                             f"{path}: domain vector").T
         try:
-            domain = orthonormal_span(np.array(cols, dtype=np.complex128).T, float(tol))
+            domain = orthonormal_span(cols, float(tol))
         except KreinPairError as exc:
             raise SpecError(f"{path}: domain vectors: {exc}") from exc
         if domain.dim == 0:
@@ -117,20 +160,18 @@ def load_instance(path) -> OperatorWithDomain:
         raise SpecError(f"{path}: {exc}") from exc
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+def _encode_rows(m: np.ndarray) -> list:
+    """The rows of ``m`` as lists of [re, im] pairs of Python floats."""
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def dump_instance(op: OperatorWithDomain, path) -> None:
     """Write an operator in the instance file format (test helper)."""
     payload = {
         "dim": op.space.dim,
-        "J": _encode_matrix(op.space.J),
-        "T": _encode_matrix(op.matrix),
-        "domain": None
-        if op.domain.is_full
-        else [[[float(v.real), float(v.imag)] for v in col] for col in
-              op.domain.basis.T],
+        "J": _encode_rows(op.space.J),
+        "T": _encode_rows(op.matrix),
+        "domain": None if op.domain.is_full else _encode_rows(op.domain.basis.T),
         "tol": op.tol,
     }
     _emit_json(payload, path)
@@ -149,8 +190,9 @@ def _json_ready(value):
 
 
 def _emit_json(payload: dict, out_path) -> None:
-    """Write ``payload`` to ``out_path``, or to stdout when it is None."""
-    text = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
+    """Write ``payload``, plain Python values only (:func:`_json_ready`), to
+    ``out_path``, or to stdout when it is None."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -175,7 +217,7 @@ def _cmd_analyze(args) -> int:
     except KreinPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit_json(report, args.output)
+    _emit_json(_json_ready(report), args.output)
     return 0 if all(report["checks"].values()) else 2
 
 
@@ -231,7 +273,7 @@ def _cmd_criterion(args) -> int:
         # path is the file whose analysis raised, as in the load errors
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
-    _emit_json(payload, args.output)
+    _emit_json(_json_ready(payload), args.output)
     return 0 if agree else 2
 
 
@@ -310,8 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import dataclass
 
@@ -7,6 +8,7 @@ import pytest
 from kreinpair import KreinSpace, OperatorWithDomain, gap_distance, split
 from kreinpair.decomposition import Splitting
 from kreinpair.boundary import _green_residual, _trace_kernel_gap
+from kreinpair.cli import SpecError, _json_ready
 from kreinpair.errors import ClassificationError, DimensionMismatch, PipelineError
 from kreinpair.instances import random_dissipative, random_unitary
 from kreinpair.krein import INDEFINITE_CUT, NEITHER, _classify, _frobenius, graph_form
@@ -691,3 +693,64 @@ def dense_convergence_study(x_max, base_n, intervals, imq, h, levels):
         rows.append(StudyRow(level=level, n_points=grid.n_points, x_max=x_max,
                              cayley_norm=norm, form_residual=residual))
     return rows
+
+
+# The per-entry instance-file codec that ``cli`` replaced with one numpy
+# conversion per matrix, kept as the oracle of its differential tests: the
+# same arrays bit for bit, the same messages, the same file bytes.
+
+def _per_entry_complex(entry, where):
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        raise SpecError(f"{where}: complex entries must be [re, im] pairs")
+    re, im = entry
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
+        raise SpecError(f"{where}: non-numeric complex entry")
+    try:
+        return complex(re, im)
+    except OverflowError as exc:
+        raise SpecError(f"{where}: complex entry out of range ({exc})") from exc
+
+
+def _per_entry_matrix(data, dim, where):
+    if not (isinstance(data, list) and len(data) == dim):
+        raise SpecError(f"{where}: expected {dim} rows")
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for i, row in enumerate(data):
+        if not (isinstance(row, list) and len(row) == dim):
+            raise SpecError(f"{where}: row {i} must have {dim} entries")
+        for j, entry in enumerate(row):
+            out[i, j] = _per_entry_complex(entry, f"{where}[{i}][{j}]")
+    return out
+
+
+def per_entry_decode(raw, path):
+    """J, T and the domain columns (or None) of a parsed, well-formed
+    instance header, decoded one entry at a time; raises ``SpecError`` with
+    the message ``load_instance`` gives for a malformed entry or row."""
+    dim = raw["dim"]
+    j = _per_entry_matrix(raw["J"], dim, f"{path}: J")
+    t = _per_entry_matrix(raw["T"], dim, f"{path}: T")
+    if raw.get("domain") is None:
+        return j, t, None
+    cols = []
+    for i, vec in enumerate(raw["domain"]):
+        if not (isinstance(vec, list) and len(vec) == dim):
+            raise SpecError(f"{path}: domain vector {i} must have {dim} entries")
+        cols.append([_per_entry_complex(e, f"{path}: domain[{i}][{k}]")
+                     for k, e in enumerate(vec)])
+    return j, t, np.array(cols, dtype=np.complex128).T
+
+
+def per_entry_dump_text(op):
+    """The text ``dump_instance`` writes for ``op``, encoded one entry at a time."""
+    def encode(m):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+    payload = {
+        "dim": op.space.dim,
+        "J": encode(op.space.J),
+        "T": encode(op.matrix),
+        "domain": None if op.domain.is_full else encode(op.domain.basis.T),
+        "tol": op.tol,
+    }
+    return json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"

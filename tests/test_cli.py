@@ -6,9 +6,11 @@ import pytest
 
 from kreinpair import KreinSpace, OperatorWithDomain, cli, sturm_liouville
 from kreinpair.cli import SpecError, dump_instance, load_instance, main
-from kreinpair.instances import random_dissipative, scaled_defect_instance
+from kreinpair.instances import (random_dissipative, real_spectrum_instance,
+                                 scaled_defect_instance)
 
-from conftest import contains, e, span
+from conftest import (contains, e, per_entry_decode, per_entry_dump_text,
+                      planted_cluster_operator, span)
 
 
 @pytest.fixture
@@ -131,6 +133,253 @@ class TestInstanceIO:
             load_instance(path)
         assert main(["analyze", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _two_by_two(domain=True) -> dict:
+    """A well-formed instance payload: J = diag(1, -1), two domain vectors."""
+    payload = {"dim": 2, "J": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+               "T": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]], "domain": None}
+    if domain:
+        payload["domain"] = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    return payload
+
+
+def _batch_small_operators(seed):
+    """The 16 operators of the benchmark's batch_small workload for ``seed``,
+    drawn in its order: full, restricted, real spectrum and clusters at
+    n = 4, 8, 16, 32."""
+    rng = np.random.default_rng(seed)
+    for n in (4, 8, 16, 32):
+        yield random_dissipative(n, rng, defect=n // 2)
+        yield random_dissipative(n, rng, defect=n // 2, domain_dim=3 * n // 4)
+        yield real_spectrum_instance(n, rng, n // 4)[0]
+        mults = []
+        while sum(mults) < n // 2:
+            mults.append(min(len(mults) % 4 + 1, n // 2 - sum(mults)))
+        yield planted_cluster_operator(n, mults, rng)[0]
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The arrays ``load_instance`` decodes (J, T, then the domain vectors
+    as rows), in call order."""
+    arrays = []
+    real = cli._complex_rows
+
+    def spy(*args):
+        arrays.append(real(*args))
+        return arrays[-1]
+
+    monkeypatch.setattr(cli, "_complex_rows", spy)
+    return arrays
+
+
+def _assert_decoded_as_oracle(path, decoded):
+    j, t, cols = per_entry_decode(json.loads(path.read_text(encoding="utf-8")), path)
+    expected = [j, t] if cols is None else [j, t, cols.T]
+    assert len(decoded) == len(expected)
+    for got, want in zip(decoded, expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestDecoderOracle:
+    """One numpy conversion per matrix against the per-entry decoder it
+    replaced: the same bits on valid files, the same message on bad ones."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_small_files(self, tmp_path, decoded, seed):
+        for k, op in enumerate(_batch_small_operators(seed)):
+            path = tmp_path / f"op_{k}.json"
+            dump_instance(op, path)
+            decoded.clear()
+            load_instance(path)
+            _assert_decoded_as_oracle(path, decoded)
+
+    def test_edge_numbers(self, tmp_path, decoded):
+        # ints past 2**53 round like float(); -0.0 and subnormals keep their bits
+        payload = {
+            "dim": 2,
+            "J": [[[1, -0.0], [5e-324, -0.0]], [[5e-324, 0.0], [-1, 0]]],
+            "T": [[[2**53 + 1, 2**63 - 1], [2**63 + 1, 2**64]],
+                  [[1.7e308, -0.0], [5e-324, -5e-324]]],
+            "domain": [[[2**64, -0.0], [5e-324, 2**53 + 1]],
+                       [[2**63 - 1, 0], [-2**63 - 1, 1.7e308]]],
+        }
+        path = tmp_path / "edges.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        load_instance(path)
+        _assert_decoded_as_oracle(path, decoded)
+        assert np.signbit(decoded[1][1, 0].imag) and decoded[1][1, 0].imag == 0
+
+    @pytest.mark.parametrize("key, message", [
+        ("J", "J is not a canonical symmetry (entries must be finite)"),
+        ("T", "entries must be finite"),
+        ("domain", "domain vectors: entries must be finite"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_decoded_then_rejected(self, tmp_path, decoded, key,
+                                              message, value):
+        # a bad J stops the load before the domain is read
+        payload = _two_by_two(domain=key != "J")
+        payload[key][1][1] = [value, value]
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SpecError) as exc:
+            load_instance(path)
+        assert str(exc.value) == f"{path}: {message}"
+        _assert_decoded_as_oracle(path, decoded)
+
+    @pytest.mark.parametrize("entry", [
+        [True, 0], [0, False], [None, 0], ["1.5", 0], [1.0], [1, 0, 0],
+        [[1, 0], 0], {"re": 1, "im": 0}, 1.0, "ab", [], None, [10**400, 0],
+        [0, -10**400],
+    ], ids=["true", "false-im", "null", "string", "short", "long", "nested",
+            "dict", "bare-number", "string-entry", "empty", "null-entry",
+            "huge", "huge-im"])
+    @pytest.mark.parametrize("key", ["J", "T", "domain"])
+    def test_bad_entry_message(self, tmp_path, key, entry):
+        payload = _two_by_two()
+        payload[key][1][0] = entry
+        self._assert_same_error(tmp_path, payload)
+
+    @pytest.mark.parametrize("key", ["J", "T", "domain"])
+    @pytest.mark.parametrize("row", [[[1, 0]], [[1, 0], [0, 0], [0, 0]], None,
+                                     {"0": [1, 0]}], ids=["short", "long",
+                                                          "null", "dict"])
+    def test_bad_row_message(self, tmp_path, key, row):
+        payload = _two_by_two()
+        payload[key][1] = row
+        self._assert_same_error(tmp_path, payload)
+
+    @pytest.mark.parametrize("key", ["J", "T", "domain"])
+    def test_bad_entry_named_before_a_later_bad_row(self, tmp_path, key):
+        payload = _two_by_two()
+        payload[key][0][1] = [True, 0]
+        payload[key][1] = [[1, 0]]
+        self._assert_same_error(tmp_path, payload)
+
+    @pytest.mark.parametrize("key", ["J", "T"])
+    def test_wrong_row_count_message(self, tmp_path, key):
+        payload = _two_by_two(domain=False)
+        payload[key] = payload[key][:1]
+        self._assert_same_error(tmp_path, payload)
+
+    @staticmethod
+    def _assert_same_error(tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SpecError) as want:
+            per_entry_decode(payload, path)
+        with pytest.raises(SpecError) as got:
+            load_instance(path)
+        assert str(got.value) == str(want.value)
+
+
+class TestCodecGuards:
+    """The per-call costs this front end shed must not creep back."""
+
+    def test_valid_file_decodes_without_per_entry_calls(self, tmp_path,
+                                                        monkeypatch):
+        op = random_dissipative(64, np.random.default_rng(0), defect=32,
+                                domain_dim=48)
+        path = tmp_path / "restricted_64.json"
+        dump_instance(op, path)
+        calls = []
+        real = cli._entry_fault
+
+        def spy(entry):
+            calls.append(entry)
+            return real(entry)
+
+        monkeypatch.setattr(cli, "_entry_fault", spy)
+        assert load_instance(path).domain.dim == 48
+        assert calls == []
+        # the spy sees the per-entry walk that names a bad entry
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["domain"][47][63] = [None, 0]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SpecError, match=r"domain\[47\]\[63\]: non-numeric"):
+            load_instance(path)
+        assert len(calls) == 48 * 64  # J and T passed the scans
+
+    def test_one_parser_per_process(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "op.json"
+        dump_instance(scaled_defect_instance(1.0), path)
+        built = []
+        real = cli.build_parser
+
+        def spy():
+            built.append(real())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            out = str(tmp_path / "out.json")
+            assert main(["analyze", str(path), "-o", out]) == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", str(path), "--no-such-flag"])
+            assert exc.value.code == 2
+            assert main(["criterion", str(path), "-o", out]) == 0
+            assert main(["analyze", str(path), "--seed", "-1", "-o", out]) == 1
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert "--no-such-flag" in capsys.readouterr().err
+
+
+class TestDumpInstance:
+    @pytest.mark.parametrize("case", ["full", "restricted", "signed_zeros"])
+    def test_bytes_match_the_per_entry_encoder(self, tmp_path, case):
+        rng = np.random.default_rng(9)
+        if case == "full":
+            op = random_dissipative(12, rng, defect=5)
+        elif case == "restricted":
+            op = random_dissipative(12, rng, defect=5, domain_dim=7)
+        else:
+            op = OperatorWithDomain(
+                KreinSpace(np.array([[1.0, -0.0], [-0.0, -1.0]])),
+                np.array([[complex(-0.0, 1.0), complex(0.0, -0.0)],
+                          [complex(-0.0, -0.0), 5e-324j]]))
+        path = tmp_path / "op.json"
+        dump_instance(op, path)
+        assert path.read_bytes() == per_entry_dump_text(op).encode("utf-8")
+        if case == "signed_zeros":
+            assert b"-0.0" in path.read_bytes()
+
+
+class TestUnreadableFile:
+    """A file that is not UTF-8, or JSON nested past the recursion limit,
+    is an input error (exit 1, one line naming the file), not a traceback."""
+
+    CONTENTS = {
+        "not_utf8": b'\xff\xfe{"dim":1}',
+        "too_deep": b"[" * 5000 + b"]" * 5000,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CONTENTS))
+    def test_analyze(self, tmp_path, capsys, kind):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.CONTENTS[kind])
+        with pytest.raises(SpecError):
+            load_instance(path)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", sorted(CONTENTS))
+    def test_criterion_batch_names_the_bad_file(self, tmp_path, capsys, kind):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        dump_instance(scaled_defect_instance(1.0), batch / "a_good.json")
+        (batch / "b_bad.json").write_bytes(self.CONTENTS[kind])
+        assert main(["criterion", str(batch)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {batch / 'b_bad.json'}: ")
+        assert "a_good.json" not in err and "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 class TestAnalyze:
