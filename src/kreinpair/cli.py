@@ -21,7 +21,9 @@ the domain vectors) is checked by a few C-level scans and read in one numpy
 conversion, so the Python calls are O(1) per matrix and O(dim) for its row
 checks, none per entry; :func:`dump_instance` encodes each matrix in one
 numpy call too.  The argument parser is built once per process and reused
-by every :func:`main` call.
+by every :func:`main` call, which saves time only where one process calls
+:func:`main` repeatedly; a ``kreinpair`` or ``python -m kreinpair.cli`` run
+builds it once either way.
 
 Exit codes: 0 on success, 1 on parse or validation errors (non-finite
 entries, JSON's ``NaN`` and ``Infinity``, included) and when the output
@@ -174,7 +176,9 @@ def dump_instance(op: OperatorWithDomain, path) -> None:
         "domain": None if op.domain.is_full else _encode_rows(op.domain.basis.T),
         "tol": op.tol,
     }
-    _emit_json(payload, path)
+    # the payload is plain Python already: no _json_ready walk
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _json_ready(value):
@@ -190,9 +194,8 @@ def _json_ready(value):
 
 
 def _emit_json(payload: dict, out_path) -> None:
-    """Write ``payload``, plain Python values only (:func:`_json_ready`), to
-    ``out_path``, or to stdout when it is None."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Write ``payload`` to ``out_path``, or to stdout when it is None."""
+    text = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -217,7 +220,7 @@ def _cmd_analyze(args) -> int:
     except KreinPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit_json(_json_ready(report), args.output)
+    _emit_json(report, args.output)
     return 0 if all(report["checks"].values()) else 2
 
 
@@ -273,7 +276,7 @@ def _cmd_criterion(args) -> int:
         # path is the file whose analysis raised, as in the load errors
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
-    _emit_json(_json_ready(payload), args.output)
+    _emit_json(payload, args.output)
     return 0 if agree else 2
 
 
