@@ -60,7 +60,7 @@ import numpy as np
 from .decomposition import DeficiencyData, Splitting
 from .errors import DimensionMismatch, PipelineError
 from .krein import SYMMETRIC, OperatorWithDomain, boundary_metric_matrix, graph_form
-from .subspaces import Subspace, gap_distance, null_space, qr_span
+from .subspaces import Subspace, gap_distance, null_space
 from .tolerances import CHECK_GATE, DEFAULT_TOL, EXACT_BOUND, LOOSE_GATE, negligible
 
 __all__ = [
@@ -109,7 +109,10 @@ class TraceData:
     ``trace0``/``trace1`` here are matrices on coordinates of the domain
     basis ``domain_basis``.  ``image`` is the joint range inside the doubled
     boundary space and ``image_gram`` the compression of its canonical
-    symmetry to the image, on an orthonormal basis of the image.
+    symmetry to the image, on an orthonormal basis of the image.  The image
+    basis and ``image_complement``, an orthonormal basis of its
+    orthocomplement, are the leading and trailing columns of one complete
+    Householder QR, so ``[image | image_complement]`` is unitary.
     """
 
     boundary_dim: int
@@ -118,6 +121,7 @@ class TraceData:
     domain_basis: np.ndarray  # n x d
     image: Subspace | None  # None when the boundary space is trivial
     image_gram: np.ndarray
+    image_complement: np.ndarray | None  # 2k x (2k - dim image), read-only
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,8 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
     ``defect`` is T's defect domain (``Subspace.zero`` for a symmetric T).
     The traces vanish on dom S, and the graph of a defect-domain x lies in
     the N+- part of the adjoint graph, where they are the unitary U0, so
-    ``|[t0; t1] x| = |(x, Tx)| >= |x|``: the image is the reduced QR of
+    ``|[t0; t1] x| = |(x, Tx)| >= |x|``: the image and its orthocomplement
+    are the leading and trailing columns of the complete QR of
     ``[t0; t1] X`` for the defect basis X, with no rank decision.
 
     The containment of graph T in the adjoint graph
@@ -290,7 +295,8 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
     t1 = triple.trace1 @ stacked_pairs
     k = triple.space_dim
     # zero defect numbers: no boundary data at all
-    image = qr_span(np.vstack([t0, t1]) @ op.coords(defect.basis)) if k else None
+    image, perp = (_split_span(np.vstack([t0, t1]) @ op.coords(defect.basis))
+                   if k else (None, None))
     gram = trace_image_gram(image) if k else np.zeros((0, 0), dtype=np.complex128)
     residual = _green_residual(op.graph_form, triple.trace0 @ g_t, triple.trace1 @ g_t)
     if residual > EXACT_BOUND:
@@ -302,21 +308,34 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
         domain_basis=b,
         image=image,
         image_gram=gram,
+        image_complement=perp,
     )
+
+
+def _split_span(matrix: np.ndarray) -> tuple[Subspace, np.ndarray]:
+    """Span of columns whose rank the mathematics fixes at their count, and
+    an orthonormal basis of its orthocomplement: the leading and trailing
+    columns of one complete Householder QR, with no rank decision."""
+    q = np.linalg.qr(matrix, mode="complete")[0]
+    q.flags.writeable = False  # no caller holds the factor: frozen, not copied
+    return Subspace(matrix.shape[0], q[:, :matrix.shape[1]]), q[:, matrix.shape[1]:]
 
 
 def trace_image_gram(image: Subspace) -> np.ndarray:
     """Compression of the doubled boundary-space symmetry to the image,
-    expressed on an orthonormal basis of the image."""
+    expressed on an orthonormal basis of the image.
+
+    The symmetry is ``(u, v) -> (-i v, i u)``, so on the basis ``[A; C]``
+    (trace0 over trace1 rows) the compression is ``i (C* A - A* C)``, taken
+    as ``i (X - X*)`` for ``X = C* A``: one k x k product, Hermitian exactly.
+    """
     if image.dim == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     if image.ambient_dim % 2:
         raise DimensionMismatch("image must live in a doubled boundary space")
-    k = image.ambient_dim // 2
-    meta = boundary_metric_matrix(k)
-    q = image.basis
-    gram = q.conj().T @ meta @ q
-    return 0.5 * (gram + gram.conj().T)
+    a, c = np.split(image.basis, 2)
+    x = c.conj().T @ a
+    return 1j * (x - x.conj().T)
 
 
 def transform_traces(traces: TraceData, w: np.ndarray) -> TraceData:
@@ -325,7 +344,8 @@ def transform_traces(traces: TraceData, w: np.ndarray) -> TraceData:
     ``w`` is a 2k x 2k matrix acting on stacked (trace0, trace1) values and
     must preserve the canonical symmetry of the doubled boundary space, by
     the Frobenius norm, an upper bound of the 2-norm.  Such a w is
-    invertible, so the new image is the QR of w times the old image basis.
+    invertible, so the new image and its orthocomplement are the complete
+    QR of w times the old image basis.
     """
     k = traces.boundary_dim
     w = np.asarray(w, dtype=np.complex128)
@@ -337,9 +357,9 @@ def transform_traces(traces: TraceData, w: np.ndarray) -> TraceData:
     if traces.image is None:  # no boundary data to transform
         return traces
     stacked = w @ np.vstack([traces.trace0, traces.trace1])
-    image = qr_span(w @ traces.image.basis)
+    image, perp = _split_span(w @ traces.image.basis)
     return replace(traces, trace0=stacked[:k], trace1=stacked[k:], image=image,
-                   image_gram=trace_image_gram(image))
+                   image_gram=trace_image_gram(image), image_complement=perp)
 
 
 def boundary_map_projection(op: OperatorWithDomain,

@@ -11,7 +11,12 @@ behind the pair of range-decomposition identities that the image induces
 between the two boundary coordinates.  In finite dimension all three hold on
 every well-conditioned instance and they must always agree; on nearly
 degenerate families the three margins degrade together and the verdicts flip
-at the same cut.  All three read the trace image alone.
+at the same cut.  All three read the trace image alone, each with one
+factorisation of at most 2k - dim image columns: an ``eigvalsh`` of the
+image Gram, a QR of ``Gamma+``, and the singular values of a
+(2k - dim image)-square matrix built from the image's orthocomplement, which
+:func:`~kreinpair.boundary.restrict_triple` keeps from the QR that gives the
+image.
 """
 
 from __future__ import annotations
@@ -55,8 +60,10 @@ class ContractionBound:
 class RangeSplitting:
     """Both range identities hold exactly when ``margin``, the sine of the
     smallest principal angle between the trace image and its orthocomplement
-    turned by the boundary symmetry, is positive; in exact arithmetic it
-    equals the smallest image-Gram eigenvalue."""
+    turned by ``Omega (u, v) = (-v, u)``, is positive; in exact arithmetic it
+    equals the smallest image-Gram eigenvalue.  It is read from the
+    complement side, as the smallest singular value of a
+    (2k - dim image)-square matrix (:func:`range_splitting`)."""
 
     ok: bool
     margin: float
@@ -118,21 +125,25 @@ def range_splitting(traces: TraceData) -> RangeSplitting:
     The first identity says ``[C, P]`` is onto C^k, the second that
     ``[A, -R]`` maps its kernel onto C^k: both hold exactly when
     ``M = [[A, -R], [C, P]]`` is nonsingular.  The columns of M span the image
-    and ``Omega image^perp`` (the boundary metric is ``i Omega``), so the
-    margin ``sigma sqrt(2 - sigma^2)``, ``sigma = sigma_min(M)``, is the sine
-    of their smallest principal angle (Bjorck & Golub 1973).  ``[P; R]`` is
-    the trailing columns of the complete Householder QR of the image basis:
+    and ``Omega image^perp`` (the boundary metric is ``i Omega``), and it is
+    nonsingular exactly when no principal angle between them is zero.
+
+    The sines of those angles are the singular values of the part of
+    ``Omega [P; R]`` outside the image, ``[P; R]* Omega [P; R] = R* P - P* R``
+    on the complement's coordinates (Bjorck & Golub 1973): a
+    (2k - dim image)-square matrix, k x k on a full domain, where
+    ``sigma_min(M)`` needed a 2k x 2k one.  Its smallest singular value is
+    the margin; it equals ``sigma sqrt(2 - sigma^2)`` for
+    ``sigma = sigma_min(M)``.  ``[P; R]`` is ``traces.image_complement``,
+    the trailing columns of the complete Householder QR that gave the image:
     its columns are orthonormal, so its rank is their count, with no cut.
     """
     k = traces.boundary_dim
     if k == 0:
         return RangeSplitting(ok=True, margin=1.0)
-    q = traces.image.basis
-    perp = np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
-    a, c = q[:k], q[k:]
-    p, r = perp[:k], perp[k:]
-    sigma = float(np.linalg.svd(np.block([[a, -r], [c, p]]), compute_uv=False)[-1])
-    margin = float(sigma * np.sqrt(2.0 - sigma * sigma))
+    p, r = np.split(traces.image_complement, 2)
+    x = r.conj().T @ p
+    margin = float(np.linalg.svd(x - x.conj().T, compute_uv=False)[-1])
     return RangeSplitting(ok=margin > CRITERION_TOL, margin=margin)
 
 

@@ -5,9 +5,10 @@ part on its graph-orthogonal complement inside the domain.  The defect
 domain can be recomputed independently through the resolvent-type formula
 ``(JT + iI)^{-1}(deficiency cap range)``; the two routes are kept separate
 so they can cross-check each other.  The deficiency subspace comes from the
-boundary triple of the symmetric part, and the one Householder QR of
-``(JT + iI)B`` on the domain basis B, whose singular values are all at
-least 1, serves every later use of that matrix.
+boundary triple of the symmetric part, and the one complete Householder QR
+of ``(JT + iI)B`` on the domain basis B, whose singular values are all at
+least 1, serves every later use of that matrix: its trailing columns meet
+N+ in the intersection, its leading ones and R solve the resolvent.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ class Splitting:
 class DeficiencyData:
     """Deficiency subspace of the symmetric part and its ``intersection``
     with the range of ``JT + iI``.  ``shifted_qr`` is the reduced QR
-    ``(Q, R)`` of ``(JT + iI) B`` for the domain basis B: Q spans that range,
-    and R is invertible, since every singular value is at least 1.
+    ``(Q, R)`` of ``(JT + iI) B`` for the domain basis B, the leading part
+    of the complete QR that :func:`deficiency_space` takes: Q spans that
+    range, and R is invertible, since every singular value is at least 1.
     """
 
     deficiency: Subspace
@@ -122,27 +124,30 @@ def deficiency_space(triple: BoundaryTriple,
     of ``JT + iI`` over the domain of T.  ``JT`` is dissipative in the
     Hilbert product, ``|(JT + i)x|^2 = |JTx|^2 + |x|^2 + form(x, x)``, so
     ``JT + iI`` is bounded below by 1 on the domain (Behrndt, Hassi & de
-    Snoo 2020): the reduced Householder QR of ``(JT + iI) B`` spans its
-    range, with no rank decision.
+    Snoo 2020): the complete Householder QR of ``(JT + iI) B`` spans its
+    range with its leading d columns Q, with no rank decision, and its
+    orthocomplement with the trailing n - d columns Q_perp.
 
-    With Q from that QR and Qp the basis of N+, the singular values of
-    ``Qp - Q Q* Qp`` are the sines of the principal angles between N+ and
-    the range (Bjorck & Golub 1973), taken from the
-    N+ side: an n x dim N+ matrix, not n x d.  Its null space gives the
-    coefficients in Qp of the directions at sine zero, the intersection.
-    Both bases are orthonormal, so the matrix has norm at most 1 and its
-    rank is cut at scale 1; from either side the sines and the cut are the
-    same, and so is the intersection.
+    With Qp the basis of N+, the singular values of ``Q_perp* Qp`` are the
+    sines of the principal angles between N+ and the range (Bjorck & Golub
+    1973), read from the range's complement: an (n - d) x dim N+ matrix.
+    Its null space gives the coefficients in Qp of the directions at sine
+    zero, the intersection.  Both bases are orthonormal, so the matrix has
+    norm at most 1 and its rank is cut at scale 1.  On the whole space
+    (d = n) the range is all of C^n and the matrix has no rows: the
+    intersection is N+ itself, with no SVD.
     """
     n_plus = triple.defect_plus
     b = op.domain.basis
     shifted = op.space.J @ op._image + 1j * b
-    q, r = np.linalg.qr(shifted)
+    d = b.shape[1]
+    q, r = np.linalg.qr(shifted, mode="complete")
     qp = n_plus.basis
-    sines = qp - q @ (q.conj().T @ qp)
+    sines = q[:, d:].conj().T @ qp
     # orthonormal basis times orthonormal coefficients
     meet = Subspace(op.space.dim, qp @ null_space(sines, op.tol, scale=1.0))
-    return DeficiencyData(deficiency=n_plus, intersection=meet, shifted_qr=(q, r))
+    return DeficiencyData(deficiency=n_plus, intersection=meet,
+                          shifted_qr=(q[:, :d], r[:d]))
 
 
 def defect_domain_via_resolvent(op: OperatorWithDomain,

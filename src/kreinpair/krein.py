@@ -57,11 +57,26 @@ _UNIT_BAND = 2.0
 _NOT_INVOLUTION = "canonical symmetry must square to the identity"
 
 
+def _unit(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(peak, A / peak)`` for the largest real or imaginary part ``peak``
+    of A, which is finite where ``|A_ij|`` may overflow; A itself when it is
+    0.  The parts are divided as real numbers, side by side in one real
+    array: a complex division by a subnormal peak overflows."""
+    is_complex = np.iscomplexobj(a)
+    parts = (np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+             if is_complex else a)
+    peak = float(np.max(np.abs(parts), initial=0.0))
+    if peak == 0.0:
+        return peak, a
+    unit = parts / peak
+    return peak, unit.view(np.complex128) if is_complex else unit
+
+
 def _frobenius(a: np.ndarray) -> float:
-    """``|A|_F``, with the squares taken of ``A / max|A_ij|`` so that they
-    neither overflow nor underflow."""
-    peak = float(np.max(np.abs(a), initial=0.0))
-    return peak * float(np.linalg.norm(a / peak)) if peak > 0 else 0.0
+    """``|A|_F``, with the squares taken of :func:`_unit` ``A``, whose parts
+    are at most 1, so that they neither overflow nor underflow."""
+    peak, unit = _unit(a)
+    return peak * float(np.linalg.norm(unit))
 
 
 def boundary_metric_matrix(dim: int) -> np.ndarray:
@@ -115,9 +130,7 @@ class KreinSpace:
             raise MetricError(f"metric must be square, got shape {j.shape}")
         if j.shape[0] == 0:
             raise MetricError("zero-dimensional metric is not allowed")
-        # the largest real or imaginary part: finite, where |J_ij| may overflow
-        peak = float(np.max(np.maximum(np.abs(j.real), np.abs(j.imag))))
-        unit = j / peak if peak > 0 else j
+        peak, unit = _unit(j)
         columns = np.linalg.norm(unit, axis=0)
         low = peak * float(np.max(columns))
         if low > _UNIT_BAND or peak * float(np.linalg.norm(columns)) < 1 / _UNIT_BAND:

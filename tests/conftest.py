@@ -359,6 +359,21 @@ def count_svd_backed(monkeypatch):
     return counts
 
 
+def record_svd_shapes(monkeypatch):
+    """Record the shape of each ``numpy.linalg.svd`` input in a list from
+    then on; the companion of :func:`count_svd_backed` for the size of the
+    factorisations it counts."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
+
+
 def count_subspaces(monkeypatch):
     """Count the ``Subspace`` constructions, each a checked basis, in a dict
     from then on; the companion of :func:`count_svd_backed`."""
@@ -445,8 +460,11 @@ def svd_pair_kernel(pair):
 
 
 def reference_range_margin(traces):
-    """``range_splitting``'s margin with the complement of the trace image
-    taken as ``null_space(q*)``."""
+    """``range_splitting``'s margin as ``sigma sqrt(2 - sigma^2)`` for the
+    smallest singular value sigma of the 2k x 2k matrix
+    ``[[A, -R], [C, P]]``, with the complement ``[P; R]`` of the trace image
+    ``[A; C]`` taken as ``null_space(q*)``: the route it replaced, read from
+    the image and its complement together."""
     k = traces.boundary_dim
     q = traces.image.basis
     perp = complement(traces.image).basis

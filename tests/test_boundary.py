@@ -9,6 +9,7 @@ from kreinpair import (
     boundary_map_projection,
     boundary_map_resolvent,
     build_boundary_triple,
+    criterion_report,
     gap_distance,
     orthonormal_span,
     pair_green_residual,
@@ -622,6 +623,40 @@ class TestBoundaryRotation:
         expected = orthonormal_span(w @ traces.image.basis)
         assert scaled.image.dim == traces.image.dim < 2 * k
         assert gap_distance(scaled.image, expected) <= CHECK_GATE
+
+    @staticmethod
+    def random_metric_preserving(k, rng):
+        """A random w with ``w* meta w = meta`` for the boundary metric meta:
+        ``diag(D, D^-*)`` times the shears ``[[I, 0], [H, I]]`` and
+        ``[[I, H'], [0, I]]``, with D invertible and H, H' Hermitian."""
+        def hermitian():
+            h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            return 0.25 * (h + h.conj().T) / np.sqrt(k)
+
+        eye, zero = np.eye(k), np.zeros((k, k))
+        d = random_unitary(k, rng) @ np.diag(np.exp(rng.uniform(-0.5, 0.5, k)))
+        scale = np.block([[d, zero], [zero, np.linalg.inv(d).conj().T]])
+        lower = np.block([[eye, zero], [hermitian(), eye]])
+        upper = np.block([[eye, hermitian()], [zero, eye]])
+        return scale @ lower @ upper
+
+    @pytest.mark.parametrize("n, domain_dim", [(6, None), (7, 5), (9, None), (10, 7)])
+    def test_random_metric_preserving_w(self, n, domain_dim):
+        # the moved image and its complement are one unitary, and the three
+        # criteria still agree on the moved traces
+        rng = np.random.default_rng(23 + n)
+        op = random_dissipative(n, rng, defect=n // 3, domain_dim=domain_dim)
+        _, _, traces = pipeline(op)
+        k = traces.boundary_dim
+        w = self.random_metric_preserving(k, rng)
+        moved = transform_traces(traces, w)
+        basis = np.hstack([moved.image.basis, moved.image_complement])
+        assert basis.shape == (2 * k, 2 * k)
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(2 * k)) <= CHECK_GATE
+        expected = orthonormal_span(w @ traces.image.basis)
+        assert gap_distance(moved.image, expected) <= CHECK_GATE
+        report = criterion_report(op, traces=moved)
+        assert report.agree and report.all_true
 
 
 class TestRealSpectrum:

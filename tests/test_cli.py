@@ -80,6 +80,22 @@ class TestInstanceIO:
         assert err.startswith("error: ") and "square to the identity" in err
         assert "DLASCL" not in err and "Warning" not in err
 
+    def test_subnormal_metric_defect(self, tmp_path, capsys):
+        # J - J* has subnormal entries: its Frobenius norm is taken with no
+        # complex division by them, so no RuntimeWarning before the error
+        path = tmp_path / "subnormal_j.json"
+        payload = {"dim": 2, "J": [[[1, 0], [0, 0]], [[0, 0], [5e-324, 5e-324]]],
+                   "T": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", str(path)]) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: J is not a canonical symmetry "
+                                "(canonical symmetry must square to the identity)\n")
+
     def test_bad_complex_entry(self, tmp_path):
         path = tmp_path / "bad_entry.json"
         payload = {"dim": 1, "J": [[[1.0]]], "T": [[[0.0, 1.0]]]}

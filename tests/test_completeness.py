@@ -17,6 +17,8 @@ from kreinpair.boundary import build_boundary_triple, restrict_triple
 from kreinpair.instances import random_dissipative, scaled_defect_instance
 from kreinpair.tolerances import LOOSE_GATE
 
+from conftest import record_svd_shapes
+
 
 def pipeline(op):
     s = split(op)
@@ -84,20 +86,20 @@ class TestConditions:
         assert criterion_report(shrunk).agree
 
     def test_criterion_report_svd_budget(self, monkeypatch):
-        op = random_dissipative(64, np.random.default_rng(1))
-        _, _, traces = pipeline(op)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        report = criterion_report(op, traces=traces)
-        assert report.agree and report.all_true
-        # range_splitting's sigma_min; the contraction takes a QR
-        assert len(calls) == 1
+        # the whole space (image dimension k) and a restricted domain (less)
+        rng = np.random.default_rng(1)
+        ops = [random_dissipative(64, rng),
+               random_dissipative(24, rng, defect=6, domain_dim=16)]
+        traces = [pipeline(op)[2] for op in ops]
+        assert [t.image.dim == t.boundary_dim for t in traces] == [True, False]
+        shapes = record_svd_shapes(monkeypatch)
+        for op, t in zip(ops, traces):
+            report = criterion_report(op, traces=t)
+            assert report.agree and report.all_true
+            # range_splitting's sigma_min, read on the image's complement;
+            # the contraction takes a QR
+            side = 2 * t.boundary_dim - t.image.dim
+            assert shapes.pop() == (side, side) and not shapes
 
     def test_agreement_with_proper_domains(self):
         rng = np.random.default_rng(2)

@@ -27,6 +27,7 @@ from conftest import (
     e,
     graph_inner,
     intersect,
+    record_svd_shapes,
     riesz_coords,
     riesz_representer,
     span,
@@ -131,7 +132,7 @@ class TestDeficiencySpace:
         yield random_dissipative(6, rng, defect=6)
 
     def test_intersection_matches_complement_route(self):
-        kinds = set()
+        kinds, domains = set(), set()
         for op in self._differential_instances():
             s = split(op)
             triple = build_boundary_triple(s.symmetric)
@@ -141,16 +142,31 @@ class TestDeficiencySpace:
             assert defi.intersection.dim == expected.dim
             assert gap_distance(defi.intersection, expected) <= 1e-10
             kinds.add((triple.space_dim == 0, s.symmetric.domain.is_zero))
+            domains.add(op.domain.is_full)
         assert kinds >= {(True, False), (False, True), (False, False)}
+        assert domains == {True, False}
 
     def test_two_svds(self, monkeypatch):
         # dissipation of rank 3 on a 9-dimensional domain: S and N+ are
-        # proper, so the intersection takes an SVD of its own
+        # proper, so the intersection takes an SVD of its own, of the sines
+        # read from the complement of the range: n - d = 3 rows
         op = random_dissipative(12, np.random.default_rng(3), defect=3, domain_dim=9)
         triple = build_boundary_triple(split(op).symmetric)
         counts = count_svd_backed(monkeypatch)
+        shapes = record_svd_shapes(monkeypatch)
         deficiency_space(triple, op)
         assert counts["svd"] <= 2
+        assert shapes == [(12 - 9, triple.defect_plus.dim)]
+
+    def test_whole_space_intersection_takes_no_svd(self, monkeypatch):
+        # (JT + iI)B spans C^n: the sines have no rows and N+ is the meet
+        op = random_dissipative(12, np.random.default_rng(3), defect=3)
+        triple = build_boundary_triple(split(op).symmetric)
+        shapes = record_svd_shapes(monkeypatch)
+        defi = deficiency_space(triple, op)
+        assert shapes == []
+        assert defi.intersection.dim == triple.defect_plus.dim == 3
+        assert gap_distance(defi.intersection, triple.defect_plus) <= 1e-14
 
     def test_defect_count_full_domain(self):
         rng = np.random.default_rng(2)

@@ -33,8 +33,9 @@ from kreinpair import (
 import kreinpair.decomposition as decomposition_module
 from kreinpair.analysis import analyze_operator
 from kreinpair.completeness import contraction_bound, range_splitting
-from kreinpair.instances import random_dissipative
+from kreinpair.instances import random_dissipative, scaled_defect_instance
 from kreinpair.subspaces import Subspace
+from kreinpair.tolerances import CRITERION_TOL
 
 from conftest import (
     cholesky_riesz_spectrum,
@@ -136,12 +137,55 @@ class TestQrMatchesSvdRoute:
             traces = restrict_triple(triple, op, s.defect.domain)
             if traces.boundary_dim == 0:
                 continue
-            q = traces.image.basis
-            perp = np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
+            q, perp = traces.image.basis, traces.image_complement
+            assert perp.shape == (q.shape[0], q.shape[0] - q.shape[1])
             expected = complement(traces.image)
             assert gap_distance(Subspace(q.shape[0], perp), expected) <= QR_GAP
             margin = range_splitting(traces).margin
             assert margin == pytest.approx(reference_range_margin(traces), abs=QR_GAP)
+
+
+def sweep_traces(c):
+    """``(k, image dimension, traces)`` on ROADMAP item 1's sweep (seeds
+    7000-7099 and 5000-5059, n = 2 ... 8 on random domains) with T scaled by
+    c, for every operator with boundary data."""
+    for seed in [*range(7000, 7100), *range(5000, 5060)]:
+        rng = np.random.default_rng(seed)
+        n = rng.integers(2, 9)
+        base = random_dissipative(n, rng, domain_dim=rng.integers(1, n + 1))
+        op = OperatorWithDomain(base.space, c * base.matrix, base.domain)
+        s = split(op)
+        traces = restrict_triple(build_boundary_triple(s.symmetric), op, s.defect.domain)
+        if traces.boundary_dim:
+            yield traces.boundary_dim, traces.image.dim, traces
+
+
+def assert_margin_matches_reference(traces):
+    """The margin read on the image's complement against the 2k x 2k route,
+    to 1e-14, with the same verdict at the criterion cut."""
+    got = range_splitting(traces)
+    expected = reference_range_margin(traces)
+    assert abs(got.margin - expected) <= 1e-14
+    assert got.ok == (expected > CRITERION_TOL)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_range_margin_matches_reference_on_the_sweep(c):
+    restricted = 0
+    for k, image_dim, traces in sweep_traces(c):
+        assert_margin_matches_reference(traces)
+        restricted += image_dim < k
+    # images smaller than the boundary space: restricted domains
+    assert restricted >= 50
+
+
+@pytest.mark.parametrize("eps", np.logspace(-9, -13, 41))
+def test_range_margin_matches_reference_on_degeneration_family(eps):
+    # the family whose margins cross the criterion cut near eps = 5e-11
+    op = scaled_defect_instance(float(eps))
+    s = split(op)
+    assert_margin_matches_reference(
+        restrict_triple(build_boundary_triple(s.symmetric), op, s.defect.domain))
 
 
 # T far beyond 1e10 in norm: a rank cut at tol * sigma_max of [B; T B]
@@ -220,12 +264,14 @@ def test_pair_green_residual_bounds_the_sampled_one(c):
         assert exact <= 1e-13
 
 
-def test_analysis_makes_two_svds_and_seven_two_norms(monkeypatch):
+def test_analysis_makes_one_svd_and_seven_two_norms(monkeypatch):
+    # range splitting's sigma_min; on the whole space the deficiency
+    # intersection is N+ itself, with no SVD
     op = random_dissipative(64, np.random.default_rng(1))
     counts = count_svd_backed(monkeypatch)
     report = analyze_operator(op)
     assert all(report["checks"].values())
-    assert counts == {"svd": 2, "norm2": 7}
+    assert counts == {"svd": 1, "norm2": 7}
 
 
 class TestSplitSkipsSelfGap:

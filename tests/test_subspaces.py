@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -437,6 +439,25 @@ class TestMetricMatrix:
     def test_large_non_hermitian_metric(self, m):
         with pytest.raises(MetricError, match="not Hermitian"):
             KreinSpace(m)
+
+    # the defects J - J* and J^2 - I have subnormal entries, or J itself
+    # does; a complex division by a subnormal peak overflowed here
+    SUBNORMAL = {
+        "subnormal_corner": (np.array([[1.0, 0.0], [0.0, 5e-324 + 5e-324j]]),
+                             "square to the identity"),
+        "subnormal_skew": (np.array([[1.0, 0.0], [5e-324 + 5e-324j, 0.0]]),
+                           "square to the identity"),
+        "all_subnormal": (np.array([[5e-324 + 5e-324j]]), "not Hermitian"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SUBNORMAL))
+    def test_subnormal_metric_is_rejected_without_warnings(self, name):
+        m, message = self.SUBNORMAL[name]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(MetricError, match=message):
+                KreinSpace(m)
+        assert caught == []
 
     def test_identity_metric_needs_no_svd(self, monkeypatch):
         counts = count_svd_backed(monkeypatch)
