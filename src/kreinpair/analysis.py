@@ -18,9 +18,8 @@ compression, are the largest single stage, yet T's needs only T and S's
 only the splitting.  :func:`analyze_operator` therefore runs them on a
 worker thread of its own, T's from right after the classification and
 S's from the split, taken before :func:`build_pipeline`, and reads them
-last, so that they overlap the rest of the analysis.  Queued after
-:func:`build_pipeline` instead, S's was waited for a median 16.0 and 2.2 ms
-on the dense_n128 cases of seed 1 with dim S = 112 and 80, not 13.9 and 0.
+last, so that they overlap the rest of the analysis; queued after
+:func:`build_pipeline`, S's would be waited for.
 
 * **Only the LAPACK call runs on the worker.**  The compression is formed
   and frozen on the calling thread; the worker gets that array and
@@ -29,18 +28,23 @@ on the dense_n128 cases of seed 1 with dim S = 112 and 80, not 13.9 and 0.
   calling thread: on the worker it would hold the lock and make the
   calling thread wait for it, up to the interpreter's switch interval
   (5 ms by default) at a time.
+* **Only a lock-releasing call may go to the worker.**  In numpy 2.4.6,
+  ``eig``, ``eigh``, ``qr`` and the full ``svd`` release the lock, while
+  ``eigvals``, ``eigvalsh`` and ``svd(compute_uv=False)``, and so
+  ``norm(., 2)``, hold it through LAPACK.  On two cores, two threads
+  sharing the calls of one of the former take about half to two thirds of
+  one thread's time, and of the latter as long or longer.  So the worker
+  keeps ``eig``: an ``eigvals`` there, with vectors fetched only for the
+  real candidates, would run serially with the calling thread.
 * **The reports are bit-identical.**  The worker makes the same LAPACK call
   on the same array as the serial path, with the same BLAS settings, and
   :func:`~kreinpair.boundary.real_spectrum_report` takes the result
   through ``eigs=`` and does everything else as before.
 * **Size gate.**  A compression is handed over only when its dimension is at
   least ``_OFFLOAD_MIN_DIM`` = 64 and the process may use two CPUs or more.
-  Measured in-process on ``random_dissipative(n, default_rng(1))``, 2-core
-  Xeon VM, single-threaded OpenBLAS, median ms per ``analyze_operator``,
-  serial then every eig handed over: n = 8 5.8 then 7.3; n = 16 8.2 then
-  9.1; n = 32 17.7 then 17.6; n = 64 56.1 then 49.3; n = 128 229 then 168.
-  Below n = 32 the hand-over costs more than the overlap saves, at n = 32
-  it is even, so 64 is the smallest size that gains.
+  On ``random_dissipative(n, default_rng(1))`` with single-threaded BLAS,
+  the hand-over costs more than the overlap saves below n = 32 and breaks
+  even at n = 32, so 64 is the smallest size that gains.
 * **No work outlives the call**: the worker belongs to the call.  It is
   started only when T's compression passes the gate, and on the way out
   ``shutdown(cancel_futures=True)`` cancels an eig the worker has not begun

@@ -105,12 +105,12 @@ def contraction_bound(traces: TraceData) -> ContractionBound:
     trace1 rows), ``Gamma+- = C +- i A`` have ``Gamma+* Gamma+ = I + Gram``
     and ``Gamma-* Gamma- = I - Gram`` for the image Gram, which is at least
     0: Gamma+ is injective by construction, and K is ``Gamma- R^-1`` for the
-    reduced QR ``Gamma+ = Q R``."""
+    reduced QR ``Gamma+ = Q R``, of which only R is formed."""
     if traces.image is None or traces.image.dim == 0:
         return ContractionBound(ok=True, norm=0.0)
     k = traces.boundary_dim
     a, c = traces.image.basis[:k], traces.image.basis[k:]
-    _, r = np.linalg.qr(c + 1j * a)
+    r = np.linalg.qr(c + 1j * a, mode="r")
     quotient = (c - 1j * a) @ np.linalg.inv(r)
     norm = float(np.linalg.norm(quotient, 2))
     return ContractionBound(ok=norm < 1.0 - CRITERION_TOL, norm=norm)

@@ -167,12 +167,12 @@ class OperatorWithDomain:
     absence; none changes a report.  (1) For ``domain=None`` the products
     by B in :attr:`scale`, :attr:`dissipation_gram`, :attr:`graph_gram`,
     :meth:`lift` and :meth:`coords` are skipped, exactly: a product with I
-    changes no bit.  Without it, ``analyze_operator`` took 507 ms, not 422,
-    per pass over four operators at n = 128.  (2) :class:`KreinSpace`
-    checks J Frobenius-first; each dense_n128 case builds one in its timed
-    region.  (3) The eig worker of :mod:`~kreinpair.analysis`, with S's from
-    the split: without it, dense_n128 p50 was 114-118 ms, not 81-82.  (4) The
-    dense :meth:`~kreinpair.sturm_liouville.BandedOperator.operator`, the one
+    changes no bit and would cost a dense product on every use.
+    (2) :class:`KreinSpace` checks J Frobenius-first; each dense_n128 case
+    builds one in its timed region.  (3) The eig worker of
+    :mod:`~kreinpair.analysis`, with S's from the split, which overlaps the
+    two largest ``eig`` calls with the rest of the analysis.  (4) The dense
+    :meth:`~kreinpair.sturm_liouville.BandedOperator.operator`, the one
     route where the bands cannot decide ``form_scale``.
     """
 

@@ -26,8 +26,13 @@ stencil (:class:`BandedOperator`), from which it certifies in O(n) work and
 memory that the operator is dissipative (:func:`discretize`) and that its
 splitting is the mask splitting (:meth:`BandedOperator.masked_block`), and
 reads the exact deviation of its form from the midpoint-rule quadrature.
-The one dense array is the m x m masked block, whose Cayley norm, checked
-to be a contraction (:class:`StudyRow`), costs O(m^3).
+With one constant Im q = v on the mask, the masked block is ``L = A + i v
+I`` for its real part A, symmetric and tridiagonal: L is normal, so the
+norm of its Cayley transform, checked to be a contraction
+(:class:`StudyRow`), is a closed form in the spectral radius of A
+(:func:`cayley_norm`).  The one dense array is that real m x m A, and its
+one ``eigvalsh`` the one O(m^3) step; nothing complex is built, solved or
+decomposed.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ClassificationError, DimensionMismatch, PipelineError,
-                     ScaleOverflow, checked_integer, checked_seed)
+                     checked_integer, checked_seed)
 from .krein import (NEITHER, KreinSpace, OperatorWithDomain, _classify,
                     _form_scale, _frobenius)
 from .tolerances import DEFAULT_TOL, EXACT_BOUND, RESONANCE_CUT, negligible
@@ -168,7 +173,10 @@ class BandedOperator:
     ``mask`` the coordinates its splitting is checked against.  As A is real
     and symmetric, the dissipation matrix ``h + h*`` of T, ``h = -i T``, is
     ``2 diag(Im q)`` to the bit, so every fact of the dense route is read
-    from the bands, with the same cuts at the same scales."""
+    from the bands, with the same cuts at the same scales.  With Im q one
+    constant v on the mask, the masked block ``A + diag(q)`` is ``A' + i v
+    I`` for a real symmetric A', so it is normal and its Cayley norm is a
+    function of the spectrum of A' alone (:func:`cayley_norm`)."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -210,20 +218,25 @@ class BandedOperator:
         # a zero form is symmetric at every scale: no need for form_scale
         return _classify(w, DEFAULT_TOL, self.form_scale if np.any(w) else 0.0)
 
-    def masked_block(self) -> np.ndarray:
-        """The dense m x m compression of T to the masked coordinates, once
-        three exact facts certify that the splitting of T is the mask
-        splitting: (i) the off-diagonal is zero at every interface of the
-        mask, so no entry of T couples masked and off-mask coordinates;
-        (ii) the form ``2 diag(Im q)`` is zero off the mask; (iii) each of
-        its entries on the mask lies above the rank cut ``DEFAULT_TOL *``
-        :attr:`form_scale` and passes the degeneracy test of ``split``.
+    def masked_block(self) -> tuple[np.ndarray, float]:
+        """The compression ``L = A' + i v I`` of T to the m masked
+        coordinates, as its real symmetric m x m part A' and the constant v,
+        once four exact facts hold.  Three certify that the splitting of T
+        is the mask splitting: (i) the off-diagonal is zero at every
+        interface of the mask, so no entry of T couples masked and off-mask
+        coordinates; (ii) the form ``2 diag(Im q)`` is zero off the mask;
+        (iii) each of its entries on the mask lies above the rank cut
+        ``DEFAULT_TOL *`` :attr:`form_scale` and passes the degeneracy test
+        of ``split``.  The fourth, (iv) Im q is one constant v on the mask,
+        to the bit, makes L normal.
 
         By (ii) and (iii) the form's kernel, as the rank decision sees it, is
         the off-mask span.  By (i) T maps the masked and the off-mask spans
         into themselves, so they are orthogonal in the graph product
         ``<x, y> + <T x, T y>``: the graph-orthogonal complement of the
-        kernel, the defect domain, is exactly the masked span.
+        kernel, the defect domain, is exactly the masked span.  A' is the
+        masked compression of ``A + diag(Re q)``, entry for entry the real
+        part of the compression of T.
 
         A non-dissipative T raises :class:`ClassificationError`, as
         ``split`` does; a failed fact :class:`PipelineError`, and an empty
@@ -250,11 +263,17 @@ class BandedOperator:
             )
         if on.size == 0:
             raise DimensionMismatch("mask is empty")
-        # the operations of :meth:`operator`, on the masked coordinates
-        a = np.diag(self.diagonal[on])
+        imag = self.q.imag[on]
+        if np.any(imag != imag[0]):
+            raise PipelineError(
+                "the masked block is not normal: Im q is not one constant on the mask"
+            )
+        # the real parts of the operations of :meth:`operator`, on the masked
+        # coordinates
+        a = np.diag(self.diagonal[on] + self.q.real[on])
         inner = np.flatnonzero(np.diff(on) == 1)
         a[inner, inner + 1] = a[inner + 1, inner] = self.off_diagonal[on[inner]]
-        return a + np.diag(self.q[on])
+        return a, float(imag[0])
 
     def quadrature_residual(self, pot: PotentialSpec) -> float:
         """``|D - W|_F / |W|_2`` for the dissipation matrix D and the
@@ -294,34 +313,26 @@ def discretize(grid: GridSpec, pot: PotentialSpec) -> BandedOperator:
     return banded
 
 
-def cayley_norm(matrix) -> float:
-    """Largest singular value of (L - iI)(L + iI)^{-1} for the square
-    matrix L.
+def cayley_norm(banded: BandedOperator) -> float:
+    """Largest singular value of ``(L - iI)(L + iI)^{-1}`` for the masked
+    block ``L = A' + i v I`` of ``banded``, raising the errors of
+    :meth:`BandedOperator.masked_block`.
 
-    At most 1 for a dissipative L; a singular L + iI signals that the
-    input is not dissipative.  Past a largest absolute row sum r of L whose
-    square overflows, the solve may return a wrong norm unwarned (0.0 for
-    ``[[9e307+9e307j]]``): :class:`ScaleOverflow` instead.  No study level
-    is refused, as :func:`study_levels` admits only ``2 r^2`` finite.
+    L is normal, with eigenvalues ``lambda + i v`` for the eigenvalues
+    lambda of the real symmetric A', so its Cayley transform is normal too,
+    and its norm is its largest eigenvalue modulus, ``|lambda + i(v - 1)| /
+    |lambda + i(v + 1)|`` at the spectral radius rho of A':
+    ``sqrt(1 - 4 v / (rho^2 + (1 + v)^2))``, at most 1 for ``v > 0``.  One
+    ``eigvalsh`` of A' gives rho.  The denominator is the square of
+    ``d = hypot(rho, 1 + v)`` and the margin is formed as ``4 (v / d) / d``,
+    with ``v / d < 1``, so no intermediate overflows at any finite rho and
+    v, let alone at the row sums ``study_levels`` admits.
     """
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatch("Cayley transform needs a square matrix")
-    if matrix.size == 0:
-        raise DimensionMismatch("Cayley transform needs a nonempty matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise DimensionMismatch("Cayley transform needs finite entries")
-    with np.errstate(over="ignore"):  # an overflowing row sum is refused below
-        rows = float(np.max(np.sum(np.abs(matrix), axis=1)))
-    if not math.isfinite(rows * rows):
-        raise ScaleOverflow(f"row sum {rows:.3e}: the Cayley solve may overflow")
-    eye = np.eye(matrix.shape[0])
-    try:
-        transform = np.linalg.solve((matrix + 1j * eye).conj().T,
-                                    (matrix - 1j * eye).conj().T).conj().T
-    except np.linalg.LinAlgError as exc:
-        raise PipelineError("L + iI is singular; L is not dissipative") from exc
-    return float(np.linalg.svd(transform, compute_uv=False)[0])
+    a, v = banded.masked_block()
+    eigs = np.linalg.eigvalsh(a)
+    d = math.hypot(max(-eigs[0], eigs[-1]), 1.0 + v)
+    # the margin is at most 1 but for rounding, at rho = 0 and v = 1
+    return math.sqrt(max(0.0, 1.0 - 4.0 * (v / d) / d))
 
 
 def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
@@ -380,23 +391,25 @@ def convergence_study(x_max: float, base_n: int, intervals, imq: float,
     the limit; what the study asserts is the contraction bound at every
     level and a non-decreasing trend.  Each level is checked on its bands
     in O(n) (:func:`discretize`, :meth:`BandedOperator.masked_block`,
-    :meth:`BandedOperator.quadrature_residual`); the one dense array is
-    the m x m masked block, whose Cayley norm costs O(m^3).  Nothing is
-    random: ``seed`` is validated and unused.  :class:`DimensionMismatch`
-    comes only from the input checks, before any level is built.
+    :meth:`BandedOperator.quadrature_residual`).  Every level has the one
+    constant Im q = ``imq`` on its mask, so its masked block is normal, and
+    its Cayley norm is a closed form in the spectral radius of the real
+    m x m part of that block (:func:`cayley_norm`): one ``eigvalsh``, the
+    one O(m^3) step and the one dense array.  Nothing is random: ``seed``
+    is validated and unused.  :class:`DimensionMismatch` comes only from
+    the input checks, before any level is built.
     """
     checked_seed(seed)
     rows = []
     specs = study_levels(x_max, base_n, intervals, imq, h, levels)
     for level, (grid, pot) in enumerate(specs):
         banded = discretize(grid, pot)
-        block = banded.masked_block()
         rows.append(
             StudyRow(
                 level=level,
                 n_points=grid.n_points,
                 x_max=x_max,
-                cayley_norm=cayley_norm(block),
+                cayley_norm=cayley_norm(banded),
                 form_residual=banded.quadrature_residual(pot),
             )
         )

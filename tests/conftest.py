@@ -9,10 +9,11 @@ from kreinpair import KreinSpace, OperatorWithDomain, gap_distance, split
 from kreinpair.decomposition import Splitting
 from kreinpair.boundary import _green_residual, _trace_kernel_gap
 from kreinpair.cli import SpecError, _json_ready
-from kreinpair.errors import ClassificationError, DimensionMismatch, PipelineError
+from kreinpair.errors import (ClassificationError, DimensionMismatch, PipelineError,
+                             ScaleOverflow)
 from kreinpair.instances import random_dissipative, random_unitary
 from kreinpair.krein import INDEFINITE_CUT, NEITHER, _classify, _frobenius, graph_form
-from kreinpair.sturm_liouville import StudyRow, cayley_norm, study_levels
+from kreinpair.sturm_liouville import StudyRow, study_levels
 from kreinpair.subspaces import Subspace, null_space, orthonormal_span
 from kreinpair.tolerances import CHECK_GATE, DEFAULT_TOL, negligible
 
@@ -583,9 +584,11 @@ def symmetrized_dissipation_matrix(op):
 
 
 # The dense route of the Sturm-Liouville study that the banded levels of
-# ``sturm_liouville.BandedOperator`` replaced, kept as the oracle of the
+# ``sturm_liouville.BandedOperator`` and the closed-form
+# ``sturm_liouville.cayley_norm`` replaced, kept as the oracle of the
 # differential tests: the n x n grid operator, the structural mask
-# splitting, the exact quadrature residual and the masked block.
+# splitting, the exact quadrature residual, the masked block and the Cayley
+# norm by a dense solve and SVD.
 
 def _laplacian(grid, pot):
     n, s = grid.n_points, grid.step
@@ -699,6 +702,35 @@ def omega_block(op, mask):
     return op.matrix[np.ix_(idx, idx)]
 
 
+def dense_cayley_norm(matrix):
+    """Largest singular value of (L - iI)(L + iI)^{-1} for the square
+    matrix L, by a dense solve and SVD.
+
+    At most 1 for a dissipative L; a singular L + iI signals that the
+    input is not dissipative (``PipelineError``).  Past a largest absolute
+    row sum r of L whose square overflows, the solve may return a wrong norm
+    unwarned (0.0 for ``[[9e307+9e307j]]``): ``ScaleOverflow`` instead.
+    """
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatch("Cayley transform needs a square matrix")
+    if matrix.size == 0:
+        raise DimensionMismatch("Cayley transform needs a nonempty matrix")
+    if not np.all(np.isfinite(matrix)):
+        raise DimensionMismatch("Cayley transform needs finite entries")
+    with np.errstate(over="ignore"):  # an overflowing row sum is refused below
+        rows = float(np.max(np.sum(np.abs(matrix), axis=1)))
+    if not math.isfinite(rows * rows):
+        raise ScaleOverflow(f"row sum {rows:.3e}: the Cayley solve may overflow")
+    eye = np.eye(matrix.shape[0])
+    try:
+        transform = np.linalg.solve((matrix + 1j * eye).conj().T,
+                                    (matrix - 1j * eye).conj().T).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise PipelineError("L + iI is singular; L is not dissipative") from exc
+    return float(np.linalg.svd(transform, compute_uv=False)[0])
+
+
 def dense_convergence_study(x_max, base_n, intervals, imq, h, levels):
     """``convergence_study`` on the dense route: an n x n operator per level."""
     rows = []
@@ -707,7 +739,7 @@ def dense_convergence_study(x_max, base_n, intervals, imq, h, levels):
         op = dense_discretize(grid, pot)
         mask_splitting(op, pot.omega_mask)
         residual = dissipation_quadrature_residual(op, pot)
-        norm = cayley_norm(omega_block(op, pot.omega_mask))
+        norm = dense_cayley_norm(omega_block(op, pot.omega_mask))
         rows.append(StudyRow(level=level, n_points=grid.n_points, x_max=x_max,
                              cayley_norm=norm, form_residual=residual))
     return rows

@@ -35,6 +35,7 @@ from kreinpair.sturm_liouville import (
 from conftest import (
     count_factorizations,
     count_svd_backed,
+    dense_cayley_norm,
     dense_convergence_study,
     dense_discretize,
     dense_mask_splitting,
@@ -46,6 +47,11 @@ from conftest import (
     sampled_quadrature_residual,
     span,
 )
+
+EPS = np.finfo(float).eps
+# the closed-form Cayley norm against the dense solve and SVD; at most
+# 3 eps apart on the differential sweep of TestCayley
+CAYLEY_ROUTES_BOUND = 8 * EPS
 
 
 def left_half(grid, imq=1.0, h=1.0):
@@ -449,11 +455,16 @@ class TestBandedAgainstDense:
             dense = _error_or(lambda: (mask_splitting(op, mask),
                                        omega_block(op, mask))[1])
             block = _error_or(banded.masked_block)
-            if isinstance(dense, tuple) or isinstance(block, tuple):
+            if isinstance(dense, tuple) or isinstance(block[0], type):
                 assert block == dense, label
                 verdicts.append(dense[0])
             else:
-                assert block.tobytes() == dense.tobytes(), label
+                # the real part and the constant imaginary part, to the bit
+                real, v = block
+                assert real.dtype == np.float64, label
+                assert real.tobytes() == dense.real.tobytes(), label
+                assert (dense.imag.tobytes()
+                        == (v * np.eye(real.shape[0])).tobytes()), label
                 verdicts.append("accepted")
             if pot is not None:
                 assert (banded.quadrature_residual(pot)
@@ -480,11 +491,21 @@ class TestBandedAgainstDense:
 
     @pytest.mark.parametrize("levels", [4, 5])
     def test_study_csv_is_the_dense_route_byte_for_byte(self, tmp_path, levels):
+        """Every column byte for byte but ``cayley_norm``, where the closed
+        form may differ from the dense solve and SVD in the last bits."""
         args = (20.0, 64, [(0.0, 0.5)], 1.0, 1.0, levels)
-        write_study_csv(convergence_study(*args), tmp_path / "banded.csv")
-        write_study_csv(dense_convergence_study(*args), tmp_path / "dense.csv")
-        assert ((tmp_path / "banded.csv").read_bytes()
-                == (tmp_path / "dense.csv").read_bytes())
+        banded, dense = convergence_study(*args), dense_convergence_study(*args)
+        write_study_csv(banded, tmp_path / "banded.csv")
+        write_study_csv(dense, tmp_path / "dense.csv")
+        tables = [[line.split(b",") for line in
+                   (tmp_path / name).read_bytes().split(b"\n")]
+                  for name in ("banded.csv", "dense.csv")]
+        column = tables[0][0].index(b"cayley_norm")
+        for ours, theirs in zip(*tables, strict=True):
+            assert ours[:column] + ours[column + 1:] == \
+                theirs[:column] + theirs[column + 1:]
+        for ours, theirs in zip(banded, dense, strict=True):
+            assert abs(ours.cayley_norm - theirs.cayley_norm) <= CAYLEY_ROUTES_BOUND
 
 
 class TestQuadrature:
@@ -550,33 +571,70 @@ class TestQuadrature:
                 banded.quadrature_residual(pot)
 
 
+def _single_cell(q):
+    """One masked cell with A' = 0 and potential ``q``."""
+    return BandedOperator(np.zeros(1), np.zeros(0), np.ones(1, bool),
+                          np.array([q], dtype=complex))
+
+
 class TestCayley:
+    """The closed form :func:`cayley_norm` of a study level, and the dense
+    solve and SVD (``dense_cayley_norm``) that it replaced, as its oracle."""
+
     def test_purely_imaginary_scalar(self):
-        assert cayley_norm(np.array([[1j]])) == pytest.approx(0.0)
+        assert cayley_norm(_single_cell(1j)) == 0.0
+        # the margin 4 v / (1 + v)^2 rounds to just above 1
+        assert cayley_norm(_single_cell(1j * (1.0 + EPS))) == 0.0
+        assert dense_cayley_norm(np.array([[1j]])) == pytest.approx(0.0)
 
     def test_real_scalar_on_unit_circle(self):
-        assert cayley_norm(np.array([[7.0]])) == pytest.approx(1.0)
-        assert cayley_norm(np.array([[-3.0]])) == pytest.approx(1.0)
+        assert dense_cayley_norm(np.array([[7.0]])) == pytest.approx(1.0)
+        assert dense_cayley_norm(np.array([[-3.0]])) == pytest.approx(1.0)
 
     def test_contraction_for_dissipative_block(self):
         grid = GridSpec(x_max=20.0, n_points=64)
         pot = left_half(grid)
-        norm = cayley_norm(discretize(grid, pot).masked_block())
-        assert norm < 1.0
+        assert cayley_norm(discretize(grid, pot)) < 1.0
+
+    @pytest.mark.parametrize("intervals", [[(0.0, 0.5)], [(0.1, 0.4), (0.6, 0.7)]],
+                             ids=["one", "two"])
+    @pytest.mark.parametrize("h", [-0.5, 0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("imq", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("x_max", [5.0, 20.0])
+    def test_closed_form_is_the_dense_norm(self, x_max, imq, h, intervals):
+        args = (x_max, 16, intervals, imq, h, 6)
+        rows = convergence_study(*args)
+        for (grid, pot), row in zip(study_levels(*args), rows, strict=True):
+            op = discretize(grid, pot).operator()
+            dense = dense_cayley_norm(omega_block(op, pot.omega_mask))
+            assert abs(row.cayley_norm - dense) <= CAYLEY_ROUTES_BOUND, \
+                (grid.n_points, (row.cayley_norm - dense) / EPS)
+
+    def test_varying_imq_on_the_mask_is_a_typed_error(self):
+        grid = GridSpec(x_max=10.0, n_points=16)
+        banded = discretize(grid, left_half(grid))
+        q = banded.q.copy()
+        q[np.flatnonzero(banded.mask)[1]] *= 1.0 + EPS
+        varying = dataclasses.replace(banded, q=q)
+        for route in (varying.masked_block, lambda: cayley_norm(varying)):
+            with pytest.raises(PipelineError, match="Im q is not one constant"):
+                route()
+        # a dense Cayley norm exists; the closed form does not apply
+        assert dense_cayley_norm(omega_block(varying.operator(), banded.mask)) < 1.0
 
     def test_singular_shift_rejected(self):
         with pytest.raises(PipelineError):
-            cayley_norm(np.array([[-1j]]))
+            dense_cayley_norm(np.array([[-1j]]))
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionMismatch, match="empty"):
-            cayley_norm(np.zeros((0, 0)))
+            dense_cayley_norm(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("entry", [complex("nan"), complex("inf"),
                                        complex(0.0, float("nan"))])
     def test_non_finite_entries_rejected(self, entry):
         with pytest.raises(DimensionMismatch, match="finite"):
-            cayley_norm(np.array([[entry]]))
+            dense_cayley_norm(np.array([[entry]]))
 
     @pytest.mark.parametrize("matrix", [
         [[9e307 + 9e307j]],
@@ -590,7 +648,7 @@ class TestCayley:
     def test_overflowing_solve_is_a_typed_error(self, matrix):
         # the first two returned 0.0, the third 1.0, from an unchecked solve
         with pytest.raises(ScaleOverflow, match="Cayley"):
-            cayley_norm(np.array(matrix))
+            dense_cayley_norm(np.array(matrix))
 
     @pytest.mark.parametrize("imq", [1e144, 9.4e153])
     def test_study_at_its_overflow_bound_is_kept(self, imq):
@@ -610,7 +668,7 @@ class TestCayley:
     def test_omega_block_shape(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)
-        assert discretize(grid, pot).masked_block().shape == (8, 8)
+        assert discretize(grid, pot).masked_block()[0].shape == (8, 8)
         free = PotentialSpec(np.zeros(16, bool), np.zeros(16, complex), 1.0)
         with pytest.raises(DimensionMismatch, match="empty"):
             discretize(grid, free).masked_block()
@@ -744,30 +802,46 @@ class TestStudy:
 
     def test_svd_budget(self, monkeypatch):
         svds = count_svd_backed(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study solved a linear system")
+
+        for name in ("solve", "inv", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
-        # per level the Cayley norm (an SVD) and nothing else: the mask
+        # the Cayley norm is a closed form in an eigenvalue, the mask
         # splitting compares no subspaces and its form scale comes from the
         # Frobenius bound, no |T|_2
-        assert svds == {"svd": 3, "norm2": 0}
+        assert svds == {"svd": 0, "norm2": 0}
 
-    def test_peak_memory_of_the_five_level_study(self):
-        """The levels are bands; the one dense array of a level is its
-        masked block (m = 512 at the finest), where the dense route held
-        several n x n ones (n = 1 024) and peaked near 140 MB."""
+    @staticmethod
+    def _peak_of_study(levels):
         tracemalloc.start()
         try:
-            convergence_study(20.0, 64, [(0.0, 0.5)], 1.0, 1.0, 5)
-            peak = tracemalloc.get_traced_memory()[1]
+            convergence_study(20.0, 64, [(0.0, 0.5)], 1.0, 1.0, levels)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32e6
+
+    def test_peak_memory_of_the_five_level_study(self):
+        """The levels are bands; the one dense array of a level is the real
+        part of its masked block (m = 512 at the finest, 2 MB), where the
+        dense route held several n x n ones (n = 1 024) and peaked near
+        140 MB, and the complex block, its solve and SVD 19 MB."""
+        assert self._peak_of_study(5) <= 12e6
+
+    def test_peak_memory_of_the_six_level_study(self):
+        """m = 1 024 at the finest (n = 2 048): an 8 MB real block, where
+        the complex block, its solve and SVD peaked near 76 MB."""
+        assert self._peak_of_study(6) <= 48e6
 
     def test_factorization_budget(self, monkeypatch):
         factorizations = count_factorizations(monkeypatch)
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
-        # the dissipation form and its masked block are diagonal, and the
-        # mask splitting builds no graph orthocomplement
-        assert factorizations == {"eigh": 0, "eigvalsh": 0, "qr": 0, "cholesky": 0}
+        # the dissipation form is diagonal, the mask splitting builds no
+        # graph orthocomplement, and the Cayley norm of a level takes one
+        # eigvalsh of the real part of its masked block
+        assert factorizations == {"eigh": 0, "eigvalsh": 3, "qr": 0, "cholesky": 0}
 
     def test_no_generic_split(self, monkeypatch):
         def forbidden(name):
