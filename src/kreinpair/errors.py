@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the checks of integer input."""
+"""Exception types shared across the package, and the checks of scalar input."""
 
+import contextlib
+import math
+import numbers
 import operator
 
 
@@ -49,3 +52,15 @@ def checked_integer(value, what: str, minimum: int) -> int:
 def checked_seed(seed) -> int:
     """``seed`` as a nonnegative ``int`` (numpy integers pass)."""
     return checked_integer(seed, "seed", 0)
+
+
+def checked_real(value, what: str) -> float:
+    """``value`` as a finite ``float``: a real number but not a bool (numpy
+    integers and floats pass), else :class:`DimensionMismatch`."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            number = float(value)
+    if not math.isfinite(number):
+        raise DimensionMismatch(f"{what} must be a finite real number, got {value!r}")
+    return number

@@ -19,6 +19,7 @@ graph product, unitarily similar to it.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -74,9 +75,15 @@ def _unit(a: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _frobenius(a: np.ndarray) -> float:
     """``|A|_F``, with the squares taken of :func:`_unit` ``A``, whose parts
-    are at most 1, so that they neither overflow nor underflow."""
+    are at most 1, so that they neither overflow nor underflow.  They are
+    summed as ``numpy.linalg.norm`` sums them, to the bit, without a call
+    into ``numpy.linalg``."""
     peak, unit = _unit(a)
-    return peak * float(np.linalg.norm(unit))
+    flat = unit.ravel(order="K")
+    if flat.dtype.kind == "c":
+        re, im = flat.real, flat.imag
+        return peak * math.sqrt(re.dot(re) + im.dot(im))
+    return peak * math.sqrt(flat.dot(flat))
 
 
 def boundary_metric_matrix(dim: int) -> np.ndarray:

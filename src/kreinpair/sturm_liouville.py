@@ -30,21 +30,22 @@ With one constant Im q = v on the mask, the masked block is ``L = A + i v
 I`` for its real part A, symmetric and tridiagonal: L is normal, so the
 norm of its Cayley transform, checked to be a contraction
 (:class:`StudyRow`), is a closed form in the spectral radius of A
-(:func:`cayley_norm`).  The one dense array is that real m x m A, and its
-one ``eigvalsh`` the one O(m^3) step; nothing complex is built, solved or
-decomposed.
+(:func:`cayley_norm`), read from A's bands in O(m) by Newton steps and
+Sturm counts.  No m x m array is built, and no LAPACK routine is called
+unless :attr:`BandedOperator.form_scale` needs the dense ``|T|_2``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (ClassificationError, DimensionMismatch, PipelineError,
-                     checked_integer, checked_seed)
+                     checked_integer, checked_real, checked_seed)
 from .krein import (NEITHER, KreinSpace, OperatorWithDomain, _classify,
                     _form_scale, _frobenius)
 from .tolerances import DEFAULT_TOL, EXACT_BOUND, RESONANCE_CUT, negligible
@@ -102,9 +103,9 @@ class PotentialSpec:
     """Complex potential supported on a node mask, plus the Robin parameter.
 
     The imaginary part must be strictly positive on the mask and the
-    potential must vanish off it; ``h`` is real.  An all-false mask is the
-    degenerate self-adjoint case and is accepted here, but study and
-    command-line entry points insist on a nonempty mask.
+    potential must vanish off it; ``h`` is real, not a bool.  An all-false
+    mask is the degenerate self-adjoint case and is accepted here, but
+    study and command-line entry points insist on a nonempty mask.
     """
 
     omega_mask: np.ndarray
@@ -116,15 +117,14 @@ class PotentialSpec:
         q = np.asarray(self.q_values, dtype=np.complex128)
         if mask.shape != q.shape or mask.ndim != 1:
             raise DimensionMismatch("mask and potential must be equal-length vectors")
-        if not (isinstance(self.h, (int, float)) and math.isfinite(float(self.h))):
-            raise DimensionMismatch("Robin parameter h must be a finite real number")
+        h = checked_real(self.h, "Robin parameter h")
         if np.any(q[~mask] != 0):
             raise DimensionMismatch("potential must vanish off the mask")
         if mask.any() and np.min(q[mask].imag) <= 0:
             raise DimensionMismatch("Im q must be strictly positive on the mask")
         object.__setattr__(self, "omega_mask", mask)
         object.__setattr__(self, "q_values", q)
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "h", h)
 
     @classmethod
     def from_intervals(cls, grid: GridSpec, intervals, imq: float,
@@ -176,7 +176,7 @@ class BandedOperator:
     from the bands, with the same cuts at the same scales.  With Im q one
     constant v on the mask, the masked block ``A + diag(q)`` is ``A' + i v
     I`` for a real symmetric A', so it is normal and its Cayley norm is a
-    function of the spectrum of A' alone (:func:`cayley_norm`)."""
+    function of the spectral radius of A' alone (:func:`cayley_norm`)."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -218,14 +218,14 @@ class BandedOperator:
         # a zero form is symmetric at every scale: no need for form_scale
         return _classify(w, DEFAULT_TOL, self.form_scale if np.any(w) else 0.0)
 
-    def masked_block(self) -> tuple[np.ndarray, float]:
+    def masked_block(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The compression ``L = A' + i v I`` of T to the m masked
-        coordinates, as its real symmetric m x m part A' and the constant v,
-        once four exact facts hold.  Three certify that the splitting of T
-        is the mask splitting: (i) the off-diagonal is zero at every
-        interface of the mask, so no entry of T couples masked and off-mask
-        coordinates; (ii) the form ``2 diag(Im q)`` is zero off the mask;
-        (iii) each of its entries on the mask lies above the rank cut
+        coordinates, as the two bands of its real symmetric part A' and the
+        constant v, once four exact facts hold.  Three certify that the
+        splitting of T is the mask splitting: (i) the off-diagonal is zero at
+        every interface of the mask, so no entry of T couples masked and
+        off-mask coordinates; (ii) the form ``2 diag(Im q)`` is zero off the
+        mask; (iii) each of its entries on the mask lies above the rank cut
         ``DEFAULT_TOL *`` :attr:`form_scale` and passes the degeneracy test
         of ``split``.  The fourth, (iv) Im q is one constant v on the mask,
         to the bit, makes L normal.
@@ -236,7 +236,7 @@ class BandedOperator:
         ``<x, y> + <T x, T y>``: the graph-orthogonal complement of the
         kernel, the defect domain, is exactly the masked span.  A' is the
         masked compression of ``A + diag(Re q)``, entry for entry the real
-        part of the compression of T.
+        part of the compression of T (0 across a gap in the mask).
 
         A non-dissipative T raises :class:`ClassificationError`, as
         ``split`` does; a failed fact :class:`PipelineError`, and an empty
@@ -270,10 +270,8 @@ class BandedOperator:
             )
         # the real parts of the operations of :meth:`operator`, on the masked
         # coordinates
-        a = np.diag(self.diagonal[on] + self.q.real[on])
-        inner = np.flatnonzero(np.diff(on) == 1)
-        a[inner, inner + 1] = a[inner + 1, inner] = self.off_diagonal[on[inner]]
-        return a, float(imag[0])
+        off = np.where(np.diff(on) == 1, self.off_diagonal[on[:-1]], 0.0)
+        return self.diagonal[on] + self.q.real[on], off, float(imag[0])
 
     def quadrature_residual(self, pot: PotentialSpec) -> float:
         """``|D - W|_F / |W|_2`` for the dissipation matrix D and the
@@ -322,17 +320,127 @@ def cayley_norm(banded: BandedOperator) -> float:
     lambda of the real symmetric A', so its Cayley transform is normal too,
     and its norm is its largest eigenvalue modulus, ``|lambda + i(v - 1)| /
     |lambda + i(v + 1)|`` at the spectral radius rho of A':
-    ``sqrt(1 - 4 v / (rho^2 + (1 + v)^2))``, at most 1 for ``v > 0``.  One
-    ``eigvalsh`` of A' gives rho.  The denominator is the square of
-    ``d = hypot(rho, 1 + v)`` and the margin is formed as ``4 (v / d) / d``,
-    with ``v / d < 1``, so no intermediate overflows at any finite rho and
-    v, let alone at the row sums ``study_levels`` admits.
+    ``sqrt(1 - 4 v / (rho^2 + (1 + v)^2))``, at most 1 for ``v > 0``.  rho
+    comes from A's bands in O(m) (:func:`_spectral_radius`).  The
+    denominator is the square of ``d = hypot(rho, 1 + v)`` and the margin is
+    formed as ``4 (v / d) / d``, with ``v / d < 1``, so no intermediate
+    overflows at any rho and v, let alone at the row sums ``study_levels``
+    admits.
     """
-    a, v = banded.masked_block()
-    eigs = np.linalg.eigvalsh(a)
-    d = math.hypot(max(-eigs[0], eigs[-1]), 1.0 + v)
+    diagonal, off_diagonal, v = banded.masked_block()
+    d = math.hypot(_spectral_radius(diagonal, off_diagonal), 1.0 + v)
     # the margin is at most 1 but for rounding, at rho = 0 and v = 1
     return math.sqrt(max(0.0, 1.0 - 4.0 * (v / d) / d))
+
+
+#: absolute width of the bracket certified around each extreme eigenvalue,
+#: on bands scaled to a largest entry in [1/2, 1): a few units of round-off
+#: of one Sturm count there, and at most 8 eps of the spectral radius
+_BRACKET = 4.0 * sys.float_info.epsilon
+#: Newton steps before the bracket is bisected instead; a study level takes
+#: at most 6
+_NEWTON_STEPS = 10
+#: Kahan's pivmin for bands scaled as above: a pivot below it in modulus is
+#: taken as +pivmin, so no pivot is 0 and ``e^2 / pivot`` stays finite
+_PIVMIN = sys.float_info.min
+
+
+def _spectral_radius(diagonal: np.ndarray, off_diagonal: np.ndarray) -> float:
+    """``max |lambda|`` over the eigenvalues of the real symmetric
+    tridiagonal matrix with these bands, in O(m) work and memory.
+
+    The bands are scaled by a power of two to a largest entry in [1/2, 1),
+    exactly, so that no square of an entry overflows and the radius, at
+    least that entry, is at least 1/2.  The largest eigenvalue of A, and of
+    -A where the Gershgorin bound of -A exceeds what A gave, comes from
+    :func:`_largest_eigenvalue` to within :data:`_BRACKET` (absolute, so 8
+    eps relative).
+    """
+    peak = float(np.max(np.abs(np.concatenate((diagonal, off_diagonal)))))
+    if peak == 0.0:
+        return 0.0
+    exponent = math.frexp(peak)[1]
+    d = np.ldexp(diagonal, -exponent)
+    e = np.abs(np.ldexp(off_diagonal, -exponent))
+    radii = np.concatenate(([0.0], e)) + np.concatenate((e, [0.0]))
+    squares = [0.0] + (e * e).tolist()  # e_0 = 0 starts the recurrence
+    # the Gershgorin upper bounds of A and -A, the larger first; each lies
+    # at most 2 max e above a diagonal entry, a lower bound of the same side
+    reach = 2.0 * float(np.max(e, initial=0.0))
+    radius = 0.0
+    for upper, sign in sorted([(float(np.max(d + radii)), 1.0),
+                               (float(np.max(radii - d)), -1.0)], reverse=True):
+        if upper > radius:
+            radius = max(radius, _largest_eigenvalue((sign * d).tolist(), squares,
+                                                     upper - reach, upper))
+    return math.ldexp(radius, exponent)
+
+
+def _largest_eigenvalue(diagonal: list, squares: list, lower: float,
+                        upper: float) -> float:
+    """The largest eigenvalue of the symmetric tridiagonal matrix A with this
+    diagonal and squared off-diagonal (``squares[k]`` couples rows k - 1 and
+    k), given ``lower <= lambda_max <= upper``.
+
+    Newton's method on ``log det(x - A)`` from ``upper`` descends on
+    lambda_max without passing it (the characteristic polynomial has only
+    real roots).  Each step is also a Sturm count at x, and its derivative
+    ``g = sum 1 / (x - lambda) <= m / (x - lambda_max)``
+    (:func:`_inverse_distance_sum`) makes ``x - m / g`` a lower bound.  A
+    step below :data:`_BRACKET`, or one that rounding carried just past
+    lambda_max, ends it, and two Sturm counts at ``x -+ _BRACKET`` certify
+    the bracket around x.  If they disagree, or Newton has not converged in
+    :data:`_NEWTON_STEPS` steps, Sturm counts bisect the bracket kept so far
+    down to adjacent floats.
+    """
+    x = upper
+    for _ in range(_NEWTON_STEPS):
+        g = _inverse_distance_sum(diagonal, squares, x)
+        if g is None:  # an eigenvalue at or above x
+            lower = max(lower, x)
+            break
+        upper = x
+        lower = max(lower, x - len(diagonal) / g)
+        # g is inf or nan only where x is an eigenvalue, to the pivmin
+        step = 1.0 / g if g < math.inf else 0.0
+        x -= step
+        if step <= _BRACKET:
+            break
+    if (_inverse_distance_sum(diagonal, squares, x + _BRACKET) is not None
+            and _inverse_distance_sum(diagonal, squares, x - _BRACKET) is None):
+        return x
+    middle = 0.5 * (lower + upper)
+    while lower < middle < upper:  # until the ends are adjacent floats
+        if _inverse_distance_sum(diagonal, squares, middle) is None:
+            lower = middle
+        else:
+            upper = middle
+        middle = 0.5 * (lower + upper)
+    return middle
+
+
+def _inverse_distance_sum(diagonal: list, squares: list, x: float):
+    """``sum 1 / (x - lambda)`` over the eigenvalues of A when ``x - A`` is
+    positive definite (every eigenvalue below x), else None.
+
+    The pivots ``u_k = x - d_k - e_k^2 / u_{k-1}`` of ``x - A = L D L^T``
+    are positive exactly when it is (Sylvester's inertia: a Sturm count of
+    m).  ``log det(x - A) = sum log u_k``, so the sum asked for is ``sum
+    u_k' / u_k`` with ``u_k' = 1 + (e_k^2 / u_{k-1}) u_{k-1}' / u_{k-1}``,
+    carried as ``r_k = u_k' / u_k`` in the same pass.
+    """
+    pivmin = _PIVMIN
+    u, r, total = 1.0, 0.0, 0.0
+    for d, square in zip(diagonal, squares):
+        t = square / u
+        u = x - d - t
+        if u < pivmin:
+            if u <= -pivmin:
+                return None
+            u = pivmin
+        r = (1.0 + t * r) / u
+        total += r
+    return total
 
 
 def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
@@ -394,8 +502,8 @@ def convergence_study(x_max: float, base_n: int, intervals, imq: float,
     :meth:`BandedOperator.quadrature_residual`).  Every level has the one
     constant Im q = ``imq`` on its mask, so its masked block is normal, and
     its Cayley norm is a closed form in the spectral radius of the real
-    m x m part of that block (:func:`cayley_norm`): one ``eigvalsh``, the
-    one O(m^3) step and the one dense array.  Nothing is random: ``seed``
+    part of that block (:func:`cayley_norm`), read from its bands in O(m):
+    no level builds a dense array.  Nothing is random: ``seed``
     is validated and unused.  :class:`DimensionMismatch` comes only from
     the input checks, before any level is built.
     """

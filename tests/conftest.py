@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -729,6 +730,42 @@ def dense_cayley_norm(matrix):
     except np.linalg.LinAlgError as exc:
         raise PipelineError("L + iI is singular; L is not dissipative") from exc
     return float(np.linalg.svd(transform, compute_uv=False)[0])
+
+
+def tridiagonal(diagonal, off_diagonal):
+    """The dense symmetric matrix with these bands, assembled as
+    ``BandedOperator.masked_block`` assembled its real block before it
+    returned bands."""
+    a = np.diag(diagonal)
+    idx = np.arange(len(off_diagonal))
+    a[idx, idx + 1] = a[idx + 1, idx] = off_diagonal
+    return a
+
+
+def dense_spectral_radius(diagonal, off_diagonal):
+    """Spectral radius of the symmetric tridiagonal matrix with these bands
+    by one ``eigvalsh`` of its dense assembly: the O(m^3) route of
+    ``cayley_norm`` before it read the bands."""
+    eigs = np.linalg.eigvalsh(tridiagonal(diagonal, off_diagonal))
+    return float(max(-eigs[0], eigs[-1]))
+
+
+def exact_count_below(diagonal, off_diagonal, x):
+    """Number of eigenvalues below the float ``x`` of the symmetric
+    tridiagonal matrix with these float bands: the negative pivots of
+    ``A - x = L D L^T`` in exact rational arithmetic (Sylvester's law of
+    inertia), so with no rounding at all.  A zero pivot, where x is an
+    eigenvalue of a leading block, raises ``ValueError``."""
+    x, count, previous = Fraction(x), 0, None
+    for k, d in enumerate(diagonal):
+        pivot = Fraction(d) - x
+        if k and off_diagonal[k - 1]:
+            pivot -= Fraction(off_diagonal[k - 1]) ** 2 / previous
+        if pivot == 0:
+            raise ValueError(f"{x} is an eigenvalue of the leading {k + 1} rows")
+        count += pivot < 0
+        previous = pivot
+    return count
 
 
 def dense_convergence_study(x_max, base_n, intervals, imq, h, levels):

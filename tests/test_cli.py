@@ -553,6 +553,15 @@ class TestStudyCommand:
         assert all(n <= 1.0 + 1e-10 for n in norms)
         assert all(b >= a - 1e-6 for a, b in zip(norms, norms[1:]))
 
+    def test_eight_levels(self, tmp_path):
+        """n = 8 192 at the finest level, whose masked block is never built
+        dense."""
+        out = tmp_path / "study.csv"
+        assert main(["sl-study", "--levels", "8", "-o", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").strip().split("\n")
+        assert [int(line.split(",")[1]) for line in lines[1:]] == \
+            [64 * 2**level for level in range(8)]
+
     def test_zero_imaginary_part_rejected(self, tmp_path):
         out = tmp_path / "study.csv"
         assert main(["sl-study", "--imq", "0", "-o", str(out)]) == 1

@@ -19,6 +19,8 @@ from kreinpair.instances import (
 )
 from kreinpair.krein import (
     _classify,
+    _frobenius,
+    _unit,
     boundary_metric_matrix,
     classify_by_graph,
 )
@@ -386,6 +388,35 @@ class TestFormScaleShortcut:
         assert_form_decision_exact(op.restricted(op.form_kernel))
         free = PotentialSpec(np.zeros(32, bool), np.zeros(32, complex), 1.0)
         assert assert_form_decision_exact(discretize(grid, free).operator())
+
+
+class TestFrobenius:
+    """``_frobenius`` sums the squares as ``numpy.linalg.norm`` does, with
+    no call into ``numpy.linalg``: the same bits on every layout."""
+
+    def test_bit_equal_to_the_linalg_norm(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        arrays = []
+        for _ in range(200):
+            shape = tuple(int(k) for k in rng.integers(1, 9, size=rng.integers(1, 3)))
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-200, 200)
+            if rng.random() < 0.5:
+                a = a + 1j * (rng.standard_normal(shape)
+                              * 10.0 ** rng.integers(-200, 200))
+            if a.ndim == 2 and rng.random() < 0.5:
+                a = a.T if rng.random() < 0.5 else np.asfortranarray(a)
+            arrays.append(a[::2] if rng.random() < 0.3 else a)
+        arrays += [np.zeros((2, 3), int), np.zeros(3, complex), np.array([5e-324j])]
+        expected = []
+        for a in arrays:
+            peak, unit = _unit(a)
+            expected.append(peak * float(np.linalg.norm(unit)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.norm called")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        assert [_frobenius(a) for a in arrays] == expected
 
 
 class TestIdentityBasis:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from kreinpair.sturm_liouville import (
     GridSpec,
     PotentialSpec,
     StudyRow,
+    _spectral_radius,
     cayley_norm,
     convergence_study,
     discretize,
@@ -39,19 +41,30 @@ from conftest import (
     dense_convergence_study,
     dense_discretize,
     dense_mask_splitting,
+    dense_spectral_radius,
     dissipation_form,
     dissipation_quadrature_residual,
     e,
+    exact_count_below,
     mask_splitting,
     omega_block,
     sampled_quadrature_residual,
     span,
+    tridiagonal,
 )
 
 EPS = np.finfo(float).eps
 # the closed-form Cayley norm against the dense solve and SVD; at most
 # 3 eps apart on the differential sweep of TestCayley
 CAYLEY_ROUTES_BOUND = 8 * EPS
+# the banded spectral radius against eigvalsh of the dense block, relative:
+# at most 3.2 eps on the study grid of TestCayley and 3.1 eps on the random
+# bands of TestSpectralRadius, where eigvalsh itself can be 5 eps off
+RADIUS_ROUTES_BOUND = 16 * EPS
+# the bracket that exact Sturm counts check around the banded radius,
+# relative: the accuracy ``_spectral_radius`` documents; on the random bands
+# at most 1 eps where Newton converges and 4 eps where Sturm counts bisect
+RADIUS_EXACT_BOUND = 8 * EPS
 
 
 def left_half(grid, imq=1.0, h=1.0):
@@ -112,6 +125,19 @@ class TestSpecs:
             )
         with pytest.raises(DimensionMismatch):
             PotentialSpec.from_intervals(grid, [(0.0, 0.5)], 0.0, 1.0)
+
+    @pytest.mark.parametrize("h", [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
+    def test_robin_parameter_takes_real_scalars(self, h):
+        mask = np.ones(4, bool)
+        pot = PotentialSpec(omega_mask=mask, q_values=np.full(4, 1j), h=h)
+        assert type(pot.h) is float and pot.h == 1.0
+
+    @pytest.mark.parametrize("h", [True, np.bool_(False), "1.0", 1.0 + 0j, None,
+                                   10**400, float("inf"), np.float32("nan")])
+    def test_robin_parameter_refuses_other_values(self, h):
+        with pytest.raises(DimensionMismatch,
+                           match="Robin parameter h must be a finite real"):
+            PotentialSpec(omega_mask=np.ones(4, bool), q_values=np.full(4, 1j), h=h)
 
     def test_interval_mask(self):
         grid = GridSpec(x_max=8.0, n_points=16)
@@ -459,12 +485,14 @@ class TestBandedAgainstDense:
                 assert block == dense, label
                 verdicts.append(dense[0])
             else:
-                # the real part and the constant imaginary part, to the bit
-                real, v = block
-                assert real.dtype == np.float64, label
-                assert real.tobytes() == dense.real.tobytes(), label
+                # the bands of the real part and the constant imaginary
+                # part, to the bit
+                diagonal, off_diagonal, v = block
+                assert diagonal.dtype == off_diagonal.dtype == np.float64, label
+                assert (tridiagonal(diagonal, off_diagonal).tobytes()
+                        == dense.real.tobytes()), label
                 assert (dense.imag.tobytes()
-                        == (v * np.eye(real.shape[0])).tobytes()), label
+                        == (v * np.eye(diagonal.size)).tobytes()), label
                 verdicts.append("accepted")
             if pot is not None:
                 assert (banded.quadrature_residual(pot)
@@ -571,6 +599,30 @@ class TestQuadrature:
                 banded.quadrature_residual(pot)
 
 
+def _check_radius(diagonal, off_diagonal):
+    """The banded radius, checked against ``eigvalsh`` of the dense block."""
+    radius = _spectral_radius(diagonal, off_diagonal)
+    dense = dense_spectral_radius(diagonal, off_diagonal)
+    assert abs(radius - dense) <= RADIUS_ROUTES_BOUND * dense, \
+        (diagonal.size, (radius - dense) / (EPS * dense))
+    return radius
+
+
+def _overflow_bound(imq):
+    """The smallest x_max ``study_levels`` admits at base 8 over 3 levels,
+    to 1e-12 relative: the row sums of its finest block reach the largest
+    the study allows."""
+    low, high = 1e-80, 1e-60
+    while high > low * (1.0 + 1e-12):
+        mid = math.sqrt(low * high)
+        try:
+            study_levels(mid, 8, [(0.0, 0.5)], imq, 1.0, 3)
+            high = mid
+        except DimensionMismatch:
+            low = mid
+    return high
+
+
 def _single_cell(q):
     """One masked cell with A' = 0 and potential ``q``."""
     return BandedOperator(np.zeros(1), np.zeros(0), np.ones(1, bool),
@@ -605,8 +657,9 @@ class TestCayley:
         args = (x_max, 16, intervals, imq, h, 6)
         rows = convergence_study(*args)
         for (grid, pot), row in zip(study_levels(*args), rows, strict=True):
-            op = discretize(grid, pot).operator()
-            dense = dense_cayley_norm(omega_block(op, pot.omega_mask))
+            banded = discretize(grid, pot)
+            _check_radius(*banded.masked_block()[:2])
+            dense = dense_cayley_norm(omega_block(banded.operator(), pot.omega_mask))
             assert abs(row.cayley_norm - dense) <= CAYLEY_ROUTES_BOUND, \
                 (grid.n_points, (row.cayley_norm - dense) / EPS)
 
@@ -652,23 +705,14 @@ class TestCayley:
 
     @pytest.mark.parametrize("imq", [1e144, 9.4e153])
     def test_study_at_its_overflow_bound_is_kept(self, imq):
-        # the smallest x_max study_levels admits, to 1e-12 relative: the
-        # row sums of its finest block reach the largest the study allows
-        low, high = 1e-80, 1e-60
-        while high > low * (1.0 + 1e-12):
-            mid = math.sqrt(low * high)
-            try:
-                study_levels(mid, 8, [(0.0, 0.5)], imq, 1.0, 3)
-                high = mid
-            except DimensionMismatch:
-                low = mid
-        rows = convergence_study(high, 8, [(0.0, 0.5)], imq, 1.0, 3)
+        rows = convergence_study(_overflow_bound(imq), 8, [(0.0, 0.5)], imq, 1.0, 3)
         assert all(abs(row.cayley_norm - 1.0) < 1e-12 for row in rows)
 
     def test_omega_block_shape(self):
         grid = GridSpec(x_max=10.0, n_points=16)
         pot = left_half(grid)
-        assert discretize(grid, pot).masked_block()[0].shape == (8, 8)
+        diagonal, off_diagonal, _ = discretize(grid, pot).masked_block()
+        assert diagonal.shape == (8,) and off_diagonal.shape == (7,)
         free = PotentialSpec(np.zeros(16, bool), np.zeros(16, complex), 1.0)
         with pytest.raises(DimensionMismatch, match="empty"):
             discretize(grid, free).masked_block()
@@ -676,6 +720,130 @@ class TestCayley:
         assert omega_block(op, pot.omega_mask).shape == (8, 8)
         with pytest.raises(DimensionMismatch):
             omega_block(op, np.zeros(16, bool))
+
+
+def _random_level(rng, n):
+    """Random bands through :class:`BandedOperator` that pass the four facts
+    of ``masked_block``: a random mask, decoupled at its interfaces, with
+    nonzero Re q and one constant Im q on it, and some zero couplings
+    inside the mask as well."""
+    mask = rng.random(n) < 0.7
+    mask[rng.integers(n)] = True
+    diagonal = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    off_diagonal = rng.standard_normal(n - 1)
+    off_diagonal[(mask[:-1] != mask[1:]) | (rng.random(n - 1) < 0.1)] = 0.0
+    q = np.where(mask, rng.standard_normal(n) + 1j * rng.uniform(0.5, 2.0), 0.0)
+    return BandedOperator(diagonal, off_diagonal, mask, q)
+
+
+def _assert_exact_bracket(diagonal, off_diagonal, radius):
+    """Exact Sturm counts put every eigenvalue inside ``radius (1 + b)`` in
+    modulus and one outside ``radius (1 - b)``, b = RADIUS_EXACT_BOUND."""
+    m = diagonal.size
+    above = radius * (1.0 + RADIUS_EXACT_BOUND)
+    below = radius * (1.0 - RADIUS_EXACT_BOUND)
+    assert exact_count_below(diagonal, off_diagonal, above) == m
+    assert exact_count_below(diagonal, off_diagonal, -above) == 0
+    assert (exact_count_below(diagonal, off_diagonal, below) < m
+            or exact_count_below(diagonal, off_diagonal, -below) > 0)
+
+
+class TestSpectralRadius:
+    """The spectral radius of a masked block from its bands
+    (``_spectral_radius``) against one ``eigvalsh`` of the dense block
+    (``dense_spectral_radius``), the route it replaced, and against exact
+    rational Sturm counts (``exact_count_below``); the study grid is in
+    :meth:`TestCayley.test_closed_form_is_the_dense_norm`."""
+
+    def test_robin_level_where_the_smallest_eigenvalue_dominates(self):
+        """At step h near -2 the Robin entry is large and negative."""
+        for grid, pot in study_levels(20.0, 8, [(0.0, 0.5)], 1.0, -0.7, 3):
+            diagonal, off_diagonal, _ = discretize(grid, pot).masked_block()
+            eigs = np.linalg.eigvalsh(tridiagonal(diagonal, off_diagonal))
+            radius = _check_radius(diagonal, off_diagonal)
+            if grid.n_points == 8:
+                assert -eigs[0] > eigs[-1]
+                _assert_exact_bracket(diagonal, off_diagonal, radius)
+
+    def test_random_bands(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            banded = _random_level(rng, int(rng.integers(1, 48)))
+            diagonal, off_diagonal, _ = banded.masked_block()
+            radius = _check_radius(diagonal, off_diagonal)
+            _assert_exact_bracket(diagonal, off_diagonal, radius)
+            dense = dense_cayley_norm(omega_block(banded.operator(), banded.mask))
+            assert abs(cayley_norm(banded) - dense) <= CAYLEY_ROUTES_BOUND
+
+    def test_zero_off_diagonal_and_one_by_one(self):
+        diagonal = np.array([0.5, -3.0, 2.0, 1e-3])
+        assert _spectral_radius(diagonal, np.zeros(3)) == 3.0
+        assert _spectral_radius(np.array([-7.25]), np.zeros(0)) == 7.25
+        assert _spectral_radius(np.zeros(1), np.zeros(0)) == 0.0
+        assert _spectral_radius(np.zeros(3), np.array([0.0, 2.0])) == 2.0
+        assert cayley_norm(_single_cell(-3.0 + 1j)) == pytest.approx(
+            dense_cayley_norm(np.array([[-3.0 + 1j]])), abs=CAYLEY_ROUTES_BOUND)
+
+    def test_zero_pivot_of_a_two_interval_mask(self, monkeypatch):
+        """The Gershgorin bound 4/step^2 is an eigenvalue, of the alternating
+        vector, of every masked interval with interface edges at both ends,
+        here the two-cell first one, so the first pivot recurrence meets a
+        pivot of exactly 0 there; without the pivmin guard it divides by it."""
+        grid = GridSpec(x_max=1.0, n_points=8)
+        pot = PotentialSpec.from_intervals(grid, [(0.1, 0.4), (0.6, 0.7)], 1.0, 0.0)
+        banded = discretize(grid, pot)
+        diagonal, off_diagonal, _ = banded.masked_block()
+        radius = _check_radius(diagonal, off_diagonal)
+        assert radius == np.max(diagonal + np.abs(np.r_[0.0, off_diagonal])
+                                + np.abs(np.r_[off_diagonal, 0.0]))
+        assert abs(cayley_norm(banded)
+                   - dense_cayley_norm(omega_block(banded.operator(), banded.mask))) \
+            <= CAYLEY_ROUTES_BOUND
+        monkeypatch.setattr(sturm_liouville, "_PIVMIN", 0.0)
+        with pytest.raises(ZeroDivisionError):
+            _spectral_radius(diagonal, off_diagonal)
+
+    def test_power_of_two_scales_are_exact(self):
+        """Bands near 1e200 and near 1e-200 give the radius of the unit
+        bands times the scale, to the bit, with no overflow of a square."""
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            m = int(rng.integers(1, 20))
+            diagonal, off_diagonal = rng.standard_normal(m), rng.standard_normal(m - 1)
+            radius = _spectral_radius(diagonal, off_diagonal)
+            for exponent in (664, -664):
+                assert (_spectral_radius(np.ldexp(diagonal, exponent),
+                                         np.ldexp(off_diagonal, exponent))
+                        == math.ldexp(radius, exponent))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_bands_near_1e200(self, scale):
+        """No warning (the suite makes them errors), the radius of the unit
+        bands times the scale, and a Cayley norm that rounds to 1, as
+        ``4 v / (rho^2 + (1 + v)^2)`` is of order 1 / scale."""
+        diagonal = scale * np.array([1.0, -0.5, 0.75])
+        off_diagonal = scale * np.array([1.0, 1.0])
+        banded = BandedOperator(diagonal, off_diagonal, np.ones(3, bool),
+                                np.full(3, 1e-8j * scale))
+        assert cayley_norm(banded) == 1.0
+        unit = dense_spectral_radius(diagonal / scale, off_diagonal / scale)
+        assert (abs(_spectral_radius(diagonal, off_diagonal) - scale * unit)
+                <= RADIUS_ROUTES_BOUND * scale * unit)
+
+    def test_level_past_the_float_range_is_a_typed_error(self):
+        """Bands whose radius exceeds the largest float: the form scale
+        overflows first, and ``masked_block`` refuses the level, with no
+        warning, before any radius is taken."""
+        banded = BandedOperator(np.full(3, 1e308), np.full(2, 1e308),
+                                np.ones(3, bool), np.full(3, 1e306j))
+        with pytest.raises(PipelineError):
+            cayley_norm(banded)
+
+    @pytest.mark.parametrize("imq", [1e144, 9.4e153])
+    def test_study_at_its_overflow_bound(self, imq):
+        args = (_overflow_bound(imq), 8, [(0.0, 0.5)], imq, 1.0, 3)
+        for grid, pot in study_levels(*args):
+            _check_radius(*discretize(grid, pot).masked_block()[:2])
 
 
 class TestStudy:
@@ -824,24 +992,48 @@ class TestStudy:
             tracemalloc.stop()
 
     def test_peak_memory_of_the_five_level_study(self):
-        """The levels are bands; the one dense array of a level is the real
-        part of its masked block (m = 512 at the finest, 2 MB), where the
-        dense route held several n x n ones (n = 1 024) and peaked near
-        140 MB, and the complex block, its solve and SVD 19 MB."""
+        """The levels and their masked blocks are bands (0.23 MB peak), where
+        the dense route held several n x n arrays (n = 1 024) and peaked
+        near 140 MB, the complex block, its solve and SVD 19 MB, and the
+        real block and its eigvalsh 2.2 MB."""
         assert self._peak_of_study(5) <= 12e6
 
     def test_peak_memory_of_the_six_level_study(self):
-        """m = 1 024 at the finest (n = 2 048): an 8 MB real block, where
-        the complex block, its solve and SVD peaked near 76 MB."""
+        """n = 2 048 at the finest, in bands (0.45 MB peak), where the complex
+        block, its solve and SVD peaked near 76 MB and the real block 8.6 MB."""
         assert self._peak_of_study(6) <= 48e6
 
     def test_factorization_budget(self, monkeypatch):
         factorizations = count_factorizations(monkeypatch)
         convergence_study(10.0, 16, [(0.0, 0.5)], 1.0, 1.0, 3, seed=0)
         # the dissipation form is diagonal, the mask splitting builds no
-        # graph orthocomplement, and the Cayley norm of a level takes one
-        # eigvalsh of the real part of its masked block
-        assert factorizations == {"eigh": 0, "eigvalsh": 3, "qr": 0, "cholesky": 0}
+        # graph orthocomplement, and the Cayley norm of a level reads the
+        # spectral radius of its masked block from the bands
+        assert factorizations == {"eigh": 0, "eigvalsh": 0, "qr": 0, "cholesky": 0}
+
+    def test_default_study_calls_no_linalg(self, monkeypatch):
+        called = []
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                called.append(name)
+                raise AssertionError(f"the study called numpy.linalg.{name}")
+            return call
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse(name))
+        rows = convergence_study(20.0, 64, [(0.0, 0.5)], 1.0, 1.0, 4)
+        assert len(rows) == 4 and called == []
+
+    def test_ten_level_study_is_linear(self):
+        """n = 32 768 at the finest, where one dense masked block would take
+        2 GB (m = 16 384): 0.04-0.07 s and a 7 MB peak on a 2-core VM."""
+        start = time.perf_counter()
+        rows = convergence_study(20.0, 64, [(0.0, 0.5)], 1.0, 1.0, 10)
+        assert time.perf_counter() - start < 2.0
+        assert rows[-1].n_points == 32768
+        assert self._peak_of_study(10) < 32e6
 
     def test_no_generic_split(self, monkeypatch):
         def forbidden(name):
