@@ -79,9 +79,9 @@ from .decomposition import (
     split,
 )
 from .errors import checked_seed
-from .krein import INDEFINITE_CUT, NEITHER, OperatorWithDomain, classify_by_graph
+from .krein import NEITHER, OperatorWithDomain, classify_by_graph
 from .subspaces import Subspace, gap_distance
-from .tolerances import CHECK_GATE
+from .tolerances import CHECK_GATE, INDEFINITE_CUT
 
 __all__ = ["PipelineResult", "build_pipeline", "analyze_operator"]
 

@@ -46,14 +46,14 @@ non-normal matrix are ill-conditioned (Golub & Van Loan, *Matrix
 Computations*, section 7.2).  The whole check is O(n^3), and only its real
 eigenspaces become a :class:`~kreinpair.subspaces.Subspace`.  The two ``eig``
 calls, of T's compression and of S's, need nothing but the operator, so
-they may be computed ahead, elsewhere, and handed over: ``eig=`` of
-:func:`restricted_eigenpairs` and ``eigs=`` of :func:`real_spectrum_report`
-take their ``(values, vectors)``, and the rest of the check is unchanged.
+they may be computed ahead, elsewhere, and handed over: ``eigs=`` of
+:func:`real_spectrum_report` takes their ``(values, vectors)``, and the
+rest of the check is unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class BoundaryTriple:
     trace1: np.ndarray  # k x 2n
     symmetric_graph: Subspace
     defect_plus: Subspace
-    base_metric: np.ndarray  # J of the underlying Krein space
     green_residual: float
 
 
@@ -106,19 +105,18 @@ class BoundaryTriple:
 class TraceData:
     """Trace maps restricted to the graph of T, with the image G-space.
 
-    ``trace0``/``trace1`` here are matrices on coordinates of the domain
-    basis ``domain_basis``.  ``image`` is the joint range inside the doubled
-    boundary space and ``image_gram`` the compression of its canonical
-    symmetry to the image, on an orthonormal basis of the image.  The image
-    basis and ``image_complement``, an orthonormal basis of its
-    orthocomplement, are the leading and trailing columns of one complete
-    Householder QR, so ``[image | image_complement]`` is unitary.
+    ``trace0``/``trace1`` here are matrices on coordinates of T's domain
+    basis.  ``image`` is the joint range inside the doubled boundary space
+    and ``image_gram`` the compression of its canonical symmetry to the
+    image, on an orthonormal basis of the image.  The image basis and
+    ``image_complement``, an orthonormal basis of its orthocomplement, are
+    the leading and trailing columns of one complete Householder QR, so
+    ``[image | image_complement]`` is unitary.
     """
 
     boundary_dim: int
     trace0: np.ndarray  # k x d
     trace1: np.ndarray  # k x d
-    domain_basis: np.ndarray  # n x d
     image: Subspace | None  # None when the boundary space is trivial
     image_gram: np.ndarray
     image_complement: np.ndarray | None  # 2k x (2k - dim image), read-only
@@ -178,7 +176,7 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     trace0, trace1 = np.split(traces, 2)
     return BoundaryTriple(space_dim=n - d, trace0=trace0, trace1=trace1,
                           symmetric_graph=sym.graph, defect_plus=Subspace(n, qp),
-                          base_metric=j, green_residual=residual)
+                          green_residual=residual)
 
 
 def _von_neumann_traces(j: np.ndarray, qp: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -279,12 +277,12 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
     ``[t0; t1] X`` for the defect basis X, with no rank decision.
 
     The containment of graph T in the adjoint graph
-    (:func:`_containment_residual`) and the Green identity on graph T,
-    against ``op.graph_form``, are checked; a violation of either raises.
+    (:func:`_containment_residual`, in the metric J of ``op``'s space) and
+    the Green identity on graph T, against ``op.graph_form``, are checked; a
+    violation of either raises.
     """
     g_t = op.graph.basis
-    j = triple.base_metric
-    outside = _containment_residual(j, triple.symmetric_graph.basis, g_t)
+    outside = _containment_residual(op.space.J, triple.symmetric_graph.basis, g_t)
     if outside > CHECK_GATE:
         raise PipelineError(
             f"graph of T is not contained in the adjoint graph (defect {outside:.3e})"
@@ -305,7 +303,6 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
         boundary_dim=k,
         trace0=t0,
         trace1=t1,
-        domain_basis=b,
         image=image,
         image_gram=gram,
         image_complement=perp,
@@ -430,7 +427,7 @@ def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain) -> float:
     return float(np.linalg.norm(op.graph_form - 1j * (p.conj().T @ (pair.gram @ p))))
 
 
-def restricted_eigenpairs(op: OperatorWithDomain, eig=None):
+def restricted_eigenpairs(op: OperatorWithDomain):
     """Eigenvalues of T as an operator on its domain, with eigenspaces.
 
     A pair (lam, x) qualifies when x lies in the domain and M x = lam x.
@@ -450,17 +447,17 @@ def restricted_eigenpairs(op: OperatorWithDomain, eig=None):
     batched residual at O(n d^2), and one SVD of an n x d matrix per
     cluster (more only where the cluster holds distinct eigenvalues).
 
-    ``eig``, when given, is the ``(values, vectors)`` that
-    ``np.linalg.eig(op.coords(op._image))`` returned for this operator,
-    computed elsewhere (:func:`kreinpair.analysis.analyze_operator` runs it
-    on a worker thread); everything after that call is the same.
+    It stays public for the benchmark's multiplicity oracle
+    (``perfbench/workloads.py``); the pipeline calls :func:`_eigenpairs`.
     """
     return [(lam, Subspace(op.space.dim, basis))
-            for lam, basis in _eigenpairs(op, eig)]
+            for lam, basis in _eigenpairs(op)]
 
 
 def _eigenpairs(op: OperatorWithDomain, eig=None) -> list:
-    """:func:`restricted_eigenpairs` with each eigenspace a basis array."""
+    """:func:`restricted_eigenpairs` with each eigenspace a basis array;
+    ``eig`` is ``np.linalg.eig(op.coords(op._image))`` when computed
+    elsewhere (on :func:`~kreinpair.analysis.analyze_operator`'s worker)."""
     d = op.domain.dim
     if d == 0:
         return []
@@ -535,7 +532,7 @@ class RealSpectrumReport:
     subspace_gap: float
     identity_residual: float
     kernel_gap: float
-    notes: list = field(default_factory=list)
+    notes: list
 
 
 def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
@@ -549,8 +546,9 @@ def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
     eigenvector for J = I, is zero by the rank decision of the form kernel;
     values and residuals are compared at the scale ``op.scale`` of T.
 
-    ``eigs``, when given, is the pair ``(eig_op, eig_sym)`` handed to
-    :func:`restricted_eigenpairs` for T and for S; either may be None.
+    ``eigs``, when given, is the pair ``(eig_op, eig_sym)`` of the
+    ``eig`` results of T's and S's domain compressions
+    (:func:`_eigenpairs`); either may be None.
     """
     notes: list[str] = []
     eig_op, eig_sym = (None, None) if eigs is None else eigs

@@ -224,6 +224,12 @@ def _cmd_analyze(args) -> int:
     return 0 if all(report["checks"].values()) else 2
 
 
+def _never_drops(values) -> bool:
+    """The trend rule of the summary flags (of the negated values for a
+    non-increasing one) and of the study's verdict."""
+    return all(b >= a - LOOSE_GATE for a, b in zip(values, values[1:]))
+
+
 def _criterion_payload(path) -> dict:
     return _criterion_dict(criterion_report(load_instance(path)))
 
@@ -244,7 +250,6 @@ def _cmd_criterion(args) -> int:
             smallest = [
                 r["uniform_positivity"]["smallest_eigenvalue"] for r in rows
             ]
-            finite = [s for s in smallest if s is not None]
             margins = [r["range_splitting"]["margin"] for r in rows]
             payload = {
                 "rows": rows,
@@ -254,15 +259,10 @@ def _cmd_criterion(args) -> int:
                     "contraction_norms": norms,
                     "smallest_gram_eigenvalues": smallest,
                     "range_splitting_margins": margins,
-                    "contraction_norm_nondecreasing": all(
-                        b >= a - LOOSE_GATE for a, b in zip(norms, norms[1:])
-                    ),
-                    "smallest_eigenvalue_nonincreasing": all(
-                        b <= a + LOOSE_GATE for a, b in zip(finite, finite[1:])
-                    ),
-                    "range_margin_nonincreasing": all(
-                        b <= a + LOOSE_GATE for a, b in zip(margins, margins[1:])
-                    ),
+                    "contraction_norm_nondecreasing": _never_drops(norms),
+                    "smallest_eigenvalue_nonincreasing":
+                        _never_drops([-s for s in smallest if s is not None]),
+                    "range_margin_nonincreasing": _never_drops([-m for m in margins]),
                 },
             }
             agree = payload["summary"]["all_agree"]
@@ -313,8 +313,7 @@ def _cmd_sl_study(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_study_csv(rows, args.output)
-    norms = [r.cayley_norm for r in rows]
-    monotone = all(b >= a - LOOSE_GATE for a, b in zip(norms, norms[1:]))
+    monotone = _never_drops([r.cayley_norm for r in rows])
     residuals_ok = all(r.form_residual <= CHECK_GATE for r in rows)
     return 0 if (monotone and residuals_ok) else 2
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ClassificationError, PipelineError
 from .krein import NEITHER, SYMMETRIC, OperatorWithDomain
-from .subspaces import Subspace, gap_distance, null_space, qr_span
-from .tolerances import CHECK_GATE, negligible
+from .subspaces import Subspace, null_space, qr_span
+from .tolerances import negligible
 
 if TYPE_CHECKING:
     from .boundary import BoundaryTriple
@@ -81,7 +81,7 @@ def graph_orthocomplement_within(op: OperatorWithDomain,
     No rank decision is needed: ``G >= I``, so every singular value of
     ``G K`` is at least 1 and its rank is ``sub.dim``, however large T is.
     """
-    if sub.is_zero:  # the whole domain, found without G
+    if sub.is_zero:  # the whole domain, found without G, which may overflow
         return op.domain
     gk = op.graph_gram @ op.coords(sub.basis)
     q = np.linalg.qr(gk, mode="complete")[0]
@@ -89,23 +89,19 @@ def graph_orthocomplement_within(op: OperatorWithDomain,
     return Subspace(op.space.dim, op.lift(q[:, gk.shape[1]:]))
 
 
-def dissipative_part(op: OperatorWithDomain,
-                     sym: OperatorWithDomain) -> OperatorWithDomain:
-    """Restriction of T to the graph-orthogonal complement of the symmetric
-    domain; together with the symmetric part it sums componentwise to T."""
-    # split passes the form kernel itself, which needs no comparison
-    if (sym.domain is not op.form_kernel
-            and gap_distance(sym.domain, op.form_kernel) > CHECK_GATE):
-        raise PipelineError("inconsistent symmetric part")
-    domain = graph_orthocomplement_within(op, sym.domain)
-    if domain.dim + sym.domain.dim != op.domain.dim:
-        raise PipelineError("graph-orthogonal split has the wrong dimensions")
-    return op.restricted(domain)
+def dissipative_part(op: OperatorWithDomain) -> OperatorWithDomain:
+    """Restriction of T to the graph-orthogonal complement of the form
+    kernel, the domain of :func:`symmetric_part`; together with the
+    symmetric part it sums componentwise to T.  A non-dissipative T raises
+    :class:`ClassificationError`, as :func:`symmetric_part` does."""
+    if op.classify() == NEITHER:
+        raise ClassificationError("dissipative part needs a dissipative operator")
+    return op.restricted(graph_orthocomplement_within(op, op.form_kernel))
 
 
 def split(op: OperatorWithDomain) -> Splitting:
     sym = symmetric_part(op)
-    defect = dissipative_part(op, sym)
+    defect = dissipative_part(op)
     bn = defect.domain.basis
     gram = bn.conj().T @ op.dissipation_matrix @ bn
     gram = 0.5 * (gram + gram.conj().T)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .krein import KreinSpace, OperatorWithDomain
 from .subspaces import orthonormal_span
+from .tolerances import WEAK_DEFECT_TOL
 
 __all__ = [
     "random_unitary",
@@ -43,10 +44,9 @@ def random_canonical_symmetry(n: int, rng: np.random.Generator,
     return 0.5 * (j + j.conj().T)
 
 
-def _random_hermitian(n: int, rng: np.random.Generator,
-                      scale: float = 1.0) -> np.ndarray:
+def _random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * 0.5 * (z + z.conj().T)
+    return 0.5 * (z + z.conj().T)
 
 
 def _random_psd(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,17 +117,18 @@ def real_spectrum_instance(n: int, rng: np.random.Generator,
     return op, [complex(v) for v in reals], sym_domain
 
 
-def scaled_defect_instance(eps: float, tol: float = 1e-14) -> OperatorWithDomain:
+def scaled_defect_instance(eps: float) -> OperatorWithDomain:
     """Two strictly dissipative directions with defect scales 1 and eps.
 
     As eps decreases, the trace image degenerates: its smallest Gram
     eigenvalue shrinks like eps while the contraction norm climbs to 1.
-    The rank tolerance is kept below the default so the weak direction is
-    not silently absorbed into the symmetric part before the completeness
-    criteria, which work at their own shared threshold, can see it.
+    The rank tolerance is :data:`~kreinpair.tolerances.WEAK_DEFECT_TOL`,
+    below the default so the weak direction is not silently absorbed into
+    the symmetric part before the completeness criteria, which work at
+    their own shared threshold, can see it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    space = KreinSpace(np.eye(2), tol=tol)
+    space = KreinSpace(np.eye(2), tol=WEAK_DEFECT_TOL)
     matrix = np.diag([1j, 1j * eps])
     return OperatorWithDomain(space, matrix)

@@ -46,11 +46,6 @@ NEITHER = "neither"
 #: larger one only sends more operators to the SVD
 _NORM_MARGIN = 2.0
 
-#: the Riesz representer F (:attr:`OperatorWithDomain.graph_spectrum`) is
-#: positive semidefinite for a dissipative T; an eigenvalue below
-#: ``-INDEFINITE_CUT * tol`` is not round-off
-INDEFINITE_CUT = 100
-
 #: a Hermitian involution is unitary, so ``|J|_2 = 1``; a J whose 2-norm is
 #: bounded away from ``[1 / _UNIT_BAND, _UNIT_BAND]`` is rejected before
 #: ``J^2`` is formed.  Any band wider than the metric cuts keeps every verdict

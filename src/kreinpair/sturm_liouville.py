@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ClassificationError, DimensionMismatch, PipelineError,
-                     checked_integer, checked_real, checked_seed)
+                     ScaleOverflow, checked_integer, checked_real, checked_seed)
 from .krein import (NEITHER, KreinSpace, OperatorWithDomain, _classify,
                     _form_scale, _frobenius)
 from .tolerances import DEFAULT_TOL, EXACT_BOUND, RESONANCE_CUT, negligible
@@ -70,7 +70,7 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not (self.x_max > 0 and math.isfinite(self.x_max)):
+        if not checked_real(self.x_max, "x_max") > 0:
             raise DimensionMismatch("x_max must be positive and finite")
         object.__setattr__(self, "n_points",
                            checked_integer(self.n_points, "n_points", 8))
@@ -102,8 +102,8 @@ class GridSpec:
 class PotentialSpec:
     """Complex potential supported on a node mask, plus the Robin parameter.
 
-    The imaginary part must be strictly positive on the mask and the
-    potential must vanish off it; ``h`` is real, not a bool.  An all-false
+    The potential must be finite, with imaginary part strictly positive on
+    the mask, and vanish off it; ``h`` is real, not a bool.  An all-false
     mask is the degenerate self-adjoint case and is accepted here, but
     study and command-line entry points insist on a nonempty mask.
     """
@@ -117,6 +117,8 @@ class PotentialSpec:
         q = np.asarray(self.q_values, dtype=np.complex128)
         if mask.shape != q.shape or mask.ndim != 1:
             raise DimensionMismatch("mask and potential must be equal-length vectors")
+        if not np.isfinite(q).all():
+            raise DimensionMismatch("potential must be finite")
         h = checked_real(self.h, "Robin parameter h")
         if np.any(q[~mask] != 0):
             raise DimensionMismatch("potential must vanish off the mask")
@@ -129,13 +131,17 @@ class PotentialSpec:
     @classmethod
     def from_intervals(cls, grid: GridSpec, intervals, imq: float,
                        h: float) -> "PotentialSpec":
-        """Mask from fractional intervals of [0, x_max], potential i * imq."""
-        if not (imq > 0 and math.isfinite(imq)):
-            raise DimensionMismatch(
-                "Im q must be strictly positive and finite on the mask")
+        """Mask from fractional intervals (pairs) of [0, x_max], potential
+        i * imq; ``PotentialSpec`` checks that imq is positive."""
+        imq = checked_real(imq, "Im q")
         centers = grid.cell_centers()
         mask = np.zeros(grid.n_points, dtype=bool)
-        for a, b in intervals:
+        for interval in intervals:
+            try:
+                a, b = (checked_real(end, "an interval end") for end in interval)
+            except (TypeError, ValueError):  # not iterable, or not two ends
+                raise DimensionMismatch(
+                    f"an interval must be a pair of fractions, got {interval!r}") from None
             if not (0.0 <= a < b <= 1.0):
                 raise DimensionMismatch(f"bad interval fractions ({a}, {b})")
             mask |= (centers >= a * grid.x_max) & (centers < b * grid.x_max)
@@ -176,7 +182,9 @@ class BandedOperator:
     from the bands, with the same cuts at the same scales.  With Im q one
     constant v on the mask, the masked block ``A + diag(q)`` is ``A' + i v
     I`` for a real symmetric A', so it is normal and its Cayley norm is a
-    function of the spectral radius of A' alone (:func:`cayley_norm`)."""
+    function of the spectral radius of A' alone (:func:`cayley_norm`).
+    A non-finite entry raises :class:`DimensionMismatch`, and bands whose
+    ``2 |T|_F`` overflows :class:`ScaleOverflow`."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -188,6 +196,16 @@ class BandedOperator:
             band = np.array(getattr(self, name))
             band.flags.writeable = False
             object.__setattr__(self, name, band)
+        # twice |T|_F bounds 2 Im q and the form scale, so it is checked before
+        # either is taken; it is inf or nan when an entry is, or T is too large
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflow = not math.isfinite(2.0 * self._frobenius_norm)
+        if overflow:
+            for name in ("diagonal", "off_diagonal", "q"):
+                if not np.isfinite(getattr(self, name)).all():
+                    raise DimensionMismatch(f"band {name} must be finite")
+            raise ScaleOverflow("|T|_F of the bands overflows, and so does the "
+                                "scale of the dissipation form")
 
     def operator(self) -> OperatorWithDomain:
         """The dense operator, O(n^2); :attr:`form_scale` may need its 2-norm
@@ -199,17 +217,20 @@ class BandedOperator:
         return OperatorWithDomain(KreinSpace(np.eye(n)), a + np.diag(self.q))
 
     @cached_property
+    def _frobenius_norm(self) -> float:
+        """``|T|_F`` summed over the bands in an order the rule's margin covers."""
+        return _frobenius(np.concatenate([self.diagonal + self.q, self.off_diagonal,
+                                          self.off_diagonal]))
+
+    @cached_property
     def form_eigenvalues(self) -> np.ndarray:
         """``2 Im q``, the diagonal of the dissipation matrix, in coordinate order."""
         return 2.0 * self.q.imag
 
     @cached_property
     def form_scale(self) -> float:
-        """:attr:`OperatorWithDomain.form_scale` of :meth:`operator`, with
-        ``|T|_F`` summed over the bands in an order the rule's margin covers."""
-        entries = np.concatenate([self.diagonal + self.q, self.off_diagonal,
-                                  self.off_diagonal])
-        return _form_scale(self.form_eigenvalues, _frobenius(entries),
+        """:attr:`OperatorWithDomain.form_scale` of :meth:`operator`."""
+        return _form_scale(self.form_eigenvalues, self._frobenius_norm,
                            lambda: self.operator().scale, DEFAULT_TOL)
 
     def classify(self) -> str:
@@ -364,12 +385,12 @@ def _spectral_radius(diagonal: np.ndarray, off_diagonal: np.ndarray) -> float:
     e = np.abs(np.ldexp(off_diagonal, -exponent))
     radii = np.concatenate(([0.0], e)) + np.concatenate((e, [0.0]))
     squares = [0.0] + (e * e).tolist()  # e_0 = 0 starts the recurrence
-    # the Gershgorin upper bounds of A and -A, the larger first; each lies
-    # at most 2 max e above a diagonal entry, a lower bound of the same side
+    # the Gershgorin upper bounds of A and -A; each lies at most 2 max e
+    # above a diagonal entry, a lower bound of the same side
     reach = 2.0 * float(np.max(e, initial=0.0))
     radius = 0.0
-    for upper, sign in sorted([(float(np.max(d + radii)), 1.0),
-                               (float(np.max(radii - d)), -1.0)], reverse=True):
+    for upper, sign in ((float(np.max(d + radii)), 1.0),
+                        (float(np.max(radii - d)), -1.0)):
         if upper > radius:
             radius = max(radius, _largest_eigenvalue((sign * d).tolist(), squares,
                                                      upper - reach, upper))

@@ -18,12 +18,18 @@ CHECK_GATE = 1e-8
 #: bound for identities exact by construction up to round-off in a few
 #: products (matrix Green identities, unitarity, Cayley contraction)
 EXACT_BOUND = 1e-10
+#: rank tolerance of ``scaled_defect_instance``, below the default to keep a
+#: weak defect direction on which the completeness criteria must still flip
+WEAK_DEFECT_TOL = 1e-14
 #: cut of the three completeness criteria and their rank decisions; apart from
-#: the operator's tolerance, since ``scaled_defect_instance`` runs at 1e-14 to
-#: keep a weak defect direction on which the criteria must still flip
+#: the operator's tolerance, which ``WEAK_DEFECT_TOL`` undercuts
 CRITERION_TOL = 1e-10
 #: ``1 + step h / 2`` this close to zero makes the Robin ghost cell blow up
 RESONANCE_CUT = 1e-12
+#: gate of ``checks.riesz_form_bounds``: the Riesz representer F
+#: (``OperatorWithDomain.graph_spectrum``) is positive semidefinite for a
+#: dissipative T; an eigenvalue below ``-INDEFINITE_CUT * tol`` is not round-off
+INDEFINITE_CUT = 100
 #: slack, in units of the rank tolerance times ``|J|_2`` (squared for
 #: ``J^2 - I``), of the checks that a metric J is a Hermitian involution: J is
 #: read from input whose entries carry their own rounding (decimal files,

@@ -13,10 +13,10 @@ from kreinpair.cli import SpecError, _json_ready
 from kreinpair.errors import (ClassificationError, DimensionMismatch, PipelineError,
                              ScaleOverflow)
 from kreinpair.instances import random_dissipative, random_unitary
-from kreinpair.krein import INDEFINITE_CUT, NEITHER, _classify, _frobenius, graph_form
+from kreinpair.krein import NEITHER, _classify, _frobenius, graph_form
 from kreinpair.sturm_liouville import StudyRow, study_levels
 from kreinpair.subspaces import Subspace, null_space, orthonormal_span
-from kreinpair.tolerances import CHECK_GATE, DEFAULT_TOL, negligible
+from kreinpair.tolerances import CHECK_GATE, DEFAULT_TOL, INDEFINITE_CUT, negligible
 
 
 @pytest.fixture
@@ -197,11 +197,11 @@ def relation_eigenspace(graph, lam):
     return orthonormal_span(top @ coeffs, scale=1.0)
 
 
-def defect_traces(traces, splitting):
-    """The restricted traces ``(trace0; trace1)`` stacked, on coordinates of
+def defect_traces(op, traces, splitting):
+    """T's restricted traces ``(trace0; trace1)`` stacked, on coordinates of
     the defect-domain basis: the map whose inverse carries the trace image
     isometrically onto the defect domain with its dissipation form."""
-    xn = traces.domain_basis.conj().T @ splitting.defect.domain.basis
+    xn = op.coords(splitting.defect.domain.basis)
     return np.vstack([traces.trace0 @ xn, traces.trace1 @ xn])
 
 
@@ -475,11 +475,11 @@ def reference_range_margin(traces):
     return sigma * np.sqrt(2.0 - sigma * sigma)
 
 
-def defect_contraction_norm(traces, splitting):
+def defect_contraction_norm(op, traces, splitting):
     """``|(t1 - i t0) X (QR of (t1 + i t0) X)^-1|_2`` on the defect-domain
     coordinates X, the traces taken again: the route ``contraction_bound``
     replaced with the image basis, kept as its oracle."""
-    t0n, t1n = np.split(defect_traces(traces, splitting), 2)
+    t0n, t1n = np.split(defect_traces(op, traces, splitting), 2)
     if t0n.shape[1] == 0:
         return 0.0
     r = np.linalg.qr(t1n + 1j * t0n)[1]

@@ -89,7 +89,7 @@ def _preimage_isometry_residual(op, splitting, traces, rng, count=20):
     dn = splitting.defect.domain.dim
     if dn == 0:
         return 0.0
-    stacked = defect_traces(traces, splitting)
+    stacked = defect_traces(op, traces, splitting)
     meta = boundary_metric_matrix(traces.boundary_dim)
     coeffs = rng.standard_normal((dn, count)) + 1j * rng.standard_normal((dn, count))
     worst = 0.0

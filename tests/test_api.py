@@ -18,7 +18,12 @@ public UPPERCASE constant assigned at the top level of a package module must
 be read (a variable or an attribute in load context, so not its own
 assignment) in the package or in ``perfbench``, and every one of
 ``kreinpair.tolerances`` in another module than its own, so a constant goes
-with its last reader.  ``perfbench`` is read, never written.
+with its last reader.  And for the parameters: every defaulted parameter of
+a public function or method (a constructor's under its class name) must be
+set, by keyword or by position, by some call of that name in the package or
+in ``perfbench``; those set only by the tests are listed in
+``TEST_ONLY_PARAMETERS``, each with its reason.  ``perfbench`` is read,
+never written.
 """
 
 import ast
@@ -36,6 +41,13 @@ TEST_ONLY = {
                                 "completeness tests",
     "transform_traces": "a change of boundary triple, for the scale and "
                         "pair-from-triple checks of ROADMAP items 1 and 2",
+}
+
+#: ``{function.parameter: reason}`` for the defaulted parameters that only
+#: the tests set
+TEST_ONLY_PARAMETERS = {
+    "orthonormal_span.scale": "the conftest oracles cut near-zero spans at scale 1",
+    "random_dissipative.definite": "the J = I case of test_background_eig",
 }
 
 #: ``{qualified method: reader}`` for the methods whose bare name another
@@ -134,6 +146,68 @@ def constant_names(path: Path) -> set[str]:
     return found
 
 
+def public_signatures():
+    """``(qualified name, callee, node, skip)`` of each public function and
+    each public method or constructor of a public class in the package: the
+    name a call uses (a constructor's is its class's) and the count of
+    leading parameters a call does not pass (``self`` or ``cls``)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, node.name, node, 0
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        yield node.name, node.name, item, 1
+                    elif not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name, item, 1
+
+
+def defaulted_parameters() -> dict[str, tuple[str, int | None]]:
+    """``{qualified parameter: (callee, position)}`` of the defaulted
+    parameters of :func:`public_signatures`: the index of the parameter
+    among a call's positional arguments, None when keyword-only."""
+    found = {}
+    for qual, callee, function, skip in public_signatures():
+        args = function.args
+        positional = (args.posonlyargs + args.args)[skip:]
+        for arg in positional[len(positional) - len(args.defaults):]:
+            found[f"{qual}.{arg.arg}"] = (callee, positional.index(arg))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found[f"{qual}.{arg.arg}"] = (callee, None)
+    return found
+
+
+def set_parameters() -> set[str]:
+    """The qualified parameters of :func:`defaulted_parameters` that some
+    call in the callers sets: by keyword, by position, or through ``*`` or
+    ``**`` unpacking, which may set any."""
+    calls = {}
+    for folder in CALLERS:
+        for path in sorted(folder.rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    found = set()
+    for qual, (callee, position) in defaulted_parameters().items():
+        bare = qual.rsplit(".", 1)[1]
+        for call in calls.get(callee, []):
+            keywords = {keyword.arg for keyword in call.keywords}
+            unpacked = any(isinstance(a, ast.Starred) for a in call.args)
+            if (bare in keywords or None in keywords
+                    or (position is not None
+                        and (unpacked or len(call.args) > position))):
+                found.add(qual)
+                break
+    return found
+
+
 def referenced_names(skip: Path | None = None) -> tuple[set[str], set[str]]:
     """``(variables, attributes)``: the bare names read as variables and as
     attributes in the callers, apart from the file ``skip``.  Only loads
@@ -195,6 +269,19 @@ def test_every_named_tolerance_has_a_reader():
     names, attributes = referenced_names()
     dead = sorted(constants - names - attributes)
     assert dead == [], f"module constants read nowhere: {dead}"
+
+
+def test_every_defaulted_parameter_is_set():
+    parameters = defaulted_parameters()
+    assert {"KreinSpace.tol", "real_spectrum_report.eigs"} <= set(parameters)
+    dead = sorted(set(parameters) - set_parameters() - set(TEST_ONLY_PARAMETERS))
+    assert dead == [], f"defaulted parameters no call in src or perfbench sets: {dead}"
+
+
+def test_test_only_parameters_are_defined_and_unset():
+    parameters = defaulted_parameters()
+    assert all(qual in parameters for qual in TEST_ONLY_PARAMETERS)
+    assert sorted(set(TEST_ONLY_PARAMETERS) & set_parameters()) == []
 
 
 def test_test_only_names_are_defined_and_uncalled():

@@ -555,13 +555,13 @@ class TestBoundaryPreimage:
         # the traces vanish on graph(T) exactly over the symmetric domain
         s, triple, traces = pipeline(mixed_diag)
         kernel = null_space(np.vstack([traces.trace0, traces.trace1]))
-        got = orthonormal_span(traces.domain_basis @ kernel)
+        got = orthonormal_span(mixed_diag.domain.basis @ kernel)
         assert gap_distance(got, s.symmetric.domain) < 1e-12
 
     def test_inverts_traces_on_defect_domain(self, mixed_diag):
         s, triple, traces = pipeline(mixed_diag)
         x = e(2, 1)
-        stacked = defect_traces(traces, s)
+        stacked = defect_traces(mixed_diag, traces, s)
         uv = stacked @ (s.defect.domain.basis.conj().T @ x)
         coeffs, *_ = np.linalg.lstsq(stacked, uv, rcond=None)
         back = s.defect.domain.basis @ coeffs
@@ -571,14 +571,14 @@ class TestBoundaryPreimage:
         s, triple, traces = pipeline(mixed_diag)
         uv = np.array([1.0, 0.0])  # not of the form (u, i u) for this fixture
         assert not contains(traces.image, uv)
-        assert contains(traces.image, defect_traces(traces, s)[:, 0])
+        assert contains(traces.image, defect_traces(mixed_diag, traces, s)[:, 0])
 
     def test_isometry_onto_defect_domain(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             op = random_dissipative(int(rng.integers(2, 8)), rng)
             s, triple, traces = pipeline(op)
-            stacked = defect_traces(traces, s)
+            stacked = defect_traces(op, traces, s)
             # injective, so each value of the image has one preimage
             assert np.linalg.svd(stacked, compute_uv=False)[-1] > 1e-8
             meta = boundary_metric_matrix(traces.boundary_dim)

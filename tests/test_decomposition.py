@@ -17,7 +17,6 @@ from kreinpair import (
 from kreinpair.analysis import analyze_operator
 from kreinpair.cli import dump_instance, main
 from kreinpair.decomposition import graph_orthocomplement_within
-from kreinpair.errors import PipelineError
 from kreinpair.instances import random_canonical_symmetry, random_dissipative
 from kreinpair.subspaces import Subspace, null_space
 
@@ -60,16 +59,16 @@ class TestSymmetricPart:
 
 class TestDissipativePart:
     def test_scalar(self, scalar_i):
-        part = dissipative_part(scalar_i, symmetric_part(scalar_i))
+        part = dissipative_part(scalar_i)
         assert part.domain.is_full
 
     def test_hermitian_has_trivial_defect(self, hermitian_full):
-        part = dissipative_part(hermitian_full, symmetric_part(hermitian_full))
+        part = dissipative_part(hermitian_full)
         assert part.domain.is_zero
 
     def test_mixed_diagonal_graph_orthogonality(self, mixed_diag):
         sym = symmetric_part(mixed_diag)
-        part = dissipative_part(mixed_diag, sym)
+        part = dissipative_part(mixed_diag)
         assert gap_distance(part.domain, span(e(2, 1))) < 1e-12
         # graph-orthogonality: <x, s> + <Tx, Ts> = 0
         x, s = part.domain.basis[:, 0], sym.domain.basis[:, 0]
@@ -78,10 +77,10 @@ class TestDissipativePart:
         )
         assert abs(value) < 1e-12
 
-    def test_rejects_inconsistent_symmetric_part(self, mixed_diag):
-        wrong = mixed_diag.restricted(span(e(2, 1)))
-        with pytest.raises(PipelineError):
-            dissipative_part(mixed_diag, wrong)
+    def test_rejects_non_dissipative(self):
+        op = OperatorWithDomain(KreinSpace(np.eye(2)), np.diag([1j, -1j]))
+        with pytest.raises(ClassificationError):
+            dissipative_part(op)
 
     def test_split_gram_positive_definite(self):
         rng = np.random.default_rng(0)

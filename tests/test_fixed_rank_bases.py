@@ -14,6 +14,8 @@ the image, the Riesz eigenvalues of the graph route and the exact Green
 residual of the pair are compared with the routes they replaced.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -235,9 +237,9 @@ def test_fixed_rank_matrices_have_singular_values_at_least_one(c):
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
 def test_contraction_on_image_matches_defect_route(c):
-    for _, s, traces in scaled_pieces(c):
+    for op, s, traces in scaled_pieces(c):
         norm = contraction_bound(traces).norm
-        assert abs(norm - defect_contraction_norm(traces, s)) <= 1e-12
+        assert abs(norm - defect_contraction_norm(op, traces, s)) <= 1e-12
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
@@ -275,25 +277,8 @@ def test_analysis_makes_one_svd_and_seven_two_norms(monkeypatch):
 
 
 class TestSplitSkipsSelfGap:
-    @pytest.fixture
-    def gap_calls(self, monkeypatch):
-        calls = []
-
-        def counted(a, b):
-            calls.append((a, b))
-            return gap_distance(a, b)
-
-        monkeypatch.setattr(decomposition_module, "gap_distance", counted)
-        return calls
-
-    def test_split_compares_no_subspace_with_itself(self, gap_calls):
-        op = random_dissipative(12, np.random.default_rng(5), defect=4)
-        split(op)
-        assert gap_calls == []
-
-    def test_external_symmetric_part_is_still_checked(self, gap_calls):
-        op = random_dissipative(12, np.random.default_rng(5), defect=4)
-        kernel = op.form_kernel
-        copy = op.restricted(Subspace(op.space.dim, kernel.basis.copy()))
-        dissipative_part(op, copy)
-        assert len(gap_calls) == 1
+    def test_split_compares_no_subspace_with_itself(self):
+        # the defect domain is built from the form kernel itself: no
+        # symmetric part is handed in, and no gap routine is at hand
+        assert list(inspect.signature(dissipative_part).parameters) == ["op"]
+        assert not hasattr(decomposition_module, "gap_distance")

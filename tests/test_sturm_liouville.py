@@ -139,6 +139,51 @@ class TestSpecs:
                            match="Robin parameter h must be a finite real"):
             PotentialSpec(omega_mask=np.ones(4, bool), q_values=np.full(4, 1j), h=h)
 
+    @pytest.mark.parametrize("x_max", [True, "2.0", None, 10**400],
+                             ids=["bool", "str", "none", "huge_int"])
+    def test_grid_refuses_non_real_x_max(self, x_max):
+        with pytest.raises(DimensionMismatch, match="x_max must be a finite real"):
+            GridSpec(x_max=x_max, n_points=8)
+
+    @pytest.mark.parametrize("imq", [True, "2.0", None, 10**400],
+                             ids=["bool", "str", "none", "huge_int"])
+    def test_intervals_refuse_non_real_imq(self, imq):
+        with pytest.raises(DimensionMismatch, match="Im q must be a finite real"):
+            PotentialSpec.from_intervals(GridSpec(20.0, 8), [(0.0, 0.5)], imq, 1.0)
+
+    @pytest.mark.parametrize("interval,message", [
+        ((0, True), "interval end must be a finite real"),
+        (("0", 0.5), "interval end must be a finite real"),
+        ((0, 0.5, 1), "must be a pair"),
+        ([0.5], "must be a pair"),
+    ])
+    def test_intervals_must_be_pairs_of_reals(self, interval, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            PotentialSpec.from_intervals(GridSpec(20.0, 8), [interval], 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_potential_refuses_non_finite_values(self, bad, imaginary):
+        # one masked q of nan + 1j gave a Cayley norm of 0.0
+        pot = PotentialSpec.from_intervals(GridSpec(20.0, 8), [(0.0, 0.5)], 1.0, 1.0)
+        q = pot.q_values.copy()
+        q[0] += complex(0.0, bad) if imaginary else bad
+        with pytest.raises(DimensionMismatch, match="potential must be finite"):
+            PotentialSpec(omega_mask=pot.omega_mask, q_values=q, h=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("band", ["diagonal", "off_diagonal", "re_q", "im_q"])
+    def test_bands_refuse_non_finite_values(self, bad, band):
+        # a nan diagonal classified as dissipative, with a Cayley norm of 0.0
+        grid = GridSpec(20.0, 8)
+        bands = dataclasses.asdict(discretize(grid, left_half(grid)))
+        name = "q" if band.endswith("_q") else band
+        entries = bands[name].copy()
+        entries[0] += complex(0.0, bad) if band == "im_q" else bad
+        bands[name] = entries
+        with pytest.raises(DimensionMismatch, match=f"band {name} must be finite"):
+            BandedOperator(**bands)
+
     def test_interval_mask(self):
         grid = GridSpec(x_max=8.0, n_points=16)
         pot = left_half(grid)
@@ -832,12 +877,15 @@ class TestSpectralRadius:
 
     def test_level_past_the_float_range_is_a_typed_error(self):
         """Bands whose radius exceeds the largest float: the form scale
-        overflows first, and ``masked_block`` refuses the level, with no
-        warning, before any radius is taken."""
-        banded = BandedOperator(np.full(3, 1e308), np.full(2, 1e308),
-                                np.ones(3, bool), np.full(3, 1e306j))
-        with pytest.raises(PipelineError):
-            cayley_norm(banded)
+        overflows first, and the bands are refused as such, with no warning,
+        before any radius is taken.  The middle case was refused as "not
+        definite on the mask", the last warned in ``2 Im q``."""
+        for diagonal, q in (([1.0, 1.0, 1.0], 1e306j), ([1.0, -0.5, 0.75], 1e307j),
+                            ([1.0, -0.5, 0.75], 1e308j)):
+            with pytest.raises(ScaleOverflow, match="overflows"):
+                cayley_norm(BandedOperator(1e308 * np.array(diagonal),
+                                           np.full(2, 1e308), np.ones(3, bool),
+                                           np.full(3, q)))
 
     @pytest.mark.parametrize("imq", [1e144, 9.4e153])
     def test_study_at_its_overflow_bound(self, imq):
