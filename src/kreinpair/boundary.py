@@ -326,8 +326,6 @@ def trace_image_gram(image: Subspace) -> np.ndarray:
     (trace0 over trace1 rows) the compression is ``i (C* A - A* C)``, taken
     as ``i (X - X*)`` for ``X = C* A``: one k x k product, Hermitian exactly.
     """
-    if image.dim == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     if image.ambient_dim % 2:
         raise DimensionMismatch("image must live in a doubled boundary space")
     a, c = np.split(image.basis, 2)
@@ -359,27 +357,28 @@ def transform_traces(traces: TraceData, w: np.ndarray) -> TraceData:
                    image_gram=trace_image_gram(image), image_complement=perp)
 
 
+def _pair(op: OperatorWithDomain, splitting: Splitting,
+          matrix: np.ndarray) -> BoundaryPair:
+    """The boundary pair of ``op`` with the map ``matrix``: E, the defect
+    domain with the dissipation form, is the same for both routes."""
+    defect = splitting.defect.domain
+    return BoundaryPair(space_dim=defect.dim, gram=splitting.defect_gram,
+                        matrix=matrix, domain_basis=op.domain.basis,
+                        defect_basis=defect.basis)
+
+
 def boundary_map_projection(op: OperatorWithDomain,
                             splitting: Splitting) -> BoundaryPair:
     """Boundary map as the graph-orthogonal projection onto the defect domain."""
     b = op.domain.basis
     bn = splitting.defect.domain.basis
-    d, dn = b.shape[1], bn.shape[1]
-    if dn == 0:
-        matrix = np.zeros((op.space.dim, d), dtype=np.complex128)
-    else:
-        xn = b.conj().T @ bn
-        gram_t = op.graph_gram
-        mixing = xn.conj().T @ gram_t @ xn
-        coeffs = np.linalg.solve(mixing, xn.conj().T @ gram_t)
-        matrix = bn @ coeffs
-    return BoundaryPair(
-        space_dim=dn,
-        gram=splitting.defect_gram,
-        matrix=matrix,
-        domain_basis=b,
-        defect_basis=bn,
-    )
+    if bn.shape[1] == 0:  # no solve on empty arrays
+        return _pair(op, splitting, np.zeros((op.space.dim, b.shape[1]),
+                                             dtype=np.complex128))
+    xn = b.conj().T @ bn
+    gram_t = op.graph_gram
+    mixing = xn.conj().T @ gram_t @ xn
+    return _pair(op, splitting, bn @ np.linalg.solve(mixing, xn.conj().T @ gram_t))
 
 
 def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
@@ -405,13 +404,7 @@ def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
         raise PipelineError(
             f"projected values are not in the range of JT + iI ({residual:.3e})"
         )
-    return BoundaryPair(
-        space_dim=splitting.defect.domain.dim,
-        gram=splitting.defect_gram,
-        matrix=b @ coeffs,
-        domain_basis=b,
-        defect_basis=splitting.defect.domain.basis,
-    )
+    return _pair(op, splitting, b @ coeffs)
 
 
 def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain) -> float:

@@ -25,9 +25,10 @@ by every :func:`main` call, which saves time only where one process calls
 :func:`main` repeatedly; a ``kreinpair`` or ``python -m kreinpair.cli`` run
 builds it once either way.
 
-Exit codes: 0 on success, 1 on parse or validation errors (non-finite
-entries, JSON's ``NaN`` and ``Infinity``, included) and when the output
-file cannot be written, 2 when a numerical check fails.
+Exit codes, mapped once in :func:`main`: 0 on success, 1 on parse or
+validation errors (non-finite entries, JSON's ``NaN`` and ``Infinity``,
+included) and when the output file cannot be written, 2 when a numerical
+check fails.
 """
 
 from __future__ import annotations
@@ -176,26 +177,14 @@ def dump_instance(op: OperatorWithDomain, path) -> None:
         "domain": None if op.domain.is_full else _encode_rows(op.domain.basis.T),
         "tol": op.tol,
     }
-    # the payload is plain Python already: no _json_ready walk
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
 def _emit_json(payload: dict, out_path) -> None:
-    """Write ``payload`` to ``out_path``, or to stdout when it is None."""
-    text = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
+    """Write ``payload``, built of plain Python values only, to ``out_path``,
+    or to stdout when it is None."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -209,17 +198,8 @@ def _check_seed(seed: int) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        _check_seed(args.seed)
-        op = load_instance(args.input)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report = analyze_operator(op, seed=args.seed)
-    except KreinPairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _check_seed(args.seed)
+    report = analyze_operator(load_instance(args.input), seed=args.seed)
     _emit_json(report, args.output)
     return 0 if all(report["checks"].values()) else 2
 
@@ -231,51 +211,46 @@ def _never_drops(values) -> bool:
 
 
 def _criterion_payload(path) -> dict:
-    return _criterion_dict(criterion_report(load_instance(path)))
+    op = load_instance(path)
+    try:
+        return _criterion_dict(criterion_report(op))
+    except KreinPairError as exc:
+        # named by its file, as the load errors are
+        raise KreinPairError(f"{path}: {exc}") from exc
 
 
 def _cmd_criterion(args) -> int:
-    target = path = Path(args.input)
-    try:
-        if target.is_dir():
-            files = sorted(p for p in target.iterdir() if p.suffix == ".json")
-            if not files:
-                raise SpecError(f"{target}: no .json files in directory")
-            rows = []
-            for path in files:
-                row = _criterion_payload(path)
-                row["file"] = path.name
-                rows.append(row)
-            norms = [r["contraction"]["norm"] for r in rows]
-            smallest = [
-                r["uniform_positivity"]["smallest_eigenvalue"] for r in rows
-            ]
-            margins = [r["range_splitting"]["margin"] for r in rows]
-            payload = {
-                "rows": rows,
-                "summary": {
-                    "count": len(rows),
-                    "all_agree": all(r["agree"] for r in rows),
-                    "contraction_norms": norms,
-                    "smallest_gram_eigenvalues": smallest,
-                    "range_splitting_margins": margins,
-                    "contraction_norm_nondecreasing": _never_drops(norms),
-                    "smallest_eigenvalue_nonincreasing":
-                        _never_drops([-s for s in smallest if s is not None]),
-                    "range_margin_nonincreasing": _never_drops([-m for m in margins]),
-                },
-            }
-            agree = payload["summary"]["all_agree"]
-        else:
-            payload = _criterion_payload(target)
-            agree = payload["agree"]
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KreinPairError as exc:
-        # path is the file whose analysis raised, as in the load errors
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
+    target = Path(args.input)
+    if target.is_dir():
+        files = sorted(p for p in target.iterdir() if p.suffix == ".json")
+        if not files:
+            raise SpecError(f"{target}: no .json files in directory")
+        rows = []
+        for path in files:
+            row = _criterion_payload(path)
+            row["file"] = path.name
+            rows.append(row)
+        norms = [r["contraction"]["norm"] for r in rows]
+        smallest = [r["uniform_positivity"]["smallest_eigenvalue"] for r in rows]
+        margins = [r["range_splitting"]["margin"] for r in rows]
+        payload = {
+            "rows": rows,
+            "summary": {
+                "count": len(rows),
+                "all_agree": all(r["agree"] for r in rows),
+                "contraction_norms": norms,
+                "smallest_gram_eigenvalues": smallest,
+                "range_splitting_margins": margins,
+                "contraction_norm_nondecreasing": _never_drops(norms),
+                "smallest_eigenvalue_nonincreasing":
+                    _never_drops([-s for s in smallest if s is not None]),
+                "range_margin_nonincreasing": _never_drops([-m for m in margins]),
+            },
+        }
+        agree = payload["summary"]["all_agree"]
+    else:
+        payload = _criterion_payload(target)
+        agree = payload["agree"]
     _emit_json(payload, args.output)
     return 0 if agree else 2
 
@@ -295,9 +270,8 @@ def _parse_intervals(text: str) -> list:
 
 
 def _cmd_sl_study(args) -> int:
+    intervals = _parse_intervals(args.omega)
     try:
-        intervals = _parse_intervals(args.omega)
-        # DimensionMismatch comes only from its checks of every flag on every level
         rows = convergence_study(
             x_max=args.xmax,
             base_n=args.n,
@@ -306,12 +280,9 @@ def _cmd_sl_study(args) -> int:
             h=args.h,
             levels=args.levels,
         )
-    except (SpecError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KreinPairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except DimensionMismatch as exc:
+        # raised only by its checks of every flag on every level: bad input
+        raise SpecError(str(exc)) from exc
     write_study_csv(rows, args.output)
     monotone = _never_drops([r.cayley_norm for r in rows])
     residuals_ok = all(r.form_residual <= CHECK_GATE for r in rows)
@@ -364,10 +335,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        # an unwritable output path or an unlistable directory, like bad input
+    except (SpecError, OSError) as exc:
+        # bad input, an unwritable output path or an unlistable directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KreinPairError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -102,9 +102,7 @@ def dissipative_part(op: OperatorWithDomain) -> OperatorWithDomain:
 def split(op: OperatorWithDomain) -> Splitting:
     sym = symmetric_part(op)
     defect = dissipative_part(op)
-    bn = defect.domain.basis
-    gram = bn.conj().T @ op.dissipation_matrix @ bn
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = defect.dissipation_gram
     if gram.shape[0]:
         eigs = np.linalg.eigvalsh(gram)
         if eigs[0] <= 0 or negligible(eigs[0], op.tol, np.max(np.abs(eigs))):

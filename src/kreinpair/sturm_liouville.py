@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,6 +135,9 @@ class PotentialSpec:
         """Mask from fractional intervals (pairs) of [0, x_max], potential
         i * imq; ``PotentialSpec`` checks that imq is positive."""
         imq = checked_real(imq, "Im q")
+        if not isinstance(intervals, Iterable):
+            raise DimensionMismatch(
+                f"intervals must be a list of pairs, got {intervals!r}")
         centers = grid.cell_centers()
         mask = np.zeros(grid.n_points, dtype=bool)
         for interval in intervals:
@@ -183,8 +187,9 @@ class BandedOperator:
     constant v on the mask, the masked block ``A + diag(q)`` is ``A' + i v
     I`` for a real symmetric A', so it is normal and its Cayley norm is a
     function of the spectral radius of A' alone (:func:`cayley_norm`).
-    A non-finite entry raises :class:`DimensionMismatch`, and bands whose
-    ``2 |T|_F`` overflows :class:`ScaleOverflow`."""
+    A non-finite entry, a mask that is not bool or bands of mismatched
+    shapes raise :class:`DimensionMismatch`, and bands whose ``2 |T|_F``
+    overflows :class:`ScaleOverflow`."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -196,6 +201,15 @@ class BandedOperator:
             band = np.array(getattr(self, name))
             band.flags.writeable = False
             object.__setattr__(self, name, band)
+        # dtype and shapes only, O(1): no scan of the bands
+        if self.mask.dtype != bool:
+            raise DimensionMismatch(f"band mask must be bool, got {self.mask.dtype}")
+        n = self.diagonal.size
+        if (n < 1 or {self.diagonal.shape, self.mask.shape, self.q.shape} != {(n,)}
+                or self.off_diagonal.shape != (n - 1,)):
+            raise DimensionMismatch(
+                "bands must be vectors: diagonal, mask and q of one length n >= 1, "
+                "off_diagonal of n - 1")
         # twice |T|_F bounds 2 Im q and the form scale, so it is checked before
         # either is taken; it is inf or nan when an entry is, or T is too large
         with np.errstate(over="ignore", invalid="ignore"):

@@ -9,7 +9,7 @@ import pytest
 from kreinpair import KreinSpace, OperatorWithDomain, gap_distance, split
 from kreinpair.decomposition import Splitting
 from kreinpair.boundary import _green_residual, _trace_kernel_gap
-from kreinpair.cli import SpecError, _json_ready
+from kreinpair.cli import SpecError
 from kreinpair.errors import (ClassificationError, DimensionMismatch, PipelineError,
                              ScaleOverflow)
 from kreinpair.instances import random_dissipative, random_unitary
@@ -840,4 +840,4 @@ def per_entry_dump_text(op):
         "domain": None if op.domain.is_full else encode(op.domain.basis.T),
         "tol": op.tol,
     }
-    return json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

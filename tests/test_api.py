@@ -22,8 +22,11 @@ with its last reader.  And for the parameters: every defaulted parameter of
 a public function or method (a constructor's under its class name) must be
 set, by keyword or by position, by some call of that name in the package or
 in ``perfbench``; those set only by the tests are listed in
-``TEST_ONLY_PARAMETERS``, each with its reason.  ``perfbench`` is read,
-never written.
+``TEST_ONLY_PARAMETERS``, each with its reason.  And for the fields: every
+field of a package dataclass must be read as an attribute (``x.name`` in
+load context, by bare name) in the package or in ``perfbench``, or be
+listed in ``UNREAD_FIELDS`` with its reason.  ``perfbench`` is read, never
+written.
 """
 
 import ast
@@ -49,6 +52,9 @@ TEST_ONLY_PARAMETERS = {
     "orthonormal_span.scale": "the conftest oracles cut near-zero spans at scale 1",
     "random_dissipative.definite": "the J = I case of test_background_eig",
 }
+
+#: ``{Class.field: reason}`` for the dataclass fields that nothing reads
+UNREAD_FIELDS: dict[str, str] = {}
 
 #: ``{qualified method: reader}`` for the methods whose bare name another
 #: class defines too; a reader is ``module.function`` or
@@ -143,6 +149,22 @@ def constant_names(path: Path) -> set[str]:
         found.update(target.id for target in targets
                      if isinstance(target, ast.Name) and target.id.isupper()
                      and not target.id.startswith("_"))
+    return found
+
+
+def dataclass_fields() -> dict[str, str]:
+    """``{Class.field: field}`` of every field of a package dataclass, one
+    decorated ``@dataclass`` or ``@dataclass(...)``."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not (isinstance(node, ast.ClassDef) and any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in node.decorator_list)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    found[f"{node.name}.{item.target.id}"] = item.target.id
     return found
 
 
@@ -269,6 +291,15 @@ def test_every_named_tolerance_has_a_reader():
     names, attributes = referenced_names()
     dead = sorted(constants - names - attributes)
     assert dead == [], f"module constants read nowhere: {dead}"
+
+
+def test_every_dataclass_field_is_read():
+    fields = dataclass_fields()
+    assert {"BoundaryPair.gram", "Splitting.defect_gram", "StudyRow.level"} <= set(fields)
+    attributes = referenced_names()[1]
+    unread = sorted(qual for qual, bare in fields.items()
+                    if bare not in attributes and qual not in UNREAD_FIELDS)
+    assert unread == [], f"dataclass fields read nowhere in src or perfbench: {unread}"
 
 
 def test_every_defaulted_parameter_is_set():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kreinpair import KreinSpace, OperatorWithDomain, cli, sturm_liouville
+from kreinpair import KreinSpace, OperatorWithDomain, analysis, cli, sturm_liouville
 from kreinpair.cli import SpecError, dump_instance, load_instance, main
 from kreinpair.instances import (random_dissipative, real_spectrum_instance,
                                  scaled_defect_instance)
@@ -680,5 +680,130 @@ def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, command):
     argv = [str(instance) if a == "{instance}" else a for a in command]
     out = tmp_path / "missing_dir" / "out"
     assert main([*argv, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """``{name: path}`` of the inputs of the exit-code table."""
+    files = {name: tmp_path / f"{name}.json"
+             for name in ("good", "neither", "no_t", "huge", "missing")}
+    dump_instance(scaled_defect_instance(1.0), files["good"])
+    dump_instance(OperatorWithDomain(KreinSpace(np.eye(2)), np.diag([1j, -1j])),
+                  files["neither"])
+    files["no_t"].write_text('{"dim": 1, "J": [[[1, 0]]]}', encoding="utf-8")
+    dump_instance(OperatorWithDomain(KreinSpace(np.eye(2)),
+                                     np.diag([1e160j, 1j])), files["huge"])
+    files["empty"] = tmp_path / "empty"
+    files["empty"].mkdir()
+    files["csv"] = tmp_path / "study.csv"
+    return files
+
+
+MISSING = "{missing}: [Errno 2] No such file or directory: '{missing}'"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["analyze", "{good}"], 0, None),
+    (["analyze", "{missing}"], 1, MISSING),
+    (["analyze", "{no_t}"], 1, "{no_t}: both 'J' and 'T' are required"),
+    (["analyze", "{neither}"], 2, None),
+    # the scale family of ROADMAP items 13 and 18, pinned as it stands
+    (["analyze", "{huge}"], 2, "restriction to the form kernel is not symmetric"),
+    (["criterion", "{empty}"], 1, "{empty}: no .json files in directory"),
+    (["criterion", "{missing}"], 1, MISSING),
+    (["criterion", "{neither}"], 2,
+     "{neither}: completeness criteria need a dissipative operator"),
+    (["sl-study", "--omega", "a:b", "-o", "{csv}"], 1, "bad interval 'a:b'"),
+    (["sl-study", "--imq", "1e-12", "-o", "{csv}"], 1,
+     "level 0, grid step 0.3125: Im q = 1e-12 is at most the rank tolerance "
+     "times |T|_2 >= 40.6387, so the dissipation form would be judged zero"),
+], ids=["analyze_ok", "analyze_missing", "analyze_no_t", "analyze_neither",
+        "analyze_1e160", "criterion_empty_dir", "criterion_missing",
+        "criterion_neither", "study_bad_omega", "study_tiny_imq"])
+def test_exit_code_table(cli_files, capsys, argv, code, message):
+    """The exit code and the exact stderr of each branch :func:`main` maps:
+    1 for bad input, 2 for a failed check, the message after ``error: ``.
+    ``--seed -1``, an unwritable ``-o`` and a batch with a failing file are
+    pinned by their own tests."""
+    assert main([a.format(**cli_files) for a in argv]) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err == ("" if message is None else f"error: {message.format(**cli_files)}\n")
+
+
+#: the types a report's leaves may have: what ``json.loads`` gives back
+PLAIN_TYPES = {bool, int, float, str, type(None)}
+
+
+def _non_plain_leaves(value, where="payload"):
+    """Where ``value`` holds a leaf (anything but a dict or a list) whose
+    type is not plain Python, with that type."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items()
+                for p in _non_plain_leaves(v, f"{where}[{k!r}]")]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value)
+                for p in _non_plain_leaves(v, f"{where}[{i}]")]
+    return [] if type(value) in PLAIN_TYPES else [f"{where}: {type(value)!r}"]
+
+
+def _plain_report_operator(kind):
+    rng = np.random.default_rng(29)
+    if kind == "worker_n80":
+        return random_dissipative(80, rng, defect=16)
+    if kind == "restricted":
+        return random_dissipative(6, rng, defect=3, domain_dim=4)
+    if kind == "real_spectrum":
+        return real_spectrum_instance(8, rng, 2)[0]
+    if kind == "clusters":
+        return planted_cluster_operator(8, [1, 2], rng)[0]
+    if kind == "symmetric":
+        return OperatorWithDomain(KreinSpace(np.diag([1.0, -1.0])), np.diag([1.0, 2.0]))
+    return OperatorWithDomain(KreinSpace(np.eye(2)), np.diag([1j, -1j]))
+
+
+PLAIN_REPORT_KINDS = ["worker_n80", "restricted", "real_spectrum", "clusters",
+                      "symmetric", "not_dissipative"]
+
+
+class TestPlainReports:
+    """The reports reach ``json.dumps`` holding plain Python leaves only, so
+    :func:`cli._emit_json` dumps them as they are built, with no walk that
+    converts numpy scalars."""
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        payloads = []
+        monkeypatch.setattr(cli, "_emit_json",
+                            lambda payload, out: payloads.append(payload))
+        return payloads
+
+    @pytest.mark.parametrize("kind", PLAIN_REPORT_KINDS)
+    def test_analyze_report(self, tmp_path, monkeypatch, emitted, kind):
+        pools = []
+        real_submit = analysis._submit_eig
+
+        def spy(pool, op):
+            pools.append(pool)
+            return real_submit(pool, op)
+
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(analysis, "_submit_eig", spy)
+        path = tmp_path / f"{kind}.json"
+        dump_instance(_plain_report_operator(kind), path)
+        main(["analyze", str(path)])
+        assert _non_plain_leaves(emitted[0]) == []
+        assert (kind == "worker_n80") == any(pool is not None for pool in pools)
+
+    def test_criterion_batch(self, tmp_path, emitted):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        kinds = PLAIN_REPORT_KINDS[:-1]  # the criteria need a dissipative T
+        for kind in kinds:
+            dump_instance(_plain_report_operator(kind), batch / f"{kind}.json")
+        main(["criterion", str(batch)])
+        assert emitted[0]["summary"]["count"] == len(kinds)
+        assert _non_plain_leaves(emitted[0]) == []
+        main(["criterion", str(batch / "restricted.json")])
+        assert _non_plain_leaves(emitted[1]) == []

@@ -161,6 +161,12 @@ class TestSpecs:
         with pytest.raises(DimensionMismatch, match=message):
             PotentialSpec.from_intervals(GridSpec(20.0, 8), [interval], 1.0, 1.0)
 
+    @pytest.mark.parametrize("intervals", [None, 5], ids=["none", "int"])
+    def test_intervals_must_be_a_list(self, intervals):
+        # both raised a raw TypeError from the loop over the intervals
+        with pytest.raises(DimensionMismatch, match="intervals must be a list"):
+            PotentialSpec.from_intervals(GridSpec(20.0, 8), intervals, 1.0, 1.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("imaginary", [False, True])
     def test_potential_refuses_non_finite_values(self, bad, imaginary):
@@ -183,6 +189,25 @@ class TestSpecs:
         bands[name] = entries
         with pytest.raises(DimensionMismatch, match=f"band {name} must be finite"):
             BandedOperator(**bands)
+
+    @pytest.mark.parametrize("mask", [[1.0, 0.0], [0.5, math.nan], ["a", "b"]],
+                             ids=["float", "float_nan", "str"])
+    def test_bands_refuse_a_mask_that_is_not_bool(self, mask):
+        # each made cayley_norm raise a raw TypeError from ~mask
+        with pytest.raises(DimensionMismatch, match="band mask must be bool"):
+            BandedOperator([1.0, 2.0], [0.0], mask, [1j, 0])
+
+    @pytest.mark.parametrize("bands", [
+        ([1.0, 2.0], [0.0], [True], [1j, 0]),  # cayley_norm raised IndexError
+        # the constructor raised a raw ValueError
+        ([1.0, 2.0, 3.0], [0.0, 0.0], [True, True, False], [1j, 1j]),
+        ([1.0, 2.0], [0.0, 0.0], [True, False], [1j, 0]),
+        ([[1.0, 2.0]], [0.0], [True, False], [1j, 0]),
+        ([], [], np.zeros(0, bool), []),
+    ], ids=["short_mask", "short_q", "long_off_diagonal", "matrix_diagonal", "empty"])
+    def test_bands_refuse_mismatched_shapes(self, bands):
+        with pytest.raises(DimensionMismatch, match="bands must be vectors"):
+            BandedOperator(*bands)
 
     def test_interval_mask(self):
         grid = GridSpec(x_max=8.0, n_points=16)
