@@ -118,7 +118,7 @@ class PipelineResult:
     resolvent_domain: Subspace
     triple: BoundaryTriple
     pair_projection: BoundaryPair
-    pair_resolvent: BoundaryPair
+    pair_resolvent: np.ndarray  # d x d, domain coords -> domain coords
     criterion: CriterionReport
 
 
@@ -129,7 +129,7 @@ def build_pipeline(op: OperatorWithDomain, splitting: Splitting) -> PipelineResu
     resolvent_domain = defect_domain_via_resolvent(op, defi)
     traces = restrict_triple(triple, op, splitting.defect.domain)
     pair_proj = boundary_map_projection(op, splitting)
-    pair_res = boundary_map_resolvent(op, defi, splitting)
+    pair_res = boundary_map_resolvent(op, defi)
     criterion = criterion_report(op, traces=traces)
     return PipelineResult(
         deficiency=defi,
@@ -141,9 +141,13 @@ def build_pipeline(op: OperatorWithDomain, splitting: Splitting) -> PipelineResu
     )
 
 
-def _map_gap(a: BoundaryPair, b: BoundaryPair) -> float:
-    scale = max(1.0, float(np.linalg.norm(a.matrix, 2)))
-    return float(np.linalg.norm(a.matrix - b.matrix, 2)) / scale
+def _map_gap(xn: np.ndarray, pair: BoundaryPair, resolvent: np.ndarray) -> float:
+    """``|X P - R|_2 / max(1, |P|_2)`` for the pair's map P, lifted to
+    domain coordinates by the domain coordinates X of the defect basis, and
+    the resolvent route's map R.  The domain basis B and the defect basis
+    B X are orthonormal, so this is the gap of the two ambient maps."""
+    scale = max(1.0, float(np.linalg.norm(pair.matrix, 2)))
+    return float(np.linalg.norm(xn @ pair.matrix - resolvent, 2)) / scale
 
 
 def _criterion_dict(report: CriterionReport) -> dict:
@@ -195,7 +199,8 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         result = build_pipeline(op, splitting)
         green_pair = pair_green_residual(result.pair_projection, op)
         green_triple = result.triple.green_residual
-        map_gap = _map_gap(result.pair_projection, result.pair_resolvent)
+        map_gap = _map_gap(op.coords(splitting.defect.domain.basis),
+                           result.pair_projection, result.pair_resolvent)
         splitting_gap = gap_distance(splitting.defect.domain, result.resolvent_domain)
         riesz = op.graph_spectrum if op.domain.dim else np.zeros(1)
         routes_agree = (classify_by_graph(op) == classification

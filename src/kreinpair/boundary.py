@@ -31,11 +31,14 @@ adjoint graph exactly when its graph form with graph(S) vanishes: a
 d x d_S product instead of a projection.  Each is decided by a Frobenius
 norm, which bounds the 2-norm from above, so a gate on it only tightens.
 
-Two independent realizations of the boundary map of the pair are provided:
-one through the graph-orthogonal projection onto the defect domain, one
-through the resolvent-type sandwich with the deficiency projector, solved
-through the QR of ``(JT + iI)B``.  Their agreement is the central theorem
-check of the package.
+The boundary pair (E, G) of T is held in E's own coordinates: E is the
+defect domain with the dissipation form, on coordinates of its orthonormal
+basis, and G a dim E x d matrix on T's domain-basis coordinates, with no
+ambient copy and no stored basis.  Two independent realizations of G are
+provided: the graph-orthogonal projection onto the defect domain, and the
+resolvent-type sandwich with the deficiency projector, solved through the
+QR of ``(JT + iI)B`` as a d x d map on domain coordinates.  Their
+agreement is the central theorem check of the package.
 
 The real-spectrum check compares the real eigenvalues and eigenspaces of T
 and of its symmetric part, each taken on its own domain.  One ``eig`` of
@@ -124,30 +127,19 @@ class TraceData:
 
 @dataclass(frozen=True)
 class BoundaryPair:
-    """Hilbert space E and the boundary map of a dissipative operator.
+    """Hilbert space E and the boundary map G of a dissipative operator, in
+    E's own coordinates.
 
-    E is the defect domain with the positive inner product given by
-    ``gram`` on coordinates of ``defect_basis``; ``matrix`` sends
-    domain-basis coordinates to the ambient representative of the boundary
-    value.  The kernel of the map is the symmetric domain and its range is
-    all of E.
+    E is the defect domain with the positive inner product ``gram``, on
+    coordinates of the defect domain's orthonormal basis.  ``matrix`` is G
+    from coordinates of T's domain basis to those coordinates of E, a
+    ``space_dim x d`` matrix.  Its kernel is the symmetric domain and its
+    range is all of E.
     """
 
     space_dim: int
     gram: np.ndarray  # E inner product on defect-basis coordinates
-    matrix: np.ndarray  # n x d, domain coords -> ambient defect vector
-    domain_basis: np.ndarray  # n x d, orthonormal
-    defect_basis: np.ndarray  # n x space_dim
-
-    def kernel(self) -> Subspace:
-        """Kernel of the map: the trailing ``d - space_dim`` columns of the
-        complete QR of ``(defect_basis* matrix)*``, no rank decision.  The
-        map is ``mixing^-1 (G X)*`` on domain coordinates, for the defect
-        basis X and the graph Gram ``G >= I``, so its rank is ``space_dim``."""
-        q = np.linalg.qr(self.matrix.conj().T @ self.defect_basis, mode="complete")[0]
-        # orthonormal basis times orthonormal coefficients
-        basis = self.domain_basis @ q[:, self.space_dim:]
-        return Subspace(self.domain_basis.shape[0], basis)
+    matrix: np.ndarray  # space_dim x d, domain coords -> defect-basis coords
 
 
 def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
@@ -357,41 +349,29 @@ def transform_traces(traces: TraceData, w: np.ndarray) -> TraceData:
                    image_gram=trace_image_gram(image), image_complement=perp)
 
 
-def _pair(op: OperatorWithDomain, splitting: Splitting,
-          matrix: np.ndarray) -> BoundaryPair:
-    """The boundary pair of ``op`` with the map ``matrix``: E, the defect
-    domain with the dissipation form, is the same for both routes."""
-    defect = splitting.defect.domain
-    return BoundaryPair(space_dim=defect.dim, gram=splitting.defect_gram,
-                        matrix=matrix, domain_basis=op.domain.basis,
-                        defect_basis=defect.basis)
-
-
 def boundary_map_projection(op: OperatorWithDomain,
                             splitting: Splitting) -> BoundaryPair:
-    """Boundary map as the graph-orthogonal projection onto the defect domain."""
-    b = op.domain.basis
-    bn = splitting.defect.domain.basis
-    if bn.shape[1] == 0:  # no solve on empty arrays
-        return _pair(op, splitting, np.zeros((op.space.dim, b.shape[1]),
-                                             dtype=np.complex128))
-    xn = b.conj().T @ bn
-    gram_t = op.graph_gram
-    mixing = xn.conj().T @ gram_t @ xn
-    return _pair(op, splitting, bn @ np.linalg.solve(mixing, xn.conj().T @ gram_t))
+    """Boundary map as the graph-orthogonal projection onto the defect
+    domain: ``(X* G X)^-1 X* G`` for the graph Gram G and the domain
+    coordinates X of the defect basis gives the projection's coordinates in
+    that basis."""
+    defect = splitting.defect.domain
+    xn = op.coords(defect.basis)
+    xg = xn.conj().T @ op.graph_gram
+    return BoundaryPair(space_dim=defect.dim, gram=splitting.defect_gram,
+                        matrix=np.linalg.solve(xg @ xn, xg))
 
 
-def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
-                           splitting: Splitting) -> BoundaryPair:
+def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData) -> np.ndarray:
     """Boundary map as ``(JT + iI)^{-1} P (JT + iI)`` with the deficiency
-    projector P; the unitary identification of E is fixed to the identity.
+    projector P, a d x d map on domain coordinates; the unitary
+    identification of E is fixed to the identity.
 
     P is ``M (M* .)`` for the basis M of the deficiency intersection, and
     the inverse the solve through R of ``(JT + iI)B = Q R`` in ``defi``,
     invertible since every singular value is at least 1; the part of the
     projected values outside the range Q is the residual.
     """
-    b = op.domain.basis
     q, r = defi.shifted_qr
     meet = defi.intersection.basis
     target = meet @ ((meet.conj().T @ q) @ r)
@@ -404,20 +384,29 @@ def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData,
         raise PipelineError(
             f"projected values are not in the range of JT + iI ({residual:.3e})"
         )
-    return _pair(op, splitting, b @ coeffs)
+    return coeffs
 
 
 def pair_green_residual(pair: BoundaryPair, op: OperatorWithDomain) -> float:
     """Frobenius norm of the defect ``op.graph_form - i P* E P`` of the
     Green identity [x, Ty] - [Tx, y] = i (G x, G y)_E on the orthonormal
-    graph basis ``[top; bot]`` of T, for the map
-    ``P = defect_basis* matrix coords(top)`` on its coordinates.  It bounds
-    the defect on any two domain vectors over their graph norms."""
-    if pair.domain_basis.shape[1] == 0:
-        return 0.0
+    graph basis ``[top; bot]`` of T, for the map ``P = matrix coords(top)``
+    on its coordinates.  It bounds the defect on any two domain vectors
+    over their graph norms."""
     top = np.split(op.graph.basis, 2)[0]
-    p = pair.defect_basis.conj().T @ (pair.matrix @ op.coords(top))
+    p = pair.matrix @ op.coords(top)
     return float(np.linalg.norm(op.graph_form - 1j * (p.conj().T @ (pair.gram @ p))))
+
+
+def _map_kernel(pair: BoundaryPair, op: OperatorWithDomain) -> Subspace:
+    """Kernel of the boundary map of ``op``: the trailing ``d - space_dim``
+    columns of the complete QR of ``matrix*``, lifted, with no rank
+    decision.  The map is ``(X* G X)^-1 (G X)*`` on domain coordinates, for
+    the defect basis coordinates X and the graph Gram ``G >= I``, so its
+    rank is ``space_dim``."""
+    q = np.linalg.qr(pair.matrix.conj().T, mode="complete")[0]
+    # orthonormal basis times orthonormal coefficients
+    return Subspace(op.space.dim, op.lift(q[:, pair.space_dim:]))
 
 
 def restricted_eigenpairs(op: OperatorWithDomain):
@@ -578,12 +567,12 @@ def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
         x = np.hstack([basis for _, basis in pairs_op])
         imag = np.repeat([lam.imag for lam, _ in pairs_op],
                          [basis.shape[1] for _, basis in pairs_op])
-        gx = pair.defect_basis.conj().T @ (pair.matrix @ (pair.domain_basis.conj().T @ x))
+        gx = pair.matrix @ op.coords(x)
         lhs = 2.0 * imag * np.einsum("ij,ij->j", x.conj(), op.space.J @ x).real
         rhs = np.einsum("ij,ij->j", gx.conj(), pair.gram @ gx).real
         identity_residual = float(np.max(np.abs(lhs - rhs)))
 
-    kernel_gap = gap_distance(pair.kernel(), sym.domain)
+    kernel_gap = gap_distance(_map_kernel(pair, op), sym.domain)
     passed = (
         matched
         and subspace_gap <= CHECK_GATE

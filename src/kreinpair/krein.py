@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, MetricError, ScaleOverflow
-from .subspaces import Subspace, _frozen, qr_span
+from .errors import DimensionMismatch, MetricError, ScaleOverflow, checked_real
+from .subspaces import Subspace, _as_array, _frozen, qr_span
 from .tolerances import DEFAULT_TOL, METRIC_SLACK, negligible
 
 __all__ = [
@@ -124,6 +124,7 @@ class KreinSpace:
     cuts taken at ``low`` pass the dense cuts too.  Only a J that this test
     cannot accept, one near or past a cut, takes the three dense 2-norms,
     and their verdict is the one given; so the verdict is always theirs.
+    ``tol``, the rank tolerance, must lie in (0, 1), as in an instance file.
     """
 
     def __init__(self, J, tol: float = DEFAULT_TOL):
@@ -132,6 +133,9 @@ class KreinSpace:
             raise MetricError(f"metric must be square, got shape {j.shape}")
         if j.shape[0] == 0:
             raise MetricError("zero-dimensional metric is not allowed")
+        tol = checked_real(tol, "tol")
+        if not 0.0 < tol < 1.0:
+            raise DimensionMismatch(f"tol must be in (0, 1), got {tol!r}")
         peak, unit = _unit(j)
         columns = np.linalg.norm(unit, axis=0)
         low = peak * float(np.max(columns))
@@ -149,7 +153,7 @@ class KreinSpace:
                 raise MetricError(_NOT_INVOLUTION)
         self.J = j
         self.dim = int(j.shape[0])
-        self.tol = float(tol)
+        self.tol = tol
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"KreinSpace(dim={self.dim})"
@@ -179,7 +183,7 @@ class OperatorWithDomain:
     """
 
     def __init__(self, space: KreinSpace, matrix, domain: Subspace | None = None):
-        m = _frozen(np.atleast_1d(matrix))
+        m = _frozen(np.atleast_1d(_as_array(matrix)))
         if m.shape != (space.dim, space.dim):
             raise DimensionMismatch(
                 f"matrix shape {m.shape} does not match space dim {space.dim}"
@@ -187,6 +191,9 @@ class OperatorWithDomain:
         self._identity_basis = domain is None
         if domain is None:
             domain = Subspace.full(space.dim)
+        if not isinstance(domain, Subspace):
+            raise DimensionMismatch(
+                f"domain must be a Subspace or None, got {type(domain).__name__}")
         if domain.ambient_dim != space.dim:
             raise DimensionMismatch("domain ambient dimension mismatch")
         self.space = space

@@ -502,6 +502,8 @@ def study_levels(x_max: float, base_n: int, intervals, imq: float, h: float,
     Raises :class:`DimensionMismatch` for input no level may take.
     """
     levels = checked_integer(levels, "levels", 3)
+    if isinstance(intervals, Iterable):  # once: level 0 would use up an iterator
+        intervals = list(intervals)
     specs = []
     for level in range(levels):
         grid = GridSpec(x_max=x_max, n_points=base_n * 2**level)

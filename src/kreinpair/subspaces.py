@@ -37,8 +37,18 @@ __all__ = [
 ]
 
 
+def _as_array(data) -> np.ndarray:
+    """``data`` as a complex array; :class:`DimensionMismatch` for entries
+    that are not numbers and for ragged nesting."""
+    try:
+        return np.asarray(data, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionMismatch(
+            f"expected a rectangular array of numbers, got {type(data).__name__}") from None
+
+
 def _as_matrix(data) -> np.ndarray:
-    a = np.asarray(data, dtype=np.complex128)
+    a = _as_array(data)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:

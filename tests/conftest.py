@@ -455,10 +455,21 @@ def svd_trace_image(op, traces):
     return orthonormal_span(stacked, op.tol, scale=np.hypot(1.0, op.scale))
 
 
-def svd_pair_kernel(pair):
-    """Kernel of the boundary map as ``null_space`` of its matrix."""
-    basis = pair.domain_basis @ null_space(pair.matrix)
-    return Subspace(pair.domain_basis.shape[0], basis)
+def svd_pair_kernel(pair, op):
+    """Kernel of the boundary map of ``op`` as ``null_space`` of its matrix,
+    lifted from domain coordinates."""
+    return Subspace(op.space.dim, op.lift(null_space(pair.matrix)))
+
+
+def ambient_map_gap(op, splitting, pair, resolvent):
+    """The boundary-map gap with both maps lifted to C^n: the defect basis
+    times the pair's map, against the domain basis times the resolvent
+    route's map, scaled by the 2-norm of the first.  The ambient formula
+    the report read before the pair was held in E coordinates, kept as its
+    oracle."""
+    proj = splitting.defect.domain.basis @ pair.matrix
+    scale = max(1.0, float(np.linalg.norm(proj, 2)))
+    return float(np.linalg.norm(proj - op.lift(resolvent), 2)) / scale
 
 
 def reference_range_margin(traces):
@@ -507,7 +518,7 @@ def sampled_pair_green_residual(pair, op, rng=None):
     route ``pair_green_residual`` replaced with the matrix identity on the
     graph basis, which bounds it from above, kept as its oracle."""
     rng = np.random.default_rng(0) if rng is None else rng
-    d = pair.domain_basis.shape[1]
+    d = op.domain.dim
     if d == 0:
         return 0.0
     j, m, samples = op.space.J, op.matrix, PAIR_GREEN_SAMPLES
@@ -518,8 +529,7 @@ def sampled_pair_green_residual(pair, op, rng=None):
     lhs = np.einsum("ij,ij->j", x.conj(), j @ my) - np.einsum(
         "ij,ij->j", mx.conj(), j @ y
     )
-    px = pair.defect_basis.conj().T @ (pair.matrix @ cx)
-    py = pair.defect_basis.conj().T @ (pair.matrix @ cy)
+    px, py = pair.matrix @ cx, pair.matrix @ cy
     rhs = 1j * np.einsum("ij,ij->j", px.conj(), pair.gram @ py)
     norm_x = np.sqrt(np.einsum("ij,ij->j", x.conj(), x).real
                      + np.einsum("ij,ij->j", mx.conj(), mx).real)

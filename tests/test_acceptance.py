@@ -112,7 +112,8 @@ def _run_instance(op, rng) -> InstanceRecord:
     rep = riesz_representer(op)
     traces = restrict_triple(triple, op, splitting.defect.domain)
     proj = boundary_map_projection(op, splitting)
-    res = boundary_map_resolvent(op, defi, splitting)
+    res = boundary_map_resolvent(op, defi)
+    xn = op.coords(splitting.defect.domain.basis)
     scale = max(1.0, float(np.linalg.norm(proj.matrix, 2)))
     eigs = (
         np.linalg.eigvalsh(rep.matrix) if rep.dim else np.zeros(1)
@@ -123,7 +124,7 @@ def _run_instance(op, rng) -> InstanceRecord:
         # the oracle draws from the batch's rng, so the instances after
         # this one depend on it
         green_pair_sampled=sampled_pair_green_residual(proj, op, rng),
-        oracle_gap=float(np.linalg.norm(proj.matrix - res.matrix, 2)) / scale,
+        oracle_gap=float(np.linalg.norm(xn @ proj.matrix - res, 2)) / scale,
         splitting_gap=gap_distance(splitting.defect.domain, resolvent_domain),
         deficiency_dim=defi.deficiency.dim,
         domain_dim=op.domain.dim,

@@ -23,7 +23,7 @@ from kreinpair.boundary import (
     transform_traces,
 )
 import kreinpair.boundary as boundary_module
-from kreinpair.analysis import analyze_operator
+from kreinpair.analysis import analyze_operator, build_pipeline
 from kreinpair.decomposition import deficiency_space
 from kreinpair.errors import DimensionMismatch, PipelineError
 from kreinpair.instances import (
@@ -41,6 +41,7 @@ from kreinpair.subspaces import Subspace, column_space, null_space
 from conftest import (
     adjoint_graph,
     adjoint_relation,
+    ambient_map_gap,
     contains,
     count_subspaces,
     count_svd_backed,
@@ -429,8 +430,8 @@ class TestBoundaryMaps:
         pair = boundary_map_projection(scalar_i, s)
         assert np.allclose(pair.matrix, [[1.0]])
         defi = deficiency_space(triple, scalar_i)
-        res = boundary_map_resolvent(scalar_i, defi, s)
-        assert np.allclose(res.matrix, [[1.0]])
+        res = boundary_map_resolvent(scalar_i, defi)
+        assert np.allclose(res, [[1.0]])
 
     def test_symmetric_map_vanishes(self, hermitian_full):
         s = split(hermitian_full)
@@ -441,25 +442,29 @@ class TestBoundaryMaps:
     def test_mixed_diagonal_component_form(self, mixed_diag):
         s = split(mixed_diag)
         pair = boundary_map_projection(mixed_diag, s)
-        assert np.allclose(pair.matrix, np.diag([0.0, 1.0]), atol=1e-12)
+        # on the defect basis bn, the component map diag(0, 1) reads bn* diag(0, 1)
+        bn = s.defect.domain.basis
+        assert np.allclose(pair.matrix, bn.conj().T @ np.diag([0.0, 1.0]), atol=1e-12)
         x = np.array([3.0, 2j])
-        assert (pair.matrix @ (pair.domain_basis.conj().T @ x))[1] == pytest.approx(2j)
+        assert (bn @ (pair.matrix @ mixed_diag.coords(x)))[1] == pytest.approx(2j)
 
     def test_resolvent_form_matrix_product(self, mixed_diag):
         s, triple, _ = pipeline(mixed_diag)
         defi = deficiency_space(triple, mixed_diag)
-        pair = boundary_map_resolvent(mixed_diag, defi, s)
+        res = boundary_map_resolvent(mixed_diag, defi)
         shifted = mixed_diag.matrix + 1j * np.eye(2)
         expected = np.linalg.inv(shifted) @ np.diag([0.0, 1.0]) @ shifted
-        assert np.allclose(pair.matrix, expected, atol=1e-12)
+        assert np.allclose(res, expected, atol=1e-12)
 
     def test_indefinite_pair_maps_are_identity(self, krein_pm):
         s, triple, _ = pipeline(krein_pm)
         defi = deficiency_space(triple, krein_pm)
         proj = boundary_map_projection(krein_pm, s)
-        res = boundary_map_resolvent(krein_pm, defi, s)
-        assert np.allclose(proj.matrix, np.eye(2), atol=1e-12)
-        assert np.allclose(res.matrix, np.eye(2), atol=1e-12)
+        res = boundary_map_resolvent(krein_pm, defi)
+        # the identity of C^2, read on the defect basis bn
+        bn = s.defect.domain.basis
+        assert np.allclose(proj.matrix, bn.conj().T, atol=1e-12)
+        assert np.allclose(res, np.eye(2), atol=1e-12)
 
     def test_construction_agreement_random_batch(self):
         rng = np.random.default_rng(5)
@@ -469,16 +474,33 @@ class TestBoundaryMaps:
             s, triple, _ = pipeline(op)
             defi = deficiency_space(triple, op)
             proj = boundary_map_projection(op, s)
-            res = boundary_map_resolvent(op, defi, s)
+            res = boundary_map_resolvent(op, defi)
+            xn = op.coords(s.defect.domain.basis)
             scale = max(1.0, np.linalg.norm(proj.matrix, 2))
-            assert np.linalg.norm(proj.matrix - res.matrix, 2) / scale < 1e-8
+            assert np.linalg.norm(xn @ proj.matrix - res, 2) / scale < 1e-8
+
+    def test_map_gap_equals_the_ambient_formula(self):
+        # E coordinates lose nothing: the reported gap is the gap of the
+        # two maps lifted to C^n, half of the instances on a proper domain
+        rng = np.random.default_rng(31)
+        for k in range(24):
+            n = int(rng.integers(3, 13))
+            domain_dim = int(rng.integers(2, n)) if k % 2 else None
+            op = random_dissipative(n, rng, domain_dim=domain_dim)
+            s = split(op)
+            result = build_pipeline(op, s)
+            oracle = ambient_map_gap(op, s, result.pair_projection,
+                                     result.pair_resolvent)
+            gap = analyze_operator(op)["boundary_map_gap"]
+            assert abs(gap - oracle) <= 1e-12
 
     def test_kernel_and_range(self):
         rng = np.random.default_rng(6)
         op = random_dissipative(7, rng)
         s = split(op)
         pair = boundary_map_projection(op, s)
-        assert gap_distance(pair.kernel(), s.symmetric.domain) < 1e-8
+        assert gap_distance(boundary_module._map_kernel(pair, op),
+                            s.symmetric.domain) < 1e-8
         assert column_space(pair.matrix).shape[1] == pair.space_dim
 
     def test_orthonormal_coordinates_have_identity_gram(self):
@@ -497,8 +519,7 @@ class TestBoundaryMaps:
                 rng.standard_normal(op.domain.dim)
                 + 1j * rng.standard_normal(op.domain.dim)
             )
-            value = pair.defect_basis.conj().T @ (
-                pair.matrix @ (pair.domain_basis.conj().T @ x))
+            value = pair.matrix @ op.coords(x)
             coords = sqrt_gram @ value
             assert float(np.vdot(coords, coords).real) == pytest.approx(
                 np.vdot(x, op.dissipation_matrix @ x).real, rel=1e-10, abs=1e-12
@@ -540,8 +561,7 @@ class TestGreenResidual:
         # the square root of the E Gram
         w, v = np.linalg.eigh(pair.gram)
         coeff_map = (v / np.sqrt(w)) @ v.conj().T @ u @ (v * np.sqrt(w)) @ v.conj().T
-        bn = pair.defect_basis
-        rotated = replace(pair, matrix=bn @ (coeff_map @ (bn.conj().T @ pair.matrix)))
+        rotated = replace(pair, matrix=coeff_map @ pair.matrix)
         assert pair_green_residual(rotated, op) < 1e-10
         assert np.linalg.norm(rotated.matrix - pair.matrix) > 1e-3
 

@@ -33,7 +33,8 @@ from kreinpair import (
     split,
 )
 import kreinpair.decomposition as decomposition_module
-from kreinpair.analysis import analyze_operator
+from kreinpair.analysis import _map_gap, analyze_operator, build_pipeline
+from kreinpair.boundary import _map_kernel
 from kreinpair.completeness import contraction_bound, range_splitting
 from kreinpair.instances import random_dissipative, scaled_defect_instance
 from kreinpair.subspaces import Subspace
@@ -130,9 +131,9 @@ class TestQrMatchesSvdRoute:
     def test_pair_kernel(self, pieces):
         for op, s, _, _ in pieces:
             pair = boundary_map_projection(op, s)
-            kernel = pair.kernel()
+            kernel = _map_kernel(pair, op)
             assert kernel.dim == s.symmetric.domain.dim
-            assert gap_distance(kernel, svd_pair_kernel(pair)) <= QR_GAP
+            assert gap_distance(kernel, svd_pair_kernel(pair, op)) <= QR_GAP
 
     def test_range_splitting_complement(self, pieces):
         for op, s, triple, _ in pieces:
@@ -274,6 +275,27 @@ def test_analysis_makes_one_svd_and_seven_two_norms(monkeypatch):
     report = analyze_operator(op)
     assert all(report["checks"].values())
     assert counts == {"svd": 1, "norm2": 7}
+
+
+def test_map_gap_norms_no_ambient_matrix(monkeypatch):
+    # the pair's map on E coordinates (dim E x d) and the gap of the two
+    # maps on domain coordinates (d x d): no n-row matrix is formed
+    op = random_dissipative(12, np.random.default_rng(3), defect=3, domain_dim=8)
+    s = split(op)
+    result = build_pipeline(op, s)
+    e, d = s.defect.domain.dim, op.domain.dim
+    assert op.space.dim > d > e > 0
+    shapes, norm = [], np.linalg.norm
+
+    def recorded(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            shapes.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recorded)
+    _map_gap(op.coords(s.defect.domain.basis), result.pair_projection,
+             result.pair_resolvent)
+    assert shapes == [(e, d), (d, d)]
 
 
 class TestSplitSkipsSelfGap:

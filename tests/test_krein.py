@@ -11,6 +11,7 @@ from kreinpair import (
     orthonormal_span,
 )
 from kreinpair.analysis import analyze_operator
+from kreinpair.errors import DimensionMismatch
 from kreinpair.instances import (
     random_canonical_symmetry,
     random_dissipative,
@@ -44,6 +45,30 @@ from conftest import (
     span,
     symmetrized_dissipation_matrix,
 )
+
+
+_PLANE = KreinSpace(np.eye(2))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: KreinSpace("abc"), "rectangular array of numbers"),
+    (lambda: KreinSpace([[1.0, 0.0], [0.0]]), "rectangular array of numbers"),
+    (lambda: OperatorWithDomain(_PLANE, [[1.0, 0.0], [0.0]]),
+     "rectangular array of numbers"),
+    (lambda: OperatorWithDomain(_PLANE, "x"), "rectangular array of numbers"),
+    (lambda: OperatorWithDomain(_PLANE, np.eye(2), np.eye(2)),
+     "domain must be a Subspace"),
+    (lambda: Subspace(2, "ab"), "rectangular array of numbers"),
+    (lambda: KreinSpace(np.eye(2), tol=float("nan")), "tol must be"),
+    (lambda: KreinSpace(np.eye(2), tol=2.0), "tol must be in"),
+    (lambda: KreinSpace(np.eye(2), tol=-1.0), "tol must be in"),
+], ids=["str_metric", "ragged_metric", "ragged_operator", "str_operator",
+        "array_domain", "str_basis", "nan_tol", "tol_2", "negative_tol"])
+def test_malformed_input_raises_a_typed_error(build, message):
+    # each raised a raw ValueError or AttributeError, or, for tol = -1.0,
+    # the misleading "metric is not Hermitian"
+    with pytest.raises(DimensionMismatch, match=message):
+        build()
 
 
 class TestInnerProducts:

@@ -167,6 +167,12 @@ class TestSpecs:
         with pytest.raises(DimensionMismatch, match="intervals must be a list"):
             PotentialSpec.from_intervals(GridSpec(20.0, 8), intervals, 1.0, 1.0)
 
+    def test_study_reads_an_iterator_of_intervals_once(self):
+        # level 0 used the iterator up, and level 1 then found an empty mask
+        rows = convergence_study(20.0, 8, (p for p in [(0.0, 0.5)]), 1.0, 1.0, 3)
+        assert rows == convergence_study(20.0, 8, [(0.0, 0.5)], 1.0, 1.0, 3)
+        assert len(rows) == 3
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("imaginary", [False, True])
     def test_potential_refuses_non_finite_values(self, bad, imaginary):
@@ -1166,6 +1172,6 @@ class TestFullPipelineOnDiscretization:
         s = mask_splitting(op, pot.omega_mask)
         pair = boundary_map_projection(op, s)
         # domain basis is the identity here, so the map should be the
-        # coordinate projection onto the mask
-        expected = np.diag(pot.omega_mask.astype(float))
+        # coordinate projection onto the mask, read on the defect basis
+        expected = s.defect.domain.basis.conj().T @ np.diag(pot.omega_mask.astype(float))
         assert np.linalg.norm(pair.matrix - expected, 2) < 1e-8
