@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from .boundary import (
 )
 from .completeness import CriterionReport, criterion_report
 from .decomposition import (
-    DeficiencyData,
     Splitting,
     defect_domain_via_resolvent,
     deficiency_space,
@@ -114,7 +113,6 @@ def _submit_eig(pool: ThreadPoolExecutor | None,
 
 @dataclass(frozen=True)
 class PipelineResult:
-    deficiency: DeficiencyData
     resolvent_domain: Subspace
     triple: BoundaryTriple
     pair_projection: BoundaryPair
@@ -132,7 +130,6 @@ def build_pipeline(op: OperatorWithDomain, splitting: Splitting) -> PipelineResu
     pair_res = boundary_map_resolvent(op, defi)
     criterion = criterion_report(op, traces=traces)
     return PipelineResult(
-        deficiency=defi,
         resolvent_domain=resolvent_domain,
         triple=triple,
         pair_projection=pair_proj,
@@ -150,33 +147,17 @@ def _map_gap(xn: np.ndarray, pair: BoundaryPair, resolvent: np.ndarray) -> float
     return float(np.linalg.norm(xn @ pair.matrix - resolvent, 2)) / scale
 
 
-def _criterion_dict(report: CriterionReport) -> dict:
-    return {
-        "uniform_positivity": {
-            "ok": report.positivity.ok,
-            "smallest_eigenvalue": report.positivity.smallest,
-            "largest_eigenvalue": report.positivity.largest,
-        },
-        "contraction": {
-            "ok": report.contraction.ok,
-            "norm": report.contraction.norm,
-        },
-        "range_splitting": {
-            "ok": report.range_split.ok,
-            "margin": report.range_split.margin,
-        },
-        "agree": report.agree,
-    }
-
-
 def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
     """Full report for one operator; no check draws random numbers, so
     ``seed`` is only validated and echoed.
 
     The real-spectrum check comes last, so that its two ``eig`` calls,
     started on the call's worker as soon as their inputs exist, overlap the
-    rest (see the module docstring).  The first exception propagates unchanged;
-    a bad ``seed`` raises ``DimensionMismatch`` before any work.
+    rest (see the module docstring).  The ``criterion`` and ``real_spectrum``
+    blocks are the fields of their dataclasses, by ``asdict``, so a field's
+    name is its key; eigenvalues become [re, im] pairs.  The first exception
+    propagates unchanged; a bad ``seed`` (a bool too) raises
+    ``DimensionMismatch`` before any work.
     """
     seed = checked_seed(seed)
     classification = op.classify()
@@ -223,6 +204,9 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         "riesz_form_bounds": bool(riesz[0] >= -INDEFINITE_CUT * op.tol
                                   and riesz[-1] <= 1.0 + CHECK_GATE),
     }
+    real_spectrum = asdict(spectrum)
+    for key in ("real_eigenvalues_op", "real_eigenvalues_sym"):
+        real_spectrum[key] = [[v.real, v.imag] for v in real_spectrum[key]]
     return {
         "classification": classification,
         "dims": {
@@ -230,7 +214,7 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
             "domain": op.domain.dim,
             "symmetric_part": sym.domain.dim,
             "defect_part": splitting.defect.domain.dim,
-            "deficiency_space": result.deficiency.deficiency.dim,
+            "deficiency_space": result.triple.defect_plus.dim,
             "boundary_space": result.pair_projection.space_dim,
         },
         "green_residual_pair": green_pair,
@@ -238,19 +222,8 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         "boundary_map_gap": map_gap,
         "splitting_gap": splitting_gap,
         "kernel_gap": spectrum.kernel_gap,
-        "criterion": _criterion_dict(result.criterion),
-        "real_spectrum": {
-            "passed": spectrum.passed,
-            "real_eigenvalues_op": [[v.real, v.imag] for v in spectrum.real_values_op],
-            "real_eigenvalues_sym": [
-                [v.real, v.imag] for v in spectrum.real_values_sym
-            ],
-            "value_mismatch": spectrum.value_mismatch,
-            "subspace_gap": spectrum.subspace_gap,
-            "identity_residual": spectrum.identity_residual,
-            "kernel_gap": spectrum.kernel_gap,
-            "notes": list(spectrum.notes),
-        },
+        "criterion": asdict(result.criterion),
+        "real_spectrum": real_spectrum,
         "riesz": {"min_eigenvalue": float(riesz[0]),
                   "graph_norm": float(np.max(np.abs(riesz)))},
         "seed": seed,

@@ -508,8 +508,8 @@ class RealSpectrumReport:
     """Comparison of the real point spectra of T and its symmetric part."""
 
     passed: bool
-    real_values_op: list
-    real_values_sym: list
+    real_eigenvalues_op: list
+    real_eigenvalues_sym: list
     value_mismatch: float
     subspace_gap: float
     identity_residual: float
@@ -581,8 +581,8 @@ def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
     )
     return RealSpectrumReport(
         passed=passed,
-        real_values_op=[l for l, _ in real_op],
-        real_values_sym=[l for l, _ in real_sym],
+        real_eigenvalues_op=[l for l, _ in real_op],
+        real_eigenvalues_sym=[l for l, _ in real_sym],
         value_mismatch=value_mismatch,
         subspace_gap=subspace_gap,
         identity_residual=identity_residual,

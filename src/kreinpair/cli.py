@@ -4,7 +4,9 @@ Three subcommands: ``analyze`` runs the full pipeline on one operator file
 and writes a JSON report, ``criterion`` evaluates the completeness
 criteria on a file or a directory batch, ``sl-study`` runs the refinement
 study of the discretized Schroedinger operator, in O(n) per level on the
-bands of its stencil apart from the Cayley norm, and writes a CSV.  None
+bands of its stencil unless a weak ``--imq`` leaves them unable to decide
+the scale of the dissipation form (see
+:func:`~kreinpair.sturm_liouville.convergence_study`), and writes a CSV.  None
 draws random numbers: the ``--seed`` of ``analyze`` is echoed, nothing more.
 
 Operator files are JSON with complex entries encoded as [re, im] pairs:
@@ -34,6 +36,7 @@ check fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -42,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _criterion_dict, analyze_operator
+from .analysis import analyze_operator
 from .completeness import criterion_report
 from .errors import DimensionMismatch, KreinPairError
 from .krein import KreinSpace, OperatorWithDomain
@@ -213,7 +216,7 @@ def _never_drops(values) -> bool:
 def _criterion_payload(path) -> dict:
     op = load_instance(path)
     try:
-        return _criterion_dict(criterion_report(op))
+        return dataclasses.asdict(criterion_report(op))
     except KreinPairError as exc:
         # named by its file, as the load errors are
         raise KreinPairError(f"{path}: {exc}") from exc

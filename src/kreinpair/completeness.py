@@ -46,8 +46,8 @@ __all__ = [
 @dataclass(frozen=True)
 class GramPositivity:
     ok: bool
-    smallest: float | None
-    largest: float | None
+    smallest_eigenvalue: float | None
+    largest_eigenvalue: float | None
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,15 @@ class RangeSplitting:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    positivity: GramPositivity
+    uniform_positivity: GramPositivity
     contraction: ContractionBound
-    range_split: RangeSplitting
+    range_splitting: RangeSplitting
     agree: bool
 
     @property
     def all_true(self) -> bool:
-        return self.positivity.ok and self.contraction.ok and self.range_split.ok
+        return (self.uniform_positivity.ok and self.contraction.ok
+                and self.range_splitting.ok)
 
 
 def uniform_positivity(image_gram: np.ndarray) -> GramPositivity:
@@ -89,13 +90,14 @@ def uniform_positivity(image_gram: np.ndarray) -> GramPositivity:
     A trivial image is vacuously complete.
     """
     if image_gram.shape[0] == 0:
-        return GramPositivity(ok=True, smallest=None, largest=None)
+        return GramPositivity(ok=True, smallest_eigenvalue=None,
+                              largest_eigenvalue=None)
     eigs = np.linalg.eigvalsh(image_gram)
     smallest, largest = float(eigs[0]), float(eigs[-1])
     return GramPositivity(
         ok=smallest > CRITERION_TOL,
-        smallest=smallest,
-        largest=largest,
+        smallest_eigenvalue=smallest,
+        largest_eigenvalue=largest,
     )
 
 
@@ -168,8 +170,8 @@ def criterion_report(op: OperatorWithDomain,
     ranges = range_splitting(traces)
     agree = positivity.ok == contraction.ok == ranges.ok
     return CriterionReport(
-        positivity=positivity,
+        uniform_positivity=positivity,
         contraction=contraction,
-        range_split=ranges,
+        range_splitting=ranges,
         agree=agree,
     )

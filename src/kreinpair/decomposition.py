@@ -49,14 +49,14 @@ class Splitting:
 
 @dataclass(frozen=True)
 class DeficiencyData:
-    """Deficiency subspace of the symmetric part and its ``intersection``
-    with the range of ``JT + iI``.  ``shifted_qr`` is the reduced QR
-    ``(Q, R)`` of ``(JT + iI) B`` for the domain basis B, the leading part
-    of the complete QR that :func:`deficiency_space` takes: Q spans that
-    range, and R is invertible, since every singular value is at least 1.
+    """The ``intersection`` of the deficiency subspace of the symmetric
+    part, the triple's ``defect_plus``, with the range of ``JT + iI``.
+    ``shifted_qr`` is the reduced QR ``(Q, R)`` of ``(JT + iI) B`` for the
+    domain basis B, the leading part of the complete QR that
+    :func:`deficiency_space` takes: Q spans that range, and R is
+    invertible, since every singular value is at least 1.
     """
 
-    deficiency: Subspace
     intersection: Subspace
     shifted_qr: tuple[np.ndarray, np.ndarray]
 
@@ -131,17 +131,15 @@ def deficiency_space(triple: BoundaryTriple,
     (d = n) the range is all of C^n and the matrix has no rows: the
     intersection is N+ itself, with no SVD.
     """
-    n_plus = triple.defect_plus
     b = op.domain.basis
     shifted = op.space.J @ op._image + 1j * b
     d = b.shape[1]
     q, r = np.linalg.qr(shifted, mode="complete")
-    qp = n_plus.basis
+    qp = triple.defect_plus.basis
     sines = q[:, d:].conj().T @ qp
     # orthonormal basis times orthonormal coefficients
     meet = Subspace(op.space.dim, qp @ null_space(sines, op.tol, scale=1.0))
-    return DeficiencyData(deficiency=n_plus, intersection=meet,
-                          shifted_qr=(q[:, :d], r[:d]))
+    return DeficiencyData(intersection=meet, shifted_qr=(q[:, :d], r[:d]))
 
 
 def defect_domain_via_resolvent(op: OperatorWithDomain,

@@ -37,10 +37,10 @@ class PipelineError(KreinPairError):
 
 def checked_integer(value, what: str, minimum: int) -> int:
     """``value`` as an ``int`` of at least ``minimum`` (numpy integers pass
-    ``operator.index``, floats do not), else :class:`DimensionMismatch`, the
-    error of bad input to a study."""
+    ``operator.index``, floats and bools do not), else
+    :class:`DimensionMismatch`, the error of bad input."""
     try:
-        number = operator.index(value)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
     if number is None or number < minimum:

@@ -183,6 +183,8 @@ class OperatorWithDomain:
     """
 
     def __init__(self, space: KreinSpace, matrix, domain: Subspace | None = None):
+        if not isinstance(space, KreinSpace):
+            raise DimensionMismatch(f"space must be a KreinSpace, got {type(space).__name__}")
         m = _frozen(np.atleast_1d(_as_array(matrix)))
         if m.shape != (space.dim, space.dim):
             raise DimensionMismatch(

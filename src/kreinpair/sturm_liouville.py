@@ -539,9 +539,15 @@ def convergence_study(x_max: float, base_n: int, intervals, imq: float,
     :meth:`BandedOperator.quadrature_residual`).  Every level has the one
     constant Im q = ``imq`` on its mask, so its masked block is normal, and
     its Cayley norm is a closed form in the spectral radius of the real
-    part of that block (:func:`cayley_norm`), read from its bands in O(m):
-    no level builds a dense array.  Nothing is random: ``seed``
-    is validated and unused.  :class:`DimensionMismatch` comes only from
+    part of that block (:func:`cayley_norm`), read from its bands in O(m).
+    A level builds the dense n x n operator only where its bands cannot
+    decide :attr:`BandedOperator.form_scale`: ``2 imq`` at most ``4e-10
+    |T|_F``, with ``|T|_F`` about ``sqrt(6 n) / step^2``, and yet above the
+    refusal bound of :func:`study_levels`.  So a weak ``imq`` on a fine grid
+    forms an O(n^2) array: with ``x_max = 20``, ``base_n = 64`` and the
+    mask ``[(0.0, 0.5)]``, ``imq = 0.1`` first does so at n = 32768
+    (level 9) and ``imq = 0.01`` at n = 16384.  Nothing is random: ``seed`` is validated
+    and unused.  :class:`DimensionMismatch` comes only from
     the input checks, before any level is built.
     """
     checked_seed(seed)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, checked_integer
 from .tolerances import CHECK_GATE, DEFAULT_TOL, negligible
 
 __all__ = [
@@ -120,9 +120,7 @@ class Subspace:
     """
 
     def __init__(self, ambient_dim: int, basis=None):
-        ambient_dim = int(ambient_dim)
-        if ambient_dim < 1:
-            raise DimensionMismatch("ambient dimension must be positive")
+        ambient_dim = checked_integer(ambient_dim, "ambient dimension", 1)
         b = _frozen(np.zeros((ambient_dim, 0)) if basis is None else basis)
         if b.shape[0] != ambient_dim:
             raise DimensionMismatch(
@@ -199,6 +197,8 @@ def gap_distance(a: Subspace, b: Subspace) -> float:
     (Bjorck & Golub 1973), which unlike the cosine keeps its accuracy for
     small angles.
     """
+    if not (isinstance(a, Subspace) and isinstance(b, Subspace)):
+        raise DimensionMismatch("gap_distance compares two Subspaces")
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"

@@ -432,10 +432,10 @@ def svd_shifted(op):
     return np.linalg.svd(op.space.J @ op.matrix @ b + 1j * b, full_matrices=False)
 
 
-def svd_intersection(op, defi):
+def svd_intersection(op, n_plus):
     """N+ meet ran(JT + iI) from the range side: ``U null(U - Qp Qp* U)``."""
     u = svd_shifted(op)[0]
-    qp = defi.deficiency.basis
+    qp = n_plus.basis
     coeffs = null_space(u - qp @ (qp.conj().T @ u), op.tol, scale=1.0)
     return Subspace(u.shape[0], u @ coeffs)
 

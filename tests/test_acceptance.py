@@ -126,7 +126,7 @@ def _run_instance(op, rng) -> InstanceRecord:
         green_pair_sampled=sampled_pair_green_residual(proj, op, rng),
         oracle_gap=float(np.linalg.norm(xn @ proj.matrix - res, 2)) / scale,
         splitting_gap=gap_distance(splitting.defect.domain, resolvent_domain),
-        deficiency_dim=defi.deficiency.dim,
+        deficiency_dim=triple.defect_plus.dim,
         domain_dim=op.domain.dim,
         symmetric_dim=splitting.symmetric.domain.dim,
         riesz_min_eig=float(eigs[0]),
@@ -226,7 +226,7 @@ def test_criterion_5_real_spectrum():
         assert report.passed, report.notes
         worst_value = max(worst_value, report.value_mismatch)
         worst_gap = max(worst_gap, report.subspace_gap)
-        count += len(report.real_values_op)
+        count += len(report.real_eigenvalues_op)
     for _ in range(10):  # generic instances, usually without real spectrum
         op = random_dissipative(int(rng.integers(2, 9)), rng)
         splitting = split(op)
@@ -256,9 +256,9 @@ def test_criterion_6_equivalence_and_degeneration():
     for eps in eps_values:
         report = criterion_report(scaled_defect_instance(eps))
         agree = agree and report.agree
-        rows.append((report.positivity.smallest, 1.0 - report.contraction.norm,
-                     report.range_split.margin))
-        verdicts.append(report.positivity.ok)
+        rows.append((report.uniform_positivity.smallest_eigenvalue,
+                     1.0 - report.contraction.norm, report.range_splitting.margin))
+        verdicts.append(report.uniform_positivity.ok)
     monotone = [all(b <= a + 1e-6 for a, b in zip(col, col[1:]))
                 for col in zip(*rows)]
     flips_once = (verdicts[0] and not verdicts[-1]

@@ -25,8 +25,12 @@ in ``perfbench``; those set only by the tests are listed in
 ``TEST_ONLY_PARAMETERS``, each with its reason.  And for the fields: every
 field of a package dataclass must be read as an attribute (``x.name`` in
 load context, by bare name) in the package or in ``perfbench``, or be
-listed in ``UNREAD_FIELDS`` with its reason.  ``perfbench`` is read, never
-written.
+listed in ``UNREAD_FIELDS`` with its reason.  A report block built by
+``asdict`` reads every field of its dataclass, and of each dataclass one of
+those fields is annotated with, by no name: such a class is listed in
+``REPORTED`` with the function that turns it into its block, which must
+call ``asdict`` at least once for each class it is listed with.
+``perfbench`` is read, never written.
 """
 
 import ast
@@ -55,6 +59,13 @@ TEST_ONLY_PARAMETERS = {
 
 #: ``{Class.field: reason}`` for the dataclass fields that nothing reads
 UNREAD_FIELDS: dict[str, str] = {}
+
+#: ``{Class: reader}`` for the dataclasses that a report reads through
+#: ``asdict``; a reader is named as in ``SHARED``
+REPORTED = {
+    "CriterionReport": "analysis.analyze_operator",
+    "RealSpectrumReport": "analysis.analyze_operator",
+}
 
 #: ``{qualified method: reader}`` for the methods whose bare name another
 #: class defines too; a reader is ``module.function`` or
@@ -152,9 +163,9 @@ def constant_names(path: Path) -> set[str]:
     return found
 
 
-def dataclass_fields() -> dict[str, str]:
-    """``{Class.field: field}`` of every field of a package dataclass, one
-    decorated ``@dataclass`` or ``@dataclass(...)``."""
+def dataclass_annotations() -> dict[str, dict[str, str]]:
+    """``{Class: {field: annotation source}}`` of every package dataclass,
+    one decorated ``@dataclass`` or ``@dataclass(...)``."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _parse(path).body:
@@ -162,9 +173,28 @@ def dataclass_fields() -> dict[str, str]:
                     getattr(getattr(d, "func", d), "id", None) == "dataclass"
                     for d in node.decorator_list)):
                 continue
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    found[f"{node.name}.{item.target.id}"] = item.target.id
+            found[node.name] = {
+                item.target.id: ast.unparse(item.annotation) for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    return found
+
+
+def dataclass_fields() -> dict[str, str]:
+    """``{Class.field: field}`` of every field of a package dataclass."""
+    return {f"{cls}.{name}": name
+            for cls, fields in dataclass_annotations().items() for name in fields}
+
+
+def reported_fields() -> set[str]:
+    """The fields that ``REPORTED`` counts as read: those of each listed
+    class and of each package dataclass that one of them is annotated with."""
+    annotations = dataclass_annotations()
+    found = set()
+    for cls in REPORTED:
+        for name, annotation in annotations[cls].items():
+            found.add(f"{cls}.{name}")
+            found.update(f"{annotation}.{inner}"
+                         for inner in annotations.get(annotation, ()))
     return found
 
 
@@ -297,9 +327,25 @@ def test_every_dataclass_field_is_read():
     fields = dataclass_fields()
     assert {"BoundaryPair.gram", "Splitting.defect_gram", "StudyRow.level"} <= set(fields)
     attributes = referenced_names()[1]
+    read = reported_fields() | set(UNREAD_FIELDS)
     unread = sorted(qual for qual, bare in fields.items()
-                    if bare not in attributes and qual not in UNREAD_FIELDS)
+                    if bare not in attributes and qual not in read)
     assert unread == [], f"dataclass fields read nowhere in src or perfbench: {unread}"
+
+
+def test_reported_classes_name_their_readers():
+    annotations = dataclass_annotations()
+    assert "GramPositivity.smallest_eigenvalue" in reported_fields()
+    readers = reader_definitions()
+    for reader in set(REPORTED.values()):
+        assert reader in readers, f"reader {reader} is not defined"
+        listed = sorted(cls for cls, name in REPORTED.items() if name == reader)
+        assert all(cls in annotations for cls in listed), f"{listed}: not dataclasses"
+        calls = [node for node in ast.walk(readers[reader]) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "asdict"]
+        assert len(calls) >= len(listed), (
+            f"{reader} calls asdict {len(calls)} times for the {len(listed)} "
+            f"classes {listed}")
 
 
 def test_every_defaulted_parameter_is_set():

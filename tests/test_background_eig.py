@@ -286,7 +286,7 @@ def test_analysis_makes_two_eigs_one_svd_and_seven_two_norms(monkeypatch,
     assert len(eig_threads) == 2 and eig_threads[0].startswith(WORKER)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
 def test_bad_seed_is_rejected_before_any_work(seed, monkeypatch, two_cpus,
                                               eig_threads):
     def refuse(*args):

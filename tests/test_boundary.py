@@ -685,22 +685,22 @@ class TestRealSpectrum:
         pair = boundary_map_projection(mixed_diag, s)
         report = real_spectrum_report(mixed_diag, s.symmetric, pair)
         assert report.passed
-        assert [round(v.real, 6) for v in report.real_values_op] == [1.0]
-        assert report.real_values_sym == report.real_values_op
+        assert [round(v.real, 6) for v in report.real_eigenvalues_op] == [1.0]
+        assert report.real_eigenvalues_sym == report.real_eigenvalues_op
 
     def test_scalar_vacuous(self, scalar_i):
         s = split(scalar_i)
         pair = boundary_map_projection(scalar_i, s)
         report = real_spectrum_report(scalar_i, s.symmetric, pair)
         assert report.passed
-        assert report.real_values_op == [] == report.real_values_sym
+        assert report.real_eigenvalues_op == [] == report.real_eigenvalues_sym
 
     def test_lower_halfplane_spectrum_vacuous(self, krein_pm):
         s = split(krein_pm)
         pair = boundary_map_projection(krein_pm, s)
         report = real_spectrum_report(krein_pm, s.symmetric, pair)
         assert report.passed
-        assert report.real_values_op == []
+        assert report.real_eigenvalues_op == []
 
     def test_engineered_instances(self):
         rng = np.random.default_rng(10)
@@ -712,7 +712,7 @@ class TestRealSpectrum:
             pair = boundary_map_projection(op, s)
             report = real_spectrum_report(op, s.symmetric, pair)
             assert report.passed, report.notes
-            found = sorted(v.real for v in report.real_values_op)
+            found = sorted(v.real for v in report.real_eigenvalues_op)
             assert np.allclose(found, sorted(v.real for v in planted), atol=1e-7)
 
     def test_restricted_eigenpairs_with_proper_domain(self, mixed_diag):

@@ -748,6 +748,58 @@ def _non_plain_leaves(value, where="payload"):
     return [] if type(value) in PLAIN_TYPES else [f"{where}: {type(value)!r}"]
 
 
+def _key_tree(value):
+    """The nested keys of ``value``: each dict as a dict of its keys'
+    trees, anything else as None."""
+    if isinstance(value, dict):
+        return {k: _key_tree(v) for k, v in value.items()}
+    return None
+
+
+def _leaves(*keys):
+    return dict.fromkeys(keys)
+
+
+#: the key tree of a ``criterion FILE`` payload, which is also the
+#: ``"criterion"`` block of an analysis report
+CRITERION_KEYS = {
+    "uniform_positivity": _leaves("ok", "smallest_eigenvalue", "largest_eigenvalue"),
+    "contraction": _leaves("ok", "norm"),
+    "range_splitting": _leaves("ok", "margin"),
+    "agree": None,
+}
+
+#: the key tree of an analysis report of a dissipative operator; a field
+#: added to or renamed in ``CriterionReport`` or ``RealSpectrumReport``
+#: changes it
+REPORT_KEYS = {
+    "classification": None,
+    "dims": _leaves("space", "domain", "symmetric_part", "defect_part",
+                    "deficiency_space", "boundary_space"),
+    **_leaves("green_residual_pair", "green_residual_triple", "boundary_map_gap",
+              "splitting_gap", "kernel_gap", "seed"),
+    "criterion": CRITERION_KEYS,
+    "real_spectrum": _leaves("passed", "real_eigenvalues_op", "real_eigenvalues_sym",
+                             "value_mismatch", "subspace_gap", "identity_residual",
+                             "kernel_gap", "notes"),
+    "riesz": _leaves("min_eigenvalue", "graph_norm"),
+    "checks": _leaves("dissipative", "green_identity_pair", "green_identity_triple",
+                      "boundary_map_agreement", "splitting_crosscheck",
+                      "kernel_is_symmetric_domain", "criterion_agreement",
+                      "real_spectrum", "classification_routes_agree",
+                      "riesz_form_bounds"),
+}
+
+NOT_DISSIPATIVE_KEYS = {**_leaves("classification", "finding", "seed"),
+                        "checks": _leaves("dissipative")}
+
+#: the key tree of a ``criterion DIR`` payload's summary
+SUMMARY_KEYS = _leaves(
+    "count", "all_agree", "contraction_norms", "smallest_gram_eigenvalues",
+    "range_splitting_margins", "contraction_norm_nondecreasing",
+    "smallest_eigenvalue_nonincreasing", "range_margin_nonincreasing")
+
+
 def _plain_report_operator(kind):
     rng = np.random.default_rng(29)
     if kind == "worker_n80":
@@ -770,7 +822,8 @@ PLAIN_REPORT_KINDS = ["worker_n80", "restricted", "real_spectrum", "clusters",
 class TestPlainReports:
     """The reports reach ``json.dumps`` holding plain Python leaves only, so
     :func:`cli._emit_json` dumps them as they are built, with no walk that
-    converts numpy scalars."""
+    converts numpy scalars.  Their key trees are pinned too: two blocks are
+    built from dataclasses, so a field rename renames a report key."""
 
     @pytest.fixture
     def emitted(self, monkeypatch):
@@ -794,6 +847,8 @@ class TestPlainReports:
         dump_instance(_plain_report_operator(kind), path)
         main(["analyze", str(path)])
         assert _non_plain_leaves(emitted[0]) == []
+        assert _key_tree(emitted[0]) == (
+            NOT_DISSIPATIVE_KEYS if kind == "not_dissipative" else REPORT_KEYS)
         assert (kind == "worker_n80") == any(pool is not None for pool in pools)
 
     def test_criterion_batch(self, tmp_path, emitted):
@@ -805,5 +860,11 @@ class TestPlainReports:
         main(["criterion", str(batch)])
         assert emitted[0]["summary"]["count"] == len(kinds)
         assert _non_plain_leaves(emitted[0]) == []
+        rows = emitted[0]["rows"]
+        assert sorted(emitted[0]) == ["rows", "summary"] and len(rows) == len(kinds)
+        assert [_key_tree(row) for row in rows] == [
+            {**CRITERION_KEYS, "file": None}] * len(kinds)
+        assert _key_tree(emitted[0]["summary"]) == SUMMARY_KEYS
         main(["criterion", str(batch / "restricted.json")])
         assert _non_plain_leaves(emitted[1]) == []
+        assert _key_tree(emitted[1]) == CRITERION_KEYS

@@ -71,9 +71,9 @@ class TestConditions:
             assert report.agree and report.all_true
             # two factorisations of the same number: the principal-angle
             # sine and the smallest Gram eigenvalue
-            smallest = report.positivity.smallest
+            smallest = report.uniform_positivity.smallest_eigenvalue
             if smallest is not None and smallest > 1e-6:
-                assert report.range_split.margin == pytest.approx(smallest, rel=1e-8)
+                assert report.range_splitting.margin == pytest.approx(smallest, rel=1e-8)
 
     @pytest.mark.parametrize("seed", [7015, 7022, 7035, 7051])
     def test_agreement_on_shrunk_restricted_domains(self, seed):
@@ -116,10 +116,10 @@ class TestDegenerationFamily:
         for eps in [10.0 ** -j for j in range(13)]:
             report = criterion_report(scaled_defect_instance(eps))
             assert report.agree
-            rows.append((report.positivity.smallest,
+            rows.append((report.uniform_positivity.smallest_eigenvalue,
                          1.0 - report.contraction.norm,
-                         report.range_split.margin))
-            verdicts.append(report.positivity.ok)
+                         report.range_splitting.margin))
+            verdicts.append(report.uniform_positivity.ok)
         for column in zip(*rows):
             assert all(b <= a + LOOSE_GATE for a, b in zip(column, column[1:]))
         # one flip, from complete to not complete, shared by all three
@@ -128,9 +128,9 @@ class TestDegenerationFamily:
 
     def test_all_three_flip_together_when_degenerate(self):
         report = criterion_report(scaled_defect_instance(1e-12))
-        assert not report.positivity.ok
+        assert not report.uniform_positivity.ok
         assert not report.contraction.ok
-        assert not report.range_split.ok
+        assert not report.range_splitting.ok
         assert report.agree
 
     def test_all_three_hold_just_above_the_cut(self):

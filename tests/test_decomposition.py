@@ -96,14 +96,16 @@ class TestDeficiencySpace:
     def test_scalar_everything_full(self, scalar_i):
         s = split(scalar_i)
         defi = deficiency(scalar_i, s)
-        assert defi.deficiency.is_full and defi.intersection.is_full
+        n_plus = build_boundary_triple(s.symmetric).defect_plus
+        assert n_plus.is_full and defi.intersection.is_full
         m = defi.intersection.basis
         assert np.allclose(m @ m.conj().T, [[1.0]])
 
     def test_mixed_diagonal(self, mixed_diag):
         s = split(mixed_diag)
         defi = deficiency(mixed_diag, s)
-        assert gap_distance(defi.deficiency, span(e(2, 1))) < 1e-10
+        n_plus = build_boundary_triple(s.symmetric).defect_plus
+        assert gap_distance(n_plus, span(e(2, 1))) < 1e-10
         assert gap_distance(defi.intersection, span(e(2, 1))) < 1e-10
         m = defi.intersection.basis
         assert np.allclose(m @ m.conj().T, np.diag([0.0, 1.0]), atol=1e-10)
@@ -111,7 +113,7 @@ class TestDeficiencySpace:
     def test_indefinite_metric_pair(self, krein_pm):
         s = split(krein_pm)
         defi = deficiency(krein_pm, s)
-        assert defi.deficiency.is_full
+        assert build_boundary_triple(s.symmetric).defect_plus.is_full
         m = defi.intersection.basis
         assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-10)
 
@@ -173,8 +175,8 @@ class TestDeficiencySpace:
             n = int(rng.integers(2, 10))
             op = random_dissipative(n, rng)
             s = split(op)
-            defi = deficiency(op, s)
-            assert defi.deficiency.dim == op.domain.dim - s.symmetric.domain.dim
+            n_plus = build_boundary_triple(s.symmetric).defect_plus
+            assert n_plus.dim == op.domain.dim - s.symmetric.domain.dim
 
 
 class TestResolventRoute:

@@ -102,10 +102,10 @@ class TestQrMatchesSvdRoute:
 
     def test_deficiency_intersection(self, pieces):
         dims = set()
-        for op, _, _, defi in pieces:
-            expected = svd_intersection(op, defi)
+        for op, _, triple, defi in pieces:
+            expected = svd_intersection(op, triple.defect_plus)
             assert gap_distance(defi.intersection, expected) <= QR_GAP
-            dims.add((defi.intersection.dim, defi.deficiency.dim))
+            dims.add((defi.intersection.dim, triple.defect_plus.dim))
         # the intersection is a proper part of N+ on a restricted domain
         # and all of it on the whole space
         assert any(m < k for m, k in dims) and any(m == k for m, k in dims)

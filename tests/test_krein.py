@@ -62,11 +62,19 @@ _PLANE = KreinSpace(np.eye(2))
     (lambda: KreinSpace(np.eye(2), tol=float("nan")), "tol must be"),
     (lambda: KreinSpace(np.eye(2), tol=2.0), "tol must be in"),
     (lambda: KreinSpace(np.eye(2), tol=-1.0), "tol must be in"),
+    (lambda: Subspace(None), "ambient dimension must be an integer"),
+    (lambda: Subspace("ab"), "ambient dimension must be an integer"),
+    (lambda: Subspace(2.7, e(2, 0)), "ambient dimension must be an integer"),
+    (lambda: Subspace(True), "ambient dimension must be an integer"),
+    (lambda: OperatorWithDomain("space", np.eye(2)), "space must be a KreinSpace"),
+    (lambda: gap_distance(Subspace(2), "x"), "compares two Subspaces"),
 ], ids=["str_metric", "ragged_metric", "ragged_operator", "str_operator",
-        "array_domain", "str_basis", "nan_tol", "tol_2", "negative_tol"])
+        "array_domain", "str_basis", "nan_tol", "tol_2", "negative_tol",
+        "none_ambient", "str_ambient", "float_ambient", "bool_ambient",
+        "str_space", "str_gap_operand"])
 def test_malformed_input_raises_a_typed_error(build, message):
-    # each raised a raw ValueError or AttributeError, or, for tol = -1.0,
-    # the misleading "metric is not Hermitian"
+    # a typed error that names the fault, never a raw numpy or Python error,
+    # and a float or a bool is no ambient dimension
     with pytest.raises(DimensionMismatch, match=message):
         build()
 

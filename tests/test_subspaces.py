@@ -68,6 +68,10 @@ class TestOrthonormalSpan:
         with pytest.raises(DimensionMismatch):
             Subspace(0, None)
 
+    def test_numpy_integer_ambient_dimension_accepted(self):
+        s = Subspace(np.int64(2), np.eye(2)[:, :1])
+        assert type(s.ambient_dim) is int and s.ambient_dim == 2 and s.dim == 1
+
 
 class TestIntersect:
     """The complement-of-sum route of ``conftest``, the oracle of the
