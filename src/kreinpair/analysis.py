@@ -21,33 +21,55 @@ S's from the split, taken before :func:`build_pipeline`, and reads them
 last, so that they overlap the rest of the analysis; queued after
 :func:`build_pipeline`, S's would be waited for.
 
-* **Only the LAPACK call runs on the worker.**  The compression is formed
-  and frozen on the calling thread; the worker gets that array and
-  ``np.linalg.eig``, which releases the interpreter lock while LAPACK runs.
-  The Python around it (clustering, residuals, eigenspaces) stays on the
-  calling thread: on the worker it would hold the lock and make the
-  calling thread wait for it, up to the interpreter's switch interval
-  (5 ms by default) at a time.
-* **Only a lock-releasing call may go to the worker.**  In numpy 2.4.6,
-  ``eig``, ``eigh``, ``qr`` and the full ``svd`` release the lock, while
-  ``eigvals``, ``eigvalsh`` and ``svd(compute_uv=False)``, and so
-  ``norm(., 2)``, hold it through LAPACK.  On two cores, two threads
-  sharing the calls of one of the former take about half to two thirds of
-  one thread's time, and of the latter as long or longer.  So the worker
-  keeps ``eig``: an ``eigvals`` there, with vectors fetched only for the
-  real candidates, would run serially with the calling thread.
-* **The reports are bit-identical.**  The worker makes the same LAPACK call
-  on the same array as the serial path, with the same BLAS settings, and
-  :func:`~kreinpair.boundary.real_spectrum_report` takes the result
-  through ``eigs=`` and does everything else as before.
+Behind them the worker takes the contract checks that feed nothing
+downstream: the von Neumann contracts of the triple of S, whose only
+outputs are a raise and ``green_residual_triple``, then the containment of
+graph T in the adjoint graph and the Green identity on graph T, queued by
+:func:`~kreinpair.boundary.build_boundary_triple` and
+:func:`~kreinpair.boundary.restrict_triple` through ``defer``, in pipeline
+order.  At k = 112 on n = 128 the first costs 14 ms, which the calling
+thread no longer waits for.
+
+* **Only lock-releasing work runs on the worker.**  In numpy 2.4.6,
+  ``eig``, ``eigh``, ``qr``, the full ``svd`` and the products release the
+  interpreter lock, while ``eigvals``, ``eigvalsh`` and
+  ``svd(compute_uv=False)``, and so ``norm(., 2)``, hold it through LAPACK.
+  On two cores, two threads sharing the calls of one of the former take
+  about half to two thirds of one thread's time, and of the latter as long
+  or longer.  So the worker keeps ``eig``, whose Python around it
+  (clustering, residuals, eigenspaces) stays on the calling thread, and the
+  checks are products and Frobenius norms.
+* **The worker reads read-only arrays alone.**  Each compression, and every
+  input of a check, is formed on the calling thread and frozen before it is
+  queued; no task touches an operator or its cached properties.
+* **Steal-back.**  The checks are joined before the eigs are read.  A check
+  whose future can still be cancelled, because the worker has not started
+  it, runs on the calling thread instead, so a call whose worker is still
+  busy with the eigs (S of dimension 112) never waits behind its queue, and
+  the rule needs no threshold.
+* **Error order.**  The join is the ``finally`` of the stages that follow
+  the split.  When one of them raises while a deferred check is pending or
+  has failed, the first failing check in pipeline order is raised in its
+  place, with the type and message the check raises without the worker.
+* **The reports are bit-identical.**  The worker makes the same calls on
+  the same arrays as the serial path, with the same BLAS settings, and
+  :func:`~kreinpair.boundary.real_spectrum_report` takes the eigs through
+  ``eigs=``.
 * **Size gate.**  A compression is handed over only when its dimension is at
-  least ``_OFFLOAD_MIN_DIM`` = 64 and the process may use two CPUs or more.
-  On ``random_dissipative(n, default_rng(1))`` with single-threaded BLAS,
-  the hand-over costs more than the overlap saves below n = 32 and breaks
-  even at n = 32, so 64 is the smallest size that gains.
+  least ``_OFFLOAD_MIN_DIM`` = 64 and the process may use two CPUs or more;
+  the checks are handed over whenever T's is.  On
+  ``random_dissipative(n, default_rng(1))`` with single-threaded BLAS, the
+  hand-over costs more than the overlap saves below n = 32 and breaks even
+  at n = 32, so 64 is the smallest size that gains.  Without a worker the
+  same check functions run inline, in the same order.
+* **Memory.**  What the worker allocates adds to the process's peak even
+  where nothing overlaps: with glibc each thread allocates from its own
+  arena, which keeps its high-water mark.  So the checks form their blocks
+  in place (:func:`~kreinpair.boundary._von_neumann_contracts`), and the
+  von Neumann columns are formed on the calling thread.
 * **No work outlives the call**: the worker belongs to the call.  It is
   started only when T's compression passes the gate, and on the way out
-  ``shutdown(cancel_futures=True)`` cancels an eig the worker has not begun
+  ``shutdown(cancel_futures=True)`` cancels a task the worker has not begun
   and awaits one it has, then joins the thread.  No thread, lock or executor
   is shared between calls.
 """
@@ -111,6 +133,23 @@ def _submit_eig(pool: ThreadPoolExecutor | None,
     return pool.submit(np.linalg.eig, compression)
 
 
+class _Deferred:
+    """A contract check queued on the call's worker.  ``result()`` takes it
+    back and runs it on the calling thread when the worker has not started
+    it, and otherwise waits for the worker's value or error."""
+
+    def __init__(self, pool: ThreadPoolExecutor, check, args: tuple):
+        self._check, self._args = check, args
+        self._future = pool.submit(check, *args)
+
+    def result(self):
+        if self._future.cancel():
+            value = self._check(*self._args)
+            self._future = Future()
+            self._future.set_result(value)
+        return self._future.result()
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     resolvent_domain: Subspace
@@ -120,12 +159,15 @@ class PipelineResult:
     criterion: CriterionReport
 
 
-def build_pipeline(op: OperatorWithDomain, splitting: Splitting) -> PipelineResult:
-    """Every stage after the split, on ``splitting = split(op)``."""
-    triple = build_boundary_triple(splitting.symmetric)
+def build_pipeline(op: OperatorWithDomain, splitting: Splitting,
+                   defer=None) -> PipelineResult:
+    """Every stage after the split, on ``splitting = split(op)``; ``defer``
+    takes the contract checks of the triple and of its restriction off the
+    calling thread (:func:`~kreinpair.boundary.build_boundary_triple`)."""
+    triple = build_boundary_triple(splitting.symmetric, defer)
     defi = deficiency_space(triple, op)
     resolvent_domain = defect_domain_via_resolvent(op, defi)
-    traces = restrict_triple(triple, op, splitting.defect.domain)
+    traces = restrict_triple(triple, op, splitting.defect.domain, defer)
     pair_proj = boundary_map_projection(op, splitting)
     pair_res = boundary_map_resolvent(op, defi)
     criterion = criterion_report(op, traces=traces)
@@ -153,11 +195,12 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
 
     The real-spectrum check comes last, so that its two ``eig`` calls,
     started on the call's worker as soon as their inputs exist, overlap the
-    rest (see the module docstring).  The ``criterion`` and ``real_spectrum``
-    blocks are the fields of their dataclasses, by ``asdict``, so a field's
-    name is its key; eigenvalues become [re, im] pairs.  The first exception
-    propagates unchanged; a bad ``seed`` (a bool too) raises
-    ``DimensionMismatch`` before any work.
+    rest, as do the contract checks queued behind them (see the module
+    docstring).  The ``criterion`` and ``real_spectrum`` blocks are the
+    fields of their dataclasses, by ``asdict``, so a field's name is its
+    key; eigenvalues become [re, im] pairs.  The first exception in pipeline
+    order propagates unchanged, with or without the worker; a bad ``seed``
+    (a bool too) raises ``DimensionMismatch`` before any work.
     """
     seed = checked_seed(seed)
     classification = op.classify()
@@ -169,23 +212,35 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
             "checks": {"dissipative": False},
         }
     # S's domain lies in T's, so without a worker for T there is none for S
-    pool = None
+    pool, defer = None, None
+    deferred: list[_Deferred] = []  # in pipeline order
     if op.domain.dim >= _OFFLOAD_MIN_DIM and _usable_cpus() >= 2:
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kreinpair-eig")
+
+        def defer(check, *args):
+            deferred.append(_Deferred(pool, check, args))
+            return deferred[-1]
     try:
         eig_op = _submit_eig(pool, op)
         splitting = split(op)
         sym = splitting.symmetric
         eig_sym = _submit_eig(pool, sym)
-        result = build_pipeline(op, splitting)
-        green_pair = pair_green_residual(result.pair_projection, op)
+        try:
+            result = build_pipeline(op, splitting, defer)
+            green_pair = pair_green_residual(result.pair_projection, op)
+            map_gap = _map_gap(op.coords(splitting.defect.domain.basis),
+                               result.pair_projection, result.pair_resolvent)
+            splitting_gap = gap_distance(splitting.defect.domain,
+                                         result.resolvent_domain)
+            riesz = op.graph_spectrum if op.domain.dim else np.zeros(1)
+            routes_agree = (classify_by_graph(op) == classification
+                            and classify_by_graph(sym) == sym.classify())
+        finally:
+            # joined before the eigs; the first check that fails is raised,
+            # in place of any error of a later stage
+            for check in deferred:
+                check.result()
         green_triple = result.triple.green_residual
-        map_gap = _map_gap(op.coords(splitting.defect.domain.basis),
-                           result.pair_projection, result.pair_resolvent)
-        splitting_gap = gap_distance(splitting.defect.domain, result.resolvent_domain)
-        riesz = op.graph_spectrum if op.domain.dim else np.zeros(1)
-        routes_agree = (classify_by_graph(op) == classification
-                        and classify_by_graph(sym) == sym.classify())
         eigs = tuple(None if f is None else f.result() for f in (eig_op, eig_sym))
         spectrum = real_spectrum_report(op, sym, result.pair_projection, eigs=eigs)
     finally:

@@ -30,6 +30,9 @@ is checked by two norms instead of a null space.  Graph T lies in the
 adjoint graph exactly when its graph form with graph(S) vanishes: a
 d x d_S product instead of a projection.  Each is decided by a Frobenius
 norm, which bounds the 2-norm from above, so a gate on it only tightens.
+These checks feed nothing that follows but the triple's Green residual, so
+:func:`build_boundary_triple` and :func:`restrict_triple` take a ``defer``
+that may run them elsewhere, on read-only arrays alone.
 
 The boundary pair (E, G) of T is held in E's own coordinates: E is the
 defect domain with the dissipation form, on coordinates of its orthonormal
@@ -56,6 +59,7 @@ rest of the check is unchanged.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,18 +94,25 @@ class BoundaryTriple:
     base space and take values in the boundary space C^k; they vanish
     exactly on the graph of the symmetric part and are jointly surjective,
     so together they form an ordinary boundary triple.  ``defect_plus`` is
-    the deficiency subspace N+ of JS.  ``green_residual`` is the Frobenius
-    norm of the Green identity's defect on the von Neumann basis, checked at
-    construction (:func:`_von_neumann_contracts`), an upper bound of the
-    2-norm.
+    the deficiency subspace N+ of JS.  ``_contracts`` is the construction's
+    contract check (:func:`_triple_contracts`), run at once or deferred by
+    :func:`build_boundary_triple`'s ``defer``: anything whose ``result()`` is
+    its value or raises its error.
     """
 
     space_dim: int
-    trace0: np.ndarray  # k x 2n
-    trace1: np.ndarray  # k x 2n
+    trace0: np.ndarray  # k x 2n, read-only
+    trace1: np.ndarray  # k x 2n, read-only
     symmetric_graph: Subspace
     defect_plus: Subspace
-    green_residual: float
+    _contracts: Future  # or the handle that ``defer`` returned
+
+    @property
+    def green_residual(self) -> float:
+        """Frobenius norm of the Green identity's defect on the von Neumann
+        basis, an upper bound of the 2-norm; reading it joins the contract
+        check, and raises when that failed."""
+        return self._contracts.result()
 
 
 @dataclass(frozen=True)
@@ -142,15 +153,30 @@ class BoundaryPair:
     matrix: np.ndarray  # space_dim x d, domain coords -> defect-basis coords
 
 
-def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
+def _now(check, *args) -> Future:
+    """Run ``check(*args)`` at once, on this thread, as a done future: the
+    ``defer`` of a pipeline without a worker, under which a failing check
+    raises where it stands."""
+    done = Future()
+    done.set_result(check(*args))
+    return done
+
+
+def build_boundary_triple(sym: OperatorWithDomain, defer=None) -> BoundaryTriple:
     """Ordinary boundary triple for the adjoint of a symmetric operator.
 
     N+ and N- are the orthocomplements of the ranges of ``(JS + i)B`` and
     ``(JS - i)B`` for the domain basis B, the trailing columns of their
     complete QRs: every singular value of either is at least 1, so both
     ranges have dimension dim S and N+ and N- the same dimension, with no
-    rank decision.  A violation of the contracts
-    (:func:`_von_neumann_contracts`) raises.
+    rank decision.  A violation of the contracts (:func:`_triple_contracts`)
+    raises.
+
+    The contract check feeds nothing that follows but ``green_residual``, so
+    ``defer``, when given, takes it off this thread: ``defer(check, *args)``
+    is called with read-only arrays alone and returns a handle whose
+    ``result()`` is the check's value or raises its error, as the worker of
+    :func:`~kreinpair.analysis.analyze_operator` does.  None runs it at once.
     """
     if sym.classify() != SYMMETRIC:
         raise PipelineError("boundary triples are built over a symmetric operator")
@@ -162,13 +188,24 @@ def build_boundary_triple(sym: OperatorWithDomain) -> BoundaryTriple:
     traces = _von_neumann_traces(j, qp, qm)
     # the N+- columns (u, iJu)/sqrt(2) and (v, -iJv)/sqrt(2) of the basis
     w = np.vstack([np.hstack([qp, qm]), 1j * (j @ np.hstack([qp, -qm]))]) / np.sqrt(2.0)
-    residual = _von_neumann_contracts(sym, traces, w)[1]
-    if residual > EXACT_BOUND:
-        raise PipelineError(f"abstract Green identity fails (residual {residual:.3e})")
+    # no caller holds the traces or w: frozen, not copied
+    traces.flags.writeable = w.flags.writeable = False
+    contracts = (defer or _now)(_triple_contracts, j, sym.graph.basis,
+                                sym.graph_form, traces, w)
     trace0, trace1 = np.split(traces, 2)
     return BoundaryTriple(space_dim=n - d, trace0=trace0, trace1=trace1,
                           symmetric_graph=sym.graph, defect_plus=Subspace(n, qp),
-                          green_residual=residual)
+                          _contracts=contracts)
+
+
+def _triple_contracts(j: np.ndarray, g: np.ndarray, g_form: np.ndarray,
+                      traces: np.ndarray, w: np.ndarray) -> float:
+    """The Green residual of :func:`_von_neumann_contracts`; raises when a
+    contract fails."""
+    residual = _von_neumann_contracts(j, g, g_form, traces, w)[1]
+    if residual > EXACT_BOUND:
+        raise PipelineError(f"abstract Green identity fails (residual {residual:.3e})")
+    return residual
 
 
 def _von_neumann_traces(j: np.ndarray, qp: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -181,28 +218,62 @@ def _von_neumann_traces(j: np.ndarray, qp: np.ndarray, qm: np.ndarray) -> np.nda
                       0.5j * np.hstack([ph - mh, phj - mhj])])
 
 
-def _von_neumann_contracts(sym: OperatorWithDomain, traces: np.ndarray,
-                           w: np.ndarray) -> tuple[float, float]:
+def _von_neumann_contracts(j: np.ndarray, g: np.ndarray, g_form: np.ndarray,
+                           traces: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     """The trace-kernel gap and the Green residual of the stacked traces on
-    the von Neumann basis ``[g | w]``, g the basis of graph(S) and w the N+-
-    columns, from blocks.  Its Gram defect is checked as :class:`Subspace`
-    checks a basis; the g block of its graph form is ``sym.graph_form``, and
-    ``graph_form(J, a, w) = a* [J bot_w; -J top_w]`` applies J to w once."""
-    j, g = sym.space.J, sym.graph.basis
-    d, k = g.shape[1], traces.shape[0] // 2
+    the von Neumann basis ``[g | w]``, g the basis of graph(S), with its
+    graph form ``g_form``, and w the N+- columns, from blocks.  Its Gram
+    defect is checked as :class:`Subspace` checks a basis, and
+    ``graph_form(J, a, w) = a* [J bot_w; -J top_w]`` applies J to w once.
+
+    Each block is formed in place and dropped once read, with no conjugate
+    copy of w or of the traces on the basis, so that no more than three
+    (n + k)-square blocks are held at a time.  ``a* b`` for a scratch b is
+    taken as ``conj(a^T conj(b))``, b conjugated in place: conjugation is
+    exact, so the residual is the same, bit for bit, as from the blocks
+    formed whole."""
+    d, k, n = g.shape[1], traces.shape[0] // 2, j.shape[0]
     # the Gram's off-diagonal block g* w counts twice, with its adjoint
-    blocks = (g.conj().T @ g - np.eye(d), np.sqrt(2.0) * (g.conj().T @ w),
-              w.conj().T @ w - np.eye(2 * k))
-    gram_defect = np.linalg.norm([np.linalg.norm(b) for b in blocks])
-    if gram_defect > CHECK_GATE * np.sqrt(d + 2 * k):
+    defects = [np.linalg.norm(_minus_identity(g.conj().T @ g)),
+               np.sqrt(2.0) * np.linalg.norm(g.conj().T @ w),
+               np.linalg.norm(_minus_identity(w.conj().T @ w))]
+    if np.linalg.norm(defects) > CHECK_GATE * np.sqrt(d + 2 * k):
         raise DimensionMismatch("basis columns are not orthonormal")
-    on_basis = np.hstack([traces @ g, traces @ w])
+    on_basis = np.empty((2 * k, d + 2 * k), dtype=np.complex128)
+    np.matmul(traces, g, out=on_basis[:, :d])
+    np.matmul(traces, w, out=on_basis[:, d:])
     gap = _trace_kernel_gap(on_basis[:, :d], on_basis[:, d:])
-    top, bot = np.split(w, 2)
-    jw = np.vstack([j @ bot, -(j @ top)])
-    form = np.block([[sym.graph_form, g.conj().T @ jw],
-                     [graph_form(j, w, g), w.conj().T @ jw]])
-    return gap, _green_residual(form, on_basis[:k], on_basis[k:])
+    x = _trace_form(*np.split(on_basis, 2))
+    del on_basis
+    # x = form - x, block by block, for the basis form
+    # [[g_form, g* Jw], [graph_form(J, w, g), w* Jw]]
+    np.subtract(g_form, x[:d, :d], out=x[:d, :d])
+    np.subtract(graph_form(j, w, g), x[d:, :d], out=x[d:, :d])
+    jw = np.empty_like(w)
+    np.matmul(j, w[n:], out=jw[:n])
+    np.negative(np.matmul(j, w[:n], out=jw[n:]), out=jw[n:])
+    np.subtract(g.conj().T @ jw, x[:d, d:], out=x[:d, d:])
+    corner = w.T @ np.conjugate(jw, out=jw)
+    del jw
+    np.subtract(np.conjugate(corner, out=corner), x[d:, d:], out=x[d:, d:])
+    return gap, float(np.linalg.norm(x))
+
+
+def _minus_identity(a: np.ndarray) -> np.ndarray:
+    """``a - I`` for a square ``a``, in place."""
+    a.flat[::a.shape[0] + 1] -= 1.0
+    return a
+
+
+def _trace_form(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """``(t0)* t1 - (t1)* t0``, the boundary form of the traces ``t0``,
+    ``t1`` on a graph basis.  ``t0`` is scratch: it is conjugated in place,
+    so that neither trace is copied, and ``(t1)* t0`` is taken as
+    ``conj(t1^T conj(t0))``."""
+    np.conjugate(t0, out=t0)
+    x, y = t0.T @ t1, t1.T @ t0
+    x -= np.conjugate(y, out=y)
+    return x
 
 
 def _green_residual(form: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> float:
@@ -214,8 +285,10 @@ def _green_residual(form: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> float:
 
     the compression of [x, y'] - [x', y] - (<t0 x^, t1 y^> - <t1 x^, t0 y^>)
     to the basis.  Both forms have norm of order |J| = 1, and the Frobenius
-    norm bounds the 2-norm from above, so a gate on it only tightens."""
-    return float(np.linalg.norm(form - (t0.conj().T @ t1 - t1.conj().T @ t0)))
+    norm bounds the 2-norm from above, so a gate on it only tightens.
+    ``t0`` is overwritten (:func:`_trace_form`)."""
+    x = _trace_form(t0, t1)
+    return float(np.linalg.norm(np.subtract(form, x, out=x)))
 
 
 def _trace_kernel_gap(on_graph: np.ndarray, on_defect: np.ndarray) -> float:
@@ -230,9 +303,13 @@ def _trace_kernel_gap(on_graph: np.ndarray, on_defect: np.ndarray) -> float:
     ``|E|_F / (1 - |W - U0|_F)``, which is returned.  Raises when that bound
     exceeds ``CHECK_GATE``, or W is not U0."""
     k = on_defect.shape[1] // 2
-    eye = np.eye(k) / np.sqrt(2.0)
-    u0 = np.block([[eye, eye], [1j * eye, -1j * eye]])
-    unitary_defect = float(np.linalg.norm(on_defect - u0))
+    # W - U0, with U0's four diagonals subtracted in place
+    off, i, r = on_defect.copy(), np.arange(k), 1.0 / np.sqrt(2.0)
+    off[i, i] -= r
+    off[i, i + k] -= r
+    off[i + k, i] -= 1j * r
+    off[i + k, i + k] += 1j * r
+    unitary_defect = float(np.linalg.norm(off))
     if unitary_defect > EXACT_BOUND:
         raise PipelineError(
             f"traces on the deficiency blocks are not the von Neumann unitary "
@@ -253,12 +330,28 @@ def _containment_residual(j: np.ndarray, sym_graph: np.ndarray,
     unitary ``M(s, s') = (-J s', J s)``, so the part of ``graph`` outside it
     is its overlap with ``M sym_graph``, minus their graph form.  That is a
     d x d_S matrix, and its Frobenius norm bounds the 2-norm
-    ``|(I - P) graph|_2`` for the projector P onto the adjoint graph."""
-    return float(np.linalg.norm(graph_form(j, graph, sym_graph)))
+    ``|(I - P) graph|_2`` for the projector P onto the adjoint graph.
+    Raises when it exceeds ``CHECK_GATE``."""
+    outside = float(np.linalg.norm(graph_form(j, graph, sym_graph)))
+    if outside > CHECK_GATE:
+        raise PipelineError(
+            f"graph of T is not contained in the adjoint graph (defect {outside:.3e})"
+        )
+    return outside
+
+
+def _graph_green_residual(form: np.ndarray, trace0: np.ndarray,
+                          trace1: np.ndarray, graph: np.ndarray) -> float:
+    """:func:`_green_residual` of the traces on the orthonormal graph basis
+    ``graph`` with its graph form ``form``; raises above ``EXACT_BOUND``."""
+    residual = _green_residual(form, trace0 @ graph, trace1 @ graph)
+    if residual > EXACT_BOUND:
+        raise PipelineError(f"Green identity fails on the graph of T ({residual:.3e})")
+    return residual
 
 
 def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
-                    defect: Subspace) -> TraceData:
+                    defect: Subspace, defer=None) -> TraceData:
     """Trace maps evaluated on the graph of T, plus the image G-space.
 
     ``defect`` is T's defect domain (``Subspace.zero`` for a symmetric T).
@@ -270,15 +363,14 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
 
     The containment of graph T in the adjoint graph
     (:func:`_containment_residual`, in the metric J of ``op``'s space) and
-    the Green identity on graph T, against ``op.graph_form``, are checked; a
-    violation of either raises.
+    the Green identity on graph T, against ``op.graph_form``
+    (:func:`_graph_green_residual`), are checked, in that order; a violation
+    of either raises.  Neither feeds what follows, so ``defer`` takes them
+    off this thread as in :func:`build_boundary_triple`.
     """
+    run = defer or _now
     g_t = op.graph.basis
-    outside = _containment_residual(op.space.J, triple.symmetric_graph.basis, g_t)
-    if outside > CHECK_GATE:
-        raise PipelineError(
-            f"graph of T is not contained in the adjoint graph (defect {outside:.3e})"
-        )
+    run(_containment_residual, op.space.J, triple.symmetric_graph.basis, g_t)
     b = op.domain.basis
     stacked_pairs = np.vstack([b, op._image])
     t0 = triple.trace0 @ stacked_pairs
@@ -288,9 +380,7 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
     image, perp = (_split_span(np.vstack([t0, t1]) @ op.coords(defect.basis))
                    if k else (None, None))
     gram = trace_image_gram(image) if k else np.zeros((0, 0), dtype=np.complex128)
-    residual = _green_residual(op.graph_form, triple.trace0 @ g_t, triple.trace1 @ g_t)
-    if residual > EXACT_BOUND:
-        raise PipelineError(f"Green identity fails on the graph of T ({residual:.3e})")
+    run(_graph_green_residual, op.graph_form, triple.trace0, triple.trace1, g_t)
     return TraceData(
         boundary_dim=k,
         trace0=t0,
@@ -354,12 +444,18 @@ def boundary_map_projection(op: OperatorWithDomain,
     """Boundary map as the graph-orthogonal projection onto the defect
     domain: ``(X* G X)^-1 X* G`` for the graph Gram G and the domain
     coordinates X of the defect basis gives the projection's coordinates in
-    that basis."""
+    that basis.  ``X* G X >= X* X = I`` in exact arithmetic, but ``G = I +
+    (TB)*(TB)`` holds ``|T|^2``, so for a large T the solve can find it
+    singular in floating point; that raises :class:`PipelineError`."""
     defect = splitting.defect.domain
     xn = op.coords(defect.basis)
     xg = xn.conj().T @ op.graph_gram
-    return BoundaryPair(space_dim=defect.dim, gram=splitting.defect_gram,
-                        matrix=np.linalg.solve(xg @ xn, xg))
+    try:
+        matrix = np.linalg.solve(xg @ xn, xg)
+    except np.linalg.LinAlgError as exc:
+        raise PipelineError(
+            f"graph-Gram solve of the projection boundary map failed: {exc}") from exc
+    return BoundaryPair(space_dim=defect.dim, gram=splitting.defect_gram, matrix=matrix)
 
 
 def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData) -> np.ndarray:

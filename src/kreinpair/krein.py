@@ -177,7 +177,9 @@ class OperatorWithDomain:
     (2) :class:`KreinSpace` checks J Frobenius-first; each dense_n128 case
     builds one in its timed region.  (3) The eig worker of
     :mod:`~kreinpair.analysis`, with S's from the split, which overlaps the
-    two largest ``eig`` calls with the rest of the analysis.  (4) The dense
+    two largest ``eig`` calls, and behind them the contract checks of the
+    triple and of graph T, with the rest of the analysis; a check the worker
+    has not started when it is joined runs on the calling thread.  (4) The dense
     :meth:`~kreinpair.sturm_liouville.BandedOperator.operator`, the one
     route where the bands cannot decide ``form_scale``.
     """
@@ -232,9 +234,11 @@ class OperatorWithDomain:
     @cached_property
     def graph_form(self) -> np.ndarray:
         """:func:`graph_form` on :attr:`graph`: ``[x, Ty] - [Tx, y]`` on
-        graph-orthonormal coordinates."""
+        graph-orthonormal coordinates, read-only."""
         g = self.graph.basis
-        return graph_form(self.space.J, g, g)
+        form = graph_form(self.space.J, g, g)
+        form.flags.writeable = False
+        return form
 
     @cached_property
     def graph_spectrum(self) -> np.ndarray:

@@ -1,11 +1,12 @@
 """The real-spectrum ``eig`` calls on the worker of ``analyze_operator``.
 
 ``analyze_operator`` hands the LAPACK call of T's and of S's compression to
-a worker thread of its own when the compression is large enough.  The
-reports must be the same as with the hand-over switched off, errors must
-surface unchanged with no work and no thread left behind, small operators
-must never start a worker, and concurrent callers and a forked child must
-get the sequential reports.
+a worker thread of its own when the compression is large enough, and
+behind them the contract checks of the triple and of graph T.  The reports
+must be the same as with the hand-over switched off, errors must surface
+unchanged, the first failing check first, with no work and no thread left
+behind, small operators must never start a worker, and concurrent callers
+and a forked child must get the sequential reports.
 """
 
 import multiprocessing
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from kreinpair import analysis
+from kreinpair import analysis, boundary
 from kreinpair.analysis import analyze_operator
 from kreinpair.errors import DimensionMismatch, PipelineError
 from kreinpair.instances import random_dissipative, real_spectrum_instance
@@ -73,10 +74,18 @@ def _dense_n128(rng):
     return random_dissipative(128, rng, defect=16)
 
 
+def _dense_n128_mixed(rng):
+    # S of dimension 16: its eig stays on the calling thread, while the
+    # contract checks, at k = 112, go to the worker
+    return random_dissipative(128, rng, defect=112)
+
+
 @pytest.mark.parametrize("make", [_indefinite, _full, _restricted,
-                                  _real_spectrum, _clusters, _dense_n128],
+                                  _real_spectrum, _clusters, _dense_n128,
+                                  _dense_n128_mixed],
                          ids=["indefinite", "full", "restricted",
-                              "real_spectrum", "clusters", "dense_n128"])
+                              "real_spectrum", "clusters", "dense_n128",
+                              "dense_n128_mixed"])
 def test_reports_equal_with_and_without_worker(make, monkeypatch, two_cpus,
                                                eig_threads):
     op = make(np.random.default_rng(13))
@@ -95,7 +104,25 @@ def test_reports_equal_with_and_without_worker(make, monkeypatch, two_cpus,
     assert not any(name.startswith(WORKER) for name in eig_threads)
 
 
-def test_sym_eig_is_submitted_before_the_triple(monkeypatch, two_cpus):
+@pytest.fixture
+def queued(monkeypatch):
+    """``(function name, arguments)`` of every task handed to a worker, in
+    the order of its queue."""
+    tasks = []
+
+    class RecordedPool(analysis.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            tasks.append((fn.__name__, args))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordedPool)
+    return tasks
+
+
+CHECKS = ["_triple_contracts", "_containment_residual", "_graph_green_residual"]
+
+
+def test_sym_eig_is_submitted_before_the_triple(monkeypatch, two_cpus, queued):
     events = []
     submit, build_triple = analysis._submit_eig, analysis.build_boundary_triple
 
@@ -104,9 +131,9 @@ def test_sym_eig_is_submitted_before_the_triple(monkeypatch, two_cpus):
         events.append(("eig", op.domain.dim, future is not None))
         return future
 
-    def recorded_triple(sym):
+    def recorded_triple(sym, defer=None):
         events.append(("triple", sym.domain.dim))
-        return build_triple(sym)
+        return build_triple(sym, defer)
 
     monkeypatch.setattr(analysis, "_submit_eig", recorded_submit)
     monkeypatch.setattr(analysis, "build_boundary_triple", recorded_triple)
@@ -115,6 +142,11 @@ def test_sym_eig_is_submitted_before_the_triple(monkeypatch, two_cpus):
     # S's eig is on the worker's queue from the split on, not from the end
     # of the pipeline
     assert events == [("eig", 80, True), ("eig", 72, True), ("triple", 72)]
+    # then the triple's contract check and the two checks on graph T, in
+    # pipeline order, each on read-only arrays alone
+    assert [name for name, _ in queued] == ["eig", "eig"] + CHECKS
+    args = [a for _, task_args in queued for a in task_args]
+    assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in args)
 
 
 @pytest.fixture
@@ -180,7 +212,7 @@ class TestErrors:
             self, monkeypatch, two_cpus, futures, held_eig):
         started, release = held_eig
 
-        def build_pipeline(op, splitting):
+        def build_pipeline(op, splitting, defer=None):
             assert started.wait(30)
             raise PipelineError("planted failure while the eig runs")
 
@@ -195,7 +227,7 @@ class TestErrors:
             self, monkeypatch, two_cpus, futures, held_eig):
         started, release = held_eig
 
-        def failing_triple(sym):
+        def failing_triple(sym, defer=None):
             # T's eig holds the worker, so S's is still queued
             assert started.wait(30) and len(futures) == 2
             raise PipelineError("planted failure while S's eig is queued")
@@ -223,6 +255,147 @@ def _worker_threads():
     return [t for t in threading.enumerate() if t.name.startswith(WORKER)]
 
 
+class TestDeferredChecks:
+    """The contract checks of the triple and of graph T on the worker: the
+    first failing check in pipeline order is the error raised, as without
+    the worker, and a check the worker has not started runs on the calling
+    thread."""
+
+    CONTRACT = r"abstract Green identity fails \(residual 1\.000e\+00\)"
+
+    @pytest.fixture
+    def failing_contract(self, monkeypatch):
+        """``_von_neumann_contracts`` with a Green residual of 1; the names
+        of the threads that ran it, and an event set once it has."""
+        threads, ran = [], threading.Event()
+
+        def planted(*args):
+            threads.append(threading.current_thread().name)
+            ran.set()
+            return 0.0, 1.0
+
+        monkeypatch.setattr(boundary, "_von_neumann_contracts", planted)
+        return threads, ran
+
+    @staticmethod
+    def raised(match, monkeypatch=None):
+        """The message ``analyze_operator`` raises on ``_full``, with the
+        worker, or without it when ``monkeypatch`` is given."""
+        if monkeypatch is not None:
+            monkeypatch.setattr(analysis, "_OFFLOAD_MIN_DIM", sys.maxsize)
+        with pytest.raises(PipelineError, match=match) as caught:
+            analyze_operator(_full(np.random.default_rng(1)))
+        assert _worker_threads() == []
+        return str(caught.value)
+
+    def test_contract_failure_is_the_same_error(self, monkeypatch, two_cpus,
+                                                failing_contract, queued):
+        deferred = self.raised(self.CONTRACT)
+        assert [name for name, _ in queued][2:] == CHECKS
+        assert self.raised(self.CONTRACT, monkeypatch) == deferred
+
+    def test_graph_green_failure_is_the_same_error(self, monkeypatch, two_cpus,
+                                                   queued):
+        monkeypatch.setattr(boundary, "_green_residual", lambda *args: 1.0)
+        match = "Green identity fails on the graph of T"
+        deferred = self.raised(match)
+        assert [name for name, _ in queued][2:] == CHECKS
+        assert self.raised(match, monkeypatch) == deferred
+
+    @staticmethod
+    def later_failure(monkeypatch, wait=None):
+        """A failure of the projection map, a stage after the triple, once
+        ``wait`` is set."""
+        def failing_projection(op, splitting):
+            assert wait is None or wait.wait(30)
+            raise PipelineError("planted failure of a later stage")
+
+        monkeypatch.setattr(analysis, "boundary_map_projection", failing_projection)
+
+    def test_failed_check_wins_over_a_later_error(self, monkeypatch, two_cpus,
+                                                  failing_contract):
+        threads, ran = failing_contract
+        self.later_failure(monkeypatch, wait=ran)
+        self.raised(self.CONTRACT)
+        assert threads == [WORKER + "_0"]
+        self.raised(self.CONTRACT, monkeypatch)
+        assert threads[1] == threading.current_thread().name
+
+    def test_queued_check_is_taken_back_and_wins(self, monkeypatch, two_cpus,
+                                                 failing_contract):
+        threads, _ = failing_contract
+        self.later_failure(monkeypatch)
+        started, release = threading.Event(), threading.Event()
+        eig = np.linalg.eig
+
+        def held_eig(a):
+            started.set()
+            assert release.wait(30)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", held_eig)
+        # the worker holds T's eig, so the check is still queued when the
+        # later stage fails, and the calling thread runs it
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        try:
+            self.raised(self.CONTRACT)
+        finally:
+            release.set()
+            timer.join(5)
+        assert started.is_set()
+        assert threads == [threading.current_thread().name]
+
+
+def test_worker_runs_no_lock_holding_call(monkeypatch, two_cpus):
+    """The checks handed to the worker make none of the calls that hold the
+    interpreter lock through LAPACK: ``eigvals``, ``eigvalsh``, the values
+    of ``svd`` and ``norm(., 2)``."""
+    on_worker = []
+    ran = {name: [] for name in CHECKS}
+    all_ran = threading.Event()
+
+    def spy(module, name, holds_lock):
+        real = getattr(module, name)
+
+        def spied(*args, **kwargs):
+            thread = threading.current_thread().name
+            if name in ran:
+                ran[name].append(thread)
+                if all(ran.values()):
+                    all_ran.set()
+            elif holds_lock(*args, **kwargs) and thread.startswith(WORKER):
+                on_worker.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spied)
+
+    for name in CHECKS:
+        spy(boundary, name, None)
+    spy(np.linalg, "eigvals", lambda *args, **kwargs: True)
+    spy(np.linalg, "eigvalsh", lambda *args, **kwargs: True)
+    spy(np.linalg, "svd", lambda a, *args, compute_uv=True, **kwargs: not compute_uv)
+    spy(np.linalg, "norm", lambda x, ord=None, *args, **kwargs: ord == 2)
+    classify = analysis.classify_by_graph
+
+    def after_the_checks(op):
+        # the calling thread waits here, before it joins them, so that all
+        # checks run on the worker
+        assert all_ran.wait(30)
+        return classify(op)
+
+    monkeypatch.setattr(analysis, "classify_by_graph", after_the_checks)
+    for defect in (16, 112):
+        all_ran.clear()
+        for threads in ran.values():
+            threads.clear()
+        report = analyze_operator(random_dissipative(128, np.random.default_rng(1),
+                                                     defect=defect))
+        assert all(report["checks"].values())
+        assert all(t.startswith(WORKER) for threads in ran.values() for t in threads)
+        assert on_worker == []
+
+
 class TestNoThreadOutlivesTheCall:
     def test_after_return(self, two_cpus, pools):
         report = analyze_operator(random_dissipative(64, np.random.default_rng(1)))
@@ -231,7 +404,7 @@ class TestNoThreadOutlivesTheCall:
         assert _worker_threads() == []
 
     def test_after_raise(self, monkeypatch, two_cpus, pools):
-        def build_pipeline(op, splitting):
+        def build_pipeline(op, splitting, defer=None):
             raise PipelineError("planted failure after the submit")
 
         monkeypatch.setattr(analysis, "build_pipeline", build_pipeline)

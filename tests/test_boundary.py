@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,12 @@ def pipeline(op):
     triple = build_boundary_triple(s.symmetric)
     traces = restrict_triple(triple, op, s.defect.domain)
     return s, triple, traces
+
+
+def von_neumann_contracts(sym, traces, w):
+    """``boundary._von_neumann_contracts`` on the arrays of ``sym``."""
+    return boundary_module._von_neumann_contracts(
+        sym.space.J, sym.graph.basis, sym.graph_form, traces, w)
 
 
 class TestBuildTriple:
@@ -269,7 +277,7 @@ class TestContractChecks:
         j, g_t = sym.space.J, graph.basis
         adjoint = adjoint_graph(sym)
         t0, t1 = triple.trace0, triple.trace1
-        gap, green = boundary_module._von_neumann_contracts(
+        gap, green = von_neumann_contracts(
             sym, np.vstack([t0, t1]), von_neumann_pieces(sym)[2])
         return [
             (dense_green_residual(t0, t1, j, adjoint), green),
@@ -322,7 +330,7 @@ class TestContractChecks:
         """The block route and the full-basis oracle raise ``error`` with
         the same message on the same planted fault."""
         with pytest.raises(error, match=match):
-            boundary_module._von_neumann_contracts(sym, traces, w)
+            von_neumann_contracts(sym, traces, w)
         with pytest.raises(error, match=match):
             full_basis_contracts(sym, traces, w)
 
@@ -381,6 +389,29 @@ class TestContractChecks:
         with pytest.raises(PipelineError, match="not contained"):
             restrict_triple(triple, op, split(op).defect.domain)
 
+    def test_peak_memory_on_the_widest_dense_n128_case(self):
+        # k = 112: the products of the traces on the basis and the basis
+        # form take up to 0.9 MB each, and at most three are held at a time
+        # (5.6 MB before they were formed in place)
+        sym = split(random_dissipative(128, np.random.default_rng(1),
+                                       defect=112)).symmetric
+        triple = build_boundary_triple(sym)
+        args = (sym.space.J, sym.graph.basis, sym.graph_form,
+                np.vstack([triple.trace0, triple.trace1]),
+                von_neumann_pieces(sym)[2])
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            gap, green = boundary_module._von_neumann_contracts(*args)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert green == triple.green_residual
+        assert peak <= 3.5 * 2**20
+
     def test_no_matrix_two_norms(self, monkeypatch):
         op = random_dissipative(24, np.random.default_rng(16), domain_dim=20)
         s = split(op)
@@ -404,7 +435,7 @@ class TestBlockContractsMatchTheFullBasis:
         traces = np.vstack([triple.trace0, triple.trace1])
         w = von_neumann_pieces(sym)[2]
         gap, green = full_basis_contracts(sym, traces, w)
-        block_gap, block_green = boundary_module._von_neumann_contracts(sym, traces, w)
+        block_gap, block_green = von_neumann_contracts(sym, traces, w)
         assert abs(block_gap - gap) <= self.AGREEMENT
         assert abs(block_green - green) <= self.AGREEMENT
         assert abs(triple.green_residual - green) <= self.AGREEMENT
@@ -432,6 +463,27 @@ class TestBoundaryMaps:
         defi = deficiency_space(triple, scalar_i)
         res = boundary_map_resolvent(scalar_i, defi)
         assert np.allclose(res, [[1.0]])
+
+    def test_singular_graph_gram_solve_is_a_typed_error(self):
+        # ROADMAP item 13's direct sum a + c b at recipe seed 120, c = 1e8, on
+        # the block-diagonal basis: X* G X holds |T|^2 ~ 1e16 and the solve
+        # finds it singular
+        rng = np.random.default_rng(120)
+        blocks = []
+        for _ in range(2):
+            n = rng.integers(2, 12)
+            blocks.append(random_dissipative(n, rng, domain_dim=rng.integers(1, n + 1)))
+        a, b = blocks
+        zero = np.zeros((a.space.dim, b.space.dim))
+        matrix = np.block([[a.matrix, zero], [zero.T, 1e8 * b.matrix]])
+        j = np.block([[a.space.J, zero], [zero.T, b.space.J]])
+        basis = np.block([
+            [a.domain.basis, np.zeros((a.space.dim, b.domain.dim))],
+            [np.zeros((b.space.dim, a.domain.dim)), b.domain.basis]])
+        n = a.space.dim + b.space.dim
+        op = OperatorWithDomain(KreinSpace(j), matrix, Subspace(n, basis))
+        with pytest.raises(PipelineError, match="graph-Gram solve"):
+            analyze_operator(op)
 
     def test_symmetric_map_vanishes(self, hermitian_full):
         s = split(hermitian_full)
