@@ -12,24 +12,34 @@ completeness criteria read the trace image of the traces alone.
 
 Of the four special cases of :class:`~kreinpair.krein.OperatorWithDomain`,
 (1) the identity basis, (2) the Frobenius-first check of J, (3) the eig
-worker and (4) ``BandedOperator.operator()``, this module holds (3).  The
-two ``eig`` calls of the real-spectrum check, of T's and of S's domain
-compression, are the largest single stage, yet T's needs only T and S's
-only the splitting.  :func:`analyze_operator` therefore runs them on a
-worker thread of its own, T's from right after the classification and
-S's from the split, taken before :func:`build_pipeline`, and reads them
-last, so that they overlap the rest of the analysis; queued after
-:func:`build_pipeline`, S's would be waited for.
+worker and (4) ``BandedOperator.operator()``, this module holds (3).  Five
+tasks of a call feed nothing but its end: the ``eig`` of T's and of S's
+domain compression, the largest single calls of the real-spectrum check,
+and the contract checks that the stages queue through ``defer``, of the
+triple of S (:func:`~kreinpair.boundary.build_boundary_triple`), then the
+containment of graph T in the adjoint graph and the Green identity on
+graph T (:func:`~kreinpair.boundary.restrict_triple`).  Each is made as
+soon as its inputs exist, T's eig after the classification and S's at the
+split, and read at the end, so that it can overlap the rest of the call.
 
-Behind them the worker takes the contract checks that feed nothing
-downstream: the von Neumann contracts of the triple of S, whose only
-outputs are a raise and ``green_residual_triple``, then the containment of
-graph T in the adjoint graph and the Green identity on graph T, queued by
-:func:`~kreinpair.boundary.build_boundary_triple` and
-:func:`~kreinpair.boundary.restrict_triple` through ``defer``, in pipeline
-order.  At k = 112 on n = 128 the first costs 14 ms, which the calling
-thread no longer waits for.
-
+* **One handle.**  Every task is a :class:`_Deferred`.  With a worker it is
+  queued on it, and ``result()`` takes back a task the worker has not
+  started and runs it on the calling thread, so a call whose worker is
+  busy with the eigs never waits behind its queue.  Without a worker,
+  ``result()`` runs it.  The serial and the threaded call run the same
+  code in the same order and differ only in whether the pool exists.  A
+  task runs at most once, also when it raises.
+* **One gate.**  A call starts a worker when dim T is at least
+  ``_OFFLOAD_MIN_DIM`` = 64 and the process may use two CPUs or more, and
+  then queues all five tasks on it.  On
+  ``random_dissipative(n, default_rng(1))`` with single-threaded BLAS, the
+  hand-over costs more than the overlap saves below n = 32 and breaks even
+  at n = 32, so 64 is the smallest size that gains.
+* **Error order, by construction.**  The checks are read in the ``finally``
+  of the stages that follow the split, in pipeline order, then T's eig,
+  then S's.  So the first failing check is raised in place of any error of
+  a later stage, with the type and message it has on either path, and a
+  call that fails before a task is read never runs it on this thread.
 * **Only lock-releasing work runs on the worker.**  In numpy 2.4.6,
   ``eig``, ``eigh``, ``qr``, the full ``svd`` and the products release the
   interpreter lock, while ``eigvals``, ``eigvalsh`` and
@@ -42,49 +52,31 @@ thread no longer waits for.
 * **The worker reads read-only arrays alone.**  Each compression, and every
   input of a check, is formed on the calling thread and frozen before it is
   queued; no task touches an operator or its cached properties.
-* **Steal-back.**  The checks are joined before the eigs are read.  A check
-  whose future can still be cancelled, because the worker has not started
-  it, runs on the calling thread instead, so a call whose worker is still
-  busy with the eigs (S of dimension 112) never waits behind its queue, and
-  the rule needs no threshold.
-* **Error order.**  The join is the ``finally`` of the stages that follow
-  the split.  When one of them raises while a deferred check is pending or
-  has failed, the first failing check in pipeline order is raised in its
-  place, with the type and message the check raises without the worker.
 * **The reports are bit-identical.**  The worker makes the same calls on
-  the same arrays as the serial path, with the same BLAS settings, and
+  the same arrays as the calling thread, with the same BLAS settings, and
   :func:`~kreinpair.boundary.real_spectrum_report` takes the eigs through
   ``eigs=``.
-* **Size gate.**  A compression is handed over only when its dimension is at
-  least ``_OFFLOAD_MIN_DIM`` = 64 and the process may use two CPUs or more;
-  the checks are handed over whenever T's is.  On
-  ``random_dissipative(n, default_rng(1))`` with single-threaded BLAS, the
-  hand-over costs more than the overlap saves below n = 32 and breaks even
-  at n = 32, so 64 is the smallest size that gains.  Without a worker the
-  same check functions run inline, in the same order.
 * **Memory.**  What the worker allocates adds to the process's peak even
   where nothing overlaps: with glibc each thread allocates from its own
   arena, which keeps its high-water mark.  So the checks form their blocks
   in place (:func:`~kreinpair.boundary._von_neumann_contracts`), and the
   von Neumann columns are formed on the calling thread.
-* **No work outlives the call**: the worker belongs to the call.  It is
-  started only when T's compression passes the gate, and on the way out
-  ``shutdown(cancel_futures=True)`` cancels a task the worker has not begun
-  and awaits one it has, then joins the thread.  No thread, lock or executor
-  is shared between calls.
+* **No work outlives the call**: the worker belongs to the call.  On the way
+  out ``shutdown(cancel_futures=True)`` cancels a task the worker has not
+  begun and awaits one it has, then joins the thread.  No thread, lock or
+  executor is shared between calls.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from .boundary import (
     BoundaryPair,
-    BoundaryTriple,
     boundary_map_projection,
     boundary_map_resolvent,
     build_boundary_triple,
@@ -92,22 +84,17 @@ from .boundary import (
     real_spectrum_report,
     restrict_triple,
 )
-from .completeness import CriterionReport, criterion_report
-from .decomposition import (
-    Splitting,
-    defect_domain_via_resolvent,
-    deficiency_space,
-    split,
-)
-from .errors import checked_seed
+from .completeness import criterion_report
+from .decomposition import defect_domain_via_resolvent, deficiency_space, split
+from .errors import checked_instance, checked_seed
 from .krein import NEITHER, OperatorWithDomain, classify_by_graph
-from .subspaces import Subspace, gap_distance
+from .subspaces import gap_distance
 from .tolerances import CHECK_GATE, INDEFINITE_CUT
 
-__all__ = ["PipelineResult", "build_pipeline", "analyze_operator"]
+__all__ = ["analyze_operator"]
 
-# the smallest compression dimension whose eig goes to the worker, measured
-# as the module docstring says
+# the smallest dimension of T whose call starts a worker, measured as the
+# module docstring says
 _OFFLOAD_MIN_DIM = 64
 
 def _usable_cpus() -> int:
@@ -116,68 +103,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _submit_eig(pool: ThreadPoolExecutor | None,
-                op: OperatorWithDomain) -> Future | None:
-    """Start ``np.linalg.eig`` of the domain compression of ``op`` on the
-    worker ``pool`` of the call; None without a pool or when the
-    compression is too small to gain.
-
-    The compression is formed here, on the calling thread, and frozen: the
-    worker reads one array and runs one LAPACK call, touching no cached
-    property of ``op``."""
-    if pool is None or op.domain.dim < _OFFLOAD_MIN_DIM:
-        return None
-    compression = op.coords(op._image)
-    compression.flags.writeable = False
-    # np.linalg.eig is looked up now, so a patched or traced eig is the one run
-    return pool.submit(np.linalg.eig, compression)
-
-
 class _Deferred:
-    """A contract check queued on the call's worker.  ``result()`` takes it
-    back and runs it on the calling thread when the worker has not started
-    it, and otherwise waits for the worker's value or error."""
+    """``task(*args)``, queued on the call's worker ``pool`` when there is
+    one.  ``result()`` runs it on the calling thread unless the worker has
+    started it, and otherwise waits for the worker's value or error; the
+    task runs once, and every ``result()`` returns or raises the same."""
 
-    def __init__(self, pool: ThreadPoolExecutor, check, args: tuple):
-        self._check, self._args = check, args
-        self._future = pool.submit(check, *args)
+    def __init__(self, pool: ThreadPoolExecutor | None, task, *args):
+        self._task, self._args = task, args
+        self._future = Future() if pool is None else pool.submit(task, *args)
 
     def result(self):
-        if self._future.cancel():
-            value = self._check(*self._args)
+        if self._future.cancel():  # not begun, by a worker or at all
             self._future = Future()
-            self._future.set_result(value)
+            try:
+                self._future.set_result(self._task(*self._args))
+            except BaseException as error:
+                self._future.set_exception(error)
         return self._future.result()
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    resolvent_domain: Subspace
-    triple: BoundaryTriple
-    pair_projection: BoundaryPair
-    pair_resolvent: np.ndarray  # d x d, domain coords -> domain coords
-    criterion: CriterionReport
-
-
-def build_pipeline(op: OperatorWithDomain, splitting: Splitting,
-                   defer=None) -> PipelineResult:
-    """Every stage after the split, on ``splitting = split(op)``; ``defer``
-    takes the contract checks of the triple and of its restriction off the
-    calling thread (:func:`~kreinpair.boundary.build_boundary_triple`)."""
-    triple = build_boundary_triple(splitting.symmetric, defer)
-    defi = deficiency_space(triple, op)
-    resolvent_domain = defect_domain_via_resolvent(op, defi)
-    traces = restrict_triple(triple, op, splitting.defect.domain, defer)
-    pair_proj = boundary_map_projection(op, splitting)
-    pair_res = boundary_map_resolvent(op, defi)
-    criterion = criterion_report(op, traces=traces)
-    return PipelineResult(
-        resolvent_domain=resolvent_domain,
-        triple=triple,
-        pair_projection=pair_proj,
-        pair_resolvent=pair_res,
-        criterion=criterion,
-    )
+def _compression(op: OperatorWithDomain) -> np.ndarray:
+    """The domain compression of ``op``, the one input of its ``eig``, formed
+    on the calling thread and frozen."""
+    compression = op.coords(op._image)
+    compression.flags.writeable = False
+    return compression
 
 
 def _map_gap(xn: np.ndarray, pair: BoundaryPair, resolvent: np.ndarray) -> float:
@@ -194,14 +145,16 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
     ``seed`` is only validated and echoed.
 
     The real-spectrum check comes last, so that its two ``eig`` calls,
-    started on the call's worker as soon as their inputs exist, overlap the
-    rest, as do the contract checks queued behind them (see the module
-    docstring).  The ``criterion`` and ``real_spectrum`` blocks are the
-    fields of their dataclasses, by ``asdict``, so a field's name is its
-    key; eigenvalues become [re, im] pairs.  The first exception in pipeline
-    order propagates unchanged, with or without the worker; a bad ``seed``
-    (a bool too) raises ``DimensionMismatch`` before any work.
+    queued as soon as their inputs exist, overlap the rest, as do the
+    contract checks queued behind them (see the module docstring).  The
+    ``criterion`` and ``real_spectrum`` blocks are the fields of their
+    dataclasses, by ``asdict``, so a field's name is its key; eigenvalues
+    become [re, im] pairs.  The first exception in pipeline order
+    propagates unchanged, with or without the worker; an ``op`` that is no
+    :class:`~kreinpair.krein.OperatorWithDomain` and a bad ``seed`` (a bool
+    too) raise ``DimensionMismatch`` before any work.
     """
+    checked_instance(op, OperatorWithDomain, "op")
     seed = checked_seed(seed)
     classification = op.classify()
     if classification == NEITHER:
@@ -211,38 +164,42 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
             "seed": seed,
             "checks": {"dissipative": False},
         }
-    # S's domain lies in T's, so without a worker for T there is none for S
-    pool, defer = None, None
-    deferred: list[_Deferred] = []  # in pipeline order
-    if op.domain.dim >= _OFFLOAD_MIN_DIM and _usable_cpus() >= 2:
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kreinpair-eig")
+    # S's domain lies in T's, so the one gate is taken on T
+    pool = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="kreinpair-eig")
+            if op.domain.dim >= _OFFLOAD_MIN_DIM and _usable_cpus() >= 2 else None)
+    deferred: list[_Deferred] = []  # the checks, in pipeline order
 
-        def defer(check, *args):
-            deferred.append(_Deferred(pool, check, args))
-            return deferred[-1]
+    def defer(check, *args):
+        deferred.append(_Deferred(pool, check, *args))
+        return deferred[-1]
     try:
-        eig_op = _submit_eig(pool, op)
+        # np.linalg.eig is looked up now, so a patched or traced eig is the one run
+        eig_op = _Deferred(pool, np.linalg.eig, _compression(op))
         splitting = split(op)
-        sym = splitting.symmetric
-        eig_sym = _submit_eig(pool, sym)
+        sym, defect = splitting.symmetric, splitting.defect.domain
+        eig_sym = _Deferred(pool, np.linalg.eig, _compression(sym))
         try:
-            result = build_pipeline(op, splitting, defer)
-            green_pair = pair_green_residual(result.pair_projection, op)
-            map_gap = _map_gap(op.coords(splitting.defect.domain.basis),
-                               result.pair_projection, result.pair_resolvent)
-            splitting_gap = gap_distance(splitting.defect.domain,
-                                         result.resolvent_domain)
+            triple = build_boundary_triple(sym, defer)
+            defi = deficiency_space(triple, op)
+            resolvent_domain = defect_domain_via_resolvent(op, defi)
+            traces = restrict_triple(triple, op, defect, defer)
+            pair = boundary_map_projection(op, splitting)
+            resolvent_map = boundary_map_resolvent(op, defi)
+            criterion = criterion_report(op, traces=traces)
+            green_pair = pair_green_residual(pair, op)
+            map_gap = _map_gap(op.coords(defect.basis), pair, resolvent_map)
+            splitting_gap = gap_distance(defect, resolvent_domain)
             riesz = op.graph_spectrum if op.domain.dim else np.zeros(1)
             routes_agree = (classify_by_graph(op) == classification
                             and classify_by_graph(sym) == sym.classify())
         finally:
-            # joined before the eigs; the first check that fails is raised,
-            # in place of any error of a later stage
+            # the first check that fails is raised, in place of any error of
+            # a later stage
             for check in deferred:
                 check.result()
-        green_triple = result.triple.green_residual
-        eigs = tuple(None if f is None else f.result() for f in (eig_op, eig_sym))
-        spectrum = real_spectrum_report(op, sym, result.pair_projection, eigs=eigs)
+        green_triple = triple.green_residual
+        spectrum = real_spectrum_report(op, sym, pair,
+                                        eigs=(eig_op.result(), eig_sym.result()))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -253,7 +210,7 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         "boundary_map_agreement": map_gap <= CHECK_GATE,
         "splitting_crosscheck": splitting_gap <= CHECK_GATE,
         "kernel_is_symmetric_domain": spectrum.kernel_gap <= CHECK_GATE,
-        "criterion_agreement": result.criterion.agree,
+        "criterion_agreement": criterion.agree,
         "real_spectrum": spectrum.passed,
         "classification_routes_agree": routes_agree,
         "riesz_form_bounds": bool(riesz[0] >= -INDEFINITE_CUT * op.tol
@@ -268,16 +225,16 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
             "space": op.space.dim,
             "domain": op.domain.dim,
             "symmetric_part": sym.domain.dim,
-            "defect_part": splitting.defect.domain.dim,
-            "deficiency_space": result.triple.defect_plus.dim,
-            "boundary_space": result.pair_projection.space_dim,
+            "defect_part": defect.dim,
+            "deficiency_space": triple.defect_plus.dim,
+            "boundary_space": pair.space_dim,
         },
         "green_residual_pair": green_pair,
         "green_residual_triple": green_triple,
         "boundary_map_gap": map_gap,
         "splitting_gap": splitting_gap,
         "kernel_gap": spectrum.kernel_gap,
-        "criterion": asdict(result.criterion),
+        "criterion": asdict(criterion),
         "real_spectrum": real_spectrum,
         "riesz": {"min_eigenvalue": float(riesz[0]),
                   "graph_norm": float(np.max(np.abs(riesz)))},

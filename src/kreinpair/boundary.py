@@ -155,8 +155,9 @@ class BoundaryPair:
 
 def _now(check, *args) -> Future:
     """Run ``check(*args)`` at once, on this thread, as a done future: the
-    ``defer`` of a pipeline without a worker, under which a failing check
-    raises where it stands."""
+    eager default ``defer`` of :func:`build_boundary_triple` and
+    :func:`restrict_triple`, under which a failing check raises where it
+    stands."""
     done = Future()
     done.set_result(check(*args))
     return done
@@ -175,8 +176,9 @@ def build_boundary_triple(sym: OperatorWithDomain, defer=None) -> BoundaryTriple
     The contract check feeds nothing that follows but ``green_residual``, so
     ``defer``, when given, takes it off this thread: ``defer(check, *args)``
     is called with read-only arrays alone and returns a handle whose
-    ``result()`` is the check's value or raises its error, as the worker of
-    :func:`~kreinpair.analysis.analyze_operator` does.  None runs it at once.
+    ``result()`` is the check's value or raises its error, as the task
+    handles of :func:`~kreinpair.analysis.analyze_operator` are.  None runs
+    it at once.
     """
     if sym.classify() != SYMMETRIC:
         raise PipelineError("boundary triples are built over a symmetric operator")

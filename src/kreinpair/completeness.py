@@ -27,7 +27,7 @@ import numpy as np
 
 from .boundary import TraceData, build_boundary_triple, restrict_triple
 from .decomposition import split
-from .errors import ClassificationError
+from .errors import ClassificationError, checked_instance
 from .krein import NEITHER, OperatorWithDomain
 from .tolerances import CRITERION_TOL
 
@@ -157,9 +157,11 @@ def criterion_report(op: OperatorWithDomain,
     :func:`~kreinpair.boundary.restrict_triple`; without them they are
     built from the splitting of ``op``.  Disagreement never reflects the
     underlying equivalence failing; it flags an implementation or tolerance
-    problem, so callers should treat ``agree=False`` as a hard failure.
+    problem, so callers should treat ``agree=False`` as a hard failure.  An
+    ``op`` that is no :class:`~kreinpair.krein.OperatorWithDomain` raises
+    ``DimensionMismatch``.
     """
-    if op.classify() == NEITHER:
+    if checked_instance(op, OperatorWithDomain, "op").classify() == NEITHER:
         raise ClassificationError("completeness criteria need a dissipative operator")
     if traces is None:
         splitting = split(op)

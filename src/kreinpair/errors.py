@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks of scalar input."""
+"""Exception types shared across the package, and the checks of input."""
 
 import contextlib
 import math
@@ -64,3 +64,21 @@ def checked_real(value, what: str) -> float:
     if not math.isfinite(number):
         raise DimensionMismatch(f"{what} must be a finite real number, got {value!r}")
     return number
+
+
+def checked_tol(tol) -> float:
+    """``tol``, a rank tolerance, as a ``float`` in (0, 1), else
+    :class:`DimensionMismatch`."""
+    tol = checked_real(tol, "tol")
+    if not 0.0 < tol < 1.0:
+        raise DimensionMismatch(f"tol must be in (0, 1), got {tol!r}")
+    return tol
+
+
+def checked_instance(value, kind: type, what: str):
+    """``value`` when it is a ``kind``, else :class:`DimensionMismatch`."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise DimensionMismatch(
+            f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value

@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, MetricError, ScaleOverflow, checked_real
+from .errors import (DimensionMismatch, MetricError, ScaleOverflow, checked_instance,
+                     checked_tol)
 from .subspaces import Subspace, _as_array, _frozen, qr_span
 from .tolerances import DEFAULT_TOL, METRIC_SLACK, negligible
 
@@ -133,9 +134,7 @@ class KreinSpace:
             raise MetricError(f"metric must be square, got shape {j.shape}")
         if j.shape[0] == 0:
             raise MetricError("zero-dimensional metric is not allowed")
-        tol = checked_real(tol, "tol")
-        if not 0.0 < tol < 1.0:
-            raise DimensionMismatch(f"tol must be in (0, 1), got {tol!r}")
+        tol = checked_tol(tol)
         peak, unit = _unit(j)
         columns = np.linalg.norm(unit, axis=0)
         low = peak * float(np.max(columns))
@@ -176,17 +175,17 @@ class OperatorWithDomain:
     changes no bit and would cost a dense product on every use.
     (2) :class:`KreinSpace` checks J Frobenius-first; each dense_n128 case
     builds one in its timed region.  (3) The eig worker of
-    :mod:`~kreinpair.analysis`, with S's from the split, which overlaps the
-    two largest ``eig`` calls, and behind them the contract checks of the
-    triple and of graph T, with the rest of the analysis; a check the worker
-    has not started when it is joined runs on the calling thread.  (4) The dense
+    :mod:`~kreinpair.analysis`, which overlaps the two largest ``eig``
+    calls, T's and S's, and the contract checks of the triple and of graph
+    T with the rest of the analysis.  Each of the five is one task handle
+    that runs on the calling thread when it is read, unless the worker has
+    started it; below the one gate on dim T no worker starts.  (4) The dense
     :meth:`~kreinpair.sturm_liouville.BandedOperator.operator`, the one
     route where the bands cannot decide ``form_scale``.
     """
 
     def __init__(self, space: KreinSpace, matrix, domain: Subspace | None = None):
-        if not isinstance(space, KreinSpace):
-            raise DimensionMismatch(f"space must be a KreinSpace, got {type(space).__name__}")
+        checked_instance(space, KreinSpace, "space")
         m = _frozen(np.atleast_1d(_as_array(matrix)))
         if m.shape != (space.dim, space.dim):
             raise DimensionMismatch(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, checked_integer
+from .errors import DimensionMismatch, checked_integer, checked_tol
 from .tolerances import CHECK_GATE, DEFAULT_TOL, negligible
 
 __all__ = [
@@ -170,10 +170,11 @@ class Subspace:
 def orthonormal_span(matrix, tol: float = DEFAULT_TOL,
                      scale: float | None = None) -> Subspace:
     """Span of the columns of ``matrix``, with the orthonormal basis of
-    :func:`column_space` at ``tol`` and ``scale``; it lives in C^m for a
-    matrix of m rows."""
+    :func:`column_space` at ``tol``, in (0, 1) as for a
+    :class:`~kreinpair.krein.KreinSpace`, and ``scale``; it lives in C^m
+    for a matrix of m rows."""
     m = _as_matrix(matrix)
-    basis = column_space(m, tol, scale)
+    basis = column_space(m, checked_tol(tol), scale)
     # no caller holds this view of the SVD's factor, so it is frozen in place
     # rather than copied
     basis.flags.writeable = False

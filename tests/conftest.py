@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kreinpair import KreinSpace, OperatorWithDomain, gap_distance, split
+from kreinpair import KreinSpace, OperatorWithDomain, analysis, gap_distance, split
 from kreinpair.decomposition import Splitting
 from kreinpair.boundary import _green_residual, _trace_kernel_gap
 from kreinpair.cli import SpecError
@@ -44,6 +44,35 @@ def krein_pm():
 def hermitian_full():
     """A full-domain Hermitian matrix: symmetric with zero defect."""
     return OperatorWithDomain(KreinSpace(np.eye(3)), np.diag([1.0, 2.0, -0.5]))
+
+
+@pytest.fixture
+def queued(monkeypatch):
+    """``(function name, arguments, future)`` of every task handed to the
+    worker of ``analyze_operator``, in the order of its queue."""
+    tasks = []
+
+    class RecordedPool(analysis.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            tasks.append((fn.__name__, args, super().submit(fn, *args, **kwargs)))
+            return tasks[-1][2]
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordedPool)
+    return tasks
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every worker pool ``analyze_operator`` creates."""
+    created = []
+    pool = analysis.ThreadPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        created.append(pool(*args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", counted_pool)
+    return created
 
 
 def e(n, k):

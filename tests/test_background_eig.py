@@ -1,18 +1,21 @@
 """The real-spectrum ``eig`` calls on the worker of ``analyze_operator``.
 
-``analyze_operator`` hands the LAPACK call of T's and of S's compression to
-a worker thread of its own when the compression is large enough, and
-behind them the contract checks of the triple and of graph T.  The reports
-must be the same as with the hand-over switched off, errors must surface
-unchanged, the first failing check first, with no work and no thread left
-behind, small operators must never start a worker, and concurrent callers
-and a forked child must get the sequential reports.
+``analyze_operator`` hands the LAPACK call of T's and of S's compression,
+and behind them the contract checks of the triple and of graph T, to a
+worker thread of its own when T is large enough; without the worker each
+of the five tasks runs when it is read.  The reports must be the same as
+with the hand-over switched off, errors must surface unchanged, the first
+failing check first, with no work and no thread left behind, every task
+must run once, small operators must never start a worker, and concurrent
+callers and a forked child must get the sequential reports.
 """
 
+import contextlib
 import multiprocessing
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -75,8 +78,8 @@ def _dense_n128(rng):
 
 
 def _dense_n128_mixed(rng):
-    # S of dimension 16: its eig stays on the calling thread, while the
-    # contract checks, at k = 112, go to the worker
+    # S of dimension 16, below the gate's 64, and the contract checks at
+    # k = 112: all five tasks still go to the worker
     return random_dissipative(128, rng, defect=112)
 
 
@@ -90,11 +93,8 @@ def test_reports_equal_with_and_without_worker(make, monkeypatch, two_cpus,
                                                eig_threads):
     op = make(np.random.default_rng(13))
     report = analyze_operator(op, seed=2)
-    offloaded = list(eig_threads)
-    sym_dim = report["dims"]["symmetric_part"]
-    # T's eig always goes to the worker here, S's when its domain is large
-    assert offloaded[0].startswith(WORKER)
-    assert offloaded[1].startswith(WORKER) == (sym_dim >= analysis._OFFLOAD_MIN_DIM)
+    # T's eig always runs on the worker here; S's is queued behind it
+    assert len(eig_threads) == 2 and eig_threads[0].startswith(WORKER)
     assert all(report["checks"].values()), report["checks"]
 
     eig_threads.clear()
@@ -104,63 +104,37 @@ def test_reports_equal_with_and_without_worker(make, monkeypatch, two_cpus,
     assert not any(name.startswith(WORKER) for name in eig_threads)
 
 
-@pytest.fixture
-def queued(monkeypatch):
-    """``(function name, arguments)`` of every task handed to a worker, in
-    the order of its queue."""
-    tasks = []
-
-    class RecordedPool(analysis.ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            tasks.append((fn.__name__, args))
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordedPool)
-    return tasks
-
-
 CHECKS = ["_triple_contracts", "_containment_residual", "_graph_green_residual"]
 
 
-def test_sym_eig_is_submitted_before_the_triple(monkeypatch, two_cpus, queued):
-    events = []
-    submit, build_triple = analysis._submit_eig, analysis.build_boundary_triple
+def _names(queued):
+    return [name for name, *_ in queued]
 
-    def recorded_submit(pool, op):
-        future = submit(pool, op)
-        events.append(("eig", op.domain.dim, future is not None))
-        return future
+
+@pytest.mark.parametrize("make", [_full, _dense_n128, _dense_n128_mixed],
+                         ids=["full", "dense_n128", "dense_n128_mixed"])
+def test_sym_eig_is_submitted_before_the_triple(make, monkeypatch, two_cpus,
+                                                queued):
+    events = []
+    build_triple = analysis.build_boundary_triple
 
     def recorded_triple(sym, defer=None):
-        events.append(("triple", sym.domain.dim))
+        events.append(_names(queued))
         return build_triple(sym, defer)
 
-    monkeypatch.setattr(analysis, "_submit_eig", recorded_submit)
     monkeypatch.setattr(analysis, "build_boundary_triple", recorded_triple)
-    report = analyze_operator(_full(np.random.default_rng(1)))
+    report = analyze_operator(make(np.random.default_rng(1)))
     assert all(report["checks"].values())
-    # S's eig is on the worker's queue from the split on, not from the end
-    # of the pipeline
-    assert events == [("eig", 80, True), ("eig", 72, True), ("triple", 72)]
+    # S's eig is on the worker's queue from the split on, whatever its size,
+    # not from the end of the pipeline
+    assert events == [["eig", "eig"]]
+    dims = report["dims"]["domain"], report["dims"]["symmetric_part"]
+    assert [args[0].shape for _, args, _ in queued[:2]] == [(d, d) for d in dims]
     # then the triple's contract check and the two checks on graph T, in
     # pipeline order, each on read-only arrays alone
-    assert [name for name, _ in queued] == ["eig", "eig"] + CHECKS
-    args = [a for _, task_args in queued for a in task_args]
+    assert _names(queued) == ["eig", "eig"] + CHECKS
+    args = [a for _, task_args, _ in queued for a in task_args]
     assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in args)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Every worker pool ``analyze_operator`` creates."""
-    created = []
-    pool = analysis.ThreadPoolExecutor
-
-    def counted_pool(*args, **kwargs):
-        created.append(pool(*args, **kwargs))
-        return created[-1]
-
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", counted_pool)
-    return created
 
 
 def _fails_while_held(release):
@@ -179,20 +153,6 @@ def _fails_while_held(release):
 
 class TestErrors:
     @pytest.fixture
-    def futures(self, monkeypatch):
-        """Every future ``_submit_eig`` hands back."""
-        seen = []
-        submit = analysis._submit_eig
-
-        def recorded(pool, op):
-            future = submit(pool, op)
-            seen.append(future)
-            return future
-
-        monkeypatch.setattr(analysis, "_submit_eig", recorded)
-        return seen
-
-    @pytest.fixture
     def held_eig(self, monkeypatch):
         """``np.linalg.eig`` held until ``release`` is set; ``started`` is
         set once the first call has begun."""
@@ -209,50 +169,104 @@ class TestErrors:
         release.set()
 
     def test_error_after_submit_waits_for_the_running_eig(
-            self, monkeypatch, two_cpus, futures, held_eig):
+            self, monkeypatch, two_cpus, queued, held_eig):
         started, release = held_eig
 
-        def build_pipeline(op, splitting, defer=None):
+        def failing_deficiency(triple, op):
+            # the triple's check is queued behind the eigs, and taken back
             assert started.wait(30)
             raise PipelineError("planted failure while the eig runs")
 
-        monkeypatch.setattr(analysis, "build_pipeline", build_pipeline)
+        monkeypatch.setattr(analysis, "deficiency_space", failing_deficiency)
         _fails_while_held(release)
         assert started.is_set()
-        # T's eig and, since the split, S's
-        assert len(futures) == 2 and futures[0] is not None
-        assert futures[0].done() and not futures[0].cancelled()
+        # T's eig and, since the split, S's, then the triple's check
+        assert _names(queued) == ["slow_eig", "slow_eig", CHECKS[0]]
+        eig_op = queued[0][2]
+        assert eig_op.done() and not eig_op.cancelled()
+        assert all(future.done() for *_, future in queued)
 
     def test_error_after_submit_cancels_the_queued_eig(
-            self, monkeypatch, two_cpus, futures, held_eig):
+            self, monkeypatch, two_cpus, queued, held_eig):
         started, release = held_eig
 
         def failing_triple(sym, defer=None):
             # T's eig holds the worker, so S's is still queued
-            assert started.wait(30) and len(futures) == 2
+            assert started.wait(30) and len(queued) == 2
             raise PipelineError("planted failure while S's eig is queued")
 
         monkeypatch.setattr(analysis, "build_boundary_triple", failing_triple)
         _fails_while_held(release)
-        eig_op, eig_sym = futures
+        (_, _, eig_op), (_, _, eig_sym) = queued
         assert eig_op.done() and not eig_op.cancelled()
         assert eig_sym.cancelled()
         assert _worker_threads() == []
 
     def test_lapack_error_surfaces_unchanged(self, monkeypatch, two_cpus,
-                                             futures):
+                                             queued):
         def failing_eig(a):
             raise LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", failing_eig)
         with pytest.raises(LinAlgError, match="did not converge"):
             analyze_operator(random_dissipative(64, np.random.default_rng(1)))
-        assert futures[0] is not None
-        assert all(f is None or f.done() for f in futures)
+        assert _names(queued) == ["failing_eig"] * 2 + CHECKS
+        assert all(future.done() for *_, future in queued)
 
 
 def _worker_threads():
     return [t for t in threading.enumerate() if t.name.startswith(WORKER)]
+
+
+class TestSerialPath:
+    """Without a worker each task runs on the calling thread when it is
+    read, and a task runs once, with a worker or without."""
+
+    def test_failed_split_runs_no_eig(self, monkeypatch, eig_threads):
+        monkeypatch.setattr(analysis, "_OFFLOAD_MIN_DIM", sys.maxsize)
+
+        def failing_split(op):
+            raise PipelineError("planted failure of the split")
+
+        monkeypatch.setattr(analysis, "split", failing_split)
+        with pytest.raises(PipelineError, match="planted"):
+            analyze_operator(_full(np.random.default_rng(1)))
+        assert eig_threads == []
+
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "serial"])
+    def test_triple_contracts_run_once_per_call(self, worker, monkeypatch,
+                                                two_cpus):
+        if not worker:
+            monkeypatch.setattr(analysis, "_OFFLOAD_MIN_DIM", sys.maxsize)
+        threads = []
+        contracts = boundary._triple_contracts
+
+        def counted(*args):
+            threads.append(threading.current_thread().name)
+            return contracts(*args)
+
+        monkeypatch.setattr(boundary, "_triple_contracts", counted)
+        report = analyze_operator(_full(np.random.default_rng(1)))
+        # read at the join and again as ``triple.green_residual``
+        assert all(report["checks"].values())
+        assert len(threads) == 1
+        if not worker:
+            assert threads == [threading.current_thread().name]
+
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "serial"])
+    def test_a_failing_task_runs_once(self, worker):
+        calls = []
+
+        def failing():
+            calls.append(threading.current_thread().name)
+            raise PipelineError("planted failure of a task")
+
+        with (ThreadPoolExecutor(1) if worker else contextlib.nullcontext()) as pool:
+            task = analysis._Deferred(pool, failing)
+            for _ in range(2):
+                with pytest.raises(PipelineError, match="planted"):
+                    task.result()
+        assert len(calls) == 1
 
 
 class TestDeferredChecks:
@@ -291,7 +305,7 @@ class TestDeferredChecks:
     def test_contract_failure_is_the_same_error(self, monkeypatch, two_cpus,
                                                 failing_contract, queued):
         deferred = self.raised(self.CONTRACT)
-        assert [name for name, _ in queued][2:] == CHECKS
+        assert _names(queued)[2:] == CHECKS
         assert self.raised(self.CONTRACT, monkeypatch) == deferred
 
     def test_graph_green_failure_is_the_same_error(self, monkeypatch, two_cpus,
@@ -299,7 +313,7 @@ class TestDeferredChecks:
         monkeypatch.setattr(boundary, "_green_residual", lambda *args: 1.0)
         match = "Green identity fails on the graph of T"
         deferred = self.raised(match)
-        assert [name for name, _ in queued][2:] == CHECKS
+        assert _names(queued)[2:] == CHECKS
         assert self.raised(match, monkeypatch) == deferred
 
     @staticmethod
@@ -404,10 +418,10 @@ class TestNoThreadOutlivesTheCall:
         assert _worker_threads() == []
 
     def test_after_raise(self, monkeypatch, two_cpus, pools):
-        def build_pipeline(op, splitting, defer=None):
+        def failing_triple(sym, defer=None):
             raise PipelineError("planted failure after the submit")
 
-        monkeypatch.setattr(analysis, "build_pipeline", build_pipeline)
+        monkeypatch.setattr(analysis, "build_boundary_triple", failing_triple)
         with pytest.raises(PipelineError, match="planted"):
             analyze_operator(random_dissipative(64, np.random.default_rng(1)))
         assert len(pools) == 1
@@ -466,7 +480,7 @@ def test_bad_seed_is_rejected_before_any_work(seed, monkeypatch, two_cpus,
         raise AssertionError("the pipeline ran before the seed was checked")
 
     monkeypatch.setattr(analysis, "split", refuse)
-    monkeypatch.setattr(analysis, "build_pipeline", refuse)
+    monkeypatch.setattr(analysis, "build_boundary_triple", refuse)
     with pytest.raises(DimensionMismatch):
         analyze_operator(random_dissipative(64, np.random.default_rng(1)), seed=seed)
     assert eig_threads == []

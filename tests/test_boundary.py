@@ -25,7 +25,7 @@ from kreinpair.boundary import (
     transform_traces,
 )
 import kreinpair.boundary as boundary_module
-from kreinpair.analysis import analyze_operator, build_pipeline
+from kreinpair.analysis import analyze_operator
 from kreinpair.decomposition import deficiency_space
 from kreinpair.errors import DimensionMismatch, PipelineError
 from kreinpair.instances import (
@@ -539,10 +539,10 @@ class TestBoundaryMaps:
             n = int(rng.integers(3, 13))
             domain_dim = int(rng.integers(2, n)) if k % 2 else None
             op = random_dissipative(n, rng, domain_dim=domain_dim)
-            s = split(op)
-            result = build_pipeline(op, s)
-            oracle = ambient_map_gap(op, s, result.pair_projection,
-                                     result.pair_resolvent)
+            s, triple, _ = pipeline(op)
+            oracle = ambient_map_gap(op, s, boundary_map_projection(op, s),
+                                     boundary_map_resolvent(
+                                         op, deficiency_space(triple, op)))
             gap = analyze_operator(op)["boundary_map_gap"]
             assert abs(gap - oracle) <= 1e-12
 

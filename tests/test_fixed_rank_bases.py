@@ -27,13 +27,14 @@ from kreinpair import (
     deficiency_space,
     dissipative_part,
     boundary_map_projection,
+    boundary_map_resolvent,
     gap_distance,
     pair_green_residual,
     restrict_triple,
     split,
 )
 import kreinpair.decomposition as decomposition_module
-from kreinpair.analysis import _map_gap, analyze_operator, build_pipeline
+from kreinpair.analysis import _map_gap, analyze_operator
 from kreinpair.boundary import _map_kernel
 from kreinpair.completeness import contraction_bound, range_splitting
 from kreinpair.instances import random_dissipative, scaled_defect_instance
@@ -282,7 +283,9 @@ def test_map_gap_norms_no_ambient_matrix(monkeypatch):
     # maps on domain coordinates (d x d): no n-row matrix is formed
     op = random_dissipative(12, np.random.default_rng(3), defect=3, domain_dim=8)
     s = split(op)
-    result = build_pipeline(op, s)
+    pair = boundary_map_projection(op, s)
+    resolvent = boundary_map_resolvent(
+        op, deficiency_space(build_boundary_triple(s.symmetric), op))
     e, d = s.defect.domain.dim, op.domain.dim
     assert op.space.dim > d > e > 0
     shapes, norm = [], np.linalg.norm
@@ -293,8 +296,7 @@ def test_map_gap_norms_no_ambient_matrix(monkeypatch):
         return norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", recorded)
-    _map_gap(op.coords(s.defect.domain.basis), result.pair_projection,
-             result.pair_resolvent)
+    _map_gap(op.coords(s.defect.domain.basis), pair, resolvent)
     assert shapes == [(e, d), (d, d)]
 
 

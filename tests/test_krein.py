@@ -7,6 +7,7 @@ from kreinpair import (
     OperatorWithDomain,
     ScaleOverflow,
     Subspace,
+    criterion_report,
     gap_distance,
     orthonormal_span,
 )
@@ -68,15 +69,28 @@ _PLANE = KreinSpace(np.eye(2))
     (lambda: Subspace(True), "ambient dimension must be an integer"),
     (lambda: OperatorWithDomain("space", np.eye(2)), "space must be a KreinSpace"),
     (lambda: gap_distance(Subspace(2), "x"), "compares two Subspaces"),
+    (lambda: analyze_operator("x"), "op must be an OperatorWithDomain"),
+    (lambda: criterion_report("x"), "op must be an OperatorWithDomain"),
 ], ids=["str_metric", "ragged_metric", "ragged_operator", "str_operator",
         "array_domain", "str_basis", "nan_tol", "tol_2", "negative_tol",
         "none_ambient", "str_ambient", "float_ambient", "bool_ambient",
-        "str_space", "str_gap_operand"])
+        "str_space", "str_gap_operand", "str_analyzed", "str_criterion"])
 def test_malformed_input_raises_a_typed_error(build, message):
     # a typed error that names the fault, never a raw numpy or Python error,
     # and a float or a bool is no ambient dimension
     with pytest.raises(DimensionMismatch, match=message):
         build()
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1, 0, 1, 2.0,
+                                 True, "1e-9"])
+def test_one_tolerance_rule(tol):
+    # a rank tolerance lies in (0, 1) wherever it is given, with one message
+    with pytest.raises(DimensionMismatch) as space:
+        KreinSpace(np.eye(2), tol=tol)
+    with pytest.raises(DimensionMismatch) as span_error:
+        orthonormal_span([[1], [0]], tol=tol)
+    assert str(span_error.value) == str(space.value)
 
 
 class TestInnerProducts:
