@@ -12,15 +12,16 @@ completeness criteria read the trace image of the traces alone.
 
 Of the four special cases of :class:`~kreinpair.krein.OperatorWithDomain`,
 (1) the identity basis, (2) the Frobenius-first check of J, (3) the eig
-worker and (4) ``BandedOperator.operator()``, this module holds (3).  Five
+worker and (4) ``BandedOperator.operator()``, this module holds (3).  Four
 tasks of a call feed nothing but its end: the ``eig`` of T's and of S's
 domain compression, the largest single calls of the real-spectrum check,
-and the contract checks that the stages queue through ``defer``, of the
-triple of S (:func:`~kreinpair.boundary.build_boundary_triple`), then the
-containment of graph T in the adjoint graph and the Green identity on
-graph T (:func:`~kreinpair.boundary.restrict_triple`).  Each is made as
-soon as its inputs exist, T's eig after the classification and S's at the
-split, and read at the end, so that it can overlap the rest of the call.
+and the one contract check that each boundary stage queues through
+``defer``, of the triple of S
+(:func:`~kreinpair.boundary.build_boundary_triple`), then of graph T, its
+containment in the adjoint graph and its Green identity
+(:func:`~kreinpair.boundary.restrict_triple`).  Each is made as soon as its
+inputs exist, T's eig after the classification and S's at the split, and
+read at the end, so that it can overlap the rest of the call.
 
 * **One handle.**  Every task is a :class:`_Deferred`.  With a worker it is
   queued on it, and ``result()`` takes back a task the worker has not
@@ -31,7 +32,7 @@ split, and read at the end, so that it can overlap the rest of the call.
   task runs at most once, also when it raises.
 * **One gate.**  A call starts a worker when dim T is at least
   ``_OFFLOAD_MIN_DIM`` = 64 and the process may use two CPUs or more, and
-  then queues all five tasks on it.  On
+  then queues all four tasks on it.  On
   ``random_dissipative(n, default_rng(1))`` with single-threaded BLAS, the
   hand-over costs more than the overlap saves below n = 32 and breaks even
   at n = 32, so 64 is the smallest size that gains.
@@ -54,8 +55,8 @@ split, and read at the end, so that it can overlap the rest of the call.
   queued; no task touches an operator or its cached properties.
 * **The reports are bit-identical.**  The worker makes the same calls on
   the same arrays as the calling thread, with the same BLAS settings, and
-  :func:`~kreinpair.boundary.real_spectrum_report` takes the eigs through
-  ``eigs=``.
+  :func:`~kreinpair.boundary.real_spectrum_report` takes the eigs as
+  ``eigs``.
 * **Memory.**  What the worker allocates adds to the process's peak even
   where nothing overlaps: with glibc each thread allocates from its own
   arena, which keeps its high-water mark.  So the checks form their blocks

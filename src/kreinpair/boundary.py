@@ -30,9 +30,12 @@ is checked by two norms instead of a null space.  Graph T lies in the
 adjoint graph exactly when its graph form with graph(S) vanishes: a
 d x d_S product instead of a projection.  Each is decided by a Frobenius
 norm, which bounds the 2-norm from above, so a gate on it only tightens.
-These checks feed nothing that follows but the triple's Green residual, so
-:func:`build_boundary_triple` and :func:`restrict_triple` take a ``defer``
-that may run them elsewhere, on read-only arrays alone.
+Each stage has one contract check, which returns its residuals and raises
+its first failure: :func:`_von_neumann_contracts` for the triple and
+:func:`_graph_contracts` for graph T.  They feed nothing that follows but
+the triple's Green residual, so :func:`build_boundary_triple` and
+:func:`restrict_triple` take a ``defer`` that may run them elsewhere, on
+read-only arrays alone.
 
 The boundary pair (E, G) of T is held in E's own coordinates: E is the
 defect domain with the dissipation form, on coordinates of its orthonormal
@@ -52,9 +55,8 @@ non-normal matrix are ill-conditioned (Golub & Van Loan, *Matrix
 Computations*, section 7.2).  The whole check is O(n^3), and only its real
 eigenspaces become a :class:`~kreinpair.subspaces.Subspace`.  The two ``eig``
 calls, of T's compression and of S's, need nothing but the operator, so
-they may be computed ahead, elsewhere, and handed over: ``eigs=`` of
-:func:`real_spectrum_report` takes their ``(values, vectors)``, and the
-rest of the check is unchanged.
+they are computed ahead, elsewhere, and handed over: ``eigs`` of
+:func:`real_spectrum_report` is their ``(values, vectors)``.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ class BoundaryTriple:
     exactly on the graph of the symmetric part and are jointly surjective,
     so together they form an ordinary boundary triple.  ``defect_plus`` is
     the deficiency subspace N+ of JS.  ``_contracts`` is the construction's
-    contract check (:func:`_triple_contracts`), run at once or deferred by
-    :func:`build_boundary_triple`'s ``defer``: anything whose ``result()`` is
-    its value or raises its error.
+    contract check (:func:`_von_neumann_contracts`), run at once or deferred
+    by :func:`build_boundary_triple`'s ``defer``: anything whose ``result()``
+    is its value or raises its error.
     """
 
     space_dim: int
@@ -112,7 +114,7 @@ class BoundaryTriple:
         """Frobenius norm of the Green identity's defect on the von Neumann
         basis, an upper bound of the 2-norm; reading it joins the contract
         check, and raises when that failed."""
-        return self._contracts.result()
+        return self._contracts.result()[1]
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,8 @@ def build_boundary_triple(sym: OperatorWithDomain, defer=None) -> BoundaryTriple
     ``(JS - i)B`` for the domain basis B, the trailing columns of their
     complete QRs: every singular value of either is at least 1, so both
     ranges have dimension dim S and N+ and N- the same dimension, with no
-    rank decision.  A violation of the contracts (:func:`_triple_contracts`)
-    raises.
+    rank decision.  A violation of the contracts
+    (:func:`_von_neumann_contracts`) raises.
 
     The contract check feeds nothing that follows but ``green_residual``, so
     ``defer``, when given, takes it off this thread: ``defer(check, *args)``
@@ -192,22 +194,12 @@ def build_boundary_triple(sym: OperatorWithDomain, defer=None) -> BoundaryTriple
     w = np.vstack([np.hstack([qp, qm]), 1j * (j @ np.hstack([qp, -qm]))]) / np.sqrt(2.0)
     # no caller holds the traces or w: frozen, not copied
     traces.flags.writeable = w.flags.writeable = False
-    contracts = (defer or _now)(_triple_contracts, j, sym.graph.basis,
+    contracts = (defer or _now)(_von_neumann_contracts, j, sym.graph.basis,
                                 sym.graph_form, traces, w)
     trace0, trace1 = np.split(traces, 2)
     return BoundaryTriple(space_dim=n - d, trace0=trace0, trace1=trace1,
                           symmetric_graph=sym.graph, defect_plus=Subspace(n, qp),
                           _contracts=contracts)
-
-
-def _triple_contracts(j: np.ndarray, g: np.ndarray, g_form: np.ndarray,
-                      traces: np.ndarray, w: np.ndarray) -> float:
-    """The Green residual of :func:`_von_neumann_contracts`; raises when a
-    contract fails."""
-    residual = _von_neumann_contracts(j, g, g_form, traces, w)[1]
-    if residual > EXACT_BOUND:
-        raise PipelineError(f"abstract Green identity fails (residual {residual:.3e})")
-    return residual
 
 
 def _von_neumann_traces(j: np.ndarray, qp: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -227,6 +219,8 @@ def _von_neumann_contracts(j: np.ndarray, g: np.ndarray, g_form: np.ndarray,
     graph form ``g_form``, and w the N+- columns, from blocks.  Its Gram
     defect is checked as :class:`Subspace` checks a basis, and
     ``graph_form(J, a, w) = a* [J bot_w; -J top_w]`` applies J to w once.
+    Raises when the basis, the trace kernel or, above ``EXACT_BOUND``, the
+    Green identity fails, in that order.
 
     Each block is formed in place and dropped once read, with no conjugate
     copy of w or of the traces on the basis, so that no more than three
@@ -258,7 +252,10 @@ def _von_neumann_contracts(j: np.ndarray, g: np.ndarray, g_form: np.ndarray,
     corner = w.T @ np.conjugate(jw, out=jw)
     del jw
     np.subtract(np.conjugate(corner, out=corner), x[d:, d:], out=x[d:, d:])
-    return gap, float(np.linalg.norm(x))
+    residual = float(np.linalg.norm(x))
+    if residual > EXACT_BOUND:
+        raise PipelineError(f"abstract Green identity fails (residual {residual:.3e})")
+    return gap, residual
 
 
 def _minus_identity(a: np.ndarray) -> np.ndarray:
@@ -323,33 +320,30 @@ def _trace_kernel_gap(on_graph: np.ndarray, on_defect: np.ndarray) -> float:
     return gap
 
 
-def _containment_residual(j: np.ndarray, sym_graph: np.ndarray,
-                          graph: np.ndarray) -> float:
-    """Distance bound of an orthonormal graph basis ``graph = [top; bot]``
-    from the adjoint graph of S, given the basis ``sym_graph`` of graph(S).
+def _graph_contracts(j: np.ndarray, sym_graph: np.ndarray, form: np.ndarray,
+                     trace0: np.ndarray, trace1: np.ndarray,
+                     graph: np.ndarray) -> tuple[float, float]:
+    """The containment defect and the Green residual of an orthonormal graph
+    basis ``graph = [top; bot]`` of T, given the basis ``sym_graph`` of
+    graph(S), the graph form ``form`` of ``graph`` and the traces.
 
     The adjoint graph is the orthocomplement of ``M graph(S)`` for the
     unitary ``M(s, s') = (-J s', J s)``, so the part of ``graph`` outside it
     is its overlap with ``M sym_graph``, minus their graph form.  That is a
     d x d_S matrix, and its Frobenius norm bounds the 2-norm
-    ``|(I - P) graph|_2`` for the projector P onto the adjoint graph.
-    Raises when it exceeds ``CHECK_GATE``."""
+    ``|(I - P) graph|_2`` for the projector P onto the adjoint graph.  The
+    Green residual is :func:`_green_residual` of the traces on ``graph``.
+    Raises when the defect exceeds ``CHECK_GATE`` or, after it, the residual
+    ``EXACT_BOUND``."""
     outside = float(np.linalg.norm(graph_form(j, graph, sym_graph)))
     if outside > CHECK_GATE:
         raise PipelineError(
             f"graph of T is not contained in the adjoint graph (defect {outside:.3e})"
         )
-    return outside
-
-
-def _graph_green_residual(form: np.ndarray, trace0: np.ndarray,
-                          trace1: np.ndarray, graph: np.ndarray) -> float:
-    """:func:`_green_residual` of the traces on the orthonormal graph basis
-    ``graph`` with its graph form ``form``; raises above ``EXACT_BOUND``."""
     residual = _green_residual(form, trace0 @ graph, trace1 @ graph)
     if residual > EXACT_BOUND:
         raise PipelineError(f"Green identity fails on the graph of T ({residual:.3e})")
-    return residual
+    return outside, residual
 
 
 def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
@@ -363,16 +357,15 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
     are the leading and trailing columns of the complete QR of
     ``[t0; t1] X`` for the defect basis X, with no rank decision.
 
-    The containment of graph T in the adjoint graph
-    (:func:`_containment_residual`, in the metric J of ``op``'s space) and
-    the Green identity on graph T, against ``op.graph_form``
-    (:func:`_graph_green_residual`), are checked, in that order; a violation
-    of either raises.  Neither feeds what follows, so ``defer`` takes them
-    off this thread as in :func:`build_boundary_triple`.
+    The containment of graph T in the adjoint graph, in the metric J of
+    ``op``'s space, and the Green identity on graph T, against
+    ``op.graph_form``, are checked, in that order, by one contract check
+    (:func:`_graph_contracts`); a violation of either raises.  Neither feeds
+    what follows, so ``defer`` takes the check off this thread as in
+    :func:`build_boundary_triple`.
     """
-    run = defer or _now
-    g_t = op.graph.basis
-    run(_containment_residual, op.space.J, triple.symmetric_graph.basis, g_t)
+    (defer or _now)(_graph_contracts, op.space.J, triple.symmetric_graph.basis,
+                    op.graph_form, triple.trace0, triple.trace1, op.graph.basis)
     b = op.domain.basis
     stacked_pairs = np.vstack([b, op._image])
     t0 = triple.trace0 @ stacked_pairs
@@ -382,7 +375,6 @@ def restrict_triple(triple: BoundaryTriple, op: OperatorWithDomain,
     image, perp = (_split_span(np.vstack([t0, t1]) @ op.coords(defect.basis))
                    if k else (None, None))
     gram = trace_image_gram(image) if k else np.zeros((0, 0), dtype=np.complex128)
-    run(_graph_green_residual, op.graph_form, triple.trace0, triple.trace1, g_t)
     return TraceData(
         boundary_dim=k,
         trace0=t0,
@@ -457,7 +449,8 @@ def boundary_map_projection(op: OperatorWithDomain,
     except np.linalg.LinAlgError as exc:
         raise PipelineError(
             f"graph-Gram solve of the projection boundary map failed: {exc}") from exc
-    return BoundaryPair(space_dim=defect.dim, gram=splitting.defect_gram, matrix=matrix)
+    return BoundaryPair(space_dim=defect.dim, gram=splitting.defect.dissipation_gram,
+                        matrix=matrix)
 
 
 def boundary_map_resolvent(op: OperatorWithDomain, defi: DeficiencyData) -> np.ndarray:
@@ -531,19 +524,20 @@ def restricted_eigenpairs(op: OperatorWithDomain):
     (``perfbench/workloads.py``); the pipeline calls :func:`_eigenpairs`.
     """
     return [(lam, Subspace(op.space.dim, basis))
-            for lam, basis in _eigenpairs(op)]
+            for lam, basis in _eigenpairs(op, np.linalg.eig(op.coords(op._image)))]
 
 
-def _eigenpairs(op: OperatorWithDomain, eig=None) -> list:
-    """:func:`restricted_eigenpairs` with each eigenspace a basis array;
-    ``eig`` is ``np.linalg.eig(op.coords(op._image))`` when computed
-    elsewhere (on :func:`~kreinpair.analysis.analyze_operator`'s worker)."""
+def _eigenpairs(op: OperatorWithDomain, eig: tuple) -> list:
+    """:func:`restricted_eigenpairs` with each eigenspace a basis array,
+    from ``eig``, the ``np.linalg.eig(op.coords(op._image))`` that the
+    caller computed (on :func:`~kreinpair.analysis.analyze_operator`'s
+    worker, or where it chose)."""
     d = op.domain.dim
     if d == 0:
         return []
     mb = op._image
     # eig returns unit eigenvectors, so B v_k is a unit vector too
-    values, vecs = np.linalg.eig(op.coords(mb)) if eig is None else eig
+    values, vecs = eig
     bv = op.lift(vecs)
     # frozen once, so that each eigenspace shares its column without a copy
     bv.flags.writeable = False
@@ -616,8 +610,7 @@ class RealSpectrumReport:
 
 
 def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
-                         pair: BoundaryPair,
-                         eigs: tuple | None = None) -> RealSpectrumReport:
+                         pair: BoundaryPair, eigs: tuple) -> RealSpectrumReport:
     """Check that real eigenvalues of T are exactly those of its symmetric
     part, with matching eigenspaces, and that the boundary-pair identity
     2 Im(lam) [x, x] = |G x|_E^2 holds on every eigenpair.
@@ -626,12 +619,11 @@ def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
     eigenvector for J = I, is zero by the rank decision of the form kernel;
     values and residuals are compared at the scale ``op.scale`` of T.
 
-    ``eigs``, when given, is the pair ``(eig_op, eig_sym)`` of the
-    ``eig`` results of T's and S's domain compressions
-    (:func:`_eigenpairs`); either may be None.
+    ``eigs`` is the pair ``(eig_op, eig_sym)`` of the ``eig`` results of
+    T's and S's domain compressions (:func:`_eigenpairs`).
     """
     notes: list[str] = []
-    eig_op, eig_sym = (None, None) if eigs is None else eigs
+    eig_op, eig_sym = eigs
     pairs_op = _eigenpairs(op, eig_op)
     pairs_sym = _eigenpairs(sym, eig_sym)
     scale = op.scale

@@ -27,10 +27,10 @@ by every :func:`main` call, which saves time only where one process calls
 :func:`main` repeatedly; a ``kreinpair`` or ``python -m kreinpair.cli`` run
 builds it once either way.
 
-Exit codes, mapped once in :func:`main`: 0 on success, 1 on parse or
-validation errors (non-finite entries, JSON's ``NaN`` and ``Infinity``,
-included) and when the output file cannot be written, 2 when a numerical
-check fails.
+Exit codes, mapped once in :func:`main`: 0 on success and for ``-h``, 1 on
+usage, parse or validation errors (non-finite entries, JSON's ``NaN`` and
+``Infinity``, included) and when the output file cannot be written, 2 when
+a numerical check fails.
 """
 
 from __future__ import annotations
@@ -55,7 +55,16 @@ from .tolerances import CHECK_GATE, DEFAULT_TOL, LOOSE_GATE
 
 
 class SpecError(ValueError):
-    """Malformed instance file."""
+    """Malformed instance file or command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`SpecError`, bad
+    input like any other; ``add_subparsers`` makes the subcommands' parsers
+    of the same class."""
+
+    def error(self, message):
+        raise SpecError(message)
 
 
 #: what ``json.loads`` makes of a JSON number; ``bool`` is not one of them
@@ -293,7 +302,7 @@ def _cmd_sl_study(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kreinpair",
         description="boundary pairs of dissipative operators, batch pipeline",
     )
@@ -335,8 +344,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (SpecError, OSError) as exc:
         # bad input, an unwritable output path or an unlistable directory

@@ -40,11 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Splitting:
-    """Componentwise orthogonal decomposition T = S (+) N in graph norm."""
+    """Componentwise orthogonal decomposition T = S (+) N in graph norm;
+    the defect part's ``dissipation_gram`` is E's inner product."""
 
     symmetric: OperatorWithDomain
     defect: OperatorWithDomain
-    defect_gram: np.ndarray  # dissipation form on defect-domain coordinates
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def split(op: OperatorWithDomain) -> Splitting:
         eigs = np.linalg.eigvalsh(gram)
         if eigs[0] <= 0 or negligible(eigs[0], op.tol, np.max(np.abs(eigs))):
             raise PipelineError("dissipation form is degenerate on the defect domain")
-    return Splitting(symmetric=sym, defect=defect, defect_gram=gram)
+    return Splitting(symmetric=sym, defect=defect)
 
 
 def deficiency_space(triple: BoundaryTriple,

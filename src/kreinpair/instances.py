@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch, checked_integer, checked_real
 from .krein import KreinSpace, OperatorWithDomain
 from .subspaces import orthonormal_span
 from .tolerances import WEAK_DEFECT_TOL
@@ -67,7 +68,14 @@ def random_dissipative(n: int, rng: np.random.Generator, *,
 
     ``defect`` is the rank of the dissipation form (default: random in
     [1, n]); ``domain_dim`` restricts the operator to a random subspace.
+    A size that is no integer, or out of range, raises
+    :class:`DimensionMismatch` before any draw.
     """
+    n = checked_integer(n, "n", 1)
+    if defect is not None and checked_integer(defect, "defect", 0) > n:
+        raise DimensionMismatch(f"defect must be at most n = {n}, got {defect!r}")
+    if domain_dim is not None:
+        checked_integer(domain_dim, "domain_dim", 0)
     if defect is None:
         defect = int(rng.integers(1, n + 1))
     j = random_canonical_symmetry(n, rng, definite=definite)
@@ -91,10 +99,12 @@ def real_spectrum_instance(n: int, rng: np.random.Generator,
     commuting with a diagonal symmetry (hence symmetric with real
     eigenvalues) plus a strictly dissipative block, which cannot carry real
     eigenvalues.  Returns the operator, the planted real eigenvalues and
-    the planted symmetric domain.
+    the planted symmetric domain.  Sizes other than integers with
+    ``1 <= n_real < n`` raise :class:`DimensionMismatch` before any draw.
     """
-    if not 1 <= n_real < n:
-        raise ValueError("need 1 <= n_real < n")
+    n_real = checked_integer(n_real, "n_real", 1)
+    if checked_integer(n, "n", 2) <= n_real:
+        raise DimensionMismatch(f"need 1 <= n_real < n, got n_real = {n_real}, n = {n}")
     frame = random_unitary(n, rng)
     k = n - n_real
     reals = np.sort(rng.uniform(-3.0, 3.0, size=n_real))
@@ -125,10 +135,11 @@ def scaled_defect_instance(eps: float) -> OperatorWithDomain:
     The rank tolerance is :data:`~kreinpair.tolerances.WEAK_DEFECT_TOL`,
     below the default so the weak direction is not silently absorbed into
     the symmetric part before the completeness criteria, which work at
-    their own shared threshold, can see it.
+    their own shared threshold, can see it.  An ``eps`` that is no positive
+    real number raises :class:`DimensionMismatch`.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if checked_real(eps, "eps") <= 0:
+        raise DimensionMismatch(f"eps must be positive, got {eps!r}")
     space = KreinSpace(np.eye(2), tol=WEAK_DEFECT_TOL)
     matrix = np.diag([1j, 1j * eps])
     return OperatorWithDomain(space, matrix)

@@ -77,12 +77,14 @@ def _rank(s: np.ndarray, tol: float, scale: float | None) -> int:
 
 def column_space(matrix, tol: float = DEFAULT_TOL,
                  scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the column span, rank cut at ``tol * sigma_max``.
+    """Orthonormal basis of the column span, rank cut at ``tol * sigma_max``
+    for a ``tol`` in (0, 1), as for a :class:`~kreinpair.krein.KreinSpace`.
 
     ``scale`` supplies an external reference for the cut, which matters for
     matrices that are zero up to round-off: relative to their own largest
     singular value every direction would look significant.
     """
+    tol = checked_tol(tol)
     m = _as_matrix(matrix)
     if m.shape[1] == 0 or not np.any(m):
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
@@ -94,8 +96,9 @@ def null_space(matrix, tol: float = DEFAULT_TOL,
                scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the kernel of ``matrix`` acting on column vectors.
 
-    ``scale`` plays the same role as in :func:`column_space`.
+    ``tol`` and ``scale`` play the same roles as in :func:`column_space`.
     """
+    tol = checked_tol(tol)
     m = _as_matrix(matrix)
     rows, cols = m.shape
     if cols == 0:
@@ -170,11 +173,10 @@ class Subspace:
 def orthonormal_span(matrix, tol: float = DEFAULT_TOL,
                      scale: float | None = None) -> Subspace:
     """Span of the columns of ``matrix``, with the orthonormal basis of
-    :func:`column_space` at ``tol``, in (0, 1) as for a
-    :class:`~kreinpair.krein.KreinSpace`, and ``scale``; it lives in C^m
-    for a matrix of m rows."""
+    :func:`column_space` at ``tol`` and ``scale``; it lives in C^m for a
+    matrix of m rows."""
     m = _as_matrix(matrix)
-    basis = column_space(m, checked_tol(tol), scale)
+    basis = column_space(m, tol, scale)
     # no caller holds this view of the SVD's factor, so it is frozen in place
     # rather than copied
     basis.flags.writeable = False

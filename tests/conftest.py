@@ -156,6 +156,12 @@ def reference_eigenpairs(op):
     return pairs
 
 
+def compression_eigs(op, sym):
+    """``eigs`` of ``real_spectrum_report``: the ``eig`` of the domain
+    compressions of T and of its symmetric part, taken on this thread."""
+    return tuple(np.linalg.eig(part.coords(part._image)) for part in (op, sym))
+
+
 def matrix_graph(matrix, basis, tol=DEFAULT_TOL):
     """Graph ``{(x, M x) : x in span(basis)}`` of a square matrix, pairs
     stacked with x on top."""
@@ -721,7 +727,6 @@ def mask_splitting(op, mask):
     return Splitting(
         symmetric=op.restricted(coordinate_span(mask.size, off)),
         defect=op.restricted(coordinate_span(mask.size, on)),
-        defect_gram=block,
     )
 
 

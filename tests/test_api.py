@@ -325,7 +325,7 @@ def test_every_named_tolerance_has_a_reader():
 
 def test_every_dataclass_field_is_read():
     fields = dataclass_fields()
-    assert {"BoundaryPair.gram", "Splitting.defect_gram", "StudyRow.level"} <= set(fields)
+    assert {"BoundaryPair.gram", "Splitting.defect", "StudyRow.level"} <= set(fields)
     attributes = referenced_names()[1]
     read = reported_fields() | set(UNREAD_FIELDS)
     unread = sorted(qual for qual, bare in fields.items()
@@ -350,7 +350,7 @@ def test_reported_classes_name_their_readers():
 
 def test_every_defaulted_parameter_is_set():
     parameters = defaulted_parameters()
-    assert {"KreinSpace.tol", "real_spectrum_report.eigs"} <= set(parameters)
+    assert {"KreinSpace.tol", "restrict_triple.defer"} <= set(parameters)
     dead = sorted(set(parameters) - set_parameters() - set(TEST_ONLY_PARAMETERS))
     assert dead == [], f"defaulted parameters no call in src or perfbench sets: {dead}"
 

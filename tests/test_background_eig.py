@@ -3,7 +3,7 @@
 ``analyze_operator`` hands the LAPACK call of T's and of S's compression,
 and behind them the contract checks of the triple and of graph T, to a
 worker thread of its own when T is large enough; without the worker each
-of the five tasks runs when it is read.  The reports must be the same as
+of the four tasks runs when it is read.  The reports must be the same as
 with the hand-over switched off, errors must surface unchanged, the first
 failing check first, with no work and no thread left behind, every task
 must run once, small operators must never start a worker, and concurrent
@@ -11,6 +11,7 @@ callers and a forked child must get the sequential reports.
 """
 
 import contextlib
+import functools
 import multiprocessing
 import sys
 import threading
@@ -79,7 +80,7 @@ def _dense_n128(rng):
 
 def _dense_n128_mixed(rng):
     # S of dimension 16, below the gate's 64, and the contract checks at
-    # k = 112: all five tasks still go to the worker
+    # k = 112: all four tasks still go to the worker
     return random_dissipative(128, rng, defect=112)
 
 
@@ -104,7 +105,7 @@ def test_reports_equal_with_and_without_worker(make, monkeypatch, two_cpus,
     assert not any(name.startswith(WORKER) for name in eig_threads)
 
 
-CHECKS = ["_triple_contracts", "_containment_residual", "_graph_green_residual"]
+CHECKS = ["_von_neumann_contracts", "_graph_contracts"]
 
 
 def _names(queued):
@@ -130,8 +131,8 @@ def test_sym_eig_is_submitted_before_the_triple(make, monkeypatch, two_cpus,
     assert events == [["eig", "eig"]]
     dims = report["dims"]["domain"], report["dims"]["symmetric_part"]
     assert [args[0].shape for _, args, _ in queued[:2]] == [(d, d) for d in dims]
-    # then the triple's contract check and the two checks on graph T, in
-    # pipeline order, each on read-only arrays alone
+    # then the triple's contract check and graph T's, in pipeline order,
+    # each on read-only arrays alone
     assert _names(queued) == ["eig", "eig"] + CHECKS
     args = [a for _, task_args, _ in queued for a in task_args]
     assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in args)
@@ -239,13 +240,13 @@ class TestSerialPath:
         if not worker:
             monkeypatch.setattr(analysis, "_OFFLOAD_MIN_DIM", sys.maxsize)
         threads = []
-        contracts = boundary._triple_contracts
+        contracts = boundary._von_neumann_contracts
 
         def counted(*args):
             threads.append(threading.current_thread().name)
             return contracts(*args)
 
-        monkeypatch.setattr(boundary, "_triple_contracts", counted)
+        monkeypatch.setattr(boundary, "_von_neumann_contracts", counted)
         report = analyze_operator(_full(np.random.default_rng(1)))
         # read at the join and again as ``triple.green_residual``
         assert all(report["checks"].values())
@@ -277,19 +278,33 @@ class TestDeferredChecks:
 
     CONTRACT = r"abstract Green identity fails \(residual 1\.000e\+00\)"
 
+    @staticmethod
+    def plant_form(monkeypatch, name):
+        """Run the contract check ``boundary.<name>`` on its graph form, its
+        third argument, with one added in the corner, so that its own Green
+        gate fires at a residual of 1.  Returns the names of the threads
+        that ran it, and an event set once it has."""
+        threads, ran = [], threading.Event()
+        check = getattr(boundary, name)
+
+        @functools.wraps(check)
+        def planted(j, graph, form, *args):
+            threads.append(threading.current_thread().name)
+            form = form.copy()
+            form[0, 0] += 1.0
+            try:
+                return check(j, graph, form, *args)
+            finally:
+                ran.set()
+
+        monkeypatch.setattr(boundary, name, planted)
+        return threads, ran
+
     @pytest.fixture
     def failing_contract(self, monkeypatch):
-        """``_von_neumann_contracts`` with a Green residual of 1; the names
-        of the threads that ran it, and an event set once it has."""
-        threads, ran = [], threading.Event()
-
-        def planted(*args):
-            threads.append(threading.current_thread().name)
-            ran.set()
-            return 0.0, 1.0
-
-        monkeypatch.setattr(boundary, "_von_neumann_contracts", planted)
-        return threads, ran
+        """The triple's contract check on a planted graph form (see
+        :meth:`plant_form`)."""
+        return self.plant_form(monkeypatch, "_von_neumann_contracts")
 
     @staticmethod
     def raised(match, monkeypatch=None):
@@ -310,8 +325,8 @@ class TestDeferredChecks:
 
     def test_graph_green_failure_is_the_same_error(self, monkeypatch, two_cpus,
                                                    queued):
-        monkeypatch.setattr(boundary, "_green_residual", lambda *args: 1.0)
-        match = "Green identity fails on the graph of T"
+        self.plant_form(monkeypatch, "_graph_contracts")
+        match = r"Green identity fails on the graph of T \(1\.000e\+00\)"
         deferred = self.raised(match)
         assert _names(queued)[2:] == CHECKS
         assert self.raised(match, monkeypatch) == deferred

@@ -44,6 +44,7 @@ from conftest import (
     adjoint_graph,
     adjoint_relation,
     ambient_map_gap,
+    compression_eigs,
     contains,
     count_subspaces,
     count_svd_backed,
@@ -243,7 +244,7 @@ def dense_trace_kernel_gap(triple, adjoint):
 
 def projected_containment_defect(graph, outer):
     """``|(I - Q Q*) graph|_2`` for the basis Q of ``outer``: the projection
-    route that ``boundary._containment_residual`` replaced, kept as its
+    route that ``boundary._graph_contracts`` replaced, kept as its
     oracle."""
     q = outer.basis
     return float(np.linalg.norm(graph.basis - q @ (q.conj().T @ graph.basis), 2))
@@ -279,15 +280,13 @@ class TestContractChecks:
         t0, t1 = triple.trace0, triple.trace1
         gap, green = von_neumann_contracts(
             sym, np.vstack([t0, t1]), von_neumann_pieces(sym)[2])
+        outside, graph_green = boundary_module._graph_contracts(
+            j, triple.symmetric_graph.basis, graph_form(j, g_t, g_t), t0, t1, g_t)
         return [
             (dense_green_residual(t0, t1, j, adjoint), green),
-            (dense_green_residual(t0, t1, j, graph),
-             boundary_module._green_residual(graph_form(j, g_t, g_t),
-                                             t0 @ g_t, t1 @ g_t)),
+            (dense_green_residual(t0, t1, j, graph), graph_green),
             (dense_trace_kernel_gap(triple, adjoint), gap),
-            (projected_containment_defect(graph, adjoint),
-             boundary_module._containment_residual(
-                 j, triple.symmetric_graph.basis, g_t)),
+            (projected_containment_defect(graph, adjoint), outside),
         ]
 
     def test_values_bound_the_dense_routes(self):
@@ -304,15 +303,16 @@ class TestContractChecks:
             if g_s.shape[1] == 0:
                 # S* is the whole doubled space: nothing to plant
                 continue
-            # defects planted far above round-off: traces that do not vanish
-            # on graph(S) and a graph of T slightly outside the adjoint graph
+            # defects planted far above round-off, and below EXACT_BOUND, above
+            # which the Green checks raise: traces that do not vanish on
+            # graph(S) and a graph of T slightly outside the adjoint graph
             k, n = triple.space_dim, op.space.dim
-            w = 1e-11 * (rng.standard_normal((2 * k, g_s.shape[1]))
+            w = 1e-12 * (rng.standard_normal((2 * k, g_s.shape[1]))
                          + 1j * rng.standard_normal((2 * k, g_s.shape[1]))) @ g_s.conj().T
             planted = replace(triple, trace0=triple.trace0 + w[:k],
                               trace1=triple.trace1 + w[k:])
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            moved = OperatorWithDomain(op.space, op.matrix + 1e-11 * z, op.domain)
+            moved = OperatorWithDomain(op.space, op.matrix + 1e-12 * z, op.domain)
             for old, new in self.values(planted, s.symmetric, moved.graph):
                 assert 1e-13 < new <= CHECK_GATE
                 assert old <= new + self.ROUNDOFF
@@ -735,7 +735,8 @@ class TestRealSpectrum:
     def test_mixed_diagonal_real_eigenvalue(self, mixed_diag):
         s = split(mixed_diag)
         pair = boundary_map_projection(mixed_diag, s)
-        report = real_spectrum_report(mixed_diag, s.symmetric, pair)
+        report = real_spectrum_report(mixed_diag, s.symmetric, pair,
+                                      compression_eigs(mixed_diag, s.symmetric))
         assert report.passed
         assert [round(v.real, 6) for v in report.real_eigenvalues_op] == [1.0]
         assert report.real_eigenvalues_sym == report.real_eigenvalues_op
@@ -743,14 +744,16 @@ class TestRealSpectrum:
     def test_scalar_vacuous(self, scalar_i):
         s = split(scalar_i)
         pair = boundary_map_projection(scalar_i, s)
-        report = real_spectrum_report(scalar_i, s.symmetric, pair)
+        report = real_spectrum_report(scalar_i, s.symmetric, pair,
+                                      compression_eigs(scalar_i, s.symmetric))
         assert report.passed
         assert report.real_eigenvalues_op == [] == report.real_eigenvalues_sym
 
     def test_lower_halfplane_spectrum_vacuous(self, krein_pm):
         s = split(krein_pm)
         pair = boundary_map_projection(krein_pm, s)
-        report = real_spectrum_report(krein_pm, s.symmetric, pair)
+        report = real_spectrum_report(krein_pm, s.symmetric, pair,
+                                      compression_eigs(krein_pm, s.symmetric))
         assert report.passed
         assert report.real_eigenvalues_op == []
 
@@ -762,7 +765,8 @@ class TestRealSpectrum:
             op, planted, _ = real_spectrum_instance(n, rng, n_real)
             s = split(op)
             pair = boundary_map_projection(op, s)
-            report = real_spectrum_report(op, s.symmetric, pair)
+            report = real_spectrum_report(op, s.symmetric, pair,
+                                          compression_eigs(op, s.symmetric))
             assert report.passed, report.notes
             found = sorted(v.real for v in report.real_eigenvalues_op)
             assert np.allclose(found, sorted(v.real for v in planted), atol=1e-7)

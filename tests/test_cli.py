@@ -334,9 +334,8 @@ class TestCodecGuards:
         try:
             out = str(tmp_path / "out.json")
             assert main(["analyze", str(path), "-o", out]) == 0
-            with pytest.raises(SystemExit) as exc:
-                main(["analyze", str(path), "--no-such-flag"])
-            assert exc.value.code == 2
+            # a usage error is bad input
+            assert main(["analyze", str(path), "--no-such-flag"]) == 1
             assert main(["criterion", str(path), "-o", out]) == 0
             assert main(["analyze", str(path), "--seed", "-1", "-o", out]) == 1
         finally:
@@ -642,9 +641,7 @@ class TestStudyCommand:
 
     def test_seed_flag_is_gone(self, tmp_path, capsys):
         # the study draws no random numbers, so there is nothing to seed
-        with pytest.raises(SystemExit) as exc:
-            main(["sl-study", "--seed", "0", "-o", str(tmp_path / "study.csv")])
-        assert exc.value.code == 2
+        assert main(["sl-study", "--seed", "0", "-o", str(tmp_path / "study.csv")]) == 1
         assert "--seed" in capsys.readouterr().err
 
     def test_csv_deterministic(self, tmp_path):
@@ -706,6 +703,8 @@ MISSING = "{missing}: [Errno 2] No such file or directory: '{missing}'"
 
 @pytest.mark.parametrize("argv, code, message", [
     (["analyze", "{good}"], 0, None),
+    (["analyze", "{good}", "--seed", "abc"], 1,
+     "argument --seed: invalid int value: 'abc'"),
     (["analyze", "{missing}"], 1, MISSING),
     (["analyze", "{no_t}"], 1, "{no_t}: both 'J' and 'T' are required"),
     (["analyze", "{neither}"], 2, None),
@@ -719,8 +718,8 @@ MISSING = "{missing}: [Errno 2] No such file or directory: '{missing}'"
     (["sl-study", "--imq", "1e-12", "-o", "{csv}"], 1,
      "level 0, grid step 0.3125: Im q = 1e-12 is at most the rank tolerance "
      "times |T|_2 >= 40.6387, so the dissipation form would be judged zero"),
-], ids=["analyze_ok", "analyze_missing", "analyze_no_t", "analyze_neither",
-        "analyze_1e160", "criterion_empty_dir", "criterion_missing",
+], ids=["analyze_ok", "analyze_usage", "analyze_missing", "analyze_no_t",
+        "analyze_neither", "analyze_1e160", "criterion_empty_dir", "criterion_missing",
         "criterion_neither", "study_bad_omega", "study_tiny_imq"])
 def test_exit_code_table(cli_files, capsys, argv, code, message):
     """The exit code and the exact stderr of each branch :func:`main` maps:
@@ -730,6 +729,23 @@ def test_exit_code_table(cli_files, capsys, argv, code, message):
     assert main([a.format(**cli_files) for a in argv]) == code
     err = capsys.readouterr().err
     assert err == ("" if message is None else f"error: {message.format(**cli_files)}\n")
+
+
+@pytest.mark.parametrize("argv", [["sl-study", "--n", "abc"], [], ["bogus"]],
+                         ids=["study_bad_n", "no_command", "unknown_command"])
+def test_usage_errors_are_bad_input(argv, capsys):
+    # argparse itself would exit 2, the code of a failed check
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["analyze", "-h"], ["sl-study", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kreinpair")
 
 
 #: the types a report's leaves may have: what ``json.loads`` gives back

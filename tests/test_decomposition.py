@@ -87,8 +87,8 @@ class TestDissipativePart:
         for _ in range(10):
             op = random_dissipative(int(rng.integers(2, 9)), rng)
             s = split(op)
-            if s.defect_gram.shape[0]:
-                eigs = np.linalg.eigvalsh(s.defect_gram)
+            if s.defect.dissipation_gram.shape[0]:
+                eigs = np.linalg.eigvalsh(s.defect.dissipation_gram)
                 assert eigs[0] > 1e-10 * eigs[-1]
 
 
@@ -218,18 +218,19 @@ class TestResolventRoute:
 
 
 class TestDefectInner:
-    """The positive inner product of the defect domain, ``defect_gram``."""
+    """The positive inner product of the defect domain, the defect part's
+    ``dissipation_gram``."""
 
     def test_scalar_value(self, scalar_i):
         s = split(scalar_i)
-        assert s.defect_gram.shape == (1, 1)
-        assert s.defect_gram[0, 0] == pytest.approx(2.0)
+        assert s.defect.dissipation_gram.shape == (1, 1)
+        assert s.defect.dissipation_gram[0, 0] == pytest.approx(2.0)
 
     def test_mixed_diagonal_value(self, mixed_diag):
         s = split(mixed_diag)
         c = s.defect.domain.basis.conj().T @ e(2, 1)
         assert abs(c[0]) == pytest.approx(1.0)
-        assert np.vdot(c, s.defect_gram @ c) == pytest.approx(2.0)
+        assert np.vdot(c, s.defect.dissipation_gram @ c) == pytest.approx(2.0)
 
     def test_positive_definite_on_defect_domain(self):
         rng = np.random.default_rng(5)
@@ -238,9 +239,9 @@ class TestDefectInner:
         bn = s.defect.domain.basis
         # the dissipation form of T on defect-basis coordinates
         form = bn.conj().T @ op.dissipation_matrix @ bn
-        assert np.allclose(s.defect_gram, form, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(s.defect_gram, s.defect_gram.conj().T)
-        assert np.linalg.eigvalsh(s.defect_gram)[0] > 1e-8
+        assert np.allclose(s.defect.dissipation_gram, form, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(s.defect.dissipation_gram, s.defect.dissipation_gram.conj().T)
+        assert np.linalg.eigvalsh(s.defect.dissipation_gram)[0] > 1e-8
 
 
 class TestSquareRootBridge:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kreinpair import gap_distance, split
+from kreinpair import DimensionMismatch, gap_distance, split
 from kreinpair.instances import (
     random_canonical_symmetry,
     random_dissipative,
@@ -46,7 +46,7 @@ def test_real_spectrum_instance_plants_symmetric_domain():
 
 
 def test_scaled_defect_instance_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         scaled_defect_instance(0.0)
     op = scaled_defect_instance(0.5)
     assert op.classify() == "dissipative"

@@ -17,6 +17,7 @@ from kreinpair.instances import (
     random_canonical_symmetry,
     random_dissipative,
     random_unitary,
+    real_spectrum_instance,
     scaled_defect_instance,
 )
 from kreinpair.krein import (
@@ -26,7 +27,7 @@ from kreinpair.krein import (
     boundary_metric_matrix,
     classify_by_graph,
 )
-from kreinpair.subspaces import null_space
+from kreinpair.subspaces import column_space, null_space
 from kreinpair.tolerances import CHECK_GATE, negligible
 from kreinpair.sturm_liouville import GridSpec, PotentialSpec, discretize
 
@@ -71,10 +72,20 @@ _PLANE = KreinSpace(np.eye(2))
     (lambda: gap_distance(Subspace(2), "x"), "compares two Subspaces"),
     (lambda: analyze_operator("x"), "op must be an OperatorWithDomain"),
     (lambda: criterion_report("x"), "op must be an OperatorWithDomain"),
+    (lambda: random_dissipative(0, np.random.default_rng(0)),
+     "n must be an integer of at least 1"),
+    (lambda: random_dissipative(2.5, np.random.default_rng(0)),
+     "n must be an integer of at least 1"),
+    (lambda: real_spectrum_instance(4, np.random.default_rng(0), 0),
+     "n_real must be an integer of at least 1"),
+    (lambda: scaled_defect_instance(0), "eps must be positive"),
+    (lambda: scaled_defect_instance("x"), "eps must be a finite real number"),
 ], ids=["str_metric", "ragged_metric", "ragged_operator", "str_operator",
         "array_domain", "str_basis", "nan_tol", "tol_2", "negative_tol",
         "none_ambient", "str_ambient", "float_ambient", "bool_ambient",
-        "str_space", "str_gap_operand", "str_analyzed", "str_criterion"])
+        "str_space", "str_gap_operand", "str_analyzed", "str_criterion",
+        "zero_size_instance", "float_size_instance", "no_real_eigenvalues",
+        "zero_eps", "str_eps"])
 def test_malformed_input_raises_a_typed_error(build, message):
     # a typed error that names the fault, never a raw numpy or Python error,
     # and a float or a bool is no ambient dimension
@@ -91,6 +102,12 @@ def test_one_tolerance_rule(tol):
     with pytest.raises(DimensionMismatch) as span_error:
         orthonormal_span([[1], [0]], tol=tol)
     assert str(span_error.value) == str(space.value)
+    # the rank helpers too: at tol = 2 the identity had a 2-dimensional
+    # kernel and an empty column span
+    for rank_helper in (null_space, column_space):
+        with pytest.raises(DimensionMismatch) as helper_error:
+            rank_helper(np.eye(2), tol=tol)
+        assert str(helper_error.value) == str(space.value)
 
 
 class TestInnerProducts:

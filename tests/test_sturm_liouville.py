@@ -339,11 +339,12 @@ class TestMaskSplitting:
         for part, cols in ((s.defect, pot.omega_mask), (s.symmetric, ~pot.omega_mask)):
             assert np.array_equal(part.domain.basis, eye[:, cols])
             assert not part.domain.basis.flags.writeable
-        # the dense product on the coordinate basis, symmetrised
-        bn = s.defect.domain.basis
-        gram = bn.conj().T @ op.dissipation_matrix @ bn
-        assert np.array_equal(s.defect_gram, 0.5 * (gram + gram.conj().T))
-        assert np.array_equal(np.diag(s.defect_gram), np.full(bn.shape[1], 4.0))
+        # the dense product on the coordinate basis, symmetrised, is the
+        # masked block of the dissipation matrix
+        gram = s.defect.dissipation_gram
+        on = np.flatnonzero(pot.omega_mask)
+        assert np.array_equal(gram, op.dissipation_matrix[np.ix_(on, on)])
+        assert np.array_equal(np.diag(gram), np.full(on.size, 4.0))
 
     def test_wrong_mask_rejected(self):
         grid = GridSpec(x_max=10.0, n_points=16)
