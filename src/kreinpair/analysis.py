@@ -20,27 +20,42 @@ and the one contract check that each boundary stage queues through
 (:func:`~kreinpair.boundary.build_boundary_triple`), then of graph T, its
 containment in the adjoint graph and its Green identity
 (:func:`~kreinpair.boundary.restrict_triple`).  Each is made as soon as its
-inputs exist, T's eig after the classification and S's at the split, and
+inputs exist, T's eig before the classification and S's at the split, and
 read at the end, so that it can overlap the rest of the call.
 
 * **One handle.**  Every task is a :class:`_Deferred`.  With a worker it is
-  queued on it, and ``result()`` takes back a task the worker has not
-  started and runs it on the calling thread, so a call whose worker is
-  busy with the eigs never waits behind its queue.  Without a worker,
-  ``result()`` runs it.  The serial and the threaded call run the same
-  code in the same order and differ only in whether the pool exists.  A
-  task runs at most once, also when it raises.
-* **One gate.**  A call starts a worker when dim T is at least
-  ``_OFFLOAD_MIN_DIM`` = 64 and the process may use two CPUs or more, and
-  then queues all four tasks on it.  On
+  queued on it, and ``take_back()`` runs a task the worker has not started
+  on the calling thread and keeps its value or error, with no wait;
+  ``result()`` takes it back and otherwise waits for the worker's.
+  Without a worker, ``take_back()`` runs it.  The serial and the threaded
+  call run the same code in the same order and differ only in whether the
+  pool exists.  A task runs at most once, also when it raises.
+* **One gate.**  A call starts a worker, before it classifies T, when dim T
+  is at least ``_OFFLOAD_MIN_DIM`` = 64 and the process may use two CPUs
+  or more, and then queues all four tasks on it.  On
   ``random_dissipative(n, default_rng(1))`` with single-threaded BLAS, the
   hand-over costs more than the overlap saves below n = 32 and breaks even
-  at n = 32, so 64 is the smallest size that gains.
+  at n = 32, so 64 is the smallest size that gains.  The price of the
+  early start: a T that is not dissipative returns its short report only
+  once the worker has finished T's eig, in 52 ms in place of 5 ms at
+  n = 128 (median of 30, 2-core VM).  Without a worker that eig never
+  runs.
+* **A work-conserving join.**  The worker takes its queue in order, so at
+  the join the calling thread waits only where it has nothing else to
+  run.  The kernel gap of the boundary map, the part of the real-spectrum
+  check that needs no eig, comes before the join.  Then the calling
+  thread reads T's eig, which the worker began first, and forms its
+  eigenpairs; takes back every check the worker has not begun; and last
+  reads S's eig, the one task the worker may still be running, and forms
+  its eigenpairs.  S's eig cannot be taken back instead: by the join the
+  worker has begun it.
 * **Error order, by construction.**  The checks are read in the ``finally``
-  of the stages that follow the split, in pipeline order, then T's eig,
-  then S's.  So the first failing check is raised in place of any error of
-  a later stage, with the type and message it has on either path, and a
-  call that fails before a task is read never runs it on this thread.
+  of the stages that follow the split, in pipeline order; a check taken
+  back at the join keeps its error for that read.  So the first failing
+  check is raised in place of any error of a later stage, the eigs and
+  their eigenpairs among them, with the type and message it has on either
+  path, and a call that fails before a task is read never runs it on this
+  thread.
 * **Only lock-releasing work runs on the worker.**  In numpy 2.4.6,
   ``eig``, ``eigh``, ``qr``, the full ``svd`` and the products release the
   interpreter lock, while ``eigvals``, ``eigvalsh`` and
@@ -55,8 +70,8 @@ read at the end, so that it can overlap the rest of the call.
   queued; no task touches an operator or its cached properties.
 * **The reports are bit-identical.**  The worker makes the same calls on
   the same arrays as the calling thread, with the same BLAS settings, and
-  :func:`~kreinpair.boundary.real_spectrum_report` takes the eigs as
-  ``eigs``.
+  :func:`~kreinpair.boundary.real_spectrum_report` takes the eigenpairs
+  that :func:`~kreinpair.boundary._eigenpairs` forms from them.
 * **Memory.**  What the worker allocates adds to the process's peak even
   where nothing overlaps: with glibc each thread allocates from its own
   arena, which keeps its high-water mark.  So the checks form their blocks
@@ -78,6 +93,8 @@ import numpy as np
 
 from .boundary import (
     BoundaryPair,
+    _eigenpairs,
+    _map_kernel,
     boundary_map_projection,
     boundary_map_resolvent,
     build_boundary_triple,
@@ -106,21 +123,26 @@ def _usable_cpus() -> int:
 
 class _Deferred:
     """``task(*args)``, queued on the call's worker ``pool`` when there is
-    one.  ``result()`` runs it on the calling thread unless the worker has
-    started it, and otherwise waits for the worker's value or error; the
-    task runs once, and every ``result()`` returns or raises the same."""
+    one.  ``take_back()`` runs it on the calling thread unless the worker
+    has started it, and keeps its value or error; ``result()`` takes it back
+    and otherwise waits for the worker's.  The task runs once, and every
+    ``result()`` returns or raises the same."""
 
     def __init__(self, pool: ThreadPoolExecutor | None, task, *args):
         self._task, self._args = task, args
         self._future = Future() if pool is None else pool.submit(task, *args)
 
-    def result(self):
+    def take_back(self) -> None:
+        """Run the task here if it has not begun; never waits or raises."""
         if self._future.cancel():  # not begun, by a worker or at all
             self._future = Future()
             try:
                 self._future.set_result(self._task(*self._args))
             except BaseException as error:
                 self._future.set_exception(error)
+
+    def result(self):
+        self.take_back()
         return self._future.result()
 
 
@@ -147,7 +169,8 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
 
     The real-spectrum check comes last, so that its two ``eig`` calls,
     queued as soon as their inputs exist, overlap the rest, as do the
-    contract checks queued behind them (see the module docstring).  The
+    contract checks queued behind them; the join waits only when nothing is
+    left to run (see the module docstring).  The
     ``criterion`` and ``real_spectrum`` blocks are the fields of their
     dataclasses, by ``asdict``, so a field's name is its key; eigenvalues
     become [re, im] pairs.  The first exception in pipeline order
@@ -157,14 +180,6 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
     """
     checked_instance(op, OperatorWithDomain, "op")
     seed = checked_seed(seed)
-    classification = op.classify()
-    if classification == NEITHER:
-        return {
-            "classification": classification,
-            "finding": "not dissipative",
-            "seed": seed,
-            "checks": {"dissipative": False},
-        }
     # S's domain lies in T's, so the one gate is taken on T
     pool = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="kreinpair-eig")
             if op.domain.dim >= _OFFLOAD_MIN_DIM and _usable_cpus() >= 2 else None)
@@ -174,8 +189,17 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
         deferred.append(_Deferred(pool, check, *args))
         return deferred[-1]
     try:
-        # np.linalg.eig is looked up now, so a patched or traced eig is the one run
+        # np.linalg.eig is looked up now, so a patched or traced eig is the one
+        # run; T's starts before the classification, which it does not need
         eig_op = _Deferred(pool, np.linalg.eig, _compression(op))
+        classification = op.classify()
+        if classification == NEITHER:
+            return {
+                "classification": classification,
+                "finding": "not dissipative",
+                "seed": seed,
+                "checks": {"dissipative": False},
+            }
         splitting = split(op)
         sym, defect = splitting.symmetric, splitting.defect.domain
         eig_sym = _Deferred(pool, np.linalg.eig, _compression(sym))
@@ -193,14 +217,21 @@ def analyze_operator(op: OperatorWithDomain, seed: int = 0) -> dict:
             riesz = op.graph_spectrum if op.domain.dim else np.zeros(1)
             routes_agree = (classify_by_graph(op) == classification
                             and classify_by_graph(sym) == sym.classify())
+            kernel_gap = gap_distance(_map_kernel(pair, op), sym.domain)
+            # the join, in the order the worker takes its queue: T's eig,
+            # which it began first, then every check it has not begun, run
+            # here, and last S's eig, the one it may still be running
+            pairs_op = _eigenpairs(op, eig_op.result())
+            for check in deferred:
+                check.take_back()
+            pairs_sym = _eigenpairs(sym, eig_sym.result())
         finally:
             # the first check that fails is raised, in place of any error of
             # a later stage
             for check in deferred:
                 check.result()
         green_triple = triple.green_residual
-        spectrum = real_spectrum_report(op, sym, pair,
-                                        eigs=(eig_op.result(), eig_sym.result()))
+        spectrum = real_spectrum_report(op, pair, pairs_op, pairs_sym, kernel_gap)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

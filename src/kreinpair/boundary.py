@@ -55,8 +55,11 @@ non-normal matrix are ill-conditioned (Golub & Van Loan, *Matrix
 Computations*, section 7.2).  The whole check is O(n^3), and only its real
 eigenspaces become a :class:`~kreinpair.subspaces.Subspace`.  The two ``eig``
 calls, of T's compression and of S's, need nothing but the operator, so
-they are computed ahead, elsewhere, and handed over: ``eigs`` of
-:func:`real_spectrum_report` is their ``(values, vectors)``.
+they are computed ahead, elsewhere, and handed over:
+:func:`real_spectrum_report` takes the eigenpairs that :func:`_eigenpairs`
+forms from each, and the kernel gap of the boundary map, the one part of
+the check that needs no ``eig``, so that a caller can form each as soon as
+its inputs exist.
 """
 
 from __future__ import annotations
@@ -609,8 +612,9 @@ class RealSpectrumReport:
     notes: list
 
 
-def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
-                         pair: BoundaryPair, eigs: tuple) -> RealSpectrumReport:
+def real_spectrum_report(op: OperatorWithDomain, pair: BoundaryPair,
+                         pairs_op: list, pairs_sym: list,
+                         kernel_gap: float) -> RealSpectrumReport:
     """Check that real eigenvalues of T are exactly those of its symmetric
     part, with matching eigenspaces, and that the boundary-pair identity
     2 Im(lam) [x, x] = |G x|_E^2 holds on every eigenpair.
@@ -619,13 +623,12 @@ def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
     eigenvector for J = I, is zero by the rank decision of the form kernel;
     values and residuals are compared at the scale ``op.scale`` of T.
 
-    ``eigs`` is the pair ``(eig_op, eig_sym)`` of the ``eig`` results of
-    T's and S's domain compressions (:func:`_eigenpairs`).
+    ``pairs_op`` and ``pairs_sym`` are the eigenpairs of T and of its
+    symmetric part S, each an :func:`_eigenpairs` list, and ``kernel_gap``
+    is the gap of the kernel of the boundary map (:func:`_map_kernel`) to
+    S's domain, the part of the check that needs no ``eig``.
     """
     notes: list[str] = []
-    eig_op, eig_sym = eigs
-    pairs_op = _eigenpairs(op, eig_op)
-    pairs_sym = _eigenpairs(sym, eig_sym)
     scale = op.scale
     real_op, real_sym = (
         [(l, Subspace(op.space.dim, basis)) for l, basis in pairs
@@ -662,7 +665,6 @@ def real_spectrum_report(op: OperatorWithDomain, sym: OperatorWithDomain,
         rhs = np.einsum("ij,ij->j", gx.conj(), pair.gram @ gx).real
         identity_residual = float(np.max(np.abs(lhs - rhs)))
 
-    kernel_gap = gap_distance(_map_kernel(pair, op), sym.domain)
     passed = (
         matched
         and subspace_gap <= CHECK_GATE

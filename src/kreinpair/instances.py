@@ -74,8 +74,8 @@ def random_dissipative(n: int, rng: np.random.Generator, *,
     n = checked_integer(n, "n", 1)
     if defect is not None and checked_integer(defect, "defect", 0) > n:
         raise DimensionMismatch(f"defect must be at most n = {n}, got {defect!r}")
-    if domain_dim is not None:
-        checked_integer(domain_dim, "domain_dim", 0)
+    if domain_dim is not None and checked_integer(domain_dim, "domain_dim", 0) > n:
+        raise DimensionMismatch(f"domain_dim must be at most n = {n}, got {domain_dim!r}")
     if defect is None:
         defect = int(rng.integers(1, n + 1))
     j = random_canonical_symmetry(n, rng, definite=definite)

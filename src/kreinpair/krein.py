@@ -176,11 +176,13 @@ class OperatorWithDomain:
     (2) :class:`KreinSpace` checks J Frobenius-first; each dense_n128 case
     builds one in its timed region.  (3) The eig worker of
     :mod:`~kreinpair.analysis`, which overlaps the two largest ``eig``
-    calls, T's and S's, and the one contract check of the triple and the
-    one of graph T with the rest of the analysis.  Each of the four is one
-    task handle that runs on the calling thread when it is read, unless the
-    worker has started it; below the one gate on dim T no worker starts.
-    (4) The dense
+    calls, T's, queued before T is classified, and S's, and the one
+    contract check of the triple and the one of graph T with the rest of
+    the analysis.  Each of the four is one task handle that runs on the
+    calling thread when it is taken back, unless the worker has started
+    it; the join takes back the checks after T's eig and before S's, so it
+    waits only when nothing is left to run.  Below the one gate on dim T
+    no worker starts.  (4) The dense
     :meth:`~kreinpair.sturm_liouville.BandedOperator.operator`, the one
     route where the bands cannot decide ``form_scale``.
     """

@@ -8,7 +8,8 @@ import pytest
 
 from kreinpair import KreinSpace, OperatorWithDomain, analysis, gap_distance, split
 from kreinpair.decomposition import Splitting
-from kreinpair.boundary import _green_residual, _trace_kernel_gap
+from kreinpair.boundary import (_eigenpairs, _green_residual, _map_kernel,
+                                _trace_kernel_gap)
 from kreinpair.cli import SpecError
 from kreinpair.errors import (ClassificationError, DimensionMismatch, PipelineError,
                              ScaleOverflow)
@@ -156,10 +157,14 @@ def reference_eigenpairs(op):
     return pairs
 
 
-def compression_eigs(op, sym):
-    """``eigs`` of ``real_spectrum_report``: the ``eig`` of the domain
-    compressions of T and of its symmetric part, taken on this thread."""
-    return tuple(np.linalg.eig(part.coords(part._image)) for part in (op, sym))
+def spectrum_inputs(op, sym, pair):
+    """``pairs_op, pairs_sym, kernel_gap`` of ``real_spectrum_report``: the
+    eigenpairs of the ``eig`` of the domain compressions of T and of its
+    symmetric part, and the gap of the boundary map's kernel to S's domain,
+    all taken on this thread."""
+    pairs = [_eigenpairs(part, np.linalg.eig(part.coords(part._image)))
+             for part in (op, sym)]
+    return (*pairs, gap_distance(_map_kernel(pair, op), sym.domain))
 
 
 def matrix_graph(matrix, basis, tol=DEFAULT_TOL):

@@ -36,12 +36,12 @@ from kreinpair.krein import boundary_metric_matrix
 from kreinpair.sturm_liouville import convergence_study
 
 from conftest import (
-    compression_eigs,
     defect_traces,
     dissipation_form,
     riesz_coords,
     riesz_representer,
     sampled_pair_green_residual,
+    spectrum_inputs,
 )
 
 DIMENSIONS = (2, 4, 8, 16, 32, 64)
@@ -223,8 +223,8 @@ def test_criterion_5_real_spectrum():
         op, _, _ = real_spectrum_instance(n, rng, n_real)
         splitting = split(op)
         pair = boundary_map_projection(op, splitting)
-        report = real_spectrum_report(op, splitting.symmetric, pair,
-                                      compression_eigs(op, splitting.symmetric))
+        inputs = spectrum_inputs(op, splitting.symmetric, pair)
+        report = real_spectrum_report(op, pair, *inputs)
         assert report.passed, report.notes
         worst_value = max(worst_value, report.value_mismatch)
         worst_gap = max(worst_gap, report.subspace_gap)
@@ -233,8 +233,8 @@ def test_criterion_5_real_spectrum():
         op = random_dissipative(int(rng.integers(2, 9)), rng)
         splitting = split(op)
         pair = boundary_map_projection(op, splitting)
-        report = real_spectrum_report(op, splitting.symmetric, pair,
-                                      compression_eigs(op, splitting.symmetric))
+        inputs = spectrum_inputs(op, splitting.symmetric, pair)
+        report = real_spectrum_report(op, pair, *inputs)
         assert report.passed, report.notes
     ok = worst_value <= TOL and worst_gap <= TOL and count >= 20
     _report(

@@ -3,11 +3,13 @@
 ``analyze_operator`` hands the LAPACK call of T's and of S's compression,
 and behind them the contract checks of the triple and of graph T, to a
 worker thread of its own when T is large enough; without the worker each
-of the four tasks runs when it is read.  The reports must be the same as
-with the hand-over switched off, errors must surface unchanged, the first
-failing check first, with no work and no thread left behind, every task
-must run once, small operators must never start a worker, and concurrent
-callers and a forked child must get the sequential reports.
+of the four tasks runs when it is taken back.  The reports must be the
+same as with the hand-over switched off, errors must surface unchanged,
+the first failing check first, with no work and no thread left behind,
+every task must run once, the join must run every task the worker has not
+begun before it waits for S's eig, small operators must never start a
+worker, and concurrent callers and a forked child must get the sequential
+reports.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ from kreinpair import analysis, boundary
 from kreinpair.analysis import analyze_operator
 from kreinpair.errors import DimensionMismatch, PipelineError
 from kreinpair.instances import random_dissipative, real_spectrum_instance
+from kreinpair.krein import NEITHER, OperatorWithDomain
 
 from conftest import count_svd_backed, planted_cluster_operator
 
@@ -84,11 +87,23 @@ def _dense_n128_mixed(rng):
     return random_dissipative(128, rng, defect=112)
 
 
+def _dense_n128_d48(rng):
+    return random_dissipative(128, rng, defect=48)
+
+
+def _dense_n128_d80(rng):
+    return random_dissipative(128, rng, defect=80)
+
+
+# the four dense_n128 benchmark cases, d = 16, 48, 80 and 112, reach the
+# join in different states of the worker's queue
 @pytest.mark.parametrize("make", [_indefinite, _full, _restricted,
                                   _real_spectrum, _clusters, _dense_n128,
+                                  _dense_n128_d48, _dense_n128_d80,
                                   _dense_n128_mixed],
                          ids=["indefinite", "full", "restricted",
                               "real_spectrum", "clusters", "dense_n128",
+                              "dense_n128_d48", "dense_n128_d80",
                               "dense_n128_mixed"])
 def test_reports_equal_with_and_without_worker(make, monkeypatch, two_cpus,
                                                eig_threads):
@@ -124,10 +139,20 @@ def test_sym_eig_is_submitted_before_the_triple(make, monkeypatch, two_cpus,
         return build_triple(sym, defer)
 
     monkeypatch.setattr(analysis, "build_boundary_triple", recorded_triple)
+    first_classify = []
+    classify = OperatorWithDomain.classify
+
+    def recorded_classify(op):
+        if not first_classify:
+            first_classify.append(_names(queued))
+        return classify(op)
+
+    monkeypatch.setattr(OperatorWithDomain, "classify", recorded_classify)
     report = analyze_operator(make(np.random.default_rng(1)))
     assert all(report["checks"].values())
-    # S's eig is on the worker's queue from the split on, whatever its size,
-    # not from the end of the pipeline
+    # T's eig is on the worker's queue before T is classified, and S's from
+    # the split on, whatever its size, not from the end of the pipeline
+    assert first_classify == [["eig"]]
     assert events == [["eig", "eig"]]
     dims = report["dims"]["domain"], report["dims"]["symmetric_part"]
     assert [args[0].shape for _, args, _ in queued[:2]] == [(d, d) for d in dims]
@@ -217,6 +242,112 @@ class TestErrors:
 
 def _worker_threads():
     return [t for t in threading.enumerate() if t.name.startswith(WORKER)]
+
+
+def test_not_dissipative_gets_the_same_short_report(monkeypatch, two_cpus,
+                                                    eig_threads):
+    # T's eig is queued before the classification, so a T that is not
+    # dissipative waits for it with a worker, and never runs it without one
+    op = random_dissipative(64, np.random.default_rng(1))
+    reports = []
+    for worker in (True, False):
+        if not worker:
+            monkeypatch.setattr(analysis, "_OFFLOAD_MIN_DIM", sys.maxsize)
+        eig_threads.clear()
+        reports.append(analyze_operator(OperatorWithDomain(op.space, -op.matrix)))
+        assert len(eig_threads) <= 1
+        assert all(name.startswith(WORKER) for name in eig_threads)
+        assert _worker_threads() == []
+    assert eig_threads == []
+    assert reports == 2 * [{"classification": NEITHER,
+                            "finding": "not dissipative",
+                            "seed": 0,
+                            "checks": {"dissipative": False}}]
+
+
+class TestWorkConservingJoin:
+    """At the join the calling thread forms T's eigenpairs, then runs every
+    contract check the worker has not begun, and only then awaits S's eig,
+    which the worker holds here."""
+
+    @pytest.fixture
+    def held_sym_eig(self, monkeypatch, two_cpus):
+        """S's eig held on the worker until both contract checks have run,
+        or for 10 s at most; returns the list of join events: each check with
+        the thread that ran it, each ``_eigenpairs`` with its domain
+        dimension, and the release of S's eig."""
+        events, ran = [], []
+        started, release = threading.Event(), threading.Event()
+        eig, eigenpairs = np.linalg.eig, analysis._eigenpairs
+        calls = []
+
+        def held_second_eig(a):
+            calls.append(a.shape)
+            if len(calls) == 2:  # S's, queued behind T's
+                started.set()
+                assert release.wait(30)
+                events.append("S's eig released")
+            return eig(a)
+
+        def recorded_eigenpairs(part, eig_result):
+            if not events:
+                # T's eig is done, so the worker has begun S's
+                assert started.wait(30)
+            events.append(("eigenpairs", part.domain.dim))
+            return eigenpairs(part, eig_result)
+
+        def recorded(check):
+            @functools.wraps(check)
+            def run(*args):
+                events.append((check.__name__, threading.current_thread().name))
+                try:
+                    return check(*args)
+                finally:
+                    ran.append(check.__name__)
+                    if len(ran) == len(CHECKS):
+                        release.set()
+            return run
+
+        monkeypatch.setattr(np.linalg, "eig", held_second_eig)
+        monkeypatch.setattr(analysis, "_eigenpairs", recorded_eigenpairs)
+        for name in CHECKS:
+            monkeypatch.setattr(boundary, name, recorded(getattr(boundary, name)))
+        timer = threading.Timer(10.0, release.set)
+        timer.start()
+        yield events
+        timer.cancel()
+        release.set()
+
+    def test_checks_run_here_before_s_eig_is_awaited(self, held_sym_eig):
+        report = analyze_operator(_dense_n128(np.random.default_rng(1)))
+        assert all(report["checks"].values())
+        here = threading.current_thread().name
+        dims = report["dims"]["domain"], report["dims"]["symmetric_part"]
+        assert held_sym_eig == [("eigenpairs", dims[0]),
+                                (CHECKS[0], here), (CHECKS[1], here),
+                                "S's eig released", ("eigenpairs", dims[1])]
+        assert _worker_threads() == []
+
+    def test_taken_back_failure_wins_over_a_later_error(self, monkeypatch,
+                                                         held_sym_eig):
+        threads, _ = TestDeferredChecks.plant_form(monkeypatch,
+                                                   "_von_neumann_contracts")
+        op = _dense_n128(np.random.default_rng(1))
+        recorded = analysis._eigenpairs
+
+        def failing_for_s(part, eig_result):
+            if part is not op:
+                raise PipelineError("planted failure of S's eigenpairs")
+            return recorded(part, eig_result)
+
+        monkeypatch.setattr(analysis, "_eigenpairs", failing_for_s)
+        with pytest.raises(PipelineError, match=TestDeferredChecks.CONTRACT):
+            analyze_operator(op)
+        here = threading.current_thread().name
+        assert threads == [here]
+        assert [event for event in held_sym_eig if event[0] in CHECKS] == [
+            (name, here) for name in CHECKS]
+        assert _worker_threads() == []
 
 
 class TestSerialPath:

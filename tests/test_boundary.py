@@ -44,7 +44,6 @@ from conftest import (
     adjoint_graph,
     adjoint_relation,
     ambient_map_gap,
-    compression_eigs,
     contains,
     count_subspaces,
     count_svd_backed,
@@ -56,6 +55,7 @@ from conftest import (
     reference_eigenpairs,
     relation_eigenspace,
     span,
+    spectrum_inputs,
     von_neumann_pieces,
 )
 
@@ -735,8 +735,8 @@ class TestRealSpectrum:
     def test_mixed_diagonal_real_eigenvalue(self, mixed_diag):
         s = split(mixed_diag)
         pair = boundary_map_projection(mixed_diag, s)
-        report = real_spectrum_report(mixed_diag, s.symmetric, pair,
-                                      compression_eigs(mixed_diag, s.symmetric))
+        report = real_spectrum_report(mixed_diag, pair,
+                                      *spectrum_inputs(mixed_diag, s.symmetric, pair))
         assert report.passed
         assert [round(v.real, 6) for v in report.real_eigenvalues_op] == [1.0]
         assert report.real_eigenvalues_sym == report.real_eigenvalues_op
@@ -744,16 +744,16 @@ class TestRealSpectrum:
     def test_scalar_vacuous(self, scalar_i):
         s = split(scalar_i)
         pair = boundary_map_projection(scalar_i, s)
-        report = real_spectrum_report(scalar_i, s.symmetric, pair,
-                                      compression_eigs(scalar_i, s.symmetric))
+        report = real_spectrum_report(scalar_i, pair,
+                                      *spectrum_inputs(scalar_i, s.symmetric, pair))
         assert report.passed
         assert report.real_eigenvalues_op == [] == report.real_eigenvalues_sym
 
     def test_lower_halfplane_spectrum_vacuous(self, krein_pm):
         s = split(krein_pm)
         pair = boundary_map_projection(krein_pm, s)
-        report = real_spectrum_report(krein_pm, s.symmetric, pair,
-                                      compression_eigs(krein_pm, s.symmetric))
+        report = real_spectrum_report(krein_pm, pair,
+                                      *spectrum_inputs(krein_pm, s.symmetric, pair))
         assert report.passed
         assert report.real_eigenvalues_op == []
 
@@ -765,8 +765,8 @@ class TestRealSpectrum:
             op, planted, _ = real_spectrum_instance(n, rng, n_real)
             s = split(op)
             pair = boundary_map_projection(op, s)
-            report = real_spectrum_report(op, s.symmetric, pair,
-                                          compression_eigs(op, s.symmetric))
+            report = real_spectrum_report(op, pair,
+                                          *spectrum_inputs(op, s.symmetric, pair))
             assert report.passed, report.notes
             found = sorted(v.real for v in report.real_eigenvalues_op)
             assert np.allclose(found, sorted(v.real for v in planted), atol=1e-7)

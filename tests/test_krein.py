@@ -76,6 +76,8 @@ _PLANE = KreinSpace(np.eye(2))
      "n must be an integer of at least 1"),
     (lambda: random_dissipative(2.5, np.random.default_rng(0)),
      "n must be an integer of at least 1"),
+    (lambda: random_dissipative(4, np.random.default_rng(0), domain_dim=5),
+     "domain_dim must be at most n = 4"),
     (lambda: real_spectrum_instance(4, np.random.default_rng(0), 0),
      "n_real must be an integer of at least 1"),
     (lambda: scaled_defect_instance(0), "eps must be positive"),
@@ -84,7 +86,8 @@ _PLANE = KreinSpace(np.eye(2))
         "array_domain", "str_basis", "nan_tol", "tol_2", "negative_tol",
         "none_ambient", "str_ambient", "float_ambient", "bool_ambient",
         "str_space", "str_gap_operand", "str_analyzed", "str_criterion",
-        "zero_size_instance", "float_size_instance", "no_real_eigenvalues",
+        "zero_size_instance", "float_size_instance", "oversized_domain",
+        "no_real_eigenvalues",
         "zero_eps", "str_eps"])
 def test_malformed_input_raises_a_typed_error(build, message):
     # a typed error that names the fault, never a raw numpy or Python error,
